@@ -73,25 +73,10 @@ func (b *Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) 
 		}
 		conns = append(conns, c)
 	}
-	srv, err := NewServer(Config{
-		Conns:        conns,
-		F:            cfg.F,
-		Filter:       cfg.Filter,
-		Steps:        cfg.Steps,
-		Box:          cfg.Box,
-		X0:           cfg.X0,
-		Rounds:       cfg.Rounds,
-		RoundTimeout: b.RoundTimeout,
-		TrackLoss:    cfg.TrackLoss,
-		Reference:    cfg.Reference,
-		Observer:     cfg.Observer,
-		Async:        cfg.Async,
-		// The channel transport never fails, so degradation only ever
-		// triggers on injected faults — chaos parity with the in-process
-		// engine holds bit for bit.
-		Chaos:   cfg.Chaos,
-		Degrade: cfg.Chaos.Enabled(),
-	})
+	// cfg goes to the round kernel as it is. The channel transport never
+	// fails, so degradation only ever triggers on injected faults — chaos
+	// parity with the in-process engine holds bit for bit.
+	srv, err := newServer(Config{Conns: conns, RoundTimeout: b.RoundTimeout}, cfg)
 	if err != nil {
 		return nil, err
 	}

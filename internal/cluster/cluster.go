@@ -6,12 +6,19 @@
 // elimination rule: the system is synchronous, so an agent that misses a
 // round deadline must be faulty; the server removes it and decrements both
 // n and f before continuing.
+//
+// The server is only the report-gathering half of a round: transport
+// fan-out, elimination (or, under Degrade, bounded retries and per-round
+// omission). The update itself — overlay, filter, projected step — is the
+// dgd.Round kernel, shared with the in-process engine and package p2p, which
+// is what makes a cluster run reproduce an in-process run bit for bit.
 package cluster
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"byzopt/internal/aggregate"
@@ -115,11 +122,30 @@ type Result struct {
 // Server coordinates one run. The zero value is unusable; construct with
 // NewServer.
 type Server struct {
-	cfg Config
+	conns            []transport.AgentConn
+	timeout, backoff time.Duration
+	degrade          bool
+	retries          int
+	kernel           dgd.Config // what the round kernel consumes; Agents is unused
+}
+
+// kernel projects the configuration onto the round kernel's.
+func (cfg Config) kernel() dgd.Config {
+	return dgd.Config{
+		F: cfg.F, Filter: cfg.Filter, Steps: cfg.Steps, Box: cfg.Box, X0: cfg.X0, Rounds: cfg.Rounds,
+		TrackLoss: cfg.TrackLoss, Reference: cfg.Reference, Observer: cfg.Observer,
+		Async: cfg.Async, Chaos: cfg.Chaos,
+	}
 }
 
 // NewServer validates the configuration.
 func NewServer(cfg Config) (*Server, error) {
+	return newServer(cfg, cfg.kernel())
+}
+
+// newServer validates the transport side of cfg and, through the kernel's
+// one set of checks, everything else.
+func newServer(cfg Config, kernel dgd.Config) (*Server, error) {
 	if len(cfg.Conns) == 0 {
 		return nil, fmt.Errorf("no agent connections: %w", ErrConfig)
 	}
@@ -128,36 +154,8 @@ func NewServer(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("nil connection %d: %w", i, ErrConfig)
 		}
 	}
-	if cfg.F < 0 || 2*cfg.F >= len(cfg.Conns) {
-		return nil, fmt.Errorf("need 0 <= f < n/2, got n=%d f=%d: %w", len(cfg.Conns), cfg.F, ErrConfig)
-	}
-	if cfg.Filter == nil {
-		return nil, fmt.Errorf("nil filter: %w", ErrConfig)
-	}
-	if len(cfg.X0) == 0 {
-		return nil, fmt.Errorf("empty initial estimate: %w", ErrConfig)
-	}
-	if cfg.Rounds < 0 {
-		return nil, fmt.Errorf("negative rounds: %w", ErrConfig)
-	}
-	if cfg.Box != nil && cfg.Box.Dim() != len(cfg.X0) {
-		return nil, fmt.Errorf("box dim %d vs x0 dim %d: %w", cfg.Box.Dim(), len(cfg.X0), ErrConfig)
-	}
-	if cfg.Reference != nil && len(cfg.Reference) != len(cfg.X0) {
-		return nil, fmt.Errorf("reference dim %d vs x0 dim %d: %w", len(cfg.Reference), len(cfg.X0), ErrConfig)
-	}
-	if cfg.TrackLoss != nil && cfg.TrackLoss.Dim() != len(cfg.X0) {
-		return nil, fmt.Errorf("loss dim %d vs x0 dim %d: %w", cfg.TrackLoss.Dim(), len(cfg.X0), ErrConfig)
-	}
-	if cfg.Async != nil {
-		if err := cfg.Async.Validate(); err != nil {
-			return nil, fmt.Errorf("async: %v: %w", err, ErrConfig)
-		}
-	}
-	if cfg.Chaos != nil {
-		if err := cfg.Chaos.Validate(); err != nil {
-			return nil, fmt.Errorf("chaos: %v: %w", err, ErrConfig)
-		}
+	if err := dgd.ValidateRound(kernel, len(cfg.Conns), ErrConfig); err != nil {
+		return nil, err
 	}
 	if cfg.Retries < 0 {
 		return nil, fmt.Errorf("negative retry budget %d: %w", cfg.Retries, ErrConfig)
@@ -165,7 +163,21 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.RetryBackoff < 0 {
 		return nil, fmt.Errorf("negative retry backoff %v: %w", cfg.RetryBackoff, ErrConfig)
 	}
-	return &Server{cfg: cfg}, nil
+	s := &Server{
+		conns: cfg.Conns, timeout: cfg.RoundTimeout, backoff: cfg.RetryBackoff, retries: cfg.Retries,
+		// Chaos rides the same degradation path: an injected crash or
+		// omission is a system fault to ride out, not Byzantine evidence to
+		// eliminate on.
+		degrade: cfg.Degrade || kernel.Chaos.Enabled(),
+		kernel:  kernel,
+	}
+	if s.timeout <= 0 {
+		s.timeout = 5 * time.Second
+	}
+	if s.backoff <= 0 {
+		s.backoff = 50 * time.Millisecond
+	}
+	return s, nil
 }
 
 // roundReply is one agent's response to a round broadcast.
@@ -175,99 +187,45 @@ type roundReply struct {
 	err      error
 }
 
-// Run executes the protocol. It does not close the connections; the caller
-// owns their lifecycle.
+// Run executes the protocol: per round it gathers the live agents' reports
+// over the transport — eliminating silent agents under step S1, or retrying
+// and then muting them for the round under Degrade — and hands them to the
+// dgd.Round kernel, which owns the overlay, filter, and step. It does not
+// close the connections; the caller owns their lifecycle.
 func (s *Server) Run(ctx context.Context) (*Result, error) {
-	cfg := s.cfg
-	timeout := cfg.RoundTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
+	n := len(s.conns)
+	round, err := dgd.NewRound(s.kernel, n, s.degrade)
+	if err != nil {
+		return nil, err
 	}
-	steps := cfg.Steps
-	if steps == nil {
-		steps = dgd.DefaultSteps()
-	}
+	x := round.X()
 
-	x := vecmath.Clone(cfg.X0)
-	if cfg.Box != nil {
-		if err := cfg.Box.ProjectInPlace(x); err != nil {
-			return nil, fmt.Errorf("projecting x0: %w", err)
-		}
-	}
-
-	// live[i] indexes into cfg.Conns; the slice shrinks on elimination.
-	live := make([]int, len(cfg.Conns))
+	// live[i] indexes into s.conns; the slice shrinks on elimination.
+	live := make([]int, n)
 	for i := range live {
 		live[i] = i
 	}
-	f := cfg.F
+	f := s.kernel.F
 	// Per-round buffers, allocated once and reused for the whole run:
-	// slots[agent] holds the agent's reply for the current round, grads is
-	// the filter input rebuilt from it in agent-index order, replies is the
-	// reply channel (fully drained every round, so reuse is safe), silent
-	// collects the round's deadline misses, and — when the filter supports
-	// the Into face — scratch and dirBuf serve the aggregation.
-	slots := make([][]float64, len(cfg.Conns))
-	grads := make([][]float64, 0, len(cfg.Conns))
-	replies := make(chan roundReply, len(cfg.Conns))
-	silent := make([]int, 0, len(cfg.Conns))
-	intoFilter, hasInto := cfg.Filter.(aggregate.IntoFilter)
-	roundKeyed, _ := cfg.Filter.(aggregate.RoundKeyed)
-	var scratch *aggregate.Scratch
-	var dirBuf []float64
-	if hasInto {
-		scratch = new(aggregate.Scratch)
-		dirBuf = make([]float64, len(x))
-	}
-
-	// The async overlay consumes a full-n slot table (nil marks an
-	// eliminated agent, which removes it from the overlay permanently) and
-	// selects which collected reply values reach the filter. Chaos and
-	// graceful degradation ride the same overlay: a run with neither skips
-	// it entirely, and a chaos-only run gets the default zero-latency
-	// wait-all overlay, whose fault-free path is bitwise synchronous.
-	degrade := cfg.Degrade || cfg.Chaos.Enabled()
-	var async *dgd.AsyncState
-	var asyncObs dgd.AsyncObserver
-	var chaosObs dgd.ChaosObserver
-	var asyncSlots [][]float64
+	// slots[agent] holds the agent's reply for the current round (nil once
+	// the agent is eliminated), replies is the reply channel (fully drained
+	// every round, so reuse is safe), silent collects the round's deadline
+	// misses, and omitFill stands in for a degraded agent's missing reply —
+	// the agent stays in the run, so its slot must not read as eliminated.
+	slots := make([][]float64, n)
+	replies := make(chan roundReply, n)
+	silent := make([]int, 0, n)
 	var omitFill []float64
-	if cfg.Async != nil || degrade {
-		acfg := dgd.AsyncConfig{}
-		if cfg.Async != nil {
-			acfg = *cfg.Async
-			asyncObs, _ = cfg.Observer.(dgd.AsyncObserver)
-		}
-		var err error
-		async, err = dgd.NewAsyncState(acfg, len(cfg.Conns), len(x))
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Chaos.Enabled() {
-			if err := async.AttachChaos(cfg.Chaos); err != nil {
-				return nil, err
-			}
-		}
-		if degrade {
-			chaosObs, _ = cfg.Observer.(dgd.ChaosObserver)
-			// A degraded agent misses the round but stays in the overlay:
-			// its slot gets this placeholder (a nil slot would mean
-			// permanent elimination) and OmitNext keeps the value unused.
-			omitFill = make([]float64, len(x))
-		}
-		asyncSlots = make([][]float64, len(cfg.Conns))
+	if s.degrade {
+		omitFill = make([]float64, len(x))
 	}
 
 	res := &Result{}
-	record := func(t int) error {
-		return dgd.RecordRound(t, x, cfg.TrackLoss, cfg.Reference, cfg.Observer, &res.Trace)
-	}
-
-	for t := 0; t < cfg.Rounds; t++ {
+	for t := 0; t < s.kernel.Rounds; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("round %d: %w", t, err)
 		}
-		if err := record(t); err != nil {
+		if err := round.Record(t); err != nil {
 			return nil, err
 		}
 
@@ -277,10 +235,10 @@ func (s *Server) Run(ctx context.Context) (*Result, error) {
 		// with it the whole trajectory — is independent of reply timing.
 		// That determinism is what lets a cluster run reproduce an
 		// in-process run byte for byte.
-		roundCtx, cancel := context.WithTimeout(ctx, timeout)
+		roundCtx, cancel := context.WithTimeout(ctx, s.timeout)
 		for _, idx := range live {
 			go func(idx int) {
-				g, err := cfg.Conns[idx].RequestGradient(roundCtx, t, x)
+				g, err := s.conns[idx].RequestGradient(roundCtx, t, x)
 				replies <- roundReply{agent: idx, gradient: g, err: err}
 			}(idx)
 		}
@@ -305,150 +263,62 @@ func (s *Server) Run(ctx context.Context) (*Result, error) {
 			return nil, fmt.Errorf("run cancelled at round %d: %w", t, err)
 		}
 
-		if len(silent) > 0 {
-			switch {
-			case degrade:
-				// Graceful degradation: each failed request gets a bounded
-				// redelivery budget with linear backoff, then becomes a
-				// one-round omission routed into the overlay's
-				// partial-aggregation machinery. The agent stays in the
-				// system — next round it reports again — and no count of
-				// failures can raise ErrTooManyFailures.
-				backoff := cfg.RetryBackoff
-				if backoff <= 0 {
-					backoff = 50 * time.Millisecond
-				}
-			nextSilent:
-				for _, idx := range silent {
-					for k := 1; k <= cfg.Retries; k++ {
-						select {
-						case <-time.After(time.Duration(k) * backoff):
-						case <-ctx.Done():
-							return nil, fmt.Errorf("run cancelled at round %d: %w", t, ctx.Err())
-						}
-						res.Faults.Retried++
-						retryCtx, retryCancel := context.WithTimeout(ctx, timeout)
-						g, err := cfg.Conns[idx].RequestGradient(retryCtx, t, x)
-						retryCancel()
-						if err == nil && len(g) == len(x) {
-							slots[idx] = g
-							continue nextSilent
-						}
+		switch {
+		case len(silent) == 0:
+		case s.degrade:
+			// Graceful degradation: each failed request gets a bounded
+			// redelivery budget with linear backoff, then becomes a
+			// one-round omission routed into the overlay's
+			// partial-aggregation machinery. The agent stays in the
+			// system — next round it reports again — and no count of
+			// failures can raise ErrTooManyFailures.
+		nextSilent:
+			for _, idx := range silent {
+				for k := 1; k <= s.retries; k++ {
+					select {
+					case <-time.After(time.Duration(k) * s.backoff):
+					case <-ctx.Done():
+						return nil, fmt.Errorf("run cancelled at round %d: %w", t, ctx.Err())
 					}
-					// Budget exhausted: mute this round, fresh chance next.
-					// The overlay tallies the omission in its round stats.
-					slots[idx] = omitFill
-					async.OmitNext(idx)
-				}
-			case len(silent) > f:
-				return nil, fmt.Errorf("round %d: %d silent agents with budget f=%d: %w",
-					t, len(silent), f, ErrTooManyFailures)
-			default:
-				// Step S1: remove the agents and shrink both n and f.
-				f -= len(silent)
-				res.Eliminated = append(res.Eliminated, silent...)
-				live = removeAll(live, silent)
-			}
-		}
-		var input [][]float64
-		fUse := f
-		if async != nil {
-			for i := range asyncSlots {
-				asyncSlots[i] = nil
-			}
-			for _, idx := range live {
-				asyncSlots[idx] = slots[idx]
-			}
-			in, fEff, stats, err := async.Round(t, f, asyncSlots)
-			if err != nil {
-				return nil, err
-			}
-			input, fUse = in, fEff
-			if asyncObs != nil {
-				if err := asyncObs.ObserveAsyncRound(stats); err != nil {
-					return nil, fmt.Errorf("observer at round %d: %w", t, err)
-				}
-			}
-			if degrade {
-				cs := async.ChaosStats()
-				res.Faults.Add(cs.Faults)
-				if chaosObs != nil {
-					if err := chaosObs.ObserveChaosRound(cs); err != nil {
-						return nil, fmt.Errorf("observer at round %d: %w", t, err)
+					res.Faults.Retried++
+					retryCtx, retryCancel := context.WithTimeout(ctx, s.timeout)
+					g, err := s.conns[idx].RequestGradient(retryCtx, t, x)
+					retryCancel()
+					if err == nil && len(g) == len(x) {
+						slots[idx] = g
+						continue nextSilent
 					}
 				}
+				// Budget exhausted: mute this round, fresh chance next.
+				// The overlay tallies the omission in its round stats.
+				slots[idx] = omitFill
+				round.OmitNext(idx)
 			}
-		} else {
-			grads = grads[:0]
-			for _, idx := range live {
-				grads = append(grads, slots[idx])
+		case len(silent) > f:
+			return nil, fmt.Errorf("round %d: %d silent agents with budget f=%d: %w",
+				t, len(silent), f, ErrTooManyFailures)
+		default:
+			// Step S1: remove the agents — a nil slot from here on; every
+			// other live agent just replied — and shrink both n and f.
+			f -= len(silent)
+			res.Eliminated = append(res.Eliminated, silent...)
+			for _, idx := range silent {
+				slots[idx] = nil
 			}
-			input = grads
+			live = slices.DeleteFunc(live, func(idx int) bool { return slots[idx] == nil })
 		}
-		if len(input) == 0 {
-			// A gracefully lost round: every live agent's report was dropped
-			// (only possible under degradation). The estimate coasts.
-			continue
-		}
-
-		if roundKeyed != nil {
-			// Round-keyed filters (the approximate Krum variants) re-draw
-			// their projection or sample per round; the engine owns the clock.
-			roundKeyed.SetRound(t)
-		}
-		var dir []float64
-		var err error
-		if hasInto {
-			err = intoFilter.AggregateInto(dirBuf, input, fUse, scratch)
-			dir = dirBuf
-		} else {
-			dir, err = cfg.Filter.Aggregate(input, fUse)
-		}
-		if err != nil {
-			if errors.Is(err, aggregate.ErrNonFinite) {
-				// Mirror dgd.Run: a NaN/Inf report is the gradient-level
-				// face of divergence, so callers need one sentinel.
-				return nil, fmt.Errorf("filter %s at round %d: %v: %w", cfg.Filter.Name(), t, err, dgd.ErrDiverged)
-			}
-			return nil, fmt.Errorf("filter %s at round %d: %w", cfg.Filter.Name(), t, err)
-		}
-		eta := steps.At(t)
-		if eta <= 0 {
-			return nil, fmt.Errorf("step size %v at round %d: %w", eta, t, ErrConfig)
-		}
-		if err := vecmath.AxpyInPlace(x, -eta, dir); err != nil {
+		if err := round.Apply(t, f, slots); err != nil {
 			return nil, err
 		}
-		if cfg.Box != nil {
-			if err := cfg.Box.ProjectInPlace(x); err != nil {
-				return nil, err
-			}
-		}
-		if !vecmath.IsFinite(x) {
-			return nil, fmt.Errorf("round %d: %w", t, dgd.ErrDiverged)
-		}
 	}
-	if err := record(cfg.Rounds); err != nil {
+	if err := round.Record(s.kernel.Rounds); err != nil {
 		return nil, err
 	}
 	res.X = x
+	res.Trace = round.Trace()
 	res.FinalN = len(live)
 	res.FinalF = f
+	res.Faults.Add(round.Faults())
 	res.Degraded = !res.Faults.IsZero()
 	return res, nil
-}
-
-// removeAll returns live without the given agent indices, preserving order.
-func removeAll(live, gone []int) []int {
-	drop := make(map[int]bool, len(gone))
-	for _, g := range gone {
-		drop[g] = true
-	}
-	out := live[:0]
-	for _, idx := range live {
-		if !drop[idx] {
-			out = append(out, idx)
-		}
-	}
-	return out
 }

@@ -241,9 +241,10 @@ func TestNewServerValidation(t *testing.T) {
 	}
 }
 
-func TestClusterOverTCP(t *testing.T) {
-	// Full Figure-1 deployment on loopback sockets: 6 agents (agent 0
-	// reverses its gradient), CGE filter, 150 rounds.
+// runOverTCP is the full Figure-1 deployment on loopback sockets: 6 agents
+// (agent 0 reverses its gradient) served over TCP, CGE filter.
+func runOverTCP(t *testing.T, rounds int) *Result {
+	t.Helper()
 	inst, agents := paperAgents(t, byzantine.GradientReverse{})
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -275,7 +276,7 @@ func TestClusterOverTCP(t *testing.T) {
 		Filter:       aggregate.CGE{},
 		Box:          inst.Box,
 		X0:           inst.X0,
-		Rounds:       150,
+		Rounds:       rounds,
 		RoundTimeout: 5 * time.Second,
 		Reference:    inst.XH,
 	})
@@ -290,8 +291,24 @@ func TestClusterOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestClusterOverTCP(t *testing.T) {
+	res := runOverTCP(t, 150)
 	if d := res.Trace.Dist[len(res.Trace.Dist)-1]; d > 0.1 {
 		t.Errorf("TCP cluster distance = %v", d)
+	}
+}
+
+// Regression for the tcp cancellation watcher: the server cancels each
+// round's context right after the replies, and a watcher running late used
+// to poison the next round's socket deadline, so a healthy agent was
+// eliminated as silent. Over many rounds nobody may be eliminated.
+func TestClusterOverTCPEliminatesNoHealthyAgent(t *testing.T) {
+	res := runOverTCP(t, 600)
+	if len(res.Eliminated) != 0 || res.FinalN != 6 || res.FinalF != 1 {
+		t.Errorf("healthy TCP run eliminated %v (final n=%d f=%d)", res.Eliminated, res.FinalN, res.FinalF)
 	}
 }
 

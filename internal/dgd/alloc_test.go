@@ -144,6 +144,28 @@ func TestSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("steady-state round allocates: %.2f allocs/round (1-round run %.0f, 101-round run %.0f)",
 					perRound, base, extended)
 			}
+
+			// The kernel on its own: once warm, Apply over a fixed report
+			// table allocates nothing.
+			round, err := NewRound(cfg, len(cfg.Agents), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports, err := NewCollector(cfg.Agents, len(cfg.X0), 1).Collect(0, round.X())
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := 0
+			apply := func() {
+				if err := round.Apply(next, cfg.F, reports); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+			apply()
+			if allocs := testing.AllocsPerRun(100, apply); allocs > 0 {
+				t.Fatalf("Round.Apply allocates: %.2f allocs/round", allocs)
+			}
 		})
 	}
 }
@@ -271,12 +293,12 @@ func TestCollectorFallbackMix(t *testing.T) {
 	agents[3] = legacyAgent{inner: agents[3]}
 
 	x := []float64{0.4, -0.9}
-	mixed := make([][]float64, len(agents))
-	if err := collectGradients(agents, 3, x, mixed, 1); err != nil {
+	mixed, err := NewCollector(agents, len(x), 1).Collect(3, x)
+	if err != nil {
 		t.Fatal(err)
 	}
-	all := make([][]float64, len(agents))
-	if err := collectGradients(stripInto(agents), 3, x, all, 1); err != nil {
+	all, err := NewCollector(stripInto(agents), len(x), 1).Collect(3, x)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range mixed {

@@ -6,10 +6,13 @@
 //
 //	x_{t+1} = [ x_t - η_t GradFilter(g_1, ..., g_n) ]_W.
 //
-// The engine is a deterministic in-process simulation — the distributed
-// messaging versions live in packages cluster (server-based over a
-// transport) and p2p (fully decentralized via Byzantine broadcast), both of
-// which reuse these step semantics.
+// That update exists once, in the Round kernel (round.go): overlay, filter,
+// step, projection, finite check, and the per-round recording. A substrate
+// only gathers a round's reports and hands them to Round.Apply. This
+// package's RunContext is the deterministic in-process substrate (a
+// Collector looping over agents); package cluster gathers over a transport
+// (server-based, with step-S1 elimination) and package p2p through Byzantine
+// broadcast (fully decentralized, one kernel per honest peer).
 package dgd
 
 import (
@@ -432,37 +435,6 @@ func (r *TraceRecorder) ObserveChaosRound(stats ChaosRoundStats) error {
 	return nil
 }
 
-// RecordRound is the shared per-round recording step of every Backend:
-// evaluate the tracked loss and distance at x_t, append them to trace, and
-// notify the observer (NaN stands in for untracked values). Keeping one
-// implementation is what guarantees the in-process engine and the cluster
-// server feed observers and traces identically.
-func RecordRound(t int, x []float64, trackLoss costfunc.Function, reference []float64, observer RoundObserver, trace *Trace) error {
-	loss, dist := math.NaN(), math.NaN()
-	if trackLoss != nil {
-		v, err := trackLoss.Eval(x)
-		if err != nil {
-			return fmt.Errorf("loss at round %d: %w", t, err)
-		}
-		loss = v
-		trace.Loss = append(trace.Loss, v)
-	}
-	if reference != nil {
-		d, err := vecmath.Dist(x, reference)
-		if err != nil {
-			return fmt.Errorf("distance at round %d: %w", t, err)
-		}
-		dist = d
-		trace.Dist = append(trace.Dist, d)
-	}
-	if observer != nil {
-		if err := observer.ObserveRound(t, x, loss, dist); err != nil {
-			return fmt.Errorf("observer at round %d: %w", t, err)
-		}
-	}
-	return nil
-}
-
 // --- backends ---
 
 // Backend is the uniform execution interface over the repo's substrates: a
@@ -492,165 +464,54 @@ func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
 }
 
-// RunContext executes the configured DGD simulation. The context is checked
-// once per round, so cancellation or deadline expiry aborts the run within
-// one round's duration with a wrapped ctx.Err().
+// RunContext executes the configured DGD simulation: each round the
+// Collector gathers every agent's report in-process and the Round kernel
+// takes them to the next estimate. The context is checked once per round, so
+// cancellation or deadline expiry aborts the run within one round's duration
+// with a wrapped ctx.Err().
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if len(cfg.Agents) == 0 {
+		return nil, fmt.Errorf("no agents: %w", ErrConfig)
 	}
-	steps := cfg.Steps
-	if steps == nil {
-		steps = DefaultSteps()
-	}
-
-	x := vecmath.Clone(cfg.X0)
-	if cfg.Box != nil {
-		if err := cfg.Box.ProjectInPlace(x); err != nil {
-			return nil, fmt.Errorf("projecting x0: %w", err)
+	for i, a := range cfg.Agents {
+		if a == nil {
+			return nil, fmt.Errorf("nil agent %d: %w", i, ErrConfig)
 		}
 	}
-
-	trace := Trace{}
-	if cfg.TrackLoss != nil {
-		trace.Loss = make([]float64, 0, cfg.Rounds+1)
+	round, err := NewRound(cfg, len(cfg.Agents), false)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Reference != nil {
-		trace.Dist = make([]float64, 0, cfg.Rounds+1)
-	}
-	record := func(t int, x []float64) error {
-		return RecordRound(t, x, cfg.TrackLoss, cfg.Reference, cfg.Observer, &trace)
-	}
-
 	workers := cfg.Workers
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	// Per-run state reused across every round: the gradient collector (with
-	// its arena for Into-capable agents), and — when the filter supports the
-	// Into face — the aggregation scratch and the descent-direction buffer.
-	// Together they make the steady-state loop free of heap allocations.
-	col := newCollector(cfg.Agents, len(x), workers)
-	intoFilter, hasInto := cfg.Filter.(aggregate.IntoFilter)
-	roundKeyed, _ := cfg.Filter.(aggregate.RoundKeyed)
-	var scratch *aggregate.Scratch
-	var dirBuf []float64
-	if hasInto {
-		scratch = new(aggregate.Scratch)
-		dirBuf = make([]float64, len(x))
-	}
-
-	// The async overlay selects which of the round's gradient values reach
-	// the filter; the values themselves come from the same collector either
-	// way, which is what keeps zero-latency wait-all bitwise synchronous.
-	// An enabled chaos plan rides the same overlay (a chaos-only run gets a
-	// zero-latency wait-all one, whose fault-free path is bitwise
-	// synchronous too).
-	var async *AsyncState
-	var asyncObs AsyncObserver
-	var chaosObs ChaosObserver
-	if cfg.Async != nil || cfg.Chaos.Enabled() {
-		acfg := AsyncConfig{}
-		if cfg.Async != nil {
-			acfg = *cfg.Async
-			asyncObs, _ = cfg.Observer.(AsyncObserver)
-		}
-		var err error
-		async, err = NewAsyncState(acfg, len(cfg.Agents), len(x))
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Chaos.Enabled() {
-			if err := async.AttachChaos(cfg.Chaos); err != nil {
-				return nil, err
-			}
-			chaosObs, _ = cfg.Observer.(ChaosObserver)
-		}
-	}
-
+	col := NewCollector(cfg.Agents, len(cfg.X0), workers)
 	for t := 0; t < cfg.Rounds; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("run cancelled at round %d: %w", t, err)
 		}
-		if err := record(t, x); err != nil {
+		if err := round.Record(t); err != nil {
 			return nil, err
 		}
-		if err := col.collect(t, x); err != nil {
-			return nil, err
-		}
-		input, fEff := col.grads, cfg.F
-		if async != nil {
-			var stats AsyncRoundStats
-			var err error
-			input, fEff, stats, err = async.Round(t, cfg.F, col.grads)
-			if err != nil {
-				return nil, err
-			}
-			if asyncObs != nil {
-				if err := asyncObs.ObserveAsyncRound(stats); err != nil {
-					return nil, fmt.Errorf("observer at round %d: %w", t, err)
-				}
-			}
-			if chaosObs != nil {
-				if err := chaosObs.ObserveChaosRound(async.ChaosStats()); err != nil {
-					return nil, fmt.Errorf("observer at round %d: %w", t, err)
-				}
-			}
-			if len(input) == 0 {
-				// Every live report was lost to injected faults and the
-				// staleness policy kept nothing: a gracefully lost round —
-				// the estimate coasts instead of the run failing.
-				continue
-			}
-		}
-		if roundKeyed != nil {
-			// Round-keyed filters (the approximate Krum variants) re-draw
-			// their projection or sample per round; the engine owns the clock.
-			roundKeyed.SetRound(t)
-		}
-		var dir []float64
-		var err error
-		if hasInto {
-			err = intoFilter.AggregateInto(dirBuf, input, fEff, scratch)
-			dir = dirBuf
-		} else {
-			dir, err = cfg.Filter.Aggregate(input, fEff)
-		}
+		reports, err := col.Collect(t, round.X())
 		if err != nil {
-			if errors.Is(err, aggregate.ErrNonFinite) {
-				// A NaN/Inf report is the gradient-level face of divergence;
-				// surface it as such so callers need one sentinel.
-				return nil, fmt.Errorf("filter %s at round %d: %v: %w", cfg.Filter.Name(), t, err, ErrDiverged)
-			}
-			return nil, fmt.Errorf("filter %s at round %d: %w", cfg.Filter.Name(), t, err)
-		}
-		eta := steps.At(t)
-		if eta <= 0 {
-			return nil, fmt.Errorf("step size %v at round %d must be positive: %w", eta, t, ErrConfig)
-		}
-		if err := vecmath.AxpyInPlace(x, -eta, dir); err != nil {
 			return nil, err
 		}
-		if cfg.Box != nil {
-			if err := cfg.Box.ProjectInPlace(x); err != nil {
-				return nil, err
-			}
-		}
-		if !vecmath.IsFinite(x) {
-			return nil, fmt.Errorf("at round %d: %w", t, ErrDiverged)
+		if err := round.Apply(t, cfg.F, reports); err != nil {
+			return nil, err
 		}
 	}
-	if err := record(cfg.Rounds, x); err != nil {
+	if err := round.Record(cfg.Rounds); err != nil {
 		return nil, err
 	}
-	return &Result{X: x, Rounds: cfg.Rounds, Trace: trace}, nil
+	return &Result{X: round.X(), Rounds: cfg.Rounds, Trace: round.Trace()}, nil
 }
 
-// collector is the per-run gradient-collection state: the honest/faulty
+// Collector is the per-run gradient-collection state: the honest/faulty
 // split (computed once — agent kinds cannot change mid-run), the Into faces
 // detected per agent, and the gradient arena whose rows receive Into-capable
 // reports. Reports from agents not marked Faulty are collected first (a full
@@ -659,7 +520,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 // assumes. Reports land in agent-index slots and the honest set is ordered
 // by agent index, so the filter input is identical at any worker count and
 // on either the Into or the fallback path.
-type collector struct {
+type Collector struct {
 	agents     []Agent
 	honestIdx  []int
 	faultyIdx  []int
@@ -671,12 +532,12 @@ type collector struct {
 	workers    int
 }
 
-// newCollector builds the collection state for one run over agents reporting
+// NewCollector builds the collection state for one run over agents reporting
 // d-dimensional gradients. The Into interfaces only engage on the sequential
 // path (workers <= 1): their implementations may reuse internal scratch, and
 // the goroutine fan-out of the concurrent path allocates anyway.
-func newCollector(agents []Agent, d, workers int) *collector {
-	c := &collector{
+func NewCollector(agents []Agent, d, workers int) *Collector {
+	c := &Collector{
 		agents:  agents,
 		grads:   make([][]float64, len(agents)),
 		workers: workers,
@@ -707,17 +568,25 @@ func newCollector(agents []Agent, d, workers int) *collector {
 	return c
 }
 
-// collect fills c.grads and c.honest with the round's reports.
-func (c *collector) collect(t int, x []float64) error {
+// Collect queries every agent for round t at estimate x and returns the
+// reports in agent-index order. The table and its rows are owned by the
+// collector and valid until the next Collect.
+func (c *Collector) Collect(t int, x []float64) ([][]float64, error) {
+	var err error
 	if c.workers <= 1 {
-		return c.collectSeq(t, x)
+		err = c.collectSeq(t, x)
+	} else {
+		err = c.collectPar(t, x)
 	}
-	return c.collectPar(t, x)
+	if err != nil {
+		return nil, err
+	}
+	return c.grads, nil
 }
 
 // collectSeq is the sequential path: plain loops (no closures reach a
 // goroutine, so nothing escapes to the heap) with per-agent Into dispatch.
-func (c *collector) collectSeq(t int, x []float64) error {
+func (c *Collector) collectSeq(t int, x []float64) error {
 	for _, i := range c.honestIdx {
 		if ia := c.into[i]; ia != nil {
 			if err := ia.GradientInto(c.rows[i], t, x); err != nil {
@@ -757,8 +626,8 @@ func (c *collector) collectSeq(t int, x []float64) error {
 }
 
 // collectPar fans the queries out over up to c.workers goroutines via
-// parallelFor, always through the allocating Agent faces (see newCollector).
-func (c *collector) collectPar(t int, x []float64) error {
+// parallelFor, always through the allocating Agent faces (see NewCollector).
+func (c *Collector) collectPar(t int, x []float64) error {
 	err := parallelFor(c.workers, c.honestIdx, func(i int) error {
 		g, err := c.agents[i].Gradient(t, x)
 		if err != nil {
@@ -789,63 +658,9 @@ func (c *collector) collectPar(t int, x []float64) error {
 
 // gatherHonest rebuilds the agent-index-ordered honest report list in the
 // reused c.honest buffer.
-func (c *collector) gatherHonest() {
+func (c *Collector) gatherHonest() {
 	c.honest = c.honest[:0]
 	for _, i := range c.honestIdx {
 		c.honest = append(c.honest, c.grads[i])
 	}
-}
-
-// collectGradients fills grads with every agent's report for the round; the
-// one-shot face of the collector, kept for callers outside the run loop.
-func collectGradients(agents []Agent, t int, x []float64, grads [][]float64, workers int) error {
-	c := newCollector(agents, len(x), workers)
-	if err := c.collect(t, x); err != nil {
-		return err
-	}
-	copy(grads, c.grads)
-	return nil
-}
-
-func (cfg *Config) validate() error {
-	if len(cfg.Agents) == 0 {
-		return fmt.Errorf("no agents: %w", ErrConfig)
-	}
-	for i, a := range cfg.Agents {
-		if a == nil {
-			return fmt.Errorf("nil agent %d: %w", i, ErrConfig)
-		}
-	}
-	if cfg.F < 0 || 2*cfg.F >= len(cfg.Agents) {
-		return fmt.Errorf("need 0 <= f < n/2, got n=%d f=%d: %w", len(cfg.Agents), cfg.F, ErrConfig)
-	}
-	if cfg.Filter == nil {
-		return fmt.Errorf("nil filter: %w", ErrConfig)
-	}
-	if len(cfg.X0) == 0 {
-		return fmt.Errorf("empty initial estimate: %w", ErrConfig)
-	}
-	if cfg.Rounds < 0 {
-		return fmt.Errorf("negative rounds %d: %w", cfg.Rounds, ErrConfig)
-	}
-	if cfg.Box != nil && cfg.Box.Dim() != len(cfg.X0) {
-		return fmt.Errorf("box dim %d vs x0 dim %d: %w", cfg.Box.Dim(), len(cfg.X0), ErrConfig)
-	}
-	if cfg.Reference != nil && len(cfg.Reference) != len(cfg.X0) {
-		return fmt.Errorf("reference dim %d vs x0 dim %d: %w", len(cfg.Reference), len(cfg.X0), ErrConfig)
-	}
-	if cfg.TrackLoss != nil && cfg.TrackLoss.Dim() != len(cfg.X0) {
-		return fmt.Errorf("loss dim %d vs x0 dim %d: %w", cfg.TrackLoss.Dim(), len(cfg.X0), ErrConfig)
-	}
-	if cfg.Async != nil {
-		if err := cfg.Async.Validate(); err != nil {
-			return fmt.Errorf("async: %v: %w", err, ErrConfig)
-		}
-	}
-	if cfg.Chaos != nil {
-		if err := cfg.Chaos.Validate(); err != nil {
-			return fmt.Errorf("%v: %w", err, ErrConfig)
-		}
-	}
-	return nil
 }

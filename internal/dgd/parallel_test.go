@@ -125,9 +125,9 @@ func TestOmniscientSeesAllHonestGradientsInParallel(t *testing.T) {
 	}
 	want := vecmath.Scale(-eps, mean)
 
-	grads := make([][]float64, len(agents))
 	for _, workers := range []int{1, 8} {
-		if err := collectGradients(agents, 0, x, grads, workers); err != nil {
+		grads, err := NewCollector(agents, len(x), workers).Collect(0, x)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !vecmath.Equal(grads[0], want, 0) {

@@ -55,20 +55,7 @@ func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 		}
 		peers[i] = Peer{Agent: a, Distorter: AgentDistorter(a)}
 	}
-	res, err := RunContext(ctx, Config{
-		Peers:     peers,
-		F:         cfg.F,
-		Filter:    cfg.Filter,
-		Steps:     cfg.Steps,
-		Box:       cfg.Box,
-		X0:        cfg.X0,
-		Rounds:    cfg.Rounds,
-		TrackLoss: cfg.TrackLoss,
-		Reference: cfg.Reference,
-		Observer:  cfg.Observer,
-		Async:     cfg.Async,
-		Chaos:     cfg.Chaos,
-	})
+	res, err := run(ctx, peers, cfg)
 	if err != nil {
 		return nil, err
 	}

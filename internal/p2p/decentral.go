@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"byzopt/internal/aggregate"
 	"byzopt/internal/chaos"
@@ -86,6 +87,15 @@ type Result struct {
 	Faults chaos.Counters
 }
 
+// kernel projects the configuration onto the round kernel's.
+func (cfg Config) kernel() dgd.Config {
+	return dgd.Config{
+		F: cfg.F, Filter: cfg.Filter, Steps: cfg.Steps, Box: cfg.Box, X0: cfg.X0, Rounds: cfg.Rounds,
+		TrackLoss: cfg.TrackLoss, Reference: cfg.Reference, Observer: cfg.Observer,
+		Async: cfg.Async, Chaos: cfg.Chaos,
+	}
+}
+
 // Run executes the decentralized simulation without cancellation, as
 // RunContext with a background context.
 func Run(cfg Config) (*Result, error) {
@@ -100,19 +110,29 @@ func Run(cfg Config) (*Result, error) {
 // once per round, so cancellation or deadline expiry aborts the run within
 // one round's duration with a wrapped ctx.Err().
 //
-// Gradient collection mirrors the in-process engine: peers whose agents are
-// not dgd.Faulty report first, then Faulty agents are asked index-aware with
-// the honest reports of the round, so omniscient behaviors see the complete
-// honest set (the broadcast model's rushing adversary). Byzantine peers that
-// equivocate in the broadcast layer (non-nil Distorter) are excluded from
-// the honest-agreement bookkeeping and are handed the honest consensus
-// estimate each round — the strongest vantage point, matching the engine's
-// shared-x semantics.
+// The substrate is only the gathering: a dgd.Collector computes the reports
+// exactly as the in-process engine does — peers whose agents are not
+// dgd.Faulty first, then Faulty agents index-aware with the honest reports
+// of the round, so omniscient behaviors see the complete honest set (the
+// broadcast model's rushing adversary) — and the EIG exchange fixes what
+// each peer decides every sender reported. Every honest peer then runs its
+// own dgd.Round kernel over its decided set; the kernels share the
+// configuration and seeds, so overlays draw identical arrivals and faults
+// and the estimates stay in agreement, which the run verifies as it goes.
+// Recording, observers, and the fault tally hang off the first honest peer
+// only. Byzantine peers that equivocate in the broadcast layer (non-nil
+// Distorter) take no protocol step and report from the honest consensus
+// estimate — the strongest vantage point, matching the engine's shared-x
+// semantics.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
+	return run(ctx, cfg.Peers, cfg.kernel())
+}
+
+func run(ctx context.Context, peers []Peer, cfg dgd.Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := len(cfg.Peers)
+	n := len(peers)
 	if n == 0 {
 		return nil, fmt.Errorf("no peers: %w", ErrArgs)
 	}
@@ -120,95 +140,54 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("decentralized DGD needs n > 3f, got n=%d f=%d: %w: %w",
 			n, cfg.F, ErrArgs, dgd.ErrInadmissible)
 	}
-	byzCount := 0
 	byz := make(map[int]Distorter)
-	for i, p := range cfg.Peers {
+	agents := make([]dgd.Agent, n)
+	for i, p := range peers {
 		if p.Agent == nil {
 			return nil, fmt.Errorf("peer %d has no agent: %w", i, ErrArgs)
 		}
+		agents[i] = p.Agent
 		if p.Distorter != nil {
 			byz[i] = p.Distorter
-			byzCount++
-		}
-	}
-	if byzCount > cfg.F {
-		return nil, fmt.Errorf("%d distorting peers exceed budget f=%d: %w", byzCount, cfg.F, ErrArgs)
-	}
-	if cfg.Filter == nil {
-		return nil, fmt.Errorf("nil filter: %w", ErrArgs)
-	}
-	if len(cfg.X0) == 0 {
-		return nil, fmt.Errorf("empty initial estimate: %w", ErrArgs)
-	}
-	if cfg.Rounds < 0 {
-		return nil, fmt.Errorf("negative rounds: %w", ErrArgs)
-	}
-	if cfg.Chaos != nil {
-		if err := cfg.Chaos.Validate(); err != nil {
-			return nil, fmt.Errorf("%v: %w", err, ErrArgs)
-		}
-	}
-	steps := cfg.Steps
-	if steps == nil {
-		steps = dgd.DefaultSteps()
-	}
-	dim := len(cfg.X0)
-
-	// Every honest peer maintains its own estimate; the protocol keeps them
-	// identical, which the run verifies as it goes.
-	estimates := make([][]float64, n)
-	for i := range estimates {
-		x := vecmath.Clone(cfg.X0)
-		if cfg.Box != nil {
-			var err error
-			x, err = cfg.Box.Project(x)
-			if err != nil {
-				return nil, fmt.Errorf("projecting x0: %w", err)
+			if _, isFaulty := p.Agent.(dgd.Faulty); !isFaulty {
+				agents[i] = zeroOnError{p.Agent}
 			}
 		}
-		estimates[i] = x
+	}
+	if len(byz) > cfg.F {
+		return nil, fmt.Errorf("%d distorting peers exceed budget f=%d: %w", len(byz), cfg.F, ErrArgs)
+	}
+	if err := dgd.ValidateRound(cfg, n, ErrArgs); err != nil {
+		return nil, err
 	}
 
-	res := &Result{}
-	honestIdx := -1
-	for i := range cfg.Peers {
-		if _, bad := byz[i]; !bad {
-			honestIdx = i
-			break
+	// One kernel per honest peer (n > 3f leaves at least one); ref is the
+	// first, and the only one that records and feeds observers.
+	rounds := make([]*dgd.Round, n)
+	var ref *dgd.Round
+	for p := range peers {
+		if _, bad := byz[p]; bad {
+			continue
 		}
-	}
-	if honestIdx < 0 {
-		return nil, fmt.Errorf("no honest peer: %w", ErrArgs)
-	}
-
-	// Split the peers the way the engine splits agents: non-Faulty reports
-	// are collected before Faulty ones, so omniscient behaviors observe the
-	// complete honest set.
-	var honestPeers, faultyPeers []int
-	for i, p := range cfg.Peers {
-		if _, isFaulty := p.Agent.(dgd.Faulty); isFaulty {
-			faultyPeers = append(faultyPeers, i)
-		} else {
-			honestPeers = append(honestPeers, i)
+		kcfg := cfg
+		if ref != nil {
+			kcfg.TrackLoss, kcfg.Reference, kcfg.Observer = nil, nil, nil
 		}
-	}
-
-	record := func(t int) error {
-		return dgd.RecordRound(t, estimates[honestIdx], cfg.TrackLoss, cfg.Reference, cfg.Observer, &res.Trace)
+		r, err := dgd.NewRound(kcfg, n, false)
+		if err != nil {
+			return nil, err
+		}
+		rounds[p] = r
+		if ref == nil {
+			ref = r
+		}
 	}
 
 	// Per-round buffers, allocated once and reused across the whole run: the
-	// gradient table, the honest-report list, the n×n agreed-broadcast table,
-	// the decode arena each peer reads its agreed gradients into, and — when
-	// the filter supports the Into face — the aggregation scratch and the
-	// descent-direction buffer shared by the (sequential) per-peer steps.
-	grads := make([][]float64, n)
-	gradArena := make([]float64, n*dim)
-	gradRows := make([][]float64, n)
-	for i := range gradRows {
-		gradRows[i] = gradArena[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	honestGrads := make([][]float64, 0, len(honestPeers))
+	// collector's gradient arena, the n×n agreed-broadcast table, and the
+	// decode arena each peer reads its agreed gradients into.
+	dim := len(cfg.X0)
+	col := dgd.NewCollector(agents, dim, 1)
 	agreed := make([][]string, n)
 	for p := range agreed {
 		agreed[p] = make([]string, n)
@@ -218,115 +197,25 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	for i := range decided {
 		decided[i] = decodeArena[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-	intoFilter, hasInto := cfg.Filter.(aggregate.IntoFilter)
-	roundKeyed, _ := cfg.Filter.(aggregate.RoundKeyed)
-	var scratch *aggregate.Scratch
-	var dirBuf []float64
-	if hasInto {
-		scratch = new(aggregate.Scratch)
-		dirBuf = make([]float64, dim)
-	}
 
-	// One async overlay per honest peer: every peer applies the filter to
-	// its own agreed set, so each keeps its own virtual clock. Identical
-	// configuration and seed mean identical arrival draws, preserving the
-	// agreement invariant. Stats are reported once, from the reference peer.
-	var asyncStates []*dgd.AsyncState
-	var asyncObs dgd.AsyncObserver
-	var chaosObs dgd.ChaosObserver
-	if cfg.Async != nil || cfg.Chaos.Enabled() {
-		acfg := dgd.AsyncConfig{}
-		if cfg.Async != nil {
-			acfg = *cfg.Async
-			asyncObs, _ = cfg.Observer.(dgd.AsyncObserver)
-		}
-		asyncStates = make([]*dgd.AsyncState, n)
-		for p := 0; p < n; p++ {
-			if _, bad := byz[p]; bad {
-				continue
-			}
-			st, err := dgd.NewAsyncState(acfg, n, dim)
-			if err != nil {
-				return nil, err
-			}
-			if cfg.Chaos.Enabled() {
-				if err := st.AttachChaos(cfg.Chaos); err != nil {
-					return nil, err
-				}
-			}
-			asyncStates[p] = st
-		}
-		if cfg.Chaos.Enabled() {
-			chaosObs, _ = cfg.Observer.(dgd.ChaosObserver)
-		}
-	}
-
+	res := &Result{}
 	for t := 0; t < cfg.Rounds; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("run cancelled at round %d: %w", t, err)
 		}
-		if err := record(t); err != nil {
+		// A scheduling point per round. The EIG exchange allocates some
+		// 190 KB a round at n=7, and on one processor a concurrent mark
+		// phase whose worker ran out of its time share ends only when the
+		// worker is scheduled again; this loop never blocks, so that waited
+		// for the runtime's 10 ms forced preemption while the heap ran 3 to
+		// 15 MB past its goal, in some runs and not in others.
+		runtime.Gosched()
+		if err := ref.Record(t); err != nil {
 			return nil, err
 		}
-		// Distorting Byzantine peers play from the honest consensus
-		// estimate; their private local state is not part of the protocol.
-		for i := range byz {
-			if i != honestIdx {
-				copy(estimates[i], estimates[honestIdx])
-			}
-		}
-		// Phase 1: peers whose agents are not dgd.Faulty compute their
-		// reports at their own estimates (identical across honest peers),
-		// writing into arena rows when the agent has an Into face. A
-		// distorting peer's own report failure is its problem — it injects
-		// zeros — but an honest peer failing fails the run.
-		for _, i := range honestPeers {
-			if ia, ok := cfg.Peers[i].Agent.(dgd.IntoAgent); ok {
-				if err := ia.GradientInto(gradRows[i], t, estimates[i]); err != nil {
-					if _, bad := byz[i]; bad {
-						zeroRow(gradRows[i])
-						grads[i] = gradRows[i]
-						continue
-					}
-					return nil, fmt.Errorf("agent %d at round %d: %w", i, t, err)
-				}
-				grads[i] = gradRows[i]
-				continue
-			}
-			g, err := cfg.Peers[i].Agent.Gradient(t, estimates[i])
-			if err != nil {
-				if _, bad := byz[i]; bad {
-					grads[i] = vecmath.Zeros(dim)
-					continue
-				}
-				return nil, fmt.Errorf("agent %d at round %d: %w", i, t, err)
-			}
-			if len(g) != len(estimates[i]) {
-				return nil, fmt.Errorf("agent %d returned dim %d, want %d: %w", i, len(g), len(estimates[i]), dgd.ErrConfig)
-			}
-			grads[i] = g
-		}
-		honestGrads = honestGrads[:0]
-		for _, i := range honestPeers {
-			honestGrads = append(honestGrads, grads[i])
-		}
-		// Phase 2: Faulty agents, index-aware and with honest visibility.
-		for _, i := range faultyPeers {
-			if ifa, ok := cfg.Peers[i].Agent.(dgd.IntoFaulty); ok {
-				if err := ifa.FaultyGradientInto(gradRows[i], t, i, estimates[i], honestGrads); err != nil {
-					return nil, fmt.Errorf("faulty agent %d at round %d: %w", i, t, err)
-				}
-				grads[i] = gradRows[i]
-				continue
-			}
-			g, err := cfg.Peers[i].Agent.(dgd.Faulty).FaultyGradient(t, i, estimates[i], honestGrads)
-			if err != nil {
-				return nil, fmt.Errorf("faulty agent %d at round %d: %w", i, t, err)
-			}
-			if len(g) != len(estimates[i]) {
-				return nil, fmt.Errorf("faulty agent %d returned dim %d, want %d: %w", i, len(g), len(estimates[i]), dgd.ErrConfig)
-			}
-			grads[i] = g
+		grads, err := col.Collect(t, ref.X())
+		if err != nil {
+			return nil, err
 		}
 		// Each peer broadcasts its report via EIG. agreed[p][sender] is peer
 		// p's decided gradient string for the sender's broadcast.
@@ -339,91 +228,25 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				agreed[p][sender] = decisions[p]
 			}
 		}
-		// Every honest peer applies the filter to its agreed set and steps.
-		eta := steps.At(t)
-		if eta <= 0 {
-			return nil, fmt.Errorf("step size %v at round %d must be positive: %w", eta, t, dgd.ErrConfig)
-		}
-		if roundKeyed != nil {
-			// Round-keyed filters (the approximate Krum variants) draw per
-			// round, not per invocation: every honest peer of this round sees
-			// the same key, preserving the agreement invariant, and the
-			// projection cache makes the repeat invocations refill-free.
-			roundKeyed.SetRound(t)
-		}
-		for p := 0; p < n; p++ {
-			if _, bad := byz[p]; bad {
+		// Every honest peer steps its kernel over its agreed set. All hold
+		// the identical set, so a failure is common and reads exactly as the
+		// in-process engine's would.
+		for p, r := range rounds {
+			if r == nil {
 				continue // distorting peers take no protocol step
 			}
 			for sender := 0; sender < n; sender++ {
 				DecodeVectorInto(decided[sender], agreed[p][sender])
 			}
-			input, fUse := decided, cfg.F
-			if asyncStates != nil {
-				in, fEff, stats, err := asyncStates[p].Round(t, cfg.F, decided)
-				if err != nil {
-					return nil, err
-				}
-				input, fUse = in, fEff
-				if p == honestIdx {
-					if asyncObs != nil {
-						if err := asyncObs.ObserveAsyncRound(stats); err != nil {
-							return nil, fmt.Errorf("observer at round %d: %w", t, err)
-						}
-					}
-					if cfg.Chaos.Enabled() {
-						cs := asyncStates[p].ChaosStats()
-						res.Faults.Add(cs.Faults)
-						if chaosObs != nil {
-							if err := chaosObs.ObserveChaosRound(cs); err != nil {
-								return nil, fmt.Errorf("observer at round %d: %w", t, err)
-							}
-						}
-					}
-				}
-			}
-			if len(input) == 0 {
-				// A gracefully lost round: every peer's overlay dropped the
-				// full set identically, so every honest estimate coasts and
-				// agreement is untouched.
-				continue
-			}
-			var dir []float64
-			var err error
-			if hasInto {
-				err = intoFilter.AggregateInto(dirBuf, input, fUse, scratch)
-				dir = dirBuf
-			} else {
-				dir, err = cfg.Filter.Aggregate(input, fUse)
-			}
-			if err != nil {
-				// All honest peers hold the identical agreed set, so the
-				// failure is common; report it exactly as the in-process
-				// engine would, keeping cross-substrate classifications (and
-				// exported error strings) aligned.
-				if errors.Is(err, aggregate.ErrNonFinite) {
-					return nil, fmt.Errorf("filter %s at round %d: %v: %w", cfg.Filter.Name(), t, err, dgd.ErrDiverged)
-				}
-				return nil, fmt.Errorf("filter %s at round %d: %w", cfg.Filter.Name(), t, err)
-			}
-			if err := vecmath.AxpyInPlace(estimates[p], -eta, dir); err != nil {
+			if err := r.Apply(t, cfg.F, decided); err != nil {
 				return nil, err
 			}
-			if cfg.Box != nil {
-				if err := cfg.Box.ProjectInPlace(estimates[p]); err != nil {
-					return nil, err
-				}
-			}
-			if !vecmath.IsFinite(estimates[p]) {
-				return nil, fmt.Errorf("at round %d: %w", t, dgd.ErrDiverged)
-			}
-		}
-		// Verify the agreement invariant across honest peers.
-		for p := 0; p < n; p++ {
-			if _, bad := byz[p]; bad || p == honestIdx {
+			if r == ref {
 				continue
 			}
-			d, err := vecmath.Dist(estimates[p], estimates[honestIdx])
+			// Verify the agreement invariant against the reference peer,
+			// which has already taken this round's step.
+			d, err := vecmath.Dist(r.X(), ref.X())
 			if err != nil {
 				return nil, err
 			}
@@ -432,10 +255,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 	}
-	if err := record(cfg.Rounds); err != nil {
+	if err := ref.Record(cfg.Rounds); err != nil {
 		return nil, err
 	}
-	res.X = vecmath.Clone(estimates[honestIdx])
+	res.X = ref.X()
+	res.Trace = ref.Trace()
+	res.Faults = ref.Faults()
 	res.Degraded = !res.Faults.IsZero()
 	if res.MaxEstimateSpread > 0 {
 		return res, errors.New("p2p: honest estimates diverged — broadcast agreement violated")
@@ -443,9 +268,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// zeroRow clears a gradient arena row in place.
-func zeroRow(v []float64) {
-	for i := range v {
-		v[i] = 0
+// zeroOnError serves a distorting peer whose agent is not dgd.Faulty: its
+// own report failure is its problem — it injects zeros — where an honest
+// peer's failure fails the run.
+type zeroOnError struct{ dgd.Agent }
+
+func (z zeroOnError) Gradient(round int, x []float64) ([]float64, error) {
+	g, err := z.Agent.Gradient(round, x)
+	if err != nil {
+		return vecmath.Zeros(len(x)), nil
 	}
+	return g, nil
 }

@@ -7,6 +7,11 @@
 // decentralized DGD in which every honest agent applies the gradient filter
 // locally to an identical, agreed-upon gradient vector set.
 //
+// The package owns only the gathering — report collection (dgd.Collector)
+// and the EIG exchange. Each honest peer's update, from the agreed set to its
+// next estimate, is the dgd.Round kernel the other substrates run too, one
+// instance per peer.
+//
 // Backend exposes the substrate through the uniform dgd.Backend interface:
 // any dgd.Config — and therefore any sweep grid — runs over Byzantine
 // broadcast unchanged, with observers and traces threaded through the

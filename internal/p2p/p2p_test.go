@@ -307,6 +307,43 @@ func TestDecentralizedMatchesServerBased(t *testing.T) {
 	}
 }
 
+// The stateful REDGRAF filters carry an auxiliary center from round to round
+// in the aggregation scratch. Every honest peer steps its own round kernel —
+// its own scratch — so each continues its own chain: the peers stay in
+// agreement and follow the in-process trajectory bit for bit. (With one
+// scratch shared by all peers, the first peer of a round advanced the chain
+// and the rest restarted it, and the run failed its agreement check.)
+func TestDecentralizedStatefulFilterKeepsAgreement(t *testing.T) {
+	inst, peers := paperPeers(t, false)
+	agents := make([]dgd.Agent, len(peers))
+	for i, p := range peers {
+		agents[i] = p.Agent
+	}
+	for _, name := range []string{"sdmmfd", "sdfd"} {
+		newFilter := func() aggregate.Filter {
+			f, err := aggregate.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+		res, err := Run(Config{Peers: peers, F: 1, Filter: newFilter(), Box: inst.Box, X0: inst.X0, Rounds: 40})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.MaxEstimateSpread != 0 {
+			t.Errorf("%s: honest estimates spread by %v", name, res.MaxEstimateSpread)
+		}
+		engineRes, err := dgd.Run(dgd.Config{Agents: agents, F: 1, Filter: newFilter(), Box: inst.Box, X0: inst.X0, Rounds: 40})
+		if err != nil {
+			t.Fatalf("%s in-process: %v", name, err)
+		}
+		if !vecmath.Equal(res.X, engineRes.X, 0) {
+			t.Errorf("%s: decentralized %v vs in-process %v", name, res.X, engineRes.X)
+		}
+	}
+}
+
 func TestDecentralizedValidation(t *testing.T) {
 	inst, peers := paperPeers(t, false)
 	base := Config{Peers: peers, F: 1, Filter: aggregate.CGE{}, X0: inst.X0, Rounds: 1}

@@ -1,0 +1,227 @@
+package sweep
+
+// Cross-substrate contracts of the shared round kernel: one validation, one
+// error taxonomy. The in-process engine, the cluster server, and the p2p
+// engine must refuse the same bad configurations — each under its own
+// package's sentinel, before any agent is asked for a gradient — and must
+// report a run-time failure of the kernel in the same words.
+
+import (
+	"context"
+	"errors"
+	"math"
+	"sync/atomic"
+	"testing"
+
+	"byzopt/internal/aggregate"
+	"byzopt/internal/chaos"
+	"byzopt/internal/cluster"
+	"byzopt/internal/costfunc"
+	"byzopt/internal/dgd"
+	"byzopt/internal/p2p"
+	"byzopt/internal/transport"
+	"byzopt/internal/vecmath"
+)
+
+// countedAgent counts the gradient queries it serves.
+type countedAgent struct {
+	dgd.Agent
+	queries *atomic.Int64
+}
+
+func (a countedAgent) Gradient(round int, x []float64) ([]float64, error) {
+	a.queries.Add(1)
+	return a.Agent.Gradient(round, x)
+}
+
+// substrateConfig is a valid 7-agent, d=2 run every substrate admits at
+// f <= 2, with every agent counting its queries.
+func substrateConfig(t *testing.T) (dgd.Config, *atomic.Int64) {
+	t.Helper()
+	rows := [][]float64{{1, 0}, {0.8, 0.5}, {0.5, 0.8}, {0, 1}, {-0.5, 0.8}, {-0.8, 0.5}, {0.3, -0.9}}
+	queries := new(atomic.Int64)
+	agents := make([]dgd.Agent, len(rows))
+	for i, row := range rows {
+		cost, err := costfunc.NewSingleRowLeastSquares(row, row[0]+row[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		honest, err := dgd.NewHonest(cost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agents[i] = countedAgent{Agent: honest, queries: queries}
+	}
+	return dgd.Config{Agents: agents, F: 1, Filter: aggregate.CGE{}, X0: []float64{0, 0}, Rounds: 5}, queries
+}
+
+// substrateRuns are the five ways into the kernel: the three Backends and
+// the two substrate-native configurations.
+func substrateRuns(t *testing.T) map[string]func(dgd.Config) error {
+	t.Helper()
+	viaBackend := func(b dgd.Backend) func(dgd.Config) error {
+		return func(cfg dgd.Config) error {
+			_, err := b.Run(context.Background(), cfg)
+			return err
+		}
+	}
+	return map[string]func(dgd.Config) error{
+		"in-process":      viaBackend(dgd.InProcess{}),
+		"cluster-backend": viaBackend(&cluster.Backend{}),
+		"p2p-backend":     viaBackend(p2p.Backend{}),
+		"cluster": func(cfg dgd.Config) error {
+			conns := make([]transport.AgentConn, len(cfg.Agents))
+			for i, a := range cfg.Agents {
+				c, err := transport.NewChannel(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { _ = c.Close() }()
+				conns[i] = c
+			}
+			srv, err := cluster.NewServer(cluster.Config{
+				Conns: conns, F: cfg.F, Filter: cfg.Filter, Steps: cfg.Steps, Box: cfg.Box, X0: cfg.X0, Rounds: cfg.Rounds,
+				TrackLoss: cfg.TrackLoss, Reference: cfg.Reference, Async: cfg.Async, Chaos: cfg.Chaos,
+			})
+			if err != nil {
+				return err
+			}
+			_, err = srv.Run(context.Background())
+			return err
+		},
+		"p2p": func(cfg dgd.Config) error {
+			peers := make([]p2p.Peer, len(cfg.Agents))
+			for i, a := range cfg.Agents {
+				peers[i] = p2p.Peer{Agent: a}
+			}
+			_, err := p2p.Run(p2p.Config{
+				Peers: peers, F: cfg.F, Filter: cfg.Filter, Steps: cfg.Steps, Box: cfg.Box, X0: cfg.X0, Rounds: cfg.Rounds,
+				TrackLoss: cfg.TrackLoss, Reference: cfg.Reference, Async: cfg.Async, Chaos: cfg.Chaos,
+			})
+			return err
+		},
+	}
+}
+
+func TestSubstrateConfigSentinels(t *testing.T) {
+	sentinel := map[string]error{
+		"in-process": dgd.ErrConfig, "cluster-backend": cluster.ErrConfig, "cluster": cluster.ErrConfig,
+		"p2p-backend": p2p.ErrArgs, "p2p": p2p.ErrArgs,
+	}
+	cube3, err := vecmath.NewCube(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss1, err := costfunc.NewSingleRowLeastSquares([]float64{1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(*dgd.Config)
+		// broadcast marks the rows the p2p substrate refuses first, as
+		// inadmissible for its n > 3f broadcast bound.
+		broadcast bool
+	}{
+		{name: "f at n/2", mutate: func(c *dgd.Config) { c.F = 4 }, broadcast: true},
+		{name: "negative f", mutate: func(c *dgd.Config) { c.F = -1 }, broadcast: true},
+		{name: "nil filter", mutate: func(c *dgd.Config) { c.Filter = nil }},
+		{name: "empty x0", mutate: func(c *dgd.Config) { c.X0 = nil }},
+		{name: "negative rounds", mutate: func(c *dgd.Config) { c.Rounds = -1 }},
+		{name: "box dim", mutate: func(c *dgd.Config) { c.Box = cube3 }},
+		{name: "reference dim", mutate: func(c *dgd.Config) { c.Reference = []float64{1} }},
+		{name: "loss dim", mutate: func(c *dgd.Config) { c.TrackLoss = loss1 }},
+		{name: "async policy", mutate: func(c *dgd.Config) { c.Async = &dgd.AsyncConfig{Policy: "eventually"} }},
+		{name: "chaos rate", mutate: func(c *dgd.Config) { c.Chaos = &chaos.Plan{OmitRate: 2} }},
+	}
+	for _, tc := range cases {
+		for name, run := range substrateRuns(t) {
+			cfg, queries := substrateConfig(t)
+			tc.mutate(&cfg)
+			err := run(cfg)
+			want := sentinel[name]
+			switch {
+			case tc.broadcast && name == "p2p-backend":
+				want = dgd.ErrInadmissible
+			case tc.broadcast && name == "p2p" && !errors.Is(err, dgd.ErrInadmissible):
+				t.Errorf("%s on %s: want dgd.ErrInadmissible too, got %v", tc.name, name, err)
+			}
+			if !errors.Is(err, want) {
+				t.Errorf("%s on %s: want %v, got %v", tc.name, name, want, err)
+			}
+			if q := queries.Load(); q != 0 {
+				t.Errorf("%s on %s: %d agent queries before the configuration was refused", tc.name, name, q)
+			}
+		}
+	}
+	// The substrates do admit the unmutated configuration.
+	for name, run := range substrateRuns(t) {
+		cfg, queries := substrateConfig(t)
+		if err := run(cfg); err != nil {
+			t.Errorf("valid configuration on %s: %v", name, err)
+		}
+		if queries.Load() == 0 {
+			t.Errorf("valid configuration on %s queried no agent", name)
+		}
+	}
+}
+
+// nanBehavior reports a NaN gradient.
+type nanBehavior struct{}
+
+func (nanBehavior) Name() string { return "nan" }
+
+func (nanBehavior) Apply(_, _ int, trueGrad []float64) ([]float64, error) {
+	out := vecmath.Clone(trueGrad)
+	out[0] = math.NaN()
+	return out, nil
+}
+
+// A failure inside the kernel reads the same wherever the reports came from:
+// same sentinel, same text (the in-process wording, which is what sweep
+// exports have always carried).
+func TestSubstrateErrorParity(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*testing.T, *dgd.Config)
+		want   error
+		// skipP2P: the broadcast layer decodes a non-finite payload to the
+		// zero vector (DecodeVectorInto), so that report never reaches a
+		// peer's filter.
+		skipP2P bool
+	}{
+		{name: "nan report", want: dgd.ErrDiverged, skipP2P: true, mutate: func(t *testing.T, c *dgd.Config) {
+			fa, err := dgd.NewFaulty(c.Agents[0], nanBehavior{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Agents[0] = fa
+		}},
+		{name: "estimate overflows", want: dgd.ErrDiverged, mutate: func(_ *testing.T, c *dgd.Config) {
+			c.X0 = []float64{1e3, 1e3}
+			c.Steps = dgd.Constant{Eta: math.MaxFloat64}
+		}},
+		{name: "non-positive step", want: dgd.ErrConfig, mutate: func(_ *testing.T, c *dgd.Config) {
+			c.Steps = dgd.Constant{Eta: 0}
+		}},
+	}
+	for _, tc := range cases {
+		cfg, _ := substrateConfig(t)
+		tc.mutate(t, &cfg)
+		_, err := dgd.Run(cfg)
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s in-process: want %v, got %v", tc.name, tc.want, err)
+		}
+		for name, run := range substrateRuns(t) {
+			if tc.skipP2P && (name == "p2p" || name == "p2p-backend") {
+				continue
+			}
+			cfg, _ := substrateConfig(t)
+			tc.mutate(t, &cfg)
+			got := run(cfg)
+			if !errors.Is(got, tc.want) || got.Error() != err.Error() {
+				t.Errorf("%s on %s: got %q, in-process says %q", tc.name, name, got, err)
+			}
+		}
+	}
+}

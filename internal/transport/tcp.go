@@ -52,8 +52,9 @@ func (c *tcpConn) AgentID() int { return c.agentID }
 
 // RequestGradient implements AgentConn. The ctx deadline is mapped onto the
 // socket's read/write deadlines, and a cancellation of ctx without any
-// deadline interrupts blocked I/O by poisoning the socket deadline; both
-// surface as ErrTimeout (wrapping ctx.Err() on cancellation) so the
+// deadline interrupts blocked I/O by poisoning the socket deadline (only
+// while the request is in flight — never a later request's); both surface
+// as ErrTimeout (wrapping ctx.Err() on cancellation) so the
 // server's elimination logic treats network silence like any other missed
 // round (paper step S1).
 func (c *tcpConn) RequestGradient(ctx context.Context, round int, estimate []float64) ([]float64, error) {
@@ -71,18 +72,27 @@ func (c *tcpConn) RequestGradient(ctx context.Context, round int, estimate []flo
 		return nil, fmt.Errorf("tcp set deadline: %w", err)
 	}
 	// SetDeadline only covers ctx's deadline; a ctx cancelled without one
-	// would otherwise leave the encode/decode below blocked forever. The
-	// watcher yanks the deadline to now on cancellation, which unblocks the
-	// I/O with a timeout error; the next request resets the deadline, so the
-	// connection itself stays usable.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
+	// would otherwise leave the encode/decode below blocked forever. On
+	// cancellation the watcher yanks the deadline to now, which unblocks the
+	// I/O with a timeout error. It must be finished, or disarmed, before this
+	// call returns: the caller cancels ctx right after a reply, and a watcher
+	// running late would poison the deadline the next request has just set.
+	// The lock orders the two — a watcher that is past it completes before
+	// the deferred disarm gets it, one that is not finds itself disarmed.
+	var watch sync.Mutex
+	disarmed := false
+	stop := context.AfterFunc(ctx, func() {
+		watch.Lock()
+		defer watch.Unlock()
+		if !disarmed {
 			_ = conn.SetDeadline(time.Now())
-		case <-watchDone:
 		}
+	})
+	defer func() {
+		stop()
+		watch.Lock()
+		disarmed = true
+		watch.Unlock()
 	}()
 	if err := writeGradFrame(conn, round, frame{Kind: frameRequest, Request: GradientRequest{Round: round, Estimate: estimate}}, c.tap); err != nil {
 		return nil, wrapReqErr(ctx, "tcp send round", round, err)

@@ -364,6 +364,53 @@ func TestTCPCancelWithoutDeadlineUnblocksRequest(t *testing.T) {
 	}
 }
 
+// Regression: the cancellation watcher of one request could run after the
+// request had returned — the server cancels each round's context as soon as
+// the replies are in — and set the socket deadline to "now" after the next
+// round had set its own, so a healthy agent read as silent. The loop is the
+// server's round shape: fan out under one context, collect, cancel, go on.
+func TestTCPCancelAfterReplyNeverPoisonsNextRound(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+
+	const n, rounds = 4, 1500
+	wg, cancelAgents := startAgents(t, l.Addr().String(), n, func(int) GradientProducer {
+		return &echoProducer{scale: 1}
+	})
+	defer func() {
+		cancelAgents()
+		wg.Wait()
+	}()
+	conns, err := AcceptAgents(l, n, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(conns)
+
+	errs := make(chan error, n)
+	for round := 0; round < rounds; round++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		for _, c := range conns {
+			go func(c AgentConn) {
+				_, err := c.RequestGradient(ctx, round, []float64{1, 2})
+				errs <- err
+			}(c)
+		}
+		for range conns {
+			if err := <-errs; err != nil {
+				t.Errorf("round %d: healthy agent failed: %v", round, err)
+			}
+		}
+		cancel()
+		if t.Failed() {
+			return
+		}
+	}
+}
+
 func TestTCPBadAgentCount(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
