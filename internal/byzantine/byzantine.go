@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"byzopt/internal/vecmath"
 )
@@ -356,10 +357,22 @@ func (e *Equivocate) Relay(path []int, recipient int, honest string) string {
 	case 1:
 		return "" // the protocol's default value ⊥
 	case 2:
-		return "garbage-" + fmt.Sprint(h&0xff)
+		return garbageLies[h&0xff]
 	default:
-		return "split-" + fmt.Sprint(recipient%3)
+		return splitLies[recipient%3]
 	}
+}
+
+// Relay's fabrications, built once so a relay allocates nothing: h&0xff picks
+// the garbage and the recipient, a process index, the split.
+var garbageLies, splitLies = lieTable("garbage-", 256), lieTable("split-", 3)
+
+func lieTable(prefix string, n int) []string {
+	lies := make([]string, n)
+	for i := range lies {
+		lies[i] = prefix + strconv.Itoa(i)
+	}
+	return lies
 }
 
 // New constructs a behavior from a registry name. Recognized names:

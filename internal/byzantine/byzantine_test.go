@@ -2,6 +2,7 @@ package byzantine
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -228,5 +229,54 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := New("nope", 0); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("unknown behavior: %v", err)
+	}
+}
+
+// TestEquivocateRelayTexts holds the table-driven Relay to the fmt.Sprint
+// spelling it replaced, negative seeds included, and to allocating nothing.
+func TestEquivocateRelayTexts(t *testing.T) {
+	sprinted := func(seed int64, path []int, recipient int, honest string) string {
+		h := seed
+		for _, p := range path {
+			h = h*31 + int64(p) + 7
+		}
+		h = h*31 + int64(recipient)
+		switch h & 3 {
+		case 0:
+			return honest
+		case 1:
+			return ""
+		case 2:
+			return "garbage-" + fmt.Sprint(h&0xff)
+		default:
+			return "split-" + fmt.Sprint(recipient%3)
+		}
+	}
+	seen := map[string]bool{}
+	for _, seed := range []int64{0, 7, -12345, math.MinInt64 + 3} {
+		e := NewEquivocate(seed)
+		for a := 0; a < 64; a++ {
+			for recipient := 0; recipient < 10; recipient++ {
+				path := []int{3, a, 5}
+				got, want := e.Relay(path, recipient, "honest"), sprinted(seed, path, recipient, "honest")
+				if got != want {
+					t.Fatalf("seed %d path %v recipient %d: %q, want %q", seed, path, recipient, got, want)
+				}
+				seen[got] = true
+			}
+		}
+	}
+	// The garbage case fixes h's low two bits, so 64 of the 256 bytes occur.
+	if want := 64 + 3 + 2; len(seen) != want {
+		t.Errorf("%d distinct relays seen, want all %d", len(seen), want)
+	}
+	e := NewEquivocate(-9)
+	path := []int{0, 1}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for recipient := 0; recipient < 16; recipient++ {
+			_ = e.Relay(path, recipient, "honest")
+		}
+	}); allocs != 0 {
+		t.Errorf("Relay allocates %.2f times per 16 calls", allocs)
 	}
 }

@@ -33,8 +33,10 @@ import (
 //     dgd.ErrInadmissible — the EIG admissibility bound — which the sweep
 //     engine classifies as a skipped grid point rather than a sweep failure.
 //   - Config.Workers is ignored: the broadcast simulation is sequential by
-//     construction (per-round cost is dominated by the EIG tree, not
-//     gradient evaluation).
+//     construction. A round costs n broadcasts of MessageCost(n, f) tree
+//     nodes times n recipients, over one flat engine reused for the whole
+//     run: n^(f+2) relays, which at n=7, d=2 is still most of a round
+//     (some 10 µs, against 2 µs of gradient evaluations and filter calls).
 type Backend struct{}
 
 var _ dgd.Backend = Backend{}

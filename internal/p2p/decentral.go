@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"byzopt/internal/aggregate"
 	"byzopt/internal/chaos"
@@ -140,7 +141,8 @@ func run(ctx context.Context, peers []Peer, cfg dgd.Config) (*Result, error) {
 		return nil, fmt.Errorf("decentralized DGD needs n > 3f, got n=%d f=%d: %w: %w",
 			n, cfg.F, ErrArgs, dgd.ErrInadmissible)
 	}
-	byz := make(map[int]Distorter)
+	liars := make([]Distorter, n)
+	distorting := 0
 	agents := make([]dgd.Agent, n)
 	for i, p := range peers {
 		if p.Agent == nil {
@@ -148,14 +150,15 @@ func run(ctx context.Context, peers []Peer, cfg dgd.Config) (*Result, error) {
 		}
 		agents[i] = p.Agent
 		if p.Distorter != nil {
-			byz[i] = p.Distorter
+			liars[i] = p.Distorter
+			distorting++
 			if _, isFaulty := p.Agent.(dgd.Faulty); !isFaulty {
 				agents[i] = zeroOnError{p.Agent}
 			}
 		}
 	}
-	if len(byz) > cfg.F {
-		return nil, fmt.Errorf("%d distorting peers exceed budget f=%d: %w", len(byz), cfg.F, ErrArgs)
+	if distorting > cfg.F {
+		return nil, fmt.Errorf("%d distorting peers exceed budget f=%d: %w", distorting, cfg.F, ErrArgs)
 	}
 	if err := dgd.ValidateRound(cfg, n, ErrArgs); err != nil {
 		return nil, err
@@ -166,7 +169,7 @@ func run(ctx context.Context, peers []Peer, cfg dgd.Config) (*Result, error) {
 	rounds := make([]*dgd.Round, n)
 	var ref *dgd.Round
 	for p := range peers {
-		if _, bad := byz[p]; bad {
+		if liars[p] != nil {
 			continue
 		}
 		kcfg := cfg
@@ -183,32 +186,33 @@ func run(ctx context.Context, peers []Peer, cfg dgd.Config) (*Result, error) {
 		}
 	}
 
-	// Per-round buffers, allocated once and reused across the whole run: the
-	// collector's gradient arena, the n×n agreed-broadcast table, and the
-	// decode arena each peer reads its agreed gradients into.
+	// Per-run state, allocated once and reused every round: the collector's
+	// gradient arena, the EIG engine, the report encoding buffer, and the
+	// decoded payloads. decided[p][sender] is what peer p decided the sender
+	// reported; peers that decided the same payload share one decoded row, so
+	// a sender costs one decode a round while the honest peers agree.
 	dim := len(cfg.X0)
 	col := dgd.NewCollector(agents, dim, 1)
-	agreed := make([][]string, n)
-	for p := range agreed {
-		agreed[p] = make([]string, n)
+	e := newEIG(n, cfg.F)
+	var payload []byte
+	decided := make([][][]float64, n)
+	for p := range decided {
+		decided[p] = make([][]float64, n)
 	}
-	decodeArena := make([]float64, n*dim)
-	decided := make([][]float64, n)
-	for i := range decided {
-		decided[i] = decodeArena[i*dim : (i+1)*dim : (i+1)*dim]
-	}
+	var rows [][]float64 // decode arena, grown on demand
+	var ids []int32      // the value ids decided in the current broadcast
 
 	res := &Result{}
 	for t := 0; t < cfg.Rounds; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("run cancelled at round %d: %w", t, err)
 		}
-		// A scheduling point per round. The EIG exchange allocates some
-		// 190 KB a round at n=7, and on one processor a concurrent mark
-		// phase whose worker ran out of its time share ends only when the
-		// worker is scheduled again; this loop never blocks, so that waited
-		// for the runtime's 10 ms forced preemption while the heap ran 3 to
-		// 15 MB past its goal, in some runs and not in others.
+		// A scheduling point per round: this loop never blocks, and on one
+		// processor a concurrent mark phase ends only once its worker is
+		// scheduled again. A round allocates 0.5 KB at n=7 (a GC cycle every
+		// 8,000 rounds); without the yield 3 cycles in 80 end 1 MB past the
+		// 4 MB goal and p2p_grid's peak RSS spreads 0.37 MB between quartiles
+		// over ten 25 s runs, with it none do and the spread is 0.19 MB.
 		runtime.Gosched()
 		if err := ref.Record(t); err != nil {
 			return nil, err
@@ -217,16 +221,29 @@ func run(ctx context.Context, peers []Peer, cfg dgd.Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Each peer broadcasts its report via EIG. agreed[p][sender] is peer
-		// p's decided gradient string for the sender's broadcast.
+		// Each peer broadcasts its report via EIG.
+		used := 0
 		for sender := 0; sender < n; sender++ {
-			decisions, err := Broadcast(n, cfg.F, sender, EncodeVector(grads[sender]), byz)
-			if err != nil {
-				return nil, fmt.Errorf("broadcast from %d at round %d: %w", sender, t, err)
+			payload = appendVector(payload[:0], grads[sender])
+			e.broadcast(sender, string(payload), liars)
+			ids = ids[:0]
+			for p, r := range rounds {
+				if r == nil {
+					continue
+				}
+				id := e.decision(p)
+				i := slices.Index(ids, id)
+				if i < 0 {
+					i = len(ids)
+					ids = append(ids, id)
+					if used+i == len(rows) {
+						rows = append(rows, make([]float64, dim))
+					}
+					DecodeVectorInto(rows[used+i], e.strs[id])
+				}
+				decided[p][sender] = rows[used+i]
 			}
-			for p := 0; p < n; p++ {
-				agreed[p][sender] = decisions[p]
-			}
+			used += len(ids)
 		}
 		// Every honest peer steps its kernel over its agreed set. All hold
 		// the identical set, so a failure is common and reads exactly as the
@@ -235,10 +252,7 @@ func run(ctx context.Context, peers []Peer, cfg dgd.Config) (*Result, error) {
 			if r == nil {
 				continue // distorting peers take no protocol step
 			}
-			for sender := 0; sender < n; sender++ {
-				DecodeVectorInto(decided[sender], agreed[p][sender])
-			}
-			if err := r.Apply(t, cfg.F, decided); err != nil {
+			if err := r.Apply(t, cfg.F, decided[p]); err != nil {
 				return nil, err
 			}
 			if r == ref {

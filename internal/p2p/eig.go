@@ -25,9 +25,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 )
 
 // ErrArgs is returned (wrapped) for invalid parameters.
@@ -43,7 +42,8 @@ const DefaultValue = ""
 type Distorter interface {
 	// Relay returns the value the Byzantine process reports to recipient
 	// for the given EIG tree path; honest is the value a correct process
-	// would have relayed.
+	// would have relayed. path is the engine's own storage: read-only, and
+	// valid only during the call (copy it to keep it).
 	Relay(path []int, recipient int, honest string) string
 }
 
@@ -77,7 +77,9 @@ func (s SeededLiar) Relay(path []int, recipient int, honest string) string {
 		h = h*31 + int64(p) + 7
 	}
 	h = h*31 + int64(recipient)
-	switch h % 4 {
+	// h & 3, not h % 4: Go's remainder is negative for negative h, which
+	// would collapse the strategy to two of its four cases.
+	switch h & 3 {
 	case 0:
 		return honest // sometimes telling the truth is the best lie
 	case 1:
@@ -87,18 +89,6 @@ func (s SeededLiar) Relay(path []int, recipient int, honest string) string {
 	default:
 		return "split-" + strconv.Itoa(recipient%3)
 	}
-}
-
-// pathKey encodes a tree path as a map key.
-func pathKey(path []int) string {
-	var b strings.Builder
-	for i, p := range path {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(p))
-	}
-	return b.String()
 }
 
 // Broadcast runs one synchronous EIG Byzantine broadcast among n processes
@@ -121,105 +111,141 @@ func Broadcast(n, f, sender int, value string, byz map[int]Distorter) ([]string,
 	if len(byz) > f {
 		return nil, fmt.Errorf("%d Byzantine processes exceed budget f=%d: %w", len(byz), f, ErrArgs)
 	}
-	for id := range byz {
+	liars := make([]Distorter, n)
+	for id, d := range byz {
 		if id < 0 || id >= n {
 			return nil, fmt.Errorf("byzantine id %d out of [0, %d): %w", id, n, ErrArgs)
 		}
+		liars[id] = d
 	}
-
-	// views[p][pathKey] is process p's received value for the tree node.
-	views := make([]map[string]string, n)
-	for p := range views {
-		views[p] = make(map[string]string)
-	}
-
-	// Round 1: the sender transmits its value; a Byzantine sender can
-	// equivocate per recipient.
-	rootPath := []int{sender}
-	rootKey := pathKey(rootPath)
-	for p := 0; p < n; p++ {
-		v := value
-		if d, bad := byz[sender]; bad {
-			v = d.Relay(rootPath, p, value)
-		}
-		views[p][rootKey] = v
-	}
-
-	// Rounds 2..f+1: relay. Nodes at level k are paths of k distinct ids
-	// starting at the sender. For node sigma and relayer j not in sigma,
-	// process p learns views[j][sigma] (distorted if j is Byzantine) and
-	// stores it at sigma.j.
-	levelPaths := [][]int{rootPath}
-	for level := 1; level <= f; level++ {
-		var nextPaths [][]int
-		for _, sigma := range levelPaths {
-			sigmaKey := pathKey(sigma)
-			for j := 0; j < n; j++ {
-				if contains(sigma, j) {
-					continue
-				}
-				child := append(append([]int(nil), sigma...), j)
-				childKey := pathKey(child)
-				honestView := views[j][sigmaKey]
-				for p := 0; p < n; p++ {
-					v := honestView
-					if d, bad := byz[j]; bad {
-						v = d.Relay(child, p, honestView)
-					}
-					views[p][childKey] = v
-				}
-				nextPaths = append(nextPaths, child)
-			}
-		}
-		levelPaths = nextPaths
-	}
-
-	// Decision: bottom-up strict-majority resolution per process.
+	e := newEIG(n, f)
+	e.broadcast(sender, value, liars)
 	decisions := make([]string, n)
-	for p := 0; p < n; p++ {
-		decisions[p] = resolve(views[p], rootPath, n, f)
+	for p := range decisions {
+		decisions[p] = e.strs[e.decision(p)]
 	}
 	return decisions, nil
 }
 
-// resolve computes newval(sigma) for one process's view.
-func resolve(view map[string]string, sigma []int, n, f int) string {
-	if len(sigma) == f+1 { // leaf
-		return view[pathKey(sigma)]
-	}
-	counts := make(map[string]int)
-	total := 0
-	for j := 0; j < n; j++ {
-		if contains(sigma, j) {
-			continue
-		}
-		child := append(append([]int(nil), sigma...), j)
-		counts[resolve(view, child, n, f)]++
-		total++
-	}
-	// Strict majority among children, else the default value. Iterate keys
-	// in sorted order so ties (impossible for a strict majority, but cheap
-	// insurance) resolve deterministically.
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if 2*counts[k] > total {
-			return k
-		}
-	}
-	return DefaultValue
+// eig is the EIG engine for one fixed (n, f), reusable across senders and
+// rounds. The tree — nodes are the paths of 1..f+1 distinct ids starting at
+// the sender — is laid out in level order: level k holds (n-1)···(n-k)
+// nodes from base[k], and the children of a level-k node, one per relayer
+// off its path in ascending order, are the next contiguous block of n-k-1
+// nodes. The views hold interned value ids instead of strings, so equality
+// is integer equality and a warmed broadcast allocates nothing of its own.
+type eig struct {
+	n, f  int
+	base  []int   // base[k] is the first node of level k; base[f+1] the node count
+	paths []int   // every node's path, back to back in node order
+	vals  []int32 // vals[p*nodes+node] is process p's value id for the node
+	ids   map[string]int32
+	strs  []string // strs[id] is the interned value; id 0 is DefaultValue
 }
 
-func contains(s []int, x int) bool {
-	for _, v := range s {
-		if v == x {
-			return true
+func newEIG(n, f int) *eig {
+	e := &eig{n: n, f: f, base: make([]int, f+2), ids: make(map[string]int32)}
+	for k, count := 0, 1; k <= f; k++ {
+		e.base[k+1] = e.base[k] + count
+		count *= n - k - 1
+	}
+	e.vals = make([]int32, n*e.base[f+1])
+	return e
+}
+
+func (e *eig) intern(s string) int32 {
+	id, ok := e.ids[s]
+	if !ok {
+		id = int32(len(e.strs))
+		e.ids[s] = id
+		e.strs = append(e.strs, s)
+	}
+	return id
+}
+
+// decision is the id of the value process p decided in the last broadcast,
+// an index into strs until the next one.
+func (e *eig) decision(p int) int32 { return e.vals[p*e.base[e.f+1]] }
+
+// broadcast runs one EIG exchange; liars[j] is process j's strategy, nil for
+// an honest process. Distorters are called level by level, parents in level
+// order, relayers then recipients ascending.
+func (e *eig) broadcast(sender int, value string, liars []Distorter) {
+	clear(e.ids)
+	e.strs = e.strs[:0]
+	e.intern(DefaultValue)
+	n, nodes := e.n, e.base[e.f+1]
+
+	// relay stores what relayer j, holding value id honest, tells every
+	// process about node c, whose path is the last pathLen ids written.
+	relay := func(c, j, pathLen int, honest int32) {
+		path, liar := slices.Clip(e.paths[len(e.paths)-pathLen:]), liars[j]
+		for p := 0; p < n; p++ {
+			id := honest
+			if liar != nil {
+				id = e.intern(liar.Relay(path, p, e.strs[honest]))
+			}
+			e.vals[p*nodes+c] = id
 		}
 	}
-	return false
+	// Round 1: the sender transmits its value. Rounds 2..f+1: for node i and
+	// every relayer j off its path sigma, every process learns j's value for
+	// i and stores it at the child sigma.j.
+	e.paths = append(e.paths[:0], sender)
+	relay(0, sender, 1, e.intern(value))
+	c, parent := 1, 0
+	for k := 0; k < e.f; k++ {
+		for i := e.base[k]; i < e.base[k+1]; i++ {
+			sigma := e.paths[parent : parent+k+1]
+			parent += k + 1
+			for j := 0; j < n; j++ {
+				if !slices.Contains(sigma, j) {
+					e.paths = append(append(e.paths, sigma...), j)
+					relay(c, j, k+2, e.vals[j*nodes+i])
+					c++
+				}
+			}
+		}
+	}
+
+	// Decision: each process resolves its own view bottom-up, in place (a
+	// node's received value is dead once its children hold theirs).
+	for p := 0; p < n; p++ {
+		view := e.vals[p*nodes : (p+1)*nodes]
+		for k := e.f - 1; k >= 0; k-- {
+			width := n - k - 1
+			for i, c := e.base[k], e.base[k+1]; i < e.base[k+1]; i, c = i+1, c+width {
+				view[i] = majority(view[c : c+width])
+			}
+		}
+	}
+}
+
+// majority returns the id held by a strict majority of xs, else 0 (the
+// DefaultValue id): a Boyer–Moore vote, then a recount of the candidate.
+func majority(xs []int32) int32 {
+	var cand int32
+	count := 0
+	for _, x := range xs {
+		if count == 0 {
+			cand = x
+		}
+		if x == cand {
+			count++
+		} else {
+			count--
+		}
+	}
+	count = 0
+	for _, x := range xs {
+		if x == cand {
+			count++
+		}
+	}
+	if 2*count > len(xs) {
+		return cand
+	}
+	return 0
 }
 
 // MessageCost returns the number of EIG tree nodes (per-process relay
@@ -242,11 +268,15 @@ func MessageCost(n, f int) (int64, error) {
 
 // EncodeVector serializes a gradient so it can be carried as an EIG value.
 func EncodeVector(v []float64) string {
-	buf := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
+	return string(appendVector(make([]byte, 0, 8*len(v)), v))
+}
+
+// appendVector appends v's encoding to dst.
+func appendVector(dst []byte, v []float64) []byte {
+	for _, x := range v {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 	}
-	return string(buf)
+	return dst
 }
 
 // DecodeVector recovers a gradient of the expected dimension. Malformed or
