@@ -274,9 +274,12 @@ func TestRunCancelledSweepExportsPartialResults(t *testing.T) {
 // export byte-identical JSON to a plain local run of the same flags.
 func TestCoordinatorWorkerFleetMatchesLocalRun(t *testing.T) {
 	dir := t.TempDir()
+	// Enough rounds that the first worker cannot finish all eight cells (some
+	// 20 ms) before the second has dialed: the coordinator closes its listener
+	// with the grid, and a worker arriving after that fails.
 	gridFlags := []string{
 		"-filters", "cge,cwtm", "-behaviors", "gradient-reverse,random",
-		"-f", "1,2", "-rounds", "30", "-quiet",
+		"-f", "1,2", "-rounds", "5000", "-quiet",
 	}
 
 	local := filepath.Join(dir, "local.json")

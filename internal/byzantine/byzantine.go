@@ -7,16 +7,18 @@
 //
 // Behaviors are deterministic given their seed, matching the paper's
 // deterministic-algorithm framework and keeping every experiment
-// reproducible.
+// reproducible. Every behavior here is stateless and implements IntoBehavior:
+// its arithmetic lives in ApplyInto alone, which allocates nothing, and Apply
+// and ApplyOmniscient are that call on a fresh slice.
 package byzantine
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 
+	"byzopt/internal/simtime"
 	"byzopt/internal/vecmath"
 )
 
@@ -44,20 +46,67 @@ type Omniscient interface {
 	ApplyOmniscient(round, agentID int, trueGrad []float64, honestGrads [][]float64) ([]float64, error)
 }
 
+// IntoBehavior is the optional in-place face of a Behavior, and the one the
+// DGD engines drive: the report is written into a buffer the caller owns.
+type IntoBehavior interface {
+	Behavior
+	// ApplyInto writes the faulty gradient for the round into dst, bitwise
+	// what Apply (honest nil or empty: the caller has no visibility) or
+	// ApplyOmniscient (honest set) returns. dst has trueGrad's length and may
+	// be trueGrad itself, in which case the report replaces the true gradient
+	// in place; otherwise trueGrad is left alone. Implementations must not
+	// mutate or retain honest, whose rows never alias dst. The ones in this
+	// package allocate nothing.
+	ApplyInto(dst []float64, round, agentID int, trueGrad []float64, honest [][]float64) error
+}
+
+// fresh is every behavior's allocating face: ApplyInto on a new slice.
+func fresh[B IntoBehavior](b B, round, agentID int, trueGrad []float64, honest [][]float64) ([]float64, error) {
+	dst := make([]float64, len(trueGrad))
+	if err := b.ApplyInto(dst, round, agentID, trueGrad, honest); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// copyInto is the dimension-checked copy reports derived from the true
+// gradient start from; dst may be src itself.
+func copyInto(dst, src []float64) error {
+	if len(dst) != len(src) {
+		return fmt.Errorf("report dim %d vs gradient dim %d: %w", len(dst), len(src), ErrBadConfig)
+	}
+	copy(dst, src)
+	return nil
+}
+
+// scaleInto writes alpha * src into dst; dst may be src itself.
+func scaleInto(dst []float64, alpha float64, src []float64) error {
+	if err := copyInto(dst, src); err != nil {
+		return err
+	}
+	vecmath.ScaleInPlace(alpha, dst)
+	return nil
+}
+
 // --- gradient reverse ---
 
 // GradientReverse sends the negation of the true gradient: g -> -g.
 // This is the "gradient-reverse" fault of Section 5.
 type GradientReverse struct{}
 
-var _ Behavior = GradientReverse{}
+var _ IntoBehavior = GradientReverse{}
 
 // Name implements Behavior.
 func (GradientReverse) Name() string { return "gradient-reverse" }
 
 // Apply implements Behavior.
-func (GradientReverse) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
-	return vecmath.Neg(trueGrad), nil
+func (r GradientReverse) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
+	return fresh(r, round, agentID, trueGrad, nil)
+}
+
+// ApplyInto implements IntoBehavior.
+func (GradientReverse) ApplyInto(dst []float64, round, agentID int, trueGrad []float64, _ [][]float64) error {
+	return scaleInto(dst, -1, trueGrad)
 }
 
 // --- scaled reverse ---
@@ -69,31 +118,44 @@ type ScaledReverse struct {
 	Factor float64
 }
 
-var _ Behavior = ScaledReverse{}
+var _ IntoBehavior = ScaledReverse{}
 
 // Name implements Behavior.
 func (s ScaledReverse) Name() string { return fmt.Sprintf("scaled-reverse-%g", s.Factor) }
 
 // Apply implements Behavior.
 func (s ScaledReverse) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
+	return fresh(s, round, agentID, trueGrad, nil)
+}
+
+// ApplyInto implements IntoBehavior.
+func (s ScaledReverse) ApplyInto(dst []float64, round, agentID int, trueGrad []float64, _ [][]float64) error {
 	if s.Factor <= 0 {
-		return nil, fmt.Errorf("scaled reverse factor %v must be positive: %w", s.Factor, ErrBadConfig)
+		return fmt.Errorf("scaled reverse factor %v must be positive: %w", s.Factor, ErrBadConfig)
 	}
-	return vecmath.Scale(-s.Factor, trueGrad), nil
+	return scaleInto(dst, -s.Factor, trueGrad)
 }
 
 // --- random Gaussian ---
 
 // RandomGaussian sends an i.i.d. Gaussian vector with mean zero and isotropic
 // standard deviation Sigma, the "random" fault of Section 5 (σ = 200 there).
-// Draws are deterministic given (seed, round, agentID) so that executions
-// replay exactly regardless of evaluation order.
+// Every coordinate is a pure function of (seed, round, agentID, coordinate):
+// a counter-mode draw from simtime's SplitMix64 hash with no generator state,
+// so executions replay exactly regardless of evaluation order and the report
+// at dimension d is a prefix of the report at any larger dimension.
 type RandomGaussian struct {
 	sigma float64
 	seed  int64
 }
 
-var _ Behavior = (*RandomGaussian)(nil)
+var _ IntoBehavior = (*RandomGaussian)(nil)
+
+// gaussianStream is the reserved stream index keying the Gaussian draws,
+// continuing the negative range after simtime's straggler stream (-1) and
+// chaos's fault kinds (-2 to -8): a scenario hands one seed to all three, and
+// real rounds are nonnegative, so no two families share a draw.
+const gaussianStream = -9
 
 // NewRandomGaussian builds the behavior; sigma must be positive.
 func NewRandomGaussian(sigma float64, seed int64) (*RandomGaussian, error) {
@@ -108,18 +170,25 @@ func (g *RandomGaussian) Name() string { return fmt.Sprintf("random-%g", g.sigma
 
 // Apply implements Behavior.
 func (g *RandomGaussian) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
-	// Derive a per-(round, agent) stream so replays are order-independent.
-	const (
-		mixRound int64 = 0x1E3779B97F4A7C15
-		mixAgent int64 = 0x3F58476D1CE4E5B9
-	)
-	h := g.seed ^ (int64(round)+1)*mixRound ^ (int64(agentID)+1)*mixAgent
-	r := rand.New(rand.NewSource(h))
-	out := make([]float64, len(trueGrad))
-	for i := range out {
-		out[i] = r.NormFloat64() * g.sigma
+	return fresh(g, round, agentID, trueGrad, nil)
+}
+
+// ApplyInto implements IntoBehavior. Coordinates 2j and 2j+1 are the two
+// Box–Muller outputs of the uniforms drawn at those two coordinates; an odd
+// dimension draws the last pair's second uniform all the same.
+func (g *RandomGaussian) ApplyInto(dst []float64, round, agentID int, _ []float64, _ [][]float64) error {
+	// The agent's sub-seed on the reserved stream; draws are keyed (round, i).
+	key := int64(simtime.Mix(g.seed, gaussianStream, agentID))
+	for i := 0; i < len(dst); i += 2 {
+		// U01 lies in [0, 1), so 1-U01 lies in (0, 1] and the log is finite.
+		r := g.sigma * math.Sqrt(-2*math.Log(1-simtime.U01(key, round, i)))
+		sin, cos := math.Sincos(2 * math.Pi * simtime.U01(key, round, i+1))
+		dst[i] = r * cos
+		if i+1 < len(dst) {
+			dst[i+1] = r * sin
+		}
 	}
-	return out, nil
+	return nil
 }
 
 // --- constant ---
@@ -129,7 +198,7 @@ type Constant struct {
 	vec []float64
 }
 
-var _ Behavior = (*Constant)(nil)
+var _ IntoBehavior = (*Constant)(nil)
 
 // NewConstant builds the behavior from a non-empty vector.
 func NewConstant(v []float64) (*Constant, error) {
@@ -142,13 +211,18 @@ func NewConstant(v []float64) (*Constant, error) {
 // Name implements Behavior.
 func (c *Constant) Name() string { return "constant" }
 
-// Apply implements Behavior. It errors if the round's gradient dimension
-// does not match the configured vector.
+// Apply implements Behavior.
 func (c *Constant) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
+	return fresh(c, round, agentID, trueGrad, nil)
+}
+
+// ApplyInto implements IntoBehavior. It errors if the round's gradient
+// dimension does not match the configured vector.
+func (c *Constant) ApplyInto(dst []float64, round, agentID int, trueGrad []float64, _ [][]float64) error {
 	if len(trueGrad) != len(c.vec) {
-		return nil, fmt.Errorf("constant dim %d vs gradient dim %d: %w", len(c.vec), len(trueGrad), ErrBadConfig)
+		return fmt.Errorf("constant dim %d vs gradient dim %d: %w", len(c.vec), len(trueGrad), ErrBadConfig)
 	}
-	return vecmath.Clone(c.vec), nil
+	return copyInto(dst, c.vec)
 }
 
 // --- zero ---
@@ -157,14 +231,20 @@ func (c *Constant) Apply(round, agentID int, trueGrad []float64) ([]float64, err
 // methods without tripping norm filters.
 type Zero struct{}
 
-var _ Behavior = Zero{}
+var _ IntoBehavior = Zero{}
 
 // Name implements Behavior.
 func (Zero) Name() string { return "zero" }
 
 // Apply implements Behavior.
-func (Zero) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
-	return vecmath.Zeros(len(trueGrad)), nil
+func (z Zero) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
+	return fresh(z, round, agentID, trueGrad, nil)
+}
+
+// ApplyInto implements IntoBehavior.
+func (Zero) ApplyInto(dst []float64, round, agentID int, _ []float64, _ [][]float64) error {
+	clear(dst)
+	return nil
 }
 
 // --- coordinate spike ---
@@ -176,19 +256,26 @@ type CoordinateSpike struct {
 	Magnitude  float64
 }
 
-var _ Behavior = CoordinateSpike{}
+var _ IntoBehavior = CoordinateSpike{}
 
 // Name implements Behavior.
 func (c CoordinateSpike) Name() string { return fmt.Sprintf("spike-%d", c.Coordinate) }
 
 // Apply implements Behavior.
 func (c CoordinateSpike) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
+	return fresh(c, round, agentID, trueGrad, nil)
+}
+
+// ApplyInto implements IntoBehavior.
+func (c CoordinateSpike) ApplyInto(dst []float64, round, agentID int, trueGrad []float64, _ [][]float64) error {
 	if c.Coordinate < 0 || c.Coordinate >= len(trueGrad) {
-		return nil, fmt.Errorf("spike coordinate %d out of range [0,%d): %w", c.Coordinate, len(trueGrad), ErrBadConfig)
+		return fmt.Errorf("spike coordinate %d out of range [0,%d): %w", c.Coordinate, len(trueGrad), ErrBadConfig)
 	}
-	out := vecmath.Clone(trueGrad)
-	out[c.Coordinate] = c.Magnitude
-	return out, nil
+	if err := copyInto(dst, trueGrad); err != nil {
+		return err
+	}
+	dst[c.Coordinate] = c.Magnitude
+	return nil
 }
 
 // --- inner-product manipulation (colluding) ---
@@ -201,7 +288,10 @@ type InnerProductManipulation struct {
 	Epsilon float64
 }
 
-var _ Omniscient = InnerProductManipulation{}
+var (
+	_ Omniscient   = InnerProductManipulation{}
+	_ IntoBehavior = InnerProductManipulation{}
+)
 
 // Name implements Behavior.
 func (a InnerProductManipulation) Name() string { return fmt.Sprintf("ipm-%g", a.Epsilon) }
@@ -209,26 +299,27 @@ func (a InnerProductManipulation) Name() string { return fmt.Sprintf("ipm-%g", a
 // Apply implements Behavior; without visibility of honest gradients it
 // degrades to scaled reversal of the agent's own gradient.
 func (a InnerProductManipulation) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
-	if a.Epsilon <= 0 {
-		return nil, fmt.Errorf("ipm epsilon %v must be positive: %w", a.Epsilon, ErrBadConfig)
-	}
-	return vecmath.Scale(-a.Epsilon, trueGrad), nil
+	return a.ApplyOmniscient(round, agentID, trueGrad, nil)
 }
 
 // ApplyOmniscient implements Omniscient.
 func (a InnerProductManipulation) ApplyOmniscient(round, agentID int, trueGrad []float64, honestGrads [][]float64) ([]float64, error) {
+	return fresh(a, round, agentID, trueGrad, honestGrads)
+}
+
+// ApplyInto implements IntoBehavior.
+func (a InnerProductManipulation) ApplyInto(dst []float64, round, agentID int, trueGrad []float64, honest [][]float64) error {
 	if a.Epsilon <= 0 {
-		return nil, fmt.Errorf("ipm epsilon %v must be positive: %w", a.Epsilon, ErrBadConfig)
+		return fmt.Errorf("ipm epsilon %v must be positive: %w", a.Epsilon, ErrBadConfig)
 	}
-	if len(honestGrads) == 0 {
-		return a.Apply(round, agentID, trueGrad)
+	if len(honest) == 0 {
+		return scaleInto(dst, -a.Epsilon, trueGrad)
 	}
-	m, err := vecmath.Mean(honestGrads)
-	if err != nil {
-		return nil, err
+	if err := vecmath.MeanInto(dst, honest); err != nil {
+		return err
 	}
-	vecmath.ScaleInPlace(-a.Epsilon, m)
-	return m, nil
+	vecmath.ScaleInPlace(-a.Epsilon, dst)
+	return nil
 }
 
 // --- a little is enough (colluding) ---
@@ -241,7 +332,10 @@ type ALittleIsEnough struct {
 	Z float64
 }
 
-var _ Omniscient = ALittleIsEnough{}
+var (
+	_ Omniscient   = ALittleIsEnough{}
+	_ IntoBehavior = ALittleIsEnough{}
+)
 
 // Name implements Behavior.
 func (a ALittleIsEnough) Name() string { return fmt.Sprintf("alie-%g", a.Z) }
@@ -249,62 +343,83 @@ func (a ALittleIsEnough) Name() string { return fmt.Sprintf("alie-%g", a.Z) }
 // Apply implements Behavior; without visibility it perturbs the agent's own
 // gradient by Z per coordinate, a weak fallback.
 func (a ALittleIsEnough) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
-	out := vecmath.Clone(trueGrad)
-	for i := range out {
-		out[i] += a.Z
-	}
-	return out, nil
+	return a.ApplyOmniscient(round, agentID, trueGrad, nil)
 }
 
 // ApplyOmniscient implements Omniscient.
 func (a ALittleIsEnough) ApplyOmniscient(round, agentID int, trueGrad []float64, honestGrads [][]float64) ([]float64, error) {
-	if len(honestGrads) == 0 {
-		return a.Apply(round, agentID, trueGrad)
+	return fresh(a, round, agentID, trueGrad, honestGrads)
+}
+
+// ApplyInto implements IntoBehavior.
+func (a ALittleIsEnough) ApplyInto(dst []float64, round, agentID int, trueGrad []float64, honest [][]float64) error {
+	if len(honest) == 0 {
+		if err := copyInto(dst, trueGrad); err != nil {
+			return err
+		}
+		for i := range dst {
+			dst[i] += a.Z
+		}
+		return nil
 	}
-	m, err := vecmath.Mean(honestGrads)
-	if err != nil {
-		return nil, err
+	if err := vecmath.MeanInto(dst, honest); err != nil {
+		return err
 	}
-	d := len(m)
-	std := make([]float64, d)
-	for k := 0; k < d; k++ {
+	for k, m := range dst {
 		var s float64
-		for _, g := range honestGrads {
-			dev := g[k] - m[k]
+		for _, g := range honest {
+			dev := g[k] - m
 			s += dev * dev
 		}
-		std[k] = math.Sqrt(s / float64(len(honestGrads)))
+		dst[k] = m + a.Z*math.Sqrt(s/float64(len(honest)))
 	}
-	out := make([]float64, d)
-	for k := 0; k < d; k++ {
-		out[k] = m[k] + a.Z*std[k]
-	}
-	return out, nil
+	return nil
 }
 
 // --- delayed (mixed honest/faulty phases) ---
 
 // Delayed behaves honestly until round Activate, then delegates to Inner.
-// It models sleeper faults that pass an initial vetting period.
+// It models sleeper faults that pass an initial vetting period. Delayed is
+// not Omniscient, so Inner reports without sight of the honest gradients.
 type Delayed struct {
 	Activate int
 	Inner    Behavior
 }
 
-var _ Behavior = (*Delayed)(nil)
+var _ IntoBehavior = (*Delayed)(nil)
 
-// Name implements Behavior.
-func (d *Delayed) Name() string { return fmt.Sprintf("delayed-%d-%s", d.Activate, d.Inner.Name()) }
+// Name implements Behavior. A missing Inner, which ApplyInto rejects, is
+// spelled out: callers word that very error with the name.
+func (d *Delayed) Name() string {
+	inner := "<nil>"
+	if d.Inner != nil {
+		inner = d.Inner.Name()
+	}
+	return fmt.Sprintf("delayed-%d-%s", d.Activate, inner)
+}
 
 // Apply implements Behavior.
 func (d *Delayed) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
+	return fresh(d, round, agentID, trueGrad, nil)
+}
+
+// ApplyInto implements IntoBehavior; an Inner without the face reports
+// through its Apply.
+func (d *Delayed) ApplyInto(dst []float64, round, agentID int, trueGrad []float64, _ [][]float64) error {
 	if d.Inner == nil {
-		return nil, fmt.Errorf("delayed behavior without inner behavior: %w", ErrBadConfig)
+		return fmt.Errorf("delayed behavior without inner behavior: %w", ErrBadConfig)
 	}
 	if round < d.Activate {
-		return vecmath.Clone(trueGrad), nil
+		return copyInto(dst, trueGrad)
 	}
-	return d.Inner.Apply(round, agentID, trueGrad)
+	if into, ok := d.Inner.(IntoBehavior); ok {
+		return into.ApplyInto(dst, round, agentID, trueGrad, nil)
+	}
+	g, err := d.Inner.Apply(round, agentID, trueGrad)
+	if err != nil {
+		return err
+	}
+	return copyInto(dst, g)
 }
 
 // --- broadcast equivocation (peer-to-peer substrate) ---
@@ -319,22 +434,17 @@ func (d *Delayed) Apply(round, agentID int, trueGrad []float64) ([]float64, erro
 // backend can express the equivocation half (it detects Relay through the
 // dgd.Faulty wrapper's Behavior accessor).
 type Equivocate struct {
-	seed int64
+	GradientReverse // Apply and ApplyInto: the strongest lie about its own cost
+	seed            int64
 }
 
-var _ Behavior = (*Equivocate)(nil)
+var _ IntoBehavior = (*Equivocate)(nil)
 
 // NewEquivocate builds the behavior; the seed drives the relay garbling.
 func NewEquivocate(seed int64) *Equivocate { return &Equivocate{seed: seed} }
 
 // Name implements Behavior.
 func (*Equivocate) Name() string { return "equivocate" }
-
-// Apply implements Behavior: gradient reversal, the strongest lie the
-// behavior can tell about its own cost.
-func (*Equivocate) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
-	return vecmath.Neg(trueGrad), nil
-}
 
 // Relay implements the p2p package's Distorter contract structurally (this
 // package sits below p2p, so the interface is satisfied by shape, not by

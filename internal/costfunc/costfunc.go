@@ -113,16 +113,34 @@ func NewSingleRowLeastSquares(row []float64, b float64) (*LeastSquares, error) {
 // Dim returns the number of regression coefficients.
 func (q *LeastSquares) Dim() int { return q.a.Cols() }
 
-// Eval returns ||b - A x||^2.
+// Eval returns ||b - A x||^2. A residual of up to 32 rows lives on the stack
+// (the paper's instance has six), so tracking the loss every round allocates
+// nothing and Eval, like Grad, stays safe for concurrent calls on a shared
+// cost.
 func (q *LeastSquares) Eval(x []float64) (float64, error) {
 	if len(x) != q.Dim() {
 		return 0, fmt.Errorf("costfunc: eval at dim %d, want %d: %w", len(x), q.Dim(), ErrDimension)
 	}
-	res, err := matrix.Residual(q.a, x, q.b)
-	if err != nil {
+	var stack [32]float64
+	res := stack[:min(q.a.Rows(), len(stack))]
+	if q.a.Rows() > len(stack) {
+		res = make([]float64, q.a.Rows())
+	}
+	if err := q.residualInto(res, x); err != nil {
 		return 0, err
 	}
 	return vecmath.NormSq(res), nil
+}
+
+// residualInto writes b - A x into the rows-sized res.
+func (q *LeastSquares) residualInto(res, x []float64) error {
+	if err := q.a.MulVecInto(res, x); err != nil {
+		return err
+	}
+	for i := range res {
+		res[i] = q.b[i] - res[i]
+	}
+	return nil
 }
 
 // Grad returns -2 A' (b - A x). Unlike GradInto it allocates its own
@@ -156,11 +174,8 @@ func (q *LeastSquares) gradInto(dst, x, res []float64) error {
 	if len(dst) != q.Dim() {
 		return fmt.Errorf("costfunc: grad into dim %d, want %d: %w", len(dst), q.Dim(), ErrDimension)
 	}
-	if err := q.a.MulVecInto(res, x); err != nil {
+	if err := q.residualInto(res, x); err != nil {
 		return err
-	}
-	for i := range res {
-		res[i] = q.b[i] - res[i]
 	}
 	if err := q.a.MulTVecInto(dst, res); err != nil {
 		return err

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"byzopt/internal/matrix"
+	"byzopt/internal/vecmath"
 )
 
 // gradIntoCosts builds one instance of every concrete cost over dimension d.
@@ -146,6 +147,49 @@ func TestGradIntoAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestLeastSquaresEvalAllocs: Eval takes its residual on the stack up to 32
+// rows (every round of a paper-grid run evaluates the six-row honest loss),
+// allocates it beyond, keeps no state in the cost either way, and matches the
+// ||matrix.Residual||² it used to compute bit for bit.
+func TestLeastSquaresEvalAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for _, tc := range []struct{ rows, allocs int }{{1, 0}, {6, 0}, {32, 0}, {33, 1}, {200, 1}} {
+		const d = 5
+		data, b, x := make([]float64, tc.rows*d), make([]float64, tc.rows), make([]float64, d)
+		for _, v := range [][]float64{data, b, x} {
+			for i := range v {
+				v[i] = r.NormFloat64()
+			}
+		}
+		a, err := matrix.New(tc.rows, d, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls, err := NewLeastSquares(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := matrix.Residual(a, x, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ls.Eval(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := vecmath.NormSq(res); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%d rows: Eval %v, want %v", tc.rows, got, want)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if _, err := ls.Eval(x); err != nil {
+				t.Fatal(err)
+			}
+		}); int(allocs) != tc.allocs {
+			t.Errorf("%d rows: Eval allocates %v times, want %d", tc.rows, allocs, tc.allocs)
 		}
 	}
 }

@@ -120,11 +120,37 @@ func allocConfig(tb testing.TB, n, d, rounds int) Config {
 func TestSteadyStateAllocs(t *testing.T) {
 	// CWTM is the canonical stateless Into filter; SDMMFD additionally
 	// carries its auxiliary center across rounds through the engine's
-	// scratch, which must stay in the reused buffers.
-	for _, filter := range []aggregate.Filter{aggregate.CWTM{}, &aggregate.SDMMFD{}} {
-		t.Run(filter.Name(), func(t *testing.T) {
+	// scratch, which must stay in the reused buffers. The named behaviors are
+	// the paper grid's: two Byzantine agents report through them, their true
+	// gradient and its rewrite both landing in the agents' arena rows.
+	cases := []struct {
+		filter   aggregate.Filter
+		behavior string
+	}{
+		{aggregate.CWTM{}, ""}, {&aggregate.SDMMFD{}, ""},
+		{aggregate.CWTM{}, "gradient-reverse"}, {aggregate.CWTM{}, "random"},
+		{aggregate.CWTM{}, "ipm"}, {aggregate.CWTM{}, "alie"},
+	}
+	for _, tc := range cases {
+		name := tc.filter.Name()
+		if tc.behavior != "" {
+			name += "/" + tc.behavior
+		}
+		t.Run(name, func(t *testing.T) {
 			cfg := allocConfig(t, 10, 16, 1)
-			cfg.Filter = filter
+			cfg.Filter = tc.filter
+			if tc.behavior != "" {
+				behavior, err := byzantine.New(tc.behavior, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.F = 2
+				for i := 0; i < cfg.F; i++ {
+					if cfg.Agents[i], err = NewFaulty(cfg.Agents[i], behavior); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			long := cfg
 			long.Rounds = 101
 
@@ -192,6 +218,39 @@ func TestLegacyPathStillAllocates(t *testing.T) {
 	})
 	if extended-base == 0 {
 		t.Fatal("legacy path reports zero allocs/round; the alloc-vs-into benchmark baseline is broken")
+	}
+}
+
+// TestFaultyGradientAllocs bounds the allocating face, the one
+// transport.ServeAgent and concurrent collection call: the report itself and
+// nothing else, where the path it replaced allocated three times.
+func TestFaultyGradientAllocs(t *testing.T) {
+	cfg := allocConfig(t, 10, 16, 1)
+	x := vecmath.Ones(16)
+	honest, err := NewCollector(cfg.Agents[2:], len(x), 1).Collect(0, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range byzantine.Names() {
+		behavior, err := byzantine.New(name, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agent, err := NewFaulty(cfg.Agents[0], behavior)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sees := range [][][]float64{nil, honest} {
+			round := 0
+			if allocs := testing.AllocsPerRun(100, func() {
+				if _, err := agent.(Faulty).FaultyGradient(round, 0, x, sees); err != nil {
+					t.Fatal(err)
+				}
+				round++
+			}); allocs > 1 {
+				t.Errorf("%s: FaultyGradient allocates %.2f times per report, want 1", name, allocs)
+			}
+		}
 	}
 }
 

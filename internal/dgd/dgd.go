@@ -60,9 +60,12 @@ type Agent interface {
 // back to Gradient transparently.
 //
 // Implementations may reuse internal scratch between calls (the costfunc
-// oracles do), so the engine only calls GradientInto from its sequential
-// collection path (Config.Workers <= 1); concurrent collection falls back to
-// Gradient.
+// oracles do), so the engine only calls an agent's own GradientInto from its
+// sequential collection path (Config.Workers <= 1); concurrent collection
+// falls back to Gradient. A Byzantine wrapper computes every report, on either
+// path, through its inner agent's GradientInto: one call per agent per round,
+// so an inner agent (or its cost) must not be shared between two agents that
+// are collected concurrently.
 type IntoAgent interface {
 	Agent
 	// GradientInto writes the agent's report for round t at estimate x into
@@ -93,9 +96,10 @@ type Faulty interface {
 
 // IntoFaulty is the Into face of Faulty, mirroring IntoAgent: the report is
 // written into dst so the engine's gradient arena also covers Byzantine
-// agents (the wrapped behavior may still allocate internally — the arena
-// guarantee is about the engine's own buffers). The built-in Faulty wrapper
-// implements it by passing the Into request through to its inner agent.
+// agents. The built-in Faulty wrapper has the inner agent write the true
+// gradient into dst and the behavior rewrite it there
+// (byzantine.IntoBehavior), allocating nothing when both have their Into
+// faces, as every built-in agent and behavior does.
 type IntoFaulty interface {
 	Faulty
 	// FaultyGradientInto is FaultyGradient writing into dst.
@@ -157,12 +161,13 @@ func HonestAgents(costs []costfunc.Differentiable) ([]Agent, error) {
 
 // --- faulty agent ---
 
-// faulty wraps an inner agent with a Byzantine behavior. If the behavior
-// implements byzantine.Omniscient it also sees the honest gradients of the
-// round (the engine collects honest reports first).
+// faulty wraps an inner agent with a Byzantine behavior. An omniscient
+// behavior also sees the honest gradients of the round (the engine collects
+// honest reports first).
 type faulty struct {
 	inner    Agent
-	behavior byzantine.Behavior
+	behavior byzantine.Behavior     // as handed to NewFaulty
+	into     byzantine.IntoBehavior // behavior's in-place face, adapted if absent
 }
 
 // NewFaulty builds a Byzantine agent: inner produces the gradient the agent
@@ -172,7 +177,33 @@ func NewFaulty(inner Agent, behavior byzantine.Behavior) (Agent, error) {
 	if behavior == nil {
 		return nil, fmt.Errorf("nil behavior: %w", ErrConfig)
 	}
-	return &faulty{inner: inner, behavior: behavior}, nil
+	into, ok := behavior.(byzantine.IntoBehavior)
+	if !ok {
+		into = asIntoBehavior{behavior}
+	}
+	return &faulty{inner: inner, behavior: behavior, into: into}, nil
+}
+
+// asIntoBehavior adapts a behavior without the Into face, the way asInto
+// adapts filters; the adapted behavior still allocates its own report.
+type asIntoBehavior struct{ byzantine.Behavior }
+
+func (a asIntoBehavior) ApplyInto(dst []float64, round, agentID int, trueGrad []float64, honest [][]float64) error {
+	var g []float64
+	var err error
+	if omni, ok := a.Behavior.(byzantine.Omniscient); ok && honest != nil {
+		g, err = omni.ApplyOmniscient(round, agentID, trueGrad, honest)
+	} else {
+		g, err = a.Apply(round, agentID, trueGrad)
+	}
+	if err != nil {
+		return err
+	}
+	if len(g) != len(dst) {
+		return fmt.Errorf("returned dim %d, want %d: %w", len(g), len(dst), ErrConfig)
+	}
+	copy(dst, g)
+	return nil
 }
 
 var (
@@ -193,46 +224,41 @@ func (f *faulty) GradientInto(dst []float64, round int, x []float64) error {
 	return f.FaultyGradientInto(dst, round, 0, x, nil)
 }
 
-// FaultyGradientInto implements IntoFaulty by passing the request through:
-// the behavior produces its (possibly allocated) report and the wrapper
-// copies it into dst, keeping the engine's arena row stable.
-func (f *faulty) FaultyGradientInto(dst []float64, round, agent int, x []float64, honest [][]float64) error {
-	g, err := f.FaultyGradient(round, agent, x, honest)
-	if err != nil {
-		return err
-	}
-	if len(g) != len(dst) {
-		return fmt.Errorf("behavior %s returned dim %d, want %d: %w", f.behavior.Name(), len(g), len(dst), ErrConfig)
-	}
-	copy(dst, g)
-	return nil
-}
-
-// FaultyGradient implements Faulty: the behavior distorts the true
-// gradient, seeing the honest set when it is omniscient and the caller has
-// it (honest != nil); otherwise it degrades to the non-omniscient report.
+// FaultyGradient implements Faulty on a fresh slice.
 func (f *faulty) FaultyGradient(round, agent int, x []float64, honest [][]float64) ([]float64, error) {
-	trueGrad, err := f.trueGradient(round, x)
-	if err != nil {
+	dst := make([]float64, len(x))
+	if err := f.FaultyGradientInto(dst, round, agent, x, honest); err != nil {
 		return nil, err
 	}
-	var g []float64
-	if omni, ok := f.behavior.(byzantine.Omniscient); ok && honest != nil {
-		g, err = omni.ApplyOmniscient(round, agent, trueGrad, honest)
-	} else {
-		g, err = f.behavior.Apply(round, agent, trueGrad)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("behavior %s: %w", f.behavior.Name(), err)
-	}
-	return g, nil
+	return dst, nil
 }
 
-func (f *faulty) trueGradient(round int, x []float64) ([]float64, error) {
-	if f.inner == nil {
-		return vecmath.Zeros(len(x)), nil
+// FaultyGradientInto implements IntoFaulty, the wrapper's one path: the
+// inner agent writes the true gradient into dst and the behavior rewrites it
+// in place, seeing the honest set when it is omniscient and the caller has it
+// (honest != nil); otherwise it degrades to the non-omniscient report.
+func (f *faulty) FaultyGradientInto(dst []float64, round, agent int, x []float64, honest [][]float64) error {
+	switch inner := f.inner.(type) {
+	case nil:
+		clear(dst)
+	case IntoAgent:
+		if err := inner.GradientInto(dst, round, x); err != nil {
+			return err
+		}
+	default:
+		g, err := inner.Gradient(round, x)
+		if err != nil {
+			return err
+		}
+		if len(g) != len(dst) {
+			return fmt.Errorf("inner agent returned dim %d, want %d: %w", len(g), len(dst), ErrConfig)
+		}
+		copy(dst, g)
 	}
-	return f.inner.Gradient(round, x)
+	if err := f.into.ApplyInto(dst, round, agent, dst, honest); err != nil {
+		return fmt.Errorf("behavior %s: %w", f.behavior.Name(), err)
+	}
+	return nil
 }
 
 // Behavior exposes the wrapped Byzantine behavior. Substrate backends use it

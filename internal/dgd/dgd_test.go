@@ -241,6 +241,80 @@ func (s *spyOmniscient) ApplyOmniscient(round, agentID int, trueGrad []float64, 
 	return vecmath.Clone(trueGrad), nil
 }
 
+// wrongDimBehavior reports one coordinate too many.
+type wrongDimBehavior struct{}
+
+func (wrongDimBehavior) Name() string { return "wrong-dim" }
+
+func (wrongDimBehavior) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
+	return make([]float64, len(trueGrad)+1), nil
+}
+
+// TestBehaviorWithoutIntoFace: a behavior that only implements
+// byzantine.Behavior (or Omniscient) is adapted once in NewFaulty and reports
+// on every face of the wrapper exactly what its own methods return; a report
+// of the wrong dimension is a configuration error, not a truncated copy.
+func TestBehaviorWithoutIntoFace(t *testing.T) {
+	xstar := []float64{1, 1}
+	agents, _, _ := regressionAgents(t, testRows, xstar)
+	x := []float64{0.3, -0.2}
+	trueGrad, err := agents[0].Gradient(0, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := [][]float64{{1, 2}, {3, 4}}
+	for _, sees := range [][][]float64{nil, honest} {
+		seen := -1
+		spy := &spyOmniscient{onApply: func(h [][]float64) { seen = len(h) }}
+		fa, err := NewFaulty(agents[0], spy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fa.(Faulty).FaultyGradient(0, 0, x, sees)
+		if err != nil {
+			t.Fatal(err)
+		}
+		into := make([]float64, len(x))
+		if err := fa.(IntoFaulty).FaultyGradientInto(into, 0, 0, x, sees); err != nil {
+			t.Fatal(err)
+		}
+		if !vecmath.Equal(got, trueGrad, 0) || !vecmath.Equal(into, trueGrad, 0) {
+			t.Errorf("spy reports %v and %v, want the true gradient %v", got, into, trueGrad)
+		}
+		if want := len(sees); sees != nil && seen != want || sees == nil && seen != -1 {
+			t.Errorf("honest=%v: spy was shown %d honest gradients", sees != nil, seen)
+		}
+	}
+
+	fa, err := NewFaulty(agents[0], wrongDimBehavior{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fa.(Faulty).FaultyGradient(0, 0, x, nil); !errors.Is(err, ErrConfig) {
+		t.Errorf("wrong-dimension report: want ErrConfig, got %v", err)
+	}
+	agents[0] = fa
+	if _, err := Run(Config{Agents: agents, F: 1, Filter: aggregate.CWTM{}, X0: []float64{0, 0}, Rounds: 1}); !errors.Is(err, ErrConfig) {
+		t.Errorf("run with a wrong-dimension report: want ErrConfig, got %v", err)
+	}
+}
+
+// TestDelayedWithoutInnerFailsTheRun: the wrapper words a behavior's error
+// with the behavior's name, and a sleeper fault configured without its inner
+// behavior used to panic in Name() on the way to reporting exactly that.
+func TestDelayedWithoutInnerFailsTheRun(t *testing.T) {
+	agents, _, _ := regressionAgents(t, testRows, []float64{1, 1})
+	fa, err := NewFaulty(agents[0], &byzantine.Delayed{Activate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agents[0] = fa
+	_, err = Run(Config{Agents: agents, F: 1, Filter: aggregate.CWTM{}, X0: []float64{0, 0}, Rounds: 3})
+	if !errors.Is(err, byzantine.ErrBadConfig) {
+		t.Fatalf("want byzantine.ErrBadConfig, got %v", err)
+	}
+}
+
 func TestRunDeterministic(t *testing.T) {
 	xstar := []float64{1, 1}
 	build := func() Config {

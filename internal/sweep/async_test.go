@@ -269,7 +269,7 @@ func TestAsyncFleetParityWithSingleProcessRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	addr, wait := startCoordinator(t, ctx, CoordinatorSpec{Spec: spec, LeaseCells: 2})
+	addr, wait := startFleetCoordinator(t, ctx, CoordinatorSpec{Spec: spec, LeaseCells: 2}, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)

@@ -179,7 +179,7 @@ func TestSweepChaosFleetByteIdenticalAcrossWorkerCounts(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		ctx := context.Background()
-		addr, wait := startCoordinator(t, ctx, CoordinatorSpec{Spec: spec, LeaseCells: 2})
+		addr, wait := startFleetCoordinator(t, ctx, CoordinatorSpec{Spec: spec, LeaseCells: 2}, workers)
 		var wg sync.WaitGroup
 		for i := 0; i < workers; i++ {
 			wg.Add(1)

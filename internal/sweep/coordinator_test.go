@@ -38,12 +38,49 @@ func exportBytes(t *testing.T, results []Result) []byte {
 // startCoordinator launches Coordinate on a loopback listener and returns
 // its address plus a wait function for the results.
 func startCoordinator(t *testing.T, ctx context.Context, cs CoordinatorSpec) (string, func() ([]Result, error)) {
+	return startFleetCoordinator(t, ctx, cs, 0)
+}
+
+// fleetListener hands the coordinator no connection before `workers` of them
+// have arrived. A test that starts several workers and requires each to end
+// cleanly needs it: the coordinator closes its listener with the grid, a cell
+// takes microseconds, and a worker that has not dialed by then fails — whereas
+// one already connected is drained with a done frame.
+type fleetListener struct {
+	net.Listener
+	workers int
+	gate    sync.Once
+	arrived chan net.Conn
+}
+
+func (l *fleetListener) Accept() (net.Conn, error) {
+	l.gate.Do(func() {
+		for i := 0; i < l.workers; i++ {
+			c, err := l.Listener.Accept()
+			if err != nil {
+				return
+			}
+			l.arrived <- c
+		}
+	})
+	select {
+	case c := <-l.arrived:
+		return c, nil
+	default:
+		return l.Listener.Accept()
+	}
+}
+
+// startFleetCoordinator is startCoordinator for a test whose `workers`
+// workers must all connect before the first is served.
+func startFleetCoordinator(t *testing.T, ctx context.Context, cs CoordinatorSpec, workers int) (string, func() ([]Result, error)) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
+	addr := tcp.Addr().String()
+	ln := &fleetListener{Listener: tcp, workers: workers, arrived: make(chan net.Conn, workers)}
 	type outcome struct {
 		results []Result
 		err     error
@@ -75,7 +112,7 @@ func TestCoordinatorParityWithSingleProcessRun(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	addr, wait := startCoordinator(t, ctx, CoordinatorSpec{Spec: spec, LeaseCells: 2})
+	addr, wait := startFleetCoordinator(t, ctx, CoordinatorSpec{Spec: spec, LeaseCells: 2}, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)

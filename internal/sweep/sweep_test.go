@@ -112,21 +112,31 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	base := smallSpec()
-	base.Workers = 1
-	want := encode(base)
-
-	parallel := smallSpec()
-	parallel.Workers = 8
-	if got := encode(parallel); !bytes.Equal(got, want) {
-		t.Error("Workers=8 JSON differs from Workers=1")
+	// The second grid runs every registered behavior: sequential collection
+	// has the Byzantine wrappers rewrite arena rows in place, concurrent
+	// collection goes through their allocating face.
+	allBehaviors := func() Spec {
+		spec := smallSpec()
+		spec.Behaviors = byzantine.Names()
+		return spec
 	}
+	for _, build := range []func() Spec{smallSpec, allBehaviors} {
+		base := build()
+		base.Workers = 1
+		want := encode(base)
 
-	nested := smallSpec()
-	nested.Workers = 8
-	nested.DGDWorkers = 4
-	if got := encode(nested); !bytes.Equal(got, want) {
-		t.Error("DGDWorkers=4 JSON differs from sequential gradient collection")
+		parallel := build()
+		parallel.Workers = 8
+		if got := encode(parallel); !bytes.Equal(got, want) {
+			t.Error("Workers=8 JSON differs from Workers=1")
+		}
+
+		nested := build()
+		nested.Workers = 8
+		nested.DGDWorkers = 4
+		if got := encode(nested); !bytes.Equal(got, want) {
+			t.Error("DGDWorkers=4 JSON differs from sequential gradient collection")
+		}
 	}
 }
 
