@@ -97,6 +97,7 @@ func run(args []string) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	fmt.Printf("agent %d: connecting to %s (gradient protocol v%d)\n", *id, *connect, transport.GradProtoVersion)
 	if err := transport.ServeAgent(ctx, *connect, *id, agent); err != nil {
 		return err
 	}

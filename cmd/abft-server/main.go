@@ -83,7 +83,7 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	defer func() { _ = l.Close() }()
-	fmt.Printf("listening on %s, waiting for %d agents...\n", l.Addr(), *n)
+	fmt.Printf("listening on %s (gradient protocol v%d), waiting for %d agents...\n", l.Addr(), transport.GradProtoVersion, *n)
 
 	conns, err := transport.AcceptAgents(l, *n, *accept)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -619,6 +620,67 @@ func TestTrimMiddleMatchesSort(t *testing.T) {
 		for i := f; i < n-f; i++ {
 			if got[i] != sorted[i] {
 				t.Fatalf("trial %d n=%d f=%d: window[%d] = %v, want %v", trial, n, f, i, got[i], sorted[i])
+			}
+		}
+	}
+}
+
+// trimMiddleThreeStep is trimMiddle as it was before short columns got their
+// single insertion sort, kept as the reference the shortcut is held to.
+func trimMiddleThreeStep(col []float64, f int) {
+	n := len(col)
+	if f > 0 {
+		selectKth(col, f)
+		selectKth(col[f:], n-2*f)
+	}
+	slices.Sort(col[f : n-f])
+}
+
+// TestTrimMiddleShortColumnsBitwise holds the short-column path of trimMiddle
+// to the three-step path bit for bit — the whole column, and CWTM's output on
+// it — for every n below the cutoff and every admissible f, on random,
+// tie-heavy and signed-zero columns.
+func TestTrimMiddleShortColumnsBitwise(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	negZero := math.Copysign(0, -1)
+	kinds := map[string]func() float64{
+		"random":       r.NormFloat64,
+		"tie-heavy":    func() float64 { return float64(r.Intn(3)) - 1 },
+		"signed zeros": func() float64 { return []float64{0, negZero, negZero, 0, 1, -1}[r.Intn(6)] },
+	}
+	for n := 1; n < selectInsertionCutoff; n++ {
+		for f := 0; 2*f < n; f++ {
+			for name, draw := range kinds {
+				for trial := 0; trial < 200; trial++ {
+					col := make([]float64, n)
+					for i := range col {
+						col[i] = draw()
+					}
+					want := slices.Clone(col)
+					trimMiddleThreeStep(want, f)
+					got := slices.Clone(col)
+					trimMiddle(got, f)
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s n=%d f=%d %v: col[%d] = %v, three-step path has %v", name, n, f, col, i, got[i], want[i])
+						}
+					}
+					var sum float64
+					for _, v := range want[f : n-f] {
+						sum += v
+					}
+					grads := make([][]float64, n)
+					for i := range grads {
+						grads[i] = []float64{col[i]}
+					}
+					out, err := CWTM{}.Aggregate(grads, f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ref := sum / float64(n-2*f); math.Float64bits(out[0]) != math.Float64bits(ref) {
+						t.Fatalf("%s n=%d f=%d %v: CWTM = %v (%#x), three-step path gives %v (%#x)", name, n, f, col, out[0], math.Float64bits(out[0]), ref, math.Float64bits(ref))
+					}
+				}
 			}
 		}
 	}

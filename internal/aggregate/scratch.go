@@ -296,8 +296,14 @@ func medianInPlace(col []float64) float64 {
 // window is then sorted. Summing col[f:n-f] afterwards is bitwise identical
 // to summing the same window of a fully sorted column, since the discarded
 // extremes are never read and equal floats are interchangeable.
+// A column below selectInsertionCutoff is insertion-sorted once: the first
+// selectKth would do just that, and the later steps then move nothing.
 func trimMiddle(col []float64, f int) {
 	n := len(col)
+	if n < selectInsertionCutoff {
+		insertionSort(col)
+		return
+	}
 	if f > 0 {
 		selectKth(col, f)
 		selectKth(col[f:], n-2*f)

@@ -208,7 +208,8 @@ func (s *Server) Run(ctx context.Context) (*Result, error) {
 	f := s.kernel.F
 	// Per-round buffers, allocated once and reused for the whole run:
 	// slots[agent] holds the agent's reply for the current round (nil once
-	// the agent is eliminated), replies is the reply channel (fully drained
+	// the agent is eliminated; the connection's own slice, consumed by Apply
+	// before the next request overwrites it), replies is the reply channel (fully drained
 	// every round, so reuse is safe), silent collects the round's deadline
 	// misses, and omitFill stands in for a degraded agent's missing reply —
 	// the agent stays in the run, so its slot must not read as eliminated.

@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"byzopt/internal/aggregate"
 	"byzopt/internal/byzantine"
+	"byzopt/internal/costfunc"
 	"byzopt/internal/dgd"
 	"byzopt/internal/linreg"
 	"byzopt/internal/transport"
@@ -241,12 +244,11 @@ func TestNewServerValidation(t *testing.T) {
 	}
 }
 
-// runOverTCP is the full Figure-1 deployment on loopback sockets: 6 agents
-// (agent 0 reverses its gradient) served over TCP, CGE filter.
-func runOverTCP(t *testing.T, rounds int) *Result {
+// serveOverTCP is the full Figure-1 deployment on loopback sockets: every
+// producer served by transport.ServeAgent, the server run to completion on
+// cfg (Conns filled in here), everything closed and waited for.
+func serveOverTCP(t *testing.T, producers []transport.GradientProducer, cfg Config) *Result {
 	t.Helper()
-	inst, agents := paperAgents(t, byzantine.GradientReverse{})
-
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -256,22 +258,49 @@ func runOverTCP(t *testing.T, rounds int) *Result {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
-	for id, a := range agents {
+	for id, p := range producers {
 		wg.Add(1)
-		go func(id int, a dgd.Agent) {
+		go func(id int, p transport.GradientProducer) {
 			defer wg.Done()
-			if err := transport.ServeAgent(ctx, l.Addr().String(), id, a); err != nil {
+			if err := transport.ServeAgent(ctx, l.Addr().String(), id, p); err != nil {
 				t.Errorf("agent %d: %v", id, err)
 			}
-		}(id, a)
+		}(id, p)
 	}
 
-	conns, err := transport.AcceptAgents(l, len(agents), 10*time.Second)
+	cfg.Conns, err = transport.AcceptAgents(l, len(producers), 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(Config{
-		Conns:        conns,
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := srv.Run(context.Background())
+	for _, c := range cfg.Conns {
+		_ = c.Close()
+	}
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func producersOf(agents []dgd.Agent) []transport.GradientProducer {
+	out := make([]transport.GradientProducer, len(agents))
+	for i, a := range agents {
+		out[i] = a
+	}
+	return out
+}
+
+// runOverTCP serves the Appendix-J agents (agent 0 reverses its gradient)
+// over TCP, CGE filter.
+func runOverTCP(t *testing.T, rounds int) *Result {
+	t.Helper()
+	inst, agents := paperAgents(t, byzantine.GradientReverse{})
+	return serveOverTCP(t, producersOf(agents), Config{
 		F:            1,
 		Filter:       aggregate.CGE{},
 		Box:          inst.Box,
@@ -280,18 +309,100 @@ func runOverTCP(t *testing.T, rounds int) *Result {
 		RoundTimeout: 5 * time.Second,
 		Reference:    inst.XH,
 	})
+}
+
+// The wire moves float64 bits and the server aggregates in agent order, so a
+// run over TCP is the in-process run: 6 agents at d = 1000 (the benchmark's
+// tcp_cluster shape), agent 0 reversing, CWTM — final estimates bit-equal.
+func TestClusterOverTCPBitEqualToInProcess(t *testing.T) {
+	const n, d, f, rounds = 6, 1000, 1, 40
+	r := rand.New(rand.NewSource(16))
+	costs := make([]costfunc.Differentiable, n)
+	for i := range costs {
+		row := make([]float64, d)
+		for j := range row {
+			row[j] = r.NormFloat64() / math.Sqrt(d)
+		}
+		c, err := costfunc.NewSingleRowLeastSquares(row, r.NormFloat64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		costs[i] = c
+	}
+	agents := func() []dgd.Agent { // fresh per run: agents carry gradient scratch
+		agents, err := dgd.HonestAgents(costs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if agents[0], err = dgd.NewFaulty(agents[0], byzantine.GradientReverse{}); err != nil {
+			t.Fatal(err)
+		}
+		return agents
+	}
+	box, err := vecmath.NewCube(d, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := srv.Run(context.Background())
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	wg.Wait()
+	want, err := dgd.RunContext(context.Background(), dgd.Config{
+		Agents: agents(), F: f, Filter: aggregate.CWTM{}, Box: box, X0: make([]float64, d), Rounds: rounds,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	got := serveOverTCP(t, producersOf(agents()), Config{
+		F: f, Filter: aggregate.CWTM{}, Box: box, X0: make([]float64, d), Rounds: rounds,
+	})
+	if len(got.Eliminated) != 0 {
+		t.Fatalf("eliminated %v", got.Eliminated)
+	}
+	for i := range want.X {
+		if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) {
+			t.Fatalf("x[%d] over TCP = %v, in process = %v", i, got.X[i], want.X[i])
+		}
+	}
+}
+
+// longReply reports one coordinate too many from round `from` on.
+type longReply struct {
+	dgd.Agent
+	from int
+}
+
+func (p longReply) Gradient(round int, x []float64) ([]float64, error) {
+	g, err := p.Agent.Gradient(round, x)
+	if round >= p.from {
+		g = append(g, 1)
+	}
+	return g, err
+}
+
+// A reply of the wrong dimension never reaches the filter: the transport
+// refuses it from the message header, and the server treats the refusal as it
+// treats any missed round — elimination under step S1, a retried and then
+// omitted report under Degrade.
+func TestClusterOverTCPWrongDimensionReply(t *testing.T) {
+	const rounds, from = 12, 8
+	for _, degrade := range []bool{false, true} {
+		inst, agents := paperAgents(t, nil)
+		producers := producersOf(agents)
+		producers[2] = longReply{Agent: agents[2], from: from}
+		res := serveOverTCP(t, producers, Config{
+			F: 1, Filter: aggregate.CGE{}, Box: inst.Box, X0: inst.X0, Rounds: rounds,
+			Degrade: degrade, Retries: 1, RetryBackoff: time.Millisecond,
+		})
+		if !vecmath.IsFinite(res.X) {
+			t.Errorf("degrade=%v: non-finite estimate %v", degrade, res.X)
+		}
+		if !degrade {
+			if len(res.Eliminated) != 1 || res.Eliminated[0] != 2 {
+				t.Errorf("step S1: eliminated %v, want [2]", res.Eliminated)
+			}
+			continue
+		}
+		if len(res.Eliminated) != 0 || res.Faults.Retried != rounds-from || res.Faults.Omitted != rounds-from {
+			t.Errorf("degrade: eliminated %v, faults %+v, want %d retried and omitted", res.Eliminated, res.Faults, rounds-from)
+		}
+	}
 }
 
 func TestClusterOverTCP(t *testing.T) {

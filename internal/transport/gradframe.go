@@ -1,104 +1,96 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
+	"math"
+	"slices"
 )
 
-// This file is the frame codec of the gradient protocol: every gob message
-// (hello, request envelope, reply) travels as one explicit frame —
+// This file is the message codec of the gradient protocol. A frame body
+// (see frame.go) is one fixed binary message, every field little-endian:
 //
-//	4-byte big-endian length | 4-byte CRC32 (IEEE) of the body | gob body
+//	offset  0  kind: 1 hello, 2 request, 3 shutdown, 4 reply
+//	offset  1  int64 round (in a hello: protocol version<<32 | agent id)
+//	offset  9  uint32 n, the vector length in coordinates
+//	offset 13  uint32 e, the error-text length in bytes
+//	offset 17  n float64 values as their IEEE-754 bits, then e bytes of text
 //
-// mirroring the sweep protocol's discipline. The length prefix bounds the
-// decode (a malformed or hostile peer can no longer make the receiver
-// attempt an unbounded gob read) and the checksum detects in-flight
-// corruption, so a damaged honest gradient is rejected as a transport fault
-// instead of silently reaching the filters as if it were Byzantine input
-// from an honest agent. Each frame carries a self-contained gob stream: no
-// codec state spans frames, so one bad frame never desynchronizes the
-// connection.
+// The vector is the estimate x_t in a request and the agent's report in a
+// reply; the text is an agent-side failure in a reply and the server's reason
+// in a shutdown that refuses a hello. The two lengths must fill the body
+// exactly.
 
-// MaxGradFrame bounds a single gradient-protocol frame (64 MiB), the same
-// cap the sweep protocol applies. A length prefix beyond it is treated as
-// stream corruption rather than an allocation request.
-const MaxGradFrame = 64 << 20
+// GradProtoVersion is the gradient wire-protocol version an agent announces
+// in its hello; AcceptAgents refuses any other. Version 1 was a gob stream.
+const GradProtoVersion = 2
 
-// ErrCorruptFrame is returned (wrapped) when a frame's checksum does not
-// match its body: the message was damaged in transit. Receivers treat the
-// delivery as omitted — the payload must never be trusted.
-var ErrCorruptFrame = errors.New("transport: frame checksum mismatch")
+// ErrBadMessage is returned (wrapped) for a gradient message that passed its
+// checksum but is not well formed — unknown kind, lengths that do not fill
+// the body, a reply of the wrong dimension: the peer's doing, not the wire's.
+var ErrBadMessage = errors.New("transport: malformed gradient message")
 
-// WireTap intercepts an outgoing frame body after its checksum is computed
-// and before it is written, mutating the bytes in place — the fault-
-// injection hook: damage applied here is exactly in-flight corruption, and
-// the receiver's CRC check is what has to catch it. round is the protocol
-// round the frame belongs to (-1 for handshake and shutdown frames), so
-// deterministic chaos plans can key their draws.
-type WireTap func(round int, body []byte)
+const (
+	kindHello byte = iota + 1
+	kindRequest
+	kindShutdown
+	kindReply
 
-// writeGradFrame gob-encodes v and writes it as one checksummed frame.
-func writeGradFrame(w io.Writer, round int, v any, tap WireTap) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("transport: encode frame: %w", err)
-	}
-	body := buf.Bytes()
-	if len(body) > MaxGradFrame {
-		return fmt.Errorf("transport: frame is %d bytes: %w", len(body), ErrFrameTooLarge)
-	}
-	sum := crc32.ChecksumIEEE(body)
-	if tap != nil {
-		tap(round, body)
-	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:], sum)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: write frame header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("transport: write frame body: %w", err)
-	}
-	return nil
+	gradHeader = 17 // bytes before the vector
+)
+
+// helloWord is the round field of a hello.
+func helloWord(agentID int) int64 { return GradProtoVersion<<32 | int64(uint32(agentID)) }
+
+// gradMsg is a parsed gradient message; vec and text alias the frame buffer.
+type gradMsg struct {
+	kind  byte
+	round int64
+	vec   []byte // the vector's coordinates, 8 bytes each
+	text  []byte
 }
 
-// readGradFrame reads one checksummed frame into v. io.EOF is returned
-// verbatim when the stream ends cleanly between frames; an EOF inside a
-// frame is io.ErrUnexpectedEOF (wrapped). Oversized frames fail with
-// ErrFrameTooLarge before any allocation, checksum mismatches with
-// ErrCorruptFrame before any decode.
-func readGradFrame(r io.Reader, v any) error {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return io.EOF
-		}
-		return fmt.Errorf("transport: read frame header: %w", err)
+// gradFrame resets buf to a frame holding the message, ready for writeFrame.
+func gradFrame(buf []byte, kind byte, round int64, vec []float64, text string) []byte {
+	frame := append(frameStart(buf), kind)
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(round))
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(vec)))
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(text)))
+	off := len(frame)
+	frame = slices.Grow(frame, 8*len(vec)+len(text))[:off+8*len(vec)]
+	for i, v := range vec {
+		binary.LittleEndian.PutUint64(frame[off+8*i:], math.Float64bits(v))
 	}
-	size := binary.BigEndian.Uint32(hdr[:4])
-	if size > MaxGradFrame {
-		return fmt.Errorf("transport: frame length %d: %w", size, ErrFrameTooLarge)
+	return append(frame, text...)
+}
+
+// parseGradMsg checks a frame body against the layout above without decoding
+// the vector, so a caller can refuse a message from its 17-byte header.
+func parseGradMsg(body []byte) (gradMsg, error) {
+	if len(body) < gradHeader {
+		return gradMsg{}, fmt.Errorf("%d-byte body: %w", len(body), ErrBadMessage)
 	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("transport: read frame body: %w", err)
+	m := gradMsg{kind: body[0], round: int64(binary.LittleEndian.Uint64(body[1:]))}
+	n, e := int64(binary.LittleEndian.Uint32(body[9:])), int64(binary.LittleEndian.Uint32(body[13:]))
+	if m.kind < kindHello || m.kind > kindReply {
+		return gradMsg{}, fmt.Errorf("unknown kind %d: %w", m.kind, ErrBadMessage)
 	}
-	if sum := crc32.ChecksumIEEE(body); sum != binary.BigEndian.Uint32(hdr[4:]) {
-		return fmt.Errorf("transport: frame of %d bytes: %w", size, ErrCorruptFrame)
+	if int64(len(body)-gradHeader) != 8*n+e {
+		return gradMsg{}, fmt.Errorf("%d coordinates and %d bytes of text declared in a %d-byte body: %w", n, e, len(body), ErrBadMessage)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
-		return fmt.Errorf("transport: decode frame: %w", err)
+	m.vec, m.text = body[gradHeader:gradHeader+8*n], body[gradHeader+8*n:]
+	return m, nil
+}
+
+// floats decodes the vector into dst's storage, growing it if needed.
+func (m gradMsg) floats(dst []float64) []float64 {
+	n := len(m.vec) / 8
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(m.vec[8*i:]))
 	}
-	return nil
+	return dst
 }
 
 // TapAgentConn installs a WireTap on the outgoing (server → agent) frames

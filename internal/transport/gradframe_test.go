@@ -6,7 +6,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,66 +17,176 @@ import (
 	"byzopt/internal/chaos"
 )
 
-func TestGradFrameRoundTrip(t *testing.T) {
+// gradWire is one gradient message as it crosses the wire.
+func gradWire(t testing.TB, kind byte, round int64, vec []float64, text string) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	want := GradientReply{Round: 7, Gradient: []float64{1.5, -2.25, 0}}
-	if err := writeGradFrame(&buf, 7, want, nil); err != nil {
+	if err := writeFrame(&buf, gradFrame(nil, kind, round, vec, text), int(round), nil); err != nil {
 		t.Fatal(err)
 	}
-	// Frames are self-contained gob streams: a second message on the same
-	// buffer decodes independently of the first.
-	if err := writeGradFrame(&buf, 8, GradientReply{Round: 8}, nil); err != nil {
+	return buf.Bytes()
+}
+
+// readGradMsg is the receive path of both ends: one frame, then its message.
+func readGradMsg(r io.Reader) (gradMsg, error) {
+	frame, err := readFrame(r, nil)
+	if err != nil {
+		return gradMsg{}, err
+	}
+	return parseGradMsg(frame[frameHeader:])
+}
+
+func TestGradFrameRoundTrip(t *testing.T) {
+	// Frames are self-contained: a second message on the same stream decodes
+	// independently of the first, and the stream then ends cleanly.
+	stream := bytes.NewBuffer(gradWire(t, kindReply, 7, []float64{1.5, -2.25, 0}, ""))
+	stream.Write(gradWire(t, kindRequest, 8, nil, ""))
+	got, err := readGradMsg(stream)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var got GradientReply
-	if err := readGradFrame(&buf, &got); err != nil {
-		t.Fatal(err)
+	if g := got.floats(nil); got.kind != kindReply || got.round != 7 || len(g) != 3 || g[1] != -2.25 {
+		t.Fatalf("round-trip = %+v %v", got, g)
 	}
-	if got.Round != want.Round || len(got.Gradient) != 3 || got.Gradient[1] != -2.25 {
-		t.Fatalf("round-trip = %+v, want %+v", got, want)
-	}
-	if err := readGradFrame(&buf, &got); err != nil || got.Round != 8 {
+	if got, err = readGradMsg(stream); err != nil || got.kind != kindRequest || got.round != 8 || len(got.vec) != 0 {
 		t.Fatalf("second frame: %+v %v", got, err)
 	}
-	if err := readGradFrame(&buf, &got); !errors.Is(err, io.EOF) {
+	if _, err := readGradMsg(stream); !errors.Is(err, io.EOF) {
 		t.Fatalf("end of stream: %v", err)
+	}
+
+	// The vector crosses bit for bit, whatever the bits say.
+	special := []float64{
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), math.Inf(1), math.Inf(-1), math.MaxFloat64,
+		math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8dead0000beef),
+	}
+	long := make([]float64, 1000)
+	for i := range long {
+		long[i] = special[i%len(special)] * float64(i+1)
+	}
+	for _, tc := range []struct {
+		vec  []float64
+		text string
+	}{
+		{nil, ""}, {[]float64{math.Pi}, ""}, {special, ""}, {long, ""},
+		{nil, "agent: cost undefined at x"}, {special, "text after a vector"},
+	} {
+		m, err := readGradMsg(bytes.NewReader(gradWire(t, kindReply, -3, tc.vec, tc.text)))
+		if err != nil {
+			t.Fatalf("d=%d text=%q: %v", len(tc.vec), tc.text, err)
+		}
+		got := m.floats(make([]float64, 2)) // storage too small: must grow
+		if m.round != -3 || string(m.text) != tc.text || len(got) != len(tc.vec) {
+			t.Fatalf("d=%d text=%q: got round %d, d=%d, text %q", len(tc.vec), tc.text, m.round, len(got), m.text)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(tc.vec[i]) {
+				t.Fatalf("d=%d: coordinate %d is %#x, want %#x", len(tc.vec), i, math.Float64bits(got[i]), math.Float64bits(tc.vec[i]))
+			}
+		}
 	}
 }
 
 func TestGradFrameCorruptionDetectedAsTypedError(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeGradFrame(&buf, 0, GradientReply{Round: 0, Gradient: []float64{3, 4}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	wire := buf.Bytes()
+	wire := gradWire(t, kindReply, 0, []float64{3, 4}, "")
 	wire[len(wire)-2] ^= 0x10
-	var reply GradientReply
-	if err := readGradFrame(bytes.NewReader(wire), &reply); !errors.Is(err, ErrCorruptFrame) {
+	if _, err := readGradMsg(bytes.NewReader(wire)); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("corrupted frame: %v", err)
 	}
 }
 
 func TestGradFrameOversizedLengthRejectedBeforeAllocation(t *testing.T) {
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], MaxGradFrame+1)
-	var reply GradientReply
-	if err := readGradFrame(bytes.NewReader(hdr[:]), &reply); !errors.Is(err, ErrFrameTooLarge) {
+	var hdr [frameHeader]byte
+	binary.BigEndian.PutUint32(hdr[:4], MaxFrame+1)
+	if _, err := readGradMsg(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame length: %v", err)
 	}
 }
 
-func TestGradFrameTruncationIsUnexpectedEOF(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeGradFrame(&buf, 1, Hello{AgentID: 2}, nil); err != nil {
-		t.Fatal(err)
+// A length prefix is a claim, not an allocation request: the reader's buffer
+// follows the bytes that arrive, and a large one is not kept for small frames.
+func TestGradFrameLengthPrefixBackedByNothingCostsLittle(t *testing.T) {
+	wire := make([]byte, frameHeader+10)
+	binary.BigEndian.PutUint32(wire[:4], MaxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(wire), nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("64 MiB announced, 10 bytes sent: %v", err)
 	}
-	wire := buf.Bytes()
-	var hello Hello
-	if err := readGradFrame(bytes.NewReader(wire[:len(wire)-1]), &hello); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Fatalf("reading it allocated %d bytes, want < 2 MiB", got)
+	}
+
+	big := gradWire(t, kindReply, 0, make([]float64, 6*frameChunk/8), "")
+	buf, err := readFrame(bytes.NewReader(big), nil)
+	if err != nil || len(buf) != len(big) {
+		t.Fatalf("3 MiB frame: %d bytes, %v", len(buf), err)
+	}
+	if buf, err = readFrame(bytes.NewReader(big), buf); err != nil || cap(buf) < len(big) {
+		t.Fatalf("a frame of the same size should reuse the buffer: cap %d, %v", cap(buf), err)
+	}
+	small := gradWire(t, kindReply, 1, []float64{1}, "")
+	if buf, err = readFrame(bytes.NewReader(small), buf); err != nil || !bytes.Equal(buf, small) || cap(buf) > frameChunk {
+		t.Fatalf("after a small frame the reader still holds %d bytes (%v)", cap(buf), err)
+	}
+}
+
+func TestGradFrameTruncationIsUnexpectedEOF(t *testing.T) {
+	wire := gradWire(t, kindHello, helloWord(2), nil, "")
+	if _, err := readGradMsg(bytes.NewReader(wire[:len(wire)-1])); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated body: %v", err)
 	}
-	if err := readGradFrame(bytes.NewReader(wire[:3]), &hello); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := readGradMsg(bytes.NewReader(wire[:3])); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated header: %v", err)
+	}
+}
+
+// A message that passed its checksum but does not parse is the peer's doing:
+// a typed error, never a panic or a short read of the vector.
+func TestGradFrameMalformedMessageIsTypedError(t *testing.T) {
+	good := gradFrame(nil, kindReply, 1, []float64{1, 2}, "e")[frameHeader:]
+	for name, body := range map[string][]byte{
+		"empty body":          {},
+		"short header":        good[:gradHeader-1],
+		"kind zero":           append([]byte{0}, good[1:]...),
+		"kind past reply":     append([]byte{kindReply + 1}, good[1:]...),
+		"one byte missing":    good[:len(good)-1],
+		"one byte extra":      append(good[:len(good):len(good)], 0),
+		"vector length lies":  append(append(append([]byte{}, good[:9]...), 0xff, 0xff, 0xff, 0xff), good[13:]...),
+		"text length lies":    append(append(append([]byte{}, good[:13]...), 0xff, 0xff, 0xff, 0xff), good[17:]...),
+		"lengths sum past it": append(append([]byte{}, good[:9]...), 0xff, 0xff, 0xff, 0x1f, 0xff, 0xff, 0xff, 0xff),
+	} {
+		if _, err := parseGradMsg(body); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("%s: %v, want ErrBadMessage", name, err)
+		}
+	}
+}
+
+// countingWriter counts Write calls.
+type countingWriter struct {
+	io.Writer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Writer.Write(p)
+}
+
+// One frame is one Write — one syscall and one TCP segment boundary on a
+// socket — for the gradient protocol and the sweep protocol alike.
+func TestFrameIsOneWrite(t *testing.T) {
+	w := &countingWriter{Writer: io.Discard}
+	frame := gradFrame(nil, kindRequest, 4, make([]float64, 1000), "")
+	if err := writeFrame(w, frame, 4, nil); err != nil || w.writes != 1 {
+		t.Fatalf("gradient frame: %d writes, %v", w.writes, err)
+	}
+	w.writes = 0
+	if err := WriteSweepFrame(w, SweepKindLease, SweepLease{Indices: []int{1, 2, 3}, TTLMillis: 1000}); err != nil || w.writes != 1 {
+		t.Fatalf("sweep frame: %d writes, %v", w.writes, err)
 	}
 }
 
@@ -82,62 +195,232 @@ type gradFn func(round int, x []float64) ([]float64, error)
 
 func (f gradFn) Gradient(round int, x []float64) ([]float64, error) { return f(round, x) }
 
-// The end-to-end contract of the chaos-tapped TCP transport: an agent whose
-// reply frames are corrupted in flight (after CRC computation, per the
-// WireTap contract) is detected by the server as ErrCorruptFrame — the
-// damaged payload never surfaces as a gradient — and clean rounds pass.
-func TestTCPChaosTapCorruptionDetectedEndToEnd(t *testing.T) {
+// serveOne runs one agent against a fresh listener and returns the server's
+// connection to it; cleanup stops the agent and waits for it.
+func serveOne(t *testing.T, producer GradientProducer, tap WireTap) AgentConn {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = ln.Close() }()
-
-	plan := &chaos.Plan{Seed: 99, CorruptRate: 1}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Corrupt only odd rounds, so the same connection demonstrates both
-		// detection and recovery (frames are self-contained).
-		tap := func(round int, body []byte) {
-			if round >= 0 && round%2 == 1 {
-				plan.CorruptFrame(body, round, 0)
-			}
+		if err := ServeAgentTap(ctx, ln.Addr().String(), 0, producer, tap); err != nil {
+			t.Errorf("agent: %v", err)
 		}
-		_ = ServeAgentTap(ctx, ln.Addr().String(), 0, gradFn(func(round int, x []float64) ([]float64, error) {
-			return []float64{float64(round), x[0]}, nil
-		}), tap)
 	}()
-
 	conns, err := AcceptAgents(ln, 1, 5*time.Second)
 	if err != nil {
+		cancel()
 		t.Fatal(err)
 	}
-	defer closeAll(conns)
+	t.Cleanup(func() {
+		_ = conns[0].Close()
+		cancel()
+		wg.Wait()
+	})
+	return conns[0]
+}
 
-	reqCtx, reqCancel := context.WithTimeout(ctx, 5*time.Second)
-	defer reqCancel()
-	g, err := conns[0].RequestGradient(reqCtx, 0, []float64{1.5})
+// The end-to-end contract of the chaos-tapped TCP transport: an agent whose
+// reply frames are corrupted in flight (after CRC computation, per the
+// WireTap contract) is detected by the server as ErrCorruptFrame — the
+// damaged payload never surfaces as a gradient — and clean rounds pass.
+func TestTCPChaosTapCorruptionDetectedEndToEnd(t *testing.T) {
+	plan := &chaos.Plan{Seed: 99, CorruptRate: 1}
+	// Corrupt only odd rounds, so the same connection demonstrates both
+	// detection and recovery (frames are self-contained).
+	tap := func(round int, body []byte) {
+		if round >= 0 && round%2 == 1 {
+			plan.CorruptFrame(body, round, 0)
+		}
+	}
+	conn := serveOne(t, gradFn(func(round int, x []float64) ([]float64, error) {
+		return []float64{float64(round), x[0]}, nil
+	}), tap)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	g, err := conn.RequestGradient(ctx, 0, []float64{1.5, 0})
 	if err != nil {
 		t.Fatalf("clean round failed: %v", err)
 	}
 	if g[0] != 0 || g[1] != 1.5 {
 		t.Fatalf("clean round gradient %v", g)
 	}
-	if _, err := conns[0].RequestGradient(reqCtx, 1, []float64{2}); !errors.Is(err, ErrCorruptFrame) {
+	if _, err := conn.RequestGradient(ctx, 1, []float64{2, 0}); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("corrupted round surfaced as %v, want ErrCorruptFrame", err)
 	}
 	// The connection survives: the next clean round still answers.
-	g, err = conns[0].RequestGradient(reqCtx, 2, []float64{3})
+	g, err = conn.RequestGradient(ctx, 2, []float64{3, 0})
 	if err != nil {
 		t.Fatalf("round after corruption failed: %v", err)
 	}
 	if g[0] != 2 {
 		t.Fatalf("recovered round gradient %v", g)
 	}
-	cancel()
-	wg.Wait()
+}
+
+// A Byzantine agent chooses the values it reports, not their number: a reply
+// of another dimension is refused from the message header and the connection
+// stays usable.
+func TestTCPReplyOfWrongDimensionRejected(t *testing.T) {
+	conn := serveOne(t, gradFn(func(round int, x []float64) ([]float64, error) {
+		return make([]float64, len(x)+round), nil
+	}), nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := conn.RequestGradient(ctx, 1, []float64{1, 2}); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("3 coordinates for a 2-dimensional estimate: %v", err)
+	}
+	if g, err := conn.RequestGradient(ctx, 0, []float64{1, 2}); err != nil || len(g) != 2 {
+		t.Fatalf("round after the refusal: %v %v", g, err)
+	}
+}
+
+// gobHelloV1 is the hello frame a pre-binary (version 1, gob) agent sends
+// for agent id 2, captured from that code.
+const gobHelloV1 = "\x00\x00\x00%@\xb6{\xb1\x1e\x7f\x03\x01\x01\x05Hello\x01\xff\x80\x00\x01\x01\x01\aAgentID\x01\x04\x00\x00\x00\x05\xff\x80\x01\x04\x00"
+
+// Server side of the handshake: a hello of any other protocol version — the
+// old gob one included — fails AcceptAgents with both versions named, and the
+// refused peer is told the same before its connection is closed.
+func TestTCPHandshakeRejectsOtherVersions(t *testing.T) {
+	for name, tc := range map[string]struct{ hello, want string }{
+		"future binary version": {string(gradWire(t, kindHello, helloWord(0)+1<<32, nil, "")), "version 3, server speaks 2"},
+		"version-1 gob agent":   {gobHelloV1, "version 2 (a version-1 gob agent?)"},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		told := make(chan error, 1)
+		go func() {
+			c, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				told <- err
+				return
+			}
+			defer func() { _ = c.Close() }()
+			if _, err := io.WriteString(c, tc.hello); err != nil {
+				told <- err
+				return
+			}
+			m, err := readGradMsg(c)
+			if err == nil && m.kind != kindShutdown {
+				err = errors.New("refusal is not a shutdown message")
+			}
+			if err == nil {
+				if _, eof := readGradMsg(c); !errors.Is(eof, io.EOF) {
+					err = errors.New("connection left open after the refusal")
+				}
+			}
+			if err != nil {
+				told <- err
+				return
+			}
+			told <- errors.New(string(m.text))
+		}()
+		_, err = AcceptAgents(ln, 1, 5*time.Second)
+		_ = ln.Close()
+		if err == nil || !errors.Is(err, ErrBadMessage) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: AcceptAgents = %v, want ErrBadMessage naming %q", name, err, tc.want)
+		}
+		if reason := <-told; !strings.Contains(reason.Error(), tc.want) {
+			t.Errorf("%s: the peer was told %q, want %q", name, reason, tc.want)
+		}
+	}
+}
+
+// Agent side of the handshake: a server that refuses the hello says why, and
+// ServeAgent returns that instead of ending as if the run were over.
+func TestTCPAgentReportsRefusedHello(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ln.Close() }()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer func() { _ = c.Close() }()
+		if m, err := readGradMsg(c); err != nil || m.kind != kindHello || m.round != helloWord(4) {
+			t.Errorf("hello = %+v %v", m, err)
+		}
+		sendShutdown(c, nil, "agent speaks gradient protocol version 2, server speaks 3")
+	}()
+	err = ServeAgent(context.Background(), ln.Addr().String(), 4, gradFn(nil))
+	if err == nil || !strings.Contains(err.Error(), "version 2, server speaks 3") {
+		t.Fatalf("ServeAgent = %v, want the server's reason", err)
+	}
+	if id := math.MaxInt; id > math.MaxInt32 {
+		if err := ServeAgent(context.Background(), ln.Addr().String(), id, gradFn(nil)); err == nil {
+			t.Fatal("an agent id past 32 bits must be refused before dialing")
+		}
+	}
+}
+
+// intoProducer is a producer with the GradientInto face: it writes 2x into
+// the row the transport hands it and counts which face was called.
+type intoProducer struct{ into, plain int }
+
+func (p *intoProducer) Gradient(round int, x []float64) ([]float64, error) {
+	p.plain++
+	dst := make([]float64, len(x))
+	return dst, p.GradientInto(dst, round, x)
+}
+
+func (p *intoProducer) GradientInto(dst []float64, round int, x []float64) error {
+	p.into++
+	for i, v := range x {
+		dst[i] = 2 * v
+	}
+	return nil
+}
+
+// After warm-up a round trip moves its two d = 1000 vectors through buffers
+// both ends already own: what is still allocated is the request's context
+// plumbing — a small fixed count, a few hundred bytes — and no vector.
+func TestTCPRequestSteadyStateAllocs(t *testing.T) {
+	p := &intoProducer{}
+	conn := serveOne(t, p, nil)
+	x := make([]float64, 1000)
+	for i := range x {
+		x[i] = float64(i)
+	}
+	// A deadline and a cancel, as cluster.Server's round context has: the
+	// request sets the socket deadline and arms its cancellation watcher.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	round := 0
+	request := func() {
+		g, err := conn.RequestGradient(ctx, round, x)
+		if err != nil || len(g) != len(x) || g[999] != 1998 {
+			t.Fatalf("round %d: %v %v", round, len(g), err)
+		}
+		round++
+	}
+	request()
+	request()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(100, request)
+	runtime.ReadMemStats(&after)
+	if p.plain != 0 || p.into != round {
+		t.Fatalf("producer saw %d Gradient and %d GradientInto calls in %d rounds", p.plain, p.into, round)
+	}
+	// Both ends run in this process, so the figures cover the pair.
+	// (5 objects, 192 bytes on go1.24: the watcher's AfterFunc and its state.)
+	if allocs > 5 {
+		t.Errorf("a steady-state round trip allocates %v objects, want <= 5", allocs)
+	}
+	if perRound := (after.TotalAlloc - before.TotalAlloc) / 101; perRound >= 512 {
+		t.Errorf("a steady-state round trip allocates %d bytes, want < 512 (one vector is %d)", perRound, 8*len(x))
+	}
 }

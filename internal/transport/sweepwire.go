@@ -1,26 +1,22 @@
 package transport
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 )
 
 // This file is the coordinator/worker half of the transport package: the
 // wire protocol behind the distributed sweep fabric (internal/sweep's
 // Coordinate and Work). Where the gradient protocol of tcp.go moves one
-// small vector per round over gob, the sweep protocol moves whole result
-// rows and spec documents, so it uses explicit length-prefixed JSON frames:
-// a 4-byte big-endian length, a 4-byte CRC32 (IEEE) of the body, and one
-// JSON-encoded SweepFrame. The length prefix makes partial writes detectable
-// (a truncated frame fails loudly instead of desynchronizing the stream),
-// the checksum rejects in-flight corruption as ErrCorruptFrame, and the
-// payloads stay inspectable on the wire.
+// vector per round as raw float64 bits, the sweep protocol moves whole result
+// rows and spec documents, so the body of its frames (frame.go: length
+// prefix, CRC32, size cap and error taxonomy are shared with the gradient
+// protocol) is one JSON-encoded SweepFrame, and the payloads stay inspectable
+// on the wire.
 //
-// Conversation shape, mirroring the Hello handshake of tcp.go:
+// Conversation shape, mirroring the hello handshake of tcp.go:
 //
 //	worker → coordinator   hello          (SweepHello: protocol version, name)
 //	coordinator → worker   spec           (opaque spec document)
@@ -42,14 +38,6 @@ import (
 // Version 2 added the per-frame CRC32 (a 4-byte checksum between the length
 // prefix and the body), so corrupted frames are detected instead of parsed.
 const SweepProtoVersion = 2
-
-// MaxSweepFrame bounds a single frame (64 MiB). A length prefix beyond it is
-// treated as stream corruption rather than an allocation request.
-const MaxSweepFrame = 64 << 20
-
-// ErrFrameTooLarge is returned (wrapped) for frames exceeding MaxSweepFrame
-// in either direction.
-var ErrFrameTooLarge = errors.New("transport: sweep frame exceeds size limit")
 
 // Sweep frame kinds. Strings, not iota: the frames are JSON, and a
 // self-describing kind survives protocol evolution and debugging dumps.
@@ -105,8 +93,8 @@ type SweepError struct {
 }
 
 // WriteSweepFrame encodes payload (pre-encoded json.RawMessage passes
-// through verbatim) and writes one length-prefixed frame. It is not safe for
-// concurrent use on one writer; callers serialize (the sweep protocol is
+// through verbatim) and writes one frame with a single Write. It is not safe
+// for concurrent use on one writer; callers serialize (the sweep protocol is
 // request/response per connection, with results streamed from one goroutine).
 func WriteSweepFrame(w io.Writer, kind string, payload any) error {
 	var raw json.RawMessage
@@ -125,49 +113,24 @@ func WriteSweepFrame(w io.Writer, kind string, payload any) error {
 	if err != nil {
 		return fmt.Errorf("transport: encode %s frame: %w", kind, err)
 	}
-	if len(body) > MaxSweepFrame {
-		return fmt.Errorf("transport: %s frame is %d bytes: %w", kind, len(body), ErrFrameTooLarge)
-	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: write %s frame header: %w", kind, err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("transport: write %s frame: %w", kind, err)
+	frame := append(frameStart(make([]byte, 0, frameHeader+len(body))), body...)
+	if err := writeFrame(w, frame, -1, nil); err != nil {
+		return fmt.Errorf("transport: %s frame: %w", kind, err)
 	}
 	return nil
 }
 
-// ReadSweepFrame reads one length-prefixed frame. io.EOF is returned
-// verbatim when the stream ends cleanly between frames; an EOF inside a
-// frame is io.ErrUnexpectedEOF (wrapped), distinguishing a peer that went
-// away from one that was cut off mid-message.
+// ReadSweepFrame reads one frame. io.EOF is returned verbatim when the
+// stream ends cleanly between frames; an EOF inside a frame is
+// io.ErrUnexpectedEOF (wrapped), distinguishing a peer that went away from
+// one that was cut off mid-message.
 func ReadSweepFrame(r io.Reader) (SweepFrame, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return SweepFrame{}, io.EOF
-		}
-		return SweepFrame{}, fmt.Errorf("transport: read frame header: %w", err)
-	}
-	size := binary.BigEndian.Uint32(hdr[:4])
-	if size > MaxSweepFrame {
-		return SweepFrame{}, fmt.Errorf("transport: frame length %d: %w", size, ErrFrameTooLarge)
-	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return SweepFrame{}, fmt.Errorf("transport: read frame body: %w", err)
-	}
-	if sum := crc32.ChecksumIEEE(body); sum != binary.BigEndian.Uint32(hdr[4:]) {
-		return SweepFrame{}, fmt.Errorf("transport: frame of %d bytes: %w", size, ErrCorruptFrame)
+	frame, err := readFrame(r, nil)
+	if err != nil {
+		return SweepFrame{}, err
 	}
 	var f SweepFrame
-	if err := json.Unmarshal(body, &f); err != nil {
+	if err := json.Unmarshal(frame[frameHeader:], &f); err != nil {
 		return SweepFrame{}, fmt.Errorf("transport: decode frame: %w", err)
 	}
 	if f.Kind == "" {

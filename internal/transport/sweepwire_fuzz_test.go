@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"testing"
 	"time"
 )
@@ -49,7 +50,7 @@ func FuzzReadSweepFrame(f *testing.F) {
 				// in particular an announced length past the cap must never
 				// reach the allocation.
 				if len(data) >= 4 {
-					if size := binary.BigEndian.Uint32(data[:4]); size > MaxSweepFrame && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+					if size := binary.BigEndian.Uint32(data[:4]); size > MaxFrame && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
 						if !errors.Is(err, ErrFrameTooLarge) {
 							t.Errorf("oversized length %d returned %v, want ErrFrameTooLarge", size, err)
 						}
@@ -69,14 +70,12 @@ func FuzzReadSweepFrame(f *testing.F) {
 	})
 }
 
-// FuzzReadGradFrame is the same contract for the gradient protocol's frame
-// codec: arbitrary bytes must yield a typed error or a decoded value.
+// FuzzReadGradFrame is the same contract for the gradient protocol, frame
+// and message: arbitrary bytes yield a typed error, or a message that
+// re-encodes to the very body it was parsed from — nothing is dropped,
+// defaulted or normalised (NaN payloads included) on the way in.
 func FuzzReadGradFrame(f *testing.F) {
-	var buf bytes.Buffer
-	if err := writeGradFrame(&buf, 3, GradientReply{Round: 3, Gradient: []float64{1, 2}}, nil); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := gradWire(f, kindReply, 3, []float64{1, 2}, "")
 	f.Add(valid)
 	f.Add(valid[:5])
 	f.Add([]byte{})
@@ -84,19 +83,39 @@ func FuzzReadGradFrame(f *testing.F) {
 	corrupted := append([]byte(nil), valid...)
 	corrupted[len(corrupted)-1] ^= 0x80
 	f.Add(corrupted)
+	f.Add(gradWire(f, kindHello, helloWord(5), nil, ""))
+	f.Add(gradWire(f, kindReply, 9, nil, "agent failed"))
+	f.Add(gradWire(f, kindRequest, 1, []float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1)}, ""))
+	lying := gradFrame(nil, kindReply, 2, []float64{1}, "")
+	lying[frameHeader+9] = 200 // announces 200 coordinates, carries one
+	var lie bytes.Buffer
+	if err := writeFrame(&lie, lying, 2, nil); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(lie.Bytes())
+	f.Add([]byte(gobHelloV1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var reply GradientReply
-		err := readGradFrame(bytes.NewReader(data), &reply)
+		frame, err := readFrame(bytes.NewReader(data), nil)
+		var m gradMsg
 		if err == nil {
+			m, err = parseGradMsg(frame[frameHeader:])
+		}
+		if err == nil {
+			if again := gradFrame(nil, m.kind, m.round, m.floats(nil), string(m.text))[frameHeader:]; !bytes.Equal(again, frame[frameHeader:]) {
+				t.Errorf("message %+v re-encodes to %x, parsed from %x", m, again, frame[frameHeader:])
+			}
 			return
 		}
-		if len(data) >= 4 {
-			if size := binary.BigEndian.Uint32(data[:4]); size > MaxGradFrame && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
-				if !errors.Is(err, ErrFrameTooLarge) {
-					t.Errorf("oversized length %d returned %v, want ErrFrameTooLarge", size, err)
-				}
-			}
+		typed := false
+		for _, want := range []error{io.EOF, io.ErrUnexpectedEOF, ErrFrameTooLarge, ErrCorruptFrame, ErrBadMessage} {
+			typed = typed || errors.Is(err, want)
+		}
+		if !typed {
+			t.Errorf("untyped error %v", err)
+		}
+		if len(data) >= frameHeader && binary.BigEndian.Uint32(data[:4]) > MaxFrame && !errors.Is(err, ErrFrameTooLarge) {
+			t.Errorf("oversized length returned %v, want ErrFrameTooLarge", err)
 		}
 	})
 }

@@ -88,7 +88,7 @@ func TestSweepFrameTruncatedBodyIsUnexpectedEOF(t *testing.T) {
 
 func TestSweepFrameOversizedLengthRejected(t *testing.T) {
 	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], MaxSweepFrame+1)
+	binary.BigEndian.PutUint32(hdr[:4], MaxFrame+1)
 	if _, err := ReadSweepFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized length prefix: %v", err)
 	}

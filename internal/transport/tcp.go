@@ -1,54 +1,31 @@
 package transport
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
 
-// Hello is the first frame an agent sends after dialing the server.
-type Hello struct {
-	// AgentID is the agent's claimed index; the server uses it to order
-	// connections only (filters are permutation-invariant, so a lying ID
-	// gains nothing beyond displacing another agent, which the handshake
-	// rejects as a duplicate).
-	AgentID int
-}
-
-// frameKind discriminates server-to-agent frames.
-type frameKind int
-
-const (
-	frameRequest frameKind = iota + 1
-	frameShutdown
-)
-
-// frame is the single server-to-agent wire envelope, avoiding mixed gob
-// types on one stream.
-type frame struct {
-	Kind    frameKind
-	Request GradientRequest // set when Kind == frameRequest
-}
-
 // tcpConn is the server-side AgentConn over a TCP socket. Requests are
 // serialized: the synchronous protocol issues one request per agent per
 // round, so a single in-flight request is the steady state. Messages travel
-// as checksummed, size-capped frames (see gradframe.go).
+// as checksummed, size-capped frames (frame.go, gradframe.go) built in and
+// decoded from buffers the connection keeps across rounds.
 type tcpConn struct {
 	mu        sync.Mutex
 	conn      net.Conn
-	agentID   int
-	tap       WireTap // outgoing fault-injection tap, nil = passthrough
+	tap       WireTap   // outgoing fault-injection tap, nil = passthrough
+	out, in   []byte    // the last frame sent and received, reused under mu
+	reply     []float64 // the vector RequestGradient returns, reused under mu
 	closeOnce sync.Once
 	closeErr  error
 }
-
-// AgentID returns the identifier the agent presented in its Hello frame.
-func (c *tcpConn) AgentID() int { return c.agentID }
 
 // RequestGradient implements AgentConn. The ctx deadline is mapped onto the
 // socket's read/write deadlines, and a cancellation of ctx without any
@@ -72,7 +49,7 @@ func (c *tcpConn) RequestGradient(ctx context.Context, round int, estimate []flo
 		return nil, fmt.Errorf("tcp set deadline: %w", err)
 	}
 	// SetDeadline only covers ctx's deadline; a ctx cancelled without one
-	// would otherwise leave the encode/decode below blocked forever. On
+	// would otherwise leave the write/read below blocked forever. On
 	// cancellation the watcher yanks the deadline to now, which unblocks the
 	// I/O with a timeout error. It must be finished, or disarmed, before this
 	// call returns: the caller cancels ctx right after a reply, and a watcher
@@ -94,23 +71,32 @@ func (c *tcpConn) RequestGradient(ctx context.Context, round int, estimate []flo
 		disarmed = true
 		watch.Unlock()
 	}()
-	if err := writeGradFrame(conn, round, frame{Kind: frameRequest, Request: GradientRequest{Round: round, Estimate: estimate}}, c.tap); err != nil {
+	c.out = gradFrame(c.out, kindRequest, int64(round), estimate, "")
+	if err := writeFrame(conn, c.out, round, c.tap); err != nil {
 		return nil, wrapReqErr(ctx, "tcp send round", round, err)
 	}
-	var reply GradientReply
-	if err := readGradFrame(conn, &reply); err != nil {
+	var err error
+	if c.in, err = readFrame(conn, c.in); err != nil {
 		return nil, wrapReqErr(ctx, "tcp receive round", round, err)
 	}
-	if reply.Err != "" {
-		return nil, fmt.Errorf("tcp agent error at round %d: %s", round, reply.Err)
+	reply, err := parseGradMsg(c.in[frameHeader:])
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("tcp receive round %d: %w", round, err)
+	case reply.kind != kindReply:
+		return nil, fmt.Errorf("tcp receive round %d: message kind %d is not a reply: %w", round, reply.kind, ErrBadMessage)
+	case len(reply.text) > 0:
+		return nil, fmt.Errorf("tcp agent error at round %d: %s", round, reply.text)
+	case reply.round != int64(round):
+		return nil, fmt.Errorf("tcp reply for round %d while expecting %d: %w", reply.round, round, ErrTimeout)
+	case len(reply.vec) != 8*len(estimate): // a Byzantine agent picks its report's values, not their number
+		return nil, fmt.Errorf("tcp reply of %d coordinates at round %d, want %d: %w", len(reply.vec)/8, round, len(estimate), ErrBadMessage)
 	}
-	if reply.Round != round {
-		return nil, fmt.Errorf("tcp reply for round %d while expecting %d: %w", reply.Round, round, ErrTimeout)
-	}
-	return reply.Gradient, nil
+	c.reply = reply.floats(c.reply)
+	return c.reply, nil
 }
 
-// Close implements AgentConn: it sends a best-effort Shutdown frame and
+// Close implements AgentConn: it sends a best-effort shutdown message and
 // closes the socket.
 func (c *tcpConn) Close() error {
 	c.closeOnce.Do(func() {
@@ -119,8 +105,7 @@ func (c *tcpConn) Close() error {
 		if c.conn == nil {
 			return
 		}
-		_ = c.conn.SetDeadline(time.Now().Add(100 * time.Millisecond))
-		_ = writeGradFrame(c.conn, -1, frame{Kind: frameShutdown}, nil) // best effort
+		sendShutdown(c.conn, c.out, "")
 		c.closeErr = c.conn.Close()
 		c.conn = nil
 	})
@@ -142,20 +127,28 @@ func wrapNetErr(op string, round int, err error) error {
 	if errors.As(err, &nerr) && nerr.Timeout() {
 		return fmt.Errorf("%s %d: %w", op, round, ErrTimeout)
 	}
-	if errors.Is(err, ErrCorruptFrame) || errors.Is(err, ErrFrameTooLarge) {
-		// Frame-level damage keeps its typed identity: the caller decides
-		// whether a corrupted delivery is an elimination or a degraded
-		// per-round omission, and either way must not treat the payload as
-		// a dead connection.
+	if errors.Is(err, ErrCorruptFrame) || errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrBadMessage) {
+		// Frame- and message-level damage keeps its typed identity: the
+		// caller decides whether it is an elimination or a degraded
+		// per-round omission, and must not take it for a dead connection.
 		return fmt.Errorf("%s %d: %w", op, round, err)
 	}
 	return fmt.Errorf("%s %d: %w: %v", op, round, ErrClosed, err)
 }
 
+// sendShutdown writes a best-effort shutdown message, with the reason when
+// the server is refusing the agent rather than finishing with it.
+func sendShutdown(conn net.Conn, buf []byte, reason string) {
+	_ = conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
+	_ = writeFrame(conn, gradFrame(buf, kindShutdown, -1, nil, reason), -1, nil)
+}
+
 // AcceptAgents listens for exactly n agent connections on l, reads each
-// Hello frame, and returns the connections ordered by the agents' claimed
-// IDs (duplicates and out-of-range IDs are rejected). It is the server half
-// of the connection handshake used by cmd/abft-server.
+// hello, and returns the connections ordered by the agents' claimed IDs. A
+// hello of another protocol version (a version-1 gob agent's, whose first
+// byte is never kindHello, included), a duplicate or an out-of-range ID fails
+// the handshake, and the refused agent is told why before its connection is
+// closed. It is the server half of the handshake used by cmd/abft-server.
 func AcceptAgents(l net.Listener, n int, timeout time.Duration) ([]AgentConn, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("transport: need a positive agent count, got %d", n)
@@ -180,17 +173,28 @@ func AcceptAgents(l net.Listener, n int, timeout time.Duration) ([]AgentConn, er
 			_ = raw.Close()
 			return fail(fmt.Errorf("transport: handshake deadline: %w", err))
 		}
-		var hello Hello
-		if err := readGradFrame(raw, &hello); err != nil {
+		in, err := readFrame(raw, nil)
+		if err != nil {
 			_ = raw.Close()
 			return fail(fmt.Errorf("transport: hello from connection %d: %w", i, err))
 		}
-		id := hello.AgentID
-		if id < 0 || id >= n || conns[id] != nil {
-			_ = raw.Close()
-			return fail(fmt.Errorf("transport: bad or duplicate agent id %d", id))
+		m, err := parseGradMsg(in[frameHeader:])
+		id := int(int32(m.round))
+		switch {
+		case err != nil || m.kind != kindHello:
+			err = fmt.Errorf("not a hello of gradient protocol version %d (a version-1 gob agent?): %w", GradProtoVersion, cmp.Or(err, ErrBadMessage))
+		case m.round>>32 != GradProtoVersion:
+			err = fmt.Errorf("agent speaks gradient protocol version %d, server speaks %d: %w", m.round>>32, GradProtoVersion, ErrBadMessage)
+		case id < 0 || id >= n || conns[id] != nil:
+			err = fmt.Errorf("bad or duplicate agent id %d", id)
 		}
-		conns[id] = &tcpConn{conn: raw, agentID: id}
+		if err != nil {
+			err = fmt.Errorf("transport: hello from connection %d: %w", i, err)
+			sendShutdown(raw, in, err.Error())
+			_ = raw.Close()
+			return fail(err)
+		}
+		conns[id] = &tcpConn{conn: raw, in: in}
 	}
 	return conns, nil
 }
@@ -205,7 +209,8 @@ func closeAll(conns []AgentConn) {
 
 // ServeAgent is the agent half of the TCP protocol: it dials the server,
 // introduces itself, then answers gradient requests until it receives a
-// Shutdown frame, the context is canceled, or the connection drops.
+// shutdown message, the context is canceled, or the connection drops. A
+// shutdown that carries a reason — the server refused the hello — is an error.
 func ServeAgent(ctx context.Context, addr string, agentID int, producer GradientProducer) error {
 	return ServeAgentTap(ctx, addr, agentID, producer, nil)
 }
@@ -214,10 +219,20 @@ func ServeAgent(ctx context.Context, addr string, agentID int, producer Gradient
 // outgoing frames: tap runs after each reply's checksum is computed, so
 // damage it applies is in-flight corruption the server's CRC check must
 // catch. A nil tap is plain ServeAgent.
+//
+// The agent keeps its frame buffers and the estimate vector across rounds,
+// and a producer that also has dgd.IntoAgent's GradientInto writes its report
+// into a reused row, so a steady-state round allocates no vector here either.
 func ServeAgentTap(ctx context.Context, addr string, agentID int, producer GradientProducer, tap WireTap) error {
 	if producer == nil {
 		return errors.New("transport: nil producer")
 	}
+	if int(int32(agentID)) != agentID {
+		return fmt.Errorf("transport: agent id %d does not fit the hello's 32 bits", agentID)
+	}
+	into, _ := producer.(interface {
+		GradientInto(dst []float64, round int, x []float64) error
+	})
 	var d net.Dialer
 	raw, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -225,7 +240,7 @@ func ServeAgentTap(ctx context.Context, addr string, agentID int, producer Gradi
 	}
 	defer func() { _ = raw.Close() }()
 
-	// Tear the connection down if the context is canceled so the decode
+	// Tear the connection down if the context is canceled so the read
 	// loop unblocks; stop the watcher on return.
 	watchDone := make(chan struct{})
 	defer close(watchDone)
@@ -237,36 +252,53 @@ func ServeAgentTap(ctx context.Context, addr string, agentID int, producer Gradi
 		}
 	}()
 
-	if err := writeGradFrame(raw, -1, Hello{AgentID: agentID}, nil); err != nil {
+	var in []byte
+	var x, row []float64
+	out := gradFrame(nil, kindHello, helloWord(agentID), nil, "")
+	if err := writeFrame(raw, out, -1, nil); err != nil {
 		return fmt.Errorf("transport: hello: %w", err)
 	}
 	for {
-		var f frame
-		if err := readGradFrame(raw, &f); err != nil {
+		var m gradMsg
+		if in, err = readFrame(raw, in); err == nil {
+			m, err = parseGradMsg(in[frameHeader:])
+		}
+		if err != nil {
 			if ctx.Err() != nil || errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				return nil // canceled or server gone: orderly end
 			}
 			return fmt.Errorf("transport: receive: %w", err)
 		}
-		switch f.Kind {
-		case frameShutdown:
-			return nil
-		case frameRequest:
-			req := f.Request
-			g, gerr := producer.Gradient(req.Round, req.Estimate)
-			reply := GradientReply{Round: req.Round, Gradient: g}
-			if gerr != nil {
-				reply.Err = gerr.Error()
-				reply.Gradient = nil
+		switch m.kind {
+		case kindShutdown:
+			if len(m.text) > 0 {
+				return fmt.Errorf("transport: refused by the server: %s", m.text)
 			}
-			if err := writeGradFrame(raw, req.Round, reply, tap); err != nil {
+			return nil
+		case kindRequest:
+			round := int(m.round)
+			x = m.floats(x)
+			var g []float64
+			var gerr error
+			if into != nil {
+				row = slices.Grow(row[:0], len(x))[:len(x)]
+				g, gerr = row, into.GradientInto(row, round, x)
+			} else {
+				g, gerr = producer.Gradient(round, x)
+			}
+			text := ""
+			if gerr != nil {
+				g, text = nil, gerr.Error()
+			}
+			out = gradFrame(out, kindReply, m.round, g, text)
+			if err := writeFrame(raw, out, round, tap); err != nil {
 				if ctx.Err() != nil {
 					return nil
 				}
-				return fmt.Errorf("transport: reply round %d: %w", req.Round, err)
+				return fmt.Errorf("transport: reply round %d: %w", round, err)
 			}
 		default:
-			return fmt.Errorf("transport: unknown frame kind %d", f.Kind)
+			return fmt.Errorf("transport: message kind %d from the server: %w", m.kind, ErrBadMessage)
 		}
 	}
 }

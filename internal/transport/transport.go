@@ -8,9 +8,9 @@
 //   - Channel: an in-process goroutine-per-agent transport built on
 //     channels, used by tests and simulations (supports injected delays and
 //     crashes for failure testing);
-//   - TCP: a real socket transport (gob frames) used by the
-//     cmd/abft-server and cmd/abft-agent binaries and the tcpcluster
-//     example.
+//   - TCP: a real socket transport (checksummed frames of raw float64
+//     vectors, see frame.go and gradframe.go) used by the cmd/abft-server
+//     and cmd/abft-agent binaries and the tcpcluster example.
 package transport
 
 import (
@@ -30,29 +30,13 @@ var ErrClosed = errors.New("transport: connection closed")
 // (step S1), so servers eliminate agents whose requests end in ErrTimeout.
 var ErrTimeout = errors.New("transport: agent deadline exceeded")
 
-// GradientRequest is the server-to-agent round message.
-type GradientRequest struct {
-	// Round is the iteration index t.
-	Round int
-	// Estimate is the server's current estimate x_t.
-	Estimate []float64
-}
-
-// GradientReply is the agent-to-server response.
-type GradientReply struct {
-	// Round echoes the request round.
-	Round int
-	// Gradient is the agent's (possibly Byzantine) report.
-	Gradient []float64
-	// Err carries an agent-side failure as text (gob cannot carry error
-	// values); empty means success.
-	Err string
-}
-
 // AgentConn is the server's handle to a single agent.
 type AgentConn interface {
 	// RequestGradient sends the round request and awaits the reply.
 	// Cancellation or deadline expiry of ctx yields ErrTimeout (wrapped).
+	// The returned slice belongs to the connection and is valid until the
+	// next RequestGradient on it: a caller that keeps a report across
+	// rounds copies it.
 	RequestGradient(ctx context.Context, round int, estimate []float64) ([]float64, error)
 	// Close releases the connection; subsequent requests fail with
 	// ErrClosed. Close is idempotent.
@@ -60,7 +44,9 @@ type AgentConn interface {
 }
 
 // GradientProducer computes an agent's report; it matches dgd.Agent so
-// honest costs and Byzantine wrappers plug in directly.
+// honest costs and Byzantine wrappers plug in directly. x is only valid
+// during the call (the transport reuses it for the next round's estimate):
+// implementations must not retain or mutate it.
 type GradientProducer interface {
 	Gradient(round int, x []float64) ([]float64, error)
 }
