@@ -238,10 +238,9 @@ func (CWTM) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
 		for i := range grads {
 			col[i] = grads[i][k]
 		}
-		// Partial selection cuts away the f smallest and f largest values,
-		// then only the surviving window is sorted — summed ascending, the
-		// result is bitwise identical to the fully-sorted path.
-		trimMiddle(col, f)
+		// Only the window col[f:n-f] is read, in ascending order — bitwise
+		// the fully-sorted path on every route trimMiddle takes.
+		trimMiddle(col, f, s)
 		var sum float64
 		for _, v := range col[f : n-f] {
 			sum += v
@@ -402,7 +401,7 @@ func scoreFromDists(d2 [][]float64, n, f int, s *Scratch) []float64 {
 				row = append(row, d2[i][j])
 			}
 		}
-		slices.Sort(row)
+		sortFloats(row, s)
 		var sum float64
 		for _, v := range row[:k] {
 			sum += v
@@ -497,7 +496,7 @@ func bulyanInto(dst []float64, grads [][]float64, n, f int, s *Scratch, scores f
 		for i := range selected {
 			col[i] = selected[i][k]
 		}
-		slices.Sort(col)
+		sortFloats(col, s)
 		var med float64
 		if theta%2 == 1 {
 			med = col[theta/2]

@@ -442,7 +442,7 @@ func TestPropCGENormBounded(t *testing.T) {
 			norms[i] = vecmath.Norm(grads[i])
 		}
 		// (n-f)-th smallest norm.
-		sortFloats(norms)
+		insertionSort(norms)
 		bound := float64(n-fCount)*norms[n-fCount-1] + 1e-9
 		return vecmath.Norm(out) <= bound
 	}
@@ -524,13 +524,5 @@ func TestPropFiltersAgreeOnIdenticalGradients(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func sortFloats(v []float64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
 	}
 }

@@ -1,8 +1,8 @@
 package aggregate
 
-// Benchmarks pinning the sub-quadratic claim: the sketched and sampled
-// Krum-family filters against their exact twins on the warm-scratch Into
-// path, at d = 1000 and n stepping through learning scale. Workers is
+// Benchmarks of the approximate Krum-family filters against their exact
+// twins on the warm-scratch Into path, at d = 1000 and n stepping through
+// learning scale, over rotating inputs (see into_bench_test.go). Workers is
 // forced to 1 so every row is the sequential kernel (the artifact's
 // allocs/op column is then the zero-alloc gate, and speedups are
 // kernel-vs-kernel, not parallelism). Exact Bulyan recomputes the pairwise
@@ -20,14 +20,7 @@ import (
 func BenchmarkApproxFilters(b *testing.B) {
 	const d, f, k = 1000, 5, 64
 	for _, n := range []int{100, 500, 1000} {
-		r := rand.New(rand.NewSource(int64(n)))
-		grads := make([][]float64, n)
-		for i := range grads {
-			grads[i] = make([]float64, d)
-			for j := range grads[i] {
-				grads[i][j] = r.NormFloat64()
-			}
-		}
+		tables := rotatingTables(rand.New(rand.NewSource(int64(n))), n, d)
 		variants := []struct {
 			name   string
 			filter IntoFilter
@@ -55,17 +48,7 @@ func BenchmarkApproxFilters(b *testing.B) {
 		)
 		for _, v := range variants {
 			b.Run(fmt.Sprintf("%s/n=%d", v.name, n), func(b *testing.B) {
-				scratch := &Scratch{}
-				dst := make([]float64, d)
-				if err := v.filter.AggregateInto(dst, grads, f, scratch); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := v.filter.AggregateInto(dst, grads, f, scratch); err != nil {
-						b.Fatal(err)
-					}
-				}
+				benchInto(b, v.filter, tables, f)
 			})
 		}
 	}

@@ -4,6 +4,15 @@ package aggregate
 // Aggregate face against AggregateInto with a warm Scratch, at
 // learning-scale inputs. Run with -benchmem — the into column's B/op and
 // allocs/op are the point.
+//
+// Every benchmark in this package rotates its input through benchTables
+// distinct gradient tables. A loop that re-aggregates one fixed table lets
+// the branch predictor memorise the table's comparison outcomes, and the
+// comparison sorts and selections inside the filters are mostly branches:
+// at the PR 16 tree trimMiddle on one repeated n = 100 column read 1.5–1.7 µs
+// where the same code rotating through 1,024 columns read 5.9–6.2 µs. For
+// three PRs that hid a wide_grid profile that was 62 % sorting. Do not trust
+// a single-input row.
 
 import (
 	"errors"
@@ -12,47 +21,96 @@ import (
 	"testing"
 )
 
+// benchTables is how many distinct gradient tables a benchmark rotates
+// through (a power of two: the loops index with i & (benchTables-1)).
+const benchTables = 256
+
+// rotatingTables draws benchTables tables of n Gaussian gradients of
+// dimension d. The tables share a pool of 2n rows — each is n of them, picked
+// and ordered at random — so every column and every distance row differs
+// table to table while the rows are stored once.
+func rotatingTables(r *rand.Rand, n, d int) [][][]float64 {
+	pool := make([][]float64, 2*n)
+	for i := range pool {
+		pool[i] = make([]float64, d)
+		for j := range pool[i] {
+			pool[i][j] = r.NormFloat64()
+		}
+	}
+	tables := make([][][]float64, benchTables)
+	for t := range tables {
+		tables[t] = make([][]float64, n)
+		for i, pick := range r.Perm(len(pool))[:n] {
+			tables[t][i] = pool[pick]
+		}
+	}
+	return tables
+}
+
+// benchInto times AggregateInto on a warm Scratch over rotating tables.
+func benchInto(b *testing.B, fl IntoFilter, tables [][][]float64, f int) {
+	scratch := &Scratch{}
+	dst := make([]float64, len(tables[0][0]))
+	if err := fl.AggregateInto(dst, tables[0], f, scratch); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fl.AggregateInto(dst, tables[i&(benchTables-1)], f, scratch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFilterInto compares Aggregate (alloc) with AggregateInto (into,
 // warm scratch) for every registered filter at n = 50 gradients of
 // dimension 1000, f = 5, sequential workers.
 func BenchmarkFilterInto(b *testing.B) {
-	r := rand.New(rand.NewSource(2))
 	const n, d, f = 50, 1000, 5
-	grads := make([][]float64, n)
-	for i := range grads {
-		grads[i] = make([]float64, d)
-		for j := range grads[i] {
-			grads[i][j] = r.NormFloat64()
-		}
-	}
+	tables := rotatingTables(rand.New(rand.NewSource(2)), n, d)
 	for _, name := range Names() {
 		filter, err := New(name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		into := filter.(IntoFilter)
-		if _, err := filter.Aggregate(grads, f); errors.Is(err, ErrTooManyFaults) {
+		if _, err := filter.Aggregate(tables[0], f); errors.Is(err, ErrTooManyFaults) {
 			continue // infeasible at this (n, f); nothing to measure
 		}
 		b.Run(fmt.Sprintf("%s/alloc", name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := filter.Aggregate(grads, f); err != nil {
+				if _, err := filter.Aggregate(tables[i&(benchTables-1)], f); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("%s/into", name), func(b *testing.B) {
-			scratch := &Scratch{}
-			dst := make([]float64, d)
-			if err := into.AggregateInto(dst, grads, f, scratch); err != nil {
+			benchInto(b, filter.(IntoFilter), tables, f)
+		})
+	}
+}
+
+// BenchmarkFilterWide is the filter layer of the benchmark's wide_grid: its
+// eleven filters (sketch dimension and sample size 16, as its SketchDims axis
+// sets them) at n in {100, 200}, d = 50, f = 10, AggregateInto on a warm
+// Scratch. The rows that sort — krum, multikrum, krum-sampled, cwtm, sdmmfd,
+// rvo — are the ones a kernel change to sortFloats, bestRanked, selectKth or
+// trimMiddle has to move.
+func BenchmarkFilterWide(b *testing.B) {
+	const d, f = 50, 10
+	for _, n := range []int{100, 200} {
+		tables := rotatingTables(rand.New(rand.NewSource(int64(n))), n, d)
+		for _, name := range []string{"cge", "cwtm", "cwmedian", "krum", "multikrum", "geomedian",
+			"centeredclip", "krum-sketch", "krum-sampled", "sdmmfd", "rvo"} {
+			filter, err := New(name)
+			if err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := into.AggregateInto(dst, grads, f, scratch); err != nil {
-					b.Fatal(err)
-				}
+			if sc, ok := filter.(SketchConfigurable); ok {
+				sc.ConfigureSketch(16, 1)
 			}
-		})
+			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
+				benchInto(b, filter.(IntoFilter), tables, f)
+			})
+		}
 	}
 }

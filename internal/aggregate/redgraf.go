@@ -138,7 +138,7 @@ func trimmedMeanRows(dst []float64, grads [][]float64, keep []int, f int, s *Scr
 		for i, idx := range keep {
 			col[i] = grads[idx][k]
 		}
-		trimMiddle(col, f)
+		trimMiddle(col, f, s)
 		var sum float64
 		for _, v := range col[f : m-f] {
 			sum += v
@@ -388,7 +388,12 @@ func (r RVO) AggregateInto(dst []float64, grads [][]float64, f int, s *Scratch) 
 		for i := 0; i < n; i++ {
 			col[i] = grads[i][k]
 		}
-		trimMiddle(col, f)
+		// Two order statistics, no sorted window: the f-th smallest, then the
+		// f-th largest among what selectKth left above it.
+		selectKth(col, f)
+		if hi := n - f - 1; hi > f {
+			selectKth(col[f+1:], hi-f-1)
+		}
 		dst[k] = 0.5 * (col[f] + col[n-f-1])
 	}
 	return nil

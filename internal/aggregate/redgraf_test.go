@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -239,17 +240,7 @@ func TestRVOMatchesSortReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d n=%d f=%d: %v", trial, n, f, err)
 		}
-		for k := 0; k < d; k++ {
-			col := make([]float64, n)
-			for i := range col {
-				col[i] = grads[i][k]
-			}
-			sort.Float64s(col)
-			want := 0.5 * (col[f] + col[n-f-1])
-			if math.Float64bits(got[k]) != math.Float64bits(want) && !(got[k] == 0 && want == 0) {
-				t.Fatalf("trial %d coord %d: got %v, want %v", trial, k, got[k], want)
-			}
-		}
+		requireBits(t, fmt.Sprintf("trial %d n=%d f=%d", trial, n, f), refRVO(grads, f), got, true)
 	}
 }
 
@@ -316,25 +307,26 @@ func TestDistanceKeepMatchesSortReference(t *testing.T) {
 // the stateful families advancing their auxiliary chain every round.
 func TestRedgrafIntoAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
-	const n, d, f = 11, 32, 2
-	grads := fuzzGradients(r, n, d, 0)
-	for _, fl := range redgrafFresh() {
-		scratch := &Scratch{}
-		dst := make([]float64, d)
-		round := 0
-		step := func() {
-			if rk, ok := fl.(RoundKeyed); ok {
-				rk.SetRound(round)
+	for _, size := range []struct{ n, d, f int }{{11, 32, 2}, {100, 8, 10}} {
+		grads := fuzzGradients(r, size.n, size.d, 0)
+		for _, fl := range redgrafFresh() {
+			scratch := &Scratch{}
+			dst := make([]float64, size.d)
+			round := 0
+			step := func() {
+				if rk, ok := fl.(RoundKeyed); ok {
+					rk.SetRound(round)
+				}
+				round++
+				if err := fl.AggregateInto(dst, grads, size.f, scratch); err != nil {
+					t.Fatal(err)
+				}
 			}
-			round++
-			if err := fl.AggregateInto(dst, grads, f, scratch); err != nil {
-				t.Fatal(err)
+			step() // warm the scratch buffers
+			allocs := testing.AllocsPerRun(50, step)
+			if allocs != 0 {
+				t.Errorf("%s n=%d: %v allocs/op with warm scratch, want 0", fl.Name(), size.n, allocs)
 			}
-		}
-		step() // warm the scratch buffers
-		allocs := testing.AllocsPerRun(50, step)
-		if allocs != 0 {
-			t.Errorf("%s: %v allocs/op with warm scratch, want 0", fl.Name(), allocs)
 		}
 	}
 }

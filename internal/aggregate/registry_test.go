@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -162,9 +163,24 @@ func TestRegisterRejects(t *testing.T) {
 	}
 }
 
+// unregisterAfter takes a name and a family prefix a test registered back out
+// of the process-wide registry when the test ends, so the package passes at
+// any -count and under -shuffle (TestRegistryNamesOrder counts the names).
+func unregisterAfter(t *testing.T, name, prefix string) {
+	t.Cleanup(func() {
+		registryMu.Lock()
+		defer registryMu.Unlock()
+		delete(registry, name)
+		registryOrder = slices.DeleteFunc(registryOrder, func(s string) bool { return s == name })
+		delete(paramFamilies, prefix)
+		paramOrder = slices.DeleteFunc(paramOrder, func(s string) bool { return s == prefix })
+	})
+}
+
 // TestRegisterExtends exercises the extension path end to end: a registered
 // custom filter and family resolve through New exactly like built-ins.
 func TestRegisterExtends(t *testing.T) {
+	unregisterAfter(t, "test-custom-mean", "test-custom-mk")
 	if err := Register("test-custom-mean", func() Filter { return Mean{} }); err != nil {
 		t.Fatal(err)
 	}

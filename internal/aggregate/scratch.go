@@ -1,6 +1,9 @@
 package aggregate
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // Scratch owns every temporary a filter needs for one aggregation call:
 // the n×n pairwise-distance matrix of the Krum family, index/score/norm
@@ -28,14 +31,15 @@ type Scratch struct {
 	distRows [][]float64
 	distN    int
 
-	idx     []int     // index sorts (CGE, MultiKrum)
-	norms   []float64 // CGE norms, CenteredClip distances
+	idx     []int     // index sorts (CGE, MultiKrum), sampled-pairs neighbor buffer
+	norms   []float64 // CGE norms, CenteredClip distances, sampled-pairs hash ranks
 	scores  []float64 // Krum scores
 	row     []float64 // Krum per-point neighbor distances
 	col     []float64 // per-coordinate columns (CWTM, CWMedian, Bulyan)
 	weights []float64 // Weiszfeld weights
 	vecA    []float64 // d-sized temporary (Weiszfeld iterate, CenteredClip diff)
 	vecB    []float64 // d-sized temporary (Weiszfeld update, CenteredClip step)
+	keys    []uint64  // sortFloats radix keys, both ping-pong halves in one slice
 
 	heads  [][]float64 // Bulyan's shrinking candidate table
 	heads2 [][]float64 // Bulyan's selected table
@@ -47,7 +51,7 @@ type Scratch struct {
 	// sampled Hadamard coordinates), cached by content key so Bulyan's
 	// iterated selection re-derives it only once per (seed, round), the
 	// P-length padded transform buffer, plus the n×k sketched-row arenas in
-	// both storage modes and the sampled-pairs index/rank buffers.
+	// both storage modes.
 	srhtWords []uint64
 	srhtIdx   []int
 	srhtRank  []float64
@@ -62,9 +66,6 @@ type Scratch struct {
 	skRows   [][]float64
 	sk32Buf  []float32
 	sk32Rows [][]float32
-
-	sampleU   []float64 // per-neighbor hash ranks of the sampled-pairs mode
-	sampleIdx []int     // candidate neighbor indices under rank selection
 
 	// REDGRAF filter state: the d-sized auxiliary center the stateful
 	// filtering dynamics (SDMMFD, SDFD) carry between rounds — cached by
@@ -210,7 +211,9 @@ func (s *Scratch) meanRows(groups, d int) [][]float64 {
 //
 // Deterministic median-of-three quickselect with an insertion-sort tail:
 // no randomness (Definition 2 requires deterministic filters), no
-// allocation.
+// allocation. Used where a filter needs order statistics rather than an
+// ordered walk: the medians, distanceKeep's cut, RVO's two range ends, and
+// the two cuts of trimMiddle on columns too short for the radix sort.
 func selectKth(a []float64, k int) {
 	lo, hi := 0, len(a)-1
 	for hi-lo >= selectInsertionCutoff {
@@ -290,23 +293,87 @@ func medianInPlace(col []float64) float64 {
 	return 0.5 * (lo + hi)
 }
 
-// trimMiddle partitions col so that col[f:n-f] holds, in ascending order,
-// exactly the values a full sort would place there: the two selectKth calls
-// cut away the f smallest and f largest values as multisets, and the middle
-// window is then sorted. Summing col[f:n-f] afterwards is bitwise identical
-// to summing the same window of a fully sorted column, since the discarded
-// extremes are never read and equal floats are interchangeable.
-// A column below selectInsertionCutoff is insertion-sorted once: the first
-// selectKth would do just that, and the later steps then move nothing.
-func trimMiddle(col []float64, f int) {
+// trimMiddle reorders col so that col[f:n-f] holds, in ascending order,
+// exactly the values a full sort would place there. The path depends only on
+// the column's length: below selectInsertionCutoff one insertion sort (all the
+// first selectKth would do); from radixCutoff up one sortFloats of the whole
+// column, whose cost does not depend on the data; in between, two selectKth
+// calls cut away the f smallest and f largest values as multisets and only
+// the middle window is sorted. Summing col[f:n-f] afterwards gives the same
+// bits on every path: the same multiset in ascending order, equal floats
+// interchangeable, and the mutual order of -0 and +0 invisible to a sum that
+// starts at +0 (no partial sum is ever -0, and x + ±0 == x for any other x).
+func trimMiddle(col []float64, f int, s *Scratch) {
 	n := len(col)
-	if n < selectInsertionCutoff {
+	switch {
+	case n < selectInsertionCutoff:
 		insertionSort(col)
+	case n >= radixCutoff:
+		sortFloats(col, s)
+	default:
+		if f > 0 {
+			selectKth(col, f)
+			selectKth(col[f:], n-2*f)
+		}
+		slices.Sort(col[f : n-f])
+	}
+}
+
+// radixCutoff is the length from which sortFloats runs its radix passes.
+// Below it — every row and column of the paper's n = 6 grids — slices.Sort
+// stays: a histogram costs more than it saves there.
+const radixCutoff = 64
+
+// sortFloats sorts a ascending: slices.Sort below radixCutoff, otherwise a
+// byte-wise LSD radix sort on the order-preserving integer key of a float64
+// (all bits of a negative flipped, the sign bit of anything else), with one
+// histogram pre-pass for all eight digits and any digit on which every key
+// agrees skipped. No comparison means no branch to mispredict, which is most
+// of what a comparison sort costs when every call sees new data. The result
+// is slices.Sort's up to the mutual order of -0 and +0 (-0 first here, left
+// to the tie order there), which callers that sum or walk the values
+// ascending cannot see. The input must be NaN-free; +Inf sorts last.
+func sortFloats(a []float64, s *Scratch) {
+	n := len(a)
+	if n < radixCutoff {
+		slices.Sort(a)
 		return
 	}
-	if f > 0 {
-		selectKth(col, f)
-		selectKth(col[f:], n-2*f)
+	if cap(s.keys) < 2*n {
+		s.keys = make([]uint64, 2*n)
 	}
-	slices.Sort(col[f : n-f])
+	src, dst := s.keys[:n], s.keys[n:2*n]
+	var count [8][256]uint32
+	for i, v := range a {
+		b := math.Float64bits(v)
+		k := b ^ (uint64(int64(b)>>63) | 1<<63)
+		src[i] = k
+		count[0][byte(k)]++
+		count[1][byte(k>>8)]++
+		count[2][byte(k>>16)]++
+		count[3][byte(k>>24)]++
+		count[4][byte(k>>32)]++
+		count[5][byte(k>>40)]++
+		count[6][byte(k>>48)]++
+		count[7][byte(k>>56)]++
+	}
+	for d := range count {
+		c, shift := &count[d], 8*d
+		if c[byte(src[0]>>shift)] == uint32(n) {
+			continue
+		}
+		var at uint32
+		for b, m := range c {
+			c[b], at = at, at+m
+		}
+		for _, k := range src {
+			b := byte(k >> shift)
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	for i, k := range src {
+		a[i] = math.Float64frombits(k ^ ((k>>63 - 1) | 1<<63))
+	}
 }

@@ -1,4 +1,5 @@
-// Sub-quadratic approximate variants of the distance-based filters.
+// Approximate variants of the distance-based filters that cut the factor d
+// (or n·d) out of the pairwise pass.
 //
 // The exact Krum family costs O(n²·d) per round: every pair of gradients
 // meets in a full d-dimensional distance. Two explicitly approximate
@@ -20,7 +21,10 @@
 //   - Sampled (KrumSampled, MultiKrumSampled, BulyanSampled): each point is
 //     scored against a deterministic pseudo-random sample of m ≪ n-1
 //     neighbors (with the scored-neighbor count scaled proportionally),
-//     dropping the stage to O(n·m·d).
+//     dropping the distance arithmetic to O(n·m·d). Choosing the sample still
+//     hashes a rank for all n(n-1) ordered pairs every call, so the stage is
+//     O(n²) hashes + O(n·m·d) distances: it wins over the exact filter through
+//     the factor d, not by leaving the quadratic.
 //
 // Both draw their randomness from the same counter-mode SplitMix64 hashes
 // as internal/simtime, keyed purely on (Seed, round) — no generator state —
@@ -480,8 +484,9 @@ type SampleParams struct {
 	// Seed keys the sample draws together with the round (SetRound).
 	Seed int64
 	// Workers has the same semantics as Krum.Workers; it engages on the
-	// exact fallback path (the sampled loop itself is sequential — its cost
-	// is already sub-quadratic).
+	// exact fallback path only. The sampled loop itself is sequential: O(n²)
+	// rank hashes plus O(n·m·d) distance arithmetic a call, the m best ranks
+	// of a point selected in one pass (bestRanked) rather than sorted.
 	Workers int
 
 	round int
@@ -522,28 +527,24 @@ func (p *SampleParams) krumScores(grads [][]float64, f int, s *Scratch) ([]float
 	}
 	key := int64(simtime.Mix(p.Seed, p.round, sampleKeyDomain))
 	s.scores = growFloats(s.scores, n)
-	s.row = growFloats(s.row, n)
-	s.sampleU = growFloats(s.sampleU, n)
-	s.sampleIdx = growInts(s.sampleIdx, n)
-	u, scores := s.sampleU, s.scores
+	s.row = growFloats(s.row, m)
+	s.norms = growFloats(s.norms, n)
+	s.idx = growInts(s.idx, m)
+	u, scores := s.norms, s.scores
 	for i := 0; i < n; i++ {
 		// Every candidate neighbor gets a hash rank that depends only on
 		// (key, i, j); the sample is the m best-ranked. Order-independent
 		// draws keep the sample identical however the loop is scheduled.
-		idx := s.sampleIdx[:0]
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
+		for j := range u {
+			if j != i {
+				u[j] = simtime.U01(key, i, j)
 			}
-			u[j] = simtime.U01(key, i, j)
-			idx = append(idx, j)
 		}
-		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(u[a], u[b]) })
 		row := s.row[:0]
-		for _, j := range idx[:m] {
+		for _, j := range bestRanked(s.idx[:0], u, i, m) {
 			row = append(row, vecmath.DistSqKernel(grads[i], grads[j]))
 		}
-		slices.Sort(row)
+		sortFloats(row, s)
 		var sum float64
 		for _, v := range row[:k] {
 			sum += v
@@ -551,6 +552,31 @@ func (p *SampleParams) krumScores(grads [][]float64, f int, s *Scratch) ([]float
 		scores[i] = sum
 	}
 	return scores, nil
+}
+
+// bestRanked appends to idx (capacity >= m) the m indices j != skip of lowest
+// rank u[j], ordered by (u[j], j): a bounded insertion buffer filled in one
+// pass, O(len(u)) for small m where stable-sorting every index costs
+// O(n log n). j ascends and the comparisons are strict, so the lower index
+// wins an equal rank — the set a stable sort by rank would cut at m.
+func bestRanked(idx []int, u []float64, skip, m int) []int {
+	for j, r := range u {
+		if j == skip {
+			continue
+		}
+		at := len(idx)
+		if at < m {
+			idx = idx[:at+1]
+		} else if at--; r >= u[idx[at]] {
+			continue
+		}
+		for at > 0 && r < u[idx[at-1]] {
+			idx[at] = idx[at-1]
+			at--
+		}
+		idx[at] = j
+	}
+	return idx
 }
 
 // --- sampled filters ---

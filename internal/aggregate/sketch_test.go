@@ -190,27 +190,31 @@ func TestApproxRoundKeying(t *testing.T) {
 // TestApproxIntoAllocs extends the zero-allocation gate to the genuinely
 // approximate code paths: d far above the sketch dimension and n-1 far
 // above the sample size, in both storage modes, with a warm Scratch and
-// sequential workers. (TestAggregateIntoAllocs covers the registry defaults
-// at small d, where the sketch filters run their exact fallback.)
+// sequential workers — at n = 24 and at n = 100, where the sampled scorer's
+// selection buffer and Bulyan's radix-sorted columns are in play.
+// (TestAggregateIntoAllocs covers the registry defaults at small d, where the
+// sketch filters run their exact fallback.)
 func TestApproxIntoAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
-	const n, d, f = 24, 128, 2
-	grads := fuzzGradients(r, n, d, 0)
-	for _, float32Mode := range []bool{false, true} {
-		for _, fl := range approxFilters(1, float32Mode) {
-			scratch := &Scratch{}
-			dst := make([]float64, d)
-			fl.(RoundKeyed).SetRound(1)
-			if err := fl.AggregateInto(dst, grads, f, scratch); err != nil {
-				t.Fatalf("%s warmup: %v", fl.Name(), err)
-			}
-			allocs := testing.AllocsPerRun(50, func() {
-				if err := fl.AggregateInto(dst, grads, f, scratch); err != nil {
-					t.Fatal(err)
+	const d = 128
+	for _, size := range []struct{ n, f, runs int }{{24, 2, 50}, {100, 10, 5}} {
+		grads := fuzzGradients(r, size.n, d, 0)
+		for _, float32Mode := range []bool{false, true} {
+			for _, fl := range approxFilters(1, float32Mode) {
+				scratch := &Scratch{}
+				dst := make([]float64, d)
+				fl.(RoundKeyed).SetRound(1)
+				if err := fl.AggregateInto(dst, grads, size.f, scratch); err != nil {
+					t.Fatalf("%s n=%d warmup: %v", fl.Name(), size.n, err)
 				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s (float32=%v): %v allocs/op with warm scratch, want 0", fl.Name(), float32Mode, allocs)
+				allocs := testing.AllocsPerRun(size.runs, func() {
+					if err := fl.AggregateInto(dst, grads, size.f, scratch); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("%s n=%d (float32=%v): %v allocs/op with warm scratch, want 0", fl.Name(), size.n, float32Mode, allocs)
+				}
 			}
 		}
 	}
