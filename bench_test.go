@@ -1,16 +1,12 @@
-// Benchmark harness: one benchmark per paper table/figure plus ablations.
+// Kernel micro-benchmarks: each times one kernel in isolation and is the
+// source of a number quoted in CHANGES.md. End-to-end performance, per-layer
+// shares and regression bounds live in benchmark/ (BENCHMARK.json); result
+// quality is pinned by the goldens under the packages' testdata/.
 //
-// Each benchmark regenerates its experiment and reports the headline
-// numbers as custom metrics (b.ReportMetric), so
-//
-//	go test -bench=. -benchmem
-//
-// reproduces the paper's evaluation end to end. The abft-bench command
-// prints the same data as human-readable tables and CSV series.
+//	go test -run '^$' -bench . -benchmem
 package byzopt_test
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -18,176 +14,15 @@ import (
 
 	"byzopt"
 	"byzopt/internal/aggregate"
-	"byzopt/internal/byzantine"
-	"byzopt/internal/core"
 	"byzopt/internal/dgd"
-	"byzopt/internal/experiments"
-	"byzopt/internal/linreg"
-	"byzopt/internal/matrix"
 	"byzopt/internal/p2p"
-	"byzopt/internal/robustmean"
 )
-
-// --- one benchmark per table/figure ---
-
-// BenchmarkTable1 regenerates Table 1 (distributed linear regression,
-// n=6, f=1; CGE and CWTM against gradient-reverse and random faults) and
-// reports each dist(x_H, x_out) cell as a metric.
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, inst, err := experiments.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.Dist, fmt.Sprintf("dist_%s_%s", r.Filter, shortFault(r.Fault)))
-		}
-		b.ReportMetric(inst.Epsilon, "epsilon")
-	}
-}
-
-// BenchmarkFigure2 regenerates the full Figure-2 series (t = 0..1500, via
-// the sweep engine) and reports the final distances per series and fault.
-func BenchmarkFigure2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figs, _, err := experiments.RegressionFigure(1500, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportFigure(b, figs)
-	}
-}
-
-// BenchmarkFigure3 regenerates the zoomed Figure-3 prefix (t = 0..80).
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figs, _, err := experiments.RegressionFigure(80, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportFigure(b, figs)
-	}
-}
-
-// BenchmarkFigure4 regenerates Figure 4 (D-SGD on the MNIST stand-in,
-// n=10, f=3, 1000 iterations) and reports final accuracies.
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		series, err := experiments.Figure4(experiments.LearnConfig{Rounds: 1000, AccuracyEvery: 25})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLearn(b, series)
-	}
-}
-
-// BenchmarkFigure5 regenerates Figure 5 (the harder Fashion-MNIST
-// stand-in).
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		series, err := experiments.Figure5(experiments.LearnConfig{Rounds: 1000, AccuracyEvery: 25})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLearn(b, series)
-	}
-}
-
-// BenchmarkAppendixJ recomputes the instance constants (epsilon, mu, gamma,
-// theorem bounds) from raw data.
-func BenchmarkAppendixJ(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.AppendixJ()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.Epsilon, "epsilon")
-		b.ReportMetric(rep.Theorem5.D, "thm5_D")
-		b.ReportMetric(rep.ExhaustiveResilience, "thm2_worst_dist")
-	}
-}
-
-// BenchmarkExhaustive times the Theorem-2 exhaustive algorithm on the paper
-// instance (36 subset minimizations).
-func BenchmarkExhaustive(b *testing.B) {
-	inst, err := linreg.Paper()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.ExhaustiveResilient(inst.Problem, linreg.F); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRedundancyMeasurement times the Appendix-J.2 epsilon
-// measurement as n grows (the subset enumeration is the cost driver).
-func BenchmarkRedundancyMeasurement(b *testing.B) {
-	for _, n := range []int{6, 9, 12} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			r := rand.New(rand.NewSource(int64(n)))
-			rows := make([][]float64, n)
-			resp := make([]float64, n)
-			for i := range rows {
-				rows[i] = []float64{r.NormFloat64(), r.NormFloat64()}
-				resp[i] = rows[i][0] + rows[i][1] + 0.01*r.NormFloat64()
-			}
-			prob, err := byzopt.RegressionProblem(rows, resp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := byzopt.MeasureRedundancy(prob, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- filter micro-benchmarks ---
-
-// BenchmarkFilters measures raw aggregation throughput at learning-scale
-// inputs (n = 50 gradients of dimension 1000, f = 5).
-func BenchmarkFilters(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	const n, d, f = 50, 1000, 5
-	grads := make([][]float64, n)
-	for i := range grads {
-		grads[i] = make([]float64, d)
-		for j := range grads[i] {
-			grads[i][j] = r.NormFloat64()
-		}
-	}
-	for _, name := range byzopt.FilterNames() {
-		filter, err := byzopt.NewFilter(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			if _, err := filter.Aggregate(grads, f); errors.Is(err, aggregate.ErrTooManyFaults) {
-				b.Skipf("%s cannot tolerate f=%d at n=%d: %v", name, f, n, err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := filter.Aggregate(grads, f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- parallelism baselines (sequential vs concurrent hot paths) ---
 
 // benchWorkerCounts is the sequential-vs-parallel workers axis of the
 // seq-vs-par benchmarks. On a single-core machine GOMAXPROCS is 1 and the
 // two points coincide; the duplicate is dropped so the benchmark namespace
 // never emits the same configuration twice (the test runner would rename
-// the repeat "…#01", polluting name-keyed trajectories).
+// the repeat "…#01").
 func benchWorkerCounts() []int {
 	if p := runtime.GOMAXPROCS(0); p > 1 {
 		return []int{1, p}
@@ -269,277 +104,6 @@ func BenchmarkKrumScores(b *testing.B) {
 	}
 }
 
-// BenchmarkForEachSubset compares the sequential subset enumerator with the
-// chunked parallel one (core.ForEachSubsetParallel) on a CPU-bound visit —
-// the shape of the redundancy measurement's inner loop — at one worker and
-// at GOMAXPROCS. Per-worker accumulators merged in worker order keep the
-// reported checksum bitwise-identical across the column.
-func BenchmarkForEachSubset(b *testing.B) {
-	const n, k = 22, 11
-	weights := make([]float64, n)
-	for i := range weights {
-		weights[i] = 1 + float64(i)/n
-	}
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("n=%d/k=%d/workers=%d", n, k, workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sums := make([]float64, workers)
-				err := core.ForEachSubsetParallel(n, k, workers, func(w int, idx []int) error {
-					s := 1.0
-					for _, j := range idx {
-						s = s*weights[j] + float64(j)
-					}
-					sums[w] += s
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var total float64
-				for _, s := range sums {
-					total += s
-				}
-				b.ReportMetric(total, "checksum")
-			}
-		})
-	}
-}
-
-// BenchmarkP2PSweep drives a small Byzantine grid — the broadcast-only
-// equivocation axis included — over the peer-to-peer backend at one worker
-// and at GOMAXPROCS, measuring the sweep engine against the EIG substrate.
-func BenchmarkP2PSweep(b *testing.B) {
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				results, err := byzopt.Sweep(byzopt.SweepSpec{
-					Problem:   "paper",
-					Filters:   []string{"cge", "cwtm", "mean"},
-					Behaviors: []string{"gradient-reverse", "equivocate"},
-					FValues:   []int{1},
-					Rounds:    120,
-					Workers:   workers,
-					Backend:   byzopt.P2PBackend(),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(results) != 6 {
-					b.Fatalf("expected 6 scenarios, got %d", len(results))
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSweepEngine runs the acceptance sweep — 8 filters × 4 behaviors
-// × 2 f-values = 64 scenarios on the paper's regression benchmark — at one
-// worker and at GOMAXPROCS, so the speedup is a reported baseline.
-func BenchmarkSweepEngine(b *testing.B) {
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				results, err := byzopt.Sweep(byzopt.SweepSpec{
-					Problem:   "paper",
-					Filters:   []string{"mean", "cge", "cge-avg", "cwtm", "cwmedian", "krum", "geomedian", "centeredclip"},
-					Behaviors: []string{"gradient-reverse", "random", "ipm", "alie"},
-					FValues:   []int{1, 2},
-					Workers:   workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(results) != 64 {
-					b.Fatalf("expected 64 scenarios, got %d", len(results))
-				}
-			}
-		})
-	}
-}
-
-// --- ablations (design choices called out in DESIGN.md section 5) ---
-
-// BenchmarkAblationFilters compares every registered filter on the
-// regression instance under the gradient-reverse fault, reporting the final
-// distance to x_H. CGE and CWTM (the paper's filters) should land below
-// epsilon; the point of the ablation is where the baselines land.
-func BenchmarkAblationFilters(b *testing.B) {
-	inst, err := linreg.Paper()
-	if err != nil {
-		b.Fatal(err)
-	}
-	costs, err := inst.Costs()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, name := range byzopt.FilterNames() {
-		filter, err := byzopt.NewFilter(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			// Filters whose tolerance condition fails at the paper's
-			// (n, f) = (6, 1) — Bulyan needs n >= 4f+3 = 7 — sit out.
-			probe := make([][]float64, linreg.N)
-			for i := range probe {
-				probe[i] = []float64{1, 1}
-			}
-			if _, err := filter.Aggregate(probe, linreg.F); errors.Is(err, aggregate.ErrTooManyFaults) {
-				b.Skipf("%s infeasible at n=%d f=%d: %v", name, linreg.N, linreg.F, err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				agents, err := dgd.HonestAgents(costs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fa, err := dgd.NewFaulty(agents[0], byzantine.GradientReverse{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				agents[0] = fa
-				res, err := dgd.Run(dgd.Config{
-					Agents:    agents,
-					F:         linreg.F,
-					Filter:    filter,
-					Box:       inst.Box,
-					X0:        inst.X0,
-					Rounds:    500,
-					Reference: inst.XH,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Trace.Dist[len(res.Trace.Dist)-1], "final_dist")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationStepSize compares the paper's diminishing schedule with
-// constant steps on the Table-1 workload (CGE, gradient-reverse).
-func BenchmarkAblationStepSize(b *testing.B) {
-	inst, err := linreg.Paper()
-	if err != nil {
-		b.Fatal(err)
-	}
-	costs, err := inst.Costs()
-	if err != nil {
-		b.Fatal(err)
-	}
-	schedules := []dgd.StepSchedule{
-		dgd.Diminishing{C: 1.5, P: 1},
-		dgd.Diminishing{C: 1.5, P: 0.75},
-		dgd.Constant{Eta: 0.05},
-		dgd.Constant{Eta: 0.005},
-	}
-	for _, sched := range schedules {
-		b.Run(sched.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				agents, err := dgd.HonestAgents(costs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fa, err := dgd.NewFaulty(agents[0], byzantine.GradientReverse{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				agents[0] = fa
-				res, err := dgd.Run(dgd.Config{
-					Agents:    agents,
-					F:         linreg.F,
-					Filter:    aggregate.CGE{},
-					Steps:     sched,
-					Box:       inst.Box,
-					X0:        inst.X0,
-					Rounds:    500,
-					Reference: inst.XH,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Trace.Dist[len(res.Trace.Dist)-1], "final_dist")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationFaultFraction sweeps the number of actual Byzantine
-// agents at n = 12 under CGE, exposing the breakdown the alpha > 0
-// condition of Theorems 4/5 predicts as f/n grows.
-func BenchmarkAblationFaultFraction(b *testing.B) {
-	r := rand.New(rand.NewSource(3))
-	const n = 12
-	rows := make([][]float64, n)
-	resp := make([]float64, n)
-	for i := range rows {
-		angle := float64(i) / n
-		rows[i] = []float64{1 - angle, angle}
-		resp[i] = rows[i][0] + rows[i][1] + 0.01*r.NormFloat64()
-	}
-	for _, f := range []int{0, 1, 2, 3, 4, 5} {
-		b.Run(fmt.Sprintf("f=%d", f), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				costs := make([]byzopt.Cost, n)
-				for j := range rows {
-					c, err := byzopt.SingleObservationCost(rows[j], resp[j])
-					if err != nil {
-						b.Fatal(err)
-					}
-					costs[j] = c
-				}
-				agents, err := byzopt.HonestAgents(costs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for j := 0; j < f; j++ {
-					agents[j], err = byzopt.ByzantineAgent(agents[j], byzantine.GradientReverse{})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				box, err := byzopt.NewCube(2, 1000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := byzopt.Run(byzopt.Config{
-					Agents:    agents,
-					F:         f,
-					Filter:    aggregate.CGE{},
-					Box:       box,
-					X0:        []float64{0, 0},
-					Rounds:    400,
-					Reference: []float64{1, 1},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Trace.Dist[len(res.Trace.Dist)-1], "final_dist")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBounds compares the Theorem-4 and Theorem-5 resilience
-// constants D across system sizes at the paper's mu/gamma ratio.
-func BenchmarkAblationBounds(b *testing.B) {
-	const mu, gamma = 2.0, 0.712
-	for _, n := range []int{8, 10, 16, 32} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if b4, err := byzopt.CGEBoundTheorem4(n, 1, mu, gamma); err == nil {
-					b.ReportMetric(b4.D, "thm4_D")
-				}
-				b5, err := byzopt.CGEBoundTheorem5(n, 1, mu, gamma)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(b5.D, "thm5_D")
-			}
-		})
-	}
-}
-
 // BenchmarkEIGBroadcast measures the Byzantine-broadcast cost as f grows
 // (the tree is exponential in f, the price of the p2p architecture).
 func BenchmarkEIGBroadcast(b *testing.B) {
@@ -561,8 +125,6 @@ func BenchmarkEIGBroadcast(b *testing.B) {
 		})
 	}
 }
-
-// --- zero-allocation round loop (PR 5) ---
 
 // benchLegacyAgent strips the IntoAgent face off an agent, forcing the
 // engine's allocating gradient collection.
@@ -635,211 +197,6 @@ func BenchmarkRoundLoop(b *testing.B) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// BenchmarkDGDRound measures one full engine round at learning scale
-// (n = 20 agents, d = 2000).
-func BenchmarkDGDRound(b *testing.B) {
-	r := rand.New(rand.NewSource(5))
-	const n, d = 20, 2000
-	costs := make([]byzopt.Cost, n)
-	for i := range costs {
-		row := make([]float64, d)
-		for j := range row {
-			row[j] = r.NormFloat64()
-		}
-		c, err := byzopt.SingleObservationCost(row, r.NormFloat64())
-		if err != nil {
-			b.Fatal(err)
-		}
-		costs[i] = c
-	}
-	agents, err := byzopt.HonestAgents(costs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x0 := make([]float64, d)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := byzopt.Run(byzopt.Config{
-			Agents: agents,
-			F:      2,
-			Filter: aggregate.CWTM{},
-			X0:     x0,
-			Rounds: 1,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAsyncRound measures the virtual-time overlay's overhead on one
-// engine round at learning scale (n = 20, d = 2000): the synchronous
-// baseline against wait-all, first-k partial aggregation, and a
-// virtual-time deadline, all under a straggler-heavy uniform latency model.
-func BenchmarkAsyncRound(b *testing.B) {
-	r := rand.New(rand.NewSource(5))
-	const n, d = 20, 2000
-	costs := make([]byzopt.Cost, n)
-	for i := range costs {
-		row := make([]float64, d)
-		for j := range row {
-			row[j] = r.NormFloat64()
-		}
-		c, err := byzopt.SingleObservationCost(row, r.NormFloat64())
-		if err != nil {
-			b.Fatal(err)
-		}
-		costs[i] = c
-	}
-	agents, err := byzopt.HonestAgents(costs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x0 := make([]float64, d)
-	latency := byzopt.LatencyModel{Kind: byzopt.LatencyUniform, Base: 0.2, Spread: 1, StragglerRate: 0.25, StragglerFactor: 8}
-	for _, c := range []struct {
-		name  string
-		async *byzopt.AsyncConfig
-	}{
-		{"sync", nil},
-		{"wait-all", &byzopt.AsyncConfig{Latency: latency, Policy: byzopt.CollectWaitAll, Stale: byzopt.StaleReuse, Seed: 7}},
-		{"first-k", &byzopt.AsyncConfig{Latency: latency, Policy: byzopt.CollectFirstK, K: 15, Stale: byzopt.StaleReuse, Seed: 7}},
-		{"deadline", &byzopt.AsyncConfig{Latency: latency, Policy: byzopt.CollectDeadline, Deadline: 0.9, Stale: byzopt.StaleWeighted, Seed: 7}},
-	} {
-		b.Run("policy="+c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := byzopt.Run(byzopt.Config{
-					Agents: agents,
-					F:      2,
-					Filter: aggregate.CWTM{},
-					X0:     x0,
-					Rounds: 1,
-					Async:  c.async,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func reportFigure(b *testing.B, figs []experiments.FigureData) {
-	b.Helper()
-	for _, fd := range figs {
-		for _, s := range fd.Series {
-			if len(s.Dist) == 0 {
-				continue
-			}
-			b.ReportMetric(s.Dist[len(s.Dist)-1], fmt.Sprintf("dist_%s_%s", s.Name, shortFault(fd.Fault)))
-		}
-	}
-}
-
-func reportLearn(b *testing.B, series []experiments.LearnSeries) {
-	b.Helper()
-	for _, s := range series {
-		if len(s.Accuracy) == 0 {
-			continue
-		}
-		b.ReportMetric(s.Accuracy[len(s.Accuracy)-1], "acc_"+s.Name)
-	}
-}
-
-func shortFault(name string) string {
-	if name == "gradient-reverse" {
-		return "gr"
-	}
-	return "rand"
-}
-
-// BenchmarkSVM regenerates the Section-5 distributed-SVM experiment and
-// reports final accuracies.
-func BenchmarkSVM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results, err := experiments.SVM(300)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range results {
-			b.ReportMetric(r.Accuracy, "acc_"+r.Name)
-		}
-	}
-}
-
-// BenchmarkRobustMean exercises the Section-2.3 application: robust mean
-// estimation of 12 points with 2 planted outliers, via the exhaustive
-// Theorem-2 route and the filtered-DGD route.
-func BenchmarkRobustMean(b *testing.B) {
-	r := rand.New(rand.NewSource(9))
-	points := make([][]float64, 12)
-	for i := range points {
-		points[i] = []float64{r.NormFloat64() * 0.1, 3 + r.NormFloat64()*0.1}
-	}
-	points[10] = []float64{1e5, -1e5}
-	points[11] = []float64{-1e5, 1e5}
-	b.Run("exhaustive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := robustmean.Exhaustive(points, 2); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dgd-cwtm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := robustmean.ViaDGD(points, 2, aggregate.CWTM{}, 100); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationSolvers compares the two least-squares paths (Householder
-// QR vs normal equations + Cholesky) that back every subset minimization.
-func BenchmarkAblationSolvers(b *testing.B) {
-	r := rand.New(rand.NewSource(4))
-	const rows, cols = 64, 8
-	data := make([]float64, rows*cols)
-	for i := range data {
-		data[i] = r.NormFloat64()
-	}
-	a, err := matrix.New(rows, cols, data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rhs := make([]float64, rows)
-	for i := range rhs {
-		rhs[i] = r.NormFloat64()
-	}
-	b.Run("householder-qr", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := matrix.LeastSquares(a, rhs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("normal-equations", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := matrix.NormalEquations(a, rhs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationHeterogeneity sweeps data skew (non-i.i.d. sharding) in
-// the learning workload, quantifying the Appendix-K remark that accuracy
-// depends on the correlation among non-faulty agents' data.
-func BenchmarkAblationHeterogeneity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results, err := experiments.Heterogeneity(300, []float64{0, 0.5, 0.9})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range results {
-			b.ReportMetric(r.Accuracy, fmt.Sprintf("acc_skew_%g", r.Skew))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -51,5 +52,35 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	defer func() { _ = out.Close() }()
 	if err := run([]string{"-n", "9", "-f", "3"}, out); err == nil {
 		t.Error("n=9 f=3 must be rejected (n <= 3f)")
+	}
+}
+
+// TestDefaultRunMatchesGolden: the default flags reproduce the committed
+// report byte for byte — the accuracy table the README quotes.
+func TestDefaultRunMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the default instance (n=50, d=1000, 60 rounds) takes a few seconds")
+	}
+	path := filepath.Join(t.TempDir(), "out.json")
+	out, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(nil, out); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "approx_default.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("default run differs from testdata/approx_default.json (%d bytes, want %d); if the change is meant, regenerate it with `go run ./cmd/abft-approx` and say so in CHANGES.md", len(got), len(want))
 	}
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // BenchmarkApproxFilters measures AggregateInto with a warm Scratch for
-// exact krum/multikrum/bulyan vs sketch (k = 64), sampled (m = 64), and
-// float32-storage sketch variants at n in {100, 500, 1000}, d = 1000.
+// exact krum/multikrum/bulyan vs sketch (k = 64) and sampled (m = 64)
+// variants at n in {100, 500, 1000}, d = 1000.
 func BenchmarkApproxFilters(b *testing.B) {
 	const d, f, k = 1000, 5, 64
 	for _, n := range []int{100, 500, 1000} {
@@ -27,7 +27,6 @@ func BenchmarkApproxFilters(b *testing.B) {
 		}{
 			{"krum/exact", Krum{Workers: 1}},
 			{"krum/sketch-k64", &KrumSketch{SketchParams: SketchParams{Dim: k, Seed: 1, Workers: 1}}},
-			{"krum/sketch-k64-f32", &KrumSketch{SketchParams: SketchParams{Dim: k, Seed: 1, Float32: true, Workers: 1}}},
 			{"krum/sampled-m64", &KrumSampled{SampleParams: SampleParams{Pairs: k, Seed: 1, Workers: 1}}},
 			{"multikrum/exact", MultiKrum{M: 3, Workers: 1}},
 			{"multikrum/sketch-k64", &MultiKrumSketch{M: 3, SketchParams: SketchParams{Dim: k, Seed: 1, Workers: 1}}},

@@ -198,7 +198,8 @@ func TestPairwiseDistSqMatchesNaive(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2, 5, 16, 32} {
-		got := pairwiseDistSq(grads, workers)
+		got := new(Scratch).distMatrix(n)
+		pairwiseDistSqInto(got, grads, workers)
 		for i := range want {
 			if !vecmath.Equal(got[i], want[i], 0) {
 				t.Fatalf("workers=%d row %d: %v, want %v", workers, i, got[i], want[i])

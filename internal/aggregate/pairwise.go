@@ -43,19 +43,6 @@ func resolveWorkers(workers, work, threshold int) int {
 	return workers
 }
 
-// pairwiseDistSq returns the symmetric n x n matrix of squared Euclidean
-// distances between gradients; the allocating face of pairwiseDistSqInto,
-// kept for callers without a Scratch.
-func pairwiseDistSq(grads [][]float64, workers int) [][]float64 {
-	n := len(grads)
-	d2 := make([][]float64, n)
-	for i := range d2 {
-		d2[i] = make([]float64, n)
-	}
-	pairwiseDistSqInto(d2, grads, workers)
-	return d2
-}
-
 // pairwiseDistSqInto fills d2 — an n x n matrix the caller owns, typically
 // Scratch.distMatrix — with the squared Euclidean distances between
 // gradients, the O(n²·d) kernel shared by the Krum family and Bulyan. Every
@@ -95,45 +82,6 @@ func pairwiseFillRow(d2 [][]float64, grads [][]float64, i int) {
 	gi := grads[i]
 	for j := i + 1; j < len(grads); j++ {
 		s := vecmath.DistSqKernel(gi, grads[j])
-		d2[i][j] = s
-		d2[j][i] = s
-	}
-}
-
-// pairwiseDistSq32Into is pairwiseDistSqInto over float32 rows (the opt-in
-// half-bandwidth sketch storage): entries widen to float64 before the
-// subtract-square-accumulate, so only the storage rounding differs from the
-// float64 path. Same striping, same bitwise-identical-at-any-worker-count
-// guarantee.
-func pairwiseDistSq32Into(d2 [][]float64, rows [][]float32, workers int) {
-	n := len(rows)
-	if workers <= 1 || n <= 1 {
-		// Inline sequential path: no closure is materialized, keeping the
-		// scratch-backed call literally allocation-free.
-		for i := 0; i < n; i++ {
-			pairwiseFillRow32(d2, rows, i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			for i := start; i < n; i += workers {
-				pairwiseFillRow32(d2, rows, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// pairwiseFillRow32 is pairwiseFillRow over float32 rows.
-func pairwiseFillRow32(d2 [][]float64, rows [][]float32, i int) {
-	d2[i][i] = 0
-	ri := rows[i]
-	for j := i + 1; j < len(rows); j++ {
-		s := vecmath.DistSqKernel32(ri, rows[j])
 		d2[i][j] = s
 		d2[j][i] = s
 	}

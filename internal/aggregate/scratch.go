@@ -50,8 +50,7 @@ type Scratch struct {
 	// Sketch-filter state: the SRHT plan (per-column sign words and the k
 	// sampled Hadamard coordinates), cached by content key so Bulyan's
 	// iterated selection re-derives it only once per (seed, round), the
-	// P-length padded transform buffer, plus the n×k sketched-row arenas in
-	// both storage modes.
+	// P-length padded transform buffer, plus the n×k sketched-row arena.
 	srhtWords []uint64
 	srhtIdx   []int
 	srhtRank  []float64
@@ -62,10 +61,8 @@ type Scratch struct {
 	srhtKey   uint64 // content key of the current plan; see srhtPlan
 	srhtValid bool
 
-	skBuf    []float64
-	skRows   [][]float64
-	sk32Buf  []float32
-	sk32Rows [][]float32
+	skBuf  []float64
+	skRows [][]float64
 
 	// REDGRAF filter state: the d-sized auxiliary center the stateful
 	// filtering dynamics (SDMMFD, SDFD) carry between rounds — cached by
@@ -151,22 +148,6 @@ func (s *Scratch) sketchRowsBuf(n, k int) [][]float64 {
 		s.skRows[i] = s.skBuf[i*k : (i+1)*k : (i+1)*k]
 	}
 	return s.skRows
-}
-
-// sketchRows32Buf is sketchRowsBuf for the float32 storage mode.
-func (s *Scratch) sketchRows32Buf(n, k int) [][]float32 {
-	if cap(s.sk32Buf) < n*k {
-		s.sk32Buf = make([]float32, n*k)
-	}
-	s.sk32Buf = s.sk32Buf[:n*k]
-	if cap(s.sk32Rows) < n {
-		s.sk32Rows = make([][]float32, n)
-	}
-	s.sk32Rows = s.sk32Rows[:n]
-	for i := 0; i < n; i++ {
-		s.sk32Rows[i] = s.sk32Buf[i*k : (i+1)*k : (i+1)*k]
-	}
-	return s.sk32Rows
 }
 
 // redgrafAux returns the d-sized auxiliary-state buffer of the stateful

@@ -88,8 +88,7 @@ type SketchConfigurable interface {
 // --- shared sketch configuration ---
 
 // SketchParams configures the JL-sketch filters and carries their round
-// state. The zero value is ready: default dimension, seed 0, float64
-// storage, auto workers.
+// state. The zero value is ready: default dimension, seed 0, auto workers.
 type SketchParams struct {
 	// Dim is the projection dimension k; 0 means DefaultSketchDim. When
 	// Dim >= d the projection is skipped and the filter is exactly its
@@ -97,11 +96,6 @@ type SketchParams struct {
 	Dim int
 	// Seed keys the projection draws together with the round (SetRound).
 	Seed int64
-	// Float32 stores the sketched rows as float32, halving the memory
-	// traffic of the pairwise pass. Distances still accumulate in float64;
-	// only the per-entry storage rounding differs, so the mode is a
-	// distinct deterministic filter, not a platform-dependent one.
-	Float32 bool
 	// Workers bounds the goroutines of the projection and pairwise stages,
 	// with the same 0/1/negative semantics as Krum.Workers. Results are
 	// identical at any setting.
@@ -140,11 +134,7 @@ func (p *SketchParams) krumScores(grads [][]float64, f int, s *Scratch) ([]float
 	}
 	rows := p.project(grads, k, s)
 	d2 := s.distMatrix(n)
-	if p.Float32 {
-		pairwiseDistSq32Into(d2, s.sk32Rows[:n], resolvePairwiseWorkers(p.Workers, n, k))
-	} else {
-		pairwiseDistSqInto(d2, rows, resolvePairwiseWorkers(p.Workers, n, k))
-	}
+	pairwiseDistSqInto(d2, rows, resolvePairwiseWorkers(p.Workers, n, k))
 	return scoreFromDistsApprox(d2, n, f, s), nil
 }
 
@@ -212,8 +202,7 @@ func scoreFromDistsApprox(d2 [][]float64, n, f int, s *Scratch) []float64 {
 // coordinates scaled by 1/√k — O(P·log P) adds per row where a dense
 // multiply sketch costs O(d·k). Rows are striped across workers; each row
 // is an independent pure function of its gradient and the plan, so the
-// table is bitwise identical at any worker count. In Float32 mode the
-// float32 table (s.sk32Rows) is filled as well.
+// table is bitwise identical at any worker count.
 func (p *SketchParams) project(grads [][]float64, k int, s *Scratch) [][]float64 {
 	n, d := len(grads), len(grads[0])
 	pq := nextPow2(d)
@@ -238,12 +227,6 @@ func (p *SketchParams) project(grads [][]float64, k int, s *Scratch) [][]float64
 		}
 	} else {
 		projectRowsParallel(rows, grads, words, idx, pq, scale, workers)
-	}
-	if p.Float32 {
-		rows32 := s.sketchRows32Buf(n, k)
-		for i := range rows {
-			vecmath.ToFloat32(rows32[i], rows[i])
-		}
 	}
 	return rows
 }

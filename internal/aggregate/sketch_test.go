@@ -97,8 +97,8 @@ func checkTwinParity(t *testing.T, fl IntoFilter, grads [][]float64, d, f int, s
 // approxFilters returns the six approximate filters with the approximation
 // genuinely engaged for an (n=24, d) input: sketch dimension and sample
 // size well below d and n-1.
-func approxFilters(workers int, float32Mode bool) []IntoFilter {
-	sk := SketchParams{Dim: 16, Seed: 7, Workers: workers, Float32: float32Mode}
+func approxFilters(workers int) []IntoFilter {
+	sk := SketchParams{Dim: 16, Seed: 7, Workers: workers}
 	sa := SampleParams{Pairs: 8, Seed: 7, Workers: workers}
 	return []IntoFilter{
 		&KrumSketch{SketchParams: sk},
@@ -117,30 +117,27 @@ func TestApproxWorkerParity(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	const n, d, f = 24, 128, 2
 	grads := fuzzGradients(r, n, d, 0)
-	for _, float32Mode := range []bool{false, true} {
-		ref := approxFilters(1, float32Mode)
-		for round := 0; round < 3; round++ {
-			want := make([][]float64, len(ref))
-			for i, fl := range ref {
-				fl.(RoundKeyed).SetRound(round)
-				out, err := fl.Aggregate(grads, f)
-				if err != nil {
-					t.Fatalf("%s: %v", fl.Name(), err)
-				}
-				want[i] = out
+	ref := approxFilters(1)
+	for round := 0; round < 3; round++ {
+		want := make([][]float64, len(ref))
+		for i, fl := range ref {
+			fl.(RoundKeyed).SetRound(round)
+			out, err := fl.Aggregate(grads, f)
+			if err != nil {
+				t.Fatalf("%s: %v", fl.Name(), err)
 			}
-			for _, workers := range []int{0, 3, -1} {
-				scratch := &Scratch{}
-				for i, fl := range approxFilters(workers, float32Mode) {
-					fl.(RoundKeyed).SetRound(round)
-					dst := make([]float64, d)
-					if err := fl.AggregateInto(dst, grads, f, scratch); err != nil {
-						t.Fatalf("%s workers=%d: %v", fl.Name(), workers, err)
-					}
-					if !bitwiseEqual(want[i], dst) {
-						t.Fatalf("%s float32=%v round=%d: workers=%d diverges from workers=1",
-							fl.Name(), float32Mode, round, workers)
-					}
+			want[i] = out
+		}
+		for _, workers := range []int{0, 3, -1} {
+			scratch := &Scratch{}
+			for i, fl := range approxFilters(workers) {
+				fl.(RoundKeyed).SetRound(round)
+				dst := make([]float64, d)
+				if err := fl.AggregateInto(dst, grads, f, scratch); err != nil {
+					t.Fatalf("%s workers=%d: %v", fl.Name(), workers, err)
+				}
+				if !bitwiseEqual(want[i], dst) {
+					t.Fatalf("%s round=%d: workers=%d diverges from workers=1", fl.Name(), round, workers)
 				}
 			}
 		}
@@ -199,22 +196,20 @@ func TestApproxIntoAllocs(t *testing.T) {
 	const d = 128
 	for _, size := range []struct{ n, f, runs int }{{24, 2, 50}, {100, 10, 5}} {
 		grads := fuzzGradients(r, size.n, d, 0)
-		for _, float32Mode := range []bool{false, true} {
-			for _, fl := range approxFilters(1, float32Mode) {
-				scratch := &Scratch{}
-				dst := make([]float64, d)
-				fl.(RoundKeyed).SetRound(1)
+		for _, fl := range approxFilters(1) {
+			scratch := &Scratch{}
+			dst := make([]float64, d)
+			fl.(RoundKeyed).SetRound(1)
+			if err := fl.AggregateInto(dst, grads, size.f, scratch); err != nil {
+				t.Fatalf("%s n=%d warmup: %v", fl.Name(), size.n, err)
+			}
+			allocs := testing.AllocsPerRun(size.runs, func() {
 				if err := fl.AggregateInto(dst, grads, size.f, scratch); err != nil {
-					t.Fatalf("%s n=%d warmup: %v", fl.Name(), size.n, err)
+					t.Fatal(err)
 				}
-				allocs := testing.AllocsPerRun(size.runs, func() {
-					if err := fl.AggregateInto(dst, grads, size.f, scratch); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if allocs != 0 {
-					t.Errorf("%s n=%d (float32=%v): %v allocs/op with warm scratch, want 0", fl.Name(), size.n, float32Mode, allocs)
-				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s n=%d: %v allocs/op with warm scratch, want 0", fl.Name(), size.n, allocs)
 			}
 		}
 	}
@@ -341,7 +336,7 @@ func TestApproxNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
 		grads := fuzzGradients(r, n, d, 0)
 		grads[3][7] = bad
-		for _, fl := range approxFilters(1, false) {
+		for _, fl := range approxFilters(1) {
 			dst := make([]float64, d)
 			if err := fl.AggregateInto(dst, grads, f, nil); !errors.Is(err, ErrNonFinite) {
 				t.Errorf("%s with %v input: err = %v, want ErrNonFinite", fl.Name(), bad, err)

@@ -1,7 +1,6 @@
 package aggregate
 
 import (
-	"errors"
 	"math"
 	"sync"
 
@@ -31,20 +30,6 @@ func resolveWeiszfeldWorkers(workers, n, d int) int {
 		w = 1
 	}
 	return w
-}
-
-// weiszfeld runs the Weiszfeld fixed-point iteration for the geometric
-// median of the given points; the allocating face of weiszfeldInto, kept for
-// callers without a Scratch.
-func weiszfeld(points [][]float64, tol float64, workers int) ([]float64, error) {
-	if len(points) == 0 {
-		return nil, errors.New("vecmath: mean of zero vectors")
-	}
-	out := make([]float64, len(points[0]))
-	if err := weiszfeldInto(out, points, tol, workers, new(Scratch)); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // weiszfeldInto runs the Weiszfeld fixed-point iteration for the geometric

@@ -35,17 +35,14 @@ func randomPoints(n, d int, seed int64) [][]float64 {
 func TestWeiszfeldParallelExactlyEqualsSequential(t *testing.T) {
 	for _, size := range []struct{ n, d int }{{7, 3}, {30, 17}, {64, 129}, {500, 2}} {
 		points := randomPoints(size.n, size.d, int64(size.n*1000+size.d))
-		seq, err := weiszfeld(points, 0, 1)
-		if err != nil {
+		seq := make([]float64, size.d)
+		if err := weiszfeldInto(seq, points, 0, 1, new(Scratch)); err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 8, -1} {
-			par, err := weiszfeld(points, 0, workers)
-			if err != nil {
+			par := make([]float64, size.d)
+			if err := weiszfeldInto(par, points, 0, workers, new(Scratch)); err != nil {
 				t.Fatal(err)
-			}
-			if len(par) != len(seq) {
-				t.Fatalf("n=%d d=%d workers=%d: dim %d vs %d", size.n, size.d, workers, len(par), len(seq))
 			}
 			for j := range seq {
 				if par[j] != seq[j] {
@@ -113,8 +110,9 @@ func BenchmarkWeiszfeld(b *testing.B) {
 				label = "par"
 			}
 			b.Run(fmt.Sprintf("%s/n=%d/d=%d", label, size.n, size.d), func(b *testing.B) {
+				dst, scratch := make([]float64, size.d), new(Scratch)
 				for i := 0; i < b.N; i++ {
-					if _, err := weiszfeld(points, 0, workers); err != nil {
+					if err := weiszfeldInto(dst, points, 0, workers, scratch); err != nil {
 						b.Fatal(err)
 					}
 				}

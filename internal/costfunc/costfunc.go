@@ -54,9 +54,11 @@ type Differentiable interface {
 // dgd.IntoAgent).
 //
 // Implementations may reuse internal scratch buffers between calls, so a
-// single cost value must not serve concurrent GradInto calls; the engines
-// only invoke it from their sequential collection path. Every concrete cost
-// in this package implements GradIntoer.
+// single cost value must not serve concurrent GradInto calls: the engines
+// call it once per agent per round, concurrently for different agents when
+// collection is (dgd.Config.Workers > 1), so two agents of one run must not
+// share a cost value. Every concrete cost in this package implements
+// GradIntoer.
 type GradIntoer interface {
 	Differentiable
 	// GradInto writes the gradient (or a subgradient) of Q at x into dst.

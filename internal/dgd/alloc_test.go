@@ -222,8 +222,8 @@ func TestLegacyPathStillAllocates(t *testing.T) {
 }
 
 // TestFaultyGradientAllocs bounds the allocating face, the one
-// transport.ServeAgent and concurrent collection call: the report itself and
-// nothing else, where the path it replaced allocated three times.
+// transport.ServeAgent calls: the report itself and nothing else, where the
+// path it replaced allocated three times.
 func TestFaultyGradientAllocs(t *testing.T) {
 	cfg := allocConfig(t, 10, 16, 1)
 	x := vecmath.Ones(16)

@@ -1,0 +1,168 @@
+package dgd
+
+// Gates for the Collector's one report path: the same bits at any worker
+// count and for agents with or without their Into faces, no report vector
+// allocated by concurrent collection, and an arena that a faces-less agent
+// cannot corrupt.
+
+import (
+	"errors"
+	"math"
+	"runtime"
+	"testing"
+
+	"byzopt/internal/byzantine"
+	"byzopt/internal/vecmath"
+)
+
+// collectRun drives the kernel the way RunContext does and returns a copy of
+// every round's report table followed by the final estimate.
+func collectRun(t *testing.T, cfg Config, workers int) [][]float64 {
+	t.Helper()
+	round, err := NewRound(cfg, len(cfg.Agents), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := NewCollector(cfg.Agents, len(cfg.X0), workers)
+	var out [][]float64
+	for r := 0; r < cfg.Rounds; r++ {
+		reports, err := col.Collect(r, round.X())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range reports {
+			out = append(out, vecmath.Clone(g))
+		}
+		if err := round.Apply(r, cfg.F, reports); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return append(out, vecmath.Clone(round.X()))
+}
+
+// TestCollectorWorkersBitEqual: for every registered behavior at two
+// Byzantine agents, four collecting goroutines produce the reports of every
+// round and the final estimate of one, bit for bit, whether the agents write
+// into their arena rows themselves or are adapted from their allocating
+// faces. Under -race it is also the probe for two agents meeting in a row.
+func TestCollectorWorkersBitEqual(t *testing.T) {
+	for _, name := range byzantine.Names() {
+		for _, strip := range []bool{false, true} {
+			build := func() Config {
+				cfg := allocConfig(t, 10, 16, 12)
+				cfg.F = 2
+				for i := 0; i < cfg.F; i++ {
+					behavior, err := byzantine.New(name, 7)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cfg.Agents[i], err = NewFaulty(cfg.Agents[i], behavior); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if strip {
+					cfg.Agents = stripInto(cfg.Agents)
+				}
+				return cfg
+			}
+			seq := collectRun(t, build(), 1)
+			par := collectRun(t, build(), 4)
+			if len(seq) != len(par) {
+				t.Fatalf("%s strip=%v: %d vectors at one worker, %d at four", name, strip, len(seq), len(par))
+			}
+			for k := range seq {
+				for j := range seq[k] {
+					if math.Float64bits(seq[k][j]) != math.Float64bits(par[k][j]) {
+						t.Fatalf("%s strip=%v: vector %d coord %d: %v at one worker, %v at four",
+							name, strip, k, j, seq[k][j], par[k][j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentCollectionAllocatesNoReports: with four workers a round still
+// writes every report into its arena row. What a round may allocate is the
+// fan-out (closures, goroutines), far below the n·d·8 bytes that n fresh
+// report vectors cost.
+func TestConcurrentCollectionAllocatesNoReports(t *testing.T) {
+	const n, d = 10, 1000
+	bytesOf := func(rounds int) uint64 {
+		cfg := allocConfig(t, n, d, rounds)
+		cfg.Workers = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := bytesOf(1), bytesOf(21)
+	if perRound := (float64(long) - float64(short)) / 20; perRound >= n*d*8 {
+		t.Fatalf("concurrent collection allocates %.0f bytes per extra round, want under %d (n fresh report vectors)",
+			perRound, n*d*8)
+	}
+}
+
+// retainingAgent has no Into face and reports in the one slice it keeps,
+// len(buf) coordinates whatever the estimate's dimension.
+type retainingAgent struct{ buf []float64 }
+
+func (a *retainingAgent) Gradient(round int, x []float64) ([]float64, error) {
+	for j := range a.buf {
+		a.buf[j] = float64(round + j)
+	}
+	return a.buf, nil
+}
+
+// retainingFaulty is retainingAgent marked Faulty.
+type retainingFaulty struct{ retainingAgent }
+
+func (a *retainingFaulty) FaultyGradient(round, agent int, x []float64, honest [][]float64) ([]float64, error) {
+	return a.Gradient(round, x)
+}
+
+// TestCollectorAdaptsFacelessAgents: an agent adapted from its allocating
+// face gets the checks the old fallback made — a report of the wrong length
+// is ErrConfig — and its report is copied, so a producer that overwrites the
+// slice it handed out leaves its arena row as it was.
+func TestCollectorAdaptsFacelessAgents(t *testing.T) {
+	x := []float64{0, 0, 0}
+	for _, workers := range []int{1, 4} {
+		bufs := make([][]float64, 4)
+		for i := range bufs {
+			bufs[i] = make([]float64, len(x))
+		}
+		agents := []Agent{
+			&retainingAgent{buf: bufs[0]},
+			&retainingAgent{buf: bufs[1]},
+			&retainingFaulty{retainingAgent{buf: bufs[2]}},
+			&retainingFaulty{retainingAgent{buf: bufs[3]}},
+		}
+		col := NewCollector(agents, len(x), workers)
+		reports, err := col.Collect(5, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, buf := range bufs {
+			clear(buf) // the producers overwrite what they handed out
+		}
+		for i, g := range reports {
+			if len(g) != len(x) || g[0] != 5 || g[1] != 6 || g[2] != 7 {
+				t.Errorf("workers=%d: agent %d's row reads %v after the producer reused its slice, want [5 6 7]", workers, i, g)
+			}
+		}
+
+		for _, bad := range []Agent{
+			&retainingAgent{buf: make([]float64, len(x)+1)},
+			&retainingFaulty{retainingAgent{buf: make([]float64, len(x)-1)}},
+		} {
+			mixed := append([]Agent{bad}, agents...)
+			if _, err := NewCollector(mixed, len(x), workers).Collect(0, x); !errors.Is(err, ErrConfig) {
+				t.Errorf("workers=%d: wrong-length report from %T: want ErrConfig, got %v", workers, bad, err)
+			}
+		}
+	}
+}

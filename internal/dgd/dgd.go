@@ -53,19 +53,18 @@ type Agent interface {
 
 // IntoAgent is an optional Agent extension: GradientInto writes the round's
 // report into dst (sized to the estimate dimension) instead of allocating
-// it, with values bitwise identical to Gradient's. The engine detects it per
-// agent and hands each Into-capable agent a dedicated row of a per-run
-// gradient arena, which — together with an IntoFilter — makes the
-// steady-state round loop allocation-free. Agents without the extension fall
-// back to Gradient transparently.
+// it, with values bitwise identical to Gradient's. The Collector detects it
+// per agent and hands every agent a dedicated row of a per-run gradient
+// arena, which — together with an IntoFilter — makes the steady-state round
+// loop allocation-free. An agent without the extension is adapted once
+// (Gradient, then a copy into its row).
 //
 // Implementations may reuse internal scratch between calls (the costfunc
-// oracles do), so the engine only calls an agent's own GradientInto from its
-// sequential collection path (Config.Workers <= 1); concurrent collection
-// falls back to Gradient. A Byzantine wrapper computes every report, on either
-// path, through its inner agent's GradientInto: one call per agent per round,
-// so an inner agent (or its cost) must not be shared between two agents that
-// are collected concurrently.
+// oracles do). The Collector calls GradientInto once per agent per round, on
+// a row no other agent sees, and with Config.Workers > 1 it makes the calls
+// of different agents concurrently: an agent's scratch — its cost, or the
+// inner agent of a Byzantine wrapper — must not be shared between two agents
+// of one run.
 type IntoAgent interface {
 	Agent
 	// GradientInto writes the agent's report for round t at estimate x into
@@ -136,14 +135,39 @@ func (h *honest) GradientInto(dst []float64, round int, x []float64) error {
 		return ig.GradInto(dst, x)
 	}
 	g, err := h.cost.Grad(x)
+	return copyInto(dst, g, err)
+}
+
+// copyInto is the tail of every adapter from an allocating face to its Into
+// face: the report g, or the error it came with, lands in dst, and a report
+// of the wrong dimension is a configuration error. Copying also keeps a slice
+// the producer retains out of the caller's arena.
+func copyInto(dst, g []float64, err error) error {
 	if err != nil {
 		return err
 	}
 	if len(g) != len(dst) {
-		return fmt.Errorf("cost returned dim %d, want %d: %w", len(g), len(dst), ErrConfig)
+		return fmt.Errorf("returned dim %d, want %d: %w", len(g), len(dst), ErrConfig)
 	}
 	copy(dst, g)
 	return nil
+}
+
+// asIntoAgent adapts an agent without GradientInto, the way asInto adapts
+// filters; the adapted agent still allocates its own report.
+type asIntoAgent struct{ Agent }
+
+func (a asIntoAgent) GradientInto(dst []float64, round int, x []float64) error {
+	g, err := a.Gradient(round, x)
+	return copyInto(dst, g, err)
+}
+
+// asIntoFaulty is asIntoAgent for the Faulty face.
+type asIntoFaulty struct{ Faulty }
+
+func (a asIntoFaulty) FaultyGradientInto(dst []float64, round, agent int, x []float64, honest [][]float64) error {
+	g, err := a.FaultyGradient(round, agent, x, honest)
+	return copyInto(dst, g, err)
 }
 
 // HonestAgents wraps each cost as a truthful agent, in order.
@@ -165,7 +189,7 @@ func HonestAgents(costs []costfunc.Differentiable) ([]Agent, error) {
 // behavior also sees the honest gradients of the round (the engine collects
 // honest reports first).
 type faulty struct {
-	inner    Agent
+	inner    IntoAgent              // the inner agent's Into face, adapted if absent; nil reports zero
 	behavior byzantine.Behavior     // as handed to NewFaulty
 	into     byzantine.IntoBehavior // behavior's in-place face, adapted if absent
 }
@@ -181,7 +205,11 @@ func NewFaulty(inner Agent, behavior byzantine.Behavior) (Agent, error) {
 	if !ok {
 		into = asIntoBehavior{behavior}
 	}
-	return &faulty{inner: inner, behavior: behavior, into: into}, nil
+	f := &faulty{behavior: behavior, into: into}
+	if f.inner, ok = inner.(IntoAgent); !ok && inner != nil {
+		f.inner = asIntoAgent{inner}
+	}
+	return f, nil
 }
 
 // asIntoBehavior adapts a behavior without the Into face, the way asInto
@@ -196,14 +224,7 @@ func (a asIntoBehavior) ApplyInto(dst []float64, round, agentID int, trueGrad []
 	} else {
 		g, err = a.Apply(round, agentID, trueGrad)
 	}
-	if err != nil {
-		return err
-	}
-	if len(g) != len(dst) {
-		return fmt.Errorf("returned dim %d, want %d: %w", len(g), len(dst), ErrConfig)
-	}
-	copy(dst, g)
-	return nil
+	return copyInto(dst, g, err)
 }
 
 var (
@@ -238,22 +259,10 @@ func (f *faulty) FaultyGradient(round, agent int, x []float64, honest [][]float6
 // in place, seeing the honest set when it is omniscient and the caller has it
 // (honest != nil); otherwise it degrades to the non-omniscient report.
 func (f *faulty) FaultyGradientInto(dst []float64, round, agent int, x []float64, honest [][]float64) error {
-	switch inner := f.inner.(type) {
-	case nil:
+	if f.inner == nil {
 		clear(dst)
-	case IntoAgent:
-		if err := inner.GradientInto(dst, round, x); err != nil {
-			return err
-		}
-	default:
-		g, err := inner.Gradient(round, x)
-		if err != nil {
-			return err
-		}
-		if len(g) != len(dst) {
-			return fmt.Errorf("inner agent returned dim %d, want %d: %w", len(g), len(dst), ErrConfig)
-		}
-		copy(dst, g)
+	} else if err := f.inner.GradientInto(dst, round, x); err != nil {
+		return err
 	}
 	if err := f.into.ApplyInto(dst, round, agent, dst, honest); err != nil {
 		return fmt.Errorf("behavior %s: %w", f.behavior.Name(), err)
@@ -365,13 +374,14 @@ type Config struct {
 	Chaos *chaos.Plan
 
 	// Workers opts into concurrent gradient collection: the number of
-	// goroutines querying agents each round. 0 and 1 keep the sequential
-	// path; negative means GOMAXPROCS. Honest agents are still collected
-	// before Byzantine ones (omniscient adversaries observe the full honest
-	// set either way), and gradients land in agent-index slots, so a
-	// parallel run produces exactly the estimates of a sequential one.
-	// Agents must tolerate concurrent Gradient calls when Workers > 1; the
-	// built-in honest and faulty wrappers do.
+	// goroutines querying agents each round. 0 and 1 collect on the round
+	// loop's own goroutine; negative means GOMAXPROCS. Honest agents are
+	// still collected before Byzantine ones (omniscient adversaries observe
+	// the full honest set either way), and every report lands in its agent's
+	// own arena row, so a parallel run produces exactly the estimates of a
+	// sequential one. With Workers > 1 different agents report concurrently
+	// (never one agent twice), so agents must not share scratch; see
+	// IntoAgent.
 	Workers int
 }
 
@@ -538,57 +548,59 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // Collector is the per-run gradient-collection state: the honest/faulty
-// split (computed once — agent kinds cannot change mid-run), the Into faces
-// detected per agent, and the gradient arena whose rows receive Into-capable
-// reports. Reports from agents not marked Faulty are collected first (a full
-// barrier separates the phases) so omniscient Byzantine behaviors observe
-// the complete honest set, matching the strongest adversary the literature
-// assumes. Reports land in agent-index slots and the honest set is ordered
-// by agent index, so the filter input is identical at any worker count and
-// on either the Into or the fallback path.
+// split (computed once — agent kinds cannot change mid-run), every agent's
+// Into face, and the gradient arena whose rows receive the reports. Reports
+// from agents not marked Faulty are collected first (a full barrier
+// separates the phases) so omniscient Byzantine behaviors observe the
+// complete honest set, matching the strongest adversary the literature
+// assumes. Every report lands in its agent's own row and the honest set is
+// ordered by agent index, so the filter input is identical at any worker
+// count and for agents with or without their Into faces.
 type Collector struct {
-	agents     []Agent
-	honestIdx  []int
-	faultyIdx  []int
-	into       []IntoAgent  // per-agent Into face, nil when unimplemented
-	intoFaulty []IntoFaulty // per-agent Into face of Faulty agents
-	rows       [][]float64  // arena rows, one per agent
-	grads      [][]float64  // the round's filter input, agent-index order
-	honest     [][]float64  // the round's honest reports, agent-index order
-	workers    int
+	honestIdx []int
+	faultyIdx []int
+	into      []IntoAgent  // per honest agent, adapted if the face is absent
+	faulty    []IntoFaulty // per Faulty agent, likewise; nil for an honest one
+	grads     [][]float64  // the arena rows, agent-index order: the filter input
+	honest    [][]float64  // the honest agents' rows, agent-index order
+	workers   int
 }
 
 // NewCollector builds the collection state for one run over agents reporting
-// d-dimensional gradients. The Into interfaces only engage on the sequential
-// path (workers <= 1): their implementations may reuse internal scratch, and
-// the goroutine fan-out of the concurrent path allocates anyway.
+// d-dimensional gradients, with workers as Config.Workers resolved (<= 1
+// collects on the caller's goroutine). An agent that lacks GradientInto or
+// FaultyGradientInto is adapted here, once, so that collection has a single
+// face per agent kind whatever the agent implements and however many workers
+// collect; see IntoAgent for what concurrent collection asks of an agent.
 func NewCollector(agents []Agent, d, workers int) *Collector {
+	n := len(agents)
 	c := &Collector{
-		agents:  agents,
-		grads:   make([][]float64, len(agents)),
-		workers: workers,
+		honestIdx: make([]int, 0, n),
+		faultyIdx: make([]int, 0, n),
+		into:      make([]IntoAgent, n),
+		faulty:    make([]IntoFaulty, n),
+		grads:     make([][]float64, n),
+		honest:    make([][]float64, 0, n),
+		workers:   workers,
 	}
+	arena := make([]float64, n*d)
 	for i, a := range agents {
-		if _, isFaulty := a.(Faulty); isFaulty {
+		c.grads[i] = arena[i*d : (i+1)*d : (i+1)*d]
+		switch a := a.(type) {
+		case IntoFaulty:
+			c.faulty[i] = a
+		case Faulty:
+			c.faulty[i] = asIntoFaulty{a}
+		case IntoAgent:
+			c.into[i] = a
+		default:
+			c.into[i] = asIntoAgent{a}
+		}
+		if c.faulty[i] != nil {
 			c.faultyIdx = append(c.faultyIdx, i)
 		} else {
 			c.honestIdx = append(c.honestIdx, i)
-		}
-	}
-	c.honest = make([][]float64, 0, len(c.honestIdx))
-	if workers <= 1 {
-		c.into = make([]IntoAgent, len(agents))
-		c.intoFaulty = make([]IntoFaulty, len(agents))
-		arena := make([]float64, len(agents)*d)
-		c.rows = make([][]float64, len(agents))
-		for i, a := range agents {
-			c.rows[i] = arena[i*d : (i+1)*d : (i+1)*d]
-			if ia, ok := a.(IntoAgent); ok {
-				c.into[i] = ia
-			}
-			if ifa, ok := a.(IntoFaulty); ok {
-				c.intoFaulty[i] = ifa
-			}
+			c.honest = append(c.honest, c.grads[i])
 		}
 	}
 	return c
@@ -598,95 +610,41 @@ func NewCollector(agents []Agent, d, workers int) *Collector {
 // reports in agent-index order. The table and its rows are owned by the
 // collector and valid until the next Collect.
 func (c *Collector) Collect(t int, x []float64) ([][]float64, error) {
-	var err error
-	if c.workers <= 1 {
-		err = c.collectSeq(t, x)
-	} else {
-		err = c.collectPar(t, x)
+	if err := c.phase(c.honestIdx, t, x); err != nil {
+		return nil, err
 	}
-	if err != nil {
+	if err := c.phase(c.faultyIdx, t, x); err != nil {
 		return nil, err
 	}
 	return c.grads, nil
 }
 
-// collectSeq is the sequential path: plain loops (no closures reach a
-// goroutine, so nothing escapes to the heap) with per-agent Into dispatch.
-func (c *Collector) collectSeq(t int, x []float64) error {
-	for _, i := range c.honestIdx {
-		if ia := c.into[i]; ia != nil {
-			if err := ia.GradientInto(c.rows[i], t, x); err != nil {
-				return fmt.Errorf("agent %d at round %d: %w", i, t, err)
-			}
-			c.grads[i] = c.rows[i]
-			continue
-		}
-		g, err := c.agents[i].Gradient(t, x)
-		if err != nil {
-			return fmt.Errorf("agent %d at round %d: %w", i, t, err)
-		}
-		if len(g) != len(x) {
-			return fmt.Errorf("agent %d returned dim %d, want %d: %w", i, len(g), len(x), ErrConfig)
-		}
-		c.grads[i] = g
+// phase collects the reports of the agents in idx: on the caller's goroutine
+// with a plain loop (no closure is built, so nothing escapes to the heap), or
+// across c.workers goroutines.
+func (c *Collector) phase(idx []int, t int, x []float64) error {
+	if c.workers > 1 && len(idx) > 1 {
+		return parallelFor(c.workers, idx, func(i int) error { return c.report(i, t, x) })
 	}
-	c.gatherHonest()
-	for _, i := range c.faultyIdx {
-		if ifa := c.intoFaulty[i]; ifa != nil {
-			if err := ifa.FaultyGradientInto(c.rows[i], t, i, x, c.honest); err != nil {
-				return fmt.Errorf("faulty agent %d at round %d: %w", i, t, err)
-			}
-			c.grads[i] = c.rows[i]
-			continue
+	for _, i := range idx {
+		if err := c.report(i, t, x); err != nil {
+			return err
 		}
-		g, err := c.agents[i].(Faulty).FaultyGradient(t, i, x, c.honest)
-		if err != nil {
-			return fmt.Errorf("faulty agent %d at round %d: %w", i, t, err)
-		}
-		if len(g) != len(x) {
-			return fmt.Errorf("faulty agent %d returned dim %d, want %d: %w", i, len(g), len(x), ErrConfig)
-		}
-		c.grads[i] = g
 	}
 	return nil
 }
 
-// collectPar fans the queries out over up to c.workers goroutines via
-// parallelFor, always through the allocating Agent faces (see NewCollector).
-func (c *Collector) collectPar(t int, x []float64) error {
-	err := parallelFor(c.workers, c.honestIdx, func(i int) error {
-		g, err := c.agents[i].Gradient(t, x)
-		if err != nil {
-			return fmt.Errorf("agent %d at round %d: %w", i, t, err)
-		}
-		if len(g) != len(x) {
-			return fmt.Errorf("agent %d returned dim %d, want %d: %w", i, len(g), len(x), ErrConfig)
-		}
-		c.grads[i] = g
-		return nil
-	})
+// report has agent i write its round-t report into its arena row: one
+// interface call, with the honest rows in view when the agent is Faulty.
+func (c *Collector) report(i, t int, x []float64) error {
+	var err error
+	if fa := c.faulty[i]; fa != nil {
+		err = fa.FaultyGradientInto(c.grads[i], t, i, x, c.honest)
+	} else {
+		err = c.into[i].GradientInto(c.grads[i], t, x)
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("agent %d at round %d: %w", i, t, err)
 	}
-	c.gatherHonest()
-	return parallelFor(c.workers, c.faultyIdx, func(i int) error {
-		g, err := c.agents[i].(Faulty).FaultyGradient(t, i, x, c.honest)
-		if err != nil {
-			return fmt.Errorf("faulty agent %d at round %d: %w", i, t, err)
-		}
-		if len(g) != len(x) {
-			return fmt.Errorf("faulty agent %d returned dim %d, want %d: %w", i, len(g), len(x), ErrConfig)
-		}
-		c.grads[i] = g
-		return nil
-	})
-}
-
-// gatherHonest rebuilds the agent-index-ordered honest report list in the
-// reused c.honest buffer.
-func (c *Collector) gatherHonest() {
-	c.honest = c.honest[:0]
-	for _, i := range c.honestIdx {
-		c.honest = append(c.honest, c.grads[i])
-	}
+	return nil
 }

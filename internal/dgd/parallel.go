@@ -3,22 +3,11 @@ package dgd
 import "sync"
 
 // parallelFor runs fn over every index in idx using up to workers
-// goroutines, returning when all calls finish. With workers <= 1 (or a
-// single index) it degenerates to a plain loop. When several calls fail,
+// goroutines, returning when all calls finish. When several calls fail,
 // the error of the smallest index wins, so failures are reported
 // deterministically regardless of goroutine scheduling.
 func parallelFor(workers int, idx []int, fn func(i int) error) error {
-	if workers <= 1 || len(idx) <= 1 {
-		for _, i := range idx {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > len(idx) {
-		workers = len(idx)
-	}
+	workers = min(workers, len(idx))
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex

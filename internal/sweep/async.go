@@ -165,23 +165,6 @@ func (a AsyncSpec) Validate() error {
 	return nil
 }
 
-// dedupeAsyncs collapses the async axis to its distinct canonical points,
-// preserving first-occurrence order — several synchronous-equivalent
-// entries (or verbatim duplicates) must not duplicate grid cells.
-func dedupeAsyncs(asyncs []AsyncSpec) []AsyncSpec {
-	seen := make(map[string]bool, len(asyncs))
-	out := make([]AsyncSpec, 0, len(asyncs))
-	for _, a := range asyncs {
-		key := a.String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, a)
-	}
-	return out
-}
-
 // asyncStatsRecorder observes a run's asynchronous rounds for the sweep's
 // Result summary: the mean fresh-arrival count, the worst staleness ever
 // substituted, the final virtual time, and (when tracing) the per-round

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -349,6 +350,58 @@ func TestRunContextCancelReturnsPartialResults(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// countingBackend counts the runs that start on the in-process engine.
+type countingBackend struct{ started atomic.Int64 }
+
+func (b *countingBackend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
+	b.started.Add(1)
+	return dgd.InProcess{}.Run(ctx, cfg)
+}
+
+// TestRunCellsStopsOnEmitError: a worker whose coordinator is gone must not
+// compute the rest of its lease. Once emit fails the pool starts no further
+// cell beyond the ones its goroutines were already about to run, at any
+// worker count, and returns emit's error rather than the cancellation it
+// caused.
+func TestRunCellsStopsOnEmitError(t *testing.T) {
+	spec := smallSpec()
+	spec.NValues = []int{10, 11, 12, 13}
+	spec.Dims = []int{4}
+	spec.Rounds = 200
+	total, err := Scenarios(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indices := make([]int, len(total))
+	for i := range indices {
+		indices[i] = i
+	}
+	if len(indices) != 64 {
+		t.Fatalf("selection has %d cells, want 64", len(indices))
+	}
+	errGone := errors.New("coordinator gone")
+	for _, workers := range []int{1, 4} {
+		backend := &countingBackend{}
+		spec.Workers, spec.Backend = workers, backend
+		emits := 0
+		err := RunCells(context.Background(), spec, indices, func(Result) error {
+			emits++
+			return errGone
+		})
+		if err != errGone {
+			t.Errorf("workers=%d: RunCells returned %v, want emit's error", workers, err)
+		}
+		if emits != 1 {
+			t.Errorf("workers=%d: emit called %d times after failing, want 1", workers, emits)
+		}
+		// One run reached emit, workers-1 were in flight beside it, and each
+		// goroutine may have passed its cancellation check once more.
+		if got := backend.started.Load(); got > int64(2*workers) {
+			t.Errorf("workers=%d: %d backend runs started, want at most %d", workers, got, 2*workers)
+		}
 	}
 }
 

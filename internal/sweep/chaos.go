@@ -110,23 +110,6 @@ func (c ChaosSpec) Validate() error {
 	return nil
 }
 
-// dedupeChaoses collapses the chaos axis to its distinct canonical points,
-// preserving first-occurrence order — several no-fault entries (or verbatim
-// duplicates) must not duplicate grid cells.
-func dedupeChaoses(specs []ChaosSpec) []ChaosSpec {
-	seen := make(map[string]bool, len(specs))
-	out := make([]ChaosSpec, 0, len(specs))
-	for _, c := range specs {
-		key := c.String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, c)
-	}
-	return out
-}
-
 // chaosStatsRecorder observes a run's injected faults for the sweep's Result
 // summary: the whole-run fault tally, accumulated from the per-round stats
 // every substrate's chaos observer channel delivers.

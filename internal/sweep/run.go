@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"byzopt/internal/aggregate"
@@ -171,84 +172,25 @@ func RunContext(ctx context.Context, spec Spec) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	backend := spec.Backend
-	if backend == nil {
-		backend = dgd.InProcess{}
-	}
-	workloads := buildWorkloads(&spec, prob, jobs)
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	results := make([]Result, len(jobs))
 	done := make([]bool, len(jobs))
-	var progressMu sync.Mutex
 	completed := 0
-	reportProgress := func() {
-		if spec.Progress == nil {
-			return
-		}
-		progressMu.Lock()
+	err = runPool(ctx, &spec, prob, jobs, func(pos int, res Result) error {
+		results[pos], done[pos] = res, true
 		completed++
-		spec.Progress(completed, len(jobs))
-		progressMu.Unlock()
-	}
-	if workers <= 1 {
-		for i, jb := range jobs {
-			if ctx.Err() != nil {
-				break
-			}
-			res, err := runScenario(ctx, &spec, prob, backend, jb, workloads)
-			if err != nil {
-				break // cancelled mid-scenario; the loop guard reports it
-			}
-			results[i], done[i] = res, true
-			reportProgress()
+		if spec.Progress != nil {
+			spec.Progress(completed, len(jobs))
 		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					res, err := runScenario(ctx, &spec, prob, backend, jobs[i], workloads)
-					if err != nil {
-						continue // cancelled; the dispatcher is stopping too
-					}
-					results[i], done[i] = res, true
-					reportProgress()
-				}
-			}()
-		}
-		// Longest-job-first dispatch: heterogeneous grids (cheap regression
-		// cells next to expensive learning cells) would otherwise tail-stall
-		// on one worker grinding the biggest scenario last. Results land in
-		// grid-order slots either way, so the schedule never shows in the
-		// output.
-	dispatch:
-		for _, i := range longestFirst(jobs) {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(next)
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		partial := results[:0]
 		for i := range results {
 			if done[i] {
 				partial = append(partial, results[i])
 			}
 		}
-		return partial, fmt.Errorf("sweep: cancelled after %d of %d scenarios: %w", len(partial), len(jobs), err)
+		return partial, fmt.Errorf("sweep: cancelled after %d of %d scenarios: %w", completed, len(jobs), err)
 	}
 	return results, nil
 }
@@ -281,10 +223,6 @@ func RunCells(ctx context.Context, spec Spec, indices []int, emit func(Result) e
 	if err != nil {
 		return err
 	}
-	backend := spec.Backend
-	if backend == nil {
-		backend = dgd.InProcess{}
-	}
 	selected := make([]job, len(indices))
 	for i, idx := range indices {
 		if idx < 0 || idx >= len(jobs) {
@@ -292,61 +230,65 @@ func RunCells(ctx context.Context, spec Spec, indices []int, emit func(Result) e
 		}
 		selected[i] = jobs[idx]
 	}
-	workloads := buildWorkloads(&spec, prob, selected)
+	return runPool(ctx, &spec, prob, selected, func(_ int, res Result) error { return emit(res) })
+}
+
+// runPool is the one cell pool, behind RunContext and RunCells alike: it
+// materializes the workloads of jobs, runs the cells on spec.Workers
+// goroutines (<= 0 means GOMAXPROCS; a pool of one is the same code with one
+// goroutine) and hands each finished cell to emit with its position in jobs.
+// emit calls are serialized and arrive in completion order. The first emit
+// error stops the pool — no further cell starts and the cells in flight are
+// cancelled — and is the error returned; otherwise the pool returns
+// ctx.Err(), nil when every cell was emitted.
+//
+// Cells are drawn longest-job-first: heterogeneous grids (cheap regression
+// cells next to expensive learning cells) would otherwise tail-stall on one
+// worker grinding the biggest scenario last. Every Result is a pure function
+// of its cell, so the schedule never shows in the output.
+func runPool(ctx context.Context, spec *Spec, prob Problem, jobs []job, emit func(pos int, res Result) error) error {
+	backend := spec.Backend
+	if backend == nil {
+		backend = dgd.InProcess{}
+	}
+	workloads := buildWorkloads(spec, prob, jobs)
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(selected) {
-		workers = len(selected)
-	}
-	if workers <= 1 {
-		for _, jb := range selected {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			res, err := runScenario(ctx, &spec, prob, backend, jb, workloads)
-			if err != nil {
-				return err
-			}
-			if err := emit(res); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	workers = min(workers, len(jobs))
+	order := longestFirst(jobs)
+	poolCtx, stop := context.WithCancel(ctx)
+	defer stop()
 	var (
+		next    atomic.Int64 // positions of order handed out so far
 		emitMu  sync.Mutex
 		emitErr error
+		wg      sync.WaitGroup
 	)
-	var wg sync.WaitGroup
-	next := make(chan job)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for jb := range next {
-				res, err := runScenario(ctx, &spec, prob, backend, jb, workloads)
-				emitMu.Lock()
-				if err == nil && emitErr == nil {
-					err = emit(res)
+			for poolCtx.Err() == nil {
+				k := int(next.Add(1)) - 1
+				if k >= len(order) {
+					return
 				}
-				if err != nil && emitErr == nil {
-					emitErr = err
+				res, err := runScenario(poolCtx, spec, prob, backend, jobs[order[k]], workloads)
+				if err != nil {
+					return // the cell was cancelled, and so is the pool
+				}
+				emitMu.Lock()
+				if emitErr == nil {
+					if emitErr = emit(order[k], res); emitErr != nil {
+						stop()
+					}
 				}
 				emitMu.Unlock()
 			}
 		}()
 	}
-dispatch:
-	for _, i := range longestFirst(selected) {
-		select {
-		case next <- selected[i]:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
 	wg.Wait()
 	if emitErr != nil {
 		return emitErr

@@ -329,11 +329,11 @@ func (spec *Spec) normalize() {
 	if spec.Asyncs == nil {
 		spec.Asyncs = []AsyncSpec{{}}
 	}
-	spec.Asyncs = dedupeAsyncs(spec.Asyncs)
+	spec.Asyncs = dedupeByString(spec.Asyncs)
 	if spec.Chaoses == nil {
 		spec.Chaoses = []ChaosSpec{{}}
 	}
-	spec.Chaoses = dedupeChaoses(spec.Chaoses)
+	spec.Chaoses = dedupeByString(spec.Chaoses)
 	if spec.SketchDims == nil {
 		spec.SketchDims = []int{0}
 	}
@@ -346,6 +346,24 @@ func (spec *Spec) normalize() {
 	if spec.BoxRadius == 0 {
 		spec.BoxRadius = linreg.BoxRadius
 	}
+}
+
+// dedupeByString collapses an axis to its distinct canonical points, keyed by
+// String, preserving first-occurrence order — several default-equivalent
+// entries (synchronous asyncs, no-fault chaoses) or verbatim duplicates must
+// not duplicate grid cells.
+func dedupeByString[T fmt.Stringer](axis []T) []T {
+	seen := make(map[string]bool, len(axis))
+	out := make([]T, 0, len(axis))
+	for _, v := range axis {
+		key := v.String()
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		out = append(out, v)
+	}
+	return out
 }
 
 // resolveProblem returns the spec's workload: ProblemDef when set,

@@ -112,9 +112,8 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	// The second grid runs every registered behavior: sequential collection
-	// has the Byzantine wrappers rewrite arena rows in place, concurrent
-	// collection goes through their allocating face.
+	// The second grid runs every registered behavior: the Byzantine wrappers
+	// rewrite arena rows in place, from one goroutine or from four.
 	allBehaviors := func() Spec {
 		spec := smallSpec()
 		spec.Behaviors = byzantine.Names()
