@@ -550,13 +550,15 @@ func medianWindowSum(col []float64, med float64, beta int) float64 {
 
 // --- geometric median ---
 
-// GeoMedian approximates the geometric median (the point minimizing the sum
-// of Euclidean distances to the gradients) by Weiszfeld iteration. Each
-// iteration's O(n·d) work is batched across the filter worker pool —
-// distances striped over points, the weighted accumulation striped over
-// coordinates — with bitwise-identical results at any worker count.
+// GeoMedian returns the geometric median of the gradients, the point
+// minimizing the sum of Euclidean distances to them: Weiszfeld's iteration
+// with a secant step, an objective safeguard, and an exit that returns a
+// report itself when it is the median (weiszfeldInto). A median that is not
+// unique — collinear reports, even n — yields one minimiser. Each iteration's
+// O(n·d) work is batched across the filter worker pool, bitwise-identically.
 type GeoMedian struct {
-	// Tol is the convergence tolerance; zero means 1e-10.
+	// Tol (zero means 1e-10) bounds the last Weiszfeld step and the secant
+	// estimate of the rest of the way to the median, not the step alone.
 	Tol float64
 	// Workers bounds the per-iteration goroutines: 0 picks GOMAXPROCS for
 	// jobs large enough to amortize the fan-out (sequential otherwise),
@@ -592,11 +594,12 @@ func (g GeoMedian) into(dst []float64, grads [][]float64, n, f int, s *Scratch) 
 
 // GeoMedianOfMeans partitions the gradients into Groups buckets, averages
 // each bucket, and returns the geometric median of the bucket means
-// (Chen, Su, Xu, 2017). Groups must be in [1, n]; robustness requires
-// Groups > 2f.
+// (Chen, Su, Xu, 2017) from GeoMedian's solver: the same stop rule and exit,
+// and one minimiser when the median of the means is not unique. Groups must
+// be in [1, n]; robustness requires Groups > 2f.
 type GeoMedianOfMeans struct {
 	Groups int
-	// Tol is the Weiszfeld tolerance; zero means 1e-10.
+	// Tol is the solver's tolerance; zero means 1e-10. See GeoMedian.Tol.
 	Tol float64
 	// Workers is the Weiszfeld worker pool; see GeoMedian.Workers.
 	Workers int

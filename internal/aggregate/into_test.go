@@ -237,6 +237,9 @@ func refBulyan(grads [][]float64, f int) ([]float64, error) {
 	return out, nil
 }
 
+// refWeiszfeld is the fixed-point loop weiszfeldInto ran until it gained its
+// secant step and its median-at-a-report exit. It is an oracle, not a twin: the
+// solver's result must have an objective no larger than this loop's.
 func refWeiszfeld(points [][]float64, tol float64) ([]float64, error) {
 	if tol <= 0 {
 		tol = 1e-10
@@ -292,7 +295,9 @@ func refGeoMedian(g GeoMedian, grads [][]float64, f int) ([]float64, error) {
 	return refWeiszfeld(grads, g.Tol)
 }
 
-func refGMoM(g GeoMedianOfMeans, grads [][]float64, f int) ([]float64, error) {
+// refGMoMMeans is the point set GeoMedianOfMeans hands its solver: the means of
+// the contiguous buckets.
+func refGMoMMeans(g GeoMedianOfMeans, grads [][]float64, f int) ([][]float64, error) {
 	n, _, err := validate(grads, f)
 	if err != nil {
 		return nil, err
@@ -315,6 +320,14 @@ func refGMoM(g GeoMedianOfMeans, grads [][]float64, f int) ([]float64, error) {
 			return nil, err
 		}
 		means = append(means, m)
+	}
+	return means, nil
+}
+
+func refGMoM(g GeoMedianOfMeans, grads [][]float64, f int) ([]float64, error) {
+	means, err := refGMoMMeans(g, grads, f)
+	if err != nil {
+		return nil, err
 	}
 	return refWeiszfeld(means, g.Tol)
 }
@@ -484,7 +497,12 @@ func fuzzGradients(r *rand.Rand, n, d, mode int) [][]float64 {
 // adversarial draws — every filter's AggregateInto output (through one
 // continuously reused Scratch) and Aggregate output must be bitwise
 // identical to the frozen pre-scratch reference implementation. Error cases
-// must agree on the sentinel too.
+// must agree on the sentinel too. The two geometric-median filters are held to
+// their frozen loop as an oracle instead (refWeiszfeld stops short of the
+// median, see TestWeiszfeldReachesTheMedian): the sum of distances at their
+// result is at most the frozen loop's times 1 + 10⁻¹², and Aggregate
+// (a fresh Scratch) and AggregateInto on the shared warm Scratch agree bit for
+// bit.
 func TestIntoMatchesAggregateAndReference(t *testing.T) {
 	r := rand.New(rand.NewSource(20260726))
 	scratch := &Scratch{} // deliberately shared across every size and filter
@@ -510,6 +528,27 @@ func TestIntoMatchesAggregateAndReference(t *testing.T) {
 							for _, e := range []error{aggErr, intoErr} {
 								if !errors.Is(e, ErrTooManyFaults) && !errors.Is(e, ErrInput) {
 									t.Fatalf("%s n=%d f=%d: unexpected sentinel %v (ref %v)", fl.Name(), n, f, e, refErr)
+								}
+							}
+							continue
+						}
+						var medianOf [][]float64
+						switch v := fl.(type) {
+						case GeoMedian:
+							medianOf = grads
+						case GeoMedianOfMeans:
+							medianOf, _ = refGMoMMeans(v, grads, f)
+						}
+						if medianOf != nil {
+							if ref, obj := sumDist(t, medianOf, want), sumDist(t, medianOf, got); !(obj <= ref*(1+1e-12)) {
+								t.Fatalf("%s n=%d d=%d f=%d mode=%d: sum of distances %v at %v, the frozen loop reaches %v at %v",
+									fl.Name(), n, d, f, mode, obj, got, ref, want)
+							}
+							// Aggregate runs on a fresh Scratch, dst came from the warm one.
+							for j := range got {
+								if math.Float64bits(got[j]) != math.Float64bits(dst[j]) {
+									t.Fatalf("%s n=%d d=%d f=%d mode=%d: Aggregate %v, AggregateInto on the warm Scratch %v",
+										fl.Name(), n, d, f, mode, got, dst)
 								}
 							}
 							continue
