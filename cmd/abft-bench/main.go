@@ -19,10 +19,11 @@
 // PREFIX.csv for the learning figures); summaries always go to stdout.
 //
 // The sweeps here run on the in-process engine; abft-sweep exposes the same
-// grids over every substrate (-backend inprocess, cluster, or p2p), and the
-// `go test -bench` harness at the repo root carries the seq-vs-par and
-// substrate benchmarks (BenchmarkP2PSweep, BenchmarkForEachSubset, ...)
-// whose trajectory CI records as the BENCH artifact.
+// grids over every substrate (-backend inprocess, cluster, or p2p). This
+// command measures nothing: end-to-end speed, per-layer shares and regression
+// bounds come from benchmark/ (BENCHMARK.json, `bash benchmark/run.sh`), and
+// the `go test -bench` files at the repo root and in internal/aggregate hold
+// kernel micro-benchmarks only.
 package main
 
 import (

@@ -21,6 +21,7 @@
 //	abft-sweep -async-latency uniform:0.5:1.5 -async-policy first-k:4,deadline:2 \
 //	    -straggler-rate 0,0.25 -async-stale reuse-last -async-with-sync   # asynchronous round models
 //	abft-sweep -chaos omit:0.2+retry:2:0.1,crash:0.3 -chaos-with-none     # deterministic fault injection
+//	abft-sweep -workers 1 -cpuprofile cpu.prof -memprofile heap.prof      # profiles for go tool pprof
 //
 // -problem accepts any name in the problem registry (see byzopt.Problem /
 // RegisterProblem). Scenario seeds are derived by hashing each scenario's
@@ -93,6 +94,7 @@ import (
 	"byzopt/internal/dgd"
 	"byzopt/internal/linreg"
 	"byzopt/internal/p2p"
+	"byzopt/internal/prof"
 	"byzopt/internal/simtime"
 	"byzopt/internal/sweep"
 )
@@ -106,7 +108,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string, out *os.File) error {
+func run(ctx context.Context, args []string, out *os.File) (err error) {
 	fs := flag.NewFlagSet("abft-sweep", flag.ContinueOnError)
 	var (
 		problem = fs.String("problem", sweep.ProblemSynthetic,
@@ -150,10 +152,22 @@ func run(ctx context.Context, args []string, out *os.File) error {
 
 		chaosPlans = fs.String("chaos", "", "enable the fault-injection axis: comma-separated plans, each '+'-joined terms crash:RATE, omit:RATE, corrupt:RATE, dup:RATE, delay:RATE:EXTRA, retry:ATTEMPTS:BACKOFF (e.g. omit:0.2+retry:2:0.1)")
 		chaosNone  = fs.Bool("chaos-with-none", false, "add the fault-free reference point to the chaos axis")
+
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 	if *merge {
 		return runMerge(fs.Args(), *jsonPath, *timings, *quiet, out)
 	}
@@ -223,7 +237,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	if *behaviors != "all" {
 		spec.Behaviors = splitList(*behaviors)
 	}
-	var err error
 	if spec.FValues, err = parseInts(*fvals); err != nil {
 		return fmt.Errorf("-f: %w", err)
 	}

@@ -424,3 +424,37 @@ func TestRunChaosAxisFlags(t *testing.T) {
 		t.Error("-chaos-with-none without -chaos should error")
 	}
 }
+
+// TestProfileFlagsLeaveTheExportAlone: -cpuprofile and -memprofile write two
+// non-empty profiles and move no byte of the JSON.
+func TestProfileFlagsLeaveTheExportAlone(t *testing.T) {
+	dir := t.TempDir()
+	export := func(name string, extra ...string) []byte {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		args := append([]string{
+			"-filters", "krum,cwtm", "-behaviors", "alie", "-n", "12", "-f", "1,2", "-rounds", "30",
+			"-workers", "1", "-json", path, "-quiet",
+		}, extra...)
+		if err := run(context.Background(), args, os.Stdout); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "heap.prof")
+	if !bytes.Equal(export("plain.json"), export("profiled.json", "-cpuprofile", cpu, "-memprofile", mem)) {
+		t.Error("JSON differs with -cpuprofile/-memprofile set")
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s: %v, want a non-empty file", p, err)
+		}
+	}
+	if err := run(context.Background(), []string{"-cpuprofile", filepath.Join(dir, "missing", "cpu.prof")}, os.Stdout); err == nil {
+		t.Error("an unwritable -cpuprofile should error before the sweep")
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"byzopt/internal/vecmath"
@@ -385,30 +386,124 @@ func krumScores(grads [][]float64, f, workers int, s *Scratch) ([]float64, error
 }
 
 // scoreFromDists fills s.scores with Krum scores from an already-filled
-// n×n distance matrix: per point, the sum of the n-f-2 smallest distances
-// to the others, summed in ascending order. The neighbor-scoring half of
-// krumScores, shared with the sketched filters, which fill the matrix from
-// projected rows instead. Callers must have checked n >= 2f+3.
+// n×n distance matrix (entries in [0, +Inf], never NaN): per point, the sum
+// of the n-f-2 smallest distances to the others. The neighbor-scoring half
+// of krumScores, shared with the sketched filters, which fill the matrix
+// from projected rows instead. Callers must have checked n >= 2f+3.
+//
+// Callers read the order of the scores, ties by index, and that order is
+// always the order of the sums taken ascending (ascendingScore). When
+// 8(f+1) <= n a row is scored without sorting it (selectionScore) and the
+// few rows whose place that leaves in doubt are scored again by the sort
+// (rescoreUncertain); with more faults the selection buffer costs more than
+// the sort, and every row — every row of an n <= 7 grid — is sorted.
 func scoreFromDists(d2 [][]float64, n, f int, s *Scratch) []float64 {
 	k := n - f - 2 // number of closest neighbors scored
 	s.scores = growFloats(s.scores, n)
 	s.row = growFloats(s.row, n)
 	scores := s.scores
-	for i := 0; i < n; i++ {
-		row := s.row[:0]
-		for j := 0; j < n; j++ {
-			if j != i {
-				row = append(row, d2[i][j])
+	if 8*(f+1) > n {
+		for i := range scores {
+			scores[i] = ascendingScore(d2[i], i, k, s)
+		}
+		return scores
+	}
+	for i := range scores {
+		scores[i] = selectionScore(d2[i], i, k, s.row[:f+1])
+	}
+	rescoreUncertain(scores, d2, k, s)
+	return scores
+}
+
+// ascendingScore is the exact Krum score of point i: row i of the distance
+// matrix without its own entry, sorted, the k smallest summed ascending.
+func ascendingScore(di []float64, i, k int, s *Scratch) float64 {
+	row := s.row[:0]
+	for j, v := range di {
+		if j != i {
+			row = append(row, v)
+		}
+	}
+	sortFloats(row, s)
+	var sum float64
+	for _, v := range row[:k] {
+		sum += v
+	}
+	return sum
+}
+
+// selectionScore sums the k terms of ascendingScore in O(n) and in another
+// order: one pass keeps the len(top) = n-1-k largest entries of the row
+// (descending, by insertion) to find the cut tau, the smallest entry dropped;
+// a second adds every entry below tau in index order, then tau once for each
+// tie at the cut that is kept.
+func selectionScore(di []float64, i, k int, top []float64) float64 {
+	for t := range top {
+		top[t] = -1 // below any distance
+	}
+	last := len(top) - 1
+	tau := top[last]
+	halves := [2][]float64{di[:i], di[i+1:]}
+	for _, part := range halves {
+		for _, v := range part {
+			if v > tau {
+				at := last
+				for at > 0 && top[at-1] < v {
+					top[at] = top[at-1]
+					at--
+				}
+				top[at] = v
+				tau = top[last]
 			}
 		}
-		sortFloats(row, s)
-		var sum float64
-		for _, v := range row[:k] {
-			sum += v
-		}
-		scores[i] = sum
 	}
-	return scores
+	var sum float64
+	below := 0
+	for _, part := range halves {
+		for _, v := range part {
+			if v < tau {
+				sum += v
+				below++
+			}
+		}
+	}
+	for ; below < k; below++ {
+		sum += tau
+	}
+	return sum
+}
+
+// rescoreUncertain replaces every selectionScore whose place in the order of
+// the ascending sums is not certain by its ascendingScore, and returns how
+// many it replaced. Sums of the same k non-negative terms in any two orders
+// are each within gamma = (k-1)u/(1-(k-1)u), u = 2^-53, of the real sum, so a
+// score more than 4·gamma (relative to the larger) from both its neighbours
+// in score order compares to any other row's ascending sum as its own
+// ascending sum does; tol is twice that. The rest — near-ties, bit-equal rows
+// such as a coalition's identical reports, a zero, a score of +Inf or beside
+// one (that gap is +Inf or NaN and fails the comparison; a finite score whose
+// terms overflow in another order is within tol of MaxFloat64 and so beside
+// every +Inf) — is summed by the sort, so ties still fall by index between
+// exact scores.
+func rescoreUncertain(scores []float64, d2 [][]float64, k int, s *Scratch) int {
+	n := len(scores)
+	s.col = growFloats(s.col, n)
+	sorted := s.col
+	copy(sorted, scores)
+	sortFloats(sorted, s)
+	tol := float64(n) * 0x1p-50
+	exact := 0
+	for i, v := range scores {
+		p, _ := slices.BinarySearch(sorted, v) // leftmost: sorted[p+1] may equal v
+		if v > 0 && v < math.Inf(1) &&
+			(p == 0 || v-sorted[p-1] > tol*v) &&
+			(p == n-1 || sorted[p+1]-v > tol*sorted[p+1]) {
+			continue
+		}
+		scores[i] = ascendingScore(d2[i], i, k, s)
+		exact++
+	}
+	return exact
 }
 
 // --- Bulyan ---

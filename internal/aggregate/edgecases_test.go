@@ -207,3 +207,34 @@ func TestPairwiseDistSqMatchesNaive(t *testing.T) {
 		}
 	}
 }
+
+// TestPairwiseTiledBitwise: every entry of the matrix, whether the
+// four-column pass or the leftover loop computed it and at any worker count,
+// carries the bits of vecmath.DistSqKernel on that pair, the diagonal +0, and
+// no stale entry of the scratch survives.
+func TestPairwiseTiledBitwise(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for _, n := range []int{1, 2, 5, 6, 7, 100} {
+		for _, d := range []int{1, 3, 4, 50, 1000} {
+			grads := randGrads(r, n, d, 3)
+			for _, workers := range []int{1, 3} {
+				got := new(Scratch).distMatrix(n)
+				for i := range got {
+					for j := range got[i] {
+						got[i][j] = math.NaN()
+					}
+				}
+				pairwiseDistSqInto(got, grads, workers)
+				for i := range got {
+					for j := range got[i] {
+						want := vecmath.DistSqKernel(grads[i], grads[j])
+						if math.Float64bits(got[i][j]) != math.Float64bits(want) {
+							t.Fatalf("n=%d d=%d workers=%d: entry (%d, %d) = %v (%#x), DistSqKernel has %v (%#x)",
+								n, d, workers, i, j, got[i][j], math.Float64bits(got[i][j]), want, math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -94,7 +94,9 @@ func BenchmarkFilterInto(b *testing.B) {
 // sets them) at n in {100, 200}, d = 50, f = 10, AggregateInto on a warm
 // Scratch. The rows that sort — krum, multikrum, krum-sampled, cwtm, sdmmfd,
 // rvo — are the ones a kernel change to sortFloats, bestRanked, selectKth or
-// trimMiddle has to move.
+// trimMiddle has to move. krum also runs at f = n/8 and f = n/2 - 2: f = 10
+// is on the selection side of scoreFromDists' 8(f+1) <= n rule, those two on
+// the sorting side, the first of them just across it.
 func BenchmarkFilterWide(b *testing.B) {
 	const d, f = 50, 10
 	for _, n := range []int{100, 200} {
@@ -112,5 +114,25 @@ func BenchmarkFilterWide(b *testing.B) {
 				benchInto(b, filter.(IntoFilter), tables, f)
 			})
 		}
+		for _, f := range []int{n / 8, n/2 - 2} {
+			b.Run(fmt.Sprintf("krum/n=%d/f=%d", n, f), func(b *testing.B) {
+				benchInto(b, Krum{}, tables, f)
+			})
+		}
+	}
+}
+
+// BenchmarkPairwise is the distance matrix alone, sequential, at the shapes
+// the benchmark's grids reach (n = 6, d = 2 and n = 100 or 200, d = 50) and
+// one long-vector shape, over 64 rotating tables.
+func BenchmarkPairwise(b *testing.B) {
+	for _, c := range []struct{ n, d int }{{6, 2}, {100, 50}, {200, 50}, {50, 1000}} {
+		tables := rotatingTables(rand.New(rand.NewSource(int64(c.n))), c.n, c.d)[:64]
+		d2 := new(Scratch).distMatrix(c.n)
+		b.Run(fmt.Sprintf("n=%d/d=%d", c.n, c.d), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pairwiseDistSqInto(d2, tables[i&63], 1)
+			}
+		})
 	}
 }

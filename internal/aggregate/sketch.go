@@ -135,64 +135,7 @@ func (p *SketchParams) krumScores(grads [][]float64, f int, s *Scratch) ([]float
 	rows := p.project(grads, k, s)
 	d2 := s.distMatrix(n)
 	pairwiseDistSqInto(d2, rows, resolvePairwiseWorkers(p.Workers, n, k))
-	return scoreFromDistsApprox(d2, n, f, s), nil
-}
-
-// scoreFromDistsApprox is the sketch-space neighbor scorer: the sum of the
-// n-f-2 smallest distances per point, computed as the full row sum minus
-// the f+1 largest entries — O(n) per row against the exact scorer's
-// O(n log n) sort, which would otherwise dominate once distances are only
-// k-dimensional. The subtraction associates the sum differently than the
-// exact scorer's ascending-order add, so this scorer is reserved for the
-// approximate filters (whose scores answer to no golden); the identity
-// regime above delegates to the exact scorer before reaching it. Fully
-// deterministic: row sums run in index order, and the dropped maxima are
-// located by value with lowest-index tie-breaks.
-func scoreFromDistsApprox(d2 [][]float64, n, f int, s *Scratch) []float64 {
-	drop := f + 1 // the self-distance (0) plus the f+1 largest are excluded
-	s.scores = growFloats(s.scores, n)
-	s.row = growFloats(s.row, drop)
-	scores := s.scores
-	top := s.row
-	for i := 0; i < n; i++ {
-		di := d2[i]
-		var total float64
-		for j := 0; j < n; j++ {
-			if j != i {
-				total += di[j]
-			}
-		}
-		// Track the drop largest in a tiny insertion buffer, descending;
-		// subtract them largest-first.
-		top = top[:0]
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			v := di[j]
-			if len(top) < drop {
-				at := len(top)
-				top = top[:at+1]
-				for at > 0 && top[at-1] < v {
-					top[at] = top[at-1]
-					at--
-				}
-				top[at] = v
-			} else if v > top[drop-1] {
-				at := drop - 1
-				for at > 0 && top[at-1] < v {
-					top[at] = top[at-1]
-					at--
-				}
-				top[at] = v
-			}
-		}
-		for _, v := range top {
-			total -= v
-		}
-		scores[i] = total
-	}
-	return scores
+	return scoreFromDists(d2, n, f, s), nil
 }
 
 // project fills (and returns) the scratch's sketched-row table with the

@@ -60,6 +60,18 @@ type IntoBehavior interface {
 	ApplyInto(dst []float64, round, agentID int, trueGrad []float64, honest [][]float64) error
 }
 
+// SharedReport marks an IntoBehavior whose colluders all send one vector: with
+// a non-empty honest set in view, ApplyInto writes a report that depends on
+// the behavior's own value, the round and the honest set alone, never on
+// agentID or trueGrad. An engine that holds the honest set may then evaluate
+// one of several agents whose behaviors are equal (==) and copy its report to
+// the others (dgd.Collector does). Without the honest set the promise is void.
+type SharedReport interface {
+	IntoBehavior
+	// SharedReport is the mark; it is never called.
+	SharedReport()
+}
+
 // fresh is every behavior's allocating face: ApplyInto on a new slice.
 func fresh[B IntoBehavior](b B, round, agentID int, trueGrad []float64, honest [][]float64) ([]float64, error) {
 	dst := make([]float64, len(trueGrad))
@@ -290,7 +302,7 @@ type InnerProductManipulation struct {
 
 var (
 	_ Omniscient   = InnerProductManipulation{}
-	_ IntoBehavior = InnerProductManipulation{}
+	_ SharedReport = InnerProductManipulation{}
 )
 
 // Name implements Behavior.
@@ -322,6 +334,9 @@ func (a InnerProductManipulation) ApplyInto(dst []float64, round, agentID int, t
 	return nil
 }
 
+// SharedReport implements SharedReport: minus Epsilon times the honest mean.
+func (InnerProductManipulation) SharedReport() {}
+
 // --- a little is enough (colluding) ---
 
 // ALittleIsEnough is the colluding attack of Baruch et al.: faulty agents
@@ -334,7 +349,7 @@ type ALittleIsEnough struct {
 
 var (
 	_ Omniscient   = ALittleIsEnough{}
-	_ IntoBehavior = ALittleIsEnough{}
+	_ SharedReport = ALittleIsEnough{}
 )
 
 // Name implements Behavior.
@@ -375,6 +390,10 @@ func (a ALittleIsEnough) ApplyInto(dst []float64, round, agentID int, trueGrad [
 	}
 	return nil
 }
+
+// SharedReport implements SharedReport: the honest mean plus Z honest
+// standard deviations, coordinate by coordinate.
+func (ALittleIsEnough) SharedReport() {}
 
 // --- delayed (mixed honest/faulty phases) ---
 

@@ -7,8 +7,10 @@ package dgd
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"byzopt/internal/byzantine"
@@ -67,18 +69,148 @@ func TestCollectorWorkersBitEqual(t *testing.T) {
 			}
 			seq := collectRun(t, build(), 1)
 			par := collectRun(t, build(), 4)
-			if len(seq) != len(par) {
-				t.Fatalf("%s strip=%v: %d vectors at one worker, %d at four", name, strip, len(seq), len(par))
-			}
-			for k := range seq {
-				for j := range seq[k] {
-					if math.Float64bits(seq[k][j]) != math.Float64bits(par[k][j]) {
-						t.Fatalf("%s strip=%v: vector %d coord %d: %v at one worker, %v at four",
-							name, strip, k, j, seq[k][j], par[k][j])
-					}
+			requireSameVectors(t, fmt.Sprintf("%s strip=%v, one worker against four", name, strip), seq, par)
+		}
+	}
+
+	// A coalition that reports once: ten colluders of forty whose behavior is
+	// marked byzantine.SharedReport send, at one worker and at four, what the
+	// same ten send when each computes its own report (the mark hidden).
+	for _, name := range []string{"alie", "ipm"} {
+		build := func(mark bool) Config {
+			cfg := allocConfig(t, 40, 16, 12)
+			cfg.F = 10
+			for i := 3; i < 3+cfg.F; i++ {
+				behavior, err := byzantine.New(name, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !mark {
+					behavior = unmarked{behavior.(byzantine.IntoBehavior)}
+				}
+				if cfg.Agents[i], err = NewFaulty(cfg.Agents[i], behavior); err != nil {
+					t.Fatal(err)
 				}
 			}
+			return cfg
 		}
+		if got := len(NewCollector(build(true).Agents, 16, 1).followers); got != 9 {
+			t.Fatalf("%s: %d of ten equal colluders follow, want 9", name, got)
+		}
+		if got := len(NewCollector(build(false).Agents, 16, 1).followers); got != 0 {
+			t.Fatalf("%s with the mark hidden: %d colluders follow, want none", name, got)
+		}
+		each := collectRun(t, build(false), 1)
+		for _, workers := range []int{1, 4} {
+			requireSameVectors(t, fmt.Sprintf("%s: shared at %d workers against each its own", name, workers),
+				each, collectRun(t, build(true), workers))
+		}
+	}
+}
+
+func requireSameVectors(t *testing.T, what string, want, got [][]float64) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d vectors against %d", what, len(want), len(got))
+	}
+	for k := range want {
+		for j := range want[k] {
+			if math.Float64bits(want[k][j]) != math.Float64bits(got[k][j]) {
+				t.Fatalf("%s: vector %d coord %d: %v against %v", what, k, j, want[k][j], got[k][j])
+			}
+		}
+	}
+}
+
+// unmarked hides a behavior's SharedReport face and nothing else.
+type unmarked struct{ byzantine.IntoBehavior }
+
+// countedALIE is ALIE, mark included, counting its ApplyInto calls.
+type countedALIE struct {
+	byzantine.ALittleIsEnough
+	calls *atomic.Int64
+}
+
+func (c countedALIE) ApplyInto(dst []float64, round, agentID int, trueGrad []float64, honest [][]float64) error {
+	c.calls.Add(1)
+	return c.ALittleIsEnough.ApplyInto(dst, round, agentID, trueGrad, honest)
+}
+
+// sliceALIE is countedALIE holding a slice: a value == cannot compare.
+type sliceALIE struct {
+	countedALIE
+	pad []float64
+}
+
+// TestCoalitionReportsOnce counts ApplyInto calls a round: one per coalition
+// of equal marked behaviors, one per agent when the values differ, cannot be
+// compared, or no honest report is in view.
+func TestCoalitionReportsOnce(t *testing.T) {
+	const n, d, f, rounds = 12, 4, 4, 5
+	for _, tc := range []struct {
+		name     string
+		behavior func(i int, calls *atomic.Int64) byzantine.Behavior
+		honest   bool
+		perRound int64
+	}{
+		{"one coalition", func(_ int, c *atomic.Int64) byzantine.Behavior {
+			return countedALIE{byzantine.ALittleIsEnough{Z: 1.5}, c}
+		}, true, 1},
+		{"two values of Z", func(i int, c *atomic.Int64) byzantine.Behavior {
+			return countedALIE{byzantine.ALittleIsEnough{Z: 1.5 + float64(i%2)}, c}
+		}, true, 2},
+		{"a behavior holding a slice", func(_ int, c *atomic.Int64) byzantine.Behavior {
+			return sliceALIE{countedALIE{byzantine.ALittleIsEnough{Z: 1.5}, c}, []float64{1}}
+		}, true, f},
+		{"no honest agent", func(_ int, c *atomic.Int64) byzantine.Behavior {
+			return countedALIE{byzantine.ALittleIsEnough{Z: 1.5}, c}
+		}, false, f},
+	} {
+		for _, workers := range []int{1, 4} {
+			var calls atomic.Int64
+			agents := allocConfig(t, n, d, rounds).Agents
+			if !tc.honest {
+				agents = agents[:f]
+			}
+			for i := 0; i < f; i++ {
+				var err error
+				if agents[i], err = NewFaulty(agents[i], tc.behavior(i, &calls)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			col := NewCollector(agents, d, workers)
+			x := make([]float64, d)
+			for r := 0; r < rounds; r++ {
+				reports, err := col.Collect(r, x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.perRound == 2 && vecmath.Equal(reports[0], reports[1], 0) {
+					t.Errorf("%s: agents 0 and 1 differ in Z and sent one vector", tc.name)
+				}
+			}
+			if got := calls.Load(); got != tc.perRound*rounds {
+				t.Errorf("%s, %d workers: %d ApplyInto calls in %d rounds, want %d a round",
+					tc.name, workers, got, rounds, tc.perRound)
+			}
+		}
+	}
+
+	// Without a collector nobody holds the honest set (the cluster serves each
+	// agent behind its own connection, through Gradient): every agent reports.
+	var calls atomic.Int64
+	agents := allocConfig(t, n, d, rounds).Agents
+	for i := 0; i < f; i++ {
+		fa, err := NewFaulty(agents[i], countedALIE{byzantine.ALittleIsEnough{Z: 1.5}, &calls})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fa.Gradient(0, make([]float64, d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := calls.Load(); got != f {
+		t.Errorf("Gradient on %d agents made %d ApplyInto calls", f, got)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 
 	"byzopt/internal/aggregate"
@@ -98,7 +99,10 @@ type Faulty interface {
 // agents. The built-in Faulty wrapper has the inner agent write the true
 // gradient into dst and the behavior rewrite it there
 // (byzantine.IntoBehavior), allocating nothing when both have their Into
-// faces, as every built-in agent and behavior does.
+// faces, as every built-in agent and behavior does. When several NewFaulty
+// agents of a run hold equal behaviors marked byzantine.SharedReport, the
+// Collector asks only the lowest-indexed of them and copies its report to the
+// others, whose FaultyGradientInto — and inner agent — it does not call.
 type IntoFaulty interface {
 	Faulty
 	// FaultyGradientInto is FaultyGradient writing into dst.
@@ -196,7 +200,10 @@ type faulty struct {
 
 // NewFaulty builds a Byzantine agent: inner produces the gradient the agent
 // would truthfully send (nil means a zero vector of the estimate's
-// dimension), and behavior distorts it.
+// dimension), and behavior distorts it. Under a Collector that has honest
+// reports to show, agents built with equal byzantine.SharedReport behaviors
+// report once: inner is evaluated for the lowest-indexed of them only, since
+// such a behavior ignores it (see IntoFaulty).
 func NewFaulty(inner Agent, behavior byzantine.Behavior) (Agent, error) {
 	if behavior == nil {
 		return nil, fmt.Errorf("nil behavior: %w", ErrConfig)
@@ -558,7 +565,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 // count and for agents with or without their Into faces.
 type Collector struct {
 	honestIdx []int
-	faultyIdx []int
+	faultyIdx []int        // the Faulty agents that report: all but the followers
+	followers [][2]int     // (agent, leader): the agent's report is a copy of the leader's; see sharedReports
 	into      []IntoAgent  // per honest agent, adapted if the face is absent
 	faulty    []IntoFaulty // per Faulty agent, likewise; nil for an honest one
 	grads     [][]float64  // the arena rows, agent-index order: the filter input
@@ -603,7 +611,52 @@ func NewCollector(agents []Agent, d, workers int) *Collector {
 			c.honest = append(c.honest, c.grads[i])
 		}
 	}
+	c.sharedReports()
 	return c
+}
+
+// sharedReports finds, once per run, the coalitions that report one vector
+// (sharesReport). The lowest index of a coalition stays in faultyIdx and
+// reports for it; the others become its followers, and Collect copies the
+// leader's row into theirs. The mark promises one vector only with honest
+// reports in view, so a run without an honest agent shares nothing.
+func (c *Collector) sharedReports() {
+	if len(c.honest) == 0 {
+		return
+	}
+	reporting := c.faultyIdx[:0]
+next:
+	for k, i := range c.faultyIdx {
+		for _, l := range reporting {
+			if sharesReport(c.faulty[l], c.faulty[i]) {
+				if c.followers == nil {
+					c.followers = make([][2]int, 0, len(c.faultyIdx)-k)
+				}
+				c.followers = append(c.followers, [2]int{i, l})
+				continue next
+			}
+		}
+		reporting = append(reporting, i)
+	}
+	c.faultyIdx = reporting
+}
+
+// sharesReport reports whether a and b are NewFaulty agents whose behaviors
+// carry byzantine.SharedReport and are equal (==). A behavior whose value
+// cannot be compared, one holding a slice for instance, shares with nobody.
+func sharesReport(a, b IntoFaulty) bool {
+	fa, ok := a.(*faulty)
+	if !ok {
+		return false
+	}
+	fb, ok := b.(*faulty)
+	if !ok {
+		return false
+	}
+	if _, marked := fa.into.(byzantine.SharedReport); !marked {
+		return false
+	}
+	return reflect.ValueOf(fa.behavior).Comparable() && fa.behavior == fb.behavior
 }
 
 // Collect queries every agent for round t at estimate x and returns the
@@ -615,6 +668,9 @@ func (c *Collector) Collect(t int, x []float64) ([][]float64, error) {
 	}
 	if err := c.phase(c.faultyIdx, t, x); err != nil {
 		return nil, err
+	}
+	for _, fl := range c.followers {
+		copy(c.grads[fl[0]], c.grads[fl[1]])
 	}
 	return c.grads, nil
 }
