@@ -87,8 +87,8 @@
 // per-message retry) instead of failing the run; results report the
 // absorbed faults as ChaosCounters. SweepSpec.Chaoses sweeps fault plans
 // as a grid axis (ChaosSpec) whose faulted cells export the "degraded"
-// status, and the abft-chaos command soaks filter × fault-rate grids into
-// degradation curves.
+// status; the table abft-sweep prints for such a grid reads as degradation
+// curves (each cell's distance over its fault-free sibling's).
 //
 // # Scenario sweeps
 //

@@ -1,10 +1,11 @@
 // Command abft-bench regenerates the paper's tables and figures, every one
 // of them on the concurrent sweep engine: Table 1 and the full filter ×
 // fault grid are summary sweeps, Figures 2-3 are RecordTrace sweeps over
-// the paper instance plus the fault-free Baseline-axis scenario, and
+// the paper instance plus the fault-free Baseline-axis scenario,
 // Figures 4-5 are learning-problem sweeps (per-round test accuracy rides in
-// the trace). The retired sequential drivers survive only as test-only
-// parity references.
+// the trace), and the Section-5 SVM remark is a sweep of the registered
+// "svm" problem. Table 1 and the figures are Specs and layouts of
+// internal/experiments; the grid, stepsweep and svm Specs are here.
 //
 // Usage:
 //
@@ -15,8 +16,10 @@
 //	abft-bench -exp appj
 //	abft-bench -exp all
 //
-// With -csv PREFIX the full series are written to PREFIX-<fault>.csv (or
-// PREFIX.csv for the learning figures); summaries always go to stdout.
+// With -csv PREFIX the full series are written to PREFIX-<exp>-<fault>.csv
+// (PREFIX-<exp>.csv for the learning figures); summaries always go to stdout.
+// -json PATH exports the grid or stepsweep results; under -exp all, where both
+// export, each writes PATH with -<exp> before the extension.
 //
 // The sweeps here run on the in-process engine; abft-sweep exposes the same
 // grids over every substrate (-backend inprocess, cluster, or p2p). This
@@ -30,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -52,20 +56,29 @@ func run(args []string) error {
 	rounds := fs.Int("rounds", 0, "override iteration count (0 = paper default)")
 	csvPrefix := fs.String("csv", "", "write full series to CSV files with this prefix")
 	workers := fs.Int("workers", 0, "sweep worker pool for grid experiments (0 = GOMAXPROCS)")
-	jsonPath := fs.String("json", "", "write grid results JSON to this file")
+	jsonPath := fs.String("json", "", "write grid/stepsweep results JSON to this file (-exp all: one file per experiment, -<exp> before the extension)")
 	etas := fs.String("etas", "0.005,0.02,0.05", "constant step sizes for the stepsweep experiment")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
+	// jsonFor keeps two exporting experiments of one run from overwriting
+	// each other's file.
+	jsonFor := func(name string) string {
+		if *jsonPath == "" || *exp != "all" {
+			return *jsonPath
+		}
+		ext := filepath.Ext(*jsonPath)
+		return strings.TrimSuffix(*jsonPath, ext) + "-" + name + ext
+	}
 	runOne := func(name string) error {
 		switch name {
 		case "table1":
 			return runTable1(*rounds, *workers)
 		case "grid":
-			return runGrid(*rounds, *workers, *jsonPath)
+			return runGrid(*rounds, *workers, jsonFor(name))
 		case "stepsweep":
-			return runStepSweep(*rounds, *workers, *jsonPath, *etas)
+			return runStepSweep(*rounds, *workers, jsonFor(name), *etas)
 		case "fig2":
 			r := *rounds
 			if r == 0 {
@@ -103,11 +116,9 @@ func run(args []string) error {
 }
 
 // runTable1 regenerates Table 1 — CGE and CWTM against the paper's two
-// faults on the Appendix-J instance — as a 4-scenario sweep. The behavior
-// seed is pinned to the harness's fixed "random" stream so the output
-// matches experiments.Table1 row for row.
+// faults on the Appendix-J instance — as a 4-scenario sweep.
 func runTable1(rounds, workers int) error {
-	rows, err := table1Rows(rounds, workers)
+	rows, err := experiments.Table1Rows(rounds, workers)
 	if err != nil {
 		return err
 	}
@@ -118,37 +129,6 @@ func runTable1(rounds, workers int) error {
 	}
 	fmt.Printf("(instance epsilon = %.4f; paper reports every distance below it)\n", inst.Epsilon)
 	return nil
-}
-
-// table1Rows produces the Table-1 rows via the sweep engine; at the
-// paper's rounds the output matches experiments.Table1 row for row (a
-// parity the command's tests pin).
-func table1Rows(rounds, workers int) ([]experiments.Table1Row, error) {
-	results, err := sweep.Run(sweep.Spec{
-		Problem:         sweep.ProblemPaper,
-		Filters:         []string{"cge", "cwtm"},
-		Behaviors:       []string{"gradient-reverse", "random"},
-		Rounds:          rounds,
-		Seed:            experiments.RandomFaultSeed,
-		PinBehaviorSeed: true,
-		Workers:         workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]experiments.Table1Row, 0, len(results))
-	for _, r := range results {
-		if r.Status() != "ok" {
-			return nil, fmt.Errorf("scenario %s: %s", r.Key(), r.Err)
-		}
-		rows = append(rows, experiments.Table1Row{
-			Filter: r.Filter,
-			Fault:  r.Behavior,
-			XOut:   r.FinalX,
-			Dist:   r.FinalDist,
-		})
-	}
-	return rows, nil
 }
 
 // runGrid sweeps every registered filter against every registered behavior
@@ -164,6 +144,12 @@ func runGrid(rounds, workers int, jsonPath string) error {
 	if err != nil {
 		return err
 	}
+	return printGrid(results, jsonPath)
+}
+
+// printGrid prints a summary sweep's table and status line and, with a path,
+// exports it.
+func printGrid(results []sweep.Result, jsonPath string) error {
 	fmt.Print(sweep.FormatTable(results))
 	fmt.Println(sweep.Summarize(results))
 	if jsonPath != "" {
@@ -207,15 +193,7 @@ func runStepSweep(rounds, workers int, jsonPath, etas string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(sweep.FormatTable(results))
-	fmt.Println(sweep.Summarize(results))
-	if jsonPath != "" {
-		if err := sweep.WriteJSONFile(jsonPath, results, false); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-	return nil
+	return printGrid(results, jsonPath)
 }
 
 // parseEtas turns the -etas list into constant step schedules.
@@ -239,8 +217,7 @@ func parseEtas(etas string) ([]dgd.StepSchedule, error) {
 }
 
 // runFigure produces Figures 2-3 via the two sweep Specs of
-// experiments.FigureSpecs (grid panel + Baseline-axis fault-free run),
-// parity-pinned to the retired sequential driver by the experiments tests.
+// experiments.FigureSpecs (grid panel + Baseline-axis fault-free run).
 func runFigure(name string, rounds, workers int, csvPrefix string) error {
 	figs, inst, err := experiments.RegressionFigure(rounds, workers)
 	if err != nil {
@@ -264,29 +241,20 @@ func runFigure(name string, rounds, workers int, csvPrefix string) error {
 }
 
 func runLearn(name string, rounds int, csvPrefix string) error {
-	cfg := experiments.LearnConfig{Rounds: rounds}
-	var (
-		series []experiments.LearnSeries
-		err    error
-	)
-	if name == "fig4" {
-		series, err = experiments.Figure4(cfg)
-	} else {
-		series, err = experiments.Figure5(cfg)
+	figure, dataset := experiments.Figure4, "A (MNIST stand-in)"
+	if name == "fig5" {
+		figure, dataset = experiments.Figure5, "B (Fashion-MNIST stand-in)"
 	}
+	fd, err := figure(experiments.LearnConfig{Rounds: rounds})
 	if err != nil {
 		return err
 	}
-	dataset := "A (MNIST stand-in)"
-	if name == "fig5" {
-		dataset = "B (Fashion-MNIST stand-in)"
-	}
 	fmt.Printf("%s: D-SGD on synthetic dataset %s, n=10, f=3\n", name, dataset)
-	fmt.Print(experiments.SummarizeLearn(series))
+	fmt.Print(experiments.SummarizeFigure(fd))
 	if csvPrefix != "" {
 		path := fmt.Sprintf("%s-%s.csv", csvPrefix, name)
 		if err := writeCSV(path, func(f *os.File) error {
-			return experiments.WriteLearnCSV(f, series)
+			return experiments.WriteFigureCSV(f, fd)
 		}); err != nil {
 			return err
 		}
@@ -295,15 +263,45 @@ func runLearn(name string, rounds int, csvPrefix string) error {
 	return nil
 }
 
+// runSVM prints the Section-5 SVM remark (sweep.ProblemSVM) at n = 10, f = 3:
+// the filters keep training on track under flipped labels and reversed
+// gradients while plain averaging against the scaled reversal collapses.
 func runSVM(rounds int) error {
-	results, err := experiments.SVM(rounds)
+	if rounds == 0 {
+		rounds = 300
+	}
+	results, err := sweep.Run(sweep.Spec{
+		Problem:   sweep.ProblemSVM,
+		Filters:   []string{"mean", "cge-avg", "cwtm"},
+		Behaviors: []string{sweep.BehaviorScaledReverse, sweep.BehaviorLabelFlip, "gradient-reverse"},
+		FValues:   []int{3},
+		NValues:   []int{10},
+		Dims:      []int{10},
+		Baselines: []bool{false, true},
+		Steps:     []dgd.StepSchedule{dgd.Constant{Eta: 0.1}},
+		Rounds:    rounds,
+	})
 	if err != nil {
 		return err
 	}
 	fmt.Println("distributed SVM (hinge loss), n=10, f=3")
 	fmt.Printf("%-12s %10s %10s\n", "variant", "loss", "accuracy")
-	for _, r := range results {
-		fmt.Printf("%-12s %10.4f %9.1f%%\n", r.Name, r.Loss, 100*r.Accuracy)
+	for _, v := range []struct{ name, filter, behavior string }{
+		{"fault-free", "mean", sweep.BehaviorNone}, // the Baseline cell: the faulty three omitted
+		{"mean-attack", "mean", sweep.BehaviorScaledReverse},
+		{"cge-lf", "cge-avg", sweep.BehaviorLabelFlip},
+		{"cwtm-lf", "cwtm", sweep.BehaviorLabelFlip},
+		{"cge-gr", "cge-avg", "gradient-reverse"},
+		{"cwtm-gr", "cwtm", "gradient-reverse"},
+	} {
+		for _, r := range results {
+			if r.Filter == v.filter && r.Behavior == v.behavior {
+				if r.Status() != "ok" {
+					return fmt.Errorf("scenario %s: %s", r.Key(), r.Err)
+				}
+				fmt.Printf("%-12s %10.4f %9.1f%%\n", v.name, r.LossFinal, 100*r.MetricFinal)
+			}
+		}
 	}
 	return nil
 }

@@ -1,12 +1,11 @@
 package main
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"byzopt/internal/experiments"
+	"byzopt/internal/sweep"
 )
 
 func TestRunUnknownExperiment(t *testing.T) {
@@ -39,37 +38,6 @@ func TestRunTable1ViaSweep(t *testing.T) {
 	}
 }
 
-// TestTable1SweepMatchesExperiments pins the parity between the
-// sweep-driven Table 1 and the original experiments driver: the published
-// table must not drift when sweep internals (seeding, defaults) change.
-func TestTable1SweepMatchesExperiments(t *testing.T) {
-	got, err := table1Rows(0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := experiments.Table1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("row count %d vs %d", len(got), len(want))
-	}
-	const tol = 1e-9
-	for i := range want {
-		if got[i].Filter != want[i].Filter || got[i].Fault != want[i].Fault {
-			t.Fatalf("row %d is %s/%s, want %s/%s", i, got[i].Filter, got[i].Fault, want[i].Filter, want[i].Fault)
-		}
-		if math.Abs(got[i].Dist-want[i].Dist) > tol {
-			t.Errorf("%s/%s: dist %v vs experiments %v", got[i].Filter, got[i].Fault, got[i].Dist, want[i].Dist)
-		}
-		for k := range want[i].XOut {
-			if math.Abs(got[i].XOut[k]-want[i].XOut[k]) > tol {
-				t.Errorf("%s/%s: x_out[%d] %v vs experiments %v", got[i].Filter, got[i].Fault, k, got[i].XOut[k], want[i].XOut[k])
-			}
-		}
-	}
-}
-
 func TestRunGridWritesJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grid.json")
 	if err := run([]string{"-exp", "grid", "-rounds", "20", "-workers", "4", "-json", path}); err != nil {
@@ -93,5 +61,33 @@ func TestRunAppendixJ(t *testing.T) {
 func TestRunSVMSmall(t *testing.T) {
 	if err := run([]string{"-exp", "svm", "-rounds", "20"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunSVMDefaultRounds: without -rounds the SVM experiment takes its 300.
+func TestRunSVMDefaultRounds(t *testing.T) {
+	if err := run([]string{"-exp", "svm"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunAllKeepsBothExports: grid and stepsweep both export under -exp all,
+// each to its own file; one path for both used to leave only the second.
+func TestRunAllKeepsBothExports(t *testing.T) {
+	dir := t.TempDir()
+	if err := run([]string{"-exp", "all", "-rounds", "5", "-json", filepath.Join(dir, "out.json")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, exp := range []string{"grid", "stepsweep"} {
+		results, err := sweep.ReadJSONFile(filepath.Join(dir, "out-"+exp+".json"))
+		if err != nil {
+			t.Fatalf("%s export: %v", exp, err)
+		}
+		if len(results) == 0 {
+			t.Errorf("%s export is empty", exp)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "out.json")); err == nil {
+		t.Error("-exp all also wrote the unsuffixed path")
 	}
 }

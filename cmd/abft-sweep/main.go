@@ -8,6 +8,7 @@
 //	abft-sweep                                        # full registry grid, paper-sized synthetic instance
 //	abft-sweep -problem paper -filters cge,cwtm       # the paper's Section-5 corner
 //	abft-sweep -problem learning -n 10 -d 20 -f 3     # Appendix-K learning workload
+//	abft-sweep -problem svm -n 10 -d 10 -f 3 -steps 0.1 -baseline  # Section-5 SVM remark, on any -backend
 //	abft-sweep -f 1,2 -n 12,24 -d 2,10 -rounds 200    # a 4-axis grid
 //	abft-sweep -baseline -f 1                         # add the fault-free omit-an-agent baseline axis
 //	abft-sweep -workers 8 -json results.json          # 8-way pool + deterministic JSON export
@@ -66,7 +67,9 @@
 // per-run fault counters in the JSON. Every injection is hash-derived from
 // the cell's seed, so chaos grids keep full byte-determinism at any -workers
 // value and over a -coordinator fleet. -chaos-with-none prepends the
-// fault-free reference point to the axis.
+// fault-free reference point to the axis; the printed table then reads as a
+// soak: a CHAOS column, COST_X (distance over the fault-free sibling's) and
+// the per-run FAULTS tally.
 //
 // -coordinator serves the grid over TCP to any number of -worker processes
 // instead of computing it locally: workers lease cell batches, stream

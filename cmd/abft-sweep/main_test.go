@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"byzopt/internal/sweep"
 )
 
 func TestRunSmallGridWritesDeterministicJSON(t *testing.T) {
@@ -409,6 +411,48 @@ func TestRunChaosAxisFlags(t *testing.T) {
 	}
 	if degraded == 0 {
 		t.Error("no cell degraded; the chaos axis injected nothing")
+	}
+
+	// The omission soak of the retired chaos-soak binary (-filters cge,cwtm
+	// -rounds 50 -rates 0.1,0.2), as the flags that replace it: its six
+	// distances and three tallies, bit for bit.
+	soakPath := filepath.Join(dir, "soak.json")
+	if err := run(ctx, []string{
+		"-filters", "cge,cwtm", "-behaviors", "gradient-reverse", "-rounds", "50",
+		"-chaos", "omit:0.1,omit:0.2", "-chaos-with-none", "-json", soakPath, "-quiet",
+	}, os.Stdout); err != nil {
+		t.Fatal(err)
+	}
+	soak, err := sweep.ReadJSONFile(soakPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSoak := []struct {
+		filter, chaos, status string
+		dist                  float64
+		omitted               int
+	}{
+		{"cge", "", "ok", 0.11455489400577831, 0},
+		{"cge", "omit:0.1", "degraded", 0.11991393892599785, 42},
+		{"cge", "omit:0.2", "degraded", 0.19473577195513347, 52},
+		{"cwtm", "", "ok", 0.37136061622475164, 0},
+		{"cwtm", "omit:0.1", "degraded", 0.34533151796794154, 22},
+		{"cwtm", "omit:0.2", "skipped", 0, 0},
+	}
+	if len(soak) != len(wantSoak) {
+		t.Fatalf("soak grid has %d cells, want %d", len(soak), len(wantSoak))
+	}
+	for i, want := range wantSoak {
+		got := soak[i]
+		omitted := 0
+		if got.Faults != nil {
+			omitted = got.Faults.Omitted
+		}
+		if got.Filter != want.filter || got.Chaos != want.chaos || got.Status() != want.status ||
+			got.FinalDist != want.dist || omitted != want.omitted {
+			t.Errorf("soak cell %d: %s/%q %s dist %v omitted %d, want %+v",
+				i, got.Filter, got.Chaos, got.Status(), got.FinalDist, omitted, want)
+		}
 	}
 
 	if err := run(ctx, []string{"-chaos", "omit:0.2:9"}, os.Stdout); err == nil {

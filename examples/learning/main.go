@@ -2,7 +2,7 @@
 // reproducing the shape of Appendix K (Figures 4-5).
 //
 // Ten agents share a synthetic 10-class dataset (the offline stand-in for
-// MNIST; see DESIGN.md section 4). Three of them are Byzantine: their data
+// MNIST; see package mlsim's comment). Three of them are Byzantine: their data
 // is label-flipped (y -> 9-y) or their gradients reversed. D-SGD with the
 // CGE or CWTM filter tracks the fault-free run, while plain averaging is
 // wrecked by the same faults.

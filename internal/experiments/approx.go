@@ -12,6 +12,13 @@ import (
 	"byzopt/internal/vecmath"
 )
 
+// This is the one file of the package that calls dgd.Run on agents it builds
+// itself rather than handing a Spec to the sweep engine. Its agreementShadow
+// drives two filters down one trajectory — the exact filter steps, the
+// approximate one is scored on the identical reports — which no sweep cell
+// expresses (a cell has one filter), and cmd/abft-approx's committed golden
+// (testdata/approx_default.json) pins the bytes of this loop.
+
 // ApproxConfig parameterizes the exact-vs-approximate filter comparison.
 // The zero value selects the headline configuration: n = 50 agents, d =
 // 1000 dimensions, f = 5 gradient-reverse adversaries, 60 rounds, sketch

@@ -1,13 +1,75 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"strings"
 	"testing"
+
+	"byzopt/internal/linreg"
+	"byzopt/internal/sweep"
 )
 
+// TestTable1MatchesGolden byte-compares the Table-1 sweep at the paper's 500
+// rounds against testdata/table1.json. The file was generated at the last
+// commit that still had the sequential Table1 driver, where
+// TestTable1SweepMatchesExperiments proved the sweep and that driver agree;
+// regenerate it (sweep.WriteJSON of sweep.Run(Table1Spec(0, 1)), timings off)
+// only in a commit that declares the published table moved.
+func TestTable1MatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/table1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		results, err := sweep.Run(Table1Spec(0, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := sweep.WriteJSON(&got, results, false); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("Workers=%d: Table-1 export differs from testdata/table1.json:\n%s", workers, got.Bytes())
+		}
+	}
+}
+
+// TestCGEWithinTheorem5BoundOnPaperCells checks the Theorem 3/5 guarantee
+// lim ||x_t - x_H|| <= D epsilon on the two CGE cells of Table 1.
+func TestCGEWithinTheorem5BoundOnPaperCells(t *testing.T) {
+	rep, err := AppendixJ()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := sweep.Run(Table1Spec(400, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, r := range results {
+		if r.Filter != "cge" {
+			continue
+		}
+		checked++
+		if r.Status() != "ok" || r.FinalDist > rep.Theorem5ErrorBound {
+			t.Errorf("%s: status %s, distance %v exceeds the Theorem-5 bound %v",
+				r.Key(), r.Status(), r.FinalDist, rep.Theorem5ErrorBound)
+		}
+	}
+	if checked != 2 {
+		t.Errorf("checked %d cge cells, want 2", checked)
+	}
+}
+
 func TestTable1ShapeMatchesPaper(t *testing.T) {
-	rows, inst, err := Table1()
+	rows, err := Table1Rows(0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := linreg.Paper()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +117,12 @@ func TestFigure2Shape(t *testing.T) {
 		}
 		byName := map[string]Series{}
 		for _, s := range fd.Series {
-			if len(s.Loss) != 301 || len(s.Dist) != 301 {
-				t.Fatalf("series %s has %d/%d points", s.Name, len(s.Loss), len(s.Dist))
+			if len(s.Loss) != 301 || len(s.Metric) != 301 {
+				t.Fatalf("series %s has %d/%d points", s.Name, len(s.Loss), len(s.Metric))
 			}
 			byName[s.Name] = s
 		}
-		end := func(name string) float64 { return byName[name].Dist[300] }
+		end := func(name string) float64 { return byName[name].Metric[300] }
 		// Filtered runs behave like fault-free; plain GD does not.
 		if end("cge") > 0.05 || end("cwtm") > 0.05 {
 			t.Errorf("fault %s: filtered distances %v, %v too large", fd.Fault, end("cge"), end("cwtm"))
@@ -118,32 +180,19 @@ func TestAppendixJReport(t *testing.T) {
 	}
 }
 
-func TestTheorem3BoundCheck(t *testing.T) {
-	final, bound, err := Theorem3BoundCheck("gradient-reverse", 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final > bound {
-		t.Errorf("empirical distance %v exceeds theoretical bound %v", final, bound)
-	}
-	if _, _, err := Theorem3BoundCheck("gradient-reverse", 0); !errors.Is(err, ErrArgs) {
-		t.Errorf("rounds 0: %v", err)
-	}
-}
-
 func TestLearnFigureShapes(t *testing.T) {
-	series, err := Figure4(LearnConfig{Rounds: 60, AccuracyEvery: 20})
+	fig, err := Figure4(LearnConfig{Rounds: 60, AccuracyEvery: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 5 {
-		t.Fatalf("%d series, want 5", len(series))
+	if len(fig.Series) != 5 || !fig.Accuracy {
+		t.Fatalf("%d series (accuracy %v), want 5 accuracy series", len(fig.Series), fig.Accuracy)
 	}
 	names := map[string]bool{}
-	for _, s := range series {
+	for _, s := range fig.Series {
 		names[s.Name] = true
-		if len(s.Loss) != 61 || len(s.Accuracy) != 61 {
-			t.Fatalf("series %s has %d/%d points", s.Name, len(s.Loss), len(s.Accuracy))
+		if len(s.Loss) != 61 || len(s.Metric) != 61 {
+			t.Fatalf("series %s has %d/%d points", s.Name, len(s.Loss), len(s.Metric))
 		}
 		// Loss must decrease from the zero-parameter baseline log(10).
 		if s.Loss[len(s.Loss)-1] >= s.Loss[0] {
@@ -166,13 +215,13 @@ func TestLearnFigureShapes(t *testing.T) {
 func TestLearnFilteredTracksFaultFree(t *testing.T) {
 	// The Appendix-K claim at modest scale: filtered runs approach the
 	// fault-free accuracy while the faults are active.
-	series, err := Figure4(LearnConfig{Rounds: 150, AccuracyEvery: 50})
+	fig, err := Figure4(LearnConfig{Rounds: 150, AccuracyEvery: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	acc := map[string]float64{}
-	for _, s := range series {
-		acc[s.Name] = s.Accuracy[len(s.Accuracy)-1]
+	for _, s := range fig.Series {
+		acc[s.Name] = s.Metric[len(s.Metric)-1]
 	}
 	if acc["fault-free"] < 0.6 {
 		t.Fatalf("fault-free accuracy %v too low for the test to be meaningful", acc["fault-free"])
@@ -192,7 +241,7 @@ func TestRenderers(t *testing.T) {
 	fd := FigureData{
 		Fault: "random",
 		Series: []Series{
-			{Name: "cge", Loss: []float64{1, 0.5}, Dist: []float64{1, 0.2}},
+			{Name: "cge", Loss: []float64{1, 0.5}, Metric: []float64{1, 0.2}},
 		},
 	}
 	var sb strings.Builder
@@ -203,18 +252,39 @@ func TestRenderers(t *testing.T) {
 	if !strings.HasPrefix(csv, "t,cge_loss,cge_dist") || !strings.Contains(csv, "\n1,") {
 		t.Errorf("figure csv:\n%s", csv)
 	}
-	if s := SummarizeFigure(fd); !strings.Contains(s, "cge") {
+	if s := SummarizeFigure(fd); !strings.HasPrefix(s, "fault = random\n") || !strings.Contains(s, "dist[end]") {
 		t.Errorf("figure summary:\n%s", s)
 	}
-	ls := []LearnSeries{{Name: "cge-lf", Loss: []float64{2, 1}, Accuracy: []float64{0.1, 0.9}}}
+	learn := FigureData{
+		Accuracy: true,
+		Series:   []Series{{Name: "cge-lf", Loss: []float64{2, 1}, Metric: []float64{0.1, 0.9}}},
+	}
 	sb.Reset()
-	if err := WriteLearnCSV(&sb, ls); err != nil {
+	if err := WriteFigureCSV(&sb, learn); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(sb.String(), "t,cge-lf_loss,cge-lf_acc") {
+	if sb.String() != "t,cge-lf_loss,cge-lf_acc\n0,2.000000e+00,0.1000\n1,1.000000e+00,0.9000\n" {
 		t.Errorf("learn csv:\n%s", sb.String())
 	}
-	if s := SummarizeLearn(ls); !strings.Contains(s, "90.0%") {
+	if s := SummarizeFigure(learn); !strings.HasPrefix(s, "series ") || !strings.Contains(s, "90.0%") {
 		t.Errorf("learn summary:\n%s", s)
+	}
+}
+
+func TestLearnFigureMLPVariant(t *testing.T) {
+	fig, err := Figure4(LearnConfig{Rounds: 60, AccuracyEvery: 30, UseMLP: true, Hidden: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig.Series) != 5 {
+		t.Fatalf("%d series", len(fig.Series))
+	}
+	for _, s := range fig.Series {
+		if len(s.Loss) != 61 {
+			t.Fatalf("series %s has %d points", s.Name, len(s.Loss))
+		}
+		if s.Loss[len(s.Loss)-1] >= s.Loss[0] {
+			t.Errorf("MLP series %s loss did not decrease: %v -> %v", s.Name, s.Loss[0], s.Loss[len(s.Loss)-1])
+		}
 	}
 }

@@ -7,30 +7,37 @@ import (
 	"byzopt/internal/sweep"
 )
 
-// This file produces the regression figures (Figures 2-3) on the sweep
-// engine. The sequential Figure2/Figure3 drivers are gone: the filter panel
-// is one RecordTrace sweep over the paper instance, and the fault-free
-// curve — "the faulty agent is omitted" — is a second one-scenario sweep on
-// the Baseline grid axis. FigureSpecs builds the two Specs,
-// BuildFigureData reassembles their results into the paper's series layout.
+// This file produces the regression figures (Figures 2-3): the filter panel
+// is one RecordTrace sweep over the paper instance, and the fault-free curve
+// — "the faulty agent is omitted" — is a second one-scenario sweep on the
+// Baseline grid axis. FigureSpecs builds the two Specs, BuildFigureData
+// reassembles their results into the paper's series layout.
 
-// Series is one labeled pair of loss/distance curves.
+// Series is one labeled pair of per-round curves, aligned at t = 0..T.
 type Series struct {
-	// Name identifies the algorithm variant (fault-free, cwtm, cge, plain-gd).
+	// Name identifies the algorithm variant (fault-free, cwtm, cge, plain-gd
+	// in Figures 2-3; fault-free, cwtm-lf, cwtm-gr, cge-lf, cge-gr in
+	// Figures 4-5, lf = label-flip, gr = gradient-reverse).
 	Name string
-	// Loss[t] is the honest aggregate cost at x_t.
+	// Loss[t] is the honest aggregate cost at x_t (the cross-entropy on the
+	// clean training set in Figures 4-5).
 	Loss []float64
-	// Dist[t] is ||x_t - x_H||.
-	Dist []float64
+	// Metric[t] is the figure's second curve at x_t: a distance or an
+	// accuracy, as FigureData.Accuracy says.
+	Metric []float64
 }
 
-// FigureData is the full content of one column of Figure 2/3: all series
-// under one fault type.
+// FigureData is one panel: one column of Figure 2/3 (all series under one
+// fault type) or the whole of Figure 4/5.
 type FigureData struct {
-	// Fault is the Byzantine behavior applied to agent 0.
+	// Fault is the Byzantine behavior applied to agent 0 in Figures 2-3;
+	// empty in Figures 4-5, where each series names its own fault.
 	Fault string
-	// Series holds the four curves in paper order: fault-free, cwtm, cge,
-	// plain-gd.
+	// Accuracy says what Series[i].Metric holds: the test-set accuracy as a
+	// fraction in [0, 1] (Figures 4-5) when set, ||x_t - x_H|| (Figures 2-3)
+	// otherwise.
+	Accuracy bool
+	// Series holds the curves in paper order.
 	Series []Series
 }
 
@@ -90,7 +97,7 @@ func BuildFigureData(grid, baseline []sweep.Result) ([]FigureData, error) {
 	if faultFree == nil {
 		return nil, fmt.Errorf("no baseline scenario in results: %w", ErrArgs)
 	}
-	// The legacy series names map onto filter registry names.
+	// The paper's series names map onto filter registry names.
 	variants := []struct{ name, filter string }{
 		{"cwtm", "cwtm"},
 		{"cge", "cge"},
@@ -100,16 +107,16 @@ func BuildFigureData(grid, baseline []sweep.Result) ([]FigureData, error) {
 	for _, fault := range FaultNames {
 		fd := FigureData{Fault: fault}
 		fd.Series = append(fd.Series, Series{
-			Name: "fault-free",
-			Loss: faultFree.TraceLoss,
-			Dist: faultFree.TraceDist,
+			Name:   "fault-free",
+			Loss:   faultFree.TraceLoss,
+			Metric: faultFree.TraceDist,
 		})
 		for _, v := range variants {
 			r, ok := bySeries[[2]string{fault, v.filter}]
 			if !ok {
 				return nil, fmt.Errorf("sweep produced no scenario for %s/%s: %w", fault, v.filter, ErrArgs)
 			}
-			fd.Series = append(fd.Series, Series{Name: v.name, Loss: r.TraceLoss, Dist: r.TraceDist})
+			fd.Series = append(fd.Series, Series{Name: v.name, Loss: r.TraceLoss, Metric: r.TraceDist})
 		}
 		out = append(out, fd)
 	}

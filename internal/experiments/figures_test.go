@@ -13,6 +13,25 @@ import (
 	"byzopt/internal/vecmath"
 )
 
+// regressionAgents builds the Appendix-J agents with agent 0 exhibiting the
+// given fault, as the retired sequential drivers did.
+func regressionAgents(inst *linreg.Instance, fault string) ([]dgd.Agent, error) {
+	costs, err := inst.Costs()
+	if err != nil {
+		return nil, err
+	}
+	agents, err := dgd.HonestAgents(costs)
+	if err != nil {
+		return nil, err
+	}
+	behavior, err := byzantine.New(fault, RandomFaultSeed)
+	if err != nil {
+		return nil, err
+	}
+	agents[linreg.FaultyAgent], err = dgd.NewFaulty(agents[linreg.FaultyAgent], behavior)
+	return agents, err
+}
+
 // legacyRegressionFigure is a verbatim copy of the retired sequential
 // Figure2 driver, kept test-only as the parity reference: the sweep-driven
 // RegressionFigure must reproduce it point for point, including the
@@ -77,7 +96,7 @@ func legacyRegressionFigure(t *testing.T, rounds int) []FigureData {
 			if err != nil {
 				t.Fatalf("legacy figure2 %s/%s: %v", v.name, fault, err)
 			}
-			fd.Series = append(fd.Series, Series{Name: v.name, Loss: res.Trace.Loss, Dist: res.Trace.Dist})
+			fd.Series = append(fd.Series, Series{Name: v.name, Loss: res.Trace.Loss, Metric: res.Trace.Dist})
 		}
 		out = append(out, fd)
 	}
@@ -111,14 +130,14 @@ func TestRegressionFigureMatchesLegacyDriver(t *testing.T) {
 			if g.Name != w.Name {
 				t.Fatalf("%s series %d named %s, want %s", want[c].Fault, si, g.Name, w.Name)
 			}
-			if len(g.Loss) != len(w.Loss) || len(g.Dist) != len(w.Dist) {
+			if len(g.Loss) != len(w.Loss) || len(g.Metric) != len(w.Metric) {
 				t.Fatalf("%s/%s: series lengths %d/%d vs legacy %d/%d",
-					want[c].Fault, w.Name, len(g.Loss), len(g.Dist), len(w.Loss), len(w.Dist))
+					want[c].Fault, w.Name, len(g.Loss), len(g.Metric), len(w.Loss), len(w.Metric))
 			}
 			for i := range w.Loss {
-				if math.Abs(g.Loss[i]-w.Loss[i]) > tol || math.Abs(g.Dist[i]-w.Dist[i]) > tol {
+				if math.Abs(g.Loss[i]-w.Loss[i]) > tol || math.Abs(g.Metric[i]-w.Metric[i]) > tol {
 					t.Fatalf("%s/%s diverges from the legacy driver at t=%d: loss %v vs %v, dist %v vs %v",
-						want[c].Fault, w.Name, i, g.Loss[i], w.Loss[i], g.Dist[i], w.Dist[i])
+						want[c].Fault, w.Name, i, g.Loss[i], w.Loss[i], g.Metric[i], w.Metric[i])
 				}
 			}
 		}
@@ -128,7 +147,7 @@ func TestRegressionFigureMatchesLegacyDriver(t *testing.T) {
 // legacyLearnFigure is a verbatim copy of the retired sequential Appendix-K
 // driver (softmax path), the parity reference for the sweep-driven
 // Figure 4/5.
-func legacyLearnFigure(t *testing.T, gen mlsim.GenConfig, rounds, accEvery int) []LearnSeries {
+func legacyLearnFigure(t *testing.T, gen mlsim.GenConfig, rounds, accEvery int) []Series {
 	t.Helper()
 	train, test, err := mlsim.Generate(gen)
 	if err != nil {
@@ -178,9 +197,9 @@ func legacyLearnFigure(t *testing.T, gen mlsim.GenConfig, rounds, accEvery int) 
 		{"cge-lf", aggregate.CGE{Averaged: true}, "lf", LearnFaults},
 		{"cge-gr", aggregate.CGE{Averaged: true}, "gr", LearnFaults},
 	}
-	var out []LearnSeries
+	var out []Series
 	for _, v := range variants {
-		series := LearnSeries{Name: v.name}
+		series := Series{Name: v.name}
 		lastAcc := 0.0
 		_, err := dgd.Run(dgd.Config{
 			Agents: buildAgents(v.fault),
@@ -197,7 +216,7 @@ func legacyLearnFigure(t *testing.T, gen mlsim.GenConfig, rounds, accEvery int) 
 					}
 					lastAcc = acc
 				}
-				series.Accuracy = append(series.Accuracy, lastAcc)
+				series.Metric = append(series.Metric, lastAcc)
 				loss, err := model.Loss(x, train)
 				if err != nil {
 					return err
@@ -221,10 +240,11 @@ func legacyLearnFigure(t *testing.T, gen mlsim.GenConfig, rounds, accEvery int) 
 // any drift here means the port changed the published figures.
 func TestLearnFigureMatchesLegacyDriver(t *testing.T) {
 	const rounds, accEvery = 30, 10
-	got, err := Figure4(LearnConfig{Rounds: rounds, AccuracyEvery: accEvery})
+	fig, err := Figure4(LearnConfig{Rounds: rounds, AccuracyEvery: accEvery})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := fig.Series
 	want := legacyLearnFigure(t, mlsim.PresetA(learnSeed), rounds, accEvery)
 	if len(got) != len(want) {
 		t.Fatalf("%d series, want %d", len(got), len(want))
@@ -234,13 +254,13 @@ func TestLearnFigureMatchesLegacyDriver(t *testing.T) {
 		if g.Name != w.Name {
 			t.Fatalf("series %d named %s, want %s", si, g.Name, w.Name)
 		}
-		if len(g.Loss) != len(w.Loss) || len(g.Accuracy) != len(w.Accuracy) {
-			t.Fatalf("%s: lengths %d/%d vs legacy %d/%d", w.Name, len(g.Loss), len(g.Accuracy), len(w.Loss), len(w.Accuracy))
+		if len(g.Loss) != len(w.Loss) || len(g.Metric) != len(w.Metric) {
+			t.Fatalf("%s: lengths %d/%d vs legacy %d/%d", w.Name, len(g.Loss), len(g.Metric), len(w.Loss), len(w.Metric))
 		}
 		for i := range w.Loss {
-			if g.Loss[i] != w.Loss[i] || g.Accuracy[i] != w.Accuracy[i] {
+			if g.Loss[i] != w.Loss[i] || g.Metric[i] != w.Metric[i] {
 				t.Fatalf("%s diverges from the legacy driver at t=%d: loss %v vs %v, acc %v vs %v",
-					w.Name, i, g.Loss[i], w.Loss[i], g.Accuracy[i], w.Accuracy[i])
+					w.Name, i, g.Loss[i], w.Loss[i], g.Metric[i], w.Metric[i])
 			}
 		}
 	}

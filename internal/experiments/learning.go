@@ -26,18 +26,6 @@ const (
 	learnSeed = 7
 )
 
-// LearnSeries is one curve pair of Figures 4-5.
-type LearnSeries struct {
-	// Name identifies the variant: fault-free, cwtm-lf, cwtm-gr, cge-lf,
-	// cge-gr (lf = label-flip, gr = gradient-reverse).
-	Name string
-	// Loss[t] is the cross-entropy of the current parameters on the clean
-	// training set.
-	Loss []float64
-	// Accuracy[t] is the test-set accuracy (fraction in [0, 1]).
-	Accuracy []float64
-}
-
 // LearnConfig tunes the Figure 4/5 drivers; zero values take the paper's
 // settings (with the dataset sizes of the presets).
 type LearnConfig struct {
@@ -54,14 +42,14 @@ type LearnConfig struct {
 	Hidden int
 }
 
-// Figure4 reproduces Figure 4 on dataset A (the MNIST stand-in; see
-// DESIGN.md section 4 for the substitution argument).
-func Figure4(cfg LearnConfig) ([]LearnSeries, error) {
+// Figure4 reproduces Figure 4 on dataset A (the MNIST stand-in; package
+// mlsim's comment carries the substitution argument).
+func Figure4(cfg LearnConfig) (FigureData, error) {
 	return learnFigure("a", cfg)
 }
 
 // Figure5 reproduces Figure 5 on dataset B (the Fashion-MNIST stand-in).
-func Figure5(cfg LearnConfig) ([]LearnSeries, error) {
+func Figure5(cfg LearnConfig) (FigureData, error) {
 	return learnFigure("b", cfg)
 }
 
@@ -118,54 +106,39 @@ func LearnSpecs(preset string, cfg LearnConfig) (grid, baseline sweep.Spec, err 
 }
 
 // learnFigure runs the five Appendix-K variants on one dataset as two
-// sweeps and reassembles the legacy series layout; the per-round values
-// reproduce the pre-refactor sequential driver exactly (a parity the tests
-// pin).
-func learnFigure(preset string, cfg LearnConfig) ([]LearnSeries, error) {
+// sweeps and lays the series out in the paper's order.
+func learnFigure(preset string, cfg LearnConfig) (FigureData, error) {
+	fd := FigureData{Accuracy: true}
 	gridSpec, baselineSpec, err := LearnSpecs(preset, cfg)
 	if err != nil {
-		return nil, err
+		return fd, err
 	}
 	grid, err := sweep.Run(gridSpec)
 	if err != nil {
-		return nil, err
+		return fd, err
 	}
 	baseline, err := sweep.Run(baselineSpec)
 	if err != nil {
-		return nil, err
-	}
-	series := func(r sweep.Result, name string) (LearnSeries, error) {
-		if r.Status() != "ok" {
-			return LearnSeries{}, fmt.Errorf("scenario %s: %s: %w", r.Key(), r.Err, ErrArgs)
-		}
-		return LearnSeries{Name: name, Loss: r.TraceLoss, Accuracy: r.TraceMetric}, nil
+		return fd, err
 	}
 	if len(baseline) != 1 {
-		return nil, fmt.Errorf("baseline sweep produced %d scenarios, want 1: %w", len(baseline), ErrArgs)
+		return fd, fmt.Errorf("baseline sweep produced %d scenarios, want 1: %w", len(baseline), ErrArgs)
 	}
-	out := make([]LearnSeries, 0, 5)
-	ff, err := series(baseline[0], "fault-free")
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, ff)
 	shortFault := map[string]string{sweep.BehaviorLabelFlip: "lf", "gradient-reverse": "gr"}
 	shortFilter := map[string]string{"cwtm": "cwtm", "cge-avg": "cge"}
-	want := []string{"cwtm-lf", "cwtm-gr", "cge-lf", "cge-gr"}
-	byName := map[string]LearnSeries{}
+	byName := map[string]sweep.Result{"fault-free": baseline[0]}
 	for _, r := range grid {
-		s, err := series(r, shortFilter[r.Filter]+"-"+shortFault[r.Behavior])
-		if err != nil {
-			return nil, err
-		}
-		byName[s.Name] = s
+		byName[shortFilter[r.Filter]+"-"+shortFault[r.Behavior]] = r
 	}
-	for _, name := range want {
-		s, ok := byName[name]
+	for _, name := range []string{"fault-free", "cwtm-lf", "cwtm-gr", "cge-lf", "cge-gr"} {
+		r, ok := byName[name]
 		if !ok {
-			return nil, fmt.Errorf("grid sweep produced no %s series: %w", name, ErrArgs)
+			return fd, fmt.Errorf("sweep produced no %s series: %w", name, ErrArgs)
 		}
-		out = append(out, s)
+		if r.Status() != "ok" {
+			return fd, fmt.Errorf("scenario %s: %s: %w", r.Key(), r.Err, ErrArgs)
+		}
+		fd.Series = append(fd.Series, Series{Name: name, Loss: r.TraceLoss, Metric: r.TraceMetric})
 	}
-	return out, nil
+	return fd, nil
 }

@@ -1,18 +1,21 @@
-// Package experiments contains one driver per table and figure of the
-// paper's evaluation (Section 5 and Appendices J-K), each emitting the same
-// rows or series the paper reports, plus renderers for text tables and CSV.
+// Package experiments holds the paper's evaluation (Section 5 and Appendices
+// J-K) as sweep Specs plus the renderers that lay their results out as the
+// paper's tables and figures. Every table and figure below except
+// ApproxComparison is a grid the sweep engine (internal/sweep) executes, on
+// any of its substrates; nothing else here runs the algorithm.
 //
-// Experiment index (see DESIGN.md for the full mapping):
+// Experiment index:
 //
-//	Table1           — regression outputs x_out and dist(x_H, x_out)
-//	RegressionFigure — Figure 2/3 loss and distance series via sweep Specs
+//	Table1Rows       — regression outputs x_out and dist(x_H, x_out)
+//	RegressionFigure — Figure 2/3 loss and distance series
 //	Figure4          — learning loss/accuracy on dataset A (MNIST stand-in)
 //	Figure5          — learning loss/accuracy on dataset B (Fashion stand-in)
 //	AppendixJ        — the instance constants ε, x_H, µ, γ and theorem bounds
+//	ApproxComparison — exact vs sketched filters (the one driver with a round
+//	                   loop of its own; see approx.go for why)
 //
-// The table and figure experiments all execute on the sweep engine
-// (internal/sweep); this package builds the Specs and reassembles results
-// into the paper's layouts.
+// The Section-5 SVM remark is the registered sweep problem "svm" and the
+// chaos soak is abft-sweep's -chaos axis; abft-bench renders the former.
 package experiments
 
 import (
@@ -20,11 +23,9 @@ import (
 	"fmt"
 	"math"
 
-	"byzopt/internal/aggregate"
-	"byzopt/internal/byzantine"
 	"byzopt/internal/core"
-	"byzopt/internal/dgd"
 	"byzopt/internal/linreg"
+	"byzopt/internal/sweep"
 )
 
 // ErrArgs is returned (wrapped) for invalid experiment parameters.
@@ -50,77 +51,36 @@ type Table1Row struct {
 	Dist float64
 }
 
-// regressionAgents builds the Appendix-J agents with agent 0 exhibiting the
-// given fault (empty fault name leaves everyone honest).
-func regressionAgents(inst *linreg.Instance, fault string) ([]dgd.Agent, error) {
-	costs, err := inst.Costs()
-	if err != nil {
-		return nil, err
+// Table1Spec is Table 1 as a sweep: CGE and CWTM against the two Section-5
+// faults on the Appendix-J instance, the behavior stream pinned to the
+// harness's fixed "random" execution. rounds 0 takes the paper's 500.
+func Table1Spec(rounds, workers int) sweep.Spec {
+	return sweep.Spec{
+		Problem:         sweep.ProblemPaper,
+		Filters:         []string{"cge", "cwtm"},
+		Behaviors:       FaultNames,
+		Rounds:          rounds,
+		Seed:            RandomFaultSeed,
+		PinBehaviorSeed: true,
+		Workers:         workers,
 	}
-	agents, err := dgd.HonestAgents(costs)
-	if err != nil {
-		return nil, err
-	}
-	if fault == "" {
-		return agents, nil
-	}
-	behavior, err := byzantine.New(fault, RandomFaultSeed)
-	if err != nil {
-		return nil, err
-	}
-	fa, err := dgd.NewFaulty(agents[linreg.FaultyAgent], behavior)
-	if err != nil {
-		return nil, err
-	}
-	agents[linreg.FaultyAgent] = fa
-	return agents, nil
 }
 
-// Table1 reproduces Table 1: x_out = x_500 and dist(x_H, x_out) for the CGE
-// and CWTM filters against the gradient-reverse and random faults.
-func Table1() ([]Table1Row, *linreg.Instance, error) {
-	inst, err := linreg.Paper()
+// Table1Rows runs Table1Spec and lays the four cells out as the paper's rows:
+// x_out = x_500 and dist(x_H, x_out) per filter and fault.
+func Table1Rows(rounds, workers int) ([]Table1Row, error) {
+	results, err := sweep.Run(Table1Spec(rounds, workers))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	honestSum, err := inst.HonestSum()
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []Table1Row
-	for _, filterName := range []string{"cge", "cwtm"} {
-		filter, err := aggregate.New(filterName)
-		if err != nil {
-			return nil, nil, err
+	rows := make([]Table1Row, 0, len(results))
+	for _, r := range results {
+		if r.Status() != "ok" {
+			return nil, fmt.Errorf("scenario %s: %s: %w", r.Key(), r.Err, ErrArgs)
 		}
-		for _, fault := range FaultNames {
-			agents, err := regressionAgents(inst, fault)
-			if err != nil {
-				return nil, nil, err
-			}
-			res, err := dgd.Run(dgd.Config{
-				Agents:    agents,
-				F:         linreg.F,
-				Filter:    filter,
-				Steps:     dgd.Diminishing{C: linreg.StepC, P: 1},
-				Box:       inst.Box,
-				X0:        inst.X0,
-				Rounds:    linreg.Rounds,
-				TrackLoss: honestSum,
-				Reference: inst.XH,
-			})
-			if err != nil {
-				return nil, nil, fmt.Errorf("table1 %s/%s: %w", filterName, fault, err)
-			}
-			rows = append(rows, Table1Row{
-				Filter: filterName,
-				Fault:  fault,
-				XOut:   res.X,
-				Dist:   res.Trace.Dist[len(res.Trace.Dist)-1],
-			})
-		}
+		rows = append(rows, Table1Row{Filter: r.Filter, Fault: r.Behavior, XOut: r.FinalX, Dist: r.FinalDist})
 	}
-	return rows, inst, nil
+	return rows, nil
 }
 
 // AppendixJReport collects the derived constants of Appendix J alongside
@@ -133,7 +93,8 @@ type AppendixJReport struct {
 	// Mu and Gamma are the Assumption 2/3 coefficients.
 	Mu, Gamma float64
 	// Theorem4Applicable records whether the Theorem-4 margin alpha is
-	// positive on this instance (it is not; see EXPERIMENTS.md).
+	// positive on this instance (it is not: alpha <= 0 there, and Theorem 5
+	// covers it).
 	Theorem4Applicable bool
 	// Theorem5 is the CGE resilience bound from Theorem 5.
 	Theorem5 *core.CGEBound
@@ -203,41 +164,4 @@ func AppendixJ() (*AppendixJReport, error) {
 	}
 	rep.ExhaustiveResilience = resil.MaxDistance
 	return rep, nil
-}
-
-// Theorem3BoundCheck runs the CGE filter on the paper instance under a
-// fault and verifies the Theorem 3/5 asymptotic guarantee
-// lim ||x_t - x_H|| <= D epsilon empirically. It returns the final distance
-// and the bound; callers assert finalDist <= bound.
-func Theorem3BoundCheck(fault string, rounds int) (finalDist, bound float64, err error) {
-	if rounds < 1 {
-		return 0, 0, fmt.Errorf("rounds = %d: %w", rounds, ErrArgs)
-	}
-	inst, err := linreg.Paper()
-	if err != nil {
-		return 0, 0, err
-	}
-	agents, err := regressionAgents(inst, fault)
-	if err != nil {
-		return 0, 0, err
-	}
-	res, err := dgd.Run(dgd.Config{
-		Agents:    agents,
-		F:         linreg.F,
-		Filter:    aggregate.CGE{},
-		Steps:     dgd.Diminishing{C: linreg.StepC, P: 1},
-		Box:       inst.Box,
-		X0:        inst.X0,
-		Rounds:    rounds,
-		Reference: inst.XH,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	b5, err := core.CGEResilienceTheorem5(linreg.N, linreg.F, inst.Mu, inst.Gamma)
-	if err != nil {
-		return 0, 0, err
-	}
-	final := res.Trace.Dist[len(res.Trace.Dist)-1]
-	return final, b5.D * inst.Epsilon, nil
 }

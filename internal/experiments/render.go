@@ -23,12 +23,29 @@ func FormatTable1(rows []Table1Row) string {
 	return b.String()
 }
 
-// WriteFigureCSV emits one figure column as CSV: a header row then one row
-// per iteration with loss and distance columns per series.
+// metricFormat is what differs between rendering a distance curve and an
+// accuracy curve: the column name, the CSV cell verb, and the summary's cell
+// verb, column width and scale (accuracy prints as a percentage).
+type metricFormat struct {
+	name, csv, cell string
+	width           int
+	scale           float64
+}
+
+func (fd FigureData) metricFormat() metricFormat {
+	if fd.Accuracy {
+		return metricFormat{name: "acc", csv: "%.4f", cell: " %9.1f%%", width: 10, scale: 100}
+	}
+	return metricFormat{name: "dist", csv: "%.6e", cell: " %14.4e", width: 14, scale: 1}
+}
+
+// WriteFigureCSV emits one figure panel as CSV: a header row then one row
+// per iteration with a loss and a metric column per series.
 func WriteFigureCSV(w io.Writer, fd FigureData) error {
+	m := fd.metricFormat()
 	header := []string{"t"}
 	for _, s := range fd.Series {
-		header = append(header, s.Name+"_loss", s.Name+"_dist")
+		header = append(header, s.Name+"_loss", s.Name+"_"+m.name)
 	}
 	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
 		return err
@@ -40,32 +57,7 @@ func WriteFigureCSV(w io.Writer, fd FigureData) error {
 	for t := 0; t < n; t++ {
 		row := []string{fmt.Sprintf("%d", t)}
 		for _, s := range fd.Series {
-			row = append(row, fmt.Sprintf("%.6e", s.Loss[t]), fmt.Sprintf("%.6e", s.Dist[t]))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteLearnCSV emits Figure 4/5 series as CSV.
-func WriteLearnCSV(w io.Writer, series []LearnSeries) error {
-	header := []string{"t"}
-	for _, s := range series {
-		header = append(header, s.Name+"_loss", s.Name+"_acc")
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
-		return err
-	}
-	if len(series) == 0 {
-		return nil
-	}
-	n := len(series[0].Loss)
-	for t := 0; t < n; t++ {
-		row := []string{fmt.Sprintf("%d", t)}
-		for _, s := range series {
-			row = append(row, fmt.Sprintf("%.6e", s.Loss[t]), fmt.Sprintf("%.4f", s.Accuracy[t]))
+			row = append(row, fmt.Sprintf("%.6e", s.Loss[t]), fmt.Sprintf(m.csv, s.Metric[t]))
 		}
 		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
 			return err
@@ -78,30 +70,19 @@ func WriteLearnCSV(w io.Writer, series []LearnSeries) error {
 // "shape" a reader compares against the paper's plots without parsing the
 // full CSV.
 func SummarizeFigure(fd FigureData) string {
+	m := fd.metricFormat()
 	var b strings.Builder
-	fmt.Fprintf(&b, "fault = %s\n", fd.Fault)
-	fmt.Fprintf(&b, "%-12s %14s %14s %14s %14s\n", "series", "loss[0]", "loss[end]", "dist[0]", "dist[end]")
+	if fd.Fault != "" {
+		fmt.Fprintf(&b, "fault = %s\n", fd.Fault)
+	}
+	fmt.Fprintf(&b, "%-12s %14s %14s %*s %*s\n", "series", "loss[0]", "loss[end]",
+		m.width, m.name+"[0]", m.width, m.name+"[end]")
 	for _, s := range fd.Series {
 		if len(s.Loss) == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "%-12s %14.4e %14.4e %14.4e %14.4e\n",
-			s.Name, s.Loss[0], s.Loss[len(s.Loss)-1], s.Dist[0], s.Dist[len(s.Dist)-1])
-	}
-	return b.String()
-}
-
-// SummarizeLearn renders the endpoint metrics of Figure 4/5 series.
-func SummarizeLearn(series []LearnSeries) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %14s %14s %10s %10s\n", "series", "loss[0]", "loss[end]", "acc[0]", "acc[end]")
-	for _, s := range series {
-		if len(s.Loss) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%-12s %14.4e %14.4e %9.1f%% %9.1f%%\n",
-			s.Name, s.Loss[0], s.Loss[len(s.Loss)-1],
-			100*s.Accuracy[0], 100*s.Accuracy[len(s.Accuracy)-1])
+		fmt.Fprintf(&b, "%-12s %14.4e %14.4e"+m.cell+m.cell+"\n", s.Name, s.Loss[0], s.Loss[len(s.Loss)-1],
+			m.scale*s.Metric[0], m.scale*s.Metric[len(s.Metric)-1])
 	}
 	return b.String()
 }
@@ -120,11 +101,4 @@ func FormatAppendixJ(rep *AppendixJReport) string {
 	fmt.Fprintf(&b, "  Exhaustive (Thm 2): x = (%.4f, %.4f), r_S = %.4f (<= eps), worst honest-subset dist = %.4f (<= 2 eps)\n",
 		rep.ExhaustiveX[0], rep.ExhaustiveX[1], rep.ExhaustiveScore, rep.ExhaustiveResilience)
 	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -10,7 +10,7 @@
 // The substitution preserves what the experiment measures: per-agent data
 // shards, minibatch D-SGD through the same gradient filters, label-flip
 // faults (y -> 9 - y) producing systematically wrong gradients, and a
-// difficulty ordering between the two datasets. See DESIGN.md section 4.
+// difficulty ordering between the two datasets.
 package mlsim
 
 import (
@@ -181,62 +181,4 @@ func FlipLabels(ds *Dataset) {
 	for i, y := range ds.Labels {
 		ds.Labels[i] = ds.Classes - 1 - y
 	}
-}
-
-// ShardSkewed splits a dataset into n shards with tunable heterogeneity:
-// with probability skew a point is routed to the shard that "owns" its
-// class (class c belongs to shard c mod n), otherwise to a uniformly random
-// shard. skew = 0 reproduces i.i.d. sharding; skew = 1 gives each agent an
-// almost single-class view — the data-correlation regime Appendix K notes
-// degrades fault-tolerant learning. Deterministic for a given seed.
-func ShardSkewed(ds *Dataset, n int, skew float64, seed int64) ([]*Dataset, error) {
-	if ds == nil || ds.Len() == 0 {
-		return nil, fmt.Errorf("empty dataset: %w", ErrArgs)
-	}
-	if n < 1 || n > ds.Len() {
-		return nil, fmt.Errorf("%d shards of %d points: %w", n, ds.Len(), ErrArgs)
-	}
-	if skew < 0 || skew > 1 {
-		return nil, fmt.Errorf("skew %v out of [0, 1]: %w", skew, ErrArgs)
-	}
-	r := rand.New(rand.NewSource(seed))
-	buckets := make([][]int, n) // point indices per shard
-	for i := 0; i < ds.Len(); i++ {
-		var target int
-		if r.Float64() < skew {
-			target = ds.Labels[i] % n
-		} else {
-			target = r.Intn(n)
-		}
-		buckets[target] = append(buckets[target], i)
-	}
-	// No shard may be empty: steal from the largest.
-	for tries := 0; tries < n; tries++ {
-		smallest, largest := 0, 0
-		for b := range buckets {
-			if len(buckets[b]) < len(buckets[smallest]) {
-				smallest = b
-			}
-			if len(buckets[b]) > len(buckets[largest]) {
-				largest = b
-			}
-		}
-		if len(buckets[smallest]) > 0 {
-			break
-		}
-		steal := buckets[largest][len(buckets[largest])-1]
-		buckets[largest] = buckets[largest][:len(buckets[largest])-1]
-		buckets[smallest] = append(buckets[smallest], steal)
-	}
-	out := make([]*Dataset, n)
-	for b, idx := range buckets {
-		points := make([][]float64, len(idx))
-		labels := make([]int, len(idx))
-		for i, j := range idx {
-			points[i] = ds.Points[j]
-			labels[i] = ds.Labels[j]
-		}
-		out[b] = &Dataset{Points: points, Labels: labels, Classes: ds.Classes, Dim: ds.Dim}
-	}
-	return out, nil
 }

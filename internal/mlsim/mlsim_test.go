@@ -348,65 +348,3 @@ func TestShardCostAndLossFunction(t *testing.T) {
 		t.Error("LossFunction and ShardCost disagree")
 	}
 }
-
-func TestShardSkewed(t *testing.T) {
-	train, _ := genSmall(t, 20)
-	// skew 0: roughly balanced shards covering all points exactly once.
-	shards, err := ShardSkewed(train, 4, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, s := range shards {
-		total += s.Len()
-		if s.Len() == 0 {
-			t.Error("empty shard at skew 0")
-		}
-	}
-	if total != train.Len() {
-		t.Errorf("skew-0 shards cover %d of %d", total, train.Len())
-	}
-	// skew 1: each shard is dominated by the classes it owns (class c ->
-	// shard c mod n; with 4 classes and 4 shards, exactly one class each).
-	pure, err := ShardSkewed(train, 4, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b, s := range pure {
-		for _, y := range s.Labels {
-			if y%4 != b {
-				t.Errorf("shard %d holds label %d at skew 1", b, y)
-			}
-		}
-	}
-	// Determinism.
-	again, err := ShardSkewed(train, 4, 0.5, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again2, err := ShardSkewed(train, 4, 0.5, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := range again {
-		if again[b].Len() != again2[b].Len() {
-			t.Error("skewed sharding not deterministic")
-		}
-	}
-}
-
-func TestShardSkewedValidation(t *testing.T) {
-	train, _ := genSmall(t, 21)
-	if _, err := ShardSkewed(nil, 2, 0, 1); !errors.Is(err, ErrArgs) {
-		t.Errorf("nil dataset: %v", err)
-	}
-	if _, err := ShardSkewed(train, 0, 0, 1); !errors.Is(err, ErrArgs) {
-		t.Errorf("zero shards: %v", err)
-	}
-	if _, err := ShardSkewed(train, 2, -0.1, 1); !errors.Is(err, ErrArgs) {
-		t.Errorf("negative skew: %v", err)
-	}
-	if _, err := ShardSkewed(train, 2, 1.1, 1); !errors.Is(err, ErrArgs) {
-		t.Errorf("skew > 1: %v", err)
-	}
-}

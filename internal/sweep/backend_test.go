@@ -181,8 +181,8 @@ func TestBackendP2PEquivocationAxis(t *testing.T) {
 // TestBackendParityPerProblemKind extends the cross-substrate guarantee to
 // every problem family the registry ships: for each kind, a grid mixing
 // fault-free baseline cells with non-omniscient Byzantine cells (including
-// the learning problems' data-level label-flip fault and the index-aware
-// "random" stream) must export byte-identical JSON in-process and over the
+// the learning and svm problems' own faults and the index-aware "random"
+// stream) must export byte-identical JSON in-process and over the
 // cluster/transport stack.
 func TestBackendParityPerProblemKind(t *testing.T) {
 	specs := map[string]Spec{
@@ -218,6 +218,7 @@ func TestBackendParityPerProblemKind(t *testing.T) {
 			Rounds:    40,
 			Baselines: []bool{false, true},
 		},
+		ProblemSVM: svmSpec(20),
 	}
 	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -156,19 +157,60 @@ func MergeJSONFiles(paths ...string) ([]Result, error) {
 }
 
 // FormatTable renders the results as an aligned text table, one scenario
-// per row, with skipped/diverged/error rows showing their status instead
-// of metrics. An ASYNC column appears only when the grid carries the async
-// axis, so purely synchronous tables are unchanged.
+// per row. Cells that finished ("ok", and "degraded": completed while riding
+// out injected faults) show their numbers; skipped/diverged/timeout/error
+// rows show their status and reason instead. The ASYNC, CHAOS and SKETCH
+// columns appear only when some result carries that axis, so the table of a
+// grid without it is unchanged. A chaos grid also gets COST_X — final_dist
+// over the final_dist of the cell that differs only in running fault-free,
+// "-" when that cell is absent or did not finish — and a trailing per-run
+// FAULTS tally.
 func FormatTable(results []Result) string {
-	asyncCol := false
-	for i := range results {
-		if results[i].Async != "" {
-			asyncCol = true
-			break
+	type axisCol struct {
+		header, zero string
+		width        int // 0: as wide as the longest cell
+		cell         func(*Result) string
+	}
+	axes := []axisCol{
+		{"ASYNC", "sync", 38, func(r *Result) string { return r.Async }},
+		{"CHAOS", "none", 0, func(r *Result) string { return r.Chaos }},
+		{"SKETCH", "-", 6, func(r *Result) string {
+			if r.SketchDim == 0 {
+				return ""
+			}
+			return strconv.Itoa(r.SketchDim)
+		}},
+	}
+	var shown []axisCol
+	for _, ax := range axes {
+		present, longest := false, len(ax.header)
+		for i := range results {
+			if cell := ax.cell(&results[i]); cell != "" {
+				present = true
+				longest = max(longest, len(cell))
+			}
+		}
+		if ax.width == 0 {
+			ax.width = longest
+		}
+		if present {
+			shown = append(shown, ax)
 		}
 	}
-	// Trace-metric columns appear only when some result carries the metric
-	// (the same conditional-column rule as ASYNC), sorted for stability.
+	finished := func(r *Result) bool { return r.Status() == "ok" || r.Status() == "degraded" }
+	// faultFree indexes the finished cells without injected faults, the
+	// references COST_X divides by.
+	chaosCol := false
+	faultFree := map[Scenario]*Result{}
+	for i := range results {
+		if r := &results[i]; r.Chaos != "" {
+			chaosCol = true
+		} else if finished(r) {
+			faultFree[r.Scenario] = r
+		}
+	}
+	// Trace-metric columns follow the same conditional rule, sorted for
+	// stability.
 	var metricCols []string
 	seenMetric := map[string]bool{}
 	for i := range results {
@@ -180,50 +222,74 @@ func FormatTable(results []Result) string {
 		}
 	}
 	sort.Strings(metricCols)
-	metricCells := func(r *Result) string {
-		var m strings.Builder
-		for _, name := range metricCols {
-			if v, ok := r.TraceMetrics[name]; ok {
-				fmt.Fprintf(&m, " %18.6g", v)
-			} else {
-				fmt.Fprintf(&m, " %18s", "-")
-			}
-		}
-		return m.String()
-	}
-	var metricHeader strings.Builder
-	for _, name := range metricCols {
-		fmt.Fprintf(&metricHeader, " %18s", strings.ToUpper(name))
-	}
+
 	var b strings.Builder
-	writeRow := func(async string, rest string) {
-		if asyncCol {
-			if async == "" {
-				async = "sync"
-			}
-			fmt.Fprintf(&b, "%-38s %s", async, rest)
-		} else {
-			b.WriteString(rest)
-		}
+	for _, ax := range shown {
+		fmt.Fprintf(&b, "%-*s ", ax.width, ax.header)
 	}
-	writeRow("ASYNC", fmt.Sprintf("%-14s %-18s %3s %4s %5s %-20s %10s %12s%s %9s %s\n",
-		"FILTER", "BEHAVIOR", "F", "N", "D", "STEP", "DIST", "LOSS", metricHeader.String(), "WALL_MS", "STATUS"))
+	fmt.Fprintf(&b, "%-14s %-18s %3s %4s %5s %-20s %10s %12s", "FILTER", "BEHAVIOR", "F", "N", "D", "STEP", "DIST", "LOSS")
+	if chaosCol {
+		fmt.Fprintf(&b, " %8s", "COST_X")
+	}
+	for _, name := range metricCols {
+		fmt.Fprintf(&b, " %18s", strings.ToUpper(name))
+	}
+	if chaosCol {
+		fmt.Fprintf(&b, " %9s %-8s %s", "WALL_MS", "STATUS", "FAULTS")
+	} else {
+		fmt.Fprintf(&b, " %9s %s", "WALL_MS", "STATUS")
+	}
+	b.WriteByte('\n')
 	for i := range results {
 		r := &results[i]
+		for _, ax := range shown {
+			cell := ax.cell(r)
+			if cell == "" {
+				cell = ax.zero
+			}
+			fmt.Fprintf(&b, "%-*s ", ax.width, cell)
+		}
 		behavior := r.Behavior
 		if r.Baseline {
 			behavior = "(baseline)"
 		}
-		status := r.Status()
-		if status == "ok" {
-			writeRow(r.Async, fmt.Sprintf("%-14s %-18s %3d %4d %5d %-20s %10.4f %12.4f%s %9.1f %s\n",
-				r.Filter, behavior, r.F, r.N, r.Dim, r.Step,
-				r.FinalDist, r.LossFinal, metricCells(r), r.WallMS, status))
-			continue
+		fmt.Fprintf(&b, "%-14s %-18s %3d %4d %5d %-20s", r.Filter, behavior, r.F, r.N, r.Dim, r.Step)
+		if finished(r) {
+			fmt.Fprintf(&b, " %10.4f %12.4f", r.FinalDist, r.LossFinal)
+		} else {
+			fmt.Fprintf(&b, " %10s %12s", "-", "-")
 		}
-		writeRow(r.Async, fmt.Sprintf("%-14s %-18s %3d %4d %5d %-20s %10s %12s%s %9.1f %s (%s)\n",
-			r.Filter, behavior, r.F, r.N, r.Dim, r.Step,
-			"-", "-", metricCells(r), r.WallMS, status, r.Err))
+		if chaosCol {
+			ref := r.Scenario
+			ref.Chaos = ""
+			if base := faultFree[ref]; base != nil && base.FinalDist > 0 && finished(r) {
+				fmt.Fprintf(&b, " %8.3f", r.FinalDist/base.FinalDist)
+			} else {
+				fmt.Fprintf(&b, " %8s", "-")
+			}
+		}
+		for _, name := range metricCols {
+			if v, ok := r.TraceMetrics[name]; ok {
+				fmt.Fprintf(&b, " %18.6g", v)
+			} else {
+				fmt.Fprintf(&b, " %18s", "-")
+			}
+		}
+		status := r.Status()
+		if !finished(r) {
+			status += " (" + r.Err + ")"
+		}
+		if chaosCol {
+			faults := "-"
+			if f := r.Faults; f != nil {
+				faults = fmt.Sprintf("crash=%d omit=%d corrupt=%d dup=%d delay=%d retry=%d lost=%d",
+					f.Crashed, f.Omitted, f.Corrupted, f.Duplicated, f.Delayed, f.Retried, f.LostRounds)
+			}
+			// Padded to "degraded", the longest status a tally can follow.
+			status = fmt.Sprintf("%-8s %s", status, faults)
+		}
+		fmt.Fprintf(&b, " %9.1f %s", r.WallMS, status)
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -159,6 +159,7 @@ func init() {
 	mustRegister(sensingProblem{})
 	mustRegister(robustMeanProblem{})
 	mustRegister(&banknoteProblem{})
+	mustRegister(svmProblem{})
 }
 
 // BehaviorDeclarer is the optional Problem extension for workloads with

@@ -19,7 +19,7 @@ func TestProblemNamesCoverBuiltins(t *testing.T) {
 	}
 	for _, want := range []string{
 		ProblemPaper, ProblemSynthetic, ProblemLearning, ProblemLearningB,
-		ProblemLearningMLP, ProblemSensing, ProblemRobustMean,
+		ProblemLearningMLP, ProblemSensing, ProblemRobustMean, ProblemSVM,
 	} {
 		if !have[want] {
 			t.Errorf("registry missing built-in %q (have %v)", want, names)
@@ -71,6 +71,89 @@ func TestLearningRejectsForeignBehaviorOnlyWhenUnknown(t *testing.T) {
 		Behaviors: []string{BehaviorLabelFlip}, Rounds: 1,
 	}); !errors.Is(err, ErrSpec) {
 		t.Errorf("label-flip accepted for synthetic regression: %v", err)
+	}
+	// The svm problem's own scaled-reverse is no more portable, and a name
+	// neither the problem nor the registry knows fails on svm too.
+	if _, err := Scenarios(Spec{
+		Behaviors: []string{BehaviorScaledReverse}, Rounds: 1,
+	}); !errors.Is(err, ErrSpec) {
+		t.Errorf("scaled-reverse accepted for synthetic regression: %v", err)
+	}
+	if _, err := Scenarios(Spec{
+		Problem: ProblemSVM, Behaviors: []string{"label-flop"}, Rounds: 1,
+	}); !errors.Is(err, ErrSpec) {
+		t.Errorf("unknown behavior accepted for svm: %v", err)
+	}
+}
+
+// svmSpec is the Section-5 SVM remark as abft-bench -exp svm runs it: plain
+// averaging and the two filters against the problem's two faults and
+// gradient reversal at n = 10, f = 3, plus the fault-free baseline cells.
+func svmSpec(rounds int) Spec {
+	return Spec{
+		Problem:   ProblemSVM,
+		Filters:   []string{"mean", "cge-avg", "cwtm"},
+		Behaviors: []string{BehaviorScaledReverse, BehaviorLabelFlip, "gradient-reverse"},
+		FValues:   []int{3},
+		NValues:   []int{10},
+		Dims:      []int{10},
+		Baselines: []bool{false, true},
+		Steps:     []dgd.StepSchedule{dgd.Constant{Eta: 0.1}},
+		Rounds:    rounds,
+	}
+}
+
+// TestSVMShape is the Section-5 claim on sweep cells: the filtered runs
+// stay near the fault-free accuracy and loss under label flipping and
+// gradient reversal, plain averaging under the scaled reversal collapses,
+// and the export is the same bytes at any worker count.
+func TestSVMShape(t *testing.T) {
+	spec := svmSpec(300)
+	spec.Workers = 1
+	results, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 12 {
+		t.Fatalf("%d cells, want 9 fault cells + 3 baselines", len(results))
+	}
+	cell := func(filter, behavior string, baseline bool) Result {
+		t.Helper()
+		for _, r := range results {
+			if r.Filter == filter && r.Behavior == behavior && r.Baseline == baseline {
+				if r.Status() != "ok" || r.MetricName != "test_accuracy" {
+					t.Fatalf("%s: status %s (%s), metric %q", r.Key(), r.Status(), r.Err, r.MetricName)
+				}
+				return r
+			}
+		}
+		t.Fatalf("no %s/%s cell", filter, behavior)
+		return Result{}
+	}
+	faultFree := cell("mean", BehaviorNone, true)
+	if faultFree.MetricFinal < 0.9 {
+		t.Fatalf("fault-free SVM accuracy = %v; separable task should be easy", faultFree.MetricFinal)
+	}
+	for _, filter := range []string{"cge-avg", "cwtm"} {
+		for _, behavior := range []string{BehaviorLabelFlip, "gradient-reverse"} {
+			r := cell(filter, behavior, false)
+			if r.MetricFinal < faultFree.MetricFinal-0.1 || r.LossFinal > faultFree.LossFinal+0.05 {
+				t.Errorf("%s/%s: accuracy %v, loss %v far from fault-free %v, %v",
+					filter, behavior, r.MetricFinal, r.LossFinal, faultFree.MetricFinal, faultFree.LossFinal)
+			}
+		}
+	}
+	if attacked := cell("mean", BehaviorScaledReverse, false); attacked.MetricFinal > faultFree.MetricFinal-0.2 {
+		t.Errorf("plain averaging under scaled reversal (%v) should collapse well below fault-free (%v)",
+			attacked.MetricFinal, faultFree.MetricFinal)
+	}
+	var seq bytes.Buffer
+	if err := WriteJSON(&seq, results, false); err != nil {
+		t.Fatal(err)
+	}
+	spec.Workers = 4
+	if !bytes.Equal(encodeSweep(t, spec), seq.Bytes()) {
+		t.Error("svm export differs between Workers=1 and Workers=4")
 	}
 }
 

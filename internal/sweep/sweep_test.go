@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -303,6 +304,117 @@ func TestFormatTableAndSummarize(t *testing.T) {
 	sum := Summarize(results)
 	if !strings.Contains(sum, "2 scenarios") || !strings.Contains(sum, "1 skipped") {
 		t.Errorf("unexpected summary %q", sum)
+	}
+}
+
+// TestFormatTablePlainGridUnchanged: a grid without the async, chaos or
+// sketch axis renders exactly as it did before those columns existed (the
+// string is FormatTable of testdata/baseline.json's cge and bulyan rows,
+// captured at the parent of the commit that added CHAOS and SKETCH).
+func TestFormatTablePlainGridUnchanged(t *testing.T) {
+	all, err := ReadJSONFile("testdata/baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []Result
+	for _, r := range all {
+		if r.Filter == "cge" || r.Filter == "bulyan" {
+			rows = append(rows, r)
+		}
+	}
+	const skip = "skipped (filter bulyan at round 0: bulyan needs n >= 4f+3, got n=6 f=1: aggregate: too many Byzantine agents for this filter)"
+	want := `FILTER         BEHAVIOR             F    N     D STEP                       DIST         LOSS   WALL_MS STATUS
+cge            none                 0    6     2 diminishing-1.5-1        0.0000       0.0170       0.0 ok
+cge            gradient-reverse     1    6     2 diminishing-1.5-1        0.0697       0.0239       0.0 ok
+cge            zero                 1    6     2 diminishing-1.5-1        0.0797       0.0272       0.0 ok
+cge            (baseline)           1    6     2 diminishing-1.5-1        0.0000       0.0142       0.0 ok
+bulyan         none                 0    6     2 diminishing-1.5-1        0.0003       0.0170       0.0 ok
+bulyan         gradient-reverse     1    6     2 diminishing-1.5-1             -            -       0.0 ` + skip + `
+bulyan         zero                 1    6     2 diminishing-1.5-1             -            -       0.0 ` + skip + `
+bulyan         (baseline)           1    6     2 diminishing-1.5-1        0.0024       0.0142       0.0 ok
+`
+	if got := FormatTable(rows); got != want {
+		t.Errorf("plain table moved:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestFormatTableChaosGrid: a chaos grid's rows are told apart by the CHAOS
+// column, degraded cells show their numbers, COST_X is the distance over the
+// fault-free sibling's (1.000 on the sibling itself, "-" for a cell that did
+// not finish) and every degraded row ends in its fault tally.
+func TestFormatTableChaosGrid(t *testing.T) {
+	results, err := Run(Spec{
+		Filters:   []string{"cge", "cwtm"},
+		Behaviors: []string{"gradient-reverse"},
+		Rounds:    50,
+		Chaoses:   []ChaosSpec{{}, {OmitRate: 0.1}, {OmitRate: 0.2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(FormatTable(results), "\n"), "\n")
+	if len(lines) != 7 {
+		t.Fatalf("want header + 6 rows, got %d lines", len(lines))
+	}
+	for _, col := range []string{"CHAOS", "COST_X", "FAULTS"} {
+		if !strings.Contains(lines[0], col) {
+			t.Errorf("header missing %s: %s", col, lines[0])
+		}
+	}
+	for i, r := range results {
+		line := lines[i+1]
+		chaos := r.Chaos
+		if chaos == "" {
+			chaos = "none"
+		}
+		if !strings.HasPrefix(line, chaos+" ") {
+			t.Errorf("row %d does not lead with its chaos plan %q: %s", i, chaos, line)
+		}
+		switch {
+		case r.Chaos == "":
+			if !strings.Contains(line, " 1.000 ") || !strings.HasSuffix(line, " -") {
+				t.Errorf("reference row should read ratio 1.000 and no tally: %s", line)
+			}
+		case r.Status() == "degraded":
+			ref := results[i-i%3]
+			ratio := fmt.Sprintf(" %10.4f %12.4f %8.3f ", r.FinalDist, r.LossFinal, r.FinalDist/ref.FinalDist)
+			if !strings.Contains(line, ratio) {
+				t.Errorf("degraded row should carry%s: %s", ratio, line)
+			}
+			if !strings.Contains(line, fmt.Sprintf("degraded crash=0 omit=%d ", r.Faults.Omitted)) || strings.Contains(line, "()") {
+				t.Errorf("degraded row should end in its tally, not an empty error: %s", line)
+			}
+		default:
+			// cwtm at omit:0.2 loses too many reports in one round.
+			if r.Status() != "skipped" || !strings.Contains(line, "          -            -        - ") {
+				t.Errorf("unfinished row should read '-' in DIST, LOSS and COST_X: %s", line)
+			}
+		}
+	}
+}
+
+// TestFormatTableSketchColumn: two cells of one sketch filter that differ
+// only in the swept dimension no longer render identically, and a filter
+// that ignores the axis reads "-".
+func TestFormatTableSketchColumn(t *testing.T) {
+	results, err := Run(Spec{
+		Filters:    []string{"krum", "krum-sketch"},
+		Behaviors:  []string{"gradient-reverse"},
+		Dims:       []int{8},
+		NValues:    []int{12},
+		SketchDims: []int{2, 4},
+		Rounds:     10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(FormatTable(results), "\n"), "\n")
+	if len(lines) != 4 || !strings.HasPrefix(lines[0], "SKETCH ") {
+		t.Fatalf("want a SKETCH-led header + 3 rows:\n%s", strings.Join(lines, "\n"))
+	}
+	if !strings.HasPrefix(lines[1], "-      krum ") ||
+		!strings.HasPrefix(lines[2], "2      krum-sketch ") || !strings.HasPrefix(lines[3], "4      krum-sketch ") {
+		t.Errorf("sketch cells:\n%s", strings.Join(lines, "\n"))
 	}
 }
 
