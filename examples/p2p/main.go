@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("n = %d peers, f = %d, EIG broadcast tree: %d nodes per broadcast\n",
+	fmt.Printf("n = %d peers, f = %d, EIG broadcast tree: at most %d nodes per broadcast\n",
 		linreg.N, linreg.F, cost)
 
 	res, err := p2p.Run(p2p.Config{

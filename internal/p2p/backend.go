@@ -33,10 +33,15 @@ import (
 //     dgd.ErrInadmissible — the EIG admissibility bound — which the sweep
 //     engine classifies as a skipped grid point rather than a sweep failure.
 //   - Config.Workers is ignored: the broadcast simulation is sequential by
-//     construction. A round costs n broadcasts of MessageCost(n, f) tree
-//     nodes times n recipients, over one flat engine reused for the whole
-//     run: n^(f+2) relays, which at n=7, d=2 is still most of a round
-//     (some 10 µs, against 2 µs of gradient evaluations and filter calls).
+//     construction. A round is n broadcasts on one engine reused for the
+//     whole run, and a broadcast builds the part of the MessageCost(n, f)
+//     tree a distorting peer can still reach, n recipients a node. With no
+//     such peer (any grid but an equivocating one) that is the sender's row
+//     alone — 25 ns a broadcast, and the round is its 2 µs of gradient
+//     evaluations and filter calls at n=7, d=2. With one, about three
+//     quarters of the tree (1 µs a broadcast at n=7, f=2); with f of them
+//     and an honest sender all of it (2 µs there, 40 µs at n=10, f=3), and
+//     the broadcasts are most of the round again.
 type Backend struct{}
 
 var _ dgd.Backend = Backend{}

@@ -26,7 +26,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
+
+	"byzopt/internal/byzantine"
 )
 
 // ErrArgs is returned (wrapped) for invalid parameters.
@@ -61,34 +62,23 @@ type SplitLiar struct{}
 
 // Relay implements Distorter.
 func (SplitLiar) Relay(path []int, recipient int, honest string) string {
-	return "split-" + strconv.Itoa(recipient%2)
+	return splitLies[recipient%2]
 }
 
-// SeededLiar pseudo-randomly garbles its relays; used by property tests to
-// search for agreement violations.
+// SplitLiar's two lies, built once so a relay allocates nothing.
+var splitLies = [2]string{"split-0", "split-1"}
+
+// SeededLiar pseudo-randomly garbles its relays — the truth, ⊥, one of 256
+// garbage strings or a three-way split, chosen by a hash of the seed, the
+// path and the recipient; used by property tests to search for agreement
+// violations. It is byzantine.Equivocate's relay strategy under the seed.
 type SeededLiar struct {
 	Seed int64
 }
 
 // Relay implements Distorter.
 func (s SeededLiar) Relay(path []int, recipient int, honest string) string {
-	h := s.Seed
-	for _, p := range path {
-		h = h*31 + int64(p) + 7
-	}
-	h = h*31 + int64(recipient)
-	// h & 3, not h % 4: Go's remainder is negative for negative h, which
-	// would collapse the strategy to two of its four cases.
-	switch h & 3 {
-	case 0:
-		return honest // sometimes telling the truth is the best lie
-	case 1:
-		return DefaultValue
-	case 2:
-		return "garbage-" + strconv.FormatInt(h&0xff, 10)
-	default:
-		return "split-" + strconv.Itoa(recipient%3)
-	}
+	return byzantine.NewEquivocate(s.Seed).Relay(path, recipient, honest)
 }
 
 // Broadcast runs one synchronous EIG Byzantine broadcast among n processes
@@ -128,32 +118,68 @@ func Broadcast(n, f, sender int, value string, byz map[int]Distorter) ([]string,
 }
 
 // eig is the EIG engine for one fixed (n, f), reusable across senders and
-// rounds. The tree — nodes are the paths of 1..f+1 distinct ids starting at
-// the sender — is laid out in level order: level k holds (n-1)···(n-k)
-// nodes from base[k], and the children of a level-k node, one per relayer
-// off its path in ascending order, are the next contiguous block of n-k-1
-// nodes. The views hold interned value ids instead of strings, so equality
-// is integer equality and a warmed broadcast allocates nothing of its own.
+// rounds. The full tree — its nodes are the paths of 1..f+1 distinct ids
+// starting at the sender, MessageCost(n, f) of them — is the upper bound, not
+// what a broadcast builds. A node's row is what the n processes hold for it:
+// vals[c*n+p] is what the last relayer on c's path told process p and, once
+// the node is resolved, what p takes the node's value to be. Two rules, both
+// exact, keep the work to where a row can still differ between processes:
+//
+//   - Settle. A node whose path holds every distorting peer is not expanded:
+//     every relayer below it is honest and tells all processes the same
+//     thing, so no Relay call is left to make there and all processes resolve
+//     the subtree alike. Relayed honestly, the node's row is one value
+//     already and stays; relayed by a liar, each child j would hold row[j] at
+//     every process, so the node resolves everywhere to the strict majority
+//     of row[j] over the ids off its path. With no distorting peer the root
+//     settles and a broadcast fills one row; with f of them and an honest
+//     sender the whole tree is built.
+//   - Resolve once. If the uniform children of a built inner node (rows of
+//     one value: honest leaves, settled nodes, nodes resolved this way) hold
+//     one value in a strict majority of all its children, every process
+//     resolves the node to it, in one pass, and the node is uniform in turn.
+//     Otherwise each process votes over its own column.
+//
+// Built nodes sit in level order, a node's children — one per relayer off its
+// path, ascending — contiguous from first[c]. Rows hold interned value ids,
+// so equality is integer equality. The first broadcast that expands its root
+// sizes every array for the full tree; a warmed broadcast allocates nothing
+// of its own.
 type eig struct {
-	n, f  int
-	base  []int   // base[k] is the first node of level k; base[f+1] the node count
-	paths []int   // every node's path, back to back in node order
-	vals  []int32 // vals[p*nodes+node] is process p's value id for the node
-	ids   map[string]int32
-	strs  []string // strs[id] is the interned value; id 0 is DefaultValue
+	n, f   int
+	built  int     // nodes the last broadcast built
+	vals   []int32 // node-major rows; the root's is the n decisions
+	paths  []int   // the built nodes' paths, back to back in node order
+	first  []int32 // first[c] is c's first child, 0 for a node not expanded
+	mixed  []bool  // mixed[c]: c's row may differ between processes
+	onPath []bool  // the ids on the path of the node being visited
+	ids    map[string]int32
+	strs   []string // strs[id] is the interned value; 0 is DefaultValue, 1 the sender's
 }
 
 func newEIG(n, f int) *eig {
-	e := &eig{n: n, f: f, base: make([]int, f+2), ids: make(map[string]int32)}
-	for k, count := 0, 1; k <= f; k++ {
-		e.base[k+1] = e.base[k] + count
-		count *= n - k - 1
-	}
-	e.vals = make([]int32, n*e.base[f+1])
-	return e
+	return &eig{n: n, f: f, vals: make([]int32, n), paths: make([]int, 1), onPath: make([]bool, n), ids: make(map[string]int32)}
 }
 
-func (e *eig) intern(s string) int32 {
+// grow sizes every array for the full tree, keeping the root.
+func (e *eig) grow() {
+	nodes, ids := treeSize(e.n, e.f)
+	e.vals = slices.Grow(e.vals, e.n*int(nodes-1))[:e.n*int(nodes)]
+	e.paths = slices.Grow(e.paths, int(ids-1))[:ids]
+	e.first, e.mixed = make([]int32, nodes), make([]bool, nodes)
+}
+
+// intern returns the id of s, as told by a relayer holding the id honest: ⊥,
+// the truth and the sender's value are answered without the map.
+func (e *eig) intern(s string, honest int32) int32 {
+	switch s {
+	case DefaultValue:
+		return 0
+	case e.strs[honest]:
+		return honest
+	case e.strs[1]:
+		return 1
+	}
 	id, ok := e.ids[s]
 	if !ok {
 		id = int32(len(e.strs))
@@ -165,103 +191,172 @@ func (e *eig) intern(s string) int32 {
 
 // decision is the id of the value process p decided in the last broadcast,
 // an index into strs until the next one.
-func (e *eig) decision(p int) int32 { return e.vals[p*e.base[e.f+1]] }
+func (e *eig) decision(p int) int32 { return e.vals[p] }
 
-// broadcast runs one EIG exchange; liars[j] is process j's strategy, nil for
-// an honest process. Distorters are called level by level, parents in level
-// order, relayers then recipients ascending.
-func (e *eig) broadcast(sender int, value string, liars []Distorter) {
-	clear(e.ids)
-	e.strs = e.strs[:0]
-	e.intern(DefaultValue)
-	n, nodes := e.n, e.base[e.f+1]
-
-	// relay stores what relayer j, holding value id honest, tells every
-	// process about node c, whose path is the last pathLen ids written.
-	relay := func(c, j, pathLen int, honest int32) {
-		path, liar := slices.Clip(e.paths[len(e.paths)-pathLen:]), liars[j]
-		for p := 0; p < n; p++ {
-			id := honest
-			if liar != nil {
-				id = e.intern(liar.Relay(path, p, e.strs[honest]))
-			}
-			e.vals[p*nodes+c] = id
-		}
+// relay fills node c's row with what its last relayer, holding the id honest
+// for the parent, tells every process.
+func (e *eig) relay(c int, path []int, liar Distorter, honest int32) {
+	row := e.vals[c*e.n : (c+1)*e.n]
+	if liar == nil {
+		fill(row, honest)
+		return
 	}
-	// Round 1: the sender transmits its value. Rounds 2..f+1: for node i and
-	// every relayer j off its path sigma, every process learns j's value for
-	// i and stores it at the child sigma.j.
-	e.paths = append(e.paths[:0], sender)
-	relay(0, sender, 1, e.intern(value))
-	c, parent := 1, 0
-	for k := 0; k < e.f; k++ {
-		for i := e.base[k]; i < e.base[k+1]; i++ {
-			sigma := e.paths[parent : parent+k+1]
-			parent += k + 1
-			for j := 0; j < n; j++ {
-				if !slices.Contains(sigma, j) {
-					e.paths = append(append(e.paths, sigma...), j)
-					relay(c, j, k+2, e.vals[j*nodes+i])
-					c++
-				}
-			}
-		}
-	}
-
-	// Decision: each process resolves its own view bottom-up, in place (a
-	// node's received value is dead once its children hold theirs).
-	for p := 0; p < n; p++ {
-		view := e.vals[p*nodes : (p+1)*nodes]
-		for k := e.f - 1; k >= 0; k-- {
-			width := n - k - 1
-			for i, c := e.base[k], e.base[k+1]; i < e.base[k+1]; i, c = i+1, c+width {
-				view[i] = majority(view[c : c+width])
-			}
-		}
+	for p := range row {
+		row[p] = e.intern(liar.Relay(path, p, e.strs[honest]), honest)
 	}
 }
 
-// majority returns the id held by a strict majority of xs, else 0 (the
-// DefaultValue id): a Boyer–Moore vote, then a recount of the candidate.
-func majority(xs []int32) int32 {
-	var cand int32
-	count := 0
-	for _, x := range xs {
-		if count == 0 {
-			cand = x
+// broadcast runs one EIG exchange; liars[j] is process j's strategy, nil for
+// an honest process, and must not change during the call. Distorters are
+// called level by level, parents in level order, relayers then recipients
+// ascending.
+func (e *eig) broadcast(sender int, value string, liars []Distorter) {
+	clear(e.ids)
+	e.strs = append(e.strs[:0], DefaultValue, value)
+	n, distorting := e.n, 0
+	for _, liar := range liars {
+		if liar != nil {
+			distorting++
 		}
-		if x == cand {
-			count++
+	}
+
+	// Round 1: the sender transmits its value. Rounds 2..f+1: for a node with
+	// path sigma that a liar can still reach and every relayer j off sigma,
+	// every process learns j's value for the node and stores it at the child
+	// sigma.j. Nodes lo..hi are level k; read and write run along paths.
+	e.paths[0] = sender
+	e.relay(0, e.paths[:1:1], liars[sender], e.intern(value, 0))
+	e.built = 1
+	read, write := 0, 1
+	for k, lo, hi := 0, 0, 1; k < e.f; k, lo, hi = k+1, hi, e.built {
+		for i := lo; i < hi; i, read = i+1, read+k+1 {
+			met := 0
+			for _, id := range e.paths[read : read+k+1] {
+				e.onPath[id] = true
+				if liars[id] != nil {
+					met++
+				}
+			}
+			switch {
+			case met < distorting:
+				if e.first == nil {
+					e.grow()
+				}
+				sigma := e.paths[read : read+k+1]
+				e.first[i] = int32(e.built)
+				for j := 0; j < n; j++ {
+					if e.onPath[j] {
+						continue
+					}
+					c, liar := e.built, liars[j]
+					var path []int
+					if liar != nil || k+1 < e.f { // an honest leaf's path is never read
+						path = e.paths[write : write+k+2 : write+k+2]
+						path[copy(path, sigma)] = j
+						write += k + 2
+					}
+					e.first[c], e.mixed[c] = 0, liar != nil
+					e.relay(c, path, liar, e.vals[i*n+j])
+					e.built++
+				}
+			case liars[e.paths[read+k]] != nil:
+				// Settled below a liar. (A root that settles may have no
+				// flag yet, and nothing reads it.)
+				row := e.vals[i*n : (i+1)*n]
+				id, _ := vote(row, 1, e.onPath, n-k-1)
+				fill(row, id)
+				if i > 0 {
+					e.mixed[i] = false
+				}
+			}
+			for _, id := range e.paths[read : read+k+1] {
+				e.onPath[id] = false
+			}
+		}
+	}
+
+	// Decision: the expanded nodes resolve bottom-up, in place (a node's
+	// received row is dead once its children hold theirs). Children blocks
+	// follow one another in node order, so each ends where the last began.
+	if e.built == 1 {
+		return
+	}
+	for i, end := e.built-1, e.built; i >= 0; i-- {
+		c := int(e.first[i])
+		if c == 0 {
+			continue
+		}
+		row, kids, width := e.vals[i*n:(i+1)*n], e.vals[c*n:end*n], end-c
+		id, alike := vote(kids, n, e.mixed[c:end], width)
+		if alike {
+			fill(row, id)
 		} else {
-			count--
+			for p := range row {
+				row[p], _ = vote(kids[p:], n, nil, width)
+			}
+		}
+		e.mixed[i], end = !alike, c
+	}
+}
+
+func fill(row []int32, id int32) {
+	for p := range row {
+		row[p] = id
+	}
+}
+
+// vote reads every stride-th id of xs, passing over position i where skip[i]
+// (a nil skip passes over none), and returns the id that a strict majority of
+// the `of` voters hold, else 0 (the DefaultValue id) and false: a Boyer–Moore
+// vote, then a recount of the candidate.
+func vote(xs []int32, stride int, skip []bool, of int) (int32, bool) {
+	var cand int32
+	lead := 0
+	for i, at := 0, 0; at < len(xs); i, at = i+1, at+stride {
+		switch {
+		case skip != nil && skip[i]:
+		case lead == 0:
+			cand, lead = xs[at], 1
+		case xs[at] == cand:
+			lead++
+		default:
+			lead--
 		}
 	}
-	count = 0
-	for _, x := range xs {
-		if x == cand {
-			count++
+	votes := 0
+	for i, at := 0, 0; at < len(xs); i, at = i+1, at+stride {
+		if xs[at] == cand && (skip == nil || !skip[i]) {
+			votes++
 		}
 	}
-	if 2*count > len(xs) {
-		return cand
+	if 2*votes > of {
+		return cand, true
 	}
-	return 0
+	return 0, false
+}
+
+// treeSize is the full tree's node count and the summed length of its paths.
+func treeSize(n, f int) (nodes, ids int64) {
+	for k, count := 0, int64(1); k <= f; k++ {
+		nodes += count
+		ids += count * int64(k+1)
+		count *= int64(n - k - 1)
+	}
+	return nodes, ids
 }
 
 // MessageCost returns the number of EIG tree nodes (per-process relay
-// values) a single broadcast materializes for given (n, f): the count of
-// paths of length 1..f+1 with distinct ids starting at the sender. It is
-// the cost driver the EIG ablation bench sweeps.
+// values) of the full tree for given (n, f): the count of paths of length
+// 1..f+1 with distinct ids starting at the sender. It is the upper bound on
+// what a single broadcast materializes — the engine sizes its arrays from it,
+// and reaches it when f processes distort and the sender is honest — and the
+// cost driver the EIG ablation bench sweeps.
 func MessageCost(n, f int) (int64, error) {
 	if n <= 0 || f < 0 || n <= 3*f {
 		return 0, fmt.Errorf("EIG needs n > 3f, got n=%d f=%d: %w", n, f, ErrArgs)
 	}
-	var total, levelCount int64 = 0, 1
-	for level := 1; level <= f+1; level++ {
-		total += levelCount
-		levelCount *= int64(n - level)
-	}
-	return total, nil
+	nodes, _ := treeSize(n, f)
+	return nodes, nil
 }
 
 // --- vector encoding ---

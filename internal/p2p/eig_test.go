@@ -194,24 +194,182 @@ func FuzzBroadcastMatchesReference(f *testing.F) {
 	})
 }
 
-func TestEIGNodeCountIsMessageCost(t *testing.T) {
+// liarSlice is byz as the engine takes it: one strategy per process id.
+func liarSlice(n int, byz map[int]Distorter) []Distorter {
+	liars := make([]Distorter, n)
+	for id, d := range byz {
+		liars[id] = d
+	}
+	return liars
+}
+
+// equivocators puts count byzantine.Equivocate liars on the ids from first.
+func equivocators(first, count int) map[int]Distorter {
+	byz := make(map[int]Distorter, count)
+	for id := first; id < first+count; id++ {
+		byz[id] = byzantine.NewEquivocate(int64(17 - 5*id))
+	}
+	return byz
+}
+
+// counted counts the Relay calls it forwards.
+type counted struct {
+	Distorter
+	calls *int
+}
+
+func (c counted) Relay(path []int, recipient int, honest string) string {
+	*c.calls++
+	return c.Distorter.Relay(path, recipient, honest)
+}
+
+// tally is byz with every strategy counting its Relay calls into calls.
+func tally(byz map[int]Distorter, calls *int) map[int]Distorter {
+	m := make(map[int]Distorter, len(byz))
+	for id, d := range byz {
+		m[id] = counted{d, calls}
+	}
+	return m
+}
+
+// decided is what the n processes decided in the engine's last broadcast.
+func decided(e *eig) []string {
+	out := make([]string, e.n)
+	for p := range out {
+		out[p] = e.strs[e.decision(p)]
+	}
+	return out
+}
+
+// TestBuiltNodes pins what a broadcast builds: the root alone when no peer
+// distorts, the whole MessageCost(n, f) tree under f liars and an honest
+// sender, never more than that, and never a Relay call the reference does not
+// make.
+func TestBuiltNodes(t *testing.T) {
 	for _, nf := range append(referenceShapes, [2]int{13, 4}) {
-		want, err := MessageCost(nf[0], nf[1])
+		n, f := nf[0], nf[1]
+		full, err := MessageCost(n, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := newEIG(nf[0], nf[1])
-		if got := e.base[nf[1]+1]; int64(got) != want {
-			t.Errorf("n=%d f=%d: engine has %d nodes, MessageCost %d", nf[0], nf[1], got, want)
+		e := newEIG(n, f)
+		if e.broadcast(0, "v", make([]Distorter, n)); e.built != 1 {
+			t.Errorf("n=%d f=%d: %d nodes built with no distorting peer, want 1", n, f, e.built)
 		}
-		if got, want := len(e.vals), nf[0]*int(want); got != want {
-			t.Errorf("n=%d f=%d: %d view slots, want %d", nf[0], nf[1], got, want)
+		if e.broadcast(0, "v", liarSlice(n, equivocators(1, f))); int64(e.built) != full {
+			t.Errorf("n=%d f=%d: %d nodes built under f liars and an honest sender, MessageCost %d", n, f, e.built, full)
+		}
+	}
+	r := rand.New(rand.NewSource(24))
+	for draw := 0; draw < 1000; draw++ {
+		nf := referenceShapes[draw%len(referenceShapes)]
+		n, f := nf[0], nf[1]
+		sender := r.Intn(n)
+		value, byz := randomInstance(r, n, f, sender)
+		got, want := 0, 0
+		e := newEIG(n, f)
+		e.broadcast(sender, value, liarSlice(n, tally(byz, &got)))
+		referenceBroadcast(n, f, sender, value, tally(byz, &want))
+		if full, _ := MessageCost(n, f); int64(e.built) > full {
+			t.Fatalf("draw %d (n=%d f=%d): %d nodes built, more than MessageCost %d", draw, n, f, e.built, full)
+		}
+		if got != want {
+			t.Fatalf("draw %d (n=%d f=%d, %d liars): %d Relay calls, reference %d", draw, n, f, len(byz), got, want)
+		}
+	}
+}
+
+// TestBroadcastBeyondBudgetMatchesReference draws up to 2f+1 liars for a tree
+// of depth f. Within the budget agreement hides most of what a process's own
+// vote computes — every column resolves the root alike — so only here do the
+// columns reach the decisions apart, and each is held to the reference.
+func TestBroadcastBeyondBudgetMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for draw := 0; draw < 1200; draw++ {
+		nf := referenceShapes[2+draw%4] // (4, 1) to (8, 2)
+		n, f := nf[0], nf[1]
+		sender := r.Intn(n)
+		value, byz := randomInstance(r, n, 2*f+1, sender)
+		e := newEIG(n, f)
+		e.broadcast(sender, value, liarSlice(n, byz))
+		if got, want := decided(e), referenceBroadcast(n, f, sender, value, byz); !slices.Equal(got, want) {
+			t.Fatalf("draw %d (n=%d f=%d sender=%d, %d liars): decided %q, reference %q",
+				draw, n, f, sender, len(byz), got, want)
+		}
+	}
+}
+
+// told is a liar that tells recipient p the p-th string, whatever the node.
+type told []string
+
+func (s told) Relay(path []int, recipient int, honest string) string { return s[recipient] }
+
+// TestSettleBranches walks the engine's two rules branch by branch, each case
+// against the reference at all n processes (the Byzantine ones included), the
+// hand-checked ones against their value too.
+func TestSettleBranches(t *testing.T) {
+	const bottom = DefaultValue
+	cases := []struct {
+		name      string
+		n, f      int
+		sender    int
+		byz       map[int]Distorter
+		built     int
+		decisions []string // nil: the reference's alone
+	}{
+		{name: "no liar: the root settles as relayed", n: 7, f: 2, sender: 4, built: 1,
+			decisions: []string{"v", "v", "v", "v", "v", "v", "v"}},
+		{name: "the sender the only liar: the off-path majority", n: 7, f: 2, sender: 2, built: 1,
+			byz:       map[int]Distorter{2: told{"a", "a", "b", "a", "b", "a", bottom}},
+			decisions: []string{"a", "a", "a", "a", "a", "a", "a"}},
+		// Three a and three b off the path; counting what the sender told
+		// itself would make a a majority of seven.
+		{name: "the sender the only liar: no off-path majority", n: 7, f: 2, sender: 2, built: 1,
+			byz:       map[int]Distorter{2: told{"a", "a", "a", "a", "b", "b", "b"}},
+			decisions: []string{bottom, bottom, bottom, bottom, bottom, bottom, bottom}},
+		{name: "the sender the only liar: a SplitLiar tie", n: 7, f: 2, sender: 0, built: 1,
+			byz:       map[int]Distorter{0: SplitLiar{}},
+			decisions: []string{bottom, bottom, bottom, bottom, bottom, bottom, bottom}},
+		{name: "the sender the only liar at f=1, one vote from a tie", n: 4, f: 1, sender: 3, built: 1,
+			byz:       map[int]Distorter{3: told{"a", "b", "a", "b"}},
+			decisions: []string{"a", "a", "a", "a"}},
+		{name: "an honest sender and f liars: nothing settles", n: 7, f: 2, sender: 0, built: 37,
+			byz: equivocators(3, 2), decisions: []string{"v", "v", "v", "v", "v", "v", "v"}},
+		// The liar's nodes settle where they are met, at levels 1 and 2 = f-1,
+		// and are leaves at level 3: 1 + 9 + (56+8) + 56*7 of the 586 nodes.
+		{name: "one liar of three at (10, 3), last met at level f-1", n: 10, f: 3, sender: 0, built: 466,
+			byz: equivocators(6, 1)},
+		// Below the liar 1 the honest leaves read a, a, b, b: two alike of five
+		// children, one short, and every process counts its own column.
+		{name: "two liars, the alike children one short of a majority", n: 7, f: 2, sender: 0, built: 37,
+			byz: map[int]Distorter{1: told{"x", "y", "z", "a", "a", "b", "b"}, 2: told{"a", "b", "a", "b", "a", "b", "c"}}},
+		// Beyond the budget (Broadcast refuses it), so that the columns differ
+		// at the root: leaves a and b alike, the liar's leaf tips each process.
+		{name: "two liars at f=1: the per-process vote decides", n: 4, f: 1, sender: 0, built: 4,
+			byz:       map[int]Distorter{0: told{"x", "y", "a", "b"}, 1: told{"a", "b", "c", "a"}},
+			decisions: []string{"a", "b", bottom, "a"}},
+	}
+	for _, c := range cases {
+		e := newEIG(c.n, c.f)
+		e.broadcast(c.sender, "v", liarSlice(c.n, c.byz))
+		if e.built != c.built {
+			t.Errorf("%s: %d nodes built, want %d", c.name, e.built, c.built)
+		}
+		want := referenceBroadcast(c.n, c.f, c.sender, "v", c.byz)
+		if c.decisions != nil && !slices.Equal(want, c.decisions) {
+			t.Fatalf("%s: the reference decides %q, the case says %q", c.name, want, c.decisions)
+		}
+		if got := decided(e); !slices.Equal(got, want) {
+			t.Errorf("%s: decided %q, reference %q", c.name, got, want)
 		}
 	}
 }
 
 // TestEIGReuseMatchesFresh drives one engine through every sender for several
-// rounds, as p2p.run does, against a fresh engine per broadcast.
+// rounds, as p2p.run does, against a fresh engine per broadcast. The liar set
+// changes under it from one broadcast to the next — none (the first broadcast
+// sizes nothing), f of them (the whole tree), none again over the arrays the
+// full tree left behind, then a random draw.
 func TestEIGReuseMatchesFresh(t *testing.T) {
 	for _, nf := range [][2]int{{4, 1}, {7, 2}, {10, 3}} {
 		n, f := nf[0], nf[1]
@@ -219,20 +377,16 @@ func TestEIGReuseMatchesFresh(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(n)))
 		for round := 0; round < 3; round++ {
 			for _, sender := range r.Perm(n) {
-				value, byz := randomInstance(r, n, f, sender)
-				liars := make([]Distorter, n)
-				for id, d := range byz {
-					liars[id] = d
-				}
-				e.broadcast(sender, value, liars)
-				want, err := Broadcast(n, f, sender, value, byz)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for p := range want {
-					if got := e.strs[e.decision(p)]; got != want[p] {
-						t.Fatalf("n=%d f=%d round %d sender %d: reused engine decided %q at %d, fresh %q",
-							n, f, round, sender, got, p, want[p])
+				value, drawn := randomInstance(r, n, f, sender)
+				for turn, byz := range []map[int]Distorter{nil, equivocators((sender+1)%(n-f), f), nil, drawn} {
+					e.broadcast(sender, value, liarSlice(n, byz))
+					want, err := Broadcast(n, f, sender, value, byz)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := decided(e); !slices.Equal(got, want) {
+						t.Fatalf("n=%d f=%d round %d sender %d turn %d: reused engine decided %q, fresh %q",
+							n, f, round, sender, turn, got, want)
 					}
 				}
 			}
@@ -261,20 +415,30 @@ func TestSeededLiarNegativeSeedPlaysAllStrategies(t *testing.T) {
 }
 
 // TestWarmBroadcastAllocs: a warmed engine's broadcast allocates nothing of
-// its own, across sender changes, with honest relayers and with a liar whose
-// Relay does not allocate.
+// its own, across sender changes, with honest relayers and with liars whose
+// Relay does not allocate — every strategy in the package, and two
+// Equivocates with the sender rotating through both. The warm-up is one turn
+// of every sender: the strategies are deterministic, so after it the interned
+// strings of a broadcast are ones the engine has held before.
 func TestWarmBroadcastAllocs(t *testing.T) {
 	value := EncodeVector([]float64{1, 2})
-	for name, liar := range map[string]Distorter{"honest": nil, "consistent-liar": ConsistentLiar{Value: "forged"}} {
+	for name, byz := range map[string]map[int]Distorter{
+		"honest":          nil,
+		"consistent-liar": {3: ConsistentLiar{Value: "forged"}},
+		"split-liar":      {3: SplitLiar{}},
+		"seeded-liar":     {3: SeededLiar{Seed: -1_000_003}},
+		"two-equivocate":  equivocators(3, 2),
+	} {
 		e := newEIG(7, 2)
-		liars := make([]Distorter, 7)
-		liars[3] = liar
+		liars := liarSlice(7, byz)
 		sender := 0
 		broadcast := func() {
 			e.broadcast(sender, value, liars)
 			sender = (sender + 1) % 7
 		}
-		broadcast()
+		for range liars {
+			broadcast()
+		}
 		if allocs := testing.AllocsPerRun(100, broadcast); allocs != 0 {
 			t.Errorf("%s: warmed broadcast allocates %.2f times", name, allocs)
 		}
@@ -321,5 +485,35 @@ func TestRoundAllocs(t *testing.T) {
 	if perRound := (extended - base) / 100; perRound > n {
 		t.Fatalf("a round allocates %.2f times, want at most %d (1-round run %.0f, 101-round run %.0f)",
 			perRound, n, base, extended)
+	}
+}
+
+// BenchmarkWarmBroadcast times a broadcast on one reused engine, as p2p.run
+// makes them: the sender rotates over all n, and 0, 1 or f Equivocates sit on
+// the ids from 1, so a liar is the sender once a turn. built_nodes and
+// relay_calls are what a broadcast builds and asks of its liars, averaged
+// over one turn of senders (counted before the clock starts).
+func BenchmarkWarmBroadcast(b *testing.B) {
+	value := EncodeVector([]float64{1, 2})
+	for _, nf := range [][2]int{{7, 2}, {10, 3}, {13, 4}} {
+		n, f := nf[0], nf[1]
+		for _, count := range []int{0, 1, f} {
+			b.Run(fmt.Sprintf("n=%d_f=%d/liars=%d", n, f, count), func(b *testing.B) {
+				e, byz := newEIG(n, f), equivocators(1, count)
+				built, calls := 0, 0
+				for sender, tallied := 0, liarSlice(n, tally(byz, &calls)); sender < n; sender++ {
+					e.broadcast(sender, value, tallied)
+					built += e.built
+				}
+				liars := liarSlice(n, byz)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.broadcast(i%n, value, liars)
+				}
+				b.ReportMetric(float64(built)/float64(n), "built_nodes/op")
+				b.ReportMetric(float64(calls)/float64(n), "relay_calls/op")
+			})
+		}
 	}
 }
