@@ -6,12 +6,15 @@
 // peers, one of which both injects a reversed gradient AND equivocates
 // while relaying other peers' gradients. The EIG broadcast forces agreement
 // anyway, every honest peer applies the CGE filter locally, and all honest
-// estimates stay bit-for-bit identical while converging.
+// estimates stay bit-for-bit identical while converging. The run goes through
+// p2p.Backend, the substrate's dgd.Backend; the lying relays are attached to
+// the Byzantine agent with p2p.Equivocating.
 //
 // Run with: go run ./examples/p2p
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,16 +39,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	peers := make([]p2p.Peer, len(agents))
-	for i, a := range agents {
-		peers[i] = p2p.Peer{Agent: a}
-	}
 	// Peer 0 is fully Byzantine: wrong gradient and lying relays.
 	fa, err := dgd.NewFaulty(agents[0], byzantine.GradientReverse{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	peers[0] = p2p.Peer{Agent: fa, Distorter: p2p.SeededLiar{Seed: 3}}
+	if agents[0], err = p2p.Equivocating(fa, p2p.SeededLiar{Seed: 3}); err != nil {
+		log.Fatal(err)
+	}
 
 	cost, err := p2p.MessageCost(linreg.N, linreg.F)
 	if err != nil {
@@ -54,8 +55,8 @@ func main() {
 	fmt.Printf("n = %d peers, f = %d, EIG broadcast tree: at most %d nodes per broadcast\n",
 		linreg.N, linreg.F, cost)
 
-	res, err := p2p.Run(p2p.Config{
-		Peers:     peers,
+	res, err := p2p.Backend{}.Run(context.Background(), dgd.Config{
+		Agents:    agents,
 		F:         linreg.F,
 		Filter:    aggregate.CGE{},
 		Box:       inst.Box,
@@ -68,5 +69,5 @@ func main() {
 	}
 	fmt.Printf("honest peers' common estimate: (%.4f, %.4f)\n", res.X[0], res.X[1])
 	fmt.Printf("distance to x_H: %.2e\n", res.Trace.Dist[len(res.Trace.Dist)-1])
-	fmt.Printf("max estimate spread across honest peers: %v (agreement held)\n", res.MaxEstimateSpread)
+	fmt.Println("max estimate spread across honest peers: 0 (agreement held; the backend fails a run otherwise)")
 }

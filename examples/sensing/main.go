@@ -15,6 +15,7 @@ import (
 	"math/rand"
 
 	"byzopt/internal/aggregate"
+	"byzopt/internal/dgd"
 	"byzopt/internal/matrix"
 	"byzopt/internal/sensing"
 	"byzopt/internal/vecmath"
@@ -75,10 +76,33 @@ func run() error {
 	fmt.Printf("Theorem-2 estimate:  (%.4f, %.4f, %.4f), error %.2e\n", est.X[0], est.X[1], est.X[2], d)
 	fmt.Printf("  (selected sensors %v — the compromised pair excluded)\n", est.Subset)
 
-	dgdEst, err := sys.EstimateDGD(f, aggregate.CWTM{}, 800)
+	// The filtered-DGD estimator: one agent per sensor cost ||y_i - C_i x||²,
+	// CWTM as the filter.
+	costs, err := sys.Costs()
 	if err != nil {
 		return err
 	}
+	agents, err := dgd.HonestAgents(costs)
+	if err != nil {
+		return err
+	}
+	box, err := vecmath.NewCube(sys.Dim(), 1e6)
+	if err != nil {
+		return err
+	}
+	res, err := dgd.Run(dgd.Config{
+		Agents: agents,
+		F:      f,
+		Filter: aggregate.CWTM{},
+		Steps:  dgd.Diminishing{C: 0.5, P: 1},
+		Box:    box,
+		X0:     vecmath.Zeros(sys.Dim()),
+		Rounds: 800,
+	})
+	if err != nil {
+		return err
+	}
+	dgdEst := res.X
 	d2, err := vecmath.Dist(dgdEst, state)
 	if err != nil {
 		return err

@@ -37,6 +37,7 @@ package chaos
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"byzopt/internal/simtime"
@@ -131,8 +132,19 @@ func (p *Plan) Validate() error {
 		{"duplicate rate", p.DupRate},
 		{"delay rate", p.DelayRate},
 	} {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // NaN fails both
 			return fmt.Errorf("chaos: %s %v must be in [0, 1]", r.name, r.v)
+		}
+	}
+	for _, d := range []struct {
+		name string
+		v    float64
+	}{
+		{"delay", p.Delay},
+		{"retry delay", p.RetryDelay},
+	} {
+		if math.IsNaN(d.v) || math.IsInf(d.v, 0) {
+			return fmt.Errorf("chaos: %s %v must be finite", d.name, d.v)
 		}
 	}
 	if p.CrashRate > 0 && p.CrashWindow <= 0 {
@@ -255,11 +267,6 @@ func (c *Counters) Add(other Counters) {
 	c.Delayed += other.Delayed
 	c.Retried += other.Retried
 	c.LostRounds += other.LostRounds
-}
-
-// Total is the total number of injected fault events.
-func (c Counters) Total() int {
-	return c.Crashed + c.Omitted + c.Corrupted + c.Duplicated + c.Delayed + c.Retried
 }
 
 // IsZero reports whether no fault was recorded.

@@ -112,6 +112,14 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{RetryDelay: -2},
 		{CorruptRate: 2},
 		{DupRate: -1},
+		// Non-finite values: NaN passes every comparison, +Inf half of them.
+		{CrashRate: math.NaN(), CrashWindow: 10},
+		{OmitRate: math.NaN()},
+		{DelayRate: math.Inf(1), Delay: 1},
+		{DelayRate: 0.1, Delay: math.Inf(1)},
+		{DelayRate: 0.1, Delay: math.NaN()},
+		{Attempts: 3, RetryDelay: math.NaN()},
+		{Attempts: 3, RetryDelay: math.Inf(1)},
 	}
 	for i, p := range cases {
 		if err := p.Validate(); err == nil {
@@ -158,11 +166,9 @@ func TestCountersAddAndTotal(t *testing.T) {
 	if c.IsZero() {
 		t.Fatal("nonzero counters IsZero")
 	}
-	if got := c.Total(); got != 21 {
-		t.Fatalf("Total = %d, want 21", got)
-	}
-	if c.LostRounds != 1 {
-		t.Fatalf("LostRounds = %d, want 1", c.LostRounds)
+	want := Counters{Crashed: 1, Omitted: 2, Corrupted: 4, Duplicated: 5, Delayed: 6, Retried: 3, LostRounds: 1}
+	if c != want {
+		t.Fatalf("Add totals %+v, want %+v", c, want)
 	}
 }
 

@@ -4,7 +4,7 @@
 //
 // It provides:
 //
-//   - subset combinatorics and Hausdorff distance (Definition 3's metric);
+//   - subset enumeration, sequential and chunked across workers;
 //   - measurement of the redundancy parameter ε by subset enumeration,
 //     following the procedure of Appendix J.2;
 //   - the exhaustive (f, 2ε)-resilient algorithm from the proof of
@@ -16,9 +16,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
-
-	"byzopt/internal/vecmath"
 )
 
 // ErrArgs is returned (wrapped) for structurally invalid arguments.
@@ -58,22 +55,6 @@ func ForEachSubset(n, k int, visit func(idx []int) error) error {
 	}
 }
 
-// Combinations returns all k-subsets of {0, ..., n-1}. Prefer ForEachSubset
-// for large enumerations; this convenience allocates them all.
-func Combinations(n, k int) ([][]int, error) {
-	var out [][]int
-	err := ForEachSubset(n, k, func(idx []int) error {
-		cp := make([]int, len(idx))
-		copy(cp, idx)
-		out = append(out, cp)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Binomial returns C(n, k) as an int64, or an error on overflow or invalid
 // arguments. Used to pre-size enumerations and report costs.
 func Binomial(n, k int) (int64, error) {
@@ -93,82 +74,4 @@ func Binomial(n, k int) (int64, error) {
 		c = num / int64(i+1)
 	}
 	return c, nil
-}
-
-// IsSubset reports whether every element of sub appears in super. Both
-// slices must be strictly increasing (as produced by ForEachSubset).
-func IsSubset(sub, super []int) bool {
-	i := 0
-	for _, s := range sub {
-		for i < len(super) && super[i] < s {
-			i++
-		}
-		if i >= len(super) || super[i] != s {
-			return false
-		}
-		i++
-	}
-	return true
-}
-
-// Complement returns {0, ..., n-1} \ set, where set is strictly increasing.
-func Complement(set []int, n int) []int {
-	out := make([]int, 0, n-len(set))
-	j := 0
-	for i := 0; i < n; i++ {
-		if j < len(set) && set[j] == i {
-			j++
-			continue
-		}
-		out = append(out, i)
-	}
-	return out
-}
-
-// PointSetDistance returns dist(x, Y) = min_{y in Y} ||x - y|| for a finite
-// set Y (equation (3) of the paper, with the infimum attained because Y is
-// finite).
-func PointSetDistance(x []float64, ys [][]float64) (float64, error) {
-	if len(ys) == 0 {
-		return 0, fmt.Errorf("distance to empty set: %w", ErrArgs)
-	}
-	best := math.Inf(1)
-	for _, y := range ys {
-		d, err := vecmath.Dist(x, y)
-		if err != nil {
-			return 0, err
-		}
-		if d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
-// Hausdorff returns the Euclidean Hausdorff distance (equation (4)) between
-// two finite point sets.
-func Hausdorff(xs, ys [][]float64) (float64, error) {
-	if len(xs) == 0 || len(ys) == 0 {
-		return 0, fmt.Errorf("hausdorff with empty set: %w", ErrArgs)
-	}
-	var worst float64
-	for _, x := range xs {
-		d, err := PointSetDistance(x, ys)
-		if err != nil {
-			return 0, err
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	for _, y := range ys {
-		d, err := PointSetDistance(y, xs)
-		if err != nil {
-			return 0, err
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst, nil
 }

@@ -71,16 +71,16 @@ func TestForEachSubsetEdgeCases(t *testing.T) {
 func TestCombinationsCountsMatchBinomial(t *testing.T) {
 	for n := 0; n <= 8; n++ {
 		for k := 0; k <= n; k++ {
-			combos, err := Combinations(n, k)
-			if err != nil {
+			var combos int64
+			if err := ForEachSubset(n, k, func([]int) error { combos++; return nil }); err != nil {
 				t.Fatal(err)
 			}
 			want, err := Binomial(n, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if int64(len(combos)) != want {
-				t.Errorf("C(%d,%d): %d combos vs binomial %d", n, k, len(combos), want)
+			if combos != want {
+				t.Errorf("C(%d,%d): %d combos vs binomial %d", n, k, combos, want)
 			}
 		}
 	}
@@ -107,62 +107,6 @@ func TestBinomial(t *testing.T) {
 	}
 	if _, err := Binomial(200, 100); err == nil {
 		t.Error("expected overflow error")
-	}
-}
-
-func TestIsSubsetComplement(t *testing.T) {
-	if !IsSubset([]int{1, 3}, []int{0, 1, 2, 3}) {
-		t.Error("subset not detected")
-	}
-	if IsSubset([]int{1, 4}, []int{0, 1, 2, 3}) {
-		t.Error("non-subset accepted")
-	}
-	if !IsSubset(nil, []int{0}) {
-		t.Error("empty set is a subset of anything")
-	}
-	comp := Complement([]int{1, 3}, 5)
-	want := []int{0, 2, 4}
-	if len(comp) != len(want) {
-		t.Fatalf("Complement = %v", comp)
-	}
-	for i := range want {
-		if comp[i] != want[i] {
-			t.Fatalf("Complement = %v", comp)
-		}
-	}
-}
-
-func TestPointSetDistanceAndHausdorff(t *testing.T) {
-	xs := [][]float64{{0, 0}, {1, 0}}
-	ys := [][]float64{{0, 1}, {5, 0}}
-	d, err := PointSetDistance([]float64{0, 0}, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-1) > 1e-12 {
-		t.Errorf("point-set dist = %v", d)
-	}
-	h, err := Hausdorff(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// sup over ys side: (5,0) is 4 away from (1,0); that dominates.
-	if math.Abs(h-4) > 1e-12 {
-		t.Errorf("hausdorff = %v", h)
-	}
-	// Symmetry.
-	h2, err := Hausdorff(ys, xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(h-h2) > 1e-12 {
-		t.Error("hausdorff not symmetric")
-	}
-	if _, err := PointSetDistance([]float64{0}, nil); !errors.Is(err, ErrArgs) {
-		t.Errorf("empty set: %v", err)
-	}
-	if _, err := Hausdorff(nil, ys); !errors.Is(err, ErrArgs) {
-		t.Errorf("empty hausdorff: %v", err)
 	}
 }
 

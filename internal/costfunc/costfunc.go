@@ -12,7 +12,6 @@
 //     regression cost of Section 5 / Appendix J.
 //   - QuadraticForm: Q(x) = 1/2 x'Px + q'x + c, the generic strongly convex
 //     quadratic used by tests and synthetic instances.
-//   - Logistic: binary cross-entropy, for the learning experiments.
 //   - Hinge: the SVM cost mentioned in Section 5 (subgradients).
 //
 // Sum and Scale combine costs; Smoothness and StrongConvexity compute the
@@ -22,7 +21,6 @@ package costfunc
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"byzopt/internal/matrix"
 	"byzopt/internal/vecmath"
@@ -65,15 +63,6 @@ type GradIntoer interface {
 	GradInto(dst, x []float64) error
 }
 
-// Minimizable is implemented by costs with a closed-form minimizer, such as
-// full-rank least squares. The redundancy machinery uses it to compute the
-// subset argmins x_S exactly.
-type Minimizable interface {
-	Function
-	// Minimum returns one minimizer of the cost.
-	Minimum() ([]float64, error)
-}
-
 // --- least squares ---
 
 // LeastSquares is the regression cost Q(x) = ||b - A x||^2 over the rows of
@@ -87,10 +76,7 @@ type LeastSquares struct {
 	res []float64
 }
 
-var (
-	_ GradIntoer  = (*LeastSquares)(nil)
-	_ Minimizable = (*LeastSquares)(nil)
-)
+var _ GradIntoer = (*LeastSquares)(nil)
 
 // NewLeastSquares builds the cost ||b - A x||^2.
 func NewLeastSquares(a *matrix.Matrix, b []float64) (*LeastSquares, error) {
@@ -189,22 +175,6 @@ func (q *LeastSquares) gradInto(dst, x, res []float64) error {
 // Hessian returns the constant Hessian 2 A'A.
 func (q *LeastSquares) Hessian() *matrix.Matrix { return q.a.Gram().Scale(2) }
 
-// Minimum returns the least-squares minimizer. It requires A to have full
-// column rank and at least Dim rows.
-func (q *LeastSquares) Minimum() ([]float64, error) {
-	x, err := matrix.LeastSquares(q.a, q.b)
-	if err != nil {
-		return nil, fmt.Errorf("costfunc: least squares minimum: %w", err)
-	}
-	return x, nil
-}
-
-// Design returns a copy of the design matrix A.
-func (q *LeastSquares) Design() *matrix.Matrix { return q.a.Clone() }
-
-// Response returns a copy of the response vector b.
-func (q *LeastSquares) Response() []float64 { return vecmath.Clone(q.b) }
-
 // --- quadratic form ---
 
 // QuadraticForm is Q(x) = 1/2 x'Px + q'x + c with symmetric P.
@@ -277,108 +247,8 @@ func (f *QuadraticForm) GradInto(dst, x []float64) error {
 	return vecmath.AddInPlace(dst, f.q)
 }
 
-// Minimum solves Px = -q. It errors when P is singular.
-func (f *QuadraticForm) Minimum() ([]float64, error) {
-	x, err := f.p.Solve(vecmath.Neg(f.q))
-	if err != nil {
-		return nil, fmt.Errorf("costfunc: quadratic minimum: %w", err)
-	}
-	return x, nil
-}
-
 // Hessian returns a copy of P.
 func (f *QuadraticForm) Hessian() *matrix.Matrix { return f.p.Clone() }
-
-// --- logistic loss ---
-
-// Logistic is the binary logistic regression cost
-// Q(w) = (1/n) sum_i log(1 + exp(-y_i w.x_i)) + (reg/2)||w||^2,
-// with labels y in {-1, +1}.
-type Logistic struct {
-	xs     [][]float64
-	ys     []float64
-	reg    float64
-	weight float64 // 1/n normalization
-}
-
-var _ Differentiable = (*Logistic)(nil)
-
-// NewLogistic builds a logistic cost over the given points. Labels must be
-// -1 or +1; reg must be non-negative.
-func NewLogistic(xs [][]float64, ys []float64, reg float64) (*Logistic, error) {
-	if len(xs) == 0 || len(xs) != len(ys) {
-		return nil, fmt.Errorf("costfunc: %d points vs %d labels: %w", len(xs), len(ys), ErrDimension)
-	}
-	if reg < 0 {
-		return nil, fmt.Errorf("costfunc: negative regularization %v", reg)
-	}
-	d := len(xs[0])
-	cp := make([][]float64, len(xs))
-	for i, x := range xs {
-		if len(x) != d {
-			return nil, fmt.Errorf("costfunc: point %d has dim %d, want %d: %w", i, len(x), d, ErrDimension)
-		}
-		if ys[i] != 1 && ys[i] != -1 {
-			return nil, fmt.Errorf("costfunc: label %d is %v, want +-1", i, ys[i])
-		}
-		cp[i] = vecmath.Clone(x)
-	}
-	return &Logistic{xs: cp, ys: vecmath.Clone(ys), reg: reg, weight: 1 / float64(len(xs))}, nil
-}
-
-// Dim returns the feature dimension.
-func (l *Logistic) Dim() int { return len(l.xs[0]) }
-
-// Eval returns the regularized mean logistic loss.
-func (l *Logistic) Eval(w []float64) (float64, error) {
-	if len(w) != l.Dim() {
-		return 0, fmt.Errorf("costfunc: eval at dim %d, want %d: %w", len(w), l.Dim(), ErrDimension)
-	}
-	var s float64
-	for i, x := range l.xs {
-		wx, err := vecmath.Dot(w, x)
-		if err != nil {
-			return 0, err
-		}
-		s += log1pExp(-l.ys[i] * wx)
-	}
-	return l.weight*s + 0.5*l.reg*vecmath.NormSq(w), nil
-}
-
-// Grad returns the gradient of the regularized mean logistic loss.
-func (l *Logistic) Grad(w []float64) ([]float64, error) {
-	g := make([]float64, l.Dim())
-	if err := l.GradInto(g, w); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// GradInto writes the gradient of the regularized mean logistic loss into
-// dst without allocating.
-func (l *Logistic) GradInto(dst, w []float64) error {
-	if len(w) != l.Dim() {
-		return fmt.Errorf("costfunc: grad at dim %d, want %d: %w", len(w), l.Dim(), ErrDimension)
-	}
-	if len(dst) != l.Dim() {
-		return fmt.Errorf("costfunc: grad into dim %d, want %d: %w", len(dst), l.Dim(), ErrDimension)
-	}
-	for i := range dst {
-		dst[i] = l.reg * w[i]
-	}
-	for i, x := range l.xs {
-		wx, err := vecmath.Dot(w, x)
-		if err != nil {
-			return err
-		}
-		// d/dw log(1+exp(-y wx)) = -y sigmoid(-y wx) x
-		coeff := -l.ys[i] * sigmoid(-l.ys[i]*wx) * l.weight
-		if err := vecmath.AxpyInPlace(dst, coeff, x); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // --- hinge loss (SVM) ---
 
@@ -691,24 +561,4 @@ func NumericGrad(f Function, x []float64, h float64) ([]float64, error) {
 		g[i] = (hiV - loV) / (2 * h)
 	}
 	return g, nil
-}
-
-// sigmoid is the numerically stable logistic function.
-func sigmoid(z float64) float64 {
-	if z >= 0 {
-		return 1 / (1 + math.Exp(-z))
-	}
-	e := math.Exp(z)
-	return e / (1 + e)
-}
-
-// log1pExp computes log(1 + exp(z)) without overflow.
-func log1pExp(z float64) float64 {
-	if z > 35 {
-		return z // exp(z) dominates; log(1+e^z) ~= z
-	}
-	if z < -35 {
-		return math.Exp(z) // log(1+eps) ~= eps
-	}
-	return math.Log1p(math.Exp(z))
 }

@@ -52,15 +52,11 @@ func gradIntoCosts(t *testing.T, r *rand.Rand, d int) map[string]GradIntoer {
 		}
 		ys[i] = float64(1 - 2*(i%2))
 	}
-	lg, err := NewLogistic(pts, ys, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
 	hg, err := NewHinge(pts, ys, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := NewSum(ls, qf, lg)
+	sum, err := NewSum(ls, qf, hg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +67,6 @@ func gradIntoCosts(t *testing.T, r *rand.Rand, d int) map[string]GradIntoer {
 	return map[string]GradIntoer{
 		"leastsquares": ls,
 		"quadratic":    qf,
-		"logistic":     lg,
 		"hinge":        hg,
 		"sum":          sum,
 		"scale":        sc,

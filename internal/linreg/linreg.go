@@ -50,9 +50,6 @@ var paperA = [][]float64{
 // paperB is the response vector B of equation (132).
 var paperB = []float64{0.9108, 1.3349, 1.3376, 1.0033, 0.2142, -0.3615}
 
-// paperN is the noise vector N of equation (132); B = A(1,1)' + N.
-var paperN = []float64{-0.0892, 0.0349, 0.0376, 0.0033, -0.0858, -0.0615}
-
 // paperX0 is the initial estimate used by every experiment in Section 5.
 var paperX0 = []float64{-0.0085, -0.5643}
 
@@ -97,14 +94,8 @@ func A() [][]float64 {
 // B returns a copy of the paper's response vector.
 func B() []float64 { return vecmath.Clone(paperB) }
 
-// Noise returns a copy of the paper's noise vector.
-func Noise() []float64 { return vecmath.Clone(paperN) }
-
 // X0 returns the paper's initial estimate.
 func X0() []float64 { return vecmath.Clone(paperX0) }
-
-// GroundTruth returns the noise-free generator x* = (1, 1).
-func GroundTruth() []float64 { return []float64{1, 1} }
 
 // FromData builds an Instance from arbitrary regression data with the same
 // conventions as the paper (f = 1 unless n demands otherwise is up to the

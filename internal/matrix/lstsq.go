@@ -93,25 +93,6 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// NormalEquations solves min_x ||A x - b||² by forming AᵀA x = Aᵀb and using
-// Cholesky. Faster but less robust than LeastSquares; exposed for the
-// ablation comparing the two paths and as a cross-check in tests.
-func NormalEquations(a *Matrix, b []float64) ([]float64, error) {
-	if len(b) != a.rows {
-		return nil, fmt.Errorf("matrix: normal equations rhs length %d, want %d: %w", len(b), a.rows, ErrShape)
-	}
-	gram := a.Gram()
-	atb, err := a.T().MulVec(b)
-	if err != nil {
-		return nil, err
-	}
-	x, err := gram.SolveCholesky(atb)
-	if err != nil {
-		return nil, fmt.Errorf("normal equations: %w", err)
-	}
-	return x, nil
-}
-
 // Residual returns b - A x, the least-squares residual vector.
 func Residual(a *Matrix, x, b []float64) ([]float64, error) {
 	ax, err := a.MulVec(x)

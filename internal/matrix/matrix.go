@@ -1,7 +1,7 @@
 // Package matrix implements the dense linear algebra the reproduction needs
-// and the Go standard library does not provide: matrix arithmetic, linear
-// solvers (Gaussian elimination with partial pivoting, Cholesky), Householder
-// QR least squares, and a cyclic Jacobi eigensolver for symmetric matrices.
+// and the Go standard library does not provide: matrix arithmetic, a linear
+// solver (Gaussian elimination with partial pivoting), Householder QR least
+// squares, and a cyclic Jacobi eigensolver for symmetric matrices.
 //
 // The eigensolver is what lets us compute the paper's smoothness coefficient
 // µ (largest eigenvalue of the per-agent Hessian) and strong-convexity
@@ -28,8 +28,8 @@ var ErrShape = errors.New("matrix: shape mismatch")
 // numerically rank-deficient system.
 var ErrSingular = errors.New("matrix: singular matrix")
 
-// ErrNotSPD is returned (wrapped) when a Cholesky factorization is attempted
-// on a matrix that is not symmetric positive definite.
+// ErrNotSPD is returned (wrapped) when the eigensolver is handed a matrix
+// that is not symmetric.
 var ErrNotSPD = errors.New("matrix: matrix not symmetric positive definite")
 
 // Matrix is a dense, row-major matrix of float64.
@@ -94,16 +94,6 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 	return &Matrix{rows: len(rows), cols: c, data: data}, nil
 }
 
-// FromColumn builds an n x 1 column matrix from a vector.
-func FromColumn(v []float64) (*Matrix, error) {
-	if len(v) == 0 {
-		return nil, errors.New("matrix: FromColumn with empty vector")
-	}
-	d := make([]float64, len(v))
-	copy(d, v)
-	return &Matrix{rows: len(v), cols: 1, data: d}, nil
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -120,15 +110,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 func (m *Matrix) Row(i int) []float64 {
 	out := make([]float64, m.cols)
 	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.At(i, j)
-	}
 	return out
 }
 
@@ -153,17 +134,6 @@ func (m *Matrix) SelectRows(idx []int) (*Matrix, error) {
 		out = append(out, m.data[i*m.cols:(i+1)*m.cols]...)
 	}
 	return &Matrix{rows: len(idx), cols: m.cols, data: out}, nil
-}
-
-// T returns the transpose.
-func (m *Matrix) T() *Matrix {
-	out := &Matrix{rows: m.cols, cols: m.rows, data: make([]float64, len(m.data))}
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.data[j*out.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return out
 }
 
 // Add returns m + b.
@@ -197,26 +167,6 @@ func (m *Matrix) Scale(alpha float64) *Matrix {
 		out.data[i] *= alpha
 	}
 	return out
-}
-
-// Mul returns the matrix product m * b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.cols != b.rows {
-		return nil, fmt.Errorf("matrix: mul %dx%d by %dx%d: %w", m.rows, m.cols, b.rows, b.cols, ErrShape)
-	}
-	out := &Matrix{rows: m.rows, cols: b.cols, data: make([]float64, m.rows*b.cols)}
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			orow := out.data[i*out.cols : (i+1)*out.cols]
-			axpyRow(orow, a, brow)
-		}
-	}
-	return out, nil
 }
 
 // MulVec returns the matrix-vector product m * v.
@@ -465,70 +415,6 @@ func (m *Matrix) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Inverse returns the inverse of a square matrix via column-wise solves.
-func (m *Matrix) Inverse() (*Matrix, error) {
-	n := m.rows
-	if m.cols != n {
-		return nil, fmt.Errorf("matrix: inverse of non-square %dx%d: %w", m.rows, m.cols, ErrShape)
-	}
-	out, err := Zero(n, n)
-	if err != nil {
-		return nil, err
-	}
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for k := range e {
-			e[k] = 0
-		}
-		e[j] = 1
-		col, err := m.Solve(e)
-		if err != nil {
-			return nil, fmt.Errorf("inverse column %d: %w", j, err)
-		}
-		for i := 0; i < n; i++ {
-			out.Set(i, j, col[i])
-		}
-	}
-	return out, nil
-}
-
-// Det returns the determinant of a square matrix via LU elimination.
-func (m *Matrix) Det() (float64, error) {
-	n := m.rows
-	if m.cols != n {
-		return 0, fmt.Errorf("matrix: det of non-square %dx%d: %w", m.rows, m.cols, ErrShape)
-	}
-	a := m.Clone()
-	det := 1.0
-	for col := 0; col < n; col++ {
-		pivot := col
-		best := math.Abs(a.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a.At(r, col)); v > best {
-				pivot, best = r, v
-			}
-		}
-		if best == 0 {
-			return 0, nil
-		}
-		if pivot != col {
-			for j := 0; j < n; j++ {
-				a.data[col*n+j], a.data[pivot*n+j] = a.data[pivot*n+j], a.data[col*n+j]
-			}
-			det = -det
-		}
-		det *= a.At(col, col)
-		inv := 1 / a.At(col, col)
-		for r := col + 1; r < n; r++ {
-			factor := a.At(r, col) * inv
-			for j := col; j < n; j++ {
-				a.Set(r, j, a.At(r, j)-factor*a.At(col, j))
-			}
-		}
-	}
-	return det, nil
-}
-
 // Rank returns the numerical rank of the matrix, estimated by Gaussian
 // elimination with a relative pivot tolerance.
 func (m *Matrix) Rank() int {
@@ -567,69 +453,4 @@ func (m *Matrix) Rank() int {
 		row++
 	}
 	return rank
-}
-
-// Cholesky returns the lower-triangular factor L with m = L Lᵀ.
-// It returns ErrNotSPD (wrapped) if m is not symmetric positive definite.
-func (m *Matrix) Cholesky() (*Matrix, error) {
-	n := m.rows
-	if m.cols != n {
-		return nil, fmt.Errorf("matrix: cholesky of non-square %dx%d: %w", m.rows, m.cols, ErrShape)
-	}
-	if !m.IsSymmetric(1e-10 * (1 + m.FrobeniusNorm())) {
-		return nil, fmt.Errorf("matrix: not symmetric: %w", ErrNotSPD)
-	}
-	l, err := Zero(n, n)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := m.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if s <= 0 {
-					return nil, fmt.Errorf("matrix: non-positive pivot %e at %d: %w", s, i, ErrNotSPD)
-				}
-				l.Set(i, i, math.Sqrt(s))
-			} else {
-				l.Set(i, j, s/l.At(j, j))
-			}
-		}
-	}
-	return l, nil
-}
-
-// SolveCholesky solves m x = b for symmetric positive definite m using the
-// Cholesky factorization (forward then backward substitution).
-func (m *Matrix) SolveCholesky(b []float64) ([]float64, error) {
-	l, err := m.Cholesky()
-	if err != nil {
-		return nil, err
-	}
-	n := m.rows
-	if len(b) != n {
-		return nil, fmt.Errorf("matrix: rhs length %d, want %d: %w", len(b), n, ErrShape)
-	}
-	// Forward: L y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
-		}
-		y[i] = s / l.At(i, i)
-	}
-	// Backward: Lᵀ x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
-		}
-		x[i] = s / l.At(i, i)
-	}
-	return x, nil
 }

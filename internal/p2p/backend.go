@@ -1,7 +1,6 @@
 package p2p
 
 import (
-	"context"
 	"fmt"
 
 	"byzopt/internal/byzantine"
@@ -9,13 +8,13 @@ import (
 )
 
 // Backend executes dgd configurations over the fully decentralized
-// substrate: every agent becomes a peer on a complete network, each round
-// every peer's report goes through an EIG Byzantine broadcast, and every
-// honest peer applies the gradient filter locally to the agreed-upon report
-// set — the Section-1.4 simulation of the server-based algorithm. It
-// implements dgd.Backend, so sweep.Spec.Backend accepts it directly and
-// scenario grids run unchanged on the peer-to-peer architecture. The zero
-// value is ready to use.
+// substrate, and is the only way to run it: every agent becomes a peer on a
+// complete network, each round every peer's report goes through an EIG
+// Byzantine broadcast, and every honest peer applies the gradient filter
+// locally to the agreed-upon report set — the Section-1.4 simulation of the
+// server-based algorithm. It implements dgd.Backend, so sweep.Spec.Backend
+// accepts it directly and scenario grids run unchanged on the peer-to-peer
+// architecture. The zero value is ready to use.
 //
 // Mapping semantics:
 //
@@ -27,8 +26,12 @@ import (
 //   - A Faulty agent whose behavior also implements the broadcast Distorter
 //     contract (a Relay method; see byzantine.Equivocate) additionally
 //     equivocates while relaying other peers' broadcasts — the one adversary
-//     only this substrate can express. Agents can also attach a distorter
-//     explicitly via Equivocating.
+//     only this substrate can express. Any other Distorter (SeededLiar,
+//     SplitLiar, one of your own) is attached with Equivocating. Either way
+//     the peer is Faulty, so it is collected as Byzantine too.
+//   - Honest peers must stay in agreement: a run in which two of them hold
+//     different estimates after a round fails there. The broadcast layer
+//     guarantees it, so this never fires with at most f distorting peers.
 //   - Configurations with n <= 3f are rejected with a wrapped
 //     dgd.ErrInadmissible — the EIG admissibility bound — which the sweep
 //     engine classifies as a skipped grid point rather than a sweep failure.
@@ -45,29 +48,6 @@ import (
 type Backend struct{}
 
 var _ dgd.Backend = Backend{}
-
-// Run implements dgd.Backend.
-func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
-	n := len(cfg.Agents)
-	if n == 0 {
-		return nil, fmt.Errorf("no agents: %w", dgd.ErrConfig)
-	}
-	if cfg.F < 0 || n <= 3*cfg.F {
-		return nil, fmt.Errorf("p2p backend needs n > 3f, got n=%d f=%d: %w", n, cfg.F, dgd.ErrInadmissible)
-	}
-	peers := make([]Peer, n)
-	for i, a := range cfg.Agents {
-		if a == nil {
-			return nil, fmt.Errorf("nil agent %d: %w", i, dgd.ErrConfig)
-		}
-		peers[i] = Peer{Agent: a, Distorter: AgentDistorter(a)}
-	}
-	res, err := run(ctx, peers, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &dgd.Result{X: res.X, Rounds: cfg.Rounds, Trace: res.Trace}, nil
-}
 
 // AgentDistorter returns the broadcast-layer distorter an agent carries, or
 // nil for agents honest in the broadcast layer. Two channels surface one:

@@ -173,16 +173,11 @@ func TestBackendInadmissible(t *testing.T) {
 	if _, err := (Backend{}).Run(context.Background(), cfg); !errors.Is(err, dgd.ErrInadmissible) {
 		t.Errorf("want dgd.ErrInadmissible, got %v", err)
 	}
-	// The direct Config path keeps its ErrArgs contract and gains the
-	// admissibility classification.
+	// Three agents cannot tolerate one fault by broadcast either.
 	cfg3, _ := paperConfig(t, nil, 1)
-	peers := make([]Peer, 3)
-	for i := range peers {
-		peers[i] = Peer{Agent: cfg3.Agents[i]}
-	}
-	_, err := Run(Config{Peers: peers, F: 1, Filter: aggregate.CGE{}, X0: cfg3.X0, Rounds: 1})
-	if !errors.Is(err, ErrArgs) || !errors.Is(err, dgd.ErrInadmissible) {
-		t.Errorf("want ErrArgs and dgd.ErrInadmissible, got %v", err)
+	cfg3.Agents, cfg3.F = cfg3.Agents[:3], 1
+	if _, err := (Backend{}).Run(context.Background(), cfg3); !errors.Is(err, dgd.ErrInadmissible) {
+		t.Errorf("n = 3, f = 1: want dgd.ErrInadmissible, got %v", err)
 	}
 }
 

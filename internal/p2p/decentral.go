@@ -2,159 +2,57 @@ package p2p
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
 
-	"byzopt/internal/aggregate"
-	"byzopt/internal/chaos"
-	"byzopt/internal/costfunc"
 	"byzopt/internal/dgd"
 	"byzopt/internal/vecmath"
 )
 
-// Peer is one participant in the decentralized run.
-type Peer struct {
-	// Agent produces the gradient the peer injects into its own broadcast.
-	// Honest peers hand a truthful agent; Byzantine peers hand any
-	// dgd.Agent, and agents implementing dgd.Faulty are collected
-	// index-aware after the honest phase, observing the honest reports of
-	// the round — the same omniscient-adversary contract the in-process
-	// engine serves.
-	Agent dgd.Agent
-	// Distorter, when non-nil, marks the peer Byzantine in the broadcast
-	// layer as well: it may equivocate while relaying others' gradients.
-	Distorter Distorter
-}
-
-// Config describes a decentralized DGD run.
-type Config struct {
-	// Peers are the n participants.
-	Peers []Peer
-	// F is the Byzantine budget; the broadcast layer requires n > 3f.
-	F int
-	// Filter is applied locally by every honest peer.
-	Filter aggregate.Filter
-	// Steps is the step-size schedule; nil means dgd.DefaultSteps().
-	Steps dgd.StepSchedule
-	// Box is the constraint set W; nil disables projection.
-	Box *vecmath.Box
-	// X0 is the shared initial estimate.
-	X0 []float64
-	// Rounds is the number of iterations.
-	Rounds int
-	// TrackLoss and Reference mirror dgd.Config, evaluated on the honest
-	// peers' common estimate.
-	TrackLoss costfunc.Function
-	Reference []float64
-	// Observer, when non-nil, observes every honest-consensus estimate x_t
-	// for t = 0..Rounds with the tracked loss and distance values, exactly
-	// as dgd.Config.Observer does on the other substrates (the shared
-	// dgd.RecordRound path feeds it).
-	Observer dgd.RoundObserver
-	// Async mirrors dgd.Config.Async: a non-nil value layers the
-	// virtual-time asynchronous collection model over every honest peer's
-	// local aggregation. Each honest peer runs its own overlay instance
-	// over its agreed gradient set; the overlays share the configuration
-	// and seed, so they draw identical arrival times and the honest
-	// estimates stay in agreement. Zero-latency wait-all is bitwise
-	// identical to a nil Async.
-	Async *dgd.AsyncConfig
-	// Chaos mirrors dgd.Config.Chaos: an enabled plan injects deterministic
-	// system faults into every honest peer's local collection. All peers
-	// share the plan and seed, so they inject identical faults and the
-	// agreement invariant survives — a crashed peer disappears from every
-	// overlay at once. A chaos-only run gets the default zero-latency
-	// wait-all overlay per peer.
-	Chaos *chaos.Plan
-}
-
-// Result is the outcome of a decentralized run.
-type Result struct {
-	// X is the honest peers' common final estimate.
-	X []float64
-	// Trace holds the recorded series.
-	Trace dgd.Trace
-	// MaxEstimateSpread is the largest distance observed between any two
-	// honest peers' estimates across the whole run; the broadcast layer
-	// guarantees it is exactly zero.
-	MaxEstimateSpread float64
-	// Degraded reports that the run rode out at least one injected system
-	// fault instead of failing.
-	Degraded bool
-	// Faults tallies the chaos plan's injections, counted once at the
-	// reference honest peer (every peer injects the identical faults).
-	Faults chaos.Counters
-}
-
-// kernel projects the configuration onto the round kernel's.
-func (cfg Config) kernel() dgd.Config {
-	return dgd.Config{
-		F: cfg.F, Filter: cfg.Filter, Steps: cfg.Steps, Box: cfg.Box, X0: cfg.X0, Rounds: cfg.Rounds,
-		TrackLoss: cfg.TrackLoss, Reference: cfg.Reference, Observer: cfg.Observer,
-		Async: cfg.Async, Chaos: cfg.Chaos,
-	}
-}
-
-// Run executes the decentralized simulation without cancellation, as
-// RunContext with a background context.
-func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext executes the decentralized simulation: each round every peer
-// broadcasts its gradient via EIG, so all honest peers agree on the same
-// n reported gradients, apply the same deterministic filter, and take the
-// same projected step — reproducing the server-based algorithm without a
-// server, exactly as Section 1.4 claims for f < n/3. The context is checked
-// once per round, so cancellation or deadline expiry aborts the run within
-// one round's duration with a wrapped ctx.Err().
+// Run implements dgd.Backend, executing the decentralized simulation of cfg:
+// each round every agent broadcasts its report via EIG, so all honest peers
+// agree on the same n reported gradients, apply the same deterministic
+// filter, and take the same projected step — reproducing the server-based
+// algorithm without a server, exactly as Section 1.4 claims for f < n/3. The
+// context is checked once per round, so cancellation or deadline expiry
+// aborts the run within one round's duration with a wrapped ctx.Err().
 //
 // The substrate is only the gathering: a dgd.Collector computes the reports
-// exactly as the in-process engine does — peers whose agents are not
-// dgd.Faulty first, then Faulty agents index-aware with the honest reports
-// of the round, so omniscient behaviors see the complete honest set (the
-// broadcast model's rushing adversary) — and the EIG exchange fixes what
-// each peer decides every sender reported. Every honest peer then runs its
-// own dgd.Round kernel over its decided set; the kernels share the
-// configuration and seeds, so overlays draw identical arrivals and faults
-// and the estimates stay in agreement, which the run verifies as it goes.
-// Recording, observers, and the fault tally hang off the first honest peer
-// only. Byzantine peers that equivocate in the broadcast layer (non-nil
-// Distorter) take no protocol step and report from the honest consensus
-// estimate — the strongest vantage point, matching the engine's shared-x
-// semantics.
-func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	return run(ctx, cfg.Peers, cfg.kernel())
-}
-
-func run(ctx context.Context, peers []Peer, cfg dgd.Config) (*Result, error) {
+// exactly as the in-process engine does — agents that are not dgd.Faulty
+// first, then Faulty agents index-aware with the honest reports of the round,
+// so omniscient behaviors see the complete honest set (the broadcast model's
+// rushing adversary) — and the EIG exchange fixes what each peer decides
+// every sender reported. A peer distorts relays when AgentDistorter finds a
+// Distorter on its agent; both ways to attach one (an Equivocate behavior on
+// a dgd.NewFaulty agent, or Equivocating) make the agent Faulty, so a peer
+// lying in the broadcast layer is Byzantine in collection too. Every honest
+// peer then runs its own dgd.Round kernel over its decided set; the kernels
+// share the configuration and seeds, so overlays draw identical arrivals and
+// faults and the estimates stay in agreement, which the run verifies every
+// round. Recording and observers hang off the first honest peer only.
+// Distorting peers take no protocol step and report from the honest
+// consensus estimate — the strongest vantage point, matching the engine's
+// shared-x semantics.
+func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := len(peers)
+	n := len(cfg.Agents)
 	if n == 0 {
-		return nil, fmt.Errorf("no peers: %w", ErrArgs)
+		return nil, fmt.Errorf("no agents: %w", dgd.ErrConfig)
 	}
 	if cfg.F < 0 || n <= 3*cfg.F {
-		return nil, fmt.Errorf("decentralized DGD needs n > 3f, got n=%d f=%d: %w: %w",
-			n, cfg.F, ErrArgs, dgd.ErrInadmissible)
+		return nil, fmt.Errorf("p2p backend needs n > 3f, got n=%d f=%d: %w", n, cfg.F, dgd.ErrInadmissible)
 	}
 	liars := make([]Distorter, n)
 	distorting := 0
-	agents := make([]dgd.Agent, n)
-	for i, p := range peers {
-		if p.Agent == nil {
-			return nil, fmt.Errorf("peer %d has no agent: %w", i, ErrArgs)
+	for i, a := range cfg.Agents {
+		if a == nil {
+			return nil, fmt.Errorf("nil agent %d: %w", i, dgd.ErrConfig)
 		}
-		agents[i] = p.Agent
-		if p.Distorter != nil {
-			liars[i] = p.Distorter
+		if liars[i] = AgentDistorter(a); liars[i] != nil {
 			distorting++
-			if _, isFaulty := p.Agent.(dgd.Faulty); !isFaulty {
-				agents[i] = zeroOnError{p.Agent}
-			}
 		}
 	}
 	if distorting > cfg.F {
@@ -168,7 +66,7 @@ func run(ctx context.Context, peers []Peer, cfg dgd.Config) (*Result, error) {
 	// first, and the only one that records and feeds observers.
 	rounds := make([]*dgd.Round, n)
 	var ref *dgd.Round
-	for p := range peers {
+	for p := range liars {
 		if liars[p] != nil {
 			continue
 		}
@@ -192,7 +90,7 @@ func run(ctx context.Context, peers []Peer, cfg dgd.Config) (*Result, error) {
 	// reported; peers that decided the same payload share one decoded row, so
 	// a sender costs one decode a round while the honest peers agree.
 	dim := len(cfg.X0)
-	col := dgd.NewCollector(agents, dim, 1)
+	col := dgd.NewCollector(cfg.Agents, dim, 1)
 	e := newEIG(n, cfg.F)
 	var payload []byte
 	decided := make([][][]float64, n)
@@ -202,7 +100,6 @@ func run(ctx context.Context, peers []Peer, cfg dgd.Config) (*Result, error) {
 	var rows [][]float64 // decode arena, grown on demand
 	var ids []int32      // the value ids decided in the current broadcast
 
-	res := &Result{}
 	for t := 0; t < cfg.Rounds; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("run cancelled at round %d: %w", t, err)
@@ -264,33 +161,13 @@ func run(ctx context.Context, peers []Peer, cfg dgd.Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if d > res.MaxEstimateSpread {
-				res.MaxEstimateSpread = d
+			if d > 0 {
+				return nil, fmt.Errorf("p2p: honest estimates diverged at round %d — broadcast agreement violated", t)
 			}
 		}
 	}
 	if err := ref.Record(cfg.Rounds); err != nil {
 		return nil, err
 	}
-	res.X = ref.X()
-	res.Trace = ref.Trace()
-	res.Faults = ref.Faults()
-	res.Degraded = !res.Faults.IsZero()
-	if res.MaxEstimateSpread > 0 {
-		return res, errors.New("p2p: honest estimates diverged — broadcast agreement violated")
-	}
-	return res, nil
-}
-
-// zeroOnError serves a distorting peer whose agent is not dgd.Faulty: its
-// own report failure is its problem — it injects zeros — where an honest
-// peer's failure fails the run.
-type zeroOnError struct{ dgd.Agent }
-
-func (z zeroOnError) Gradient(round int, x []float64) ([]float64, error) {
-	g, err := z.Agent.Gradient(round, x)
-	if err != nil {
-		return vecmath.Zeros(len(x)), nil
-	}
-	return g, nil
+	return &dgd.Result{X: ref.X(), Rounds: cfg.Rounds, Trace: ref.Trace()}, nil
 }

@@ -12,12 +12,14 @@
 // next estimate, is the dgd.Round kernel the other substrates run too, one
 // instance per peer.
 //
-// Backend exposes the substrate through the uniform dgd.Backend interface:
-// any dgd.Config — and therefore any sweep grid — runs over Byzantine
-// broadcast unchanged, with observers and traces threaded through the
-// decentralized loop, non-equivocating grids byte-identical to the
-// in-process engine, and broadcast-layer equivocation (Distorter) as the
-// one adversary only this substrate can express.
+// Backend is the way in: it runs any dgd.Config — and therefore any sweep
+// grid — over Byzantine broadcast unchanged, with observers and traces
+// threaded through the decentralized loop, non-equivocating grids
+// byte-identical to the in-process engine, and broadcast-layer equivocation
+// (Distorter) as the one adversary only this substrate can express. An
+// agent lies in the broadcast layer through its behavior
+// (byzantine.Equivocate) or through Equivocating, which attaches any
+// Distorter. Broadcast runs one exchange on its own.
 package p2p
 
 import (

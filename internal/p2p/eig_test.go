@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -366,7 +367,7 @@ func TestSettleBranches(t *testing.T) {
 }
 
 // TestEIGReuseMatchesFresh drives one engine through every sender for several
-// rounds, as p2p.run does, against a fresh engine per broadcast. The liar set
+// rounds, as Backend.Run does, against a fresh engine per broadcast. The liar set
 // changes under it from one broadcast to the next — none (the first broadcast
 // sizes nothing), f of them (the whole tree), none again over the arrays the
 // full tree left behind, then a random draw.
@@ -454,8 +455,8 @@ func TestWarmBroadcastAllocs(t *testing.T) {
 func TestRoundAllocs(t *testing.T) {
 	const n, d = 7, 2
 	r := rand.New(rand.NewSource(31))
-	peers := make([]Peer, n)
-	for i := range peers {
+	agents := make([]dgd.Agent, n)
+	for i := range agents {
 		cost, err := costfunc.NewSingleRowLeastSquares([]float64{r.NormFloat64(), r.NormFloat64()}, r.NormFloat64())
 		if err != nil {
 			t.Fatal(err)
@@ -469,12 +470,12 @@ func TestRoundAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		peers[i] = Peer{Agent: agent}
+		agents[i] = agent
 	}
 	runOnce := func(rounds int) func() {
-		cfg := Config{Peers: peers, F: 2, Filter: aggregate.CWTM{}, X0: make([]float64, d), Rounds: rounds, Reference: vecmath.Ones(d)}
+		cfg := dgd.Config{Agents: agents, F: 2, Filter: aggregate.CWTM{}, X0: make([]float64, d), Rounds: rounds, Reference: vecmath.Ones(d)}
 		return func() {
-			if _, err := Run(cfg); err != nil {
+			if _, err := (Backend{}).Run(context.Background(), cfg); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -488,7 +489,7 @@ func TestRoundAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkWarmBroadcast times a broadcast on one reused engine, as p2p.run
+// BenchmarkWarmBroadcast times a broadcast on one reused engine, as Backend.Run
 // makes them: the sender rotates over all n, and 0, 1 or f Equivocates sit on
 // the ids from 1, so a liar is the sender once a turn. built_nodes and
 // relay_calls are what a broadcast builds and asks of its liars, averaged

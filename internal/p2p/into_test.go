@@ -5,6 +5,7 @@ package p2p
 // identical to the same run with the Into faces hidden.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -83,10 +84,10 @@ func TestDecodeVectorIntoMatchesDecodeVector(t *testing.T) {
 
 func TestP2PIntoPathBitwiseMatchesLegacy(t *testing.T) {
 	const n, d = 7, 4
-	buildPeers := func(strip bool) []Peer {
+	buildAgents := func(strip bool) []dgd.Agent {
 		rr := rand.New(rand.NewSource(41))
-		peers := make([]Peer, n)
-		for i := range peers {
+		agents := make([]dgd.Agent, n)
+		for i := range agents {
 			row := make([]float64, d)
 			for j := range row {
 				row[j] = rr.NormFloat64()
@@ -102,28 +103,28 @@ func TestP2PIntoPathBitwiseMatchesLegacy(t *testing.T) {
 			if strip {
 				a = hiddenIntoAgent{inner: a}
 			}
-			peers[i] = Peer{Agent: a}
+			agents[i] = a
 		}
-		fa, err := dgd.NewFaulty(peers[0].Agent, byzantine.GradientReverse{})
+		fa, err := dgd.NewFaulty(agents[0], byzantine.GradientReverse{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if strip {
-			peers[0] = Peer{Agent: hiddenIntoFaulty{inner: fa.(dgd.Faulty)}}
+			agents[0] = hiddenIntoFaulty{inner: fa.(dgd.Faulty)}
 		} else {
-			peers[0] = Peer{Agent: fa}
+			agents[0] = fa
 		}
-		return peers
+		return agents
 	}
 	for _, filterName := range []string{"cwtm", "cwmedian", "cge", "centeredclip"} {
 		filter, err := aggregate.New(filterName)
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(fl aggregate.Filter, strip bool) (*Result, [][]float64) {
+		run := func(fl aggregate.Filter, strip bool) (*dgd.Result, [][]float64) {
 			rec := &dgd.TraceRecorder{}
-			res, err := Run(Config{
-				Peers:    buildPeers(strip),
+			res, err := Backend{}.Run(context.Background(), dgd.Config{
+				Agents:   buildAgents(strip),
 				F:        1,
 				Filter:   fl,
 				X0:       make([]float64, d),

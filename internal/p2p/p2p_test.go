@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -208,7 +209,10 @@ func TestVectorEncoding(t *testing.T) {
 	_ = poisoned
 }
 
-func paperPeers(t *testing.T, distort bool) (*linreg.Instance, []Peer) {
+// paperAgents is the paper's regression workload with agent 0 Byzantine:
+// it reports a reversed gradient and, with distort, also lies while relaying
+// other peers' broadcasts.
+func paperAgents(t *testing.T, distort bool) (*linreg.Instance, []dgd.Agent) {
 	t.Helper()
 	inst, err := linreg.Paper()
 	if err != nil {
@@ -222,27 +226,21 @@ func paperPeers(t *testing.T, distort bool) (*linreg.Instance, []Peer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peers := make([]Peer, len(agents))
-	for i, a := range agents {
-		peers[i] = Peer{Agent: a}
-	}
-	// Agent 0 is Byzantine: wrong gradient, and optionally equivocating in
-	// the broadcast layer too.
-	fa, err := dgd.NewFaulty(agents[0], byzantine.GradientReverse{})
-	if err != nil {
+	if agents[0], err = dgd.NewFaulty(agents[0], byzantine.GradientReverse{}); err != nil {
 		t.Fatal(err)
 	}
-	peers[0].Agent = fa
 	if distort {
-		peers[0].Distorter = SeededLiar{Seed: 5}
+		if agents[0], err = Equivocating(agents[0], SeededLiar{Seed: 5}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return inst, peers
+	return inst, agents
 }
 
 func TestDecentralizedDGDConverges(t *testing.T) {
-	inst, peers := paperPeers(t, true)
-	res, err := Run(Config{
-		Peers:     peers,
+	inst, agents := paperAgents(t, true)
+	res, err := Backend{}.Run(context.Background(), dgd.Config{
+		Agents:    agents,
 		F:         1,
 		Filter:    aggregate.CGE{},
 		Box:       inst.Box,
@@ -251,10 +249,7 @@ func TestDecentralizedDGDConverges(t *testing.T) {
 		Reference: inst.XH,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxEstimateSpread != 0 {
-		t.Errorf("honest estimates diverged by %v", res.MaxEstimateSpread)
+		t.Fatal(err) // includes a broken agreement between honest peers
 	}
 	if d := res.Trace.Dist[len(res.Trace.Dist)-1]; d > 0.1 {
 		t.Errorf("final distance = %v", d)
@@ -265,40 +260,21 @@ func TestDecentralizedMatchesServerBased(t *testing.T) {
 	// With a Byzantine peer that injects a bad gradient but does NOT
 	// equivocate in the broadcast layer, the decentralized run must follow
 	// the exact trajectory of the in-process server engine.
-	inst, peers := paperPeers(t, false)
-	res, err := Run(Config{
-		Peers:  peers,
-		F:      1,
-		Filter: aggregate.CGE{},
-		Box:    inst.Box,
-		X0:     inst.X0,
-		Rounds: 100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	costs, err := inst.Costs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	agents, err := dgd.HonestAgents(costs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fa, err := dgd.NewFaulty(agents[0], byzantine.GradientReverse{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agents[0] = fa
-	engineRes, err := dgd.Run(dgd.Config{
+	inst, agents := paperAgents(t, false)
+	cfg := dgd.Config{
 		Agents: agents,
 		F:      1,
 		Filter: aggregate.CGE{},
 		Box:    inst.Box,
 		X0:     inst.X0,
 		Rounds: 100,
-	})
+	}
+	res, err := Backend{}.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cfg.Agents = paperAgents(t, false)
+	engineRes, err := dgd.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,11 +290,7 @@ func TestDecentralizedMatchesServerBased(t *testing.T) {
 // scratch shared by all peers, the first peer of a round advanced the chain
 // and the rest restarted it, and the run failed its agreement check.)
 func TestDecentralizedStatefulFilterKeepsAgreement(t *testing.T) {
-	inst, peers := paperPeers(t, false)
-	agents := make([]dgd.Agent, len(peers))
-	for i, p := range peers {
-		agents[i] = p.Agent
-	}
+	inst, agents := paperAgents(t, false)
 	for _, name := range []string{"sdmmfd", "sdfd"} {
 		newFilter := func() aggregate.Filter {
 			f, err := aggregate.New(name)
@@ -327,14 +299,13 @@ func TestDecentralizedStatefulFilterKeepsAgreement(t *testing.T) {
 			}
 			return f
 		}
-		res, err := Run(Config{Peers: peers, F: 1, Filter: newFilter(), Box: inst.Box, X0: inst.X0, Rounds: 40})
+		cfg := dgd.Config{Agents: agents, F: 1, Filter: newFilter(), Box: inst.Box, X0: inst.X0, Rounds: 40}
+		res, err := Backend{}.Run(context.Background(), cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", name, err) // includes a broken agreement
 		}
-		if res.MaxEstimateSpread != 0 {
-			t.Errorf("%s: honest estimates spread by %v", name, res.MaxEstimateSpread)
-		}
-		engineRes, err := dgd.Run(dgd.Config{Agents: agents, F: 1, Filter: newFilter(), Box: inst.Box, X0: inst.X0, Rounds: 40})
+		cfg.Filter = newFilter()
+		engineRes, err := dgd.Run(cfg)
 		if err != nil {
 			t.Fatalf("%s in-process: %v", name, err)
 		}
@@ -345,35 +316,43 @@ func TestDecentralizedStatefulFilterKeepsAgreement(t *testing.T) {
 }
 
 func TestDecentralizedValidation(t *testing.T) {
-	inst, peers := paperPeers(t, false)
-	base := Config{Peers: peers, F: 1, Filter: aggregate.CGE{}, X0: inst.X0, Rounds: 1}
+	inst, agents := paperAgents(t, false)
+	base := dgd.Config{Agents: agents, F: 1, Filter: aggregate.CGE{}, X0: inst.X0, Rounds: 1}
+	withAgent := func(i int, a dgd.Agent) []dgd.Agent {
+		as := append([]dgd.Agent(nil), agents...)
+		as[i] = a
+		return as
+	}
+	liar0, err := Equivocating(agents[0], SplitLiar{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	liar1, err := Equivocating(agents[1], SplitLiar{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name   string
-		mutate func(*Config)
+		mutate func(*dgd.Config)
+		want   error
 	}{
-		{"no peers", func(c *Config) { c.Peers = nil }},
-		{"f too large", func(c *Config) { c.F = 2 }},
-		{"nil filter", func(c *Config) { c.Filter = nil }},
-		{"empty x0", func(c *Config) { c.X0 = nil }},
-		{"negative rounds", func(c *Config) { c.Rounds = -1 }},
-		{"nil agent", func(c *Config) {
-			ps := append([]Peer(nil), peers...)
-			ps[1] = Peer{}
-			c.Peers = ps
-		}},
-		{"too many distorters", func(c *Config) {
-			ps := append([]Peer(nil), peers...)
-			ps[0].Distorter = SplitLiar{}
-			ps[1].Distorter = SplitLiar{}
-			c.Peers = ps
-		}},
+		{"no agents", func(c *dgd.Config) { c.Agents = nil }, dgd.ErrConfig},
+		{"f too large", func(c *dgd.Config) { c.F = 2 }, dgd.ErrInadmissible},
+		{"nil filter", func(c *dgd.Config) { c.Filter = nil }, ErrArgs},
+		{"empty x0", func(c *dgd.Config) { c.X0 = nil }, ErrArgs},
+		{"negative rounds", func(c *dgd.Config) { c.Rounds = -1 }, ErrArgs},
+		{"nil agent", func(c *dgd.Config) { c.Agents = withAgent(1, nil) }, dgd.ErrConfig},
+		{"too many distorters", func(c *dgd.Config) {
+			c.Agents = withAgent(0, liar0)
+			c.Agents[1] = liar1
+		}, ErrArgs},
 	}
 	for _, tc := range cases {
 		cfg := base
 		tc.mutate(&cfg)
-		if _, err := Run(cfg); !errors.Is(err, ErrArgs) {
-			t.Errorf("%s: want ErrArgs, got %v", tc.name, err)
+		if _, err := (Backend{}).Run(context.Background(), cfg); !errors.Is(err, tc.want) {
+			t.Errorf("%s: want %v, got %v", tc.name, tc.want, err)
 		}
 	}
 }

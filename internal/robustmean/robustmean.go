@@ -5,14 +5,12 @@
 // The reduction is the one the paper sketches: agent i holds the cost
 // Q_i(x) = ||x - x_i||², so the minimizer of any subset aggregate is that
 // subset's sample mean, subset minimization is closed-form, and the whole
-// Section-3 theory applies verbatim. The package offers three estimators:
-//
-//   - Exhaustive: the Theorem-2 algorithm specialized to means (subset
-//     means instead of least-squares solves), carrying its (f, 2ε)
-//     guarantee with ε the honest points' spread parameter;
-//   - ViaDGD: the Section-4 route — gradients of Q_i are 2(x - x_i), so
-//     filtered gradient descent yields a streaming robust mean;
-//   - CoordinateMedian: the coordinate-wise median baseline.
+// Section-3 theory applies verbatim. The package holds the two faces of that
+// reduction: NewProblem, the point set as a core.Problem for the redundancy
+// and resilience machinery (core.MeasureRedundancy, core.ExhaustiveResilient
+// — the Theorem-2 algorithm specialized to means), and Cloud and PointCost,
+// from which the sweep's robustmean workload builds its agents and runs
+// filtered gradient descent on the gradients 2(x - x_i).
 package robustmean
 
 import (
@@ -20,10 +18,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"byzopt/internal/aggregate"
 	"byzopt/internal/core"
 	"byzopt/internal/costfunc"
-	"byzopt/internal/dgd"
 	"byzopt/internal/matrix"
 	"byzopt/internal/vecmath"
 )
@@ -43,14 +39,6 @@ var _ core.Problem = (*meanProblem)(nil)
 // NewProblem wraps the points as a core.Problem so the generic redundancy
 // and resilience machinery can interrogate the instance.
 func NewProblem(points [][]float64) (core.Problem, error) {
-	mp, err := newMeanProblem(points)
-	if err != nil {
-		return nil, err
-	}
-	return mp, nil
-}
-
-func newMeanProblem(points [][]float64) (*meanProblem, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("no points: %w", ErrArgs)
 	}
@@ -89,83 +77,6 @@ func (m *meanProblem) MinimizeSubset(idx []int) ([]float64, error) {
 	return vecmath.Mean(sub)
 }
 
-// Exhaustive runs the Theorem-2 algorithm on the point set: the returned
-// estimate is within 2ε of the mean of every (n-f)-subset of honest points,
-// where ε is the instance's (2f, ε)-redundancy (here: how far subset means
-// drift when 2f points are removed).
-func Exhaustive(points [][]float64, f int) (*core.ExhaustiveResult, error) {
-	p, err := newMeanProblem(points)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.ExhaustiveResilient(p, f)
-	if err != nil {
-		return nil, fmt.Errorf("robustmean: %w", err)
-	}
-	return res, nil
-}
-
-// Spread measures the instance's (2f, ε)-redundancy: the worst drift of a
-// subset mean when shrinking from n-f to n-2f points. For i.i.d. honest
-// points it scales with the sample noise, quantifying the achievable
-// estimation accuracy (Theorem 2 gives 2ε).
-func Spread(points [][]float64, f int) (float64, error) {
-	p, err := newMeanProblem(points)
-	if err != nil {
-		return 0, err
-	}
-	rep, err := core.MeasureRedundancy(p, f, core.AtLeastSize)
-	if err != nil {
-		return 0, fmt.Errorf("robustmean: %w", err)
-	}
-	return rep.Epsilon, nil
-}
-
-// ViaDGD estimates the robust mean by filtered gradient descent: each point
-// contributes the cost ||x - x_i||² (gradient 2(x - x_i)) and the filter
-// suppresses outlier gradients. rounds controls the iteration budget; the
-// filter must tolerate f faults at n = len(points).
-func ViaDGD(points [][]float64, f int, filter aggregate.Filter, rounds int) ([]float64, error) {
-	p, err := newMeanProblem(points)
-	if err != nil {
-		return nil, err
-	}
-	if filter == nil {
-		return nil, fmt.Errorf("nil filter: %w", ErrArgs)
-	}
-	if rounds < 1 {
-		return nil, fmt.Errorf("rounds = %d: %w", rounds, ErrArgs)
-	}
-	agents := make([]dgd.Agent, p.N())
-	for i, pt := range p.points {
-		cost, err := pointCost(pt)
-		if err != nil {
-			return nil, err
-		}
-		agents[i], err = dgd.NewHonest(cost)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Start from the coordinate-wise median: a cheap f-robust warm start.
-	start, err := CoordinateMedian(points, f)
-	if err != nil {
-		return nil, err
-	}
-	res, err := dgd.Run(dgd.Config{
-		Agents: agents,
-		F:      f,
-		Filter: filter,
-		Steps:  dgd.Diminishing{C: 0.5 / float64(p.N()), P: 1},
-		X0:     start,
-		Rounds: rounds,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("robustmean: %w", err)
-	}
-	return res.X, nil
-}
-
 // Cloud draws a deterministic Gaussian point cloud around the all-ones mean:
 // point i is (1, ..., 1) + spread·N(0, I). The same (n, d, spread, seed)
 // always yields the same cloud, so sweep grid points over robust mean
@@ -194,28 +105,9 @@ func Cloud(n, d int, spread float64, seed int64) ([][]float64, error) {
 // reduction — exported so the sweep problem registry can build robust-mean
 // agents without re-deriving the form.
 func PointCost(p []float64) (costfunc.Differentiable, error) {
-	return pointCost(p)
-}
-
-// pointCost builds ||x - p||² as a quadratic form: P = 2I, q = -2p, c = p.p.
-func pointCost(p []float64) (costfunc.Differentiable, error) {
-	d := len(p)
-	id, err := matrix.Identity(d)
+	id, err := matrix.Identity(len(p))
 	if err != nil {
 		return nil, err
 	}
 	return costfunc.NewQuadraticForm(id.Scale(2), vecmath.Scale(-2, p), vecmath.NormSq(p))
-}
-
-// CoordinateMedian returns the coordinate-wise median of the points, the
-// classic baseline estimator (robust per coordinate for f < n/2).
-func CoordinateMedian(points [][]float64, f int) ([]float64, error) {
-	p, err := newMeanProblem(points)
-	if err != nil {
-		return nil, err
-	}
-	if f < 0 || 2*f >= p.N() {
-		return nil, fmt.Errorf("need 0 <= f < n/2, got n=%d f=%d: %w", p.N(), f, ErrArgs)
-	}
-	return aggregate.CWMedian{}.Aggregate(p.points, f)
 }

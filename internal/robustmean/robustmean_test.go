@@ -8,6 +8,7 @@ import (
 
 	"byzopt/internal/aggregate"
 	"byzopt/internal/core"
+	"byzopt/internal/dgd"
 	"byzopt/internal/vecmath"
 )
 
@@ -75,11 +76,33 @@ func TestProblemValidation(t *testing.T) {
 	}
 }
 
+// mustProblem is NewProblem for points the test built itself.
+func mustProblem(t *testing.T, points [][]float64) core.Problem {
+	t.Helper()
+	p, err := NewProblem(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// spread is the instance's (2f, ε)-redundancy: the worst drift of a subset
+// mean when shrinking from n-f to n-2f points.
+func spread(p core.Problem, f int) (float64, error) {
+	rep, err := core.MeasureRedundancy(p, f, core.AtLeastSize)
+	if err != nil {
+		return 0, err
+	}
+	return rep.Epsilon, nil
+}
+
+// The Theorem-2 algorithm on a robust-mean instance picks a subset without
+// the outliers and lands near the honest mean.
 func TestExhaustiveIgnoresOutliers(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	center := []float64{3, -2}
 	points := cluster(r, 7, 2, 2, center, 0.1)
-	res, err := Exhaustive(points, 2)
+	res, err := core.ExhaustiveResilient(mustProblem(t, points), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +126,11 @@ func TestSpreadScalesWithNoise(t *testing.T) {
 	center := []float64{0, 0}
 	tight := cluster(r, 9, 0, 2, center, 0.01)
 	loose := cluster(r, 9, 0, 2, center, 1.0)
-	sTight, err := Spread(tight, 2)
+	sTight, err := spread(mustProblem(t, tight), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sLoose, err := Spread(loose, 2)
+	sLoose, err := spread(mustProblem(t, loose), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,48 +142,45 @@ func TestSpreadScalesWithNoise(t *testing.T) {
 	}
 }
 
+// TestViaDGDMatchesHonestMean: filtered gradient descent over the PointCost
+// agents — the ones the sweep's robustmean workload builds — lands near the
+// honest mean despite two far outliers.
 func TestViaDGDMatchesHonestMean(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	center := []float64{-1, 4, 2}
 	points := cluster(r, 10, 2, 3, center, 0.05)
-	est, err := ViaDGD(points, 2, aggregate.CWTM{}, 400)
+	agents := make([]dgd.Agent, len(points))
+	for i, p := range points {
+		cost, err := PointCost(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if agents[i], err = dgd.NewHonest(cost); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Start from the coordinate-wise median: a cheap f-robust warm start.
+	start, err := aggregate.CWMedian{}.Aggregate(points, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := vecmath.Dist(est, honestMean(points, 10))
+	res, err := dgd.Run(dgd.Config{
+		Agents: agents,
+		F:      2,
+		Filter: aggregate.CWTM{},
+		Steps:  dgd.Diminishing{C: 0.5 / float64(len(points)), P: 1},
+		X0:     start,
+		Rounds: 400,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := vecmath.Dist(res.X, honestMean(points, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d > 0.25 {
-		t.Errorf("DGD estimate %v is %v from the honest mean", est, d)
-	}
-}
-
-func TestViaDGDValidation(t *testing.T) {
-	points := [][]float64{{1}, {2}, {3}}
-	if _, err := ViaDGD(points, 1, nil, 10); !errors.Is(err, ErrArgs) {
-		t.Errorf("nil filter: %v", err)
-	}
-	if _, err := ViaDGD(points, 1, aggregate.CWTM{}, 0); !errors.Is(err, ErrArgs) {
-		t.Errorf("zero rounds: %v", err)
-	}
-}
-
-func TestCoordinateMedianRobust(t *testing.T) {
-	points := [][]float64{{1, 1}, {1.2, 0.8}, {0.9, 1.1}, {1e6, -1e6}}
-	m, err := CoordinateMedian(points, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := vecmath.Dist(m, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d > 0.5 {
-		t.Errorf("median dragged to %v", m)
-	}
-	if _, err := CoordinateMedian(points, 2); !errors.Is(err, ErrArgs) {
-		t.Errorf("f too large: %v", err)
+		t.Errorf("DGD estimate %v is %v from the honest mean", res.X, d)
 	}
 }
 
@@ -178,15 +198,15 @@ func TestPropExhaustiveWithinTwoEps(t *testing.T) {
 			center[j] = r.NormFloat64() * 5
 		}
 		points := cluster(r, n, 0, d, center, 0.5) // all honest
-		eps, err := Spread(points, fCount)
-		if err != nil {
-			return false
-		}
-		res, err := Exhaustive(points, fCount)
-		if err != nil {
-			return false
-		}
 		p, err := NewProblem(points)
+		if err != nil {
+			return false
+		}
+		eps, err := spread(p, fCount)
+		if err != nil {
+			return false
+		}
+		res, err := core.ExhaustiveResilient(p, fCount)
 		if err != nil {
 			return false
 		}

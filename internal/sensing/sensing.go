@@ -7,9 +7,12 @@
 // state is determined by the observations of any n-2f sensors) — is, as
 // the paper notes, exactly 2f-redundancy of the induced costs
 // Q_i(x) = ||y_i - C_i x||²; noisy observations induce (2f, ε)-redundancy
-// instead. The package wires sensor systems into the generic core theory:
-// observability checks, ε measurement, the Theorem-2 exhaustive estimator,
-// and a filtered-DGD streaming estimator.
+// instead. A System is a core.Problem, so the generic theory applies to it
+// as it is — core.MeasureRedundancy measures its ε — and the package adds
+// the sensing-specific pieces: the sparse-observability check, the
+// Theorem-2 exhaustive estimator, and the per-sensor costs (Costs) from
+// which filtered gradient descent runs, as the sweep's sensing workload
+// does.
 package sensing
 
 import (
@@ -17,10 +20,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"byzopt/internal/aggregate"
 	"byzopt/internal/core"
 	"byzopt/internal/costfunc"
-	"byzopt/internal/dgd"
 	"byzopt/internal/matrix"
 	"byzopt/internal/vecmath"
 )
@@ -218,20 +219,6 @@ func (s *System) SparseObservable(f int) (bool, error) {
 	return true, nil
 }
 
-// MeasureEpsilon returns the (2f, ε)-redundancy of the induced costs: the
-// accuracy floor Theorem 1 imposes on any fault-tolerant estimator, and
-// the level at which Theorem 2 guarantees 2ε-accurate estimation. The
-// subset enumeration runs chunked across workers (MinimizeSubset only
-// reads the system and allocates fresh outputs); the result is
-// bitwise-identical to the sequential measurement.
-func (s *System) MeasureEpsilon(f int) (float64, error) {
-	rep, err := core.MeasureRedundancyWorkers(s, f, core.AtLeastSize, 0)
-	if err != nil {
-		return 0, fmt.Errorf("sensing: %w", err)
-	}
-	return rep.Epsilon, nil
-}
-
 // Estimate runs the Theorem-2 exhaustive estimator: the returned state is
 // within 2ε of the estimate any (n-f)-subset of honest sensors would
 // produce, despite up to f Byzantine sensors.
@@ -241,44 +228,4 @@ func (s *System) Estimate(f int) (*core.ExhaustiveResult, error) {
 		return nil, fmt.Errorf("sensing: %w", err)
 	}
 	return res, nil
-}
-
-// EstimateDGD estimates the state by filtered gradient descent over the
-// per-sensor costs ||y_i - C_i x||², trading the exhaustive estimator's
-// combinatorial cost for an iterative one.
-func (s *System) EstimateDGD(f int, filter aggregate.Filter, rounds int) ([]float64, error) {
-	if filter == nil {
-		return nil, fmt.Errorf("nil filter: %w", ErrArgs)
-	}
-	if rounds < 1 {
-		return nil, fmt.Errorf("rounds = %d: %w", rounds, ErrArgs)
-	}
-	agents := make([]dgd.Agent, len(s.sensors))
-	for i, sen := range s.sensors {
-		cost, err := costfunc.NewLeastSquares(sen.C, sen.Y)
-		if err != nil {
-			return nil, err
-		}
-		agents[i], err = dgd.NewHonest(cost)
-		if err != nil {
-			return nil, err
-		}
-	}
-	box, err := vecmath.NewCube(s.dim, 1e6)
-	if err != nil {
-		return nil, err
-	}
-	res, err := dgd.Run(dgd.Config{
-		Agents: agents,
-		F:      f,
-		Filter: filter,
-		Steps:  dgd.Diminishing{C: 0.5, P: 1},
-		Box:    box,
-		X0:     vecmath.Zeros(s.dim),
-		Rounds: rounds,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sensing: %w", err)
-	}
-	return res.X, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"byzopt/internal/aggregate"
 	"byzopt/internal/core"
+	"byzopt/internal/dgd"
 	"byzopt/internal/matrix"
 	"byzopt/internal/vecmath"
 )
@@ -116,16 +117,16 @@ func TestSparseObservability(t *testing.T) {
 	}
 }
 
-// TestMeasureEpsilonMatchesSequential: the parallel subset scan behind
-// MeasureEpsilon must be bitwise-identical to the sequential measurement on
-// an instance large enough to actually fan out (C(9, 7) = 36 outer subsets
+// TestMeasureEpsilonMatchesSequential: the parallel subset scan measuring a
+// system's ε must be bitwise-identical to the sequential measurement on an
+// instance large enough to actually fan out (C(9, 7) = 36 outer subsets
 // crosses the auto-parallel threshold).
 func TestMeasureEpsilonMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	x := []float64{1, -1, 2}
 	sys := buildSystem(t, r, 9, 3, x, 0.05, 0)
 	const f = 1
-	got, err := sys.MeasureEpsilon(f)
+	got, err := core.MeasureRedundancyWorkers(sys, f, core.AtLeastSize, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +134,8 @@ func TestMeasureEpsilonMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want.Epsilon {
-		t.Errorf("parallel epsilon %v differs from sequential %v", got, want.Epsilon)
+	if got.Epsilon != want.Epsilon {
+		t.Errorf("parallel epsilon %v differs from sequential %v", got.Epsilon, want.Epsilon)
 	}
 }
 
@@ -195,10 +196,11 @@ func TestNoisyEstimateWithinTwoEpsilon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps, err := honest.MeasureEpsilon(f)
+	rep, err := core.MeasureRedundancyWorkers(honest, f, core.AtLeastSize, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eps := rep.Epsilon
 	if eps <= 0 || eps > 1 {
 		t.Fatalf("noisy epsilon = %v out of plausible range", eps)
 	}
@@ -233,26 +235,43 @@ func TestNoisyEstimateWithinTwoEpsilon(t *testing.T) {
 	}
 }
 
+// TestEstimateDGD: filtered gradient descent over the per-sensor costs —
+// the agents the sweep's sensing workload and examples/sensing build from
+// Costs — recovers the state despite two corrupted sensors.
 func TestEstimateDGD(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	x := []float64{1, 0, -2}
 	sys := buildSystem(t, r, 8, 3, x, 0.005, 2)
-	est, err := sys.EstimateDGD(2, aggregate.CWTM{}, 600)
+	costs, err := sys.Costs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := vecmath.Dist(est, x)
+	agents, err := dgd.HonestAgents(costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box, err := vecmath.NewCube(sys.Dim(), 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dgd.Run(dgd.Config{
+		Agents: agents,
+		F:      2,
+		Filter: aggregate.CWTM{},
+		Steps:  dgd.Diminishing{C: 0.5, P: 1},
+		Box:    box,
+		X0:     vecmath.Zeros(sys.Dim()),
+		Rounds: 600,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := vecmath.Dist(res.X, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d > 0.2 {
-		t.Errorf("DGD estimate %v is %v from the true state", est, d)
-	}
-	if _, err := sys.EstimateDGD(2, nil, 10); !errors.Is(err, ErrArgs) {
-		t.Errorf("nil filter: %v", err)
-	}
-	if _, err := sys.EstimateDGD(2, aggregate.CWTM{}, 0); !errors.Is(err, ErrArgs) {
-		t.Errorf("zero rounds: %v", err)
+		t.Errorf("DGD estimate %v is %v from the true state", res.X, d)
 	}
 }
 

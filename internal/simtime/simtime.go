@@ -110,9 +110,6 @@ type Clock struct {
 // Now returns the current virtual time.
 func (c *Clock) Now() float64 { return c.now }
 
-// Pending reports how many scheduled events have not popped yet.
-func (c *Clock) Pending() int { return len(c.events) }
-
 // Schedule enqueues an event at absolute virtual time at. Scheduling in the
 // past (before Now) is a programming error and is reported rather than
 // silently reordered.
@@ -208,6 +205,20 @@ type Latency struct {
 
 // Validate checks the model's parameters.
 func (l Latency) Validate() error {
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{
+		{"base", l.Base},
+		{"spread", l.Spread},
+		{"shape", l.Alpha},
+		{"straggler rate", l.StragglerRate},
+		{"straggler factor", l.StragglerFactor},
+	} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return fmt.Errorf("simtime: latency %s %v must be finite", p.name, p.v)
+		}
+	}
 	switch l.kind() {
 	case LatencyFixed:
 		if l.Base < 0 {

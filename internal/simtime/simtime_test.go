@@ -55,8 +55,8 @@ func TestClockPopDueRespectsCutoff(t *testing.T) {
 	if _, ok := c.PopDue(2); ok {
 		t.Fatal("agent 3 should not be due at cutoff 2")
 	}
-	if c.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", c.Pending())
+	if len(c.events) != 1 {
+		t.Fatalf("%d events pending, want 1", len(c.events))
 	}
 	// AdvanceTo moves forward only.
 	c.AdvanceTo(2.5)
@@ -100,8 +100,8 @@ func TestClockDrainAllRecyclesPayloads(t *testing.T) {
 	if got != 2 {
 		t.Fatalf("recycled %d payloads, want 2 (nil payloads skipped)", got)
 	}
-	if c.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", c.Pending())
+	if len(c.events) != 0 {
+		t.Fatalf("%d events pending after drain", len(c.events))
 	}
 	if c.Now() != 0 {
 		t.Fatalf("DrainAll moved Now to %v", c.Now())
@@ -223,6 +223,15 @@ func TestLatencyValidate(t *testing.T) {
 		{Kind: LatencyFixed, StragglerRate: -0.5},
 		{Kind: LatencyFixed, StragglerRate: 1.5},
 		{Kind: LatencyFixed, StragglerRate: 0.5, StragglerFactor: 0.5},
+		// Non-finite values: NaN passes every comparison, +Inf half of them.
+		{Kind: LatencyFixed, Base: math.Inf(1)},
+		{Kind: LatencyUniform, Base: math.NaN(), Spread: 1},
+		{Kind: LatencyUniform, Base: 1, Spread: math.Inf(1)},
+		{Kind: LatencyPareto, Base: 1, Alpha: math.Inf(1)},
+		{Kind: LatencyPareto, Base: math.Inf(1), Alpha: 2},
+		{Kind: LatencyFixed, StragglerRate: math.NaN(), StragglerFactor: 2},
+		{Kind: LatencyFixed, StragglerRate: 0.5, StragglerFactor: math.Inf(1)},
+		{Kind: LatencyFixed, StragglerRate: 0.5, StragglerFactor: math.NaN()},
 	}
 	for _, l := range bad {
 		if err := l.Validate(); err == nil {

@@ -48,9 +48,10 @@ func SnapshotPath(logPath string) string { return logPath + ".snapshot" }
 // OpenCheckpoint opens (creating if absent) the checkpoint at path and
 // loads every previously completed cell from the snapshot and the log. A
 // torn trailing log line — the signature of a crash mid-append — is
-// discarded, and a torn snapshot is salvaged record by record (lost cells
-// simply re-run); torn log records anywhere but the tail are stream
-// corruption and error.
+// discarded and cut off the file, so the next append starts a line of its
+// own; a torn snapshot is salvaged record by record (lost cells simply
+// re-run); torn log records anywhere but the tail are stream corruption and
+// error.
 func OpenCheckpoint(path string) (*Checkpoint, error) {
 	c := &Checkpoint{
 		logPath:  path,
@@ -60,11 +61,16 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 	if err := c.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	if err := c.loadLog(); err != nil {
+	whole, err := c.loadLog()
+	if err != nil {
 		return nil, err
 	}
 	log, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("checkpoint log: %w", err)
+	}
+	if err := log.Truncate(whole); err != nil {
+		_ = log.Close()
 		return nil, fmt.Errorf("checkpoint log: %w", err)
 	}
 	c.log = log
@@ -102,18 +108,29 @@ func (c *Checkpoint) loadSnapshot() error {
 	return nil
 }
 
-// loadLog replays the JSONL log into byIndex.
-func (c *Checkpoint) loadLog() error {
+// loadLog replays the JSONL log into byIndex and returns the length of its
+// whole records: the offset just past the newline of the last one. A record
+// is whole when it parses and its newline landed (Append writes both in one
+// call).
+func (c *Checkpoint) loadLog() (int64, error) {
 	f, err := os.Open(c.logPath)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("checkpoint log: %w", err)
+		return 0, fmt.Errorf("checkpoint log: %w", err)
 	}
 	defer func() { _ = f.Close() }()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(nil, 16<<20) // trace-bearing results can be long lines
+	var read, whole int64
+	var ended bool // the line just scanned ended in a newline
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		n, line, err := bufio.ScanLines(data, atEOF)
+		read += int64(n)
+		ended = n > 0 && data[n-1] == '\n'
+		return n, line, err
+	})
 	var torn bool
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -121,31 +138,23 @@ func (c *Checkpoint) loadLog() error {
 			continue
 		}
 		if torn {
-			return fmt.Errorf("checkpoint log %s: record follows a torn line: %w", c.logPath, ErrSpec)
+			return 0, fmt.Errorf("checkpoint log %s: record follows a torn line: %w", c.logPath, ErrSpec)
 		}
 		var r Result
-		if err := json.Unmarshal(line, &r); err != nil {
+		if !ended || json.Unmarshal(line, &r) != nil {
 			// Only acceptable as the final line: a crash mid-append. If
 			// another record follows, the file is corrupt, not torn.
 			torn = true
 			continue
 		}
 		c.byIndex[r.GridIndex] = r
+		whole = read
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("checkpoint log %s: %w", c.logPath, err)
+		return 0, fmt.Errorf("checkpoint log %s: %w", c.logPath, err)
 	}
-	return nil
+	return whole, nil
 }
-
-// Completed returns the recorded result for the given grid index.
-func (c *Checkpoint) Completed(gridIndex int) (Result, bool) {
-	r, ok := c.byIndex[gridIndex]
-	return r, ok
-}
-
-// CompletedCount reports how many distinct cells the checkpoint holds.
-func (c *Checkpoint) CompletedCount() int { return len(c.byIndex) }
 
 // Results returns every recorded result in grid order.
 func (c *Checkpoint) Results() []Result {

@@ -66,8 +66,8 @@ func TestCheckpointAppendReloadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = re.Close() }()
-	if re.CompletedCount() != 3 {
-		t.Fatalf("reloaded %d cells, want 3", re.CompletedCount())
+	if len(re.byIndex) != 3 {
+		t.Fatalf("reloaded %d cells, want 3", len(re.byIndex))
 	}
 	if err := re.Validate(scenariosOf(results)); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestCheckpointAppendReloadRoundTrip(t *testing.T) {
 			t.Errorf("cell %d mangled through the checkpoint: %+v", i, r)
 		}
 	}
-	if _, ok := re.Completed(results[3].GridIndex); ok {
+	if _, ok := re.byIndex[results[3].GridIndex]; ok {
 		t.Error("never-appended cell reported complete")
 	}
 }
@@ -114,10 +114,10 @@ func TestCheckpointTornTrailingLineTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = re.Close() }()
-	if re.CompletedCount() != 1 {
-		t.Fatalf("torn log reloaded %d cells, want 1", re.CompletedCount())
+	if len(re.byIndex) != 1 {
+		t.Fatalf("torn log reloaded %d cells, want 1", len(re.byIndex))
 	}
-	if _, ok := re.Completed(results[0].GridIndex); !ok {
+	if _, ok := re.byIndex[results[0].GridIndex]; !ok {
 		t.Error("intact first record lost")
 	}
 }
@@ -168,8 +168,8 @@ func TestCheckpointCompactFoldsLogIntoSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = re.Close() }()
-	if re.CompletedCount() != len(results) {
-		t.Errorf("reload after compact: %d cells, want %d", re.CompletedCount(), len(results))
+	if len(re.byIndex) != len(results) {
+		t.Errorf("reload after compact: %d cells, want %d", len(re.byIndex), len(results))
 	}
 }
 
@@ -341,6 +341,70 @@ func TestCheckpointResumeAfterTornLogWrite(t *testing.T) {
 	resumeExactlyMissing(t, spec, path, want, 2)
 }
 
+// TestCheckpointResumeAfterTwoCrashes: a coordinator that crashes mid-append,
+// resumes, appends more cells and crashes again (no Close, so nothing is
+// compacted) must resume a second time with every whole record — the one
+// appended right after the torn line included. Reopening truncates the log
+// to its last whole record, so the first append after a tear starts a line
+// of its own instead of completing the torn one.
+func TestCheckpointResumeAfterTwoCrashes(t *testing.T) {
+	spec := testGridSpec()
+	want, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "grid.ckpt")
+	ckpt, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt.CompactEvery = -1
+	for _, r := range want[:3] {
+		if err := ckpt.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = ckpt.log.Close() // the first crash
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := chaos.TearFile(path, info.Size()-10); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(re.byIndex) != 2 {
+		t.Fatalf("first resume restored %d cells, want 2", len(re.byIndex))
+	}
+	re.CompactEvery = -1
+	for _, r := range want[2:6] { // cell 2 again, right after the tear
+		if err := re.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = re.log.Close() // the second crash
+
+	again, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatalf("second resume: %v", err)
+	}
+	if len(again.byIndex) != 6 {
+		t.Errorf("second resume restored %d cells, want 6", len(again.byIndex))
+	}
+	for _, r := range again.Results() {
+		if r.Key() != want[r.GridIndex].Key() || r.FinalDist != want[r.GridIndex].FinalDist {
+			t.Errorf("cell %d mangled through two crashes: %+v", r.GridIndex, r)
+		}
+	}
+	_ = again.log.Close()
+
+	resumeExactlyMissing(t, spec, path, want, 6)
+}
+
 // TestCheckpointResumeAfterTornSnapshot tears the compacted snapshot
 // mid-record via chaos.TearFile: the loader must salvage the whole records
 // before the tear and the resumed sweep must re-run exactly the rest.
@@ -378,7 +442,7 @@ func TestCheckpointResumeAfterTornSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	salvaged := re.CompletedCount()
+	salvaged := len(re.byIndex)
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -586,6 +586,9 @@ func runScenario(ctx context.Context, spec *Spec, prob Problem, backend dgd.Back
 			Workload: wl,
 			Rounds:   scn.Rounds,
 		}
+		if metrics != nil {
+			in.task = metrics.series
+		}
 		for _, name := range spec.TraceMetrics {
 			m, ok := LookupTraceMetric(name)
 			if !ok {

@@ -55,8 +55,8 @@ func substrateConfig(t *testing.T) (dgd.Config, *atomic.Int64) {
 	return dgd.Config{Agents: agents, F: 1, Filter: aggregate.CGE{}, X0: []float64{0, 0}, Rounds: 5}, queries
 }
 
-// substrateRuns are the five ways into the kernel: the three Backends and
-// the two substrate-native configurations.
+// substrateRuns are the four ways into the kernel: the three Backends and
+// the cluster server's own configuration.
 func substrateRuns(t *testing.T) map[string]func(dgd.Config) error {
 	t.Helper()
 	viaBackend := func(b dgd.Backend) func(dgd.Config) error {
@@ -89,24 +89,13 @@ func substrateRuns(t *testing.T) map[string]func(dgd.Config) error {
 			_, err = srv.Run(context.Background())
 			return err
 		},
-		"p2p": func(cfg dgd.Config) error {
-			peers := make([]p2p.Peer, len(cfg.Agents))
-			for i, a := range cfg.Agents {
-				peers[i] = p2p.Peer{Agent: a}
-			}
-			_, err := p2p.Run(p2p.Config{
-				Peers: peers, F: cfg.F, Filter: cfg.Filter, Steps: cfg.Steps, Box: cfg.Box, X0: cfg.X0, Rounds: cfg.Rounds,
-				TrackLoss: cfg.TrackLoss, Reference: cfg.Reference, Async: cfg.Async, Chaos: cfg.Chaos,
-			})
-			return err
-		},
 	}
 }
 
 func TestSubstrateConfigSentinels(t *testing.T) {
 	sentinel := map[string]error{
 		"in-process": dgd.ErrConfig, "cluster-backend": cluster.ErrConfig, "cluster": cluster.ErrConfig,
-		"p2p-backend": p2p.ErrArgs, "p2p": p2p.ErrArgs,
+		"p2p-backend": p2p.ErrArgs,
 	}
 	cube3, err := vecmath.NewCube(3, 1)
 	if err != nil {
@@ -140,11 +129,8 @@ func TestSubstrateConfigSentinels(t *testing.T) {
 			tc.mutate(&cfg)
 			err := run(cfg)
 			want := sentinel[name]
-			switch {
-			case tc.broadcast && name == "p2p-backend":
+			if tc.broadcast && name == "p2p-backend" {
 				want = dgd.ErrInadmissible
-			case tc.broadcast && name == "p2p" && !errors.Is(err, dgd.ErrInadmissible):
-				t.Errorf("%s on %s: want dgd.ErrInadmissible too, got %v", tc.name, name, err)
 			}
 			if !errors.Is(err, want) {
 				t.Errorf("%s on %s: want %v, got %v", tc.name, name, want, err)
@@ -213,7 +199,7 @@ func TestSubstrateErrorParity(t *testing.T) {
 			t.Fatalf("%s in-process: want %v, got %v", tc.name, tc.want, err)
 		}
 		for name, run := range substrateRuns(t) {
-			if tc.skipP2P && (name == "p2p" || name == "p2p-backend") {
+			if tc.skipP2P && name == "p2p-backend" {
 				continue
 			}
 			cfg, _ := substrateConfig(t)

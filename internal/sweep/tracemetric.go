@@ -54,6 +54,9 @@ type TraceInput struct {
 	Workload *Workload
 	// Rounds is the scenario's round count; the series have Rounds+1 entries.
 	Rounds int
+	// task is the series of the workload's Metric hook as the run recorded
+	// it (see metricRecorder); nil when the workload has none.
+	task []float64
 }
 
 // TraceMetric is a named post-hoc metric over a recorded trace. Eval
@@ -138,14 +141,11 @@ func init() {
 		Eval:          consensusDiameter,
 	})
 	// The problems' task metric joins the same vocabulary: selecting
-	// "test_accuracy" re-evaluates the workload's Metric hook over the
-	// recorded trajectory with the hook's own cadence and carry-forward —
-	// the numbers match the in-loop metricRecorder exactly, because both
-	// evaluate the same pure function on the same estimates.
+	// "test_accuracy" hands over the series the in-loop metricRecorder
+	// recorded, so the hook runs once a cadence step and no estimate is kept.
 	mustRegisterTraceMetric(TraceMetric{
-		Name:          "test_accuracy",
-		NeedEstimates: true,
-		Eval:          traceTaskMetric("test_accuracy"),
+		Name: "test_accuracy",
+		Eval: traceTaskMetric("test_accuracy"),
 	})
 }
 
@@ -269,35 +269,17 @@ func consensusDiameter(in TraceInput) (float64, []float64, error) {
 	return series[len(series)-1], series, nil
 }
 
-// traceTaskMetric adapts a workload's in-loop Metric hook of the given name
-// into a post-hoc trace metric, reproducing the metricRecorder's cadence
-// and carry-forward exactly.
+// traceTaskMetric exposes a workload's in-loop Metric hook of the given name
+// as a trace metric: the series the run recorded.
 func traceTaskMetric(name string) func(TraceInput) (float64, []float64, error) {
 	return func(in TraceInput) (float64, []float64, error) {
 		if in.Workload == nil || in.Workload.Metric == nil || in.Workload.Metric.Name != name {
 			return 0, nil, fmt.Errorf("workload provides no %q metric: %w", name, ErrSpec)
 		}
-		if len(in.X) == 0 {
-			return 0, nil, fmt.Errorf("task metric %q needs recorded estimates: %w", name, ErrSpec)
+		if len(in.task) == 0 {
+			return 0, nil, fmt.Errorf("task metric %q was not recorded: %w", name, ErrSpec)
 		}
-		m := in.Workload.Metric
-		every := m.Every
-		if every < 1 {
-			every = 1
-		}
-		series := make([]float64, len(in.X))
-		var last float64
-		for t, x := range in.X {
-			if t%every == 0 || t == in.Rounds {
-				v, err := m.Eval(x)
-				if err != nil {
-					return 0, nil, fmt.Errorf("metric %s: %w", name, err)
-				}
-				last = v
-			}
-			series[t] = last
-		}
-		return series[len(series)-1], series, nil
+		return in.task[len(in.task)-1], in.task, nil
 	}
 }
 

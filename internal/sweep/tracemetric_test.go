@@ -114,9 +114,10 @@ func TestConsensusDiameterBoundingBox(t *testing.T) {
 	}
 }
 
-// TestTraceTaskMetricCadence: the adapter reproduces the in-loop
-// metricRecorder semantics — evaluate at t % Every == 0 and at the final
-// round, carry the last value forward in between.
+// TestTraceTaskMetricCadence: the in-loop metricRecorder evaluates at
+// t % Every == 0 and at the final round and carries the last value forward in
+// between, and the test_accuracy trace metric is exactly the series it
+// recorded.
 func TestTraceTaskMetricCadence(t *testing.T) {
 	var evals []int
 	wl := &Workload{Metric: &Metric{
@@ -127,11 +128,13 @@ func TestTraceTaskMetricCadence(t *testing.T) {
 			return x[0] * 10, nil
 		},
 	}}
-	x := make([][]float64, 8) // rounds = 7
-	for i := range x {
-		x[i] = []float64{float64(i)}
+	rec := &metricRecorder{metric: wl.Metric, rounds: 7}
+	for round := 0; round <= 7; round++ {
+		if err := rec.ObserveRound(round, []float64{float64(round)}, 0, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	final, series, err := traceTaskMetric("test_accuracy")(TraceInput{X: x, Workload: wl, Rounds: 7})
+	final, series, err := traceTaskMetric("test_accuracy")(TraceInput{Workload: wl, Rounds: 7, task: rec.series})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +147,17 @@ func TestTraceTaskMetricCadence(t *testing.T) {
 			t.Fatalf("evaluated at %v, want %v", evals, wantEvals)
 		}
 	}
-	if final != 70 {
-		t.Errorf("final %v, want 70", final)
+	if final != 70 || len(series) != 8 {
+		t.Errorf("final %v over %d rounds, want 70 over 8", final, len(series))
 	}
 	if series[4] != 30 { // carry-forward from t=3
 		t.Errorf("series[4] = %v, want carry-forward 30", series[4])
 	}
-	if _, _, err := traceTaskMetric("test_accuracy")(TraceInput{X: x, Workload: &Workload{}, Rounds: 7}); err == nil {
+	if _, _, err := traceTaskMetric("test_accuracy")(TraceInput{Workload: &Workload{}, Rounds: 7, task: rec.series}); err == nil {
 		t.Error("workload without the metric: expected an error")
+	}
+	if _, _, err := traceTaskMetric("test_accuracy")(TraceInput{Workload: wl, Rounds: 7}); err == nil {
+		t.Error("nothing recorded: expected an error")
 	}
 }
 

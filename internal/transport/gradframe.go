@@ -92,18 +92,3 @@ func (m gradMsg) floats(dst []float64) []float64 {
 	}
 	return dst
 }
-
-// TapAgentConn installs a WireTap on the outgoing (server → agent) frames
-// of a TCP agent connection, reporting whether the connection supports
-// tapping (only the TCP transport does — the channel transport has no wire
-// to damage). A nil tap uninstalls.
-func TapAgentConn(c AgentConn, tap WireTap) bool {
-	tc, ok := c.(*tcpConn)
-	if !ok {
-		return false
-	}
-	tc.mu.Lock()
-	tc.tap = tap
-	tc.mu.Unlock()
-	return true
-}

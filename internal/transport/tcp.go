@@ -20,7 +20,6 @@ import (
 type tcpConn struct {
 	mu        sync.Mutex
 	conn      net.Conn
-	tap       WireTap   // outgoing fault-injection tap, nil = passthrough
 	out, in   []byte    // the last frame sent and received, reused under mu
 	reply     []float64 // the vector RequestGradient returns, reused under mu
 	closeOnce sync.Once
@@ -72,7 +71,7 @@ func (c *tcpConn) RequestGradient(ctx context.Context, round int, estimate []flo
 		watch.Unlock()
 	}()
 	c.out = gradFrame(c.out, kindRequest, int64(round), estimate, "")
-	if err := writeFrame(conn, c.out, round, c.tap); err != nil {
+	if err := writeFrame(conn, c.out, round, nil); err != nil {
 		return nil, wrapReqErr(ctx, "tcp send round", round, err)
 	}
 	var err error

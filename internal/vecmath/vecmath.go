@@ -139,26 +139,6 @@ func NormSq(v []float64) float64 {
 	return normSqKernel(v)
 }
 
-// Norm1 returns the L1 norm of v.
-func Norm1(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// NormInf returns the L-infinity norm of v.
-func NormInf(v []float64) float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Dist returns the Euclidean distance between a and b. It computes the
 // differences on the fly — no intermediate vector is allocated — with the
 // same scaled two-pass form as Norm, so the result is bitwise identical to
@@ -344,12 +324,6 @@ func NewCube(d int, r float64) (*Box, error) {
 // Dim returns the dimension of the box.
 func (b *Box) Dim() int { return len(b.lo) }
 
-// Lo returns a copy of the lower bounds.
-func (b *Box) Lo() []float64 { return Clone(b.lo) }
-
-// Hi returns a copy of the upper bounds.
-func (b *Box) Hi() []float64 { return Clone(b.hi) }
-
 // Contains reports whether x lies inside the box (inclusive).
 func (b *Box) Contains(x []float64) bool {
 	if len(x) != len(b.lo) {
@@ -387,21 +361,6 @@ func (b *Box) ProjectInPlace(x []float64) error {
 		x[i] = clamp(x[i], b.lo[i], b.hi[i])
 	}
 	return nil
-}
-
-// Radius returns max_{x in box} ||x - c|| for a given center c, the constant
-// Gamma used in the convergence proofs. The maximum over a box is attained
-// at one of the per-coordinate extremes.
-func (b *Box) Radius(c []float64) (float64, error) {
-	if len(c) != len(b.lo) {
-		return 0, fmt.Errorf("radius center %d vs box dim %d: %w", len(c), len(b.lo), ErrDimensionMismatch)
-	}
-	var s float64
-	for i := range c {
-		d := math.Max(math.Abs(c[i]-b.lo[i]), math.Abs(b.hi[i]-c[i]))
-		s += d * d
-	}
-	return math.Sqrt(s), nil
 }
 
 func clamp(x, lo, hi float64) float64 {
