@@ -65,6 +65,24 @@ func p2pBaselineSpec() Spec {
 	}
 }
 
+// p2pGridSpec is the checked-in peer-to-peer sweep at n = 7, where f = 2 is
+// admissible: its equivocate cells put two distorting peers in every
+// broadcast, so each honest sender's EIG tree is built in full — the case
+// p2pBaselineSpec (n = 6) skips.
+func p2pGridSpec() Spec {
+	return Spec{
+		Problem:   ProblemSynthetic,
+		Filters:   []string{"mean", "cge", "cwtm"},
+		Behaviors: []string{"gradient-reverse", "equivocate"},
+		FValues:   []int{1, 2},
+		NValues:   []int{7},
+		Dims:      []int{2},
+		Rounds:    40,
+		Seed:      7,
+		Backend:   p2p.Backend{},
+	}
+}
+
 // TestGoldenBaselineSweep re-runs the baseline spec and byte-compares the
 // deterministic export against testdata/baseline.json — a sweep is a golden
 // test once timings are stripped. Any intentional engine change that moves
@@ -90,6 +108,12 @@ func TestGoldenLearningSweep(t *testing.T) {
 // included.
 func TestGoldenBaselineP2P(t *testing.T) {
 	checkGolden(t, p2pBaselineSpec(), "baseline_p2p.json")
+}
+
+// TestGoldenP2PEquivocation pins p2pGridSpec: equivocation over Byzantine
+// broadcast at f = 1 and at f = 2, which no n = 6 golden can hold.
+func TestGoldenP2PEquivocation(t *testing.T) {
+	checkGolden(t, p2pGridSpec(), "baseline_p2p_n7.json")
 }
 
 func checkGolden(t *testing.T, spec Spec, file string) {
