@@ -28,6 +28,8 @@ var keptWithoutCaller = map[string]string{
 	"linreg.Instance.HonestSum":     "the honest aggregate cost the cluster, p2p and figure tests track as the loss",
 	"matrix.Residual":               "the residual reference of the least-squares gradient tests",
 	"p2p.DecodeVector":              "the allocating reference DecodeVectorInto is tested against",
+	"p2p.Equivocating":              "how a Distorter other than the equivocate behavior joins a run, as ExampleBackend shows",
+	"p2p.MessageCost":               "the full EIG tree's size, which ExampleBackend prints and TestBuiltNodes holds a broadcast to",
 	"robustmean.NewProblem":         "the core.Problem face of the robustmean workload the theory oracle measures",
 	"vecmath.Box.Project":           "the allocating reference ProjectInPlace is tested against",
 	"vecmath.Sum":                   "the allocating reference SumInto is tested against",

@@ -68,8 +68,7 @@ const (
 // round index — the approximate filters re-draw their projection or
 // neighbor sample each round so a single unlucky draw cannot bias a whole
 // trajectory. Engines call SetRound before each round's aggregation;
-// repeated calls with the same round are idempotent (the p2p engine invokes
-// the filter once per honest peer within a round). A filter that is never
+// repeated calls with the same round are idempotent. A filter that is never
 // told the round behaves as round 0 throughout: still deterministic, just
 // un-rotated.
 type RoundKeyed interface {

@@ -147,8 +147,7 @@ func TestApproxWorkerParity(t *testing.T) {
 // TestApproxRoundKeying checks that the round index actually rotates the
 // draws — across enough rounds the sketched Krum selection must disagree
 // with itself at least once on an ambiguous input — while repeated SetRound
-// calls with the same round (the p2p engine's per-peer invocation pattern)
-// change nothing.
+// calls with the same round change nothing.
 func TestApproxRoundKeying(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	const n, d, f = 24, 128, 2

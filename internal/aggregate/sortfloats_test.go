@@ -20,13 +20,14 @@ import (
 )
 
 // TestScratchSize pins Scratch to the 704-byte Go size class it sits in
-// today. dgd.Round embeds a Scratch and p2p builds one Round per honest peer
-// per cell, so one more slice header moves the struct to the 768-byte class
-// and p2p_grid's alloc_kb_per_cell over its 2 % bound (measured: +96 bytes
-// read 32.28 -> 33.06 KB a cell). A new buffer has to share an existing field.
+// today. dgd.Round embeds a Scratch and every run builds one, so one more
+// slice header moves the struct to the 768-byte class (measured when a p2p
+// cell built seven Rounds: +96 bytes read 32.28 -> 33.06 KB a cell, over
+// p2p_grid's 2 % alloc_kb_per_cell bound). A new buffer has to share an
+// existing field.
 func TestScratchSize(t *testing.T) {
 	if size := unsafe.Sizeof(Scratch{}); size > 704 {
-		t.Errorf("Scratch is %d bytes, want <= 704 (the size class p2p's per-peer Round allocation is measured at)", size)
+		t.Errorf("Scratch is %d bytes, want <= 704 (the size class dgd.Round's allocation is measured at)", size)
 	}
 }
 

@@ -159,8 +159,8 @@ type AsyncObserver interface {
 //
 // AsyncState is exported for the other substrates: the cluster server keeps
 // one per run (a nil gradient slot marks an eliminated agent, permanently
-// removing it from the overlay), and the p2p engine keeps one per honest
-// peer, since each peer applies the filter to its own decoded set.
+// removing it from the overlay), and so does the p2p engine, in the one
+// kernel its honest peers share.
 type AsyncState struct {
 	cfg  AsyncConfig
 	n, d int

@@ -12,7 +12,8 @@
 // package's RunContext is the deterministic in-process substrate (a
 // Collector looping over agents); package cluster gathers over a transport
 // (server-based, with step-S1 elimination) and package p2p through Byzantine
-// broadcast (fully decentralized, one kernel per honest peer).
+// broadcast (fully decentralized, one kernel for the honest peers, who hold
+// the same agreed set).
 package dgd
 
 import (

@@ -22,8 +22,7 @@ func p2pBitwise(t *testing.T, label string, got, want []float64) {
 }
 
 // Zero-latency wait-all async over the p2p backend must be bitwise
-// identical to the synchronous p2p path, and every honest peer must stay in
-// agreement (the per-peer overlays draw identical arrival times).
+// identical to the synchronous p2p path.
 func TestP2PAsyncZeroLatencyWaitAllBitwiseMatchesSync(t *testing.T) {
 	cfg, _ := paperConfig(t, byzantine.GradientReverse{}, 120)
 	sync, err := Backend{}.Run(context.Background(), cfg)
@@ -45,9 +44,9 @@ func TestP2PAsyncZeroLatencyWaitAllBitwiseMatchesSync(t *testing.T) {
 }
 
 // A straggler configuration must reproduce the in-process engine's
-// trajectory bit for bit — the per-peer overlays are deterministic replicas
-// of the engine's single overlay — and the honest-agreement invariant must
-// hold throughout.
+// trajectory bit for bit: the honest peers' kernel runs the same overlay
+// over the same reports, and the honest-agreement invariant holds
+// throughout.
 func TestP2PAsyncMatchesInProcessEngine(t *testing.T) {
 	async := &dgd.AsyncConfig{
 		Latency:  simtime.Latency{Kind: simtime.LatencyPareto, Base: 0.3, Alpha: 1.4, StragglerRate: 0.2, StragglerFactor: 4},

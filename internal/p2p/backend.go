@@ -9,9 +9,10 @@ import (
 
 // Backend executes dgd configurations over the fully decentralized
 // substrate, and is the only way to run it: every agent becomes a peer on a
-// complete network, each round every peer's report goes through an EIG
-// Byzantine broadcast, and every honest peer applies the gradient filter
-// locally to the agreed-upon report set — the Section-1.4 simulation of the
+// complete network, each round every peer's report reaches the others by EIG
+// Byzantine broadcast (simulated where a peer can lie about it, decided by
+// validity where none can), and the honest peers apply the gradient filter
+// to the agreed-upon report set — the Section-1.4 simulation of the
 // server-based algorithm. It implements dgd.Backend, so sweep.Spec.Backend
 // accepts it directly and scenario grids run unchanged on the peer-to-peer
 // architecture. The zero value is ready to use.
@@ -27,24 +28,25 @@ import (
 //     contract (a Relay method; see byzantine.Equivocate) additionally
 //     equivocates while relaying other peers' broadcasts — the one adversary
 //     only this substrate can express. Any other Distorter (SeededLiar,
-//     SplitLiar, one of your own) is attached with Equivocating. Either way
-//     the peer is Faulty, so it is collected as Byzantine too.
-//   - Honest peers must stay in agreement: a run in which two of them hold
-//     different estimates after a round fails there. The broadcast layer
+//     SplitLiar, one of your own, pure as the Distorter contract asks) is
+//     attached with Equivocating. Either way the peer is Faulty, so it is
+//     collected as Byzantine too.
+//   - Honest peers must stay in agreement: a run in which two of them decide
+//     different values for a sender fails at that round. The broadcast layer
 //     guarantees it, so this never fires with at most f distorting peers.
 //   - Configurations with n <= 3f are rejected with a wrapped
 //     dgd.ErrInadmissible — the EIG admissibility bound — which the sweep
 //     engine classifies as a skipped grid point rather than a sweep failure.
 //   - Config.Workers is ignored: the broadcast simulation is sequential by
-//     construction. A round is n broadcasts on one engine reused for the
-//     whole run, and a broadcast builds the part of the MessageCost(n, f)
-//     tree a distorting peer can still reach, n recipients a node. With no
-//     such peer (any grid but an equivocating one) that is the sender's row
-//     alone — 25 ns a broadcast, and the round is its 2 µs of gradient
-//     evaluations and filter calls at n=7, d=2. With one, about three
-//     quarters of the tree (1 µs a broadcast at n=7, f=2); with f of them
-//     and an honest sender all of it (2 µs there, 40 µs at n=10, f=3), and
-//     the broadcasts are most of the round again.
+//     construction. A round is one broadcast per distorting sender on one
+//     engine reused for the whole run, plus a decode per sender and one
+//     kernel step. A sender that does not distort is decided by EIG's
+//     validity, so with no distorting peer (any grid but an equivocating
+//     one) a round broadcasts nothing and is its gradient evaluations and
+//     filter call. A distorting sender's broadcast builds the part of the
+//     MessageCost(n, f) tree another distorting peer can still reach, n
+//     recipients a node: the sender's row alone when it is the only one,
+//     32 of the 37 nodes at n=7, f=2 when another peer distorts too.
 type Backend struct{}
 
 var _ dgd.Backend = Backend{}

@@ -10,9 +10,9 @@ import (
 )
 
 // A chaos plan over the p2p backend must reproduce the in-process engine bit
-// for bit: every honest peer runs an identical overlay with an identical
-// plan, so the injected faults — and with them the whole trajectory — are
-// replicas of the engine's single overlay.
+// for bit: the honest peers' kernel runs the same overlay with the same plan,
+// so the injected faults — and with them the whole trajectory — are the
+// engine's.
 func TestP2PChaosMatchesInProcessEngine(t *testing.T) {
 	plan := &chaos.Plan{
 		Seed: 31, OmitRate: 0.15, DupRate: 0.1,
@@ -34,10 +34,9 @@ func TestP2PChaosMatchesInProcessEngine(t *testing.T) {
 	p2pBitwise(t, "X", res.X, engine.X)
 }
 
-// Chaos must not break the honest-agreement invariant: identical plans mean
-// identical injections at every peer, so the run completes (the backend fails
-// a run whose honest estimates differ) and the degradation reaches the
-// observer's fault tally.
+// Chaos must not break the honest-agreement invariant: the run completes
+// (the backend fails a run whose honest peers decide differently) and the
+// degradation reaches the observer's fault tally.
 func TestP2PChaosPreservesAgreementAndReportsFaults(t *testing.T) {
 	cfg, _ := paperConfig(t, nil, 80)
 	rec := &dgd.TraceRecorder{}

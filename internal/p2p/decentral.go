@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"byzopt/internal/dgd"
-	"byzopt/internal/vecmath"
 )
 
 // Run implements dgd.Backend, executing the decentralized simulation of cfg:
@@ -26,14 +25,20 @@ import (
 // every sender reported. A peer distorts relays when AgentDistorter finds a
 // Distorter on its agent; both ways to attach one (an Equivocate behavior on
 // a dgd.NewFaulty agent, or Equivocating) make the agent Faulty, so a peer
-// lying in the broadcast layer is Byzantine in collection too. Every honest
-// peer then runs its own dgd.Round kernel over its decided set; the kernels
-// share the configuration and seeds, so overlays draw identical arrivals and
-// faults and the estimates stay in agreement, which the run verifies every
-// round. Recording and observers hang off the first honest peer only.
-// Distorting peers take no protocol step and report from the honest
-// consensus estimate — the strongest vantage point, matching the engine's
-// shared-x semantics.
+// lying in the broadcast layer is Byzantine in collection too.
+//
+// A round does only the work whose result the protocol leaves open. A sender
+// that does not distort needs no exchange: with n > 3f and at most f
+// distorting peers, both checked on entry, EIG's validity fixes what every
+// honest peer decides for it — its own report. Only a distorting sender is
+// broadcast, and the run fails unless every honest peer decided the same
+// value for it. The honest peers then hold one agreed set, and each would
+// step a kernel that is a deterministic function of the configuration, the
+// seeds and that set (Definition 2 requires deterministic filters), so one
+// dgd.Round kernel steps for all of them; it records and feeds the
+// observers. Distorting peers take no protocol step and report from the
+// honest consensus estimate — the strongest vantage point, matching the
+// engine's shared-x semantics.
 func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -61,44 +66,25 @@ func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 	if err := dgd.ValidateRound(cfg, n, ErrArgs); err != nil {
 		return nil, err
 	}
-
-	// One kernel per honest peer (n > 3f leaves at least one); ref is the
-	// first, and the only one that records and feeds observers.
-	rounds := make([]*dgd.Round, n)
-	var ref *dgd.Round
-	for p := range liars {
-		if liars[p] != nil {
-			continue
-		}
-		kcfg := cfg
-		if ref != nil {
-			kcfg.TrackLoss, kcfg.Reference, kcfg.Observer = nil, nil, nil
-		}
-		r, err := dgd.NewRound(kcfg, n, false)
-		if err != nil {
-			return nil, err
-		}
-		rounds[p] = r
-		if ref == nil {
-			ref = r
-		}
+	r, err := dgd.NewRound(cfg, n, false)
+	if err != nil {
+		return nil, err
 	}
 
 	// Per-run state, allocated once and reused every round: the collector's
 	// gradient arena, the EIG engine, the report encoding buffer, and the
-	// decoded payloads. decided[p][sender] is what peer p decided the sender
-	// reported; peers that decided the same payload share one decoded row, so
-	// a sender costs one decode a round while the honest peers agree.
+	// agreed set, one decoded row per sender. The others' decisions are
+	// checked against honest's, the first honest peer (n > 3f leaves one).
+	honest := slices.Index(liars, nil)
 	dim := len(cfg.X0)
 	col := dgd.NewCollector(cfg.Agents, dim, 1)
 	e := newEIG(n, cfg.F)
 	var payload []byte
-	decided := make([][][]float64, n)
-	for p := range decided {
-		decided[p] = make([][]float64, n)
+	agreed := make([][]float64, n)
+	arena := make([]float64, n*dim)
+	for sender := range agreed {
+		agreed[sender] = arena[sender*dim : (sender+1)*dim : (sender+1)*dim]
 	}
-	var rows [][]float64 // decode arena, grown on demand
-	var ids []int32      // the value ids decided in the current broadcast
 
 	for t := 0; t < cfg.Rounds; t++ {
 		if err := ctx.Err(); err != nil {
@@ -106,68 +92,40 @@ func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 		}
 		// A scheduling point per round: this loop never blocks, and on one
 		// processor a concurrent mark phase ends only once its worker is
-		// scheduled again. A round allocates 0.5 KB at n=7 (a GC cycle every
-		// 8,000 rounds); without the yield 3 cycles in 80 end 1 MB past the
-		// 4 MB goal and p2p_grid's peak RSS spreads 0.37 MB between quartiles
-		// over ten 25 s runs, with it none do and the spread is 0.19 MB.
+		// scheduled again, so without the yield a cycle begun mid-run can end
+		// past its heap goal (at 0.5 KB a round, 3 cycles in 80 ended 1 MB
+		// past the 4 MB goal and p2p_grid's peak RSS spread twice as wide).
 		runtime.Gosched()
-		if err := ref.Record(t); err != nil {
+		if err := r.Record(t); err != nil {
 			return nil, err
 		}
-		grads, err := col.Collect(t, ref.X())
+		grads, err := col.Collect(t, r.X())
 		if err != nil {
 			return nil, err
 		}
-		// Each peer broadcasts its report via EIG.
-		used := 0
-		for sender := 0; sender < n; sender++ {
+		for sender := range agreed {
 			payload = appendVector(payload[:0], grads[sender])
-			e.broadcast(sender, string(payload), liars)
-			ids = ids[:0]
-			for p, r := range rounds {
-				if r == nil {
-					continue
-				}
-				id := e.decision(p)
-				i := slices.Index(ids, id)
-				if i < 0 {
-					i = len(ids)
-					ids = append(ids, id)
-					if used+i == len(rows) {
-						rows = append(rows, make([]float64, dim))
-					}
-					DecodeVectorInto(rows[used+i], e.strs[id])
-				}
-				decided[p][sender] = rows[used+i]
-			}
-			used += len(ids)
-		}
-		// Every honest peer steps its kernel over its agreed set. All hold
-		// the identical set, so a failure is common and reads exactly as the
-		// in-process engine's would.
-		for p, r := range rounds {
-			if r == nil {
-				continue // distorting peers take no protocol step
-			}
-			if err := r.Apply(t, cfg.F, decided[p]); err != nil {
-				return nil, err
-			}
-			if r == ref {
+			if liars[sender] == nil {
+				DecodeVectorInto(agreed[sender], payload)
 				continue
 			}
-			// Verify the agreement invariant against the reference peer,
-			// which has already taken this round's step.
-			d, err := vecmath.Dist(r.X(), ref.X())
-			if err != nil {
-				return nil, err
+			e.broadcast(sender, string(payload), liars)
+			id := e.decision(honest)
+			for p, liar := range liars {
+				if liar == nil && e.decision(p) != id {
+					return nil, fmt.Errorf("p2p: honest estimates diverged at round %d — broadcast agreement violated", t)
+				}
 			}
-			if d > 0 {
-				return nil, fmt.Errorf("p2p: honest estimates diverged at round %d — broadcast agreement violated", t)
-			}
+			DecodeVectorInto(agreed[sender], e.strs[id])
+		}
+		// All honest peers hold the identical set, so a failure is common and
+		// reads exactly as the in-process engine's would.
+		if err := r.Apply(t, cfg.F, agreed); err != nil {
+			return nil, err
 		}
 	}
-	if err := ref.Record(cfg.Rounds); err != nil {
+	if err := r.Record(cfg.Rounds); err != nil {
 		return nil, err
 	}
-	return &dgd.Result{X: ref.X(), Rounds: cfg.Rounds, Trace: ref.Trace()}, nil
+	return &dgd.Result{X: r.X(), Rounds: cfg.Rounds, Trace: r.Trace()}, nil
 }

@@ -8,9 +8,11 @@
 // locally to an identical, agreed-upon gradient vector set.
 //
 // The package owns only the gathering — report collection (dgd.Collector)
-// and the EIG exchange. Each honest peer's update, from the agreed set to its
-// next estimate, is the dgd.Round kernel the other substrates run too, one
-// instance per peer.
+// and the EIG exchange, run only for a sender that distorts (an honest
+// sender's report is what every honest peer decides, by EIG's validity). The
+// update from the agreed set to the next estimate is the dgd.Round kernel the
+// other substrates run too: every honest peer holds the same set and would
+// compute the same step, so one instance takes it for all of them.
 //
 // Backend is the way in: it runs any dgd.Config — and therefore any sweep
 // grid — over Byzantine broadcast unchanged, with observers and traces
@@ -42,6 +44,15 @@ const DefaultValue = ""
 // Distorter is the lying strategy of a Byzantine process during a
 // broadcast: it chooses what to claim about tree node path when talking to
 // a given recipient. An honest process always relays its true view.
+//
+// Relay must be a pure function of (path, recipient, honest). Broadcast
+// calls it for every node the liar relays, level by level, parents in level
+// order, relayers then recipients ascending; Backend.Run calls it only while
+// the sender is a distorting peer, since an honest sender's broadcast is
+// decided by validity and has no tree to relay in. A strategy that kept
+// state between calls would see a different sequence from each. All four
+// in-tree strategies — ConsistentLiar, SplitLiar, SeededLiar and
+// byzantine.Equivocate — are pure.
 type Distorter interface {
 	// Relay returns the value the Byzantine process reports to recipient
 	// for the given EIG tree path; honest is the value a correct process
@@ -389,9 +400,10 @@ func DecodeVector(s string, dim int) []float64 {
 
 // DecodeVectorInto is DecodeVector writing into dst (whose length is the
 // expected dimension) with the same malformed-payload rules, reading the
-// string bytes directly so nothing is allocated. The honest round loop uses
-// it to decode each round's agreed gradients into a reused arena.
-func DecodeVectorInto(dst []float64, s string) {
+// payload's bytes directly — a decided value's string or a sender's encoding
+// buffer alike — so nothing is allocated. The round loop uses it to decode
+// each round's agreed gradients into a reused arena.
+func DecodeVectorInto[S ~string | ~[]byte](dst []float64, s S) {
 	for i := range dst {
 		dst[i] = 0
 	}

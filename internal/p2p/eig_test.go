@@ -446,16 +446,103 @@ func TestWarmBroadcastAllocs(t *testing.T) {
 	}
 }
 
-// TestRoundAllocs pins what one decentralized round costs at n=7, f=2, d=2
-// under gradient-reverse: 7 allocations, one per sender — its report's
-// payload string. The two Byzantine agents' reports cost nothing: the
-// collector hands dgd's Faulty wrapper an arena row, and the inner agent and
-// the behavior both write it in place. Measured as dgd's steady-state gate
+// TestHonestSenderValidity is the property Backend.Run decides an honest
+// sender by without broadcasting: with n > 3f and at most f liars, every
+// process that does not lie decides the sender's value, whatever the liars
+// relay. The budget is what makes it hold: one liar more, and some honest
+// process decides something else.
+func TestHonestSenderValidity(t *testing.T) {
+	instances := 0
+	r := rand.New(rand.NewSource(26))
+	for _, nf := range referenceShapes {
+		n, f := nf[0], nf[1]
+		count := 250
+		if f == 3 {
+			count = 100 // the reference takes milliseconds here
+		}
+		for i := 0; i < count; i++ {
+			sender := r.Intn(n)
+			value, byz := randomInstance(r, n, f, sender)
+			delete(byz, sender)
+			decisions := referenceBroadcast(n, f, sender, value, byz)
+			for p, d := range decisions {
+				if _, lies := byz[p]; !lies && d != value {
+					t.Fatalf("n=%d f=%d sender=%d, %d liars: process %d decided %q, the sender holds %q",
+						n, f, sender, len(byz), p, d, value)
+				}
+			}
+		}
+		instances += count
+	}
+	if instances < 1500 {
+		t.Fatalf("only %d instances", instances)
+	}
+
+	drawn, broken := 0, 0
+	for draw := 0; draw < 400; draw++ {
+		nf := referenceShapes[2+2*(draw%2)] // (4, 1) and (7, 2)
+		n, f := nf[0], nf[1]
+		sender := r.Intn(n)
+		value, byz := randomInstance(r, n, f+1, sender)
+		if delete(byz, sender); len(byz) != f+1 {
+			continue
+		}
+		drawn++
+		for p, d := range referenceBroadcast(n, f, sender, value, byz) {
+			if _, lies := byz[p]; !lies && d != value {
+				broken++
+				break
+			}
+		}
+	}
+	if broken == 0 {
+		t.Fatalf("f+1 liars never moved an honest process off an honest sender's value in %d draws", drawn)
+	}
+	t.Logf("f+1 liars moved an honest process off the sender's value in %d of %d draws", broken, drawn)
+}
+
+// TestRoundAllocs pins what one decentralized round costs at n=7, f=2, d=2:
+// one allocation per distorting sender — its report's payload string, the
+// value its broadcast carries. A sender that does not distort is decoded
+// from the encoding buffer, so a gradient-reverse round allocates nothing,
+// and its two Byzantine agents' reports cost nothing either: the collector
+// hands dgd's Faulty wrapper an arena row, and the inner agent and the
+// behavior both write it in place. Measured as dgd's steady-state gate
 // does, as the difference between a 1-round and a 101-round run.
 func TestRoundAllocs(t *testing.T) {
-	const n, d = 7, 2
+	for _, c := range []struct {
+		name     string
+		behavior func(i int) byzantine.Behavior
+		want     float64
+	}{
+		{"gradient-reverse", func(int) byzantine.Behavior { return byzantine.GradientReverse{} }, 0},
+		{"equivocate", func(i int) byzantine.Behavior { return byzantine.NewEquivocate(int64(11 + i)) }, 2},
+	} {
+		agents := lineAgents(t, c.behavior)
+		runOnce := func(rounds int) func() {
+			cfg := dgd.Config{Agents: agents, F: 2, Filter: aggregate.CWTM{}, X0: make([]float64, 2), Rounds: rounds, Reference: vecmath.Ones(2)}
+			return func() {
+				if _, err := (Backend{}).Run(context.Background(), cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		runOnce(1)() // warm the lazy per-cost gradient buffers
+		base := testing.AllocsPerRun(10, runOnce(1))
+		extended := testing.AllocsPerRun(10, runOnce(101))
+		if perRound := (extended - base) / 100; perRound != c.want {
+			t.Errorf("%s: a round allocates %.2f times, want %.0f (1-round run %.0f, 101-round run %.0f)",
+				c.name, perRound, c.want, base, extended)
+		}
+	}
+}
+
+// lineAgents is seven single-row least-squares agents in two dimensions,
+// the first two Byzantine with behavior(i).
+func lineAgents(t *testing.T, behavior func(i int) byzantine.Behavior) []dgd.Agent {
+	t.Helper()
 	r := rand.New(rand.NewSource(31))
-	agents := make([]dgd.Agent, n)
+	agents := make([]dgd.Agent, 7)
 	for i := range agents {
 		cost, err := costfunc.NewSingleRowLeastSquares([]float64{r.NormFloat64(), r.NormFloat64()}, r.NormFloat64())
 		if err != nil {
@@ -466,32 +553,59 @@ func TestRoundAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i < 2 {
-			if agent, err = dgd.NewFaulty(agent, byzantine.GradientReverse{}); err != nil {
+			if agent, err = dgd.NewFaulty(agent, behavior(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		agents[i] = agent
 	}
-	runOnce := func(rounds int) func() {
-		cfg := dgd.Config{Agents: agents, F: 2, Filter: aggregate.CWTM{}, X0: make([]float64, d), Rounds: rounds, Reference: vecmath.Ones(d)}
-		return func() {
-			if _, err := (Backend{}).Run(context.Background(), cfg); err != nil {
-				t.Fatal(err)
-			}
+	return agents
+}
+
+// senderLog forwards Relay calls, counting them and those made in the
+// broadcast of a sender that does not distort.
+type senderLog struct {
+	Distorter
+	distorting          []bool
+	calls, honestSender *int
+}
+
+func (l senderLog) Relay(path []int, recipient int, honest string) string {
+	*l.calls++
+	if !l.distorting[path[0]] {
+		*l.honestSender++
+	}
+	return l.Distorter.Relay(path, recipient, honest)
+}
+
+// TestRelayOnlyForDistortingSenders: under f equivocators Backend.Run asks a
+// Distorter to relay only in the broadcast of a distorting sender. The
+// others are decided by validity, with no tree to relay in.
+func TestRelayOnlyForDistortingSenders(t *testing.T) {
+	agents := lineAgents(t, func(int) byzantine.Behavior { return byzantine.GradientReverse{} })
+	distorting := []bool{true, true, false, false, false, false, false}
+	calls, honest := 0, 0
+	for i := range 2 {
+		liar := senderLog{SeededLiar{Seed: int64(5 + i)}, distorting, &calls, &honest}
+		var err error
+		if agents[i], err = Equivocating(agents[i], liar); err != nil {
+			t.Fatal(err)
 		}
 	}
-	runOnce(1)() // warm the lazy per-cost gradient buffers
-	base := testing.AllocsPerRun(10, runOnce(1))
-	extended := testing.AllocsPerRun(10, runOnce(101))
-	if perRound := (extended - base) / 100; perRound > n {
-		t.Fatalf("a round allocates %.2f times, want at most %d (1-round run %.0f, 101-round run %.0f)",
-			perRound, n, base, extended)
+	cfg := dgd.Config{Agents: agents, F: 2, Filter: aggregate.CGE{}, X0: make([]float64, 2), Rounds: 20}
+	if _, err := (Backend{}).Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if calls == 0 || honest != 0 {
+		t.Errorf("%d Relay calls, %d of them in an honest sender's broadcast; want some, and none there", calls, honest)
 	}
 }
 
 // BenchmarkWarmBroadcast times a broadcast on one reused engine, as Backend.Run
-// makes them: the sender rotates over all n, and 0, 1 or f Equivocates sit on
-// the ids from 1, so a liar is the sender once a turn. built_nodes and
+// makes them for a distorting sender: the sender rotates over all n, and 0, 1
+// or f Equivocates sit on the ids from 1, so a liar is the sender once a turn
+// (Backend.Run broadcasts only those turns; the others time what the engine
+// would do for an honest sender). built_nodes and
 // relay_calls are what a broadcast builds and asks of its liars, averaged
 // over one turn of senders (counted before the clock starts).
 func BenchmarkWarmBroadcast(b *testing.B) {

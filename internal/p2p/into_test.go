@@ -45,7 +45,8 @@ func (h hiddenIntoFaulty) FaultyGradient(round, agent int, x []float64, honest [
 }
 
 // TestDecodeVectorIntoMatchesDecodeVector pins the arena decoder to the
-// allocating one over well-formed, truncated, and poisoned payloads.
+// allocating one over well-formed, truncated, and poisoned payloads, read
+// from a string (a decided value) and from bytes (an encoding buffer).
 func TestDecodeVectorIntoMatchesDecodeVector(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	payloads := []string{
@@ -68,15 +69,19 @@ func TestDecodeVectorIntoMatchesDecodeVector(t *testing.T) {
 		want := DecodeVector(s, 3)
 		dst := []float64{9, 9, 9} // stale arena contents must be cleared
 		DecodeVectorInto(dst, s)
+		fromBytes := []float64{9, 9, 9}
+		DecodeVectorInto(fromBytes, []byte(s))
 		for j := range want {
-			if math.Float64bits(want[j]) != math.Float64bits(dst[j]) {
-				t.Fatalf("payload %d coord %d: into %v, alloc %v", i, j, dst[j], want[j])
+			if math.Float64bits(want[j]) != math.Float64bits(dst[j]) || math.Float64bits(want[j]) != math.Float64bits(fromBytes[j]) {
+				t.Fatalf("payload %d coord %d: into %v, from bytes %v, alloc %v", i, j, dst[j], fromBytes[j], want[j])
 			}
 		}
 	}
+	buf := []byte(payloads[0])
 	if allocs := testing.AllocsPerRun(20, func() {
 		dst := make([]float64, 3)
 		DecodeVectorInto(dst, payloads[0])
+		DecodeVectorInto(dst, buf)
 	}); allocs > 1 { // the dst make is the only one
 		t.Errorf("DecodeVectorInto allocates: %v allocs/op", allocs)
 	}

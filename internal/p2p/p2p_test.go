@@ -284,11 +284,11 @@ func TestDecentralizedMatchesServerBased(t *testing.T) {
 }
 
 // The stateful REDGRAF filters carry an auxiliary center from round to round
-// in the aggregation scratch. Every honest peer steps its own round kernel —
-// its own scratch — so each continues its own chain: the peers stay in
-// agreement and follow the in-process trajectory bit for bit. (With one
-// scratch shared by all peers, the first peer of a round advanced the chain
-// and the rest restarted it, and the run failed its agreement check.)
+// in the aggregation scratch. The honest peers' one round kernel advances
+// that chain once a round, as the in-process engine does, so the run follows
+// the in-process trajectory bit for bit. (A kernel that filtered the agreed
+// set once per peer over one scratch would advance the chain several times a
+// round and leave it.)
 func TestDecentralizedStatefulFilterKeepsAgreement(t *testing.T) {
 	inst, agents := paperAgents(t, false)
 	for _, name := range []string{"sdmmfd", "sdfd"} {
