@@ -31,6 +31,8 @@ var keptWithoutCaller = map[string]string{
 	"p2p.Equivocating":              "how a Distorter other than the equivocate behavior joins a run, as ExampleBackend shows",
 	"p2p.MessageCost":               "the full EIG tree's size, which ExampleBackend prints and TestBuiltNodes holds a broadcast to",
 	"robustmean.NewProblem":         "the core.Problem face of the robustmean workload the theory oracle measures",
+	"transport.Flaky.Release":       "unblocks a crashed Flaky agent when a cluster test or ExampleServer ends",
+	"transport.NewFlaky":            "the crash injector of the cluster elimination tests and ExampleServer",
 	"vecmath.Box.Project":           "the allocating reference ProjectInPlace is tested against",
 	"vecmath.Sum":                   "the allocating reference SumInto is tested against",
 }

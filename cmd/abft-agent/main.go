@@ -15,6 +15,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -27,6 +28,7 @@ import (
 	"byzopt/internal/costfunc"
 	"byzopt/internal/dgd"
 	"byzopt/internal/linreg"
+	"byzopt/internal/prof"
 	"byzopt/internal/transport"
 )
 
@@ -37,7 +39,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("abft-agent", flag.ContinueOnError)
 	connect := fs.String("connect", "127.0.0.1:7000", "server address")
 	id := fs.Int("id", 0, "agent index (0-based)")
@@ -46,14 +48,20 @@ func run(args []string) error {
 	bFlag := fs.Float64("b", 0, "response B_i")
 	fault := fs.String("fault", "", "Byzantine behavior (empty = honest; see byzopt.BehaviorNames)")
 	seed := fs.Int64("seed", 42, "seed for randomized faults")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	var (
 		row []float64
 		b   float64
-		err error
 	)
 	switch {
 	case *paper:

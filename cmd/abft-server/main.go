@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -24,6 +25,7 @@ import (
 	"byzopt/internal/aggregate"
 	"byzopt/internal/cluster"
 	"byzopt/internal/dgd"
+	"byzopt/internal/prof"
 	"byzopt/internal/transport"
 	"byzopt/internal/vecmath"
 )
@@ -39,7 +41,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string) error {
+func run(ctx context.Context, args []string) (err error) {
 	fs := flag.NewFlagSet("abft-server", flag.ContinueOnError)
 	listen := fs.String("listen", ":7000", "address to listen on")
 	n := fs.Int("n", 6, "number of agents to wait for")
@@ -52,9 +54,16 @@ func run(ctx context.Context, args []string) error {
 	boxR := fs.Float64("box", 1000, "projection box radius (0 disables)")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-round agent deadline")
 	accept := fs.Duration("accept", 60*time.Second, "agent connection window")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	filter, err := aggregate.New(*filterName)
 	if err != nil {

@@ -2,7 +2,15 @@ package main
 
 import (
 	"context"
+	"net"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
+
+	"byzopt/internal/costfunc"
+	"byzopt/internal/dgd"
+	"byzopt/internal/transport"
 )
 
 func TestParseVector(t *testing.T) {
@@ -35,5 +43,52 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 	if err := run(ctx, []string{"-x0", "1,zz", "-dim", "2"}); err == nil {
 		t.Error("unparseable x0 should error")
+	}
+}
+
+// TestProfileFlags: a run with -cpuprofile and -memprofile leaves two
+// non-empty profiles behind.
+func TestProfileFlags(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	_ = l.Close()
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cost, err := costfunc.NewSingleRowLeastSquares([]float64{1, 0}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent, err := dgd.NewHonest(cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() {
+		for { // the server may not be listening yet
+			err := transport.ServeAgent(ctx, addr, 0, agent)
+			if err == nil || ctx.Err() != nil {
+				served <- err
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}()
+	if err := run(ctx, []string{"-listen", addr, "-n", "1", "-f", "0", "-filter", "mean", "-rounds", "20",
+		"-accept", "10s", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("agent: %v", err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s: %v, want a non-empty file", p, err)
+		}
 	}
 }

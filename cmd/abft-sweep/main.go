@@ -166,11 +166,7 @@ func run(ctx context.Context, args []string, out *os.File) (err error) {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProfiles(); err == nil {
-			err = perr
-		}
-	}()
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 	if *merge {
 		return runMerge(fs.Args(), *jsonPath, *timings, *quiet, out)
 	}

@@ -233,6 +233,10 @@ func (CWTM) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
 	if n <= 2*f {
 		return fmt.Errorf("CWTM needs n > 2f, got n=%d f=%d: %w", n, f, ErrTooManyFaults)
 	}
+	if n < selectInsertionCutoff && len(dst) >= rowSortMinDim {
+		trimMeanRows(dst, grads, f, s)
+		return nil
+	}
 	s.col = growFloats(s.col, n)
 	col := s.col
 	for k := range dst {

@@ -136,3 +136,26 @@ func BenchmarkPairwise(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCWTM is CWTM at n = 6, f = 1 on both sides of rowSortMinDim:
+// d = 2 (the paper's grids) and d = 1000 (tcp_cluster), each through the
+// filter and through both of its paths, so the rows show where the cutoff
+// belongs.
+func BenchmarkCWTM(b *testing.B) {
+	const n, f = 6, 1
+	for _, d := range []int{2, 1000} {
+		tables := rotatingTables(rand.New(rand.NewSource(int64(d))), n, d)
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) { benchInto(b, CWTM{}, tables, f) })
+		for name, path := range map[string]func([]float64, [][]float64, int, *Scratch){
+			"rows": trimMeanRows, "columns": trimMeanColumns,
+		} {
+			b.Run(fmt.Sprintf("d=%d/%s", d, name), func(b *testing.B) {
+				scratch := &Scratch{}
+				dst := make([]float64, d)
+				for i := 0; i < b.N; i++ {
+					path(dst, tables[i&(benchTables-1)], f, scratch)
+				}
+			})
+		}
+	}
+}

@@ -724,6 +724,71 @@ func TestTrimMiddleShortColumnsBitwise(t *testing.T) {
 	}
 }
 
+// trimMeanColumns is CWTM's column path at any d: per coordinate, gather the
+// column, cut it with trimMiddle and sum the window. TestTrimMeanRowsBitwise
+// holds it to the filter below rowSortMinDim and the row path to it above.
+func trimMeanColumns(dst []float64, grads [][]float64, f int, s *Scratch) {
+	n := len(grads)
+	s.col = growFloats(s.col, n)
+	for k := range dst {
+		for i := range grads {
+			s.col[i] = grads[i][k]
+		}
+		trimMiddle(s.col, f, s)
+		var sum float64
+		for _, v := range s.col[f : n-f] {
+			sum += v
+		}
+		dst[k] = sum / float64(n-2*f)
+	}
+}
+
+// TestTrimMeanRowsBitwise holds CWTM's row path to its column path bit for
+// bit, for every n below selectInsertionCutoff, every f with 2f < n and d on
+// both sides of rowSortMinDim, on TestTrimMiddleShortColumnsBitwise's random,
+// tie-heavy and signed-zero draws; the filter itself must give the column
+// path's bits at every d.
+func TestTrimMeanRowsBitwise(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	kinds := map[string]func() float64{
+		"random":       r.NormFloat64,
+		"tie-heavy":    func() float64 { return float64(r.Intn(3)) - 1 },
+		"signed zeros": func() float64 { return signedZeroDraw(r) },
+	}
+	s := &Scratch{}
+	for n := 1; n < selectInsertionCutoff; n++ {
+		for f := 0; 2*f < n; f++ {
+			for _, d := range []int{1, rowSortMinDim - 1, rowSortMinDim, 61} {
+				for name, draw := range kinds {
+					for trial := 0; trial < 20; trial++ {
+						grads := make([][]float64, n)
+						for i := range grads {
+							grads[i] = make([]float64, d)
+							for k := range grads[i] {
+								grads[i][k] = draw()
+							}
+						}
+						want := make([]float64, d)
+						trimMeanColumns(want, grads, f, s)
+						rows := make([]float64, d)
+						trimMeanRows(rows, grads, f, s)
+						filter := make([]float64, d)
+						if err := (CWTM{}).AggregateInto(filter, grads, f, s); err != nil {
+							t.Fatal(err)
+						}
+						for k := range want {
+							if math.Float64bits(rows[k]) != math.Float64bits(want[k]) || math.Float64bits(filter[k]) != math.Float64bits(want[k]) {
+								t.Fatalf("%s n=%d f=%d d=%d: coordinate %d is %v by rows, %v by the filter, %v by columns",
+									name, n, f, d, k, rows[k], filter[k], want[k])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestAggregateIntoAllocs pins the scratch-space contract: with a warm
 // Scratch and sequential workers, AggregateInto performs zero heap
 // allocations for every registered filter — at a size where every row and

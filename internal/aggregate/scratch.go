@@ -300,6 +300,45 @@ func trimMiddle(col []float64, f int, s *Scratch) {
 	}
 }
 
+// rowSortMinDim is the dimension from which CWTM sorts fewer than
+// selectInsertionCutoff reports as rows (trimMeanRows). Over rotating inputs
+// at n = 3 to 11 the row path loses at d = 2 (n = 6: 140 against 66 ns,
+// BenchmarkCWTM), crosses over between d = 4 and 6, and wins from d = 8 on
+// (n = 6, d = 1000: 25 against 72 µs).
+const rowSortMinDim = 8
+
+// trimMeanRows is CWTM on n < selectInsertionCutoff reports: it copies them
+// into s.col as n rows, sorts all d coordinates at once by an insertion
+// network of compare-exchanges applied row against row (min and max, no
+// branch), and sums rows f..n-f-1 per coordinate, ascending from +0. Each
+// coordinate's window is trimMiddle's multiset in ascending order, and -0
+// before +0 is invisible to the sum, so the bits are the column path's.
+func trimMeanRows(dst []float64, grads [][]float64, f int, s *Scratch) {
+	n, d := len(grads), len(dst)
+	s.col = growFloats(s.col, n*d)
+	row := func(i int) []float64 { return s.col[i*d : (i+1)*d : (i+1)*d] }
+	for i, g := range grads {
+		copy(row(i), g)
+	}
+	for i := 1; i < n; i++ {
+		for j := i; j > 0; j-- {
+			lo, hi := row(j-1), row(j)
+			for k, a := range lo {
+				lo[k], hi[k] = min(a, hi[k]), max(a, hi[k])
+			}
+		}
+	}
+	clear(dst)
+	for i := f; i < n-f; i++ {
+		for k, v := range row(i) {
+			dst[k] += v
+		}
+	}
+	for k := range dst {
+		dst[k] /= float64(n - 2*f)
+	}
+}
+
 // radixCutoff is the length from which sortFloats runs its radix passes.
 // Below it — every row and column of the paper's n = 6 grids — slices.Sort
 // stays: a histogram costs more than it saves there.

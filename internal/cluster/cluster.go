@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"byzopt/internal/aggregate"
@@ -187,6 +188,12 @@ type roundReply struct {
 	err      error
 }
 
+// roundRequest asks a connection's request goroutine for round t's report.
+type roundRequest struct {
+	ctx context.Context
+	t   int
+}
+
 // Run executes the protocol: per round it gathers the live agents' reports
 // over the transport — eliminating silent agents under step S1, or retrying
 // and then muting them for the round under Degrade — and hands them to the
@@ -221,6 +228,29 @@ func (s *Server) Run(ctx context.Context) (*Result, error) {
 		omitFill = make([]float64, len(x))
 	}
 
+	// One request goroutine per connection for the whole run: it asks its
+	// agent for each round it is sent and answers on replies. Every path out
+	// of Run closes the rounds and waits for all of them to return.
+	requests := make([]chan roundRequest, n)
+	var workers sync.WaitGroup
+	defer func() {
+		for _, c := range requests {
+			close(c)
+		}
+		workers.Wait()
+	}()
+	for i, conn := range s.conns {
+		requests[i] = make(chan roundRequest)
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			for req := range requests[i] {
+				g, err := conn.RequestGradient(req.ctx, req.t, x)
+				replies <- roundReply{agent: i, gradient: g, err: err}
+			}
+		}()
+	}
+
 	res := &Result{}
 	for t := 0; t < s.kernel.Rounds; t++ {
 		if err := ctx.Err(); err != nil {
@@ -238,10 +268,7 @@ func (s *Server) Run(ctx context.Context) (*Result, error) {
 		// in-process run byte for byte.
 		roundCtx, cancel := context.WithTimeout(ctx, s.timeout)
 		for _, idx := range live {
-			go func(idx int) {
-				g, err := s.conns[idx].RequestGradient(roundCtx, t, x)
-				replies <- roundReply{agent: idx, gradient: g, err: err}
-			}(idx)
+			requests[idx] <- roundRequest{ctx: roundCtx, t: t}
 		}
 		silent = silent[:0]
 		for range live {

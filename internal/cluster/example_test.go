@@ -1,14 +1,4 @@
-// TCPCluster: the full Figure-1 server-based deployment on real sockets,
-// inside one process.
-//
-// A server listens on loopback; six agent goroutines dial in over TCP (in a
-// real deployment each would be cmd/abft-agent on its own machine), agent 0
-// reverses its gradients, and one honest agent crashes mid-run to
-// demonstrate the step-S1 elimination rule: under synchrony a silent agent
-// is provably faulty, so the server drops it and decrements both n and f.
-//
-// Run with: go run ./examples/tcpcluster
-package main
+package cluster_test
 
 import (
 	"context"
@@ -26,61 +16,51 @@ import (
 	"byzopt/internal/transport"
 )
 
-func main() {
-	if err := run(); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run() error {
+// The full Figure-1 server-based deployment on real sockets, inside one
+// process. A server listens on loopback and six agents dial in over TCP (in a
+// real deployment each would be cmd/abft-agent on its own machine). Agent 0
+// reverses its gradients, and honest agent 3 crashes at round 60 to show the
+// step-S1 elimination rule: under synchrony a silent agent is provably
+// faulty, so the server drops it and decrements both n and f.
+func ExampleServer() {
 	inst, err := linreg.Paper()
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	costs, err := inst.Costs()
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	agents, err := dgd.HonestAgents(costs)
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
-	// Agent 0: Byzantine gradients. Agent 3: honest but crashes at round 60.
-	fa, err := dgd.NewFaulty(agents[0], byzantine.GradientReverse{})
-	if err != nil {
-		return err
+	if agents[0], err = dgd.NewFaulty(agents[0], byzantine.GradientReverse{}); err != nil {
+		log.Fatal(err)
 	}
-	agents[0] = fa
-	flaky := transport.NewFlaky(agents[3], 60)
-	defer flaky.Release()
+	crashed := transport.NewFlaky(agents[3], 60)
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	defer func() { _ = l.Close() }()
-	fmt.Printf("server listening on %s\n", l.Addr())
-
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	var wg sync.WaitGroup
-	for id := range agents {
-		producer := transport.GradientProducer(agents[id])
+	for id, a := range agents {
+		var producer transport.GradientProducer = a
 		if id == 3 {
-			producer = flaky
+			producer = crashed
 		}
 		wg.Add(1)
-		go func(id int, p transport.GradientProducer) {
+		go func() {
 			defer wg.Done()
-			if err := transport.ServeAgent(ctx, l.Addr().String(), id, p); err != nil {
-				log.Printf("agent %d: %v", id, err)
-			}
-		}(id, producer)
+			_ = transport.ServeAgent(ctx, l.Addr().String(), id, producer)
+		}()
 	}
-
 	conns, err := transport.AcceptAgents(l, len(agents), 10*time.Second)
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	fmt.Println("all agents connected; agent 0 is Byzantine, agent 3 will crash at round 60")
 
@@ -96,21 +76,24 @@ func run() error {
 		Reference:    inst.XH,
 	})
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	res, err := srv.Run(context.Background())
 	for _, c := range conns {
 		_ = c.Close()
 	}
 	cancel()
-	flaky.Release() // unblock the crashed agent's goroutine before waiting
+	crashed.Release() // unblock the crashed agent before waiting for it
 	wg.Wait()
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
-
 	fmt.Printf("eliminated agents: %v (final n=%d, f=%d)\n", res.Eliminated, res.FinalN, res.FinalF)
 	fmt.Printf("final estimate: (%.4f, %.4f)\n", res.X[0], res.X[1])
 	fmt.Printf("distance to x_H: %.4f\n", res.Trace.Dist[len(res.Trace.Dist)-1])
-	return nil
+	// Output:
+	// all agents connected; agent 0 is Byzantine, agent 3 will crash at round 60
+	// eliminated agents: [3] (final n=5, f=1)
+	// final estimate: (1.0774, 0.9716)
+	// distance to x_H: 0.0110
 }

@@ -75,42 +75,64 @@ func writeFrame(w io.Writer, frame []byte, round int, tap WireTap) error {
 	return nil
 }
 
-// readFrame reads one frame into buf's storage and returns it (on every
-// path, so a connection keeps the buffer it owns): the body is
-// frame[frameHeader:], valid until buf is reused. io.EOF is returned verbatim
-// when the stream ends cleanly between frames; an EOF inside a frame is
-// io.ErrUnexpectedEOF (wrapped). Oversized frames fail with ErrFrameTooLarge
-// before any read of the body, checksum mismatches with ErrCorruptFrame.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	buf = frameStart(buf)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if errors.Is(err, io.EOF) {
-			return buf, io.EOF
-		}
-		return buf, fmt.Errorf("transport: read frame header: %w", err)
+// frameReader reads the frames of one stream into a buffer it keeps. On a
+// connection the transport owns, each Read asks for all the room the buffer
+// has and bytes past a frame's end are kept for the next frame, so a frame
+// that has arrived whole costs one Read. An exact reader (ReadSweepFrame's, on
+// a caller's io.Reader) reads no byte past the frame.
+type frameReader struct {
+	buf   []byte // bytes read; buf[:next] is the frame returned last
+	next  int
+	exact bool
+}
+
+// read returns the next frame's body, valid until the next read. io.EOF is
+// returned verbatim when the stream ends cleanly between frames; an EOF inside
+// a frame is io.ErrUnexpectedEOF (wrapped). Oversized frames fail with
+// ErrFrameTooLarge before any read of the body, checksum mismatches with
+// ErrCorruptFrame, and the next read starts after the corrupt frame.
+func (fr *frameReader) read(r io.Reader) ([]byte, error) {
+	fr.buf, fr.next = fr.buf[:copy(fr.buf, fr.buf[fr.next:])], 0
+	if err := fr.fill(r, frameHeader); err == io.EOF {
+		return nil, err
+	} else if err != nil {
+		return nil, fmt.Errorf("transport: read frame header: %w", err)
 	}
-	size, sum := binary.BigEndian.Uint32(buf[:4]), binary.BigEndian.Uint32(buf[4:])
+	size, sum := binary.BigEndian.Uint32(fr.buf[:4]), binary.BigEndian.Uint32(fr.buf[4:])
 	if size > MaxFrame {
-		return buf, fmt.Errorf("transport: frame length %d: %w", size, ErrFrameTooLarge)
+		return nil, fmt.Errorf("transport: frame length %d: %w", size, ErrFrameTooLarge)
 	}
 	end := frameHeader + int(size)
-	if cap(buf) > frameChunk && end <= cap(buf)/2 {
-		buf = slices.Clone(buf)
+	if cap(fr.buf) > frameChunk && max(end, len(fr.buf)) <= cap(fr.buf)/2 {
+		fr.buf = slices.Clone(fr.buf)
 	}
-	for len(buf) < end {
-		n := min(end-len(buf), frameChunk)
-		buf = slices.Grow(buf, n)
-		m, err := io.ReadFull(r, buf[len(buf):len(buf)+n])
-		buf = buf[:len(buf)+m]
-		if err != nil {
-			if errors.Is(err, io.EOF) {
+	if err := fr.fill(r, end); err != nil {
+		return nil, fmt.Errorf("transport: read frame body: %w", err)
+	}
+	fr.next = end
+	if crc32.ChecksumIEEE(fr.buf[frameHeader:end]) != sum {
+		return nil, fmt.Errorf("transport: frame of %d bytes: %w", size, ErrCorruptFrame)
+	}
+	return fr.buf[frameHeader:end], nil
+}
+
+// fill reads until the buffer holds need bytes, growing it by at most
+// frameChunk a step: it follows the bytes that arrive, not a length prefix's
+// claim. An EOF after some bytes of a frame is io.ErrUnexpectedEOF.
+func (fr *frameReader) fill(r io.Reader, need int) error {
+	for len(fr.buf) < need {
+		fr.buf = slices.Grow(fr.buf, min(need-len(fr.buf), frameChunk))
+		limit := cap(fr.buf)
+		if fr.exact {
+			limit = min(limit, need)
+		}
+		m, err := r.Read(fr.buf[len(fr.buf):limit])
+		if fr.buf = fr.buf[:len(fr.buf)+m]; err != nil && len(fr.buf) < need {
+			if err == io.EOF && len(fr.buf) > 0 {
 				err = io.ErrUnexpectedEOF
 			}
-			return buf, fmt.Errorf("transport: read frame body: %w", err)
+			return err
 		}
 	}
-	if crc32.ChecksumIEEE(buf[frameHeader:]) != sum {
-		return buf, fmt.Errorf("transport: frame of %d bytes: %w", size, ErrCorruptFrame)
-	}
-	return buf, nil
+	return nil
 }

@@ -11,7 +11,9 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"byzopt/internal/chaos"
@@ -25,6 +27,14 @@ func gradWire(t testing.TB, kind byte, round int64, vec []float64, text string) 
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// readFrame reads exactly one frame from r into buf's storage and returns it,
+// header included, on every path (so a caller keeps the buffer it owns).
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	fr := frameReader{buf: buf[:0], exact: true}
+	_, err := fr.read(r)
+	return fr.buf, err
 }
 
 // readGradMsg is the receive path of both ends: one frame, then its message.
@@ -187,6 +197,144 @@ func TestFrameIsOneWrite(t *testing.T) {
 	w.writes = 0
 	if err := WriteSweepFrame(w, SweepKindLease, SweepLease{Indices: []int{1, 2, 3}, TTLMillis: 1000}); err != nil || w.writes != 1 {
 		t.Fatalf("sweep frame: %d writes, %v", w.writes, err)
+	}
+}
+
+// countingReads counts the Read calls that have returned on a connection.
+type countingReads struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countingReads) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.reads.Add(1)
+	return n, err
+}
+
+// oneConn is a listener that hands out the connections on its channel.
+type oneConn chan net.Conn
+
+func (l oneConn) Accept() (net.Conn, error) {
+	if c, ok := <-l; ok {
+		return c, nil
+	}
+	return nil, net.ErrClosed
+}
+func (l oneConn) Close() error   { return nil }
+func (l oneConn) Addr() net.Addr { return &net.TCPAddr{} }
+
+// A frame that has arrived whole is one Read on either side of a gradient
+// connection: the reader asks for as much as its buffer holds, and after the
+// first frames that is a whole frame. (net.Pipe hands a reader at most one
+// Write per Read, so a frame arrives whole exactly when it was one Write.)
+func TestFrameIsOneRead(t *testing.T) {
+	serverEnd, agentEnd := net.Pipe()
+	server, agent := &countingReads{Conn: serverEnd}, &countingReads{Conn: agentEnd}
+	done := make(chan error, 1)
+	go func() { done <- serveConn(context.Background(), agent, 0, &intoProducer{}, nil) }()
+	l := make(oneConn, 1)
+	l <- server
+	conns, err := AcceptAgents(l, 1, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, 1000)
+	request := func(round int) {
+		if g, err := conns[0].RequestGradient(context.Background(), round, x); err != nil || len(g) != len(x) {
+			t.Fatalf("round %d: %d coordinates, %v", round, len(g), err)
+		}
+	}
+	request(0) // the first frame on each side grows the buffer from a header's room
+	server.reads.Store(0)
+	agent.reads.Store(0)
+	const rounds = 10
+	for round := 1; round <= rounds; round++ {
+		request(round)
+	}
+	if s, a := server.reads.Load(), agent.reads.Load(); s != rounds || a != rounds {
+		t.Errorf("%d replies took %d server reads, %d requests took %d agent reads; want one each", rounds, s, rounds, a)
+	}
+	if err := conns[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("agent: %v", err)
+	}
+}
+
+// countingReader counts Read calls on a plain reader.
+type countingReader struct {
+	io.Reader
+	reads int
+}
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	r.reads++
+	return r.Reader.Read(p)
+}
+
+// The carrying reader keeps what it read past a frame: two frames that arrive
+// in one segment are one Read and come back in order, and delivery in any
+// pieces yields the same frames.
+func TestFrameReaderCarriesBytesPastTheFrame(t *testing.T) {
+	frames := [][]byte{
+		gradWire(t, kindReply, 1, []float64{1, 2, 3}, ""),
+		gradWire(t, kindRequest, 2, make([]float64, 300), ""),
+		gradWire(t, kindShutdown, -1, nil, "done"),
+		gradWire(t, kindReply, 3, nil, ""),
+	}
+	stream := bytes.Join(frames, nil)
+
+	r := &countingReader{Reader: bytes.NewReader(stream[:len(frames[0])+len(frames[1])])}
+	fr := frameReader{buf: make([]byte, 0, 4096)}
+	for i := range 2 {
+		if body, err := fr.read(r); err != nil || !bytes.Equal(body, frames[i][frameHeader:]) {
+			t.Fatalf("frame %d of one segment: %x, %v", i, body, err)
+		}
+	}
+	if r.reads != 1 {
+		t.Errorf("two frames in one segment took %d reads, want 1", r.reads)
+	}
+
+	for name, wrap := range map[string]func(io.Reader) io.Reader{
+		"whole":    func(r io.Reader) io.Reader { return r },
+		"one byte": iotest.OneByteReader, "half": iotest.HalfReader, "data with EOF": iotest.DataErrReader,
+	} {
+		var fr frameReader
+		r := wrap(bytes.NewReader(stream))
+		for i, want := range frames {
+			if body, err := fr.read(r); err != nil || !bytes.Equal(body, want[frameHeader:]) {
+				t.Fatalf("%s: frame %d = %x, %v", name, i, body, err)
+			}
+		}
+		if _, err := fr.read(r); err != io.EOF {
+			t.Fatalf("%s: after the last frame %v, want io.EOF", name, err)
+		}
+	}
+}
+
+// The carrying reader refuses a length past MaxFrame from the header alone,
+// and a corrupt frame is ErrCorruptFrame without costing the frame after it.
+func TestFrameReaderRefusals(t *testing.T) {
+	var hdr [frameHeader]byte
+	binary.BigEndian.PutUint32(hdr[:4], MaxFrame+1)
+	r := &countingReader{Reader: bytes.NewReader(append(hdr[:], make([]byte, 64)...))}
+	var fr frameReader
+	if _, err := fr.read(r); !errors.Is(err, ErrFrameTooLarge) || r.reads != 1 || len(fr.buf) != frameHeader {
+		t.Fatalf("oversized length: %v after %d reads of %d bytes, want ErrFrameTooLarge after the header alone", err, r.reads, len(fr.buf))
+	}
+
+	bad := gradWire(t, kindReply, 0, []float64{3, 4}, "")
+	bad[len(bad)-2] ^= 0x10
+	good := gradWire(t, kindReply, 1, []float64{5}, "")
+	fr = frameReader{}
+	stream := bytes.NewReader(append(bad, good...))
+	if _, err := fr.read(stream); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("corrupt frame: %v", err)
+	}
+	if body, err := fr.read(stream); err != nil || !bytes.Equal(body, good[frameHeader:]) {
+		t.Fatalf("the frame after a corrupt one: %x, %v", body, err)
 	}
 }
 

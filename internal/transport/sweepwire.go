@@ -125,12 +125,13 @@ func WriteSweepFrame(w io.Writer, kind string, payload any) error {
 // io.ErrUnexpectedEOF (wrapped), distinguishing a peer that went away from
 // one that was cut off mid-message.
 func ReadSweepFrame(r io.Reader) (SweepFrame, error) {
-	frame, err := readFrame(r, nil)
+	fr := frameReader{exact: true}
+	body, err := fr.read(r)
 	if err != nil {
 		return SweepFrame{}, err
 	}
 	var f SweepFrame
-	if err := json.Unmarshal(frame[frameHeader:], &f); err != nil {
+	if err := json.Unmarshal(body, &f); err != nil {
 		return SweepFrame{}, fmt.Errorf("transport: decode frame: %w", err)
 	}
 	if f.Kind == "" {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -73,7 +74,9 @@ func FuzzReadSweepFrame(f *testing.F) {
 // FuzzReadGradFrame is the same contract for the gradient protocol, frame
 // and message: arbitrary bytes yield a typed error, or a message that
 // re-encodes to the very body it was parsed from — nothing is dropped,
-// defaulted or normalised (NaN payloads included) on the way in.
+// defaulted or normalised (NaN payloads included) on the way in. The same
+// bytes, concatenated, go through a connection's carrying reader too
+// (checkCarrying).
 func FuzzReadGradFrame(f *testing.F) {
 	valid := gradWire(f, kindReply, 3, []float64{1, 2}, "")
 	f.Add(valid)
@@ -83,6 +86,7 @@ func FuzzReadGradFrame(f *testing.F) {
 	corrupted := append([]byte(nil), valid...)
 	corrupted[len(corrupted)-1] ^= 0x80
 	f.Add(corrupted)
+	f.Add(append(corrupted, valid...))
 	f.Add(gradWire(f, kindHello, helloWord(5), nil, ""))
 	f.Add(gradWire(f, kindReply, 9, nil, "agent failed"))
 	f.Add(gradWire(f, kindRequest, 1, []float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1)}, ""))
@@ -96,6 +100,7 @@ func FuzzReadGradFrame(f *testing.F) {
 	f.Add([]byte(gobHelloV1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkCarrying(t, data)
 		frame, err := readFrame(bytes.NewReader(data), nil)
 		var m gradMsg
 		if err == nil {
@@ -118,4 +123,33 @@ func FuzzReadGradFrame(f *testing.F) {
 			t.Errorf("oversized length returned %v, want ErrFrameTooLarge", err)
 		}
 	})
+}
+
+// checkCarrying drives the carrying reader of a gradient connection over data
+// three times over, delivered in halves, against exact frame-by-frame reads of
+// the same stream: the same frames in the same order, and the same kind of
+// error where the exact reads stop.
+func checkCarrying(t *testing.T, data []byte) {
+	stream := bytes.Repeat(data, 3)
+	exact := bytes.NewReader(stream)
+	var fr frameReader
+	carried := iotest.HalfReader(bytes.NewReader(stream))
+	for i := 0; ; i++ {
+		frame, wantErr := readFrame(exact, nil)
+		body, err := fr.read(carried)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("frame %d: carrying reader says %v, exact reads say %v", i, err, wantErr)
+		}
+		if wantErr != nil {
+			for _, kind := range []error{io.EOF, io.ErrUnexpectedEOF, ErrFrameTooLarge, ErrCorruptFrame} {
+				if errors.Is(wantErr, kind) != errors.Is(err, kind) {
+					t.Fatalf("frame %d: carrying reader says %v, exact reads say %v", i, err, wantErr)
+				}
+			}
+			return
+		}
+		if !bytes.Equal(body, frame[frameHeader:]) {
+			t.Fatalf("frame %d: carrying reader has %x, exact reads %x", i, body, frame[frameHeader:])
+		}
+	}
 }

@@ -20,8 +20,9 @@ import (
 type tcpConn struct {
 	mu        sync.Mutex
 	conn      net.Conn
-	out, in   []byte    // the last frame sent and received, reused under mu
-	reply     []float64 // the vector RequestGradient returns, reused under mu
+	out       []byte      // the last frame sent, reused under mu
+	in        frameReader // the frames received, one Read each once they have arrived
+	reply     []float64   // the vector RequestGradient returns, reused under mu
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -74,11 +75,11 @@ func (c *tcpConn) RequestGradient(ctx context.Context, round int, estimate []flo
 	if err := writeFrame(conn, c.out, round, nil); err != nil {
 		return nil, wrapReqErr(ctx, "tcp send round", round, err)
 	}
-	var err error
-	if c.in, err = readFrame(conn, c.in); err != nil {
+	body, err := c.in.read(conn)
+	if err != nil {
 		return nil, wrapReqErr(ctx, "tcp receive round", round, err)
 	}
-	reply, err := parseGradMsg(c.in[frameHeader:])
+	reply, err := parseGradMsg(body)
 	switch {
 	case err != nil:
 		return nil, fmt.Errorf("tcp receive round %d: %w", round, err)
@@ -172,12 +173,13 @@ func AcceptAgents(l net.Listener, n int, timeout time.Duration) ([]AgentConn, er
 			_ = raw.Close()
 			return fail(fmt.Errorf("transport: handshake deadline: %w", err))
 		}
-		in, err := readFrame(raw, nil)
+		var in frameReader
+		body, err := in.read(raw)
 		if err != nil {
 			_ = raw.Close()
 			return fail(fmt.Errorf("transport: hello from connection %d: %w", i, err))
 		}
-		m, err := parseGradMsg(in[frameHeader:])
+		m, err := parseGradMsg(body)
 		id := int(int32(m.round))
 		switch {
 		case err != nil || m.kind != kindHello:
@@ -189,7 +191,7 @@ func AcceptAgents(l net.Listener, n int, timeout time.Duration) ([]AgentConn, er
 		}
 		if err != nil {
 			err = fmt.Errorf("transport: hello from connection %d: %w", i, err)
-			sendShutdown(raw, in, err.Error())
+			sendShutdown(raw, nil, err.Error())
 			_ = raw.Close()
 			return fail(err)
 		}
@@ -229,15 +231,20 @@ func ServeAgentTap(ctx context.Context, addr string, agentID int, producer Gradi
 	if int(int32(agentID)) != agentID {
 		return fmt.Errorf("transport: agent id %d does not fit the hello's 32 bits", agentID)
 	}
-	into, _ := producer.(interface {
-		GradientInto(dst []float64, round int, x []float64) error
-	})
 	var d net.Dialer
 	raw, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
+	return serveConn(ctx, raw, agentID, producer, tap)
+}
+
+// serveConn is ServeAgentTap on a connection already made; it closes raw.
+func serveConn(ctx context.Context, raw net.Conn, agentID int, producer GradientProducer, tap WireTap) error {
 	defer func() { _ = raw.Close() }()
+	into, _ := producer.(interface {
+		GradientInto(dst []float64, round int, x []float64) error
+	})
 
 	// Tear the connection down if the context is canceled so the read
 	// loop unblocks; stop the watcher on return.
@@ -251,7 +258,7 @@ func ServeAgentTap(ctx context.Context, addr string, agentID int, producer Gradi
 		}
 	}()
 
-	var in []byte
+	var in frameReader
 	var x, row []float64
 	out := gradFrame(nil, kindHello, helloWord(agentID), nil, "")
 	if err := writeFrame(raw, out, -1, nil); err != nil {
@@ -259,8 +266,9 @@ func ServeAgentTap(ctx context.Context, addr string, agentID int, producer Gradi
 	}
 	for {
 		var m gradMsg
-		if in, err = readFrame(raw, in); err == nil {
-			m, err = parseGradMsg(in[frameHeader:])
+		body, err := in.read(raw)
+		if err == nil {
+			m, err = parseGradMsg(body)
 		}
 		if err != nil {
 			if ctx.Err() != nil || errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {

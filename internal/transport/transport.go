@@ -10,7 +10,7 @@
 //     crashes for failure testing);
 //   - TCP: a real socket transport (checksummed frames of raw float64
 //     vectors, see frame.go and gradframe.go) used by the cmd/abft-server
-//     and cmd/abft-agent binaries and the tcpcluster example.
+//     and cmd/abft-agent binaries and cluster.ExampleServer.
 package transport
 
 import (
