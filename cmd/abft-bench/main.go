@@ -15,6 +15,7 @@
 //	abft-bench -exp fig4 -rounds 1000 -csv fig4
 //	abft-bench -exp appj
 //	abft-bench -exp all
+//	abft-bench -exp grid -workers 1 -cpuprofile cpu.prof -memprofile heap.prof
 //
 // With -csv PREFIX the full series are written to PREFIX-<exp>-<fault>.csv
 // (PREFIX-<exp>.csv for the learning figures); summaries always go to stdout.
@@ -30,6 +31,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -40,6 +42,7 @@ import (
 	"byzopt/internal/dgd"
 	"byzopt/internal/experiments"
 	"byzopt/internal/linreg"
+	"byzopt/internal/prof"
 	"byzopt/internal/sweep"
 )
 
@@ -50,7 +53,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("abft-bench", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment: table1, grid, stepsweep, fig2, fig3, fig4, fig5, svm, appj, all")
 	rounds := fs.Int("rounds", 0, "override iteration count (0 = paper default)")
@@ -58,9 +61,16 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0, "sweep worker pool for grid experiments (0 = GOMAXPROCS)")
 	jsonPath := fs.String("json", "", "write grid/stepsweep results JSON to this file (-exp all: one file per experiment, -<exp> before the extension)")
 	etas := fs.String("etas", "0.005,0.02,0.05", "constant step sizes for the stepsweep experiment")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	// jsonFor keeps two exporting experiments of one run from overwriting
 	// each other's file.

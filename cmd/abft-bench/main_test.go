@@ -1,12 +1,59 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"byzopt/internal/sweep"
 )
+
+// stdoutOf returns what run(args) prints to standard output.
+func stdoutOf(t *testing.T, args ...string) []byte {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	read := make(chan []byte)
+	go func() {
+		data, _ := io.ReadAll(r)
+		read <- data
+	}()
+	runErr := run(args)
+	os.Stdout = saved
+	_ = w.Close()
+	out := <-read
+	if runErr != nil {
+		t.Fatalf("run %v: %v", args, runErr)
+	}
+	return out
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile write two non-empty profiles
+// and move no byte of standard output.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "heap.prof")
+	args := []string{"-exp", "table1", "-rounds", "60", "-workers", "1"}
+	plain := stdoutOf(t, args...)
+	profiled := stdoutOf(t, append(args, "-cpuprofile", cpu, "-memprofile", mem)...)
+	if len(plain) == 0 || !bytes.Equal(plain, profiled) {
+		t.Errorf("stdout differs with -cpuprofile/-memprofile set:\n%s\nagainst\n%s", profiled, plain)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s: %v, want a non-empty file", p, err)
+		}
+	}
+	if err := run([]string{"-exp", "appj", "-cpuprofile", filepath.Join(dir, "missing", "cpu.prof")}); err == nil {
+		t.Error("an unwritable -cpuprofile should error before the experiment")
+	}
+}
 
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-exp", "bogus"}); err == nil {

@@ -15,10 +15,12 @@
 //	abft-redundancy -paper
 //	abft-redundancy -data agents.csv -f 2
 //	abft-redundancy -data agents.csv -f 2 -workers -1
+//	abft-redundancy -paper -cpuprofile cpu.prof -memprofile heap.prof
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -28,6 +30,7 @@ import (
 	"byzopt/internal/core"
 	"byzopt/internal/linreg"
 	"byzopt/internal/matrix"
+	"byzopt/internal/prof"
 )
 
 func main() {
@@ -37,20 +40,26 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("abft-redundancy", flag.ContinueOnError)
 	paper := fs.Bool("paper", false, "use the Appendix-J instance")
 	data := fs.String("data", "", "CSV file, one agent per line: row..., response")
 	f := fs.Int("f", 1, "Byzantine budget f")
 	workers := fs.Int("workers", 0, "goroutines for the subset enumeration (0 = auto, -1 = GOMAXPROCS); the report is identical at any value")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	var (
 		rows [][]float64
 		b    []float64
-		err  error
 	)
 	switch {
 	case *paper:

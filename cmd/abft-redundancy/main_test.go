@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -50,6 +52,51 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, _, err := readCSV(empty); err == nil {
 		t.Error("empty file should error")
+	}
+}
+
+// stdoutOf returns what run(args) prints to standard output.
+func stdoutOf(t *testing.T, args ...string) []byte {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	read := make(chan []byte)
+	go func() {
+		data, _ := io.ReadAll(r)
+		read <- data
+	}()
+	runErr := run(args)
+	os.Stdout = saved
+	_ = w.Close()
+	out := <-read
+	if runErr != nil {
+		t.Fatalf("run %v: %v", args, runErr)
+	}
+	return out
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile write two non-empty profiles
+// and move no byte of standard output.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "heap.prof")
+	args := []string{"-paper", "-f", "1", "-workers", "1"}
+	plain := stdoutOf(t, args...)
+	profiled := stdoutOf(t, append(args, "-cpuprofile", cpu, "-memprofile", mem)...)
+	if len(plain) == 0 || !bytes.Equal(plain, profiled) {
+		t.Errorf("stdout differs with -cpuprofile/-memprofile set:\n%s\nagainst\n%s", profiled, plain)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s: %v, want a non-empty file", p, err)
+		}
+	}
+	if err := run([]string{"-paper", "-cpuprofile", filepath.Join(dir, "missing", "cpu.prof")}); err == nil {
+		t.Error("an unwritable -cpuprofile should error before the measurement")
 	}
 }
 

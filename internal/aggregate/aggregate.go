@@ -80,11 +80,37 @@ func validate(grads [][]float64, f int) (n, d int, err error) {
 		if len(g) != d {
 			return 0, 0, fmt.Errorf("gradient %d has dim %d, want %d: %w", i, len(g), d, ErrInput)
 		}
-		if !vecmath.IsFinite(g) {
+		if d >= finiteSumMinDim {
+			if !finiteSum(g) {
+				return 0, 0, fmt.Errorf("gradient %d: %w", i, ErrNonFinite)
+			}
+		} else if !vecmath.IsFinite(g) {
 			return 0, 0, fmt.Errorf("gradient %d: %w", i, ErrNonFinite)
 		}
 	}
 	return len(grads), d, nil
+}
+
+// finiteSumMinDim is the report length from which validate uses finiteSum
+// instead of vecmath.IsFinite (BenchmarkValidate, six rotating reports, 2-core
+// x86-64: 8,450 → 1,940 ns at d = 1000, 460 → 104 ns at d = 50). Shorter ones
+// keep IsFinite, inlined; summing inside it would stop it inlining.
+const finiteSumMinDim = 16
+
+// finiteSum reports whether no entry of g is NaN or ±Inf, with no branch per
+// entry: x*0 is ±0 for finite x and NaN otherwise, so the sum is 0 iff all are.
+func finiteSum(g []float64) bool {
+	var a0, a1, a2, a3 float64
+	for ; len(g) >= 4; g = g[4:] {
+		a0 += g[0] * 0
+		a1 += g[1] * 0
+		a2 += g[2] * 0
+		a3 += g[3] * 0
+	}
+	for _, x := range g {
+		a0 += x * 0
+	}
+	return a0+a1+a2+a3 == 0
 }
 
 // validateInto is validate plus the destination-dimension check shared by
@@ -181,8 +207,8 @@ func (c CGE) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error 
 	// keeps the filter deterministic as Definition 2 requires). The stable
 	// sort over a scratch-owned index slice defines the same permutation as
 	// any other stable sort on the same keys.
-	s.idx = growInts(s.idx, n)
-	s.norms = growFloats(s.norms, n)
+	s.idx = grow(s.idx, n)
+	s.norms = grow(s.norms, n)
 	idx, norms := s.idx, s.norms
 	for i := range grads {
 		idx[i] = i
@@ -237,7 +263,7 @@ func (CWTM) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
 		trimMeanRows(dst, grads, f, s)
 		return nil
 	}
-	s.col = growFloats(s.col, n)
+	s.col = grow(s.col, n)
 	col := s.col
 	for k := range dst {
 		for i := range grads {
@@ -285,7 +311,7 @@ func (CWMedian) into(dst []float64, grads [][]float64, n, f int, s *Scratch) err
 	if n <= 2*f {
 		return fmt.Errorf("median needs n > 2f, got n=%d f=%d: %w", n, f, ErrTooManyFaults)
 	}
-	s.col = growFloats(s.col, n)
+	s.col = grow(s.col, n)
 	col := s.col
 	for k := range dst {
 		for i := range grads {
@@ -403,8 +429,8 @@ func krumScores(grads [][]float64, f, workers int, s *Scratch) ([]float64, error
 // the sort, and every row — every row of an n <= 7 grid — is sorted.
 func scoreFromDists(d2 [][]float64, n, f int, s *Scratch) []float64 {
 	k := n - f - 2 // number of closest neighbors scored
-	s.scores = growFloats(s.scores, n)
-	s.row = growFloats(s.row, n)
+	s.scores = grow(s.scores, n)
+	s.row = grow(s.row, n)
 	scores := s.scores
 	if 8*(f+1) > n {
 		for i := range scores {
@@ -491,7 +517,7 @@ func selectionScore(di []float64, i, k int, top []float64) float64 {
 // exact scores.
 func rescoreUncertain(scores []float64, d2 [][]float64, k int, s *Scratch) int {
 	n := len(scores)
-	s.col = growFloats(s.col, n)
+	s.col = grow(s.col, n)
 	sorted := s.col
 	copy(sorted, scores)
 	sortFloats(sorted, s)
@@ -557,10 +583,10 @@ func bulyanInto(dst []float64, grads [][]float64, n, f int, s *Scratch, scores f
 		return fmt.Errorf("bulyan needs n >= 4f+3, got n=%d f=%d: %w", n, f, ErrTooManyFaults)
 	}
 	theta := n - 2*f
-	s.heads = growHeads(s.heads, n)
+	s.heads = grow(s.heads, n)
 	remaining := s.heads[:n]
 	copy(remaining, grads)
-	s.heads2 = growHeads(s.heads2, theta)
+	s.heads2 = grow(s.heads2, theta)
 	selected := s.heads2[:0]
 	for len(selected) < theta {
 		if len(remaining) < 2*f+3 {
@@ -589,7 +615,7 @@ func bulyanInto(dst []float64, grads [][]float64, n, f int, s *Scratch, scores f
 	// order the allocating path produced with its stable sort over (value,
 	// distance) pairs — without building or sorting that pair table.
 	beta := theta - 2*f
-	s.col = growFloats(s.col, theta)
+	s.col = grow(s.col, theta)
 	col := s.col[:theta]
 	for k := range dst {
 		for i := range selected {

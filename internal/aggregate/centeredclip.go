@@ -61,7 +61,7 @@ func (c CenteredClip) into(dst []float64, grads [][]float64, n, f int, s *Scratc
 		// Median distance from the warm-start center: a scale the honest
 		// majority sets. Quickselect on the scratch buffer replaces the
 		// full sort — the median is an order statistic either way.
-		s.norms = growFloats(s.norms, n)
+		s.norms = grow(s.norms, n)
 		dists := s.norms
 		for i, g := range grads {
 			d, err := vecmath.Dist(g, center)
@@ -79,8 +79,8 @@ func (c CenteredClip) into(dst []float64, grads [][]float64, n, f int, s *Scratc
 	if iters <= 0 {
 		iters = centeredClipDefaultIters
 	}
-	s.vecA = growFloats(s.vecA, len(dst))
-	s.vecB = growFloats(s.vecB, len(dst))
+	s.vecA = grow(s.vecA, len(dst))
+	s.vecB = grow(s.vecB, len(dst))
 	diff, update := s.vecA, s.vecB
 	for it := 0; it < iters; it++ {
 		for i := range update {

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -123,6 +124,56 @@ func TestFiltersRejectNonFinite(t *testing.T) {
 			// that must surface: validation precedes feasibility.
 			if _, err := filter.Aggregate(grads, 3); !errors.Is(err, ErrNonFinite) {
 				t.Errorf("%s: %s at infeasible f: got %v, want ErrNonFinite", name, label, err)
+			}
+		}
+	}
+}
+
+// TestFiniteTable holds finiteSum, and validate's verdict on a report,
+// to the per-entry definition at every length from 0 to 40, on both sides of
+// finiteSumMinDim: each poison (NaN with several payloads and either sign,
+// ±Inf) at every position of a report of finite extremes (-0, ±MaxFloat64,
+// subnormals), which both must accept unpoisoned.
+func TestFiniteTable(t *testing.T) {
+	poisons := []float64{math.NaN(), -math.NaN(), math.Float64frombits(0x7ff0000000000001),
+		math.Float64frombits(0xfff8000000000bad), math.Float64frombits(0x7ff4000000000000),
+		math.Inf(1), math.Inf(-1)}
+	extremes := []float64{negZero, 0, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, 0x1p-1030, 1.5, -2}
+	perEntry := func(g []float64) bool {
+		for _, x := range g {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return false
+			}
+		}
+		return true
+	}
+	// check compares both verdicts on g with the definition's.
+	check := func(what string, g []float64) {
+		t.Helper()
+		want := perEntry(g)
+		if got := finiteSum(g); got != want {
+			t.Fatalf("len %d, %s: finiteSum = %v, per-entry %v", len(g), what, got, want)
+		}
+		if len(g) == 0 {
+			return // validate refuses a zero-dimensional report for that
+		}
+		if _, _, err := validate([][]float64{g}, 0); errors.Is(err, ErrNonFinite) == want {
+			t.Fatalf("len %d, %s: validate = %v, per-entry finite %v", len(g), what, err, want)
+		}
+	}
+	for n := 0; n <= 40; n++ {
+		g := make([]float64, n)
+		for i := range g {
+			g[i] = extremes[(i+n)%len(extremes)]
+		}
+		check("no poison", g)
+		for pos := 0; pos < n; pos++ {
+			for _, p := range poisons {
+				keep := g[pos]
+				g[pos] = p
+				check(fmt.Sprintf("%v (%#x) at %d", p, math.Float64bits(p), pos), g)
+				g[pos] = keep
 			}
 		}
 	}

@@ -122,6 +122,74 @@ func BenchmarkFilterWide(b *testing.B) {
 	}
 }
 
+// BenchmarkKrumSampled is krum-sampled as wide_grid runs it (d = 50, f = 10,
+// m = 16) with the round advancing every call, so every call hashes a fresh
+// sample over a fresh table.
+func BenchmarkKrumSampled(b *testing.B) {
+	const d, f, m = 50, 10, 16
+	for _, n := range []int{100, 200} {
+		tables := rotatingTables(rand.New(rand.NewSource(int64(n))), n, d)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			kr := &KrumSampled{SampleParams{Pairs: m, Seed: 1}}
+			scratch := &Scratch{}
+			dst := make([]float64, d)
+			for i := 0; i < b.N; i++ {
+				kr.SetRound(i)
+				if err := kr.AggregateInto(dst, tables[i&(benchTables-1)], f, scratch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSortFloats is sortFloats at the lengths the radix path runs at,
+// on Gaussian columns and on converged ones (every value within 2⁻³⁰
+// relative of one value, where the five-byte sort hands over to all eight),
+// each call sorting a fresh copy of one of benchTables columns. The copy is
+// in the time.
+func BenchmarkSortFloats(b *testing.B) {
+	for _, n := range []int{64, 100, 200, 1000} {
+		for _, kind := range []string{"gaussian", "converged"} {
+			r := rand.New(rand.NewSource(int64(n)))
+			cols := make([][]float64, benchTables)
+			for t := range cols {
+				cols[t] = make([]float64, n)
+				for i := range cols[t] {
+					if kind == "gaussian" {
+						cols[t][i] = r.NormFloat64()
+					} else {
+						cols[t][i] = convergedDraw(r, 0.75)
+					}
+				}
+			}
+			b.Run(fmt.Sprintf("n=%d/%s", n, kind), func(b *testing.B) {
+				scratch, work := &Scratch{}, make([]float64, n)
+				for i := 0; i < b.N; i++ {
+					copy(work, cols[i&(benchTables-1)])
+					sortFloats(work, scratch)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkValidate is the input check every filter call makes, on six
+// reports (the paper's and tcp_cluster's n) at d = 2, 50 and 1000: both sides
+// of finiteSumMinDim.
+func BenchmarkValidate(b *testing.B) {
+	for _, d := range []int{2, 50, 1000} {
+		tables := rotatingTables(rand.New(rand.NewSource(int64(d))), 6, d)
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := validate(tables[i&(benchTables-1)], 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPairwise is the distance matrix alone, sequential, at the shapes
 // the benchmark's grids reach (n = 6, d = 2 and n = 100 or 200, d = 50) and
 // one long-vector shape, over 64 rotating tables.

@@ -729,7 +729,7 @@ func TestTrimMiddleShortColumnsBitwise(t *testing.T) {
 // holds it to the filter below rowSortMinDim and the row path to it above.
 func trimMeanColumns(dst []float64, grads [][]float64, f int, s *Scratch) {
 	n := len(grads)
-	s.col = growFloats(s.col, n)
+	s.col = grow(s.col, n)
 	for k := range dst {
 		for i := range grads {
 			s.col[i] = grads[i][k]

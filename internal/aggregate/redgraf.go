@@ -76,7 +76,7 @@ func auxKey(seed int64, round, d, domain int) uint64 {
 // the auxiliary-center initialization of the stateful dynamics and the
 // per-round center of the reduced (stateless) ones.
 func cwMedianInto(center []float64, grads [][]float64, n int, s *Scratch) {
-	s.col = growFloats(s.col, n)
+	s.col = grow(s.col, n)
 	for k := range center {
 		for i := 0; i < n; i++ {
 			s.col[i] = grads[i][k]
@@ -93,14 +93,14 @@ func cwMedianInto(center []float64, grads [][]float64, n int, s *Scratch) {
 func distanceKeep(grads [][]float64, center []float64, m int, s *Scratch) []int {
 	n := len(grads)
 	if m >= n {
-		s.rgKeep = growInts(s.rgKeep, n)
+		s.rgKeep = grow(s.rgKeep, n)
 		for i := range s.rgKeep[:n] {
 			s.rgKeep[i] = i
 		}
 		return s.rgKeep[:n]
 	}
-	s.scores = growFloats(s.scores, n)
-	s.norms = growFloats(s.norms, n)
+	s.scores = grow(s.scores, n)
+	s.norms = grow(s.norms, n)
 	for i, g := range grads {
 		var sum float64
 		for j, v := range g {
@@ -112,7 +112,7 @@ func distanceKeep(grads [][]float64, center []float64, m int, s *Scratch) []int 
 	}
 	selectKth(s.norms[:n], m-1)
 	thresh := s.norms[m-1]
-	s.rgKeep = growInts(s.rgKeep, m)
+	s.rgKeep = grow(s.rgKeep, m)
 	keep := s.rgKeep[:0]
 	for i := 0; i < n && len(keep) < m; i++ {
 		if s.scores[i] < thresh {
@@ -132,7 +132,7 @@ func distanceKeep(grads [][]float64, center []float64, m int, s *Scratch) []int 
 // len(keep) > 2f (callers validate).
 func trimmedMeanRows(dst []float64, grads [][]float64, keep []int, f int, s *Scratch) {
 	m := len(keep)
-	s.col = growFloats(s.col, m)
+	s.col = grow(s.col, m)
 	col := s.col[:m]
 	for k := range dst {
 		for i, idx := range keep {
@@ -150,7 +150,7 @@ func trimmedMeanRows(dst []float64, grads [][]float64, keep []int, f int, s *Scr
 // meanRowsInto writes the mean of the selected rows into dst using the
 // Scratch's slice-header table.
 func meanRowsInto(dst []float64, grads [][]float64, keep []int, s *Scratch) error {
-	s.heads = growHeads(s.heads, len(keep))
+	s.heads = grow(s.heads, len(keep))
 	rows := s.heads[:len(keep)]
 	for i, idx := range keep {
 		rows[i] = grads[idx]
@@ -270,7 +270,7 @@ func (r RSDMMFD) AggregateInto(dst []float64, grads [][]float64, f int, s *Scrat
 		return fmt.Errorf("R-SDMMFD needs n > 3f, got n=%d f=%d: %w", n, f, ErrTooManyFaults)
 	}
 	s = orFresh(s)
-	s.vecA = growFloats(s.vecA, len(dst))
+	s.vecA = grow(s.vecA, len(dst))
 	center := s.vecA[:len(dst)]
 	cwMedianInto(center, grads, n, s)
 	keep := distanceKeep(grads, center, n-f, s)
@@ -382,7 +382,7 @@ func (r RVO) AggregateInto(dst []float64, grads [][]float64, f int, s *Scratch) 
 		return fmt.Errorf("RVO needs n > 2f, got n=%d f=%d: %w", n, f, ErrTooManyFaults)
 	}
 	s = orFresh(s)
-	s.col = growFloats(s.col, n)
+	s.col = grow(s.col, n)
 	col := s.col[:n]
 	for k := range dst {
 		for i := 0; i < n; i++ {

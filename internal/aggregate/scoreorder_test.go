@@ -245,7 +245,7 @@ func exactRows(d2 [][]float64, f int, s *Scratch) int {
 	n := len(d2)
 	k := n - f - 2
 	scores := make([]float64, n)
-	s.row = growFloats(s.row, n)
+	s.row = grow(s.row, n)
 	for i := range scores {
 		scores[i] = selectionScore(d2[i], i, k, s.row[:f+1])
 	}

@@ -31,15 +31,15 @@ type Scratch struct {
 	distRows [][]float64
 	distN    int
 
-	idx     []int     // index sorts (CGE, MultiKrum), sampled-pairs neighbor buffer
-	norms   []float64 // CGE norms, CenteredClip distances, sampled-pairs hash ranks
+	idx     []int     // index sorts (CGE, MultiKrum), sampled-pairs sample and kept candidates
+	norms   []float64 // CGE norms, CenteredClip distances
 	scores  []float64 // Krum scores
 	row     []float64 // Krum per-point neighbor distances
 	col     []float64 // per-coordinate columns (CWTM, CWMedian, Bulyan)
 	weights []float64 // Weiszfeld weights
 	vecA    []float64 // d-sized temporary (Weiszfeld iterate, CenteredClip diff)
 	vecB    []float64 // d-sized temporary (Weiszfeld update, CenteredClip step)
-	keys    []uint64  // sortFloats radix keys, both ping-pong halves in one slice
+	keys    []uint64  // sortFloats radix keys (both ping-pong halves), then sampled-pairs hashes past them
 
 	heads  [][]float64 // Bulyan's shrinking candidate table
 	heads2 [][]float64 // Bulyan's selected table
@@ -75,27 +75,11 @@ type Scratch struct {
 	rgKeep     []int
 }
 
-// growFloats returns buf resliced to length n, reallocating only when the
-// capacity is insufficient. The returned buffer's contents are unspecified.
-func growFloats(buf []float64, n int) []float64 {
+// grow returns buf resliced to length n, reallocating only when the capacity
+// is insufficient. The returned buffer's contents are unspecified.
+func grow[E any](buf []E, n int) []E {
 	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// growInts is growFloats for index buffers.
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-// growHeads is growFloats for slice-header tables.
-func growHeads(buf [][]float64, n int) [][]float64 {
-	if cap(buf) < n {
-		return make([][]float64, n)
+		return make([]E, n)
 	}
 	return buf[:n]
 }
@@ -107,8 +91,8 @@ func (s *Scratch) distMatrix(n int) [][]float64 {
 	if s.distN == n && len(s.distRows) == n {
 		return s.distRows
 	}
-	s.distBuf = growFloats(s.distBuf, n*n)
-	s.distRows = growHeads(s.distRows, n)
+	s.distBuf = grow(s.distBuf, n*n)
+	s.distRows = grow(s.distRows, n)
 	for i := 0; i < n; i++ {
 		s.distRows[i] = s.distBuf[i*n : (i+1)*n : (i+1)*n]
 	}
@@ -126,11 +110,8 @@ func (s *Scratch) distMatrix(n int) [][]float64 {
 func (s *Scratch) srhtPlan(k, d int, key uint64) ([]uint64, []int, bool) {
 	words := (d + 63) >> 6
 	if s.srhtK != k || s.srhtD != d || len(s.srhtIdx) != k {
-		if cap(s.srhtWords) < words {
-			s.srhtWords = make([]uint64, words)
-		}
-		s.srhtWords = s.srhtWords[:words]
-		s.srhtIdx = growInts(s.srhtIdx, k)
+		s.srhtWords = grow(s.srhtWords, words)
+		s.srhtIdx = grow(s.srhtIdx, k)
 		s.srhtK, s.srhtD = k, d
 		s.srhtValid = false
 	}
@@ -142,8 +123,8 @@ func (s *Scratch) srhtPlan(k, d int, key uint64) ([]uint64, []int, bool) {
 // sketchRowsBuf returns the n×k sketched-gradient table backed by one
 // arena. Entries are unspecified; callers overwrite every row they use.
 func (s *Scratch) sketchRowsBuf(n, k int) [][]float64 {
-	s.skBuf = growFloats(s.skBuf, n*k)
-	s.skRows = growHeads(s.skRows, n)
+	s.skBuf = grow(s.skBuf, n*k)
+	s.skRows = grow(s.skRows, n)
 	for i := 0; i < n; i++ {
 		s.skRows[i] = s.skBuf[i*k : (i+1)*k : (i+1)*k]
 	}
@@ -157,7 +138,7 @@ func (s *Scratch) sketchRowsBuf(n, k int) [][]float64 {
 // cache; contents are unspecified on a miss.
 func (s *Scratch) redgrafAux(d int, key uint64) ([]float64, bool) {
 	if len(s.rgAux) != d {
-		s.rgAux = growFloats(s.rgAux, d)
+		s.rgAux = grow(s.rgAux, d)
 		s.rgAuxValid = false
 	}
 	hit := s.rgAuxValid && s.rgAuxKey == key
@@ -172,8 +153,8 @@ func (s *Scratch) commitRedgrafAux(key uint64) {
 
 // meanRows returns a groups×d table of bucket-mean rows backed by one arena.
 func (s *Scratch) meanRows(groups, d int) [][]float64 {
-	s.meansBuf = growFloats(s.meansBuf, groups*d)
-	s.means = growHeads(s.means, groups)
+	s.meansBuf = grow(s.meansBuf, groups*d)
+	s.means = grow(s.means, groups)
 	for i := 0; i < groups; i++ {
 		s.means[i] = s.meansBuf[i*d : (i+1)*d : (i+1)*d]
 	}
@@ -315,7 +296,7 @@ const rowSortMinDim = 8
 // before +0 is invisible to the sum, so the bits are the column path's.
 func trimMeanRows(dst []float64, grads [][]float64, f int, s *Scratch) {
 	n, d := len(grads), len(dst)
-	s.col = growFloats(s.col, n*d)
+	s.col = grow(s.col, n*d)
 	row := func(i int) []float64 { return s.col[i*d : (i+1)*d : (i+1)*d] }
 	for i, g := range grads {
 		copy(row(i), g)
@@ -346,38 +327,48 @@ const radixCutoff = 64
 
 // sortFloats sorts a ascending: slices.Sort below radixCutoff, otherwise a
 // byte-wise LSD radix sort on the order-preserving integer key of a float64
-// (all bits of a negative flipped, the sign bit of anything else), with one
-// histogram pre-pass for all eight digits and any digit on which every key
-// agrees skipped. No comparison means no branch to mispredict, which is most
-// of what a comparison sort costs when every call sees new data. The result
-// is slices.Sort's up to the mutual order of -0 and +0 (-0 first here, left
-// to the tie order there), which callers that sum or walk the values
-// ascending cannot see. The input must be NaN-free; +Inf sorts last.
+// (all bits of a negative flipped, the sign bit of anything else) over its
+// top five bytes — sign, exponent, 28 mantissa bits — then one insertion pass
+// orders runs sharing those 40 bits, n comparisons when there are none. Two
+// distinct adjacent input keys sharing them mean converged values and long
+// runs: then all eight bytes are sorted instead. Digits every key shares are
+// skipped. A radix pass has no branch to mispredict, which is most of what a
+// comparison sort costs when every call sees new data. The result, ordered
+// by the full key, is slices.Sort's up to the mutual order of -0 and +0 (-0
+// first here), which callers that sum or walk the values ascending cannot
+// see. The input must be NaN-free; +Inf sorts last.
 func sortFloats(a []float64, s *Scratch) {
 	n := len(a)
 	if n < radixCutoff {
 		slices.Sort(a)
 		return
 	}
-	if cap(s.keys) < 2*n {
-		s.keys = make([]uint64, 2*n)
-	}
-	src, dst := s.keys[:n], s.keys[n:2*n]
+	s.keys = grow(s.keys, 2*n)
+	src, dst := s.keys[:n], s.keys[n:]
 	var count [8][256]uint32
+	// closest < 2²⁴-1 iff two distinct adjacent keys agree above bit 24.
+	closest, prev := uint64(math.MaxUint64), floatKey(a[0])
 	for i, v := range a {
-		b := math.Float64bits(v)
-		k := b ^ (uint64(int64(b)>>63) | 1<<63)
+		k := floatKey(v)
 		src[i] = k
-		count[0][byte(k)]++
-		count[1][byte(k>>8)]++
-		count[2][byte(k>>16)]++
+		closest = min(closest, (k^prev)-1)
+		prev = k
 		count[3][byte(k>>24)]++
 		count[4][byte(k>>32)]++
 		count[5][byte(k>>40)]++
 		count[6][byte(k>>48)]++
 		count[7][byte(k>>56)]++
 	}
-	for d := range count {
+	first := 3
+	if closest < 1<<24-1 { // converged: all eight bytes
+		first = 0
+		for _, k := range src {
+			count[0][byte(k)]++
+			count[1][byte(k>>8)]++
+			count[2][byte(k>>16)]++
+		}
+	}
+	for d := first; d < len(count); d++ {
 		c, shift := &count[d], 8*d
 		if c[byte(src[0]>>shift)] == uint32(n) {
 			continue
@@ -393,7 +384,22 @@ func sortFloats(a []float64, s *Scratch) {
 		}
 		src, dst = dst, src
 	}
+	if first > 0 {
+		for i := 1; i < n; i++ {
+			k, j := src[i], i
+			for ; j > 0 && k < src[j-1]; j-- {
+				src[j] = src[j-1]
+			}
+			src[j] = k
+		}
+	}
 	for i, k := range src {
 		a[i] = math.Float64frombits(k ^ ((k>>63 - 1) | 1<<63))
 	}
+}
+
+// floatKey is the order-preserving integer key of a non-NaN float64.
+func floatKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }

@@ -22,9 +22,10 @@
 //     scored against a deterministic pseudo-random sample of m ≪ n-1
 //     neighbors (with the scored-neighbor count scaled proportionally),
 //     dropping the distance arithmetic to O(n·m·d). Choosing the sample still
-//     hashes a rank for all n(n-1) ordered pairs every call, so the stage is
-//     O(n²) hashes + O(n·m·d) distances: it wins over the exact filter through
-//     the factor d, not by leaving the quadratic.
+//     ranks all n(n-1) ordered pairs every call — one SplitMix64 pass a pair,
+//     the seed, row and column passes of the hash computed once each — so the
+//     stage is O(n²) hashes + O(n·m·d) distances: it wins over the exact
+//     filter through the factor d, not by leaving the quadratic.
 //
 // Both draw their randomness from the same counter-mode SplitMix64 hashes
 // as internal/simtime, keyed purely on (Seed, round) — no generator state —
@@ -163,7 +164,7 @@ func (p *SketchParams) project(grads [][]float64, k int, s *Scratch) [][]float64
 		// Inline sequential path: the goroutine fan-out lives in a separate
 		// function so no closure captures force heap traffic here, keeping
 		// the scratch-backed call literally allocation-free.
-		s.srhtPad = growFloats(s.srhtPad, pq)
+		s.srhtPad = grow(s.srhtPad, pq)
 		for i := range grads {
 			srhtProject(rows[i], grads[i], s.srhtPad, words, idx, scale)
 		}
@@ -292,8 +293,8 @@ func fillSRHTPlan(words []uint64, idx []int, seed int64, round, pq int, s *Scrat
 	for b := range words {
 		words[b] = simtime.Mix(rowSeed, b, 0)
 	}
-	s.srhtRank = growFloats(s.srhtRank, pq)
-	s.srhtTmp = growInts(s.srhtTmp, pq)
+	s.srhtRank = grow(s.srhtRank, pq)
+	s.srhtTmp = grow(s.srhtTmp, pq)
 	rank := s.srhtRank
 	for c := 0; c < pq; c++ {
 		rank[c] = simtime.U01(rowSeed, c, 1)
@@ -411,7 +412,7 @@ type SampleParams struct {
 	// Workers has the same semantics as Krum.Workers; it engages on the
 	// exact fallback path only. The sampled loop itself is sequential: O(n²)
 	// rank hashes plus O(n·m·d) distance arithmetic a call, the m best ranks
-	// of a point selected in one pass (bestRanked) rather than sorted.
+	// of a point picked by a threshold pass (pickSample) rather than sorted.
 	Workers int
 
 	round int
@@ -451,22 +452,29 @@ func (p *SampleParams) krumScores(grads [][]float64, f int, s *Scratch) ([]float
 		k = 1
 	}
 	key := int64(simtime.Mix(p.Seed, p.round, sampleKeyDomain))
-	s.scores = growFloats(s.scores, n)
-	s.row = growFloats(s.row, m)
-	s.norms = growFloats(s.norms, n)
-	s.idx = growInts(s.idx, m)
-	u, scores := s.norms, s.scores
+	s.scores = grow(s.scores, n)
+	s.row = grow(s.row, m)
+	s.idx = grow(s.idx, m+n)
+	// sortFloats(row, s) may use s.keys[:2m]; the hashes live past it.
+	s.keys = grow(s.keys, 2*m+2*n)
+	cols, rank := s.keys[2*m:2*m+n], s.keys[2*m+n:]
+	seed := simtime.MixSeed(key)
+	for j := range cols {
+		cols[j] = simtime.MixIndex(j)
+	}
+	limit := sampleLimit(n, m)
+	scores := s.scores
 	for i := 0; i < n; i++ {
 		// Every candidate neighbor gets a hash rank that depends only on
-		// (key, i, j); the sample is the m best-ranked. Order-independent
-		// draws keep the sample identical however the loop is scheduled.
-		for j := range u {
-			if j != i {
-				u[j] = simtime.U01(key, i, j)
-			}
+		// (key, i, j): Mix(key, i, j) >> 11, ordered as U01(key, i, j) is, ties
+		// included. The sample is the m best-ranked.
+		prefix := simtime.MixIn(seed, cols[i])
+		for j, c := range cols {
+			rank[j] = simtime.MixIn(prefix, c) >> 11
 		}
+		rank[i] = 1 << 53 // not a neighbor of itself
 		row := s.row[:0]
-		for _, j := range bestRanked(s.idx[:0], u, i, m) {
+		for _, j := range pickSample(s.idx[:0:m], s.idx[m:m+n], rank, m, limit) {
 			row = append(row, vecmath.DistSqKernel(grads[i], grads[j]))
 		}
 		sortFloats(row, s)
@@ -479,23 +487,57 @@ func (p *SampleParams) krumScores(grads [][]float64, f int, s *Scratch) ([]float
 	return scores, nil
 }
 
-// bestRanked appends to idx (capacity >= m) the m indices j != skip of lowest
-// rank u[j], ordered by (u[j], j): a bounded insertion buffer filled in one
-// pass, O(len(u)) for small m where stable-sorting every index costs
-// O(n log n). j ascends and the comparisons are strict, so the lower index
-// wins an equal rank — the set a stable sort by rank would cut at m.
-func bestRanked(idx []int, u []float64, skip, m int) []int {
-	for j, r := range u {
-		if j == skip {
-			continue
+// sampleKeep is how many candidates per sampled neighbor pickSample's first
+// pass keeps on average. At n = 200, m = 16 (BenchmarkKrumSampled) 2 keeps
+// 32 of 199, falls back once in ~3,500 rows and reads 380–400 µs a call; 1.5
+// falls back once in 37 rows for 370–390, and 3 reads 445–460.
+const sampleKeep = 2
+
+// sampleLimit is the rank threshold ⌊min(1, sampleKeep·m/(n−1))·2⁵³⌋.
+func sampleLimit(n, m int) uint64 {
+	share := float64(sampleKeep*m) / float64(n-1)
+	if share >= 1 {
+		return 1 << 53
+	}
+	return uint64(share * (1 << 53))
+}
+
+// pickSample returns in sel (capacity >= m) the m indices j of lowest
+// (rank[j], j), ordered that way, among those with rank[j] < 2⁵³ (at least m
+// of them). A first pass writes to kept (len >= len(rank)), in ascending j,
+// every j whose rank is below limit, branch-free: the sign bit of
+// rank[j]-limit advances the count. Every j it drops ranks above every j it
+// keeps, so if it keeps m or more the m best of them are the m best of the
+// row, and bestRanked runs over about sampleKeep·m rather than n−1; if not,
+// the pass runs again with no threshold.
+func pickSample(sel, kept []int, rank []uint64, m int, limit uint64) []int {
+	for {
+		c := 0
+		for j, r := range rank {
+			kept[c] = j
+			c += int((r - limit) >> 63)
 		}
+		if c >= m {
+			return bestRanked(sel, kept[:c], rank, m)
+		}
+		limit = 1 << 53
+	}
+}
+
+// bestRanked appends to idx (capacity >= m) the m indices j of cand (in
+// ascending order) of lowest rank[j], ordered by (rank[j], j): a bounded
+// insertion buffer filled in one pass. j ascends and the comparisons are
+// strict, so the lower index wins an equal rank, as in a stable sort.
+func bestRanked(idx, cand []int, rank []uint64, m int) []int {
+	for _, j := range cand {
+		r := rank[j]
 		at := len(idx)
 		if at < m {
 			idx = idx[:at+1]
-		} else if at--; r >= u[idx[at]] {
+		} else if at--; r >= rank[idx[at]] {
 			continue
 		}
-		for at > 0 && r < u[idx[at-1]] {
+		for at > 0 && r < rank[idx[at-1]] {
 			idx[at] = idx[at-1]
 			at--
 		}
@@ -611,7 +653,7 @@ func meanOfBestScores(dst []float64, grads [][]float64, scores []float64, mVal, 
 	if mVal < 1 || mVal > n-f {
 		return fmt.Errorf("multi-krum M=%d out of [1, n-f]=[1, %d]: %w", mVal, n-f, ErrInput)
 	}
-	s.idx = growInts(s.idx, n)
+	s.idx = grow(s.idx, n)
 	idx := s.idx
 	for i := range idx {
 		idx[i] = i

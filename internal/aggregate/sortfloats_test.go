@@ -60,11 +60,31 @@ func checkSortFloats(t *testing.T, what string, in []float64) {
 	}
 }
 
+// below40 replaces the low 24 bits of v's key, which sortFloats' five radix
+// passes do not look at, with bits of low: a value that shares v's top 40.
+func below40(v float64, low uint64) float64 {
+	return math.Float64frombits(math.Float64bits(v)&^(1<<24-1) | low&(1<<24-1))
+}
+
+// convergedDraw is within 2⁻³⁰ relative of c.
+func convergedDraw(r *rand.Rand, c float64) float64 {
+	return c * (1 + (2*r.Float64()-1)*0x1p-30)
+}
+
 func TestSortFloatsMatchesSlicesSort(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	special := []float64{0, negZero, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
 		0x1p-1040, -0x1p-1040, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), 1, -1}
 	draws := map[string]func(i, n int) float64{
+		// Ties on the top 40 key bits that no two adjacent inputs share, so
+		// the five-byte sort runs and its insertion pass has runs to order.
+		"40-bit ties": func(i, _ int) float64 {
+			if i%2 == 1 {
+				return r.NormFloat64() * 3
+			}
+			return below40([]float64{-7.25, 0.1, 1e300}[r.Intn(3)], r.Uint64())
+		},
+		"converged": func(int, int) float64 { return convergedDraw(r, -3.3) },
 		"gaussian":  func(int, int) float64 { return r.NormFloat64() * 3 },
 		"positive":  func(int, int) float64 { return 100 + 20*r.Float64() }, // a Krum row: top digits agree
 		"tie-heavy": func(int, int) float64 { return float64(r.Intn(5) - 2) },
@@ -109,6 +129,17 @@ func FuzzSortFloats(f *testing.F) {
 	f.Add(le(math.MaxFloat64, -math.MaxFloat64, math.Inf(1), 5e-324, -5e-324), uint16(200))
 	f.Add(le(1, 2, 3, 4, 5, 6, 7), uint16(radixCutoff-1))
 	f.Add(le(7, 6, 5, 4, 3, 2, 1, 0, -1), uint16(257))
+	r := rand.New(rand.NewSource(40))
+	ties, converged := make([]float64, 2*radixCutoff), make([]float64, 2*radixCutoff)
+	for i := range ties {
+		ties[i] = below40(float64(i%3)-0.5, r.Uint64())
+		if i%2 == 1 {
+			ties[i] = r.NormFloat64()
+		}
+		converged[i] = convergedDraw(r, 12.5)
+	}
+	f.Add(le(ties...), uint16(0))
+	f.Add(le(converged...), uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, length uint16) {
 		base := make([]float64, len(data)/8)
 		for i := range base {
@@ -370,11 +401,18 @@ func refSampledKrumScores(p *SampleParams, grads [][]float64, f int) []float64 {
 	return scores
 }
 
+// TestSampledSelectionMatchesStableSort holds the scorer to that reference bit
+// for bit, with m on both sides of radixCutoff (from 64 the row's sortFloats
+// writes the front of the Scratch's key buffer, behind which the scorer keeps
+// its hashes) and one Scratch shared by every size.
 func TestSampledSelectionMatchesStableSort(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	scratch := &Scratch{}
-	for _, n := range []int{20, 100, 200} {
-		for _, m := range []int{1, 8, 16, n - 2} {
+	for _, n := range []int{20, 100, 200, 257} {
+		for _, m := range []int{1, 8, 16, radixCutoff - 1, radixCutoff, radixCutoff + 1, n - 2} {
+			if m >= n-1 {
+				continue // the exact scorer's path
+			}
 			for mode := 0; mode < 3; mode++ {
 				grads := fuzzGradients(r, n, 5, mode)
 				p := &SampleParams{Pairs: m, Seed: int64(n*1000 + m), Workers: 1}
@@ -395,27 +433,90 @@ func TestSampledSelectionMatchesStableSort(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// Equal ranks, which the 53-bit hash never produces by itself: the lower
-	// index must win, in the order a stable sort leaves.
-	for trial := 0; trial < 500; trial++ {
-		n := 2 + r.Intn(40)
-		m := 1 + r.Intn(n-1)
-		skip := r.Intn(n)
-		u := make([]float64, n)
-		for j := range u {
-			u[j] = float64(r.Intn(4))
-		}
+// TestSamplePick holds pickSample to a stable sort of the row by rank cut at
+// m, on crafted ranks: a threshold that keeps fewer than m (the fallback over
+// every rank), equal ranks (which the 53-bit hash never produces by itself;
+// the lower index must win), m = n-1, and random rows at random thresholds.
+// The scored point skip gets rank 2⁵³, as the scorer gives it.
+func TestSamplePick(t *testing.T) {
+	r := rand.New(rand.NewSource(28))
+	check := func(what string, rank []uint64, skip, m int, limit uint64) {
+		t.Helper()
 		var want []int
-		for j := range u {
+		for j := range rank {
 			if j != skip {
 				want = append(want, j)
 			}
 		}
-		slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(u[a], u[b]) })
-		got := bestRanked(make([]int, 0, m), u, skip, m)
+		slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(rank[a], rank[b]) })
+		rank = slices.Clone(rank)
+		rank[skip] = 1 << 53
+		got := pickSample(make([]int, 0, m), make([]int, len(rank)), rank, m, limit)
 		if !slices.Equal(got, want[:m]) {
-			t.Fatalf("ranks %v skip %d m %d: kept %v, stable sort keeps %v", u, skip, m, got, want[:m])
+			t.Fatalf("%s: ranks %v skip %d m %d limit %d: picked %v, stable sort keeps %v",
+				what, rank, skip, m, limit, got, want[:m])
 		}
+	}
+	uniform := func(n int) []uint64 {
+		rank := make([]uint64, n)
+		for j := range rank {
+			rank[j] = r.Uint64() >> 11
+		}
+		return rank
+	}
+
+	// Fallback: the threshold keeps m-1 of the row, and the m-th best lies
+	// above it, so only the pass over every rank finds it.
+	const n, m = 40, 10
+	rank := uniform(n)
+	for j := range rank {
+		rank[j] |= 1 << 52
+	}
+	for j := 0; j < m; j++ {
+		rank[3*j+1] = uint64(j) << 40
+	}
+	limit := uint64(m-1) << 40
+	kept := 0
+	for j, v := range rank {
+		if j != 3 && v < limit {
+			kept++
+		}
+	}
+	if kept != m-1 {
+		t.Fatalf("crafted row has %d ranks under the threshold, want %d", kept, m-1)
+	}
+	check("fallback", rank, 3, m, limit)
+	check("fallback, nothing kept", rank, 0, m, 0)
+
+	// Equal ranks across the threshold and inside the kept set.
+	for j := range rank {
+		rank[j] = uint64(j%4) << 50
+	}
+	check("equal ranks", rank, 5, m, 2<<50)
+	check("equal ranks, cut inside a tie", rank, 5, m+3, 2<<50)
+	check("equal ranks, exactly m kept", rank, 5, m, 1<<50)
+
+	// m = n-1: every rank is the sample.
+	check("m = n-1", uniform(n), 7, n-1, sampleLimit(n, n-1))
+
+	for trial := 0; trial < 3000; trial++ {
+		n := 2 + r.Intn(80)
+		m := 1 + r.Intn(n-1)
+		rank := uniform(n)
+		if trial%2 == 0 {
+			for j := range rank {
+				rank[j] = uint64(r.Intn(4)) << 51
+			}
+		}
+		limit := sampleLimit(n, m)
+		switch trial % 3 {
+		case 1:
+			limit = uint64(r.Int63n(1<<53 + 1))
+		case 2:
+			limit = rank[r.Intn(n)]
+		}
+		check("random", rank, r.Intn(n), m, limit)
 	}
 }

@@ -68,8 +68,8 @@ func weiszfeldInto(dst []float64, points [][]float64, tol float64, workers int, 
 		tol = 1e-10
 	}
 	n, d := len(points), len(dst)
-	s.vecA = growFloats(s.vecA, 2*d)
-	s.vecB = growFloats(s.vecB, 2*d)
+	s.vecA = grow(s.vecA, 2*d)
+	s.vecB = grow(s.vecB, 2*d)
 	// g = T(y); fPrev, gPrev: residual and image of the iterate before y.
 	y, fPrev := s.vecA[:d], s.vecA[d:]
 	g, gPrev := s.vecB[:d], s.vecB[d:]
@@ -78,7 +78,7 @@ func weiszfeldInto(dst []float64, points [][]float64, tol float64, workers int, 
 	}
 	workers = resolveWeiszfeldWorkers(workers, n, d)
 	const eps = 1e-12 // distance floor, avoids division blow-up at a point
-	s.weights = growFloats(s.weights, 2*n)
+	s.weights = grow(s.weights, 2*n)
 	weights, tested := s.weights[:n], s.weights[n:]
 	clear(tested)
 	var objPrev float64

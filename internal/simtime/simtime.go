@@ -47,12 +47,19 @@ func splitmix64(z uint64) uint64 {
 // Mix hashes a seed with two indices (typically round and agent) into a
 // uniform 64-bit value. Each index is diffused through its own SplitMix64
 // pass before combining, so neighboring (round, agent) pairs land far apart.
+// A caller drawing many values can hoist its steps, MixSeed, MixIndex, MixIn.
 func Mix(seed int64, a, b int) uint64 {
-	h := splitmix64(uint64(seed))
-	h = splitmix64(h ^ splitmix64(uint64(int64(a))))
-	h = splitmix64(h ^ splitmix64(uint64(int64(b))))
-	return h
+	return MixIn(MixIn(MixSeed(seed), MixIndex(a)), MixIndex(b))
 }
+
+// MixSeed is Mix's first step: the seed's own SplitMix64 pass.
+func MixSeed(seed int64) uint64 { return splitmix64(uint64(seed)) }
+
+// MixIndex is an index's own SplitMix64 pass, before MixIn folds it in.
+func MixIndex(a int) uint64 { return splitmix64(uint64(int64(a))) }
+
+// MixIn folds a diffused index into the running hash h.
+func MixIn(h, index uint64) uint64 { return splitmix64(h ^ index) }
 
 // U01 maps Mix(seed, a, b) to a float64 uniform on [0, 1), using the top 53
 // bits so every representable value is equally likely.

@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -259,6 +260,63 @@ func TestU01Bounds(t *testing.T) {
 			u := U01(31337, a, b)
 			if u < 0 || u >= 1 {
 				t.Fatalf("U01(%d,%d) = %v outside [0,1)", a, b, u)
+			}
+		}
+	}
+}
+
+// TestMixIsItsComposedSteps holds Mix to the three-pass definition every
+// export is keyed on (frozen values, and the passes written out), and holds
+// its exported steps, hoisted the way the sampled Krum scorer hoists them
+// (seed once, row prefix once a row), to Mix over random and negative
+// arguments.
+func TestMixIsItsComposedSteps(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		a, b int
+		want uint64
+	}{
+		{0, 0, 0, 0xe220a8397b1dcdaf},
+		{1, 2, 3, 0x177e1724ac4d6f6},
+		{-2, -1, -7, 0x8f8aac096615f24a},
+		{math.MinInt64, 1 << 62, -(1 << 40), 0x3a4656de0b558530},
+		{20261002, 199, 0, 0x189e4a3098da57f7},
+	} {
+		if got := Mix(c.seed, c.a, c.b); got != c.want {
+			t.Errorf("Mix(%d, %d, %d) = %#x, want %#x", c.seed, c.a, c.b, got, c.want)
+		}
+	}
+	written := func(seed int64, a, b int) uint64 {
+		h := splitmix64(uint64(seed))
+		h = splitmix64(h ^ splitmix64(uint64(int64(a))))
+		return splitmix64(h ^ splitmix64(uint64(int64(b))))
+	}
+	r := rand.New(rand.NewSource(28))
+	draw := func() int {
+		switch r.Intn(3) {
+		case 0:
+			return r.Intn(400) - 200
+		case 1:
+			return int(r.Int63()) * (1 - 2*r.Intn(2))
+		}
+		return -1 - r.Intn(3)
+	}
+	for trial := 0; trial < 2000; trial++ {
+		seed := int64(draw())
+		hs := MixSeed(seed)
+		a := draw()
+		row := MixIn(hs, MixIndex(a))
+		for k := 0; k < 4; k++ {
+			b := draw()
+			want := Mix(seed, a, b)
+			if got := MixIn(row, MixIndex(b)); got != want {
+				t.Fatalf("steps(%d, %d, %d) = %#x, Mix has %#x", seed, a, b, got, want)
+			}
+			if got := written(seed, a, b); got != want {
+				t.Fatalf("Mix(%d, %d, %d) = %#x, the three passes give %#x", seed, a, b, want, got)
+			}
+			if u := U01(seed, a, b); u != float64(want>>11)/(1<<53) {
+				t.Fatalf("U01(%d, %d, %d) = %v, not Mix's top 53 bits", seed, a, b, u)
 			}
 		}
 	}
