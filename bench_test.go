@@ -80,32 +80,6 @@ func BenchmarkCollectGradients(b *testing.B) {
 	}
 }
 
-// BenchmarkKrumScores compares the sequential and concurrent O(n²·d)
-// distance matrix behind the Krum family (aggregate.Krum.Workers).
-func BenchmarkKrumScores(b *testing.B) {
-	r := rand.New(rand.NewSource(7))
-	const f = 2
-	for _, g := range benchGrid {
-		grads := make([][]float64, g.n)
-		for i := range grads {
-			grads[i] = make([]float64, g.d)
-			for j := range grads[i] {
-				grads[i][j] = r.NormFloat64()
-			}
-		}
-		for _, workers := range benchWorkerCounts() {
-			b.Run(fmt.Sprintf("n=%d/d=%d/workers=%d", g.n, g.d, workers), func(b *testing.B) {
-				filter := aggregate.Krum{Workers: workers}
-				for i := 0; i < b.N; i++ {
-					if _, err := filter.Aggregate(grads, f); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkEIGBroadcast measures one Byzantine broadcast through the public
 // wrapper (a fresh engine a call) as f grows and as 0, 1 or f peers distort:
 // the full tree is exponential in f, the price of the p2p architecture, and

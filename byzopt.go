@@ -134,7 +134,7 @@
 // point, and optional metrics for every grid point; implement the interface
 // and RegisterProblem to sweep any workload you can express, or hand a
 // one-off implementation to SweepSpec.ProblemDef without naming it (see
-// examples/customproblem):
+// ExampleProblem):
 //
 //	byzopt.RegisterProblem(myProblem{})             // name-keyed, CLI-reachable
 //	results, err := byzopt.Sweep(byzopt.SweepSpec{Problem: "my-problem"})
@@ -598,8 +598,8 @@ type Metric = sweep.Metric
 
 // LearningProblem is the Appendix-K distributed-learning workload
 // (registered as "learning", "learning-b", and "learning-mlp"); configure
-// and register your own instance for different presets, models, batch
-// sizes, or accuracy cadences.
+// and register your own instance for a different preset, model, batch size
+// or data seed.
 type LearningProblem = sweep.LearningProblem
 
 // RegisterProblem adds a problem to the sweep registry under its Name();

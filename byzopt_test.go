@@ -418,7 +418,7 @@ func TestPublicProblemRegistry(t *testing.T) {
 		}
 	}
 
-	custom := &LearningProblem{ProblemName: "public-api-learning", Preset: "b", AccuracyEvery: 5}
+	custom := &LearningProblem{ProblemName: "public-api-learning", Preset: "b"}
 	if err := RegisterProblem(custom); err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,15 @@
 package byzopt
 
 import (
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -81,11 +86,11 @@ func TestEveryExportedFunctionHasACaller(t *testing.T) {
 			}
 			key := strings.TrimPrefix(dir, "internal/") + "."
 			if fn.Recv != nil {
-				recv := receiverType(fn.Recv.List[0].Type)
-				if !ast.IsExported(recv) {
+				recv := receiverIdent(fn.Recv.List[0].Type)
+				if recv == nil || !recv.IsExported() {
 					continue
 				}
-				key += recv + "."
+				key += recv.Name + "."
 			}
 			decls = append(decls, decl{dir, key + fn.Name.Name})
 		}
@@ -128,8 +133,301 @@ func TestEveryExportedFunctionHasACaller(t *testing.T) {
 	}
 }
 
-// receiverType is the type name of a method receiver: T, *T, T[P] or *T[P].
-func receiverType(x ast.Expr) string {
+// keptWithoutUse names the exported struct fields under internal/ that no
+// non-test file writes, and the exported types that no non-test file uses,
+// that stay anyway, each with the reason it stays. It is the keep column of the
+// field and type table in CHANGES.md.
+var keptWithoutUse = map[string]string{
+	"chaos.TornWriter":              "the writer the checkpoint tests tear a log's last record with",
+	"p2p.ConsistentLiar":            "the fixed-offset Distorter of the EIG oracle tests and ExampleBackend",
+	"p2p.SeededLiar":                "the seeded Distorter the EIG oracle and fuzz tests drive every liar strategy with",
+	"sweep.WorkerOptions.DialRetry": "the fleet tests shorten it so a refused dial fails in milliseconds",
+}
+
+// TestEveryExportedFieldIsSetAndTypeUsed type-checks every non-test package of
+// the repository (benchmark/ included) and fails on an exported field of an
+// exported struct under internal/ that no non-test file writes, and on an
+// exported type under internal/ that no non-test file uses. Unlike
+// TestEveryExportedFunctionHasACaller it resolves every name to its object, so
+// a field or method that shares its name with another hides nothing.
+//
+// A field is written by a keyed or positional composite literal, an
+// assignment, ++ or --, taking its address, or a write or pointer-method call
+// through it (x.F.G = v, x.F[i] = v, x.F.Add(…) on a value F). A type is used by
+// any reference outside its own declaration, its own methods and blank
+// assertions like var _ I = T{}.
+func TestEveryExportedFieldIsSetAndTypeUsed(t *testing.T) {
+	fset := token.NewFileSet()
+	s := &typeScan{
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil),
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		if _, err := s.Import(importPath(filepath.ToSlash(path))); err != nil && !errors.Is(err, errNoGoFiles) {
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The exported types under internal/ and the exported fields of their
+	// structs. An embedded field composes methods rather than holding a
+	// setting, so it is not one; a field of an unused type goes with its type.
+	type decl struct {
+		obj, owner types.Object // owner: a field's type, nil for a type
+		key        string
+	}
+	var decls []decl
+	for path, pkg := range s.pkgs {
+		rel, ok := strings.CutPrefix(path, "byzopt/internal/")
+		if !ok {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() {
+				continue
+			}
+			decls = append(decls, decl{tn, nil, rel + "." + name})
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok && !tn.IsAlias() {
+				for i := range st.NumFields() {
+					if f := st.Field(i); f.Exported() && !f.Embedded() {
+						decls = append(decls, decl{f, tn, rel + "." + name + "." + f.Name()})
+					}
+				}
+			}
+		}
+	}
+
+	used := map[types.Object]bool{}
+	for _, file := range s.files {
+		s.markUses(file, used)
+	}
+
+	var unused []string
+	keys := map[string]bool{}
+	for _, d := range decls {
+		obj, key := d.obj, d.key
+		keys[key] = true
+		verb := "uses"
+		if d.owner != nil {
+			verb = "writes"
+			if !used[d.owner] {
+				continue
+			}
+		}
+		_, kept := keptWithoutUse[key]
+		switch {
+		case !used[obj] && !kept:
+			unused = append(unused, fmt.Sprintf("%s is exported and no non-test file %s it: delete it, or keep it in keptWithoutUse with its reason", key, verb))
+		case used[obj] && kept:
+			t.Errorf("%s is kept as unused, but a non-test file %s it: drop it from keptWithoutUse", key, verb)
+		}
+	}
+	for key := range keptWithoutUse {
+		if !keys[key] {
+			t.Errorf("%s is kept as unused, but no such exported field or type exists", key)
+		}
+	}
+	slices.Sort(unused)
+	for _, msg := range unused {
+		t.Error(msg)
+	}
+}
+
+// typeScan type-checks the repository's packages from source, each once, into
+// one shared types.Info; the standard library comes from the source importer.
+type typeScan struct {
+	fset  *token.FileSet
+	std   types.Importer
+	pkgs  map[string]*types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+var errNoGoFiles = errors.New("no non-test Go files")
+
+// importPath maps a directory relative to the repository root to its import
+// path; benchmark/ is the module byzopt/benchmark, so one rule serves both.
+func importPath(dir string) string {
+	if dir == "." {
+		return "byzopt"
+	}
+	return "byzopt/" + dir
+}
+
+func (s *typeScan) Import(path string) (*types.Package, error) {
+	if pkg, ok := s.pkgs[path]; ok {
+		return pkg, nil
+	}
+	dir, ok := strings.CutPrefix(path, "byzopt/")
+	if path == "byzopt" {
+		dir, ok = ".", true
+	}
+	if !ok {
+		return s.std.Import(path)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(s.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		return nil, errNoGoFiles
+	}
+	conf := types.Config{Importer: s}
+	pkg, err := conf.Check(path, s.fset, files, s.info)
+	if err != nil {
+		return nil, err
+	}
+	s.pkgs[path] = pkg
+	s.files = append(s.files, files...)
+	return pkg, nil
+}
+
+// markUses records in used every field file writes and every type it uses.
+func (s *typeScan) markUses(file *ast.File, used map[types.Object]bool) {
+	for _, decl := range file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			var own types.Object
+			if d.Recv != nil {
+				own = s.info.Uses[receiverIdent(d.Recv.List[0].Type)]
+			}
+			s.markNode(d, own, false, used)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					s.markNode(spec, s.info.Defs[spec.Name], false, used)
+				case *ast.ValueSpec:
+					blank := !slices.ContainsFunc(spec.Names, func(id *ast.Ident) bool { return id.Name != "_" })
+					s.markNode(spec, nil, blank, used)
+				}
+			}
+		}
+	}
+}
+
+// markNode marks the writes and type uses under node. Uses of own (the type
+// whose declaration or method node is) do not count, nor any type use in a
+// blank assertion.
+func (s *typeScan) markNode(node ast.Node, own types.Object, blank bool, used map[types.Object]bool) {
+	ast.Inspect(node, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.Ident:
+			if tn, ok := s.info.Uses[x].(*types.TypeName); ok && tn != own && !blank {
+				used[tn] = true
+			}
+		case *ast.CompositeLit:
+			st, ok := deref(s.info.Types[x].Type).Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range x.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if f, ok := s.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						used[f.Origin()] = true
+					}
+				} else {
+					used[st.Field(i).Origin()] = true
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				s.markThrough(lhs, used)
+			}
+		case *ast.IncDecStmt:
+			s.markThrough(x.X, used)
+		case *ast.RangeStmt:
+			if x.Tok == token.ASSIGN {
+				s.markThrough(x.Key, used)
+				s.markThrough(x.Value, used)
+			}
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				s.markThrough(x.X, used)
+			}
+		case *ast.SelectorExpr:
+			// A pointer method on an addressable value takes its address.
+			if sel := s.info.Selections[x]; sel != nil && sel.Kind() == types.MethodVal {
+				_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+				_, ptrX := s.info.Types[x.X].Type.Underlying().(*types.Pointer)
+				if ptrRecv && !ptrX {
+					s.markThrough(x.X, used)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// markThrough records every field that a write to e writes or writes through:
+// x.F.G = v writes G and F, x.F[i] = v and *x.F = v write through F, and a
+// promoted field writes each embedded field on its path.
+func (s *typeScan) markThrough(e ast.Expr, used map[types.Object]bool) {
+	for e != nil {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if sel := s.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+				t := sel.Recv()
+				for _, i := range sel.Index() {
+					f := deref(t).Underlying().(*types.Struct).Field(i)
+					used[f.Origin()] = true
+					t = f.Type()
+				}
+			}
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// receiverIdent is the type name of a method receiver: T, *T, T[P] or *T[P].
+func receiverIdent(x ast.Expr) *ast.Ident {
 	for {
 		switch e := x.(type) {
 		case *ast.StarExpr:
@@ -139,9 +437,9 @@ func receiverType(x ast.Expr) string {
 		case *ast.IndexListExpr:
 			x = e.X
 		case *ast.Ident:
-			return e.Name
+			return e
 		default:
-			return ""
+			return nil
 		}
 	}
 }

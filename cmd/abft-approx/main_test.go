@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -82,5 +83,46 @@ func TestDefaultRunMatchesGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("default run differs from testdata/approx_default.json (%d bytes, want %d); if the change is meant, regenerate it with `go run ./cmd/abft-approx` and say so in CHANGES.md", len(got), len(want))
+	}
+}
+
+// TestRunIsTheConfigItPrints: -f 0 runs f = 0 and says so. The flag defaults
+// are the only defaults, so a zero is a value and not a request for the
+// default f = 5: its rows are not the default run's.
+func TestRunIsTheConfigItPrints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the default instance (n=50, d=1000, 60 rounds) takes a few seconds")
+	}
+	path := filepath.Join(t.TempDir(), "out.json")
+	out, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-f", "0"}, out); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"f": 0,`)) {
+		t.Errorf("-f 0 report does not show f = 0:\n%s", raw)
+	}
+	var got, def report
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "approx_default.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(golden, &def); err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(got.Rows, def.Rows) {
+		t.Error("-f 0 reproduced the default run's rows: it ran f = 5")
 	}
 }

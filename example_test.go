@@ -1,32 +1,21 @@
-// Customproblem: registering your own workload with the sweep engine.
-//
-// The sweep engine runs any workload that implements byzopt.Problem: build
-// deterministic per-agent costs for a scenario, report the reference point
-// x_H, the honest aggregate loss, the initial point, and (optionally) a
-// per-round task metric. This example defines "temperature" — n thermometers
-// around a common reading, up to f of them Byzantine — registers it, and
-// sweeps it across filters, fault counts, and the fault-free baseline axis,
-// exactly like the built-in paper workloads.
-//
-// Run with: go run ./examples/customproblem
-package main
+package byzopt_test
 
 import (
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
-	"os"
 
 	"byzopt"
 )
 
-// temperature is the custom workload: thermometer i holds the cost
+// temperature is a custom sweep workload: thermometer i holds the cost
 // (x - reading_i)², so the honest aggregate minimizes at the honest mean —
 // one-dimensional robust mean estimation with a known ground truth.
 type temperature struct{}
 
-// Name is the registry key; SweepSpec.Problem and abft-sweep -problem can
-// select the workload by it once registered.
+// Name is the registry key; SweepSpec.Problem and abft-sweep -problem select
+// the workload by it once it is registered with byzopt.RegisterProblem.
 func (temperature) Name() string { return "temperature" }
 
 // Validate vets the spec axes the problem consumes. The engine has already
@@ -48,12 +37,14 @@ func (temperature) Key(spec *byzopt.SweepSpec, scn byzopt.SweepScenario) string 
 	return fmt.Sprintf("temperature n=%d f=%d", scn.N, scn.F)
 }
 
+// trueTemp is the reading every thermometer measures with noise.
+const trueTemp = 21.5
+
 // Build materializes the instance. It must be deterministic in (spec,
 // scenario) — scenario seeds, replay, and shard merging all assume the
 // workload is a pure function of the grid axes.
 func (temperature) Build(spec *byzopt.SweepSpec, scn byzopt.SweepScenario) (*byzopt.Workload, error) {
 	r := rand.New(rand.NewSource(spec.Seed + int64(scn.N)<<16 + int64(scn.F)))
-	const trueTemp = 21.5
 	readings := make([]float64, scn.N)
 	for i := range readings {
 		readings[i] = trueTemp + 0.3*r.NormFloat64()
@@ -65,15 +56,20 @@ func (temperature) Build(spec *byzopt.SweepSpec, scn byzopt.SweepScenario) (*byz
 		honestSum += v
 	}
 	xH := []float64{honestSum / float64(scn.N-scn.F)}
-	costs := make([]byzopt.Cost, scn.N)
-	for i, v := range readings {
-		cost, err := byzopt.SingleObservationCost([]float64{1}, v)
-		if err != nil {
-			return nil, err
+	// Each call builds its own costs: a cost keeps gradient scratch, and the
+	// cells sharing this workload run concurrently.
+	newCosts := func() ([]byzopt.Cost, error) {
+		costs := make([]byzopt.Cost, scn.N)
+		for i, v := range readings {
+			cost, err := byzopt.SingleObservationCost([]float64{1}, v)
+			if err != nil {
+				return nil, err
+			}
+			costs[i] = cost
 		}
-		costs[i] = cost
+		return costs, nil
 	}
-	box, err := byzopt.NewCube(1, 1000)
+	costs, err := newCosts()
 	if err != nil {
 		return nil, err
 	}
@@ -81,8 +77,18 @@ func (temperature) Build(spec *byzopt.SweepSpec, scn byzopt.SweepScenario) (*byz
 	if err != nil {
 		return nil, err
 	}
+	box, err := byzopt.NewCube(1, 1000)
+	if err != nil {
+		return nil, err
+	}
 	return &byzopt.Workload{
-		NewAgents:  func() ([]byzopt.Agent, error) { return byzopt.HonestAgents(costs) },
+		NewAgents: func() ([]byzopt.Agent, error) {
+			costs, err := newCosts()
+			if err != nil {
+				return nil, err
+			}
+			return byzopt.HonestAgents(costs)
+		},
 		X0:         []float64{0},
 		XH:         xH,
 		Box:        box,
@@ -93,52 +99,45 @@ func (temperature) Build(spec *byzopt.SweepSpec, scn byzopt.SweepScenario) (*byz
 		Metric: &byzopt.Metric{
 			Name:  "abs_error_vs_truth",
 			Every: 1,
-			Eval: func(x []float64) (float64, error) {
-				err := x[0] - trueTemp
-				if err < 0 {
-					err = -err
-				}
-				return err, nil
-			},
+			Eval:  func(x []float64) (float64, error) { return math.Abs(x[0] - trueTemp), nil },
 		},
 	}, nil
 }
 
-func main() {
-	// One Register call makes the workload a grid axis value like any
-	// built-in (byzopt.ProblemNames() now lists it). For a one-off, skip
-	// registration and set SweepSpec.ProblemDef instead.
-	if err := byzopt.RegisterProblem(temperature{}); err != nil {
-		log.Fatal(err)
-	}
-
+// A workload of your own runs through the sweep engine like the built-in
+// ones: implement Problem and hand it to SweepSpec.ProblemDef, or register
+// it with RegisterProblem to name it in SweepSpec.Problem and abft-sweep
+// -problem. Here n = 15 thermometers read one temperature, f = 2 of them
+// Byzantine, swept across three filters and the fault-free baseline axis.
+// The export is deterministic: same spec, same bytes, at any worker count.
+func ExampleProblem() {
 	results, err := byzopt.Sweep(byzopt.SweepSpec{
-		Problem:   "temperature",
-		Filters:   []string{"cge", "cwtm", "mean"},
-		Behaviors: []string{"gradient-reverse"},
-		FValues:   []int{2},
-		NValues:   []int{15},
-		Dims:      []int{1},
-		Rounds:    300,
-		Baselines: []bool{false, true}, // add the fault-free omit-them baseline
+		ProblemDef: temperature{},
+		Filters:    []string{"cge", "cwtm", "mean"},
+		Behaviors:  []string{"gradient-reverse"},
+		FValues:    []int{2},
+		NValues:    []int{15},
+		Dims:       []int{1},
+		Rounds:     300,
+		Baselines:  []bool{false, true}, // add the fault-free omit-them baseline
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	fmt.Println("temperature estimation, n=15 thermometers, f=2 Byzantine:")
-	fmt.Printf("%-8s %-18s %12s %14s\n", "filter", "behavior", "|x - x_H|", "error vs truth")
+	fmt.Printf("%-6s %-16s %9s %14s\n", "filter", "behavior", "|x - x_H|", "error vs truth")
 	for _, r := range results {
 		behavior := r.Behavior
 		if r.Baseline {
 			behavior = "(baseline)"
 		}
-		fmt.Printf("%-8s %-18s %12.6f %14.6f\n", r.Filter, behavior, r.FinalDist, r.MetricFinal)
+		fmt.Printf("%-6s %-16s %9.4f %14.4f\n", r.Filter, behavior, r.FinalDist, r.MetricFinal)
 	}
-
-	// The export is deterministic: same spec, same bytes, at any worker
-	// count — which is also what makes sharded runs mergeable.
-	if err := byzopt.WriteSweepJSON(os.Stdout, results[:1], false); err != nil {
-		log.Fatal(err)
-	}
+	// Output:
+	// filter behavior         |x - x_H| error vs truth
+	// cge    gradient-reverse    0.1303         0.0531
+	// cge    (baseline)          0.0000         0.0772
+	// cwtm   gradient-reverse    0.0659         0.0112
+	// cwtm   (baseline)          0.0000         0.0772
+	// mean   gradient-reverse    0.0167         0.0605
+	// mean   (baseline)          0.0000         0.0772
 }

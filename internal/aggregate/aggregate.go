@@ -328,12 +328,7 @@ func (CWMedian) into(dst []float64, grads [][]float64, n, f int, s *Scratch) err
 
 // Krum selects the single gradient whose summed squared distance to its
 // n-f-2 nearest neighbors is smallest (Blanchard et al., 2017).
-type Krum struct {
-	// Workers bounds the goroutines computing the O(n²·d) distance matrix:
-	// 0 parallelizes automatically on large inputs, 1 forces the sequential
-	// path, negative means GOMAXPROCS. The output is identical either way.
-	Workers int
-}
+type Krum struct{}
 
 var _ IntoFilter = Krum{}
 
@@ -354,8 +349,8 @@ func (kr Krum) AggregateInto(dst []float64, grads [][]float64, f int, s *Scratch
 	return kr.into(dst, grads, n, f, orFresh(s))
 }
 
-func (kr Krum) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
-	scores, err := krumScores(grads, f, kr.Workers, s)
+func (Krum) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
+	scores, err := krumScores(grads, f, pairwiseWorkers(n, len(dst)), s)
 	if err != nil {
 		return err
 	}
@@ -367,8 +362,6 @@ func (kr Krum) into(dst []float64, grads [][]float64, n, f int, s *Scratch) erro
 // (Blanchard et al., 2017). M must be in [1, n-f].
 type MultiKrum struct {
 	M int
-	// Workers has the same semantics as Krum.Workers.
-	Workers int
 }
 
 var _ IntoFilter = MultiKrum{}
@@ -391,7 +384,7 @@ func (m MultiKrum) AggregateInto(dst []float64, grads [][]float64, f int, s *Scr
 }
 
 func (m MultiKrum) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
-	scores, err := krumScores(grads, f, m.Workers, s)
+	scores, err := krumScores(grads, f, pairwiseWorkers(n, len(dst)), s)
 	if err != nil {
 		return err
 	}
@@ -399,19 +392,20 @@ func (m MultiKrum) into(dst []float64, grads [][]float64, n, f int, s *Scratch) 
 }
 
 // krumScores fills s.scores with the Krum score of every gradient, computing
-// the pairwise distance matrix in s's scratch with up to workers goroutines
-// (see Krum.Workers for the 0/1/negative semantics). The returned slice
-// aliases s.scores and stays valid until the next call that touches it.
+// the pairwise distance matrix in s's scratch with workers goroutines (a
+// filter passes pairwiseWorkers; the scores are the same bits at any count).
+// The returned slice aliases s.scores and stays valid until the next call
+// that touches it.
 // Callers must have validated grads already (Bulyan's iterated selection
 // re-invokes this on subsets of an already-validated set, so only the
 // tolerance condition needs rechecking per call).
 func krumScores(grads [][]float64, f, workers int, s *Scratch) ([]float64, error) {
-	n, d := len(grads), len(grads[0])
+	n := len(grads)
 	if n < 2*f+3 {
 		return nil, fmt.Errorf("krum needs n >= 2f+3, got n=%d f=%d: %w", n, f, ErrTooManyFaults)
 	}
 	d2 := s.distMatrix(n)
-	pairwiseDistSqInto(d2, grads, resolvePairwiseWorkers(workers, n, d))
+	pairwiseDistSqInto(d2, grads, workers)
 	return scoreFromDists(d2, n, f, s), nil
 }
 
@@ -541,11 +535,7 @@ func rescoreUncertain(scores []float64, d2 [][]float64, k int, s *Scratch) int {
 // Bulyan runs iterated Krum selection to pick theta = n-2f gradients, then
 // applies a beta = theta-2f trimmed-mean around the coordinate-wise median
 // (El Mhamdi et al., 2018).
-type Bulyan struct {
-	// Workers has the same semantics as Krum.Workers and applies to every
-	// distance matrix of the iterated selection.
-	Workers int
-}
+type Bulyan struct{}
 
 var _ IntoFilter = Bulyan{}
 
@@ -566,9 +556,9 @@ func (bl Bulyan) AggregateInto(dst []float64, grads [][]float64, f int, s *Scrat
 	return bl.into(dst, grads, n, f, orFresh(s))
 }
 
-func (bl Bulyan) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
+func (Bulyan) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
 	return bulyanInto(dst, grads, n, f, s, func(remaining [][]float64) ([]float64, error) {
-		return krumScores(remaining, f, bl.Workers, s)
+		return krumScores(remaining, f, pairwiseWorkers(len(remaining), len(dst)), s)
 	})
 }
 
@@ -680,16 +670,9 @@ func medianWindowSum(col []float64, med float64, beta int) float64 {
 // with a secant step, an objective safeguard, and an exit that returns a
 // report itself when it is the median (weiszfeldInto). A median that is not
 // unique — collinear reports, even n — yields one minimiser. Each iteration's
-// O(n·d) work is batched across the filter worker pool, bitwise-identically.
-type GeoMedian struct {
-	// Tol (zero means 1e-10) bounds the last Weiszfeld step and the secant
-	// estimate of the rest of the way to the median, not the step alone.
-	Tol float64
-	// Workers bounds the per-iteration goroutines: 0 picks GOMAXPROCS for
-	// jobs large enough to amortize the fan-out (sequential otherwise),
-	// negative always means GOMAXPROCS.
-	Workers int
-}
+// O(n·d) work is batched across GOMAXPROCS goroutines once it is large enough
+// to pay for them (weiszfeldWorkers), bitwise-identically.
+type GeoMedian struct{}
 
 var _ IntoFilter = GeoMedian{}
 
@@ -710,11 +693,11 @@ func (g GeoMedian) AggregateInto(dst []float64, grads [][]float64, f int, s *Scr
 	return g.into(dst, grads, n, f, orFresh(s))
 }
 
-func (g GeoMedian) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
+func (GeoMedian) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
 	if n <= 2*f {
 		return fmt.Errorf("geometric median needs n > 2f, got n=%d f=%d: %w", n, f, ErrTooManyFaults)
 	}
-	return weiszfeldInto(dst, grads, g.Tol, g.Workers, s)
+	return weiszfeldInto(dst, grads, weiszfeldWorkers(n, len(dst)), s)
 }
 
 // GeoMedianOfMeans partitions the gradients into Groups buckets, averages
@@ -724,10 +707,6 @@ func (g GeoMedian) into(dst []float64, grads [][]float64, n, f int, s *Scratch) 
 // be in [1, n]; robustness requires Groups > 2f.
 type GeoMedianOfMeans struct {
 	Groups int
-	// Tol is the solver's tolerance; zero means 1e-10. See GeoMedian.Tol.
-	Tol float64
-	// Workers is the Weiszfeld worker pool; see GeoMedian.Workers.
-	Workers int
 }
 
 var _ IntoFilter = GeoMedianOfMeans{}
@@ -770,7 +749,7 @@ func (g GeoMedianOfMeans) into(dst []float64, grads [][]float64, n, f int, s *Sc
 		}
 		count++
 	}
-	return weiszfeldInto(dst, means[:count], g.Tol, g.Workers, s)
+	return weiszfeldInto(dst, means[:count], weiszfeldWorkers(count, len(dst)), s)
 }
 
 // --- shared allocating wrapper ---

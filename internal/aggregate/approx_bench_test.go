@@ -2,11 +2,11 @@ package aggregate
 
 // Benchmarks of the approximate Krum-family filters against their exact
 // twins on the warm-scratch Into path, at d = 1000 and n stepping through
-// learning scale, over rotating inputs (see into_bench_test.go). Workers is
-// forced to 1 so every row is the sequential kernel (the artifact's
-// allocs/op column is then the zero-alloc gate, and speedups are
-// kernel-vs-kernel, not parallelism). Exact Bulyan recomputes the pairwise
-// pass per selection, so its exact row is limited to n = 100.
+// learning scale, over rotating inputs (see into_bench_test.go). Run it with
+// -cpu 1 so every row is the sequential kernel (the allocs/op column is then
+// the zero-alloc gate, and speedups are kernel-vs-kernel, not parallelism).
+// Exact Bulyan recomputes the pairwise pass per selection, so its exact row
+// is limited to n = 100.
 
 import (
 	"fmt"
@@ -25,25 +25,25 @@ func BenchmarkApproxFilters(b *testing.B) {
 			name   string
 			filter IntoFilter
 		}{
-			{"krum/exact", Krum{Workers: 1}},
-			{"krum/sketch-k64", &KrumSketch{SketchParams: SketchParams{Dim: k, Seed: 1, Workers: 1}}},
-			{"krum/sampled-m64", &KrumSampled{SampleParams: SampleParams{Pairs: k, Seed: 1, Workers: 1}}},
-			{"multikrum/exact", MultiKrum{M: 3, Workers: 1}},
-			{"multikrum/sketch-k64", &MultiKrumSketch{M: 3, SketchParams: SketchParams{Dim: k, Seed: 1, Workers: 1}}},
+			{"krum/exact", Krum{}},
+			{"krum/sketch-k64", &KrumSketch{SketchParams: SketchParams{Dim: k, Seed: 1}}},
+			{"krum/sampled-m64", &KrumSampled{SampleParams: SampleParams{Pairs: k, Seed: 1}}},
+			{"multikrum/exact", MultiKrum{M: 3}},
+			{"multikrum/sketch-k64", &MultiKrumSketch{M: 3, SketchParams: SketchParams{Dim: k, Seed: 1}}},
 		}
 		if n == 100 {
 			variants = append(variants,
 				struct {
 					name   string
 					filter IntoFilter
-				}{"bulyan/exact", Bulyan{Workers: 1}},
+				}{"bulyan/exact", Bulyan{}},
 			)
 		}
 		variants = append(variants,
 			struct {
 				name   string
 				filter IntoFilter
-			}{"bulyan/sketch-k64", &BulyanSketch{SketchParams: SketchParams{Dim: k, Seed: 1, Workers: 1}}},
+			}{"bulyan/sketch-k64", &BulyanSketch{SketchParams: SketchParams{Dim: k, Seed: 1}}},
 		)
 		for _, v := range variants {
 			b.Run(fmt.Sprintf("%s/n=%d", v.name, n), func(b *testing.B) {

@@ -6,8 +6,8 @@ import (
 	"byzopt/internal/vecmath"
 )
 
-// centeredClipDefaultIters bounds the fixed-point iteration.
-const centeredClipDefaultIters = 5
+// centeredClipIters is the number of fixed-point iterations.
+const centeredClipIters = 5
 
 // CenteredClip is the centered-clipping aggregator of Karimireddy, He,
 // Jaggi (2021) — reference [28] of the paper: starting from a center v
@@ -15,16 +15,12 @@ const centeredClipDefaultIters = 5
 //
 //	v <- v + (1/n) sum_i clip(g_i - v, tau)
 //
-// where clip(x, tau) scales x down to norm tau. Outliers can move the
-// center by at most tau/n per iteration, bounding Byzantine influence
-// without dropping any honest information.
-type CenteredClip struct {
-	// Tau is the clipping radius; zero selects a data-driven radius (the
-	// median of the distances from the warm-start center).
-	Tau float64
-	// Iters is the number of fixed-point iterations; zero means 5.
-	Iters int
-}
+// where clip(x, tau) scales x down to norm tau, for centeredClipIters
+// iterations. The radius tau is the median of the distances from the warm
+// start, a scale the honest majority sets. Outliers can move the center by
+// at most tau/n per iteration, bounding Byzantine influence without dropping
+// any honest information.
+type CenteredClip struct{}
 
 var _ IntoFilter = CenteredClip{}
 
@@ -46,7 +42,7 @@ func (c CenteredClip) AggregateInto(dst []float64, grads [][]float64, f int, s *
 	return c.into(dst, grads, n, f, orFresh(s))
 }
 
-func (c CenteredClip) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
+func (CenteredClip) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
 	if n <= 2*f {
 		return fmt.Errorf("centered clipping needs n > 2f, got n=%d f=%d: %w", n, f, ErrTooManyFaults)
 	}
@@ -56,33 +52,26 @@ func (c CenteredClip) into(dst []float64, grads [][]float64, n, f int, s *Scratc
 	if err := (CWMedian{}).into(center, grads, n, f, s); err != nil {
 		return err
 	}
-	tau := c.Tau
-	if tau <= 0 {
-		// Median distance from the warm-start center: a scale the honest
-		// majority sets. Quickselect on the scratch buffer replaces the
-		// full sort — the median is an order statistic either way.
-		s.norms = grow(s.norms, n)
-		dists := s.norms
-		for i, g := range grads {
-			d, err := vecmath.Dist(g, center)
-			if err != nil {
-				return err
-			}
-			dists[i] = d
+	// Median distance from the warm-start center. Quickselect on the scratch
+	// buffer replaces the full sort — the median is an order statistic
+	// either way.
+	s.norms = grow(s.norms, n)
+	dists := s.norms
+	for i, g := range grads {
+		d, err := vecmath.Dist(g, center)
+		if err != nil {
+			return err
 		}
-		tau = medianInPlace(dists)
-		if tau == 0 {
-			return nil // all gradients coincide with the center
-		}
+		dists[i] = d
 	}
-	iters := c.Iters
-	if iters <= 0 {
-		iters = centeredClipDefaultIters
+	tau := medianInPlace(dists)
+	if tau == 0 {
+		return nil // all gradients coincide with the center
 	}
 	s.vecA = grow(s.vecA, len(dst))
 	s.vecB = grow(s.vecB, len(dst))
 	diff, update := s.vecA, s.vecB
-	for it := 0; it < iters; it++ {
+	for it := 0; it < centeredClipIters; it++ {
 		for i := range update {
 			update[i] = 0
 		}

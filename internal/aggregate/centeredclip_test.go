@@ -38,16 +38,17 @@ func TestCenteredClipIdenticalGradients(t *testing.T) {
 	}
 }
 
-func TestCenteredClipExplicitTau(t *testing.T) {
+func TestCenteredClipMedianRadiusBoundsAnOutlier(t *testing.T) {
 	grads := [][]float64{{0, 0}, {1, 0}, {0, 1}, {100, 100}}
-	got, err := CenteredClip{Tau: 0.5, Iters: 3}.Aggregate(grads, 1)
+	got, err := CenteredClip{}.Aggregate(grads, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With tau = 0.5 the outlier moves the center by at most 0.5/4 per
-	// iteration: 3 iterations cannot take it past ~0.4 from the median.
-	if vecmath.Norm(got) > 1.5 {
-		t.Fatalf("explicit tau failed to bound influence: %v", got)
+	// The warm start is (0.5, 0.5) and the median distance from it √0.5:
+	// clipped to that radius, the outlier pulls exactly as hard as the three
+	// others, which sit at it, pull back, so the center does not move.
+	if !vecmath.Equal(got, []float64{0.5, 0.5}, 1e-9) {
+		t.Fatalf("median radius failed to bound influence: %v", got)
 	}
 }
 
@@ -62,8 +63,8 @@ func TestCenteredClipConditions(t *testing.T) {
 }
 
 func TestCenteredClipFaultFreeNearMean(t *testing.T) {
-	// With no outliers and a generous radius, the fixed point approaches
-	// the mean.
+	// With no outliers the clipped steps pull the warm start, the
+	// coordinate-wise median, toward the mean.
 	r := rand.New(rand.NewSource(8))
 	grads := make([][]float64, 9)
 	for i := range grads {
@@ -73,12 +74,24 @@ func TestCenteredClipFaultFreeNearMean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CenteredClip{Tau: 100, Iters: 30}.Aggregate(grads, 0)
+	median, err := CWMedian{}.Aggregate(grads, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(got, mean, 1e-6) {
-		t.Fatalf("centered clip %v far from mean %v", got, mean)
+	got, err := CenteredClip{}.Aggregate(grads, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromMedian, err := vecmath.Dist(median, mean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromClip, err := vecmath.Dist(got, mean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromClip >= fromMedian {
+		t.Fatalf("centered clip %v is no nearer the mean %v than its warm start %v", got, mean, median)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"byzopt/internal/vecmath"
@@ -201,33 +202,44 @@ func TestFiltersRejectStructurallyInvalid(t *testing.T) {
 	}
 }
 
-// TestKrumFamilyParallelParity: the concurrent distance matrix must be
-// bitwise identical to the sequential one through every Workers setting,
-// for the whole Krum family.
+// TestKrumFamilyParallelParity: the concurrent distance matrix must give the
+// Krum family the sequential one's bits. The filters pick their own worker
+// count, so the kernels are driven at 1 and 8 workers directly: Krum's and
+// MultiKrum's scores, and Bulyan's iterated selection over them; the filters
+// themselves must match the sequential kernels too.
 func TestKrumFamilyParallelParity(t *testing.T) {
 	grads := randGrads(rand.New(rand.NewSource(7)), 40, 32, 1)
-	const f = 3
-	mk := func(workers int) []Filter {
-		return []Filter{
-			Krum{Workers: workers},
-			MultiKrum{M: 5, Workers: workers},
-			Bulyan{Workers: workers},
+	const n, d, f = 40, 32, 3
+	run := func(workers int) [][]float64 {
+		s := new(Scratch)
+		scores, err := krumScores(grads, f, workers, s)
+		if err != nil {
+			t.Fatal(err)
 		}
+		krum := slices.Clone(grads[argMinScore(scores)])
+		multi := make([]float64, d)
+		if err := meanOfBestScores(multi, grads, scores, 5, n, f, s); err != nil {
+			t.Fatal(err)
+		}
+		bulyan := make([]float64, d)
+		if err := bulyanInto(bulyan, grads, n, f, s, func(remaining [][]float64) ([]float64, error) {
+			return krumScores(remaining, f, workers, s)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return [][]float64{krum, multi, bulyan}
 	}
-	seq := mk(1)
-	for _, workers := range []int{0, 4, -1} {
-		for i, filter := range mk(workers) {
-			want, err := seq[i].Aggregate(grads, f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := filter.Aggregate(grads, f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !vecmath.Equal(got, want, 0) {
-				t.Errorf("%s Workers=%d differs from sequential", filter.Name(), workers)
-			}
+	seq, par := run(1), run(8)
+	for i, filter := range []Filter{Krum{}, MultiKrum{M: 5}, Bulyan{}} {
+		got, err := filter.Aggregate(grads, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !vecmath.Equal(par[i], seq[i], 0) {
+			t.Errorf("%s: 8 workers differ from sequential", filter.Name())
+		}
+		if !vecmath.Equal(got, seq[i], 0) {
+			t.Errorf("%s: the filter differs from its sequential kernel", filter.Name())
 		}
 	}
 }

@@ -18,6 +18,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -64,7 +66,7 @@ func benchInto(b *testing.B, fl IntoFilter, tables [][][]float64, f int) {
 
 // BenchmarkFilterInto compares Aggregate (alloc) with AggregateInto (into,
 // warm scratch) for every registered filter at n = 50 gradients of
-// dimension 1000, f = 5, sequential workers.
+// dimension 1000, f = 5; with -cpu 1 every parallel kernel runs sequentially.
 func BenchmarkFilterInto(b *testing.B) {
 	const n, d, f = 50, 1000, 5
 	tables := rotatingTables(rand.New(rand.NewSource(2)), n, d)
@@ -202,6 +204,27 @@ func BenchmarkPairwise(b *testing.B) {
 				pairwiseDistSqInto(d2, tables[i&63], 1)
 			}
 		})
+	}
+}
+
+// BenchmarkKrumScores compares the sequential and concurrent O(n²·d)
+// distance matrix behind the Krum family: krumScores at 1 and GOMAXPROCS
+// workers, over 64 rotating tables.
+func BenchmarkKrumScores(b *testing.B) {
+	const f = 2
+	workerCounts := slices.Compact([]int{1, runtime.GOMAXPROCS(0)})
+	for _, c := range []struct{ n, d int }{{10, 10}, {10, 1000}, {50, 10}, {50, 1000}, {100, 10}, {100, 1000}} {
+		tables := rotatingTables(rand.New(rand.NewSource(int64(c.n*c.d))), c.n, c.d)[:64]
+		for _, workers := range workerCounts {
+			b.Run(fmt.Sprintf("n=%d/d=%d/workers=%d", c.n, c.d, workers), func(b *testing.B) {
+				scratch := &Scratch{}
+				for i := 0; i < b.N; i++ {
+					if _, err := krumScores(tables[i&63], f, workers, scratch); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -240,10 +240,7 @@ func refBulyan(grads [][]float64, f int) ([]float64, error) {
 // refWeiszfeld is the fixed-point loop weiszfeldInto ran until it gained its
 // secant step and its median-at-a-report exit. It is an oracle, not a twin: the
 // solver's result must have an objective no larger than this loop's.
-func refWeiszfeld(points [][]float64, tol float64) ([]float64, error) {
-	if tol <= 0 {
-		tol = 1e-10
-	}
+func refWeiszfeld(points [][]float64) ([]float64, error) {
 	y, err := vecmath.Mean(points)
 	if err != nil {
 		return nil, err
@@ -277,14 +274,14 @@ func refWeiszfeld(points [][]float64, tol float64) ([]float64, error) {
 			return nil, err
 		}
 		y = num
-		if moved < tol {
+		if moved < weiszfeldTol {
 			break
 		}
 	}
 	return y, nil
 }
 
-func refGeoMedian(g GeoMedian, grads [][]float64, f int) ([]float64, error) {
+func refGeoMedian(grads [][]float64, f int) ([]float64, error) {
 	n, _, err := validate(grads, f)
 	if err != nil {
 		return nil, err
@@ -292,7 +289,7 @@ func refGeoMedian(g GeoMedian, grads [][]float64, f int) ([]float64, error) {
 	if n <= 2*f {
 		return nil, fmt.Errorf("geomedian needs n > 2f: %w", ErrTooManyFaults)
 	}
-	return refWeiszfeld(grads, g.Tol)
+	return refWeiszfeld(grads)
 }
 
 // refGMoMMeans is the point set GeoMedianOfMeans hands its solver: the means of
@@ -329,10 +326,10 @@ func refGMoM(g GeoMedianOfMeans, grads [][]float64, f int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return refWeiszfeld(means, g.Tol)
+	return refWeiszfeld(means)
 }
 
-func refCenteredClip(c CenteredClip, grads [][]float64, f int) ([]float64, error) {
+func refCenteredClip(grads [][]float64, f int) ([]float64, error) {
 	n, _, err := validate(grads, f)
 	if err != nil {
 		return nil, err
@@ -344,31 +341,23 @@ func refCenteredClip(c CenteredClip, grads [][]float64, f int) ([]float64, error
 	if err != nil {
 		return nil, err
 	}
-	tau := c.Tau
-	if tau <= 0 {
-		dists := make([]float64, n)
-		for i, g := range grads {
-			d, err := vecmath.Dist(g, center)
-			if err != nil {
-				return nil, err
-			}
-			dists[i] = d
+	dists := make([]float64, n)
+	for i, g := range grads {
+		d, err := vecmath.Dist(g, center)
+		if err != nil {
+			return nil, err
 		}
-		sort.Float64s(dists)
-		if n%2 == 1 {
-			tau = dists[n/2]
-		} else {
-			tau = 0.5 * (dists[n/2-1] + dists[n/2])
-		}
-		if tau == 0 {
-			return center, nil
-		}
+		dists[i] = d
 	}
-	iters := c.Iters
-	if iters <= 0 {
-		iters = centeredClipDefaultIters
+	sort.Float64s(dists)
+	tau := dists[n/2]
+	if n%2 == 0 {
+		tau = 0.5 * (dists[n/2-1] + dists[n/2])
 	}
-	for it := 0; it < iters; it++ {
+	if tau == 0 {
+		return center, nil
+	}
+	for it := 0; it < centeredClipIters; it++ {
 		update := vecmath.Zeros(len(center))
 		for _, g := range grads {
 			diff, err := vecmath.Sub(g, center)
@@ -415,11 +404,11 @@ func refAggregate(fl Filter, grads [][]float64, f int) ([]float64, error) {
 	case Bulyan:
 		return refBulyan(grads, f)
 	case GeoMedian:
-		return refGeoMedian(v, grads, f)
+		return refGeoMedian(grads, f)
 	case GeoMedianOfMeans:
 		return refGMoM(v, grads, f)
 	case CenteredClip:
-		return refCenteredClip(v, grads, f)
+		return refCenteredClip(grads, f)
 	}
 	return nil, fmt.Errorf("no reference for %s", fl.Name())
 }
@@ -433,13 +422,12 @@ func parityFilters() []IntoFilter {
 		CGE{Averaged: true},
 		CWTM{},
 		CWMedian{},
-		Krum{Workers: 1},
-		MultiKrum{M: 3, Workers: 1},
-		Bulyan{Workers: 1},
-		GeoMedian{Workers: 1},
-		GeoMedianOfMeans{Groups: 3, Workers: 1},
+		Krum{},
+		MultiKrum{M: 3},
+		Bulyan{},
+		GeoMedian{},
+		GeoMedianOfMeans{Groups: 3},
 		CenteredClip{},
-		CenteredClip{Tau: 0.7, Iters: 3},
 	}
 }
 

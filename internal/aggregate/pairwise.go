@@ -7,40 +7,26 @@ import (
 	"byzopt/internal/vecmath"
 )
 
-// pairwiseParallelWork is the n·n·d work size above which the distance
-// matrix is computed concurrently when a filter's Workers field is 0
-// (auto); below it goroutine startup costs more than it saves.
+// pairwiseParallelWork is the n·n·d work size above which a filter computes
+// the distance matrix concurrently; below it goroutine startup costs more
+// than it saves.
 const pairwiseParallelWork = 1 << 17
 
-// resolvePairwiseWorkers maps a filter's Workers field to a goroutine
-// count for an n x n x d distance-matrix job: 0 picks GOMAXPROCS once the
-// job is large enough to amortize the fan-out (1 otherwise), negative
-// always means GOMAXPROCS, and a positive value is taken as given.
-func resolvePairwiseWorkers(workers, n, d int) int {
-	w := resolveWorkers(workers, n*n*d, pairwiseParallelWork)
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+// pairwiseWorkers is the goroutine count a filter gives an n x n x d
+// distance-matrix job: resolveWorkers' count, at most one a row.
+func pairwiseWorkers(n, d int) int {
+	return min(resolveWorkers(n*n*d, pairwiseParallelWork), n)
 }
 
-// resolveWorkers is the shared Workers-field policy of the parallel
-// kernels: 0 (auto) fans out only when the job exceeds the given work
-// threshold, negative always means GOMAXPROCS, positive is taken as given.
-func resolveWorkers(workers, work, threshold int) int {
-	switch {
-	case workers < 0:
-		return runtime.GOMAXPROCS(0)
-	case workers == 0:
-		if work < threshold {
-			return 1
-		}
-		return runtime.GOMAXPROCS(0)
+// resolveWorkers is the one worker policy of the parallel kernels: a job
+// below the work threshold runs on the calling goroutine, a larger one on
+// GOMAXPROCS goroutines. The kernels take the count as an argument and give
+// the same bits at any count.
+func resolveWorkers(work, threshold int) int {
+	if work < threshold {
+		return 1
 	}
-	return workers
+	return runtime.GOMAXPROCS(0)
 }
 
 // pairwiseDistSqInto fills d2 — an n x n matrix the caller owns, typically

@@ -45,17 +45,23 @@ type SeedConfigurable interface {
 	ConfigureSeed(seed int64)
 }
 
-// AuxParams carries the (seed, round) keying shared by the stateful REDGRAF
-// filters. Embedding it provides the RoundKeyed and SeedConfigurable faces:
-// engines call SetRound before each round's aggregation; the sweep engine
-// calls ConfigureSeed once per scenario.
+// auxStep is the relaxation rate γ of the auxiliary-center update
+// c' = c + γ·(x̄ - c), where x̄ is the round's filtered output.
+const auxStep = 0.5
+
+// AuxParams is what the stateful REDGRAF filters share: the (seed, round)
+// keying of their auxiliary center and the round that advances it
+// (auxCenterInto). Embedding it provides the RoundKeyed and SeedConfigurable
+// faces: engines call SetRound before each round's aggregation; the sweep
+// engine calls ConfigureSeed once per scenario.
 type AuxParams struct {
 	// Seed keys the auxiliary-state chain together with the round. Set it
 	// via ConfigureSeed (the sweep engine does) when several scenarios may
 	// share one Scratch.
 	Seed int64
 
-	round int
+	round  int
+	legacy *Scratch // allocating-face state; see aggregate
 }
 
 // SetRound implements RoundKeyed.
@@ -63,6 +69,46 @@ func (p *AuxParams) SetRound(t int) { p.round = t }
 
 // ConfigureSeed implements SeedConfigurable.
 func (p *AuxParams) ConfigureSeed(seed int64) { p.Seed = seed }
+
+// aggregate is the allocating face of the stateful filter fl that embeds p.
+// The auxiliary chain must advance identically through both API faces, so it
+// keeps a private Scratch across calls instead of a throwaway one — stateless
+// filters route through allocVia instead.
+func (p *AuxParams) aggregate(fl IntoFilter, grads [][]float64, f int) ([]float64, error) {
+	if len(grads) == 0 {
+		return nil, fmt.Errorf("no gradients: %w", ErrInput)
+	}
+	if p.legacy == nil {
+		p.legacy = new(Scratch)
+	}
+	out := make([]float64, len(grads[0]))
+	if err := fl.AggregateInto(out, grads, f, p.legacy); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// auxCenterInto is one round of the two-stage dynamics SDMMFD and SDFD share,
+// keyed in the hash domain of the filter: the auxiliary center, restored from
+// s or initialised to the coordinate-wise median of grads; the distance stage
+// keeping the n-f reports nearest it; the filter's second stage, which writes
+// dst from the survivors; then the center relaxed toward dst by auxStep and
+// committed under this round's key.
+func (p *AuxParams) auxCenterInto(dst []float64, grads [][]float64, n, f, domain int, s *Scratch, stage func(keep []int) error) error {
+	d := len(dst)
+	aux, ok := s.redgrafAux(d, auxKey(p.Seed, p.round-1, d, domain))
+	if p.round == 0 || !ok {
+		cwMedianInto(aux, grads, n, s)
+	}
+	if err := stage(distanceKeep(grads, aux, n-f, s)); err != nil {
+		return err
+	}
+	for j := range aux {
+		aux[j] += auxStep * (dst[j] - aux[j])
+	}
+	s.commitRedgrafAux(auxKey(p.Seed, p.round, d, domain))
+	return nil
+}
 
 // auxKey condenses (seed, round, d) and the filter's domain tag into the
 // content key of an auxiliary-state fill, via the shared counter-mode hash.
@@ -166,7 +212,7 @@ func meanRowsInto(dst []float64, grads [][]float64, keep []int, s *Scratch) erro
 // f-trimmed mean of the n-f survivors (mix-max filtering). The auxiliary
 // center is the cross-round state of the dynamics: it initializes to the
 // coordinate-wise median of the first round's gradients and relaxes toward
-// each round's filtered output by AuxStep, anchoring the distance stage so
+// each round's filtered output by auxStep, anchoring the distance stage so
 // Byzantine gradients cannot drag the acceptance region far between rounds.
 // Requires n > 3f.
 //
@@ -174,16 +220,7 @@ func meanRowsInto(dst []float64, grads [][]float64, keep []int, s *Scratch) erro
 // instance) and drive it with SetRound. Without SetRound every call is
 // treated as round 0 and the filter degenerates to its stateless reduced
 // form (see RSDMMFD).
-type SDMMFD struct {
-	// AuxStep is the relaxation rate γ of the auxiliary-center update
-	// c' = c + γ·(x̄ - c), where x̄ is the round's filtered output; 0 means
-	// 0.5. Smaller values anchor the acceptance region more firmly to the
-	// past, larger values track the trajectory more closely.
-	AuxStep float64
-	AuxParams
-
-	legacy *Scratch // allocating-face state; see Aggregate
-}
+type SDMMFD struct{ AuxParams }
 
 var (
 	_ IntoFilter       = (*SDMMFD)(nil)
@@ -194,22 +231,9 @@ var (
 // Name implements Filter.
 func (*SDMMFD) Name() string { return "sdmmfd" }
 
-// Aggregate implements Filter. The auxiliary chain must advance identically
-// through both API faces, so the allocating face keeps a private Scratch
-// across calls instead of a throwaway one — stateless filters route through
-// allocVia instead.
+// Aggregate implements Filter.
 func (p *SDMMFD) Aggregate(grads [][]float64, f int) ([]float64, error) {
-	if len(grads) == 0 {
-		return nil, fmt.Errorf("no gradients: %w", ErrInput)
-	}
-	if p.legacy == nil {
-		p.legacy = new(Scratch)
-	}
-	out := make([]float64, len(grads[0]))
-	if err := p.AggregateInto(out, grads, f, p.legacy); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return p.aggregate(p, grads, f)
 }
 
 // AggregateInto implements IntoFilter.
@@ -222,22 +246,10 @@ func (p *SDMMFD) AggregateInto(dst []float64, grads [][]float64, f int, s *Scrat
 		return fmt.Errorf("SDMMFD needs n > 3f, got n=%d f=%d: %w", n, f, ErrTooManyFaults)
 	}
 	s = orFresh(s)
-	d := len(dst)
-	aux, ok := s.redgrafAux(d, auxKey(p.Seed, p.round-1, d, sdmmfdKeyDomain))
-	if p.round == 0 || !ok {
-		cwMedianInto(aux, grads, n, s)
-	}
-	keep := distanceKeep(grads, aux, n-f, s)
-	trimmedMeanRows(dst, grads, keep, f, s)
-	gamma := p.AuxStep
-	if gamma == 0 {
-		gamma = 0.5
-	}
-	for j := range aux {
-		aux[j] += gamma * (dst[j] - aux[j])
-	}
-	s.commitRedgrafAux(auxKey(p.Seed, p.round, d, sdmmfdKeyDomain))
-	return nil
+	return p.auxCenterInto(dst, grads, n, f, sdmmfdKeyDomain, s, func(keep []int) error {
+		trimmedMeanRows(dst, grads, keep, f, s)
+		return nil
+	})
 }
 
 // --- R-SDMMFD ---
@@ -285,15 +297,9 @@ func (r RSDMMFD) AggregateInto(dst []float64, grads [][]float64, f int, s *Scrat
 // gradients farthest from the auxiliary center and averages the n-f
 // survivors; the center carries across rounds exactly as in SDMMFD
 // (initialize to the coordinate-wise median, relax toward the output by
-// AuxStep). Requires n > 2f. Stateful — see SDMMFD for the SetRound /
+// auxStep). Requires n > 2f. Stateful — see SDMMFD for the SetRound /
 // ConfigureSeed contract.
-type SDFD struct {
-	// AuxStep is the auxiliary-center relaxation rate; 0 means 0.5.
-	AuxStep float64
-	AuxParams
-
-	legacy *Scratch // allocating-face state; see SDMMFD.Aggregate
-}
+type SDFD struct{ AuxParams }
 
 var (
 	_ IntoFilter       = (*SDFD)(nil)
@@ -304,20 +310,9 @@ var (
 // Name implements Filter.
 func (*SDFD) Name() string { return "sdfd" }
 
-// Aggregate implements Filter; see SDMMFD.Aggregate for why the allocating
-// face keeps a private Scratch.
+// Aggregate implements Filter.
 func (p *SDFD) Aggregate(grads [][]float64, f int) ([]float64, error) {
-	if len(grads) == 0 {
-		return nil, fmt.Errorf("no gradients: %w", ErrInput)
-	}
-	if p.legacy == nil {
-		p.legacy = new(Scratch)
-	}
-	out := make([]float64, len(grads[0]))
-	if err := p.AggregateInto(out, grads, f, p.legacy); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return p.aggregate(p, grads, f)
 }
 
 // AggregateInto implements IntoFilter.
@@ -330,24 +325,9 @@ func (p *SDFD) AggregateInto(dst []float64, grads [][]float64, f int, s *Scratch
 		return fmt.Errorf("SDFD needs n > 2f, got n=%d f=%d: %w", n, f, ErrTooManyFaults)
 	}
 	s = orFresh(s)
-	d := len(dst)
-	aux, ok := s.redgrafAux(d, auxKey(p.Seed, p.round-1, d, sdfdKeyDomain))
-	if p.round == 0 || !ok {
-		cwMedianInto(aux, grads, n, s)
-	}
-	keep := distanceKeep(grads, aux, n-f, s)
-	if err := meanRowsInto(dst, grads, keep, s); err != nil {
-		return err
-	}
-	gamma := p.AuxStep
-	if gamma == 0 {
-		gamma = 0.5
-	}
-	for j := range aux {
-		aux[j] += gamma * (dst[j] - aux[j])
-	}
-	s.commitRedgrafAux(auxKey(p.Seed, p.round, d, sdfdKeyDomain))
-	return nil
+	return p.auxCenterInto(dst, grads, n, f, sdfdKeyDomain, s, func(keep []int) error {
+		return meanRowsInto(dst, grads, keep, s)
+	})
 }
 
 // --- RVO ---

@@ -72,9 +72,9 @@ func rowOrders(r *rand.Rand, grads [][]float64) [3][][]float64 {
 func requireKrumFamilyBits(t *testing.T, r *rand.Rand, what string, grads [][]float64, f int, bulyan bool, s *Scratch) {
 	t.Helper()
 	n, d := len(grads), len(grads[0])
-	filters := []IntoFilter{Krum{Workers: 1}, MultiKrum{M: 1, Workers: 1}, MultiKrum{M: n - f, Workers: 1}}
+	filters := []IntoFilter{Krum{}, MultiKrum{M: 1}, MultiKrum{M: n - f}}
 	if bulyan && n >= 4*f+3 {
-		filters = append(filters, Bulyan{Workers: 1})
+		filters = append(filters, Bulyan{})
 	}
 	for p, table := range rowOrders(r, grads) {
 		what := fmt.Sprintf("%s n=%d f=%d order %d", what, n, f, p)

@@ -88,7 +88,7 @@ type SketchConfigurable interface {
 // --- shared sketch configuration ---
 
 // SketchParams configures the JL-sketch filters and carries their round
-// state. The zero value is ready: default dimension, seed 0, auto workers.
+// state. The zero value is ready: default dimension, seed 0.
 type SketchParams struct {
 	// Dim is the projection dimension k; 0 means DefaultSketchDim. When
 	// Dim >= d the projection is skipped and the filter is exactly its
@@ -96,10 +96,6 @@ type SketchParams struct {
 	Dim int
 	// Seed keys the projection draws together with the round (SetRound).
 	Seed int64
-	// Workers bounds the goroutines of the projection and pairwise stages,
-	// with the same 0/1/negative semantics as Krum.Workers. Results are
-	// identical at any setting.
-	Workers int
 
 	round int
 }
@@ -130,11 +126,13 @@ func (p *SketchParams) krumScores(grads [][]float64, f int, s *Scratch) ([]float
 	}
 	k := p.dim()
 	if k >= d {
-		return krumScores(grads, f, p.Workers, s)
+		return krumScores(grads, f, pairwiseWorkers(n, d), s)
 	}
-	rows := p.project(grads, k, s)
+	pq := nextPow2(d)
+	workers := min(resolveWorkers(n*pq*bits.Len(uint(pq-1)), pairwiseParallelWork), n)
+	rows := p.project(grads, k, workers, s)
 	d2 := s.distMatrix(n)
-	pairwiseDistSqInto(d2, rows, resolvePairwiseWorkers(p.Workers, n, k))
+	pairwiseDistSqInto(d2, rows, pairwiseWorkers(n, k))
 	return scoreFromDists(d2, n, f, s), nil
 }
 
@@ -143,10 +141,10 @@ func (p *SketchParams) krumScores(grads [][]float64, f int, s *Scratch) ([]float
 // Rademacher signs, an in-place fast Walsh–Hadamard transform over the
 // zero-padded power-of-two length P, then the plan's k sampled Hadamard
 // coordinates scaled by 1/√k — O(P·log P) adds per row where a dense
-// multiply sketch costs O(d·k). Rows are striped across workers; each row
-// is an independent pure function of its gradient and the plan, so the
-// table is bitwise identical at any worker count.
-func (p *SketchParams) project(grads [][]float64, k int, s *Scratch) [][]float64 {
+// multiply sketch costs O(d·k). Rows are striped across workers goroutines;
+// each row is an independent pure function of its gradient and the plan, so
+// the table is bitwise identical at any worker count.
+func (p *SketchParams) project(grads [][]float64, k, workers int, s *Scratch) [][]float64 {
 	n, d := len(grads), len(grads[0])
 	pq := nextPow2(d)
 	key := projectionKey(p.Seed, p.round, k, d)
@@ -156,10 +154,6 @@ func (p *SketchParams) project(grads [][]float64, k int, s *Scratch) [][]float64
 	}
 	rows := s.sketchRowsBuf(n, k)
 	scale := 1 / math.Sqrt(float64(k))
-	workers := resolveWorkers(p.Workers, n*pq*bits.Len(uint(pq-1)), pairwiseParallelWork)
-	if workers > n {
-		workers = n
-	}
 	if workers <= 1 {
 		// Inline sequential path: the goroutine fan-out lives in a separate
 		// function so no closure captures force heap traffic here, keeping
@@ -400,8 +394,10 @@ func (bl *BulyanSketch) AggregateInto(dst []float64, grads [][]float64, f int, s
 // --- shared sampled-pairs configuration ---
 
 // SampleParams configures the sampled-pairs filters and carries their round
-// state. The zero value is ready: default sample size, seed 0, auto
-// workers.
+// state. The zero value is ready: default sample size, seed 0. The sampled
+// loop is sequential: O(n²) rank hashes plus O(n·m·d) distance arithmetic a
+// call, the m best ranks of a point picked by a threshold pass (pickSample)
+// rather than sorted; only the exact fallback fans out.
 type SampleParams struct {
 	// Pairs is the neighbor sample size m per point; 0 means
 	// DefaultSamplePairs. When Pairs >= n-1 every pair is scored and the
@@ -409,11 +405,6 @@ type SampleParams struct {
 	Pairs int
 	// Seed keys the sample draws together with the round (SetRound).
 	Seed int64
-	// Workers has the same semantics as Krum.Workers; it engages on the
-	// exact fallback path only. The sampled loop itself is sequential: O(n²)
-	// rank hashes plus O(n·m·d) distance arithmetic a call, the m best ranks
-	// of a point picked by a threshold pass (pickSample) rather than sorted.
-	Workers int
 
 	round int
 }
@@ -445,7 +436,7 @@ func (p *SampleParams) krumScores(grads [][]float64, f int, s *Scratch) ([]float
 	}
 	m := p.pairs()
 	if m >= n-1 {
-		return krumScores(grads, f, p.Workers, s)
+		return krumScores(grads, f, pairwiseWorkers(n, len(grads[0])), s)
 	}
 	k := (n - f - 2) * m / (n - 1) // scaled neighbor count; k <= m since n-f-2 <= n-1
 	if k < 1 {

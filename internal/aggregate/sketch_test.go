@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -12,11 +13,11 @@ import (
 func exactTwin(fl IntoFilter) IntoFilter {
 	switch fl.(type) {
 	case *KrumSketch, *KrumSampled:
-		return Krum{Workers: 1}
+		return Krum{}
 	case *MultiKrumSketch, *MultiKrumSampled:
-		return MultiKrum{M: 3, Workers: 1}
+		return MultiKrum{M: 3}
 	case *BulyanSketch, *BulyanSampled:
-		return Bulyan{Workers: 1}
+		return Bulyan{}
 	}
 	panic("no twin for " + fl.Name())
 }
@@ -34,9 +35,9 @@ func TestSketchIdentityParity(t *testing.T) {
 				for mode := 0; mode < 3; mode++ {
 					grads := fuzzGradients(r, n, d, mode)
 					for _, fl := range []IntoFilter{
-						&KrumSketch{SketchParams: SketchParams{Dim: d, Seed: 42, Workers: 1}},
-						&MultiKrumSketch{M: 3, SketchParams: SketchParams{Dim: d + 5, Seed: 42, Workers: 1}},
-						&BulyanSketch{SketchParams: SketchParams{Dim: d, Seed: 42, Workers: 1}},
+						&KrumSketch{SketchParams: SketchParams{Dim: d, Seed: 42}},
+						&MultiKrumSketch{M: 3, SketchParams: SketchParams{Dim: d + 5, Seed: 42}},
+						&BulyanSketch{SketchParams: SketchParams{Dim: d, Seed: 42}},
 					} {
 						checkTwinParity(t, fl, grads, d, f, scratch)
 					}
@@ -58,9 +59,9 @@ func TestSampledFullParity(t *testing.T) {
 				const d = 7
 				grads := fuzzGradients(r, n, d, mode)
 				for _, fl := range []IntoFilter{
-					&KrumSampled{SampleParams: SampleParams{Pairs: n - 1, Seed: 42, Workers: 1}},
-					&MultiKrumSampled{M: 3, SampleParams: SampleParams{Pairs: n + 10, Seed: 42, Workers: 1}},
-					&BulyanSampled{SampleParams: SampleParams{Pairs: n - 1, Seed: 42, Workers: 1}},
+					&KrumSampled{SampleParams: SampleParams{Pairs: n - 1, Seed: 42}},
+					&MultiKrumSampled{M: 3, SampleParams: SampleParams{Pairs: n + 10, Seed: 42}},
+					&BulyanSampled{SampleParams: SampleParams{Pairs: n - 1, Seed: 42}},
 				} {
 					checkTwinParity(t, fl, grads, d, f, scratch)
 				}
@@ -97,9 +98,9 @@ func checkTwinParity(t *testing.T, fl IntoFilter, grads [][]float64, d, f int, s
 // approxFilters returns the six approximate filters with the approximation
 // genuinely engaged for an (n=24, d) input: sketch dimension and sample
 // size well below d and n-1.
-func approxFilters(workers int) []IntoFilter {
-	sk := SketchParams{Dim: 16, Seed: 7, Workers: workers}
-	sa := SampleParams{Pairs: 8, Seed: 7, Workers: workers}
+func approxFilters() []IntoFilter {
+	sk := SketchParams{Dim: 16, Seed: 7}
+	sa := SampleParams{Pairs: 8, Seed: 7}
 	return []IntoFilter{
 		&KrumSketch{SketchParams: sk},
 		&MultiKrumSketch{M: 3, SketchParams: sk},
@@ -111,13 +112,16 @@ func approxFilters(workers int) []IntoFilter {
 }
 
 // TestApproxWorkerParity pins the determinism contract on the engaged
-// approximation path: any Workers setting, either API face, and a shared or
-// fresh Scratch all produce bitwise-identical output.
+// approximation path: either API face and a shared or fresh Scratch produce
+// bitwise-identical output, and the two stages that fan out — the sketch
+// projection and the distance matrix over its rows — give the same bits at 1
+// and 8 workers. (The sampled loop is sequential; its exact fallback is the
+// Krum kernel TestKrumFamilyParallelParity drives.)
 func TestApproxWorkerParity(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	const n, d, f = 24, 128, 2
+	const n, d, f, k = 24, 128, 2, 16
 	grads := fuzzGradients(r, n, d, 0)
-	ref := approxFilters(1)
+	ref := approxFilters()
 	for round := 0; round < 3; round++ {
 		want := make([][]float64, len(ref))
 		for i, fl := range ref {
@@ -128,20 +132,46 @@ func TestApproxWorkerParity(t *testing.T) {
 			}
 			want[i] = out
 		}
-		for _, workers := range []int{0, 3, -1} {
-			scratch := &Scratch{}
-			for i, fl := range approxFilters(workers) {
-				fl.(RoundKeyed).SetRound(round)
-				dst := make([]float64, d)
-				if err := fl.AggregateInto(dst, grads, f, scratch); err != nil {
-					t.Fatalf("%s workers=%d: %v", fl.Name(), workers, err)
-				}
-				if !bitwiseEqual(want[i], dst) {
-					t.Fatalf("%s round=%d: workers=%d diverges from workers=1", fl.Name(), round, workers)
-				}
+		scratch := &Scratch{}
+		for i, fl := range approxFilters() {
+			fl.(RoundKeyed).SetRound(round)
+			dst := make([]float64, d)
+			if err := fl.AggregateInto(dst, grads, f, scratch); err != nil {
+				t.Fatalf("%s: %v", fl.Name(), err)
+			}
+			if !bitwiseEqual(want[i], dst) {
+				t.Fatalf("%s round=%d: the shared-Scratch Into face diverges from Aggregate", fl.Name(), round)
+			}
+		}
+
+		p := &SketchParams{Dim: k, Seed: 7}
+		p.SetRound(round)
+		var rows, dists [2][][]float64
+		for w, workers := range []int{1, 8} {
+			s := new(Scratch)
+			rows[w] = clone2(p.project(grads, k, workers, s))
+			d2 := make([][]float64, n)
+			for i := range d2 {
+				d2[i] = make([]float64, n)
+			}
+			pairwiseDistSqInto(d2, rows[w], workers)
+			dists[w] = d2
+		}
+		for i := range rows[0] {
+			if !bitwiseEqual(rows[0][i], rows[1][i]) || !bitwiseEqual(dists[0][i], dists[1][i]) {
+				t.Fatalf("round=%d row %d: 8 workers diverge from 1 in the projection or the distances", round, i)
 			}
 		}
 	}
+}
+
+// clone2 deep-copies a table out of a Scratch.
+func clone2(rows [][]float64) [][]float64 {
+	out := make([][]float64, len(rows))
+	for i, r := range rows {
+		out[i] = append([]float64(nil), r...)
+	}
+	return out
 }
 
 // TestApproxRoundKeying checks that the round index actually rotates the
@@ -152,7 +182,7 @@ func TestApproxRoundKeying(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	const n, d, f = 24, 128, 2
 	grads := fuzzGradients(r, n, d, 0)
-	fl := &KrumSketch{SketchParams: SketchParams{Dim: 4, Seed: 1, Workers: 1}}
+	fl := &KrumSketch{SketchParams: SketchParams{Dim: 4, Seed: 1}}
 	scratch := &Scratch{}
 	varied := false
 	base := make([]float64, d)
@@ -187,15 +217,18 @@ func TestApproxRoundKeying(t *testing.T) {
 // approximate code paths: d far above the sketch dimension and n-1 far
 // above the sample size, in both storage modes, with a warm Scratch and
 // sequential workers — at n = 24 and at n = 100, where the sampled scorer's
-// selection buffer and Bulyan's radix-sorted columns are in play.
-// (TestAggregateIntoAllocs covers the registry defaults at small d, where the
-// sketch filters run their exact fallback.)
+// selection buffer and Bulyan's radix-sorted columns are in play. Workers are
+// sequential because GOMAXPROCS is 1 for the test: at n = 100 the distance
+// matrix is large enough to fan out otherwise. (TestAggregateIntoAllocs covers
+// the registry defaults at small d, where the sketch filters run their exact
+// fallback.)
 func TestApproxIntoAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	r := rand.New(rand.NewSource(13))
 	const d = 128
 	for _, size := range []struct{ n, f, runs int }{{24, 2, 50}, {100, 10, 5}} {
 		grads := fuzzGradients(r, size.n, d, 0)
-		for _, fl := range approxFilters(1) {
+		for _, fl := range approxFilters() {
 			scratch := &Scratch{}
 			dst := make([]float64, d)
 			fl.(RoundKeyed).SetRound(1)
@@ -335,7 +368,7 @@ func TestApproxNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
 		grads := fuzzGradients(r, n, d, 0)
 		grads[3][7] = bad
-		for _, fl := range approxFilters(1) {
+		for _, fl := range approxFilters() {
 			dst := make([]float64, d)
 			if err := fl.AggregateInto(dst, grads, f, nil); !errors.Is(err, ErrNonFinite) {
 				t.Errorf("%s with %v input: err = %v, want ErrNonFinite", fl.Name(), bad, err)

@@ -279,14 +279,14 @@ func TestWideIntoMatchesReference(t *testing.T) {
 					want func() []float64 // nil: refAggregate
 				}
 				cases := []wideCase{
-					{Krum{Workers: 1}, nil},
-					{MultiKrum{M: 3, Workers: 1}, nil},
+					{Krum{}, nil},
+					{MultiKrum{M: 3}, nil},
 					{CWTM{}, nil},
 					{&RSDMMFD{}, func() []float64 { return refDistanceMixMax(grads, refCWMedianCenter(grads), f) }},
 					{RVO{}, func() []float64 { return refRVO(grads, f) }},
 				}
 				if d == 1 || n <= 100 { // theta = n-2f full distance matrices per call, three times over
-					cases = append(cases, wideCase{Bulyan{Workers: 1}, nil})
+					cases = append(cases, wideCase{Bulyan{}, nil})
 				}
 				for _, tc := range cases {
 					what := tc.fl.Name() + " " + kind
@@ -415,7 +415,7 @@ func TestSampledSelectionMatchesStableSort(t *testing.T) {
 			}
 			for mode := 0; mode < 3; mode++ {
 				grads := fuzzGradients(r, n, 5, mode)
-				p := &SampleParams{Pairs: m, Seed: int64(n*1000 + m), Workers: 1}
+				p := &SampleParams{Pairs: m, Seed: int64(n*1000 + m)}
 				for round := 0; round < 3; round++ {
 					p.SetRound(round)
 					want := refSampledKrumScores(p, grads, 3)

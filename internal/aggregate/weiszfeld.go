@@ -10,26 +10,22 @@ import (
 // weiszfeldMaxIter bounds the Weiszfeld fixed-point iteration.
 const weiszfeldMaxIter = 200
 
-// weiszfeldParallelWork is the n·d work size above which each Weiszfeld
-// iteration is computed concurrently when a filter's Workers field is 0
-// (auto); the iteration fans out up to weiszfeldMaxIter times, so the
-// threshold sits below the pairwise kernel's.
+// weiszfeldTol bounds the last Weiszfeld step and the secant estimate of the
+// rest of the way to the median, not the step alone.
+const weiszfeldTol = 1e-10
+
+// weiszfeldParallelWork is the n·d work size above which a filter computes
+// each Weiszfeld iteration concurrently; the iteration fans out up to
+// weiszfeldMaxIter times, so the threshold sits below the pairwise kernel's.
 const weiszfeldParallelWork = 1 << 14
 
-// resolveWeiszfeldWorkers maps a filter's Workers field to a goroutine
-// count for an n-point, d-dimensional Weiszfeld job, mirroring
-// resolvePairwiseWorkers: 0 picks GOMAXPROCS once the per-iteration work is
-// large enough to amortize the fan-out (1 otherwise), negative always means
-// GOMAXPROCS, positive is taken as given. Each phase independently caps the
-// count at its own stripe count (points for distances, coordinates for the
-// accumulation — see weiszfeldStripe), so tall-skinny and short-wide inputs
-// both keep their dominant phase parallel.
-func resolveWeiszfeldWorkers(workers, n, d int) int {
-	w := resolveWorkers(workers, n*d, weiszfeldParallelWork)
-	if w < 1 {
-		w = 1
-	}
-	return w
+// weiszfeldWorkers is the goroutine count a filter gives an n-point,
+// d-dimensional Weiszfeld job. Each phase caps it at its own stripe count
+// (points for distances, coordinates for the accumulation — see
+// weiszfeldStripe), so tall-skinny and short-wide inputs both keep their
+// dominant phase parallel.
+func weiszfeldWorkers(n, d int) int {
+	return resolveWorkers(n*d, weiszfeldParallelWork)
 }
 
 // weiszfeldInto writes the geometric median of the points, the minimiser of
@@ -53,20 +49,17 @@ func resolveWeiszfeldWorkers(workers, n, d int) int {
 //     most once a call) and returned itself if the test holds.
 //
 // The loop stops, returning T(y), when a secant estimate exists and the plain
-// step ‖T(y) − y‖ and the secant correction ‖γ·ΔT‖ are both below tol: the plain
-// step alone, at contraction rate r, leaves r/(1 − r)·tol of error. Without an
-// estimate it stops only at T(y) = y, where every later iterate is y again: a
-// residual of rounding size must not decide. A median that is not unique
-// (collinear reports, even n) yields one minimiser.
+// step ‖T(y) − y‖ and the secant correction ‖γ·ΔT‖ are both below weiszfeldTol:
+// the plain step alone, at contraction rate r, leaves r/(1 − r)·weiszfeldTol of
+// error. Without an estimate it stops only at T(y) = y, where every later
+// iterate is y again: a residual of rounding size must not decide. A median
+// that is not unique (collinear reports, even n) yields one minimiser.
 //
 // Distances are striped across points (each computed whole by one worker) and
 // the weighted sum across coordinates (each accumulated in point order by one
 // worker); obj, the secant's dot products and medianAt are sequential: the result
 // is bitwise identical at any worker count. One worker runs inline, allocation-free.
-func weiszfeldInto(dst []float64, points [][]float64, tol float64, workers int, s *Scratch) error {
-	if tol <= 0 {
-		tol = 1e-10
-	}
+func weiszfeldInto(dst []float64, points [][]float64, workers int, s *Scratch) error {
 	n, d := len(points), len(dst)
 	s.vecA = grow(s.vecA, 2*d)
 	s.vecB = grow(s.vecB, 2*d)
@@ -76,7 +69,6 @@ func weiszfeldInto(dst []float64, points [][]float64, tol float64, workers int, 
 	if err := vecmath.MeanInto(y, points); err != nil {
 		return err
 	}
-	workers = resolveWeiszfeldWorkers(workers, n, d)
 	const eps = 1e-12 // distance floor, avoids division blow-up at a point
 	s.weights = grow(s.weights, 2*n)
 	weights, tested := s.weights[:n], s.weights[n:]
@@ -179,7 +171,7 @@ func weiszfeldInto(dst []float64, points [][]float64, tol float64, workers int, 
 			secant = dff != 0 && !math.IsNaN(gamma) && !math.IsInf(gamma, 0)
 			corr = math.Abs(gamma) * math.Sqrt(dtt)
 		}
-		if moved == 0 || secant && moved < tol && corr < tol {
+		if moved == 0 || secant && moved < weiszfeldTol && corr < weiszfeldTol {
 			copy(dst, g)
 			return nil
 		}

@@ -39,12 +39,12 @@ func TestWeiszfeldParallelExactlyEqualsSequential(t *testing.T) {
 	for _, size := range []struct{ n, d int }{{7, 3}, {30, 17}, {64, 129}, {500, 2}} {
 		points := randomPoints(size.n, size.d, int64(size.n*1000+size.d))
 		seq := make([]float64, size.d)
-		if err := weiszfeldInto(seq, points, 0, 1, new(Scratch)); err != nil {
+		if err := weiszfeldInto(seq, points, 1, new(Scratch)); err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 3, 8, -1} {
+		for _, workers := range []int{2, 3, 8, runtime.GOMAXPROCS(0)} {
 			par := make([]float64, size.d)
-			if err := weiszfeldInto(par, points, 0, workers, new(Scratch)); err != nil {
+			if err := weiszfeldInto(par, points, workers, new(Scratch)); err != nil {
 				t.Fatal(err)
 			}
 			for j := range seq {
@@ -59,46 +59,53 @@ func TestWeiszfeldParallelExactlyEqualsSequential(t *testing.T) {
 
 // TestGeoMedianFiltersExactParityAcrossWorkers lifts the kernel guarantee
 // to the registered filters, including the median-of-means variant whose
-// bucket means feed the same iteration.
+// bucket means feed the same iteration: each filter gives the bits of the
+// kernel on its points at 1 and at 8 workers.
 func TestGeoMedianFiltersExactParityAcrossWorkers(t *testing.T) {
-	grads := randomPoints(40, 24, 7)
+	const n, d, groups = 40, 24, 7
+	grads := randomPoints(n, d, 7)
+	means := make([][]float64, groups)
+	for b := range means {
+		m, err := vecmath.Mean(grads[b*n/groups : (b+1)*n/groups])
+		if err != nil {
+			t.Fatal(err)
+		}
+		means[b] = m
+	}
 	for _, tc := range []struct {
-		seq, par Filter
+		filter Filter
+		points [][]float64
 	}{
-		{GeoMedian{Workers: 1}, GeoMedian{Workers: 8}},
-		{GeoMedianOfMeans{Groups: 7, Workers: 1}, GeoMedianOfMeans{Groups: 7, Workers: 8}},
+		{GeoMedian{}, grads},
+		{GeoMedianOfMeans{Groups: groups}, means},
 	} {
-		seq, err := tc.seq.Aggregate(grads, 2)
+		got, err := tc.filter.Aggregate(grads, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := tc.par.Aggregate(grads, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range seq {
-			if seq[j] != par[j] {
-				t.Fatalf("%s: coordinate %d differs across worker counts: %v vs %v",
-					tc.seq.Name(), j, seq[j], par[j])
+		for _, workers := range []int{1, 8} {
+			want := make([]float64, d)
+			if err := weiszfeldInto(want, tc.points, workers, new(Scratch)); err != nil {
+				t.Fatal(err)
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%s: coordinate %d differs from the kernel at %d workers: %v vs %v",
+						tc.filter.Name(), j, workers, got[j], want[j])
+				}
 			}
 		}
 	}
 }
 
 func TestResolveWeiszfeldWorkers(t *testing.T) {
-	if w := resolveWeiszfeldWorkers(0, 4, 8); w != 1 {
-		t.Errorf("small auto job got %d workers, want 1", w)
-	}
-	if w := resolveWeiszfeldWorkers(0, 1024, 1024); w != runtime.GOMAXPROCS(0) {
-		t.Errorf("large auto job got %d workers, want GOMAXPROCS %d", w, runtime.GOMAXPROCS(0))
+	if w := weiszfeldWorkers(4, 8); w != 1 {
+		t.Errorf("small job got %d workers, want 1", w)
 	}
 	// Per-phase capping happens in weiszfeldStripe, not the resolver: a
 	// tall-skinny job keeps its full pool for the point-striped phase.
-	if w := resolveWeiszfeldWorkers(6, 5000, 3); w != 6 {
-		t.Errorf("explicit worker count altered by resolver: got %d, want 6", w)
-	}
-	if w := resolveWeiszfeldWorkers(-1, 2, 2); w < 1 {
-		t.Errorf("negative workers resolved to %d", w)
+	if w := weiszfeldWorkers(1024, 1024); w != runtime.GOMAXPROCS(0) {
+		t.Errorf("large job got %d workers, want GOMAXPROCS %d", w, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -118,7 +125,7 @@ func BenchmarkWeiszfeld(b *testing.B) {
 				tables[k][5] = trueMedian(b, tables[k][:5])
 			}
 		}
-		for _, workers := range []int{1, -1} {
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			label := "seq"
 			if workers != 1 {
 				label = "par"
@@ -126,7 +133,7 @@ func BenchmarkWeiszfeld(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d/d=%d", label, size.n, size.d), func(b *testing.B) {
 				dst, scratch := make([]float64, size.d), new(Scratch)
 				for i := 0; i < b.N; i++ {
-					if err := weiszfeldInto(dst, tables[i%len(tables)], 0, workers, scratch); err != nil {
+					if err := weiszfeldInto(dst, tables[i%len(tables)], workers, scratch); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -256,7 +263,7 @@ func TestWeiszfeldReachesTheMedian(t *testing.T) {
 		for seed := 0; seed < fam.seeds; seed++ {
 			points := fam.draw(rand.New(rand.NewSource(int64(seed))))
 			got := make([]float64, len(points[0]))
-			if err := weiszfeldInto(got, points, 0, 1, new(Scratch)); err != nil {
+			if err := weiszfeldInto(got, points, 1, new(Scratch)); err != nil {
 				t.Fatalf("%s seed %d: %v", fam.name, seed, err)
 			}
 			want := trueMedian(t, points)

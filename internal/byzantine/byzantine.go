@@ -259,37 +259,6 @@ func (Zero) ApplyInto(dst []float64, round, agentID int, _ []float64, _ [][]floa
 	return nil
 }
 
-// --- coordinate spike ---
-
-// CoordinateSpike plants a huge value in a single coordinate and reports the
-// true gradient elsewhere, stressing coordinate-wise filters.
-type CoordinateSpike struct {
-	Coordinate int
-	Magnitude  float64
-}
-
-var _ IntoBehavior = CoordinateSpike{}
-
-// Name implements Behavior.
-func (c CoordinateSpike) Name() string { return fmt.Sprintf("spike-%d", c.Coordinate) }
-
-// Apply implements Behavior.
-func (c CoordinateSpike) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
-	return fresh(c, round, agentID, trueGrad, nil)
-}
-
-// ApplyInto implements IntoBehavior.
-func (c CoordinateSpike) ApplyInto(dst []float64, round, agentID int, trueGrad []float64, _ [][]float64) error {
-	if c.Coordinate < 0 || c.Coordinate >= len(trueGrad) {
-		return fmt.Errorf("spike coordinate %d out of range [0,%d): %w", c.Coordinate, len(trueGrad), ErrBadConfig)
-	}
-	if err := copyInto(dst, trueGrad); err != nil {
-		return err
-	}
-	dst[c.Coordinate] = c.Magnitude
-	return nil
-}
-
 // --- inner-product manipulation (colluding) ---
 
 // InnerProductManipulation is the colluding attack of Xie et al.: every
@@ -394,52 +363,6 @@ func (a ALittleIsEnough) ApplyInto(dst []float64, round, agentID int, trueGrad [
 // SharedReport implements SharedReport: the honest mean plus Z honest
 // standard deviations, coordinate by coordinate.
 func (ALittleIsEnough) SharedReport() {}
-
-// --- delayed (mixed honest/faulty phases) ---
-
-// Delayed behaves honestly until round Activate, then delegates to Inner.
-// It models sleeper faults that pass an initial vetting period. Delayed is
-// not Omniscient, so Inner reports without sight of the honest gradients.
-type Delayed struct {
-	Activate int
-	Inner    Behavior
-}
-
-var _ IntoBehavior = (*Delayed)(nil)
-
-// Name implements Behavior. A missing Inner, which ApplyInto rejects, is
-// spelled out: callers word that very error with the name.
-func (d *Delayed) Name() string {
-	inner := "<nil>"
-	if d.Inner != nil {
-		inner = d.Inner.Name()
-	}
-	return fmt.Sprintf("delayed-%d-%s", d.Activate, inner)
-}
-
-// Apply implements Behavior.
-func (d *Delayed) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
-	return fresh(d, round, agentID, trueGrad, nil)
-}
-
-// ApplyInto implements IntoBehavior; an Inner without the face reports
-// through its Apply.
-func (d *Delayed) ApplyInto(dst []float64, round, agentID int, trueGrad []float64, _ [][]float64) error {
-	if d.Inner == nil {
-		return fmt.Errorf("delayed behavior without inner behavior: %w", ErrBadConfig)
-	}
-	if round < d.Activate {
-		return copyInto(dst, trueGrad)
-	}
-	if into, ok := d.Inner.(IntoBehavior); ok {
-		return into.ApplyInto(dst, round, agentID, trueGrad, nil)
-	}
-	g, err := d.Inner.Apply(round, agentID, trueGrad)
-	if err != nil {
-		return err
-	}
-	return copyInto(dst, g)
-}
 
 // --- broadcast equivocation (peer-to-peer substrate) ---
 

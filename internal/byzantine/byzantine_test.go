@@ -135,19 +135,6 @@ func TestZero(t *testing.T) {
 	}
 }
 
-func TestCoordinateSpike(t *testing.T) {
-	out, err := CoordinateSpike{Coordinate: 1, Magnitude: 1e9}.Apply(0, 0, []float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 1 || out[1] != 1e9 || out[2] != 3 {
-		t.Fatalf("spike = %v", out)
-	}
-	if _, err := (CoordinateSpike{Coordinate: 5}).Apply(0, 0, []float64{1}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("out of range: %v", err)
-	}
-}
-
 func TestIPM(t *testing.T) {
 	honest := [][]float64{{2, 0}, {4, 0}}
 	out, err := InnerProductManipulation{Epsilon: 0.5}.ApplyOmniscient(0, 0, []float64{1, 1}, honest)
@@ -187,29 +174,6 @@ func TestALIE(t *testing.T) {
 	}
 	if !vecmath.Equal(fb, []float64{2, 2}, 1e-12) {
 		t.Fatalf("alie fallback = %v", fb)
-	}
-}
-
-func TestDelayed(t *testing.T) {
-	d := &Delayed{Activate: 5, Inner: GradientReverse{}}
-	g := []float64{1, 2}
-	early, err := d.Apply(4, 0, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecmath.Equal(early, g, 0) {
-		t.Fatalf("delayed early = %v", early)
-	}
-	late, err := d.Apply(5, 0, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecmath.Equal(late, []float64{-1, -2}, 0) {
-		t.Fatalf("delayed late = %v", late)
-	}
-	bad := &Delayed{Activate: 0}
-	if _, err := bad.Apply(0, 0, g); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("nil inner: %v", err)
 	}
 }
 

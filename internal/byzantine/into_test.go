@@ -16,15 +16,6 @@ import (
 	"byzopt/internal/simtime"
 )
 
-// plain strips every optional face off a behavior: what an external
-// implementation of the two-method interface looks like.
-type plain struct{ inner Behavior }
-
-func (p plain) Name() string { return p.inner.Name() }
-func (p plain) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
-	return p.inner.Apply(round, agentID, trueGrad)
-}
-
 // builtins returns one instance of every behavior in the package: the
 // registry, plus the ones only constructible directly.
 func builtins(t *testing.T) []IntoBehavior {
@@ -48,9 +39,6 @@ func builtins(t *testing.T) []IntoBehavior {
 	return append(out,
 		ScaledReverse{Factor: 2.5},
 		constant,
-		CoordinateSpike{Coordinate: 3, Magnitude: 1e9},
-		&Delayed{Activate: 2, Inner: InnerProductManipulation{Epsilon: 0.5}},
-		&Delayed{Activate: 2, Inner: plain{ScaledReverse{Factor: 3}}},
 	)
 }
 
@@ -137,10 +125,6 @@ func TestApplyIntoErrors(t *testing.T) {
 		ScaledReverse{},
 		InnerProductManipulation{},
 		constant,
-		CoordinateSpike{Coordinate: 2},
-		&Delayed{},
-		&Delayed{Inner: ScaledReverse{}},
-		&Delayed{Inner: plain{ScaledReverse{}}},
 	} {
 		for _, sees := range [][][]float64{nil, honest} {
 			out, applyErr := b.Apply(0, 0, g)
@@ -171,11 +155,6 @@ func TestApplyIntoAllocs(t *testing.T) {
 	honest := [][]float64{normals(r, d), normals(r, d), normals(r, d)}
 	g := normals(r, d)
 	for _, b := range builtins(t) {
-		if d, ok := b.(*Delayed); ok {
-			if _, into := d.Inner.(IntoBehavior); !into {
-				continue // an external inner behavior allocates its own report
-			}
-		}
 		for _, sees := range [][][]float64{nil, honest} {
 			round := 0
 			if allocs := testing.AllocsPerRun(100, func() {
@@ -220,14 +199,6 @@ func TestBehaviorsSharedAcrossGoroutines(t *testing.T) {
 				t.Errorf("%s agent %d: concurrent report %v, sequential %v", b.Name(), agent, got[agent], want[agent])
 			}
 		}
-	}
-}
-
-// TestDelayedNameWithoutInner: the name is what callers word Delayed's own
-// nil-Inner error with, so it must not be the thing that panics.
-func TestDelayedNameWithoutInner(t *testing.T) {
-	if got, want := (&Delayed{Activate: 4}).Name(), "delayed-4-<nil>"; got != want {
-		t.Errorf("Name() = %q, want %q", got, want)
 	}
 }
 

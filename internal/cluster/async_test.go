@@ -100,8 +100,7 @@ func TestClusterAsyncEliminationRemovesAgentFromOverlay(t *testing.T) {
 		}
 		return nil
 	})
-	srv, err := NewServer(Config{
-		Conns:  conns,
+	srv, err := newServer(Config{Conns: conns}, dgd.Config{
 		F:      1,
 		Filter: aggregate.CGE{},
 		Box:    inst.Box,

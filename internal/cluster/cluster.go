@@ -8,7 +8,7 @@
 // n and f before continuing.
 //
 // The server is only the report-gathering half of a round: transport
-// fan-out, elimination (or, under Degrade, bounded retries and per-round
+// fan-out, elimination (or, under an enabled chaos plan, per-round
 // omission). The update itself — overlay, filter, projected step — is the
 // dgd.Round kernel, shared with the in-process engine and package p2p, which
 // is what makes a cluster run reproduce an in-process run bit for bit.
@@ -24,7 +24,6 @@ import (
 
 	"byzopt/internal/aggregate"
 	"byzopt/internal/chaos"
-	"byzopt/internal/costfunc"
 	"byzopt/internal/dgd"
 	"byzopt/internal/transport"
 	"byzopt/internal/vecmath"
@@ -56,48 +55,11 @@ type Config struct {
 	// RoundTimeout bounds each round's gradient collection; zero means a
 	// generous 5 seconds.
 	RoundTimeout time.Duration
-
-	// TrackLoss and Reference mirror dgd.Config's instrumentation.
-	TrackLoss costfunc.Function
-	Reference []float64
-	// Observer mirrors dgd.Config.Observer: it sees every estimate x_t with
-	// the tracked loss/distance values (NaN when untracked), so
+	// Observer mirrors dgd.Config.Observer: it sees every estimate x_t (its
+	// loss and distance are NaN, a server tracks neither), so
 	// instrumentation is portable between the in-process engine and the
 	// cluster.
 	Observer dgd.RoundObserver
-
-	// Async mirrors dgd.Config.Async: a non-nil value layers the
-	// virtual-time asynchronous collection model over the round loop. The
-	// overlay acts on the replies the server actually collected — an agent
-	// eliminated by the step-S1 rule leaves the overlay permanently — and
-	// the zero-latency wait-all configuration is bitwise identical to a nil
-	// Async. Note the two timing layers are distinct: RoundTimeout is a
-	// wall-clock transport deadline (missing it is Byzantine evidence),
-	// while Async delays are simulated virtual time (missing a virtual
-	// close is mere slowness, handled by the staleness policy).
-	Async *dgd.AsyncConfig
-
-	// Chaos mirrors dgd.Config.Chaos: an enabled plan injects deterministic
-	// system faults into the collection through the async overlay (a
-	// chaos-only run gets a zero-latency wait-all overlay). Enabling chaos
-	// implies Degrade — an injected crash or omission is a system fault to
-	// ride out, not Byzantine evidence to eliminate on.
-	Chaos *chaos.Plan
-	// Degrade switches the server's handling of transport-level failures
-	// from the step-S1 elimination rule to graceful degradation: a failed
-	// or corrupted request is retried up to Retries times with RetryBackoff
-	// pauses, then treated as a per-round omission routed into the async
-	// overlay's partial-aggregation machinery — the agent stays in the
-	// system and the cell degrades instead of dying. Under Degrade no agent
-	// is ever eliminated and ErrTooManyFailures cannot occur; admissibility
-	// of the shrunken input stays the filter's own check.
-	Degrade bool
-	// Retries is the per-agent redelivery budget a failed request gets each
-	// round under Degrade; 0 means no retry.
-	Retries int
-	// RetryBackoff is the wall-clock pause before each retry; zero means
-	// 50ms. Backoff is linear: the k-th retry waits k*RetryBackoff.
-	RetryBackoff time.Duration
 }
 
 // Result extends the dgd result with cluster-level accounting.
@@ -112,40 +74,34 @@ type Result struct {
 	// FinalN and FinalF are the system parameters after eliminations.
 	FinalN, FinalF int
 	// Degraded reports that the run rode out at least one system fault —
-	// injected by the chaos plan or degraded from a transport failure —
-	// instead of eliminating an agent or failing.
+	// injected by the chaos plan or a transport failure under it — instead
+	// of eliminating an agent or failing.
 	Degraded bool
 	// Faults tallies the run's system faults: the chaos plan's injections
-	// plus transport-level retries and omissions under Degrade.
+	// plus the transport failures muted under it.
 	Faults chaos.Counters
 }
 
 // Server coordinates one run. The zero value is unusable; construct with
 // NewServer.
 type Server struct {
-	conns            []transport.AgentConn
-	timeout, backoff time.Duration
-	degrade          bool
-	retries          int
-	kernel           dgd.Config // what the round kernel consumes; Agents is unused
-}
-
-// kernel projects the configuration onto the round kernel's.
-func (cfg Config) kernel() dgd.Config {
-	return dgd.Config{
-		F: cfg.F, Filter: cfg.Filter, Steps: cfg.Steps, Box: cfg.Box, X0: cfg.X0, Rounds: cfg.Rounds,
-		TrackLoss: cfg.TrackLoss, Reference: cfg.Reference, Observer: cfg.Observer,
-		Async: cfg.Async, Chaos: cfg.Chaos,
-	}
+	conns   []transport.AgentConn
+	timeout time.Duration
+	kernel  dgd.Config // what the round kernel consumes; Agents is unused
 }
 
 // NewServer validates the configuration.
 func NewServer(cfg Config) (*Server, error) {
-	return newServer(cfg, cfg.kernel())
+	return newServer(cfg, dgd.Config{
+		F: cfg.F, Filter: cfg.Filter, Steps: cfg.Steps, Box: cfg.Box, X0: cfg.X0, Rounds: cfg.Rounds,
+		Observer: cfg.Observer,
+	})
 }
 
 // newServer validates the transport side of cfg and, through the kernel's
-// one set of checks, everything else.
+// one set of checks, everything else. The kernel configuration carries the
+// rest of a run — the tracked loss, the async overlay, the chaos plan —
+// when a Backend or a test has one; cfg's own kernel fields are unused.
 func newServer(cfg Config, kernel dgd.Config) (*Server, error) {
 	if len(cfg.Conns) == 0 {
 		return nil, fmt.Errorf("no agent connections: %w", ErrConfig)
@@ -158,25 +114,9 @@ func newServer(cfg Config, kernel dgd.Config) (*Server, error) {
 	if err := dgd.ValidateRound(kernel, len(cfg.Conns), ErrConfig); err != nil {
 		return nil, err
 	}
-	if cfg.Retries < 0 {
-		return nil, fmt.Errorf("negative retry budget %d: %w", cfg.Retries, ErrConfig)
-	}
-	if cfg.RetryBackoff < 0 {
-		return nil, fmt.Errorf("negative retry backoff %v: %w", cfg.RetryBackoff, ErrConfig)
-	}
-	s := &Server{
-		conns: cfg.Conns, timeout: cfg.RoundTimeout, backoff: cfg.RetryBackoff, retries: cfg.Retries,
-		// Chaos rides the same degradation path: an injected crash or
-		// omission is a system fault to ride out, not Byzantine evidence to
-		// eliminate on.
-		degrade: cfg.Degrade || kernel.Chaos.Enabled(),
-		kernel:  kernel,
-	}
+	s := &Server{conns: cfg.Conns, timeout: cfg.RoundTimeout, kernel: kernel}
 	if s.timeout <= 0 {
 		s.timeout = 5 * time.Second
-	}
-	if s.backoff <= 0 {
-		s.backoff = 50 * time.Millisecond
 	}
 	return s, nil
 }
@@ -195,17 +135,21 @@ type roundRequest struct {
 }
 
 // Run executes the protocol: per round it gathers the live agents' reports
-// over the transport — eliminating silent agents under step S1, or retrying
-// and then muting them for the round under Degrade — and hands them to the
+// over the transport — eliminating silent agents under step S1, or muting
+// them for the round under an enabled chaos plan — and hands them to the
 // dgd.Round kernel, which owns the overlay, filter, and step. It does not
 // close the connections; the caller owns their lifecycle.
 func (s *Server) Run(ctx context.Context) (*Result, error) {
 	n := len(s.conns)
-	round, err := dgd.NewRound(s.kernel, n, s.degrade)
+	round, err := dgd.NewRound(s.kernel, n)
 	if err != nil {
 		return nil, err
 	}
 	x := round.X()
+	// An enabled chaos plan degrades: an injected crash or omission, and with
+	// it any failed request, is a system fault to ride out, not Byzantine
+	// evidence to eliminate on.
+	degrade := s.kernel.Chaos.Enabled()
 
 	// live[i] indexes into s.conns; the slice shrinks on elimination.
 	live := make([]int, n)
@@ -224,7 +168,7 @@ func (s *Server) Run(ctx context.Context) (*Result, error) {
 	replies := make(chan roundReply, n)
 	silent := make([]int, 0, n)
 	var omitFill []float64
-	if s.degrade {
+	if degrade {
 		omitFill = make([]float64, len(x))
 	}
 
@@ -293,32 +237,13 @@ func (s *Server) Run(ctx context.Context) (*Result, error) {
 
 		switch {
 		case len(silent) == 0:
-		case s.degrade:
-			// Graceful degradation: each failed request gets a bounded
-			// redelivery budget with linear backoff, then becomes a
-			// one-round omission routed into the overlay's
-			// partial-aggregation machinery. The agent stays in the
-			// system — next round it reports again — and no count of
-			// failures can raise ErrTooManyFailures.
-		nextSilent:
+		case degrade:
+			// Graceful degradation: a failed request becomes a one-round
+			// omission routed into the overlay's partial-aggregation
+			// machinery, which tallies it. The agent stays in the system —
+			// next round it reports again — and no count of failures can
+			// raise ErrTooManyFailures.
 			for _, idx := range silent {
-				for k := 1; k <= s.retries; k++ {
-					select {
-					case <-time.After(time.Duration(k) * s.backoff):
-					case <-ctx.Done():
-						return nil, fmt.Errorf("run cancelled at round %d: %w", t, ctx.Err())
-					}
-					res.Faults.Retried++
-					retryCtx, retryCancel := context.WithTimeout(ctx, s.timeout)
-					g, err := s.conns[idx].RequestGradient(retryCtx, t, x)
-					retryCancel()
-					if err == nil && len(g) == len(x) {
-						slots[idx] = g
-						continue nextSilent
-					}
-				}
-				// Budget exhausted: mute this round, fresh chance next.
-				// The overlay tallies the omission in its round stats.
 				slots[idx] = omitFill
 				round.OmitNext(idx)
 			}

@@ -12,6 +12,7 @@ import (
 
 	"byzopt/internal/aggregate"
 	"byzopt/internal/byzantine"
+	"byzopt/internal/chaos"
 	"byzopt/internal/costfunc"
 	"byzopt/internal/dgd"
 	"byzopt/internal/linreg"
@@ -123,16 +124,14 @@ func TestClusterEliminatesCrashedAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(Config{
-		Conns:        conns,
-		F:            1,
-		Filter:       aggregate.CGE{},
-		Box:          inst.Box,
-		X0:           inst.X0,
-		Rounds:       200,
-		RoundTimeout: 100 * time.Millisecond,
-		TrackLoss:    honestSum,
-		Reference:    inst.XH,
+	srv, err := newServer(Config{Conns: conns, RoundTimeout: 100 * time.Millisecond}, dgd.Config{
+		F:         1,
+		Filter:    aggregate.CGE{},
+		Box:       inst.Box,
+		X0:        inst.X0,
+		Rounds:    200,
+		TrackLoss: honestSum,
+		Reference: inst.XH,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +222,6 @@ func TestNewServerValidation(t *testing.T) {
 		{"nil filter", func(c *Config) { c.Filter = nil }},
 		{"empty x0", func(c *Config) { c.X0 = nil }},
 		{"negative rounds", func(c *Config) { c.Rounds = -1 }},
-		{"reference dim", func(c *Config) { c.Reference = []float64{1} }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -245,9 +243,9 @@ func TestNewServerValidation(t *testing.T) {
 }
 
 // serveOverTCP is the full Figure-1 deployment on loopback sockets: every
-// producer served by transport.ServeAgent, the server run to completion on
-// cfg (Conns filled in here), everything closed and waited for.
-func serveOverTCP(t *testing.T, producers []transport.GradientProducer, cfg Config) *Result {
+// producer served by transport.ServeAgent, a server on the accepted
+// connections run to completion on kernel, everything closed and waited for.
+func serveOverTCP(t *testing.T, producers []transport.GradientProducer, kernel dgd.Config) *Result {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -268,16 +266,16 @@ func serveOverTCP(t *testing.T, producers []transport.GradientProducer, cfg Conf
 		}(id, p)
 	}
 
-	cfg.Conns, err = transport.AcceptAgents(l, len(producers), 10*time.Second)
+	conns, err := transport.AcceptAgents(l, len(producers), 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(cfg)
+	srv, err := newServer(Config{Conns: conns}, kernel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := srv.Run(context.Background())
-	for _, c := range cfg.Conns {
+	for _, c := range conns {
 		_ = c.Close()
 	}
 	wg.Wait()
@@ -300,14 +298,13 @@ func producersOf(agents []dgd.Agent) []transport.GradientProducer {
 func runOverTCP(t *testing.T, rounds int) *Result {
 	t.Helper()
 	inst, agents := paperAgents(t, byzantine.GradientReverse{})
-	return serveOverTCP(t, producersOf(agents), Config{
-		F:            1,
-		Filter:       aggregate.CGE{},
-		Box:          inst.Box,
-		X0:           inst.X0,
-		Rounds:       rounds,
-		RoundTimeout: 5 * time.Second,
-		Reference:    inst.XH,
+	return serveOverTCP(t, producersOf(agents), dgd.Config{
+		F:         1,
+		Filter:    aggregate.CGE{},
+		Box:       inst.Box,
+		X0:        inst.X0,
+		Rounds:    rounds,
+		Reference: inst.XH,
 	})
 }
 
@@ -349,7 +346,7 @@ func TestClusterOverTCPBitEqualToInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := serveOverTCP(t, producersOf(agents()), Config{
+	got := serveOverTCP(t, producersOf(agents()), dgd.Config{
 		F: f, Filter: aggregate.CWTM{}, Box: box, X0: make([]float64, d), Rounds: rounds,
 	})
 	if len(got.Eliminated) != 0 {
@@ -378,18 +375,20 @@ func (p longReply) Gradient(round int, x []float64) ([]float64, error) {
 
 // A reply of the wrong dimension never reaches the filter: the transport
 // refuses it from the message header, and the server treats the refusal as it
-// treats any missed round — elimination under step S1, a retried and then
-// omitted report under Degrade.
+// treats any missed round — elimination under step S1, an omitted report under
+// an enabled chaos plan (one that only duplicates deliveries, which the
+// wait-all overlay ignores).
 func TestClusterOverTCPWrongDimensionReply(t *testing.T) {
 	const rounds, from = 12, 8
 	for _, degrade := range []bool{false, true} {
 		inst, agents := paperAgents(t, nil)
 		producers := producersOf(agents)
 		producers[2] = longReply{Agent: agents[2], from: from}
-		res := serveOverTCP(t, producers, Config{
-			F: 1, Filter: aggregate.CGE{}, Box: inst.Box, X0: inst.X0, Rounds: rounds,
-			Degrade: degrade, Retries: 1, RetryBackoff: time.Millisecond,
-		})
+		kernel := dgd.Config{F: 1, Filter: aggregate.CGE{}, Box: inst.Box, X0: inst.X0, Rounds: rounds}
+		if degrade {
+			kernel.Chaos = &chaos.Plan{Seed: 1, DupRate: 0.5}
+		}
+		res := serveOverTCP(t, producers, kernel)
 		if !vecmath.IsFinite(res.X) {
 			t.Errorf("degrade=%v: non-finite estimate %v", degrade, res.X)
 		}
@@ -399,8 +398,8 @@ func TestClusterOverTCPWrongDimensionReply(t *testing.T) {
 			}
 			continue
 		}
-		if len(res.Eliminated) != 0 || res.Faults.Retried != rounds-from || res.Faults.Omitted != rounds-from {
-			t.Errorf("degrade: eliminated %v, faults %+v, want %d retried and omitted", res.Eliminated, res.Faults, rounds-from)
+		if len(res.Eliminated) != 0 || res.Faults.Omitted != rounds-from {
+			t.Errorf("degrade: eliminated %v, faults %+v, want %d omitted", res.Eliminated, res.Faults, rounds-from)
 		}
 	}
 }
@@ -455,7 +454,6 @@ func TestClusterEliminatesMultipleCrashes(t *testing.T) {
 		X0:           inst.X0,
 		Rounds:       60,
 		RoundTimeout: 100 * time.Millisecond,
-		Reference:    inst.XH,
 	})
 	if err != nil {
 		t.Fatal(err)

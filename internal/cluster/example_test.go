@@ -14,6 +14,7 @@ import (
 	"byzopt/internal/dgd"
 	"byzopt/internal/linreg"
 	"byzopt/internal/transport"
+	"byzopt/internal/vecmath"
 )
 
 // The full Figure-1 server-based deployment on real sockets, inside one
@@ -73,7 +74,6 @@ func ExampleServer() {
 		X0:           inst.X0,
 		Rounds:       300,
 		RoundTimeout: 300 * time.Millisecond,
-		Reference:    inst.XH,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -90,7 +90,11 @@ func ExampleServer() {
 	}
 	fmt.Printf("eliminated agents: %v (final n=%d, f=%d)\n", res.Eliminated, res.FinalN, res.FinalF)
 	fmt.Printf("final estimate: (%.4f, %.4f)\n", res.X[0], res.X[1])
-	fmt.Printf("distance to x_H: %.4f\n", res.Trace.Dist[len(res.Trace.Dist)-1])
+	dist, err := vecmath.Dist(res.X, inst.XH)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("distance to x_H: %.4f\n", dist)
 	// Output:
 	// all agents connected; agent 0 is Byzantine, agent 3 will crash at round 60
 	// eliminated agents: [3] (final n=5, f=1)

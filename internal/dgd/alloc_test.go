@@ -173,7 +173,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 
 			// The kernel on its own: once warm, Apply over a fixed report
 			// table allocates nothing.
-			round, err := NewRound(cfg, len(cfg.Agents), false)
+			round, err := NewRound(cfg, len(cfg.Agents))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -57,6 +57,21 @@ func mustLeastSquares(t *testing.T, rows [][]float64, b []float64) costfunc.Diff
 	return sum
 }
 
+// spike plants magnitude in one coordinate of the true gradient and reports
+// the rest truthfully, stressing coordinate-wise filters.
+type spike struct {
+	coordinate int
+	magnitude  float64
+}
+
+func (spike) Name() string { return "spike" }
+
+func (s spike) Apply(_, _ int, trueGrad []float64) ([]float64, error) {
+	out := append([]float64(nil), trueGrad...)
+	out[s.coordinate] = s.magnitude
+	return out, nil
+}
+
 // attackCase pairs a filter with a behavior and a tolerated final distance.
 type attackCase struct {
 	name     string
@@ -70,13 +85,12 @@ func TestFilterAttackMatrix(t *testing.T) {
 	const n, f, d = 10, 3, 3
 	xstar := []float64{1, -2, 0.5}
 
-	spike := byzantine.CoordinateSpike{Coordinate: 1, Magnitude: 1e6}
 	big, err := byzantine.NewConstant([]float64{1e6, 1e6, 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []attackCase{
-		{"cwtm-vs-spike", aggregate.CWTM{}, spike, 0.2},
+		{"cwtm-vs-spike", aggregate.CWTM{}, spike{coordinate: 1, magnitude: 1e6}, 0.2},
 		{"cwtm-vs-constant", aggregate.CWTM{}, big, 0.2},
 		{"cge-vs-constant", aggregate.CGE{}, big, 0.2},
 		{"cge-vs-zero", aggregate.CGE{}, byzantine.Zero{}, 0.35},

@@ -21,7 +21,7 @@ import (
 // every round's report table followed by the final estimate.
 func collectRun(t *testing.T, cfg Config, workers int) [][]float64 {
 	t.Helper()
-	round, err := NewRound(cfg, len(cfg.Agents), false)
+	round, err := NewRound(cfg, len(cfg.Agents))
 	if err != nil {
 		t.Fatal(err)
 	}

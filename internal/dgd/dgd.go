@@ -525,7 +525,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("nil agent %d: %w", i, ErrConfig)
 		}
 	}
-	round, err := NewRound(cfg, len(cfg.Agents), false)
+	round, err := NewRound(cfg, len(cfg.Agents))
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package dgd
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -299,12 +300,25 @@ func TestBehaviorWithoutIntoFace(t *testing.T) {
 	}
 }
 
+// innerless is a sleeper fault configured without the behavior it wakes into:
+// honest before round activate, then the configuration error that is.
+type innerless struct{ activate int }
+
+func (d innerless) Name() string { return fmt.Sprintf("delayed-%d-<nil>", d.activate) }
+
+func (d innerless) Apply(round, _ int, trueGrad []float64) ([]float64, error) {
+	if round < d.activate {
+		return append([]float64(nil), trueGrad...), nil
+	}
+	return nil, fmt.Errorf("delayed behavior without inner behavior: %w", byzantine.ErrBadConfig)
+}
+
 // TestDelayedWithoutInnerFailsTheRun: the wrapper words a behavior's error
 // with the behavior's name, and a sleeper fault configured without its inner
-// behavior used to panic in Name() on the way to reporting exactly that.
+// behavior fails the run with its own error once it wakes.
 func TestDelayedWithoutInnerFailsTheRun(t *testing.T) {
 	agents, _, _ := regressionAgents(t, testRows, []float64{1, 1})
-	fa, err := NewFaulty(agents[0], &byzantine.Delayed{Activate: 1})
+	fa, err := NewFaulty(agents[0], innerless{activate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,10 +93,9 @@ func ValidateRound(cfg Config, n int, sentinel error) error {
 // ErrConfig) and builds the kernel: the estimate starts at the projected X0,
 // and the overlay is built once when cfg.Async is set or cfg.Chaos is
 // enabled (a chaos-only run gets a zero-latency wait-all overlay, whose
-// fault-free path is bitwise synchronous). omissions says the substrate may
-// call OmitNext: the overlay is then built regardless and its per-round
-// fault stats reach a ChaosObserver even without a chaos plan.
-func NewRound(cfg Config, n int, omissions bool) (*Round, error) {
+// fault-free path is bitwise synchronous). A substrate may call OmitNext
+// only on a kernel whose chaos plan is enabled.
+func NewRound(cfg Config, n int) (*Round, error) {
 	if err := ValidateRound(cfg, n, ErrConfig); err != nil {
 		return nil, err
 	}
@@ -129,7 +128,7 @@ func NewRound(cfg Config, n int, omissions bool) (*Round, error) {
 	// The overlay selects which of the round's report values reach the
 	// filter; the values themselves are the substrate's either way, which is
 	// what keeps zero-latency wait-all bitwise synchronous.
-	if chaosOn := cfg.Chaos.Enabled(); cfg.Async != nil || chaosOn || omissions {
+	if chaosOn := cfg.Chaos.Enabled(); cfg.Async != nil || chaosOn {
 		acfg := AsyncConfig{}
 		if cfg.Async != nil {
 			acfg = *cfg.Async
@@ -143,8 +142,6 @@ func NewRound(cfg Config, n int, omissions bool) (*Round, error) {
 			if err := r.overlay.AttachChaos(cfg.Chaos); err != nil {
 				return nil, err
 			}
-		}
-		if chaosOn || omissions {
 			r.chaosObs, _ = cfg.Observer.(ChaosObserver)
 		}
 	}
@@ -163,7 +160,7 @@ func (r *Round) Trace() Trace { return r.trace }
 func (r *Round) Faults() chaos.Counters { return r.faults }
 
 // OmitNext marks agent i's report of the next Apply as lost in transit (see
-// AsyncState.OmitNext). It needs a kernel built with omissions set.
+// AsyncState.OmitNext). It needs a kernel with an enabled chaos plan.
 func (r *Round) OmitNext(i int) { r.overlay.OmitNext(i) }
 
 // Record evaluates the tracked loss and distance at x_t, appends them to the

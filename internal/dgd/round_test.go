@@ -45,7 +45,7 @@ func handReports(t *testing.T, agents []Agent, round int, x []float64) [][]float
 // (and the fault budget they go with) before each Apply.
 func driveKernel(t *testing.T, cfg Config, shape func(f int, reports [][]float64) (int, [][]float64)) *Round {
 	t.Helper()
-	round, err := NewRound(cfg, len(cfg.Agents), false)
+	round, err := NewRound(cfg, len(cfg.Agents))
 	if err != nil {
 		t.Fatal(err)
 	}

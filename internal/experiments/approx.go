@@ -20,9 +20,10 @@ import (
 // (testdata/approx_default.json) pins the bytes of this loop.
 
 // ApproxConfig parameterizes the exact-vs-approximate filter comparison.
-// The zero value selects the headline configuration: n = 50 agents, d =
-// 1000 dimensions, f = 5 gradient-reverse adversaries, 60 rounds, sketch
-// dimension 64, sample size 16.
+// Every field is used as given; cmd/abft-approx's flag defaults are the
+// headline configuration (n = 50 agents, d = 1000 dimensions, f = 5
+// gradient-reverse adversaries, 60 rounds, sketch dimension 64, sample
+// size 16).
 type ApproxConfig struct {
 	N      int `json:"n"`
 	Dim    int `json:"dim"`
@@ -32,37 +33,9 @@ type ApproxConfig struct {
 	// SamplePairs the neighbor sample size of the sampled ones.
 	SketchDim   int `json:"sketch_dim"`
 	SamplePairs int `json:"sample_pairs"`
-	// Behavior is the byzantine registry name of the adversary; "" means
-	// gradient-reverse.
+	// Behavior is the byzantine registry name of the adversary.
 	Behavior string `json:"behavior"`
 	Seed     int64  `json:"seed"`
-}
-
-func (c *ApproxConfig) normalize() {
-	if c.N == 0 {
-		c.N = 50
-	}
-	if c.Dim == 0 {
-		c.Dim = 1000
-	}
-	if c.F == 0 {
-		c.F = 5
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 60
-	}
-	if c.SketchDim == 0 {
-		c.SketchDim = 64
-	}
-	if c.SamplePairs == 0 {
-		c.SamplePairs = 16
-	}
-	if c.Behavior == "" {
-		c.Behavior = "gradient-reverse"
-	}
-	if c.Seed == 0 {
-		c.Seed = 20260807
-	}
 }
 
 // ApproxResult compares one exact filter against its approximate variant on
@@ -155,7 +128,9 @@ func (a *agreementShadow) Aggregate(grads [][]float64, f int) ([]float64, error)
 // filters' independent runs, on a synthetic least-squares workload under
 // Byzantine faults. Deterministic for a fixed config.
 func ApproxComparison(cfg ApproxConfig) ([]ApproxResult, error) {
-	cfg.normalize()
+	if cfg.N <= 0 || cfg.Dim <= 0 || cfg.Rounds <= 0 || cfg.SketchDim <= 0 || cfg.SamplePairs <= 0 {
+		return nil, fmt.Errorf("approx comparison needs positive n, d, rounds, sketch dimension and sample size, got %+v: %w", cfg, ErrArgs)
+	}
 	if cfg.N <= 3*cfg.F {
 		return nil, fmt.Errorf("approx comparison needs n > 3f for every pair, got n=%d f=%d", cfg.N, cfg.F)
 	}
@@ -191,33 +166,32 @@ func ApproxComparison(cfg ApproxConfig) ([]ApproxResult, error) {
 		return nil, err
 	}
 
-	workers := 0 // auto: the comparison is about selections, not wall-clock
 	pairs := []approxPair{
 		{
-			exact: func() aggregate.IntoFilter { return aggregate.Krum{Workers: workers} },
+			exact: func() aggregate.IntoFilter { return aggregate.Krum{} },
 			approx: func() aggregate.IntoFilter {
-				return &aggregate.KrumSketch{SketchParams: aggregate.SketchParams{Dim: cfg.SketchDim, Seed: cfg.Seed, Workers: workers}}
+				return &aggregate.KrumSketch{SketchParams: aggregate.SketchParams{Dim: cfg.SketchDim, Seed: cfg.Seed}}
 			},
 			dim: cfg.SketchDim,
 		},
 		{
-			exact: func() aggregate.IntoFilter { return aggregate.MultiKrum{M: 3, Workers: workers} },
+			exact: func() aggregate.IntoFilter { return aggregate.MultiKrum{M: 3} },
 			approx: func() aggregate.IntoFilter {
-				return &aggregate.MultiKrumSketch{M: 3, SketchParams: aggregate.SketchParams{Dim: cfg.SketchDim, Seed: cfg.Seed, Workers: workers}}
+				return &aggregate.MultiKrumSketch{M: 3, SketchParams: aggregate.SketchParams{Dim: cfg.SketchDim, Seed: cfg.Seed}}
 			},
 			dim: cfg.SketchDim,
 		},
 		{
-			exact: func() aggregate.IntoFilter { return aggregate.Bulyan{Workers: workers} },
+			exact: func() aggregate.IntoFilter { return aggregate.Bulyan{} },
 			approx: func() aggregate.IntoFilter {
-				return &aggregate.BulyanSketch{SketchParams: aggregate.SketchParams{Dim: cfg.SketchDim, Seed: cfg.Seed, Workers: workers}}
+				return &aggregate.BulyanSketch{SketchParams: aggregate.SketchParams{Dim: cfg.SketchDim, Seed: cfg.Seed}}
 			},
 			dim: cfg.SketchDim,
 		},
 		{
-			exact: func() aggregate.IntoFilter { return aggregate.Krum{Workers: workers} },
+			exact: func() aggregate.IntoFilter { return aggregate.Krum{} },
 			approx: func() aggregate.IntoFilter {
-				return &aggregate.KrumSampled{SampleParams: aggregate.SampleParams{Pairs: cfg.SamplePairs, Seed: cfg.Seed, Workers: workers}}
+				return &aggregate.KrumSampled{SampleParams: aggregate.SampleParams{Pairs: cfg.SamplePairs, Seed: cfg.Seed}}
 			},
 			dim: cfg.SamplePairs,
 		},

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"testing"
 )
@@ -11,7 +12,7 @@ import (
 // determinism (the artifact committed at the repo root must be
 // reproducible).
 func TestApproxComparisonSmall(t *testing.T) {
-	cfg := ApproxConfig{N: 12, Dim: 32, F: 1, Rounds: 10, SketchDim: 8, SamplePairs: 4, Seed: 11}
+	cfg := ApproxConfig{N: 12, Dim: 32, F: 1, Rounds: 10, SketchDim: 8, SamplePairs: 4, Behavior: "gradient-reverse", Seed: 11}
 	rows, err := ApproxComparison(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +67,7 @@ func TestApproxComparisonSmall(t *testing.T) {
 // approximate filters delegate to the exact code path, so every round
 // agrees and the independent runs land at the identical final cost.
 func TestApproxComparisonDegenerateExact(t *testing.T) {
-	cfg := ApproxConfig{N: 12, Dim: 16, F: 1, Rounds: 8, SketchDim: 16, SamplePairs: 11, Seed: 5}
+	cfg := ApproxConfig{N: 12, Dim: 16, F: 1, Rounds: 8, SketchDim: 16, SamplePairs: 11, Behavior: "gradient-reverse", Seed: 5}
 	rows, err := ApproxComparison(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -88,4 +89,23 @@ func isFiniteAll(vs ...float64) bool {
 		}
 	}
 	return true
+}
+
+// TestApproxComparisonRejectsNonPositive: the comparison runs the config it
+// is given, so a zero or negative size is an error, not a default.
+func TestApproxComparisonRejectsNonPositive(t *testing.T) {
+	base := ApproxConfig{N: 12, Dim: 16, F: 1, Rounds: 8, SketchDim: 4, SamplePairs: 4, Behavior: "gradient-reverse", Seed: 5}
+	for name, mutate := range map[string]func(*ApproxConfig){
+		"n":            func(c *ApproxConfig) { c.N = 0 },
+		"d":            func(c *ApproxConfig) { c.Dim = -1 },
+		"rounds":       func(c *ApproxConfig) { c.Rounds = 0 },
+		"sketch dim":   func(c *ApproxConfig) { c.SketchDim = 0 },
+		"sample pairs": func(c *ApproxConfig) { c.SamplePairs = -2 },
+	} {
+		cfg := base
+		mutate(&cfg)
+		if _, err := ApproxComparison(cfg); !errors.Is(err, ErrArgs) {
+			t.Errorf("non-positive %s: err = %v, want ErrArgs", name, err)
+		}
+	}
 }

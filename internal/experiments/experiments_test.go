@@ -181,7 +181,7 @@ func TestAppendixJReport(t *testing.T) {
 }
 
 func TestLearnFigureShapes(t *testing.T) {
-	fig, err := Figure4(LearnConfig{Rounds: 60, AccuracyEvery: 20})
+	fig, err := Figure4(LearnConfig{Rounds: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,15 +207,12 @@ func TestLearnFigureShapes(t *testing.T) {
 	if _, err := Figure4(LearnConfig{Rounds: -1}); !errors.Is(err, ErrArgs) {
 		t.Errorf("negative rounds: %v", err)
 	}
-	if _, err := Figure4(LearnConfig{Rounds: 1, AccuracyEvery: -1}); !errors.Is(err, ErrArgs) {
-		t.Errorf("negative accuracy interval: %v", err)
-	}
 }
 
 func TestLearnFilteredTracksFaultFree(t *testing.T) {
 	// The Appendix-K claim at modest scale: filtered runs approach the
 	// fault-free accuracy while the faults are active.
-	fig, err := Figure4(LearnConfig{Rounds: 150, AccuracyEvery: 50})
+	fig, err := Figure4(LearnConfig{Rounds: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,20 +268,38 @@ func TestRenderers(t *testing.T) {
 	}
 }
 
+// TestLearnFigureMLPVariant runs Figure 4's two sweeps on the registered
+// learning-mlp problem, the MLP variant of the figure.
 func TestLearnFigureMLPVariant(t *testing.T) {
-	fig, err := Figure4(LearnConfig{Rounds: 60, AccuracyEvery: 30, UseMLP: true, Hidden: 8})
+	grid, baseline, err := LearnSpecs("a", LearnConfig{Rounds: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Series) != 5 {
-		t.Fatalf("%d series", len(fig.Series))
+	mlp, err := sweep.LookupProblem(sweep.ProblemLearningMLP)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range fig.Series {
-		if len(s.Loss) != 61 {
-			t.Fatalf("series %s has %d points", s.Name, len(s.Loss))
+	var series []sweep.Result
+	for _, spec := range []sweep.Spec{grid, baseline} {
+		spec.ProblemDef = mlp
+		res, err := sweep.Run(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if s.Loss[len(s.Loss)-1] >= s.Loss[0] {
-			t.Errorf("MLP series %s loss did not decrease: %v -> %v", s.Name, s.Loss[0], s.Loss[len(s.Loss)-1])
+		series = append(series, res...)
+	}
+	if len(series) != 5 {
+		t.Fatalf("%d series", len(series))
+	}
+	for _, s := range series {
+		if s.Status() != "ok" {
+			t.Fatalf("%s: %s", s.Key(), s.Err)
+		}
+		if len(s.TraceLoss) != 61 {
+			t.Fatalf("series %s has %d points", s.Key(), len(s.TraceLoss))
+		}
+		if s.TraceLoss[len(s.TraceLoss)-1] >= s.TraceLoss[0] {
+			t.Errorf("MLP series %s loss did not decrease: %v -> %v", s.Key(), s.TraceLoss[0], s.TraceLoss[len(s.TraceLoss)-1])
 		}
 	}
 }

@@ -239,8 +239,8 @@ func legacyLearnFigure(t *testing.T, gen mlsim.GenConfig, rounds, accEvery int) 
 // — CWTM and CGE aggregate in sorted order, so the permutation is exact, and
 // any drift here means the port changed the published figures.
 func TestLearnFigureMatchesLegacyDriver(t *testing.T) {
-	const rounds, accEvery = 30, 10
-	fig, err := Figure4(LearnConfig{Rounds: rounds, AccuracyEvery: accEvery})
+	const rounds, accEvery = 30, 10 // accEvery: the learning problems' cadence
+	fig, err := Figure4(LearnConfig{Rounds: rounds})
 	if err != nil {
 		t.Fatal(err)
 	}

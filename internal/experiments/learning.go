@@ -27,19 +27,12 @@ const (
 )
 
 // LearnConfig tunes the Figure 4/5 drivers; zero values take the paper's
-// settings (with the dataset sizes of the presets).
+// settings (with the dataset sizes of the presets). The MLP variant, the
+// non-convex extension closer in spirit to the paper's LeNet, is the
+// registered learning-mlp problem.
 type LearnConfig struct {
 	// Rounds overrides the iteration count (default LearnRounds).
 	Rounds int
-	// AccuracyEvery computes test accuracy every k-th round (default 10;
-	// intermediate rounds reuse the previous value so the series stays
-	// aligned with the loss series).
-	AccuracyEvery int
-	// UseMLP swaps the convex softmax model for the one-hidden-layer MLP
-	// (the non-convex extension closer in spirit to the paper's LeNet).
-	UseMLP bool
-	// Hidden is the MLP hidden width (default 16; ignored without UseMLP).
-	Hidden int
 }
 
 // Figure4 reproduces Figure 4 on dataset A (the MNIST stand-in; package
@@ -68,24 +61,15 @@ func LearnSpecs(preset string, cfg LearnConfig) (grid, baseline sweep.Spec, err 
 	if rounds < 1 {
 		return grid, baseline, fmt.Errorf("rounds = %d: %w", rounds, ErrArgs)
 	}
-	if cfg.AccuracyEvery < 0 {
-		return grid, baseline, fmt.Errorf("accuracy interval = %d: %w", cfg.AccuracyEvery, ErrArgs)
-	}
 	name := "learning"
 	if preset != "a" {
 		name = "learning-" + preset
 	}
-	if cfg.UseMLP {
-		name += "-mlp"
-	}
 	prob := &sweep.LearningProblem{
-		ProblemName:   name,
-		Preset:        preset,
-		UseMLP:        cfg.UseMLP,
-		Hidden:        cfg.Hidden,
-		Batch:         LearnBatch,
-		AccuracyEvery: cfg.AccuracyEvery,
-		DataSeed:      learnSeed,
+		ProblemName: name,
+		Preset:      preset,
+		Batch:       LearnBatch,
+		DataSeed:    learnSeed,
 	}
 	grid = sweep.Spec{
 		ProblemDef:  prob,

@@ -316,35 +316,17 @@ func TestSGDAgentValidation(t *testing.T) {
 	}
 }
 
-func TestShardCostAndLossFunction(t *testing.T) {
+func TestLossFunction(t *testing.T) {
 	train, _ := genSmall(t, 11)
 	m := Softmax{Classes: 4, Dim: 5}
-	sc := &ShardCost{Model: m, Data: train}
-	if sc.Dim() != m.ParamDim() {
-		t.Errorf("ShardCost dim = %d", sc.Dim())
-	}
+	lf := &LossFunction{Model: m, Data: train}
 	params := make([]float64, m.ParamDim())
-	v, err := sc.Eval(params)
+	v, err := lf.Eval(params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Zero parameters: loss = log(K).
 	if math.Abs(v-math.Log(4)) > 1e-9 {
 		t.Errorf("zero-param loss = %v, want log 4 = %v", v, math.Log(4))
-	}
-	g, err := sc.Grad(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g) != m.ParamDim() {
-		t.Errorf("grad dim = %d", len(g))
-	}
-	lf := &LossFunction{Model: m, Data: train}
-	v2, err := lf.Eval(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-v2) > 1e-12 {
-		t.Error("LossFunction and ShardCost disagree")
 	}
 }

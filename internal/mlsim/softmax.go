@@ -218,30 +218,6 @@ func (l *LossFunction) Dim() int { return l.Model.ParamDim() }
 // Eval implements costfunc.Function.
 func (l *LossFunction) Eval(x []float64) (float64, error) { return l.Model.Loss(x, l.Data) }
 
-// ShardCost adapts (model, shard) to costfunc.Differentiable: the agent's
-// expected local cost Q_i with full-batch gradients.
-type ShardCost struct {
-	Model Model
-	Data  *Dataset
-}
-
-var _ costfunc.Differentiable = (*ShardCost)(nil)
-
-// Dim implements costfunc.Function.
-func (s *ShardCost) Dim() int { return s.Model.ParamDim() }
-
-// Eval implements costfunc.Function.
-func (s *ShardCost) Eval(x []float64) (float64, error) { return s.Model.Loss(x, s.Data) }
-
-// Grad implements costfunc.Differentiable with a full-batch gradient.
-func (s *ShardCost) Grad(x []float64) ([]float64, error) {
-	idx := make([]int, s.Data.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	return s.Model.Grad(x, s.Data, idx)
-}
-
 // --- D-SGD agent ---
 
 // SGDAgent is a dgd.Agent drawing a fresh minibatch from its shard each

@@ -66,7 +66,7 @@ func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 	if err := dgd.ValidateRound(cfg, n, ErrArgs); err != nil {
 		return nil, err
 	}
-	r, err := dgd.NewRound(cfg, n, false)
+	r, err := dgd.NewRound(cfg, n)
 	if err != nil {
 		return nil, err
 	}

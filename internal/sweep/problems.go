@@ -43,6 +43,13 @@ const BehaviorLabelFlip = "label-flip"
 
 // --- distributed learning (Appendix K) ---
 
+const (
+	// learnAccuracyEvery is the learning problems' test-accuracy cadence.
+	learnAccuracyEvery = 10
+	// learnHidden is the hidden width of the learning-mlp problem's MLP.
+	learnHidden = 16
+)
+
 // LearningProblem is the Appendix-K workload as a sweep problem: a synthetic
 // Gaussian-mixture classification task split into one shard per agent,
 // trained by minibatch D-SGD. The scenario axes map as n = agents,
@@ -55,10 +62,13 @@ const BehaviorLabelFlip = "label-flip"
 // minibatch seed of its original shard index, so the fault-free baseline and
 // every variant replay the legacy executions exactly.
 //
+// Test accuracy is computed every 10th round, intermediate rounds carrying
+// the last value forward, and the MLP has 16 hidden units.
+//
 // The zero value is not registered directly; the registry holds configured
 // instances under ProblemLearning, ProblemLearningB, and ProblemLearningMLP.
-// Custom configurations (different accuracy cadence, batch, hidden width)
-// can be registered under new names or handed to Spec.ProblemDef.
+// Custom configurations (another preset, batch or data seed) can be
+// registered under new names or handed to Spec.ProblemDef.
 type LearningProblem struct {
 	// ProblemName is the registry key this instance answers to.
 	ProblemName string
@@ -67,13 +77,8 @@ type LearningProblem struct {
 	Preset string
 	// UseMLP swaps the convex softmax model for the one-hidden-layer MLP.
 	UseMLP bool
-	// Hidden is the MLP hidden width; 0 means 16.
-	Hidden int
 	// Batch is the per-agent minibatch size b; 0 means 128 (the paper's).
 	Batch int
-	// AccuracyEvery computes test accuracy every k-th round (0 means 10);
-	// intermediate rounds carry the last value forward.
-	AccuracyEvery int
 	// DataSeed pins dataset generation and minibatch sampling; 0 means 7,
 	// the legacy drivers' seed. It is deliberately independent of Spec.Seed:
 	// the dataset is part of the problem identity, while Spec.Seed draws
@@ -133,13 +138,6 @@ func (p *LearningProblem) batch() int {
 	return 128
 }
 
-func (p *LearningProblem) accuracyEvery() int {
-	if p.AccuracyEvery != 0 {
-		return p.AccuracyEvery
-	}
-	return 10
-}
-
 // ExtraBehaviors implements BehaviorDeclarer: the learning family adds the
 // data-level label-flip fault to the behavior vocabulary.
 func (p *LearningProblem) ExtraBehaviors() []string { return []string{BehaviorLabelFlip} }
@@ -150,9 +148,6 @@ func (p *LearningProblem) Validate(spec *Spec) error {
 	gen, err := mlsim.Preset(p.Preset, p.dataSeed())
 	if err != nil {
 		return fmt.Errorf("%v: %w", err, ErrSpec)
-	}
-	if p.accuracyEvery() < 1 {
-		return fmt.Errorf("accuracy interval %d must be positive: %w", p.AccuracyEvery, ErrSpec)
 	}
 	for _, n := range spec.NValues {
 		if n > gen.Train {
@@ -184,11 +179,7 @@ func (p *LearningProblem) Build(spec *Spec, scn Scenario) (*Workload, error) {
 	var model mlsim.Model = mlsim.Softmax{Classes: gen.Classes, Dim: gen.Dim, Reg: 1e-4}
 	x0 := vecmath.Zeros(model.ParamDim())
 	if p.UseMLP {
-		hidden := p.Hidden
-		if hidden == 0 {
-			hidden = 16
-		}
-		mlp := mlsim.MLP{Classes: gen.Classes, Dim: gen.Dim, Hidden: hidden, Reg: 1e-4}
+		mlp := mlsim.MLP{Classes: gen.Classes, Dim: gen.Dim, Hidden: learnHidden, Reg: 1e-4}
 		model = mlp
 		x0, err = mlp.InitParams(seed)
 		if err != nil {
@@ -226,7 +217,7 @@ func (p *LearningProblem) Build(spec *Spec, scn Scenario) (*Workload, error) {
 	}
 	metric := &Metric{
 		Name:  "test_accuracy",
-		Every: p.accuracyEvery(),
+		Every: learnAccuracyEvery,
 		Eval:  func(x []float64) (float64, error) { return model.Accuracy(x, test) },
 	}
 	return &Workload{

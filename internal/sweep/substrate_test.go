@@ -81,7 +81,6 @@ func substrateRuns(t *testing.T) map[string]func(dgd.Config) error {
 			}
 			srv, err := cluster.NewServer(cluster.Config{
 				Conns: conns, F: cfg.F, Filter: cfg.Filter, Steps: cfg.Steps, Box: cfg.Box, X0: cfg.X0, Rounds: cfg.Rounds,
-				TrackLoss: cfg.TrackLoss, Reference: cfg.Reference, Async: cfg.Async, Chaos: cfg.Chaos,
 			})
 			if err != nil {
 				return err
@@ -111,6 +110,9 @@ func TestSubstrateConfigSentinels(t *testing.T) {
 		// broadcast marks the rows the p2p substrate refuses first, as
 		// inadmissible for its n > 3f broadcast bound.
 		broadcast bool
+		// kernelOnly marks the fields cluster.Config does not carry: the
+		// bare server cannot be handed them (the cluster backend can).
+		kernelOnly bool
 	}{
 		{name: "f at n/2", mutate: func(c *dgd.Config) { c.F = 4 }, broadcast: true},
 		{name: "negative f", mutate: func(c *dgd.Config) { c.F = -1 }, broadcast: true},
@@ -118,13 +120,16 @@ func TestSubstrateConfigSentinels(t *testing.T) {
 		{name: "empty x0", mutate: func(c *dgd.Config) { c.X0 = nil }},
 		{name: "negative rounds", mutate: func(c *dgd.Config) { c.Rounds = -1 }},
 		{name: "box dim", mutate: func(c *dgd.Config) { c.Box = cube3 }},
-		{name: "reference dim", mutate: func(c *dgd.Config) { c.Reference = []float64{1} }},
-		{name: "loss dim", mutate: func(c *dgd.Config) { c.TrackLoss = loss1 }},
-		{name: "async policy", mutate: func(c *dgd.Config) { c.Async = &dgd.AsyncConfig{Policy: "eventually"} }},
-		{name: "chaos rate", mutate: func(c *dgd.Config) { c.Chaos = &chaos.Plan{OmitRate: 2} }},
+		{name: "reference dim", mutate: func(c *dgd.Config) { c.Reference = []float64{1} }, kernelOnly: true},
+		{name: "loss dim", mutate: func(c *dgd.Config) { c.TrackLoss = loss1 }, kernelOnly: true},
+		{name: "async policy", mutate: func(c *dgd.Config) { c.Async = &dgd.AsyncConfig{Policy: "eventually"} }, kernelOnly: true},
+		{name: "chaos rate", mutate: func(c *dgd.Config) { c.Chaos = &chaos.Plan{OmitRate: 2} }, kernelOnly: true},
 	}
 	for _, tc := range cases {
 		for name, run := range substrateRuns(t) {
+			if tc.kernelOnly && name == "cluster" {
+				continue
+			}
 			cfg, queries := substrateConfig(t)
 			tc.mutate(&cfg)
 			err := run(cfg)
