@@ -83,8 +83,9 @@ func BenchmarkCollectGradients(b *testing.B) {
 // BenchmarkEIGBroadcast measures one Byzantine broadcast through the public
 // wrapper (a fresh engine a call) as f grows and as 0, 1 or f peers distort:
 // the full tree is exponential in f, the price of the p2p architecture, and
-// the engine builds the part of it a liar can still reach. The sender rotates
-// over all n, so a liar on the ids from 1 is the sender once a turn.
+// the engine builds the part of it whose value a liar can still make differ
+// between processes. The sender rotates over all n, so the liars on the ids
+// from 1 are the sender up to f times a turn.
 // BenchmarkWarmBroadcast in internal/p2p is the same axis on a reused engine.
 func BenchmarkEIGBroadcast(b *testing.B) {
 	value := p2p.EncodeVector([]float64{1, 2})

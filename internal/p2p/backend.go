@@ -44,9 +44,10 @@ import (
 //     validity, so with no distorting peer (any grid but an equivocating
 //     one) a round broadcasts nothing and is its gradient evaluations and
 //     filter call. A distorting sender's broadcast builds the part of the
-//     MessageCost(n, f) tree another distorting peer can still reach, n
-//     recipients a node: the sender's row alone when it is the only one,
-//     32 of the 37 nodes at n=7, f=2 when another peer distorts too.
+//     MessageCost(n, f) tree whose value another distorting peer can still
+//     make differ between processes — the nodes liars relay and their
+//     children — n recipients a node: the sender's row alone when it is the
+//     only one, 7 of the 37 nodes at n=7, f=2 when another peer distorts too.
 type Backend struct{}
 
 var _ dgd.Backend = Backend{}

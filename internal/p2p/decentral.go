@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"byzopt/internal/dgd"
+	"byzopt/internal/vecmath"
 )
 
 // Run implements dgd.Backend, executing the decentralized simulation of cfg:
@@ -72,8 +73,8 @@ func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 	}
 
 	// Per-run state, allocated once and reused every round: the collector's
-	// gradient arena, the EIG engine, the report encoding buffer, and the
-	// agreed set, one decoded row per sender. The others' decisions are
+	// gradient arena, the EIG engine, a distorting sender's encoding buffer,
+	// and the agreed set, one row per sender. The others' decisions are
 	// checked against honest's, the first honest peer (n > 3f leaves one).
 	honest := slices.Index(liars, nil)
 	dim := len(cfg.X0)
@@ -103,12 +104,18 @@ func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		for sender := range agreed {
-			payload = appendVector(payload[:0], grads[sender])
+		for sender, g := range grads {
 			if liars[sender] == nil {
-				DecodeVectorInto(agreed[sender], payload)
+				// What DecodeVectorInto reads back from g's encoding: g bit
+				// for bit, or zero when a coordinate is not finite.
+				if vecmath.IsFinite(g) {
+					copy(agreed[sender], g)
+				} else {
+					clear(agreed[sender])
+				}
 				continue
 			}
+			payload = appendVector(payload[:0], g)
 			e.broadcast(sender, string(payload), liars)
 			id := e.decision(honest)
 			for p, liar := range liars {

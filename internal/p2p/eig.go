@@ -46,10 +46,14 @@ const DefaultValue = ""
 // a given recipient. An honest process always relays its true view.
 //
 // Relay must be a pure function of (path, recipient, honest). Broadcast
-// calls it for every node the liar relays, level by level, parents in level
-// order, relayers then recipients ascending; Backend.Run calls it only while
-// the sender is a distorting peer, since an honest sender's broadcast is
-// decided by validity and has no tree to relay in. A strategy that kept
+// calls it for the root when the liar is the sender, and for the liar's child
+// of every node it expands: one relayed by a liar that leaves another
+// distorting peer off its path. Below an honest relayer EIG's validity fixes
+// what every process resolves (n > 3f and at most f liars, as Broadcast and
+// Backend.Run require), so nothing is asked there — nothing at all for an
+// honest sender, whose broadcast Backend.Run does not run. Calls come level
+// by level, parents in level order, relayers then recipients ascending: the
+// textbook protocol's calls in its order, some left out. A strategy that kept
 // state between calls would see a different sequence from each. All four
 // in-tree strategies — ConsistentLiar, SplitLiar, SeededLiar and
 // byzantine.Equivocate — are pure.
@@ -103,7 +107,10 @@ func (s SeededLiar) Relay(path []int, recipient int, honest string) string {
 // The protocol guarantees that all honest processes decide the same value,
 // and that if the sender is honest they decide the sender's value. The
 // entries for Byzantine processes are computed the same way but carry no
-// guarantee (a Byzantine process's "decision" is meaningless anyway).
+// guarantee (a Byzantine process's "decision" is meaningless anyway). Only
+// the nodes of the MessageCost(n, f) tree whose value can still differ
+// between processes are built: the root alone for an honest sender, however
+// many liars relay.
 func Broadcast(n, f, sender int, value string, byz map[int]Distorter) ([]string, error) {
 	if n <= 0 || f < 0 || n <= 3*f {
 		return nil, fmt.Errorf("EIG needs n > 3f, got n=%d f=%d: %w", n, f, ErrArgs)
@@ -135,9 +142,18 @@ func Broadcast(n, f, sender int, value string, byz map[int]Distorter) ([]string,
 // starting at the sender, MessageCost(n, f) of them — is the upper bound, not
 // what a broadcast builds. A node's row is what the n processes hold for it:
 // vals[c*n+p] is what the last relayer on c's path told process p and, once
-// the node is resolved, what p takes the node's value to be. Two rules, both
+// the node is resolved, what p takes the node's value to be. Three rules, all
 // exact, keep the work to where a row can still differ between processes:
 //
+//   - Settle as relayed. A node whose last relayer does not distort is not
+//     expanded: its row is one value v and stays so. By induction from the
+//     leaves, each of its honest children resolves to v at every process,
+//     Byzantine columns included, and at most `distorting` of its n-|path| >=
+//     n-f children are relayed by a liar, so v is a strict majority at every
+//     level whenever n-f > 2·distorting. Within the budget (n > 3f, at most f
+//     liars) that guard always holds; it is evaluated once a broadcast, and
+//     beyond it the rule is off. An honest sender's broadcast is the root
+//     alone.
 //   - Settle. A node whose path holds every distorting peer is not expanded:
 //     every relayer below it is honest and tells all processes the same
 //     thing, so no Relay call is left to make there and all processes resolve
@@ -145,13 +161,16 @@ func Broadcast(n, f, sender int, value string, byz map[int]Distorter) ([]string,
 //     already and stays; relayed by a liar, each child j would hold row[j] at
 //     every process, so the node resolves everywhere to the strict majority
 //     of row[j] over the ids off its path. With no distorting peer the root
-//     settles and a broadcast fills one row; with f of them and an honest
-//     sender the whole tree is built.
+//     settles and a broadcast fills one row.
 //   - Resolve once. If the uniform children of a built inner node (rows of
-//     one value: honest leaves, settled nodes, nodes resolved this way) hold
-//     one value in a strict majority of all its children, every process
-//     resolves the node to it, in one pass, and the node is uniform in turn.
-//     Otherwise each process votes over its own column.
+//     one value: honest relays, settled nodes, nodes resolved this way) hold
+//     one value in a strict majority of all its children, or if none of its
+//     children is mixed (every column then holds the same children), every
+//     process resolves the node to that one vote, in one pass, and the node
+//     is uniform in turn. Otherwise each process votes over its own column.
+//
+// Within the budget every node a broadcast builds is then relayed by a liar
+// with only liars on its path, or is such a node's child.
 //
 // Built nodes sit in level order, a node's children — one per relayer off its
 // path, ascending — contiguous from first[c]. Rows hold interned value ids,
@@ -232,6 +251,10 @@ func (e *eig) broadcast(sender int, value string, liars []Distorter) {
 			distorting++
 		}
 	}
+	// Settle as relayed: every inner node has n-f or more children, at most
+	// distorting of them relayed by a liar, so below an honest relayer the
+	// honest children outvote the rest at every level.
+	honestSettles := n-e.f > 2*distorting
 
 	// Round 1: the sender transmits its value. Rounds 2..f+1: for a node with
 	// path sigma that a liar can still reach and every relayer j off sigma,
@@ -243,8 +266,12 @@ func (e *eig) broadcast(sender int, value string, liars []Distorter) {
 	read, write := 0, 1
 	for k, lo, hi := 0, 0, 1; k < e.f; k, lo, hi = k+1, hi, e.built {
 		for i := lo; i < hi; i, read = i+1, read+k+1 {
+			sigma := e.paths[read : read+k+1]
+			if honestSettles && liars[sigma[k]] == nil {
+				continue // settled as relayed
+			}
 			met := 0
-			for _, id := range e.paths[read : read+k+1] {
+			for _, id := range sigma {
 				e.onPath[id] = true
 				if liars[id] != nil {
 					met++
@@ -254,8 +281,8 @@ func (e *eig) broadcast(sender int, value string, liars []Distorter) {
 			case met < distorting:
 				if e.first == nil {
 					e.grow()
+					sigma = e.paths[read : read+k+1] // moved by grow
 				}
-				sigma := e.paths[read : read+k+1]
 				e.first[i] = int32(e.built)
 				for j := 0; j < n; j++ {
 					if e.onPath[j] {
@@ -272,7 +299,7 @@ func (e *eig) broadcast(sender int, value string, liars []Distorter) {
 					e.relay(c, path, liar, e.vals[i*n+j])
 					e.built++
 				}
-			case liars[e.paths[read+k]] != nil:
+			case liars[sigma[k]] != nil:
 				// Settled below a liar. (A root that settles may have no
 				// flag yet, and nothing reads it.)
 				row := e.vals[i*n : (i+1)*n]
@@ -282,7 +309,7 @@ func (e *eig) broadcast(sender int, value string, liars []Distorter) {
 					e.mixed[i] = false
 				}
 			}
-			for _, id := range e.paths[read : read+k+1] {
+			for _, id := range sigma {
 				e.onPath[id] = false
 			}
 		}
@@ -300,15 +327,18 @@ func (e *eig) broadcast(sender int, value string, liars []Distorter) {
 			continue
 		}
 		row, kids, width := e.vals[i*n:(i+1)*n], e.vals[c*n:end*n], end-c
-		id, alike := vote(kids, n, e.mixed[c:end], width)
-		if alike {
+		mixed := e.mixed[c:end]
+		id, alike := vote(kids, n, mixed, width)
+		// With no mixed child every column is the same, and so is its vote.
+		uniform := alike || !slices.Contains(mixed, true)
+		if uniform {
 			fill(row, id)
 		} else {
 			for p := range row {
 				row[p], _ = vote(kids[p:], n, nil, width)
 			}
 		}
-		e.mixed[i], end = !alike, c
+		e.mixed[i], end = !uniform, c
 	}
 }
 
@@ -361,9 +391,10 @@ func treeSize(n, f int) (nodes, ids int64) {
 // MessageCost returns the number of EIG tree nodes (per-process relay
 // values) of the full tree for given (n, f): the count of paths of length
 // 1..f+1 with distinct ids starting at the sender. It is the upper bound on
-// what a single broadcast materializes — the engine sizes its arrays from it,
-// and reaches it when f processes distort and the sender is honest — and the
-// cost driver the EIG ablation bench sweeps.
+// what a single broadcast materializes and the engine sizes its arrays from
+// it; within the liar budget a broadcast builds far less (the root alone for
+// an honest sender, 7 of the 37 nodes for a lying sender at n = 7, f = 2 with
+// a second liar). It is also the tree size the EIG ablation bench sweeps.
 func MessageCost(n, f int) (int64, error) {
 	if n <= 0 || f < 0 || n <= 3*f {
 		return 0, fmt.Errorf("EIG needs n > 3f, got n=%d f=%d: %w", n, f, ErrArgs)
@@ -399,11 +430,10 @@ func DecodeVector(s string, dim int) []float64 {
 }
 
 // DecodeVectorInto is DecodeVector writing into dst (whose length is the
-// expected dimension) with the same malformed-payload rules, reading the
-// payload's bytes directly — a decided value's string or a sender's encoding
-// buffer alike — so nothing is allocated. The round loop uses it to decode
-// each round's agreed gradients into a reused arena.
-func DecodeVectorInto[S ~string | ~[]byte](dst []float64, s S) {
+// expected dimension) with the same malformed-payload rules, so nothing is
+// allocated. The round loop uses it to decode a distorting sender's decided
+// value into a reused arena.
+func DecodeVectorInto(dst []float64, s string) {
 	for i := range dst {
 		dst[i] = 0
 	}

@@ -8,12 +8,14 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"byzopt/internal/aggregate"
 	"byzopt/internal/byzantine"
 	"byzopt/internal/costfunc"
 	"byzopt/internal/dgd"
+	"byzopt/internal/vecmath"
 )
 
 // hiddenIntoFilter strips the IntoFilter face, forcing the allocating
@@ -45,8 +47,7 @@ func (h hiddenIntoFaulty) FaultyGradient(round, agent int, x []float64, honest [
 }
 
 // TestDecodeVectorIntoMatchesDecodeVector pins the arena decoder to the
-// allocating one over well-formed, truncated, and poisoned payloads, read
-// from a string (a decided value) and from bytes (an encoding buffer).
+// allocating one over well-formed, truncated, and poisoned payloads.
 func TestDecodeVectorIntoMatchesDecodeVector(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	payloads := []string{
@@ -68,23 +69,87 @@ func TestDecodeVectorIntoMatchesDecodeVector(t *testing.T) {
 	for i, s := range payloads {
 		want := DecodeVector(s, 3)
 		dst := []float64{9, 9, 9} // stale arena contents must be cleared
-		DecodeVectorInto(dst, s)
-		fromBytes := []float64{9, 9, 9}
-		DecodeVectorInto(fromBytes, []byte(s))
-		for j := range want {
-			if math.Float64bits(want[j]) != math.Float64bits(dst[j]) || math.Float64bits(want[j]) != math.Float64bits(fromBytes[j]) {
-				t.Fatalf("payload %d coord %d: into %v, from bytes %v, alloc %v", i, j, dst[j], fromBytes[j], want[j])
-			}
+		if DecodeVectorInto(dst, s); !bitsEqual(dst, want) {
+			t.Fatalf("payload %d: into %v, alloc %v", i, dst, want)
 		}
 	}
-	buf := []byte(payloads[0])
 	if allocs := testing.AllocsPerRun(20, func() {
 		dst := make([]float64, 3)
 		DecodeVectorInto(dst, payloads[0])
-		DecodeVectorInto(dst, buf)
 	}); allocs > 1 { // the dst make is the only one
 		t.Errorf("DecodeVectorInto allocates: %v allocs/op", allocs)
 	}
+}
+
+// scripted reports its round's row of a fixed table, whatever the estimate.
+type scripted [][]float64
+
+func (s scripted) Gradient(round int, x []float64) ([]float64, error) {
+	return slices.Clone(s[round%len(s)]), nil
+}
+
+// recordingMean is the mean filter keeping a copy of every report set it is
+// handed.
+type recordingMean struct{ seen *[][][]float64 }
+
+func (recordingMean) Name() string { return "recording-mean" }
+
+func (r recordingMean) Aggregate(grads [][]float64, f int) ([]float64, error) {
+	set := make([][]float64, len(grads))
+	for i, g := range grads {
+		set[i] = slices.Clone(g)
+	}
+	*r.seen = append(*r.seen, set)
+	return aggregate.Mean{}.Aggregate(grads, f)
+}
+
+// TestHonestSenderRowIsItsDecodedReport: Backend.Run decides a sender that
+// does not distort without encoding its report, and the row it agrees on is
+// still what decoding the encoding gives — the report bit for bit, −0 and
+// subnormals included, and the zero row from the round an honest peer's
+// report goes non-finite. A distorting peer's broadcast runs beside it.
+func TestHonestSenderRowIsItsDecodedReport(t *testing.T) {
+	negZero, tiny := math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	reports := scripted{
+		{negZero, tiny, -2.5e-310},
+		{1, math.NaN(), 2},
+		{math.Inf(-1), 0, negZero},
+		{negZero, 3 * tiny, 3},
+	}
+	var seen [][][]float64
+	liar, err := Equivocating(scripted{{1, 1, 1}}, SplitLiar{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agents := []dgd.Agent{reports, scripted{{4, 5, 6}}, scripted{{-1, 0, 1}}, liar}
+	cfg := dgd.Config{Agents: agents, F: 1, Filter: recordingMean{&seen}, X0: make([]float64, 3), Rounds: len(reports)}
+	if _, err := (Backend{}).Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != len(reports) {
+		t.Fatalf("the filter saw %d report sets, want %d", len(seen), len(reports))
+	}
+	for round, set := range seen {
+		for sender, a := range agents[:3] {
+			report, _ := a.Gradient(round, nil)
+			want := DecodeVector(EncodeVector(report), 3)
+			if vecmath.IsFinite(report) && !bitsEqual(want, report) {
+				t.Fatalf("round %d sender %d: decoding %v gives %v", round, sender, report, want)
+			}
+			if !bitsEqual(set[sender], want) {
+				t.Errorf("round %d sender %d reported %v: the agreed row is %v, decoding its encoding gives %v",
+					round, sender, report, set[sender], want)
+			}
+		}
+	}
+	if !bitsEqual(seen[1][0], make([]float64, 3)) || !math.Signbit(seen[0][0][0]) {
+		t.Errorf("agreed rows %v and %v: want −0 kept and a non-finite report zeroed", seen[0][0], seen[1][0])
+	}
+}
+
+// bitsEqual reports whether a and b hold the same float64 bit patterns.
+func bitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 func TestP2PIntoPathBitwiseMatchesLegacy(t *testing.T) {

@@ -176,9 +176,9 @@ func TestSubstrateErrorParity(t *testing.T) {
 		name   string
 		mutate func(*testing.T, *dgd.Config)
 		want   error
-		// skipP2P: the broadcast layer decodes a non-finite payload to the
-		// zero vector (DecodeVectorInto), so that report never reaches a
-		// peer's filter.
+		// skipP2P: the broadcast layer agrees on the zero vector for a
+		// non-finite report (what DecodeVectorInto decodes its payload to),
+		// so that report never reaches a peer's filter.
 		skipP2P bool
 	}{
 		{name: "nan report", want: dgd.ErrDiverged, skipP2P: true, mutate: func(t *testing.T, c *dgd.Config) {
