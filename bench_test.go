@@ -9,7 +9,6 @@ package byzopt_test
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -20,30 +19,12 @@ import (
 	"byzopt/internal/p2p"
 )
 
-// benchWorkerCounts is the sequential-vs-parallel workers axis of the
-// seq-vs-par benchmarks. On a single-core machine GOMAXPROCS is 1 and the
-// two points coincide; the duplicate is dropped so the benchmark namespace
-// never emits the same configuration twice (the test runner would rename
-// the repeat "…#01").
-func benchWorkerCounts() []int {
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		return []int{1, p}
-	}
-	return []int{1}
-}
-
-// benchGrid is the (n, d) grid shared by the parallelism baselines, so
-// future PRs can diff like against like.
-var benchGrid = []struct{ n, d int }{
-	{10, 10}, {10, 1000}, {50, 10}, {50, 1000}, {100, 10}, {100, 1000},
-}
-
-// BenchmarkCollectGradients compares sequential and concurrent gradient
-// collection (dgd.Config.Workers) over one engine round; all agents are
-// honest so the measurement isolates the collection fan-out.
+// BenchmarkCollectGradients times one engine round of gradient collection;
+// all agents are honest and the filter is the mean, so the measurement
+// isolates the collection.
 func BenchmarkCollectGradients(b *testing.B) {
 	r := rand.New(rand.NewSource(6))
-	for _, g := range benchGrid {
+	for _, g := range []struct{ n, d int }{{10, 10}, {10, 1000}, {50, 10}, {50, 1000}, {100, 10}, {100, 1000}} {
 		costs := make([]byzopt.Cost, g.n)
 		for i := range costs {
 			row := make([]float64, g.d)
@@ -61,22 +42,19 @@ func BenchmarkCollectGradients(b *testing.B) {
 			b.Fatal(err)
 		}
 		x0 := make([]float64, g.d)
-		for _, workers := range benchWorkerCounts() {
-			b.Run(fmt.Sprintf("n=%d/d=%d/workers=%d", g.n, g.d, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := byzopt.Run(byzopt.Config{
-						Agents:  agents,
-						F:       0,
-						Filter:  aggregate.Mean{},
-						X0:      x0,
-						Rounds:  1,
-						Workers: workers,
-					}); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("n=%d/d=%d", g.n, g.d), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := byzopt.Run(byzopt.Config{
+					Agents: agents,
+					F:      0,
+					Filter: aggregate.Mean{},
+					X0:     x0,
+					Rounds: 1,
+				}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -117,8 +117,8 @@
 // the context of SweepContext returns the completed scenarios as partial
 // results plus a wrapped context.Canceled. SweepSpec.RecordTrace exports
 // the full per-round loss/distance series per scenario, which is how the
-// figure series are produced. Per-run gradient collection parallelizes
-// independently via Config.Workers (SweepSpec.DGDWorkers inside a sweep).
+// figure series are produced. Scenarios are the unit of parallelism: each
+// run collects its reports and filters them on one goroutine.
 // The abft-sweep command is this API as a CLI.
 //
 // # Pluggable problems

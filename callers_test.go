@@ -21,25 +21,27 @@ import (
 // it stays. It is the keep column of the caller table in CHANGES.md; anything
 // else without a caller is deleted with its tests.
 var keptWithoutCaller = map[string]string{
-	"byzantine.NewConstant":         "the fixed-report behavior dgd's attack and Into tests build their adversaries from",
-	"chaos.Plan.CorruptFrame":       "the one-bit corruption the transport frame tests damage frames with",
-	"chaos.TearFile":                "the torn-file injector of the checkpoint recovery tests",
-	"core.DiminishingStepCondition": "the step-size hypothesis the theory oracle checks a cell's schedule against",
-	"core.HasExactRedundancy":       "the ε = 0 check of the ε-dial Problems",
-	"core.NewQuadraticProblem":      "the quadratic instances of the ε-dial Problems",
-	"costfunc.NumericGrad":          "the finite-difference reference every analytic gradient is tested against",
-	"costfunc.Smoothness":           "μ of Assumption 2, an input of the theory oracle's bounds",
-	"costfunc.StrongConvexity":      "γ of Assumption 3, an input of the theory oracle's bounds",
-	"linreg.Instance.HonestSum":     "the honest aggregate cost the cluster, p2p and figure tests track as the loss",
-	"matrix.Residual":               "the residual reference of the least-squares gradient tests",
-	"p2p.DecodeVector":              "the allocating reference DecodeVectorInto is tested against",
-	"p2p.Equivocating":              "how a Distorter other than the equivocate behavior joins a run, as ExampleBackend shows",
-	"p2p.MessageCost":               "the full EIG tree's size, which ExampleBackend prints and TestBuiltNodes holds a broadcast to",
-	"robustmean.NewProblem":         "the core.Problem face of the robustmean workload the theory oracle measures",
-	"transport.Flaky.Release":       "unblocks a crashed Flaky agent when a cluster test or ExampleServer ends",
-	"transport.NewFlaky":            "the crash injector of the cluster elimination tests and ExampleServer",
-	"vecmath.Box.Project":           "the allocating reference ProjectInPlace is tested against",
-	"vecmath.Sum":                   "the allocating reference SumInto is tested against",
+	"byzantine.NewConstant":           "the fixed-report behavior dgd's attack and Into tests build their adversaries from",
+	"chaos.Plan.CorruptFrame":         "the one-bit corruption the transport frame tests damage frames with",
+	"chaos.TearFile":                  "the torn-file injector of the checkpoint recovery tests",
+	"core.DiminishingStepCondition":   "the step-size hypothesis the theory oracle checks a cell's schedule against",
+	"core.HasExactRedundancy":         "the ε = 0 check of the ε-dial Problems",
+	"core.NewQuadraticProblem":        "the quadratic instances of the ε-dial Problems",
+	"costfunc.NumericGrad":            "the finite-difference reference every analytic gradient is tested against",
+	"costfunc.Smoothness":             "μ of Assumption 2, an input of the theory oracle's bounds",
+	"costfunc.StrongConvexity":        "γ of Assumption 3, an input of the theory oracle's bounds",
+	"linreg.Instance.HonestSum":       "the honest aggregate cost the cluster, p2p and figure tests track as the loss",
+	"matrix.Residual":                 "the residual reference of the least-squares gradient tests",
+	"p2p.DecodeVector":                "the allocating reference DecodeVectorInto is tested against",
+	"p2p.Equivocating":                "how a Distorter other than the equivocate behavior joins a run, as ExampleBackend shows",
+	"p2p.MessageCost":                 "the full EIG tree's size, which ExampleBackend prints and TestBuiltNodes holds a broadcast to",
+	"robustmean.NewProblem":           "the core.Problem face of the robustmean workload the theory oracle measures",
+	"sensing.System.Estimate":         "the Theorem-2 exhaustive estimator of Section 2.4, which the package Example runs against two compromised sensors",
+	"sensing.System.SparseObservable": "the 2f-sparse observability check (2f-redundancy) the package Example prints",
+	"transport.Flaky.Release":         "unblocks a crashed Flaky agent when a cluster test or ExampleServer ends",
+	"transport.NewFlaky":              "the crash injector of the cluster elimination tests and ExampleServer",
+	"vecmath.Box.Project":             "the allocating reference ProjectInPlace is tested against",
+	"vecmath.Sum":                     "the allocating reference SumInto is tested against",
 }
 
 // TestEveryExportedFunctionHasACaller parses every non-test Go file of the

@@ -127,7 +127,6 @@ func run(ctx context.Context, args []string, out *os.File) (err error) {
 		seed       = fs.Int64("seed", 0, "base seed mixed into every scenario hash")
 		noise      = fs.Float64("noise", 0, "synthetic observation noise (0 = default 0.05)")
 		workers    = fs.Int("workers", 0, "scenario worker pool size (0 = GOMAXPROCS)")
-		dgdWorkers = fs.Int("dgd-workers", 0, "concurrent gradient collection per run (0 = sequential)")
 		baseline   = fs.Bool("baseline", false, "add the fault-free omit-the-faulty-agents baseline as a grid axis")
 		backend    = fs.String("backend", "inprocess", "execution substrate per scenario: inprocess, cluster, or p2p")
 		timeout    = fs.Duration("timeout", 0, "per-scenario deadline; overruns become \"timeout\" results (0 = unbounded)")
@@ -194,7 +193,6 @@ func run(ctx context.Context, args []string, out *os.File) (err error) {
 		Seed:            *seed,
 		Noise:           *noise,
 		Workers:         *workers,
-		DGDWorkers:      *dgdWorkers,
 		ScenarioTimeout: *timeout,
 	}
 	if *baseline {

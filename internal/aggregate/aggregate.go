@@ -350,7 +350,7 @@ func (kr Krum) AggregateInto(dst []float64, grads [][]float64, f int, s *Scratch
 }
 
 func (Krum) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
-	scores, err := krumScores(grads, f, pairwiseWorkers(n, len(dst)), s)
+	scores, err := krumScores(grads, f, s)
 	if err != nil {
 		return err
 	}
@@ -384,7 +384,7 @@ func (m MultiKrum) AggregateInto(dst []float64, grads [][]float64, f int, s *Scr
 }
 
 func (m MultiKrum) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
-	scores, err := krumScores(grads, f, pairwiseWorkers(n, len(dst)), s)
+	scores, err := krumScores(grads, f, s)
 	if err != nil {
 		return err
 	}
@@ -392,20 +392,18 @@ func (m MultiKrum) into(dst []float64, grads [][]float64, n, f int, s *Scratch) 
 }
 
 // krumScores fills s.scores with the Krum score of every gradient, computing
-// the pairwise distance matrix in s's scratch with workers goroutines (a
-// filter passes pairwiseWorkers; the scores are the same bits at any count).
-// The returned slice aliases s.scores and stays valid until the next call
-// that touches it.
+// the pairwise distance matrix in s's scratch. The returned slice aliases
+// s.scores and stays valid until the next call that touches it.
 // Callers must have validated grads already (Bulyan's iterated selection
 // re-invokes this on subsets of an already-validated set, so only the
 // tolerance condition needs rechecking per call).
-func krumScores(grads [][]float64, f, workers int, s *Scratch) ([]float64, error) {
+func krumScores(grads [][]float64, f int, s *Scratch) ([]float64, error) {
 	n := len(grads)
 	if n < 2*f+3 {
 		return nil, fmt.Errorf("krum needs n >= 2f+3, got n=%d f=%d: %w", n, f, ErrTooManyFaults)
 	}
 	d2 := s.distMatrix(n)
-	pairwiseDistSqInto(d2, grads, workers)
+	pairwiseDistSqInto(d2, grads)
 	return scoreFromDists(d2, n, f, s), nil
 }
 
@@ -558,7 +556,7 @@ func (bl Bulyan) AggregateInto(dst []float64, grads [][]float64, f int, s *Scrat
 
 func (Bulyan) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
 	return bulyanInto(dst, grads, n, f, s, func(remaining [][]float64) ([]float64, error) {
-		return krumScores(remaining, f, pairwiseWorkers(len(remaining), len(dst)), s)
+		return krumScores(remaining, f, s)
 	})
 }
 
@@ -669,9 +667,7 @@ func medianWindowSum(col []float64, med float64, beta int) float64 {
 // minimizing the sum of Euclidean distances to them: Weiszfeld's iteration
 // with a secant step, an objective safeguard, and an exit that returns a
 // report itself when it is the median (weiszfeldInto). A median that is not
-// unique — collinear reports, even n — yields one minimiser. Each iteration's
-// O(n·d) work is batched across GOMAXPROCS goroutines once it is large enough
-// to pay for them (weiszfeldWorkers), bitwise-identically.
+// unique — collinear reports, even n — yields one minimiser.
 type GeoMedian struct{}
 
 var _ IntoFilter = GeoMedian{}
@@ -697,7 +693,7 @@ func (GeoMedian) into(dst []float64, grads [][]float64, n, f int, s *Scratch) er
 	if n <= 2*f {
 		return fmt.Errorf("geometric median needs n > 2f, got n=%d f=%d: %w", n, f, ErrTooManyFaults)
 	}
-	return weiszfeldInto(dst, grads, weiszfeldWorkers(n, len(dst)), s)
+	return weiszfeldInto(dst, grads, s)
 }
 
 // GeoMedianOfMeans partitions the gradients into Groups buckets, averages
@@ -749,7 +745,7 @@ func (g GeoMedianOfMeans) into(dst []float64, grads [][]float64, n, f int, s *Sc
 		}
 		count++
 	}
-	return weiszfeldInto(dst, means[:count], weiszfeldWorkers(count, len(dst)), s)
+	return weiszfeldInto(dst, means[:count], s)
 }
 
 // --- shared allocating wrapper ---

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"byzopt/internal/vecmath"
@@ -202,50 +201,8 @@ func TestFiltersRejectStructurallyInvalid(t *testing.T) {
 	}
 }
 
-// TestKrumFamilyParallelParity: the concurrent distance matrix must give the
-// Krum family the sequential one's bits. The filters pick their own worker
-// count, so the kernels are driven at 1 and 8 workers directly: Krum's and
-// MultiKrum's scores, and Bulyan's iterated selection over them; the filters
-// themselves must match the sequential kernels too.
-func TestKrumFamilyParallelParity(t *testing.T) {
-	grads := randGrads(rand.New(rand.NewSource(7)), 40, 32, 1)
-	const n, d, f = 40, 32, 3
-	run := func(workers int) [][]float64 {
-		s := new(Scratch)
-		scores, err := krumScores(grads, f, workers, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		krum := slices.Clone(grads[argMinScore(scores)])
-		multi := make([]float64, d)
-		if err := meanOfBestScores(multi, grads, scores, 5, n, f, s); err != nil {
-			t.Fatal(err)
-		}
-		bulyan := make([]float64, d)
-		if err := bulyanInto(bulyan, grads, n, f, s, func(remaining [][]float64) ([]float64, error) {
-			return krumScores(remaining, f, workers, s)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return [][]float64{krum, multi, bulyan}
-	}
-	seq, par := run(1), run(8)
-	for i, filter := range []Filter{Krum{}, MultiKrum{M: 5}, Bulyan{}} {
-		got, err := filter.Aggregate(grads, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !vecmath.Equal(par[i], seq[i], 0) {
-			t.Errorf("%s: 8 workers differ from sequential", filter.Name())
-		}
-		if !vecmath.Equal(got, seq[i], 0) {
-			t.Errorf("%s: the filter differs from its sequential kernel", filter.Name())
-		}
-	}
-}
-
 // TestPairwiseDistSqMatchesNaive cross-checks the shared kernel against a
-// direct vecmath computation at several worker counts.
+// direct vecmath computation.
 func TestPairwiseDistSqMatchesNaive(t *testing.T) {
 	grads := randGrads(rand.New(rand.NewSource(3)), 17, 9, 1)
 	n := len(grads)
@@ -260,41 +217,36 @@ func TestPairwiseDistSqMatchesNaive(t *testing.T) {
 			want[i][j] = vecmath.NormSq(diff)
 		}
 	}
-	for _, workers := range []int{1, 2, 5, 16, 32} {
-		got := new(Scratch).distMatrix(n)
-		pairwiseDistSqInto(got, grads, workers)
-		for i := range want {
-			if !vecmath.Equal(got[i], want[i], 0) {
-				t.Fatalf("workers=%d row %d: %v, want %v", workers, i, got[i], want[i])
-			}
+	got := new(Scratch).distMatrix(n)
+	pairwiseDistSqInto(got, grads)
+	for i := range want {
+		if !vecmath.Equal(got[i], want[i], 0) {
+			t.Fatalf("row %d: %v, want %v", i, got[i], want[i])
 		}
 	}
 }
 
 // TestPairwiseTiledBitwise: every entry of the matrix, whether the
-// four-column pass or the leftover loop computed it and at any worker count,
-// carries the bits of vecmath.DistSqKernel on that pair, the diagonal +0, and
+// four-column pass or the leftover loop computed it, carries the bits of vecmath.DistSqKernel on that pair, the diagonal +0, and
 // no stale entry of the scratch survives.
 func TestPairwiseTiledBitwise(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for _, n := range []int{1, 2, 5, 6, 7, 100} {
 		for _, d := range []int{1, 3, 4, 50, 1000} {
 			grads := randGrads(r, n, d, 3)
-			for _, workers := range []int{1, 3} {
-				got := new(Scratch).distMatrix(n)
-				for i := range got {
-					for j := range got[i] {
-						got[i][j] = math.NaN()
-					}
+			got := new(Scratch).distMatrix(n)
+			for i := range got {
+				for j := range got[i] {
+					got[i][j] = math.NaN()
 				}
-				pairwiseDistSqInto(got, grads, workers)
-				for i := range got {
-					for j := range got[i] {
-						want := vecmath.DistSqKernel(grads[i], grads[j])
-						if math.Float64bits(got[i][j]) != math.Float64bits(want) {
-							t.Fatalf("n=%d d=%d workers=%d: entry (%d, %d) = %v (%#x), DistSqKernel has %v (%#x)",
-								n, d, workers, i, j, got[i][j], math.Float64bits(got[i][j]), want, math.Float64bits(want))
-						}
+			}
+			pairwiseDistSqInto(got, grads)
+			for i := range got {
+				for j := range got[i] {
+					want := vecmath.DistSqKernel(grads[i], grads[j])
+					if math.Float64bits(got[i][j]) != math.Float64bits(want) {
+						t.Fatalf("n=%d d=%d: entry (%d, %d) = %v (%#x), DistSqKernel has %v (%#x)",
+							n, d, i, j, got[i][j], math.Float64bits(got[i][j]), want, math.Float64bits(want))
 					}
 				}
 			}

@@ -18,8 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"slices"
 	"testing"
 )
 
@@ -201,30 +199,26 @@ func BenchmarkPairwise(b *testing.B) {
 		d2 := new(Scratch).distMatrix(c.n)
 		b.Run(fmt.Sprintf("n=%d/d=%d", c.n, c.d), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pairwiseDistSqInto(d2, tables[i&63], 1)
+				pairwiseDistSqInto(d2, tables[i&63])
 			}
 		})
 	}
 }
 
-// BenchmarkKrumScores compares the sequential and concurrent O(n²·d)
-// distance matrix behind the Krum family: krumScores at 1 and GOMAXPROCS
-// workers, over 64 rotating tables.
+// BenchmarkKrumScores is the O(n²·d) distance matrix behind the Krum family
+// and its scoring, krumScores, over 64 rotating tables.
 func BenchmarkKrumScores(b *testing.B) {
 	const f = 2
-	workerCounts := slices.Compact([]int{1, runtime.GOMAXPROCS(0)})
 	for _, c := range []struct{ n, d int }{{10, 10}, {10, 1000}, {50, 10}, {50, 1000}, {100, 10}, {100, 1000}} {
 		tables := rotatingTables(rand.New(rand.NewSource(int64(c.n*c.d))), c.n, c.d)[:64]
-		for _, workers := range workerCounts {
-			b.Run(fmt.Sprintf("n=%d/d=%d/workers=%d", c.n, c.d, workers), func(b *testing.B) {
-				scratch := &Scratch{}
-				for i := 0; i < b.N; i++ {
-					if _, err := krumScores(tables[i&63], f, workers, scratch); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("n=%d/d=%d", c.n, c.d), func(b *testing.B) {
+			scratch := &Scratch{}
+			for i := 0; i < b.N; i++ {
+				if _, err := krumScores(tables[i&63], f, scratch); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

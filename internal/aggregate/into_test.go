@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -488,9 +489,10 @@ func fuzzGradients(r *rand.Rand, n, d, mode int) [][]float64 {
 // must agree on the sentinel too. The two geometric-median filters are held to
 // their frozen loop as an oracle instead (refWeiszfeld stops short of the
 // median, see TestWeiszfeldReachesTheMedian): the sum of distances at their
-// result is at most the frozen loop's times 1 + 10⁻¹², and Aggregate
-// (a fresh Scratch) and AggregateInto on the shared warm Scratch agree bit for
-// bit.
+// result is at most the frozen loop's times 1 + 10⁻¹², Aggregate (a fresh
+// Scratch) and AggregateInto on the shared warm Scratch agree bit for bit,
+// and both are the bits weiszfeldInto gives on the reports or on the
+// reference's bucket means.
 func TestIntoMatchesAggregateAndReference(t *testing.T) {
 	r := rand.New(rand.NewSource(20260726))
 	scratch := &Scratch{} // deliberately shared across every size and filter
@@ -533,10 +535,18 @@ func TestIntoMatchesAggregateAndReference(t *testing.T) {
 									fl.Name(), n, d, f, mode, obj, got, ref, want)
 							}
 							// Aggregate runs on a fresh Scratch, dst came from the warm one.
+							kernel := make([]float64, d)
+							if err := weiszfeldInto(kernel, medianOf, new(Scratch)); err != nil {
+								t.Fatal(err)
+							}
 							for j := range got {
 								if math.Float64bits(got[j]) != math.Float64bits(dst[j]) {
 									t.Fatalf("%s n=%d d=%d f=%d mode=%d: Aggregate %v, AggregateInto on the warm Scratch %v",
 										fl.Name(), n, d, f, mode, got, dst)
+								}
+								if math.Float64bits(got[j]) != math.Float64bits(kernel[j]) {
+									t.Fatalf("%s n=%d d=%d f=%d mode=%d: Aggregate %v, weiszfeldInto on its points %v",
+										fl.Name(), n, d, f, mode, got, kernel)
 								}
 							}
 							continue
@@ -778,7 +788,7 @@ func TestTrimMeanRowsBitwise(t *testing.T) {
 }
 
 // TestAggregateIntoAllocs pins the scratch-space contract: with a warm
-// Scratch and sequential workers, AggregateInto performs zero heap
+// Scratch, AggregateInto performs zero heap
 // allocations for every registered filter — at a size where every row and
 // column stays on the comparison sorts, and at one where they reach the radix
 // path and its key buffer.
@@ -802,6 +812,46 @@ func TestAggregateIntoAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%s n=%d: %v allocs/op with warm scratch, want 0", fl.Name(), size.n, allocs)
 			}
+		}
+	}
+}
+
+// TestWideIntoAllocsOnFourProcs is the scratch-space contract at the wide
+// grid's shape (n = 200, d = 50, f = 10) with four processors: a filter call
+// runs on its caller's goroutine whatever GOMAXPROCS is, so a warm call
+// allocates nothing there either. testing.AllocsPerRun pins GOMAXPROCS to 1,
+// so the mallocs are counted here around the calls; the runtime's own
+// background work can add a rare one, so the fewest of three counts decides.
+// geomedian and cwtm are controls: their kernels never reached for more
+// goroutines.
+func TestWideIntoAllocsOnFourProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n, d, f, calls = 200, 50, 10, 100
+	grads := fuzzGradients(rand.New(rand.NewSource(31)), n, d, 0)
+	for _, name := range []string{"krum", "multikrum-3", "krum-sketch", "geomedian", "cwtm"} {
+		fl, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		into := fl.(IntoFilter)
+		scratch, dst := &Scratch{}, make([]float64, d)
+		if err := into.AggregateInto(dst, grads, f, scratch); err != nil {
+			t.Fatalf("%s warmup: %v", name, err)
+		}
+		fewest := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < calls; i++ {
+				if err := into.AggregateInto(dst, grads, f, scratch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
+		}
+		if fewest != 0 {
+			t.Errorf("%s: %v mallocs a call at GOMAXPROCS 4 with a warm Scratch, want 0", name, float64(fewest)/calls)
 		}
 	}
 }

@@ -1,64 +1,16 @@
 package aggregate
 
-import (
-	"runtime"
-	"sync"
-
-	"byzopt/internal/vecmath"
-)
-
-// pairwiseParallelWork is the n·n·d work size above which a filter computes
-// the distance matrix concurrently; below it goroutine startup costs more
-// than it saves.
-const pairwiseParallelWork = 1 << 17
-
-// pairwiseWorkers is the goroutine count a filter gives an n x n x d
-// distance-matrix job: resolveWorkers' count, at most one a row.
-func pairwiseWorkers(n, d int) int {
-	return min(resolveWorkers(n*n*d, pairwiseParallelWork), n)
-}
-
-// resolveWorkers is the one worker policy of the parallel kernels: a job
-// below the work threshold runs on the calling goroutine, a larger one on
-// GOMAXPROCS goroutines. The kernels take the count as an argument and give
-// the same bits at any count.
-func resolveWorkers(work, threshold int) int {
-	if work < threshold {
-		return 1
-	}
-	return runtime.GOMAXPROCS(0)
-}
+import "byzopt/internal/vecmath"
 
 // pairwiseDistSqInto fills d2 — an n x n matrix the caller owns, typically
 // Scratch.distMatrix — with the squared Euclidean distances between
 // gradients, the O(n²·d) kernel shared by the Krum family and Bulyan. Every
 // entry including the diagonal is overwritten, so stale scratch contents
-// cannot leak. Rows are striped across workers; every (i, j) entry is
-// computed independently and written exactly once, so the matrix is bitwise
-// identical at any worker count. Dimensions must have been validated by the
-// caller.
-func pairwiseDistSqInto(d2 [][]float64, grads [][]float64, workers int) {
-	n := len(grads)
-	if workers <= 1 || n <= 1 {
-		// Inline sequential path: no closure is materialized, keeping the
-		// scratch-backed call literally allocation-free.
-		for i := 0; i < n; i++ {
-			pairwiseFillRow(d2, grads, i)
-		}
-		return
+// cannot leak. Dimensions must have been validated by the caller.
+func pairwiseDistSqInto(d2 [][]float64, grads [][]float64) {
+	for i := range grads {
+		pairwiseFillRow(d2, grads, i)
 	}
-	fillRow := func(i int) { pairwiseFillRow(d2, grads, i) }
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			for i := start; i < n; i += workers {
-				fillRow(i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // pairwiseFillRow computes row i of the distance matrix: entries (i, j) for

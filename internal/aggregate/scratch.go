@@ -16,12 +16,7 @@ import (
 // may change freely between calls.
 //
 // A Scratch is owned by one goroutine at a time — reuse it across sequential
-// calls, never across concurrent ones. A filter whose job is large enough to
-// fan its inner kernels out across GOMAXPROCS goroutines still accepts a
-// Scratch (the buffers are partitioned per worker exactly as the allocating
-// path partitions them), but the fan-out itself allocates; the
-// zero-allocation guarantee holds for the sequential path (a small job, or
-// GOMAXPROCS 1).
+// calls, never across concurrent ones.
 //
 // The zero value is ready to use.
 type Scratch struct {

@@ -43,7 +43,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"byzopt/internal/simtime"
 	"byzopt/internal/vecmath"
@@ -126,13 +125,11 @@ func (p *SketchParams) krumScores(grads [][]float64, f int, s *Scratch) ([]float
 	}
 	k := p.dim()
 	if k >= d {
-		return krumScores(grads, f, pairwiseWorkers(n, d), s)
+		return krumScores(grads, f, s)
 	}
-	pq := nextPow2(d)
-	workers := min(resolveWorkers(n*pq*bits.Len(uint(pq-1)), pairwiseParallelWork), n)
-	rows := p.project(grads, k, workers, s)
+	rows := p.project(grads, k, s)
 	d2 := s.distMatrix(n)
-	pairwiseDistSqInto(d2, rows, pairwiseWorkers(n, k))
+	pairwiseDistSqInto(d2, rows)
 	return scoreFromDists(d2, n, f, s), nil
 }
 
@@ -141,10 +138,8 @@ func (p *SketchParams) krumScores(grads [][]float64, f int, s *Scratch) ([]float
 // Rademacher signs, an in-place fast Walsh–Hadamard transform over the
 // zero-padded power-of-two length P, then the plan's k sampled Hadamard
 // coordinates scaled by 1/√k — O(P·log P) adds per row where a dense
-// multiply sketch costs O(d·k). Rows are striped across workers goroutines;
-// each row is an independent pure function of its gradient and the plan, so
-// the table is bitwise identical at any worker count.
-func (p *SketchParams) project(grads [][]float64, k, workers int, s *Scratch) [][]float64 {
+// multiply sketch costs O(d·k).
+func (p *SketchParams) project(grads [][]float64, k int, s *Scratch) [][]float64 {
 	n, d := len(grads), len(grads[0])
 	pq := nextPow2(d)
 	key := projectionKey(p.Seed, p.round, k, d)
@@ -154,37 +149,11 @@ func (p *SketchParams) project(grads [][]float64, k, workers int, s *Scratch) []
 	}
 	rows := s.sketchRowsBuf(n, k)
 	scale := 1 / math.Sqrt(float64(k))
-	if workers <= 1 {
-		// Inline sequential path: the goroutine fan-out lives in a separate
-		// function so no closure captures force heap traffic here, keeping
-		// the scratch-backed call literally allocation-free.
-		s.srhtPad = grow(s.srhtPad, pq)
-		for i := range grads {
-			srhtProject(rows[i], grads[i], s.srhtPad, words, idx, scale)
-		}
-	} else {
-		projectRowsParallel(rows, grads, words, idx, pq, scale, workers)
+	s.srhtPad = grow(s.srhtPad, pq)
+	for i := range grads {
+		srhtProject(rows[i], grads[i], s.srhtPad, words, idx, scale)
 	}
 	return rows
-}
-
-// projectRowsParallel stripes the row projections across workers; each row
-// is written exactly once by one goroutine against the shared read-only
-// plan, so the table is bitwise identical to the sequential fill. Each
-// goroutine owns a private transform buffer.
-func projectRowsParallel(rows, grads [][]float64, words []uint64, idx []int, pq int, scale float64, workers int) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			pad := make([]float64, pq)
-			for i := start; i < len(grads); i += workers {
-				srhtProject(rows[i], grads[i], pad, words, idx, scale)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // srhtProject writes the SRHT image of g: signed copy into the padded
@@ -436,7 +405,7 @@ func (p *SampleParams) krumScores(grads [][]float64, f int, s *Scratch) ([]float
 	}
 	m := p.pairs()
 	if m >= n-1 {
-		return krumScores(grads, f, pairwiseWorkers(n, len(grads[0])), s)
+		return krumScores(grads, f, s)
 	}
 	k := (n - f - 2) * m / (n - 1) // scaled neighbor count; k <= m since n-f-2 <= n-1
 	if k < 1 {

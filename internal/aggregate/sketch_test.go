@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -111,69 +110,6 @@ func approxFilters() []IntoFilter {
 	}
 }
 
-// TestApproxWorkerParity pins the determinism contract on the engaged
-// approximation path: either API face and a shared or fresh Scratch produce
-// bitwise-identical output, and the two stages that fan out — the sketch
-// projection and the distance matrix over its rows — give the same bits at 1
-// and 8 workers. (The sampled loop is sequential; its exact fallback is the
-// Krum kernel TestKrumFamilyParallelParity drives.)
-func TestApproxWorkerParity(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	const n, d, f, k = 24, 128, 2, 16
-	grads := fuzzGradients(r, n, d, 0)
-	ref := approxFilters()
-	for round := 0; round < 3; round++ {
-		want := make([][]float64, len(ref))
-		for i, fl := range ref {
-			fl.(RoundKeyed).SetRound(round)
-			out, err := fl.Aggregate(grads, f)
-			if err != nil {
-				t.Fatalf("%s: %v", fl.Name(), err)
-			}
-			want[i] = out
-		}
-		scratch := &Scratch{}
-		for i, fl := range approxFilters() {
-			fl.(RoundKeyed).SetRound(round)
-			dst := make([]float64, d)
-			if err := fl.AggregateInto(dst, grads, f, scratch); err != nil {
-				t.Fatalf("%s: %v", fl.Name(), err)
-			}
-			if !bitwiseEqual(want[i], dst) {
-				t.Fatalf("%s round=%d: the shared-Scratch Into face diverges from Aggregate", fl.Name(), round)
-			}
-		}
-
-		p := &SketchParams{Dim: k, Seed: 7}
-		p.SetRound(round)
-		var rows, dists [2][][]float64
-		for w, workers := range []int{1, 8} {
-			s := new(Scratch)
-			rows[w] = clone2(p.project(grads, k, workers, s))
-			d2 := make([][]float64, n)
-			for i := range d2 {
-				d2[i] = make([]float64, n)
-			}
-			pairwiseDistSqInto(d2, rows[w], workers)
-			dists[w] = d2
-		}
-		for i := range rows[0] {
-			if !bitwiseEqual(rows[0][i], rows[1][i]) || !bitwiseEqual(dists[0][i], dists[1][i]) {
-				t.Fatalf("round=%d row %d: 8 workers diverge from 1 in the projection or the distances", round, i)
-			}
-		}
-	}
-}
-
-// clone2 deep-copies a table out of a Scratch.
-func clone2(rows [][]float64) [][]float64 {
-	out := make([][]float64, len(rows))
-	for i, r := range rows {
-		out[i] = append([]float64(nil), r...)
-	}
-	return out
-}
-
 // TestApproxRoundKeying checks that the round index actually rotates the
 // draws — across enough rounds the sketched Krum selection must disagree
 // with itself at least once on an ambiguous input — while repeated SetRound
@@ -215,25 +151,30 @@ func TestApproxRoundKeying(t *testing.T) {
 
 // TestApproxIntoAllocs extends the zero-allocation gate to the genuinely
 // approximate code paths: d far above the sketch dimension and n-1 far
-// above the sample size, in both storage modes, with a warm Scratch and
-// sequential workers — at n = 24 and at n = 100, where the sampled scorer's
-// selection buffer and Bulyan's radix-sorted columns are in play. Workers are
-// sequential because GOMAXPROCS is 1 for the test: at n = 100 the distance
-// matrix is large enough to fan out otherwise. (TestAggregateIntoAllocs covers
-// the registry defaults at small d, where the sketch filters run their exact
-// fallback.)
+// above the sample size, with one warm Scratch shared by the six filters —
+// at n = 24 and at n = 100, where the sampled scorer's selection buffer and
+// Bulyan's radix-sorted columns are in play. The warm-up call must give
+// Aggregate's bits: the shared Scratch, already shaped by the filter before,
+// leaks nothing into the next. (TestAggregateIntoAllocs covers the registry
+// defaults at small d, where the sketch filters run their exact fallback.)
 func TestApproxIntoAllocs(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	r := rand.New(rand.NewSource(13))
 	const d = 128
 	for _, size := range []struct{ n, f, runs int }{{24, 2, 50}, {100, 10, 5}} {
 		grads := fuzzGradients(r, size.n, d, 0)
+		scratch := &Scratch{}
 		for _, fl := range approxFilters() {
-			scratch := &Scratch{}
 			dst := make([]float64, d)
 			fl.(RoundKeyed).SetRound(1)
+			want, err := fl.Aggregate(grads, size.f)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", fl.Name(), size.n, err)
+			}
 			if err := fl.AggregateInto(dst, grads, size.f, scratch); err != nil {
 				t.Fatalf("%s n=%d warmup: %v", fl.Name(), size.n, err)
+			}
+			if !bitwiseEqual(want, dst) {
+				t.Fatalf("%s n=%d: AggregateInto on the shared Scratch diverges from Aggregate", fl.Name(), size.n)
 			}
 			allocs := testing.AllocsPerRun(size.runs, func() {
 				if err := fl.AggregateInto(dst, grads, size.f, scratch); err != nil {

@@ -2,7 +2,6 @@ package aggregate
 
 import (
 	"math"
-	"sync"
 
 	"byzopt/internal/vecmath"
 )
@@ -13,20 +12,6 @@ const weiszfeldMaxIter = 200
 // weiszfeldTol bounds the last Weiszfeld step and the secant estimate of the
 // rest of the way to the median, not the step alone.
 const weiszfeldTol = 1e-10
-
-// weiszfeldParallelWork is the n·d work size above which a filter computes
-// each Weiszfeld iteration concurrently; the iteration fans out up to
-// weiszfeldMaxIter times, so the threshold sits below the pairwise kernel's.
-const weiszfeldParallelWork = 1 << 14
-
-// weiszfeldWorkers is the goroutine count a filter gives an n-point,
-// d-dimensional Weiszfeld job. Each phase caps it at its own stripe count
-// (points for distances, coordinates for the accumulation — see
-// weiszfeldStripe), so tall-skinny and short-wide inputs both keep their
-// dominant phase parallel.
-func weiszfeldWorkers(n, d int) int {
-	return resolveWorkers(n*d, weiszfeldParallelWork)
-}
 
 // weiszfeldInto writes the geometric median of the points, the minimiser of
 // obj(y) = Σᵢ‖xᵢ − y‖, into dst. It iterates Weiszfeld's map T(y) = Σᵢwᵢxᵢ/Σᵢwᵢ,
@@ -54,12 +39,7 @@ func weiszfeldWorkers(n, d int) int {
 // error. Without an estimate it stops only at T(y) = y, where every later
 // iterate is y again: a residual of rounding size must not decide. A median
 // that is not unique (collinear reports, even n) yields one minimiser.
-//
-// Distances are striped across points (each computed whole by one worker) and
-// the weighted sum across coordinates (each accumulated in point order by one
-// worker); obj, the secant's dot products and medianAt are sequential: the result
-// is bitwise identical at any worker count. One worker runs inline, allocation-free.
-func weiszfeldInto(dst []float64, points [][]float64, workers int, s *Scratch) error {
+func weiszfeldInto(dst []float64, points [][]float64, s *Scratch) error {
 	n, d := len(points), len(dst)
 	s.vecA = grow(s.vecA, 2*d)
 	s.vecB = grow(s.vecB, 2*d)
@@ -76,29 +56,12 @@ func weiszfeldInto(dst []float64, points [][]float64, workers int, s *Scratch) e
 	var objPrev float64
 	var havePair, extrapolated bool
 	for iter := 0; iter < weiszfeldMaxIter; iter++ {
-		// Phase 1: per-point distances to the current iterate. Each entry
-		// is computed entirely by one worker, exactly as the sequential
-		// loop would.
-		if workers <= 1 {
-			for i := 0; i < n; i++ {
-				dist, err := vecmath.Dist(points[i], y)
-				if err != nil {
-					return err
-				}
-				weights[i] = dist
-			}
-		} else {
-			yCur := y
-			if err := weiszfeldStripe(workers, n, func(i int) error {
-				dist, err := vecmath.Dist(points[i], yCur)
-				if err != nil {
-					return err
-				}
-				weights[i] = dist
-				return nil
-			}); err != nil {
+		for i := 0; i < n; i++ {
+			dist, err := vecmath.Dist(points[i], y)
+			if err != nil {
 				return err
 			}
+			weights[i] = dist
 		}
 		var obj, den float64
 		heavy, twins := 0, 0 // the nearest report, and how many reports are as near
@@ -127,29 +90,14 @@ func weiszfeldInto(dst []float64, points [][]float64, workers int, s *Scratch) e
 				return nil
 			}
 		}
-		// Phase 2: the weighted sum g[j] = sum_i weights[i]·points[i][j],
-		// striped across coordinates with the inner loop in ascending point
-		// order — the same association order as the sequential Axpy loop.
-		if workers <= 1 {
-			for j := 0; j < d; j++ {
-				var sum float64
-				for i := 0; i < n; i++ {
-					sum += weights[i] * points[i][j]
-				}
-				g[j] = sum
+		// The weighted sum g[j] = Σᵢ weights[i]·points[i][j], in ascending
+		// point order.
+		for j := 0; j < d; j++ {
+			var sum float64
+			for i := 0; i < n; i++ {
+				sum += weights[i] * points[i][j]
 			}
-		} else {
-			gCur := g
-			if err := weiszfeldStripe(workers, d, func(j int) error {
-				var sum float64
-				for i := 0; i < n; i++ {
-					sum += weights[i] * points[i][j]
-				}
-				gCur[j] = sum
-				return nil
-			}); err != nil {
-				return err
-			}
+			g[j] = sum
 		}
 		vecmath.ScaleInPlace(1/den, g)
 		moved, err := vecmath.Dist(g, y)
@@ -213,42 +161,4 @@ func medianAt(sum []float64, points [][]float64, k int) bool {
 		}
 	}
 	return vecmath.Norm(sum) <= float64(at)
-}
-
-// weiszfeldStripe runs fn(i) for i in [0, count), striped across the worker
-// pool (worker w takes i = w, w+workers, ...), with the pool capped at the
-// stripe count. With one worker it degrades to the plain sequential loop.
-func weiszfeldStripe(workers, count int, fn func(i int) error) error {
-	if workers > count {
-		workers = count
-	}
-	if workers <= 1 || count <= 1 {
-		for i := 0; i < count; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			for i := start; i < count; i += workers {
-				if err := fn(i); err != nil {
-					errs[start] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

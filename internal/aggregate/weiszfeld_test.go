@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"byzopt/internal/vecmath"
@@ -30,87 +29,7 @@ func randomPoints(n, d int, seed int64) [][]float64 {
 	return points
 }
 
-// TestWeiszfeldParallelExactlyEqualsSequential is the batched kernel's
-// contract: striping distances over points and accumulations over
-// coordinates preserves the sequential operation order per output value, so
-// the geometric median is bitwise identical at any worker count — not just
-// within tolerance.
-func TestWeiszfeldParallelExactlyEqualsSequential(t *testing.T) {
-	for _, size := range []struct{ n, d int }{{7, 3}, {30, 17}, {64, 129}, {500, 2}} {
-		points := randomPoints(size.n, size.d, int64(size.n*1000+size.d))
-		seq := make([]float64, size.d)
-		if err := weiszfeldInto(seq, points, 1, new(Scratch)); err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 8, runtime.GOMAXPROCS(0)} {
-			par := make([]float64, size.d)
-			if err := weiszfeldInto(par, points, workers, new(Scratch)); err != nil {
-				t.Fatal(err)
-			}
-			for j := range seq {
-				if par[j] != seq[j] {
-					t.Fatalf("n=%d d=%d workers=%d: coordinate %d differs: %v vs %v (must be bitwise equal)",
-						size.n, size.d, workers, j, par[j], seq[j])
-				}
-			}
-		}
-	}
-}
-
-// TestGeoMedianFiltersExactParityAcrossWorkers lifts the kernel guarantee
-// to the registered filters, including the median-of-means variant whose
-// bucket means feed the same iteration: each filter gives the bits of the
-// kernel on its points at 1 and at 8 workers.
-func TestGeoMedianFiltersExactParityAcrossWorkers(t *testing.T) {
-	const n, d, groups = 40, 24, 7
-	grads := randomPoints(n, d, 7)
-	means := make([][]float64, groups)
-	for b := range means {
-		m, err := vecmath.Mean(grads[b*n/groups : (b+1)*n/groups])
-		if err != nil {
-			t.Fatal(err)
-		}
-		means[b] = m
-	}
-	for _, tc := range []struct {
-		filter Filter
-		points [][]float64
-	}{
-		{GeoMedian{}, grads},
-		{GeoMedianOfMeans{Groups: groups}, means},
-	} {
-		got, err := tc.filter.Aggregate(grads, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 8} {
-			want := make([]float64, d)
-			if err := weiszfeldInto(want, tc.points, workers, new(Scratch)); err != nil {
-				t.Fatal(err)
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("%s: coordinate %d differs from the kernel at %d workers: %v vs %v",
-						tc.filter.Name(), j, workers, got[j], want[j])
-				}
-			}
-		}
-	}
-}
-
-func TestResolveWeiszfeldWorkers(t *testing.T) {
-	if w := weiszfeldWorkers(4, 8); w != 1 {
-		t.Errorf("small job got %d workers, want 1", w)
-	}
-	// Per-phase capping happens in weiszfeldStripe, not the resolver: a
-	// tall-skinny job keeps its full pool for the point-striped phase.
-	if w := weiszfeldWorkers(1024, 1024); w != runtime.GOMAXPROCS(0) {
-		t.Errorf("large job got %d workers, want GOMAXPROCS %d", w, runtime.GOMAXPROCS(0))
-	}
-}
-
-// BenchmarkWeiszfeld times the solver, sequential and batched, on two
-// figure-sized jobs (n gradients of dimension d with planted outliers) and on
+// BenchmarkWeiszfeld times the solver on two figure-sized jobs (n gradients of dimension d with planted outliers) and on
 // the shape paper_grid calls it with, where a quarter of the tables have a
 // report at the median as a third of that grid's calls do. Every size rotates
 // over several tables: the iteration count depends on the table, and a loop
@@ -125,20 +44,14 @@ func BenchmarkWeiszfeld(b *testing.B) {
 				tables[k][5] = trueMedian(b, tables[k][:5])
 			}
 		}
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			label := "seq"
-			if workers != 1 {
-				label = "par"
-			}
-			b.Run(fmt.Sprintf("%s/n=%d/d=%d", label, size.n, size.d), func(b *testing.B) {
-				dst, scratch := make([]float64, size.d), new(Scratch)
-				for i := 0; i < b.N; i++ {
-					if err := weiszfeldInto(dst, tables[i%len(tables)], workers, scratch); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("n=%d/d=%d", size.n, size.d), func(b *testing.B) {
+			dst, scratch := make([]float64, size.d), new(Scratch)
+			for i := 0; i < b.N; i++ {
+				if err := weiszfeldInto(dst, tables[i%len(tables)], scratch); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -263,7 +176,7 @@ func TestWeiszfeldReachesTheMedian(t *testing.T) {
 		for seed := 0; seed < fam.seeds; seed++ {
 			points := fam.draw(rand.New(rand.NewSource(int64(seed))))
 			got := make([]float64, len(points[0]))
-			if err := weiszfeldInto(got, points, 1, new(Scratch)); err != nil {
+			if err := weiszfeldInto(got, points, new(Scratch)); err != nil {
 				t.Fatalf("%s seed %d: %v", fam.name, seed, err)
 			}
 			want := trueMedian(t, points)

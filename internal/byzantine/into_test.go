@@ -170,8 +170,9 @@ func TestApplyIntoAllocs(t *testing.T) {
 }
 
 // TestBehaviorsSharedAcrossGoroutines: a sweep hands one behavior value to all
-// f Byzantine agents of a cell and may collect them concurrently, so ApplyInto
-// keeps nothing between calls. Meaningful under -race.
+// f Byzantine agents of a cell, and the cluster substrate asks each agent from
+// its own goroutine, so ApplyInto keeps nothing between calls. Meaningful
+// under -race.
 func TestBehaviorsSharedAcrossGoroutines(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	const d, agents = 5, 8

@@ -22,8 +22,7 @@ import (
 // for non-omniscient Byzantine behaviors (the parity the sweep tests pin).
 // Two engine capabilities do not cross the transport: omniscient Byzantine
 // behaviors degrade to their non-omniscient path (an agent behind a
-// connection cannot observe the other agents' reports), and Config.Workers
-// is ignored (each agent already computes on its own goroutine).
+// connection cannot observe the other agents' reports).
 type Backend struct {
 	// RoundTimeout bounds each round's gradient collection; zero means the
 	// server's default.

@@ -52,11 +52,11 @@ type Differentiable interface {
 // dgd.IntoAgent).
 //
 // Implementations may reuse internal scratch buffers between calls, so a
-// single cost value must not serve concurrent GradInto calls: the engines
-// call it once per agent per round, concurrently for different agents when
-// collection is (dgd.Config.Workers > 1), so two agents of one run must not
-// share a cost value. Every concrete cost in this package implements
-// GradIntoer.
+// single cost value must not serve concurrent GradInto calls. The in-process
+// engine calls it once per agent per round, one agent at a time, but a sweep
+// runs its cells side by side and the cluster substrate asks each agent from
+// its own goroutine, so two agents must not share a cost value. Every
+// concrete cost in this package implements GradIntoer.
 type GradIntoer interface {
 	Differentiable
 	// GradInto writes the gradient (or a subgradient) of Q at x into dst.

@@ -220,8 +220,7 @@ func TestSumGradIntoMixedTerms(t *testing.T) {
 
 // TestGradStaysConcurrencySafe pins the long-standing Grad contract the
 // scratch-backed GradInto must not erode: concurrent Grad calls on one
-// shared cost value are safe (the engine's Workers > 1 path relies on it).
-// Meaningful under -race.
+// shared cost value are safe. Meaningful under -race.
 func TestGradStaysConcurrencySafe(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	costs := gradIntoCosts(t, r, 8)

@@ -177,7 +177,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reports, err := NewCollector(cfg.Agents, len(cfg.X0), 1).Collect(0, round.X())
+			reports, err := NewCollector(cfg.Agents, len(cfg.X0)).Collect(0, round.X())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,7 +227,7 @@ func TestLegacyPathStillAllocates(t *testing.T) {
 func TestFaultyGradientAllocs(t *testing.T) {
 	cfg := allocConfig(t, 10, 16, 1)
 	x := vecmath.Ones(16)
-	honest, err := NewCollector(cfg.Agents[2:], len(x), 1).Collect(0, x)
+	honest, err := NewCollector(cfg.Agents[2:], len(x)).Collect(0, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,11 +352,11 @@ func TestCollectorFallbackMix(t *testing.T) {
 	agents[3] = legacyAgent{inner: agents[3]}
 
 	x := []float64{0.4, -0.9}
-	mixed, err := NewCollector(agents, len(x), 1).Collect(3, x)
+	mixed, err := NewCollector(agents, len(x)).Collect(3, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := NewCollector(stripInto(agents), len(x), 1).Collect(3, x)
+	all, err := NewCollector(stripInto(agents), len(x)).Collect(3, x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,31 +1,29 @@
 package dgd
 
-// Gates for the Collector's one report path: the same bits at any worker
-// count and for agents with or without their Into faces, no report vector
-// allocated by concurrent collection, and an arena that a faces-less agent
-// cannot corrupt.
+// Gates for the Collector's one report path: the same bits for agents with
+// or without their Into faces, honest reports collected before the
+// adversary's, and an arena that a faces-less agent cannot corrupt.
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
+	"byzopt/internal/aggregate"
 	"byzopt/internal/byzantine"
 	"byzopt/internal/vecmath"
 )
 
 // collectRun drives the kernel the way RunContext does and returns a copy of
 // every round's report table followed by the final estimate.
-func collectRun(t *testing.T, cfg Config, workers int) [][]float64 {
+func collectRun(t *testing.T, cfg Config) [][]float64 {
 	t.Helper()
 	round, err := NewRound(cfg, len(cfg.Agents))
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewCollector(cfg.Agents, len(cfg.X0), workers)
+	col := NewCollector(cfg.Agents, len(cfg.X0))
 	var out [][]float64
 	for r := 0; r < cfg.Rounds; r++ {
 		reports, err := col.Collect(r, round.X())
@@ -43,39 +41,35 @@ func collectRun(t *testing.T, cfg Config, workers int) [][]float64 {
 }
 
 // TestCollectorWorkersBitEqual: for every registered behavior at two
-// Byzantine agents, four collecting goroutines produce the reports of every
-// round and the final estimate of one, bit for bit, whether the agents write
-// into their arena rows themselves or are adapted from their allocating
-// faces. Under -race it is also the probe for two agents meeting in a row.
+// Byzantine agents, the reports of every round and the final estimate are the
+// same bits whether the agents write into their arena rows themselves or are
+// adapted from their allocating faces.
 func TestCollectorWorkersBitEqual(t *testing.T) {
 	for _, name := range byzantine.Names() {
-		for _, strip := range []bool{false, true} {
-			build := func() Config {
-				cfg := allocConfig(t, 10, 16, 12)
-				cfg.F = 2
-				for i := 0; i < cfg.F; i++ {
-					behavior, err := byzantine.New(name, 7)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if cfg.Agents[i], err = NewFaulty(cfg.Agents[i], behavior); err != nil {
-						t.Fatal(err)
-					}
+		build := func(strip bool) Config {
+			cfg := allocConfig(t, 10, 16, 12)
+			cfg.F = 2
+			for i := 0; i < cfg.F; i++ {
+				behavior, err := byzantine.New(name, 7)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if strip {
-					cfg.Agents = stripInto(cfg.Agents)
+				if cfg.Agents[i], err = NewFaulty(cfg.Agents[i], behavior); err != nil {
+					t.Fatal(err)
 				}
-				return cfg
 			}
-			seq := collectRun(t, build(), 1)
-			par := collectRun(t, build(), 4)
-			requireSameVectors(t, fmt.Sprintf("%s strip=%v, one worker against four", name, strip), seq, par)
+			if strip {
+				cfg.Agents = stripInto(cfg.Agents)
+			}
+			return cfg
 		}
+		requireSameVectors(t, name+": the Into faces against the allocating ones",
+			collectRun(t, build(false)), collectRun(t, build(true)))
 	}
 
 	// A coalition that reports once: ten colluders of forty whose behavior is
-	// marked byzantine.SharedReport send, at one worker and at four, what the
-	// same ten send when each computes its own report (the mark hidden).
+	// marked byzantine.SharedReport send what the same ten send when each
+	// computes its own report (the mark hidden).
 	for _, name := range []string{"alie", "ipm"} {
 		build := func(mark bool) Config {
 			cfg := allocConfig(t, 40, 16, 12)
@@ -94,17 +88,14 @@ func TestCollectorWorkersBitEqual(t *testing.T) {
 			}
 			return cfg
 		}
-		if got := len(NewCollector(build(true).Agents, 16, 1).followers); got != 9 {
+		if got := len(NewCollector(build(true).Agents, 16).followers); got != 9 {
 			t.Fatalf("%s: %d of ten equal colluders follow, want 9", name, got)
 		}
-		if got := len(NewCollector(build(false).Agents, 16, 1).followers); got != 0 {
+		if got := len(NewCollector(build(false).Agents, 16).followers); got != 0 {
 			t.Fatalf("%s with the mark hidden: %d colluders follow, want none", name, got)
 		}
-		each := collectRun(t, build(false), 1)
-		for _, workers := range []int{1, 4} {
-			requireSameVectors(t, fmt.Sprintf("%s: shared at %d workers against each its own", name, workers),
-				each, collectRun(t, build(true), workers))
-		}
+		requireSameVectors(t, name+": shared against each its own",
+			collectRun(t, build(false)), collectRun(t, build(true)))
 	}
 }
 
@@ -166,33 +157,31 @@ func TestCoalitionReportsOnce(t *testing.T) {
 			return countedALIE{byzantine.ALittleIsEnough{Z: 1.5}, c}
 		}, false, f},
 	} {
-		for _, workers := range []int{1, 4} {
-			var calls atomic.Int64
-			agents := allocConfig(t, n, d, rounds).Agents
-			if !tc.honest {
-				agents = agents[:f]
+		var calls atomic.Int64
+		agents := allocConfig(t, n, d, rounds).Agents
+		if !tc.honest {
+			agents = agents[:f]
+		}
+		for i := 0; i < f; i++ {
+			var err error
+			if agents[i], err = NewFaulty(agents[i], tc.behavior(i, &calls)); err != nil {
+				t.Fatal(err)
 			}
-			for i := 0; i < f; i++ {
-				var err error
-				if agents[i], err = NewFaulty(agents[i], tc.behavior(i, &calls)); err != nil {
-					t.Fatal(err)
-				}
+		}
+		col := NewCollector(agents, d)
+		x := make([]float64, d)
+		for r := 0; r < rounds; r++ {
+			reports, err := col.Collect(r, x)
+			if err != nil {
+				t.Fatal(err)
 			}
-			col := NewCollector(agents, d, workers)
-			x := make([]float64, d)
-			for r := 0; r < rounds; r++ {
-				reports, err := col.Collect(r, x)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tc.perRound == 2 && vecmath.Equal(reports[0], reports[1], 0) {
-					t.Errorf("%s: agents 0 and 1 differ in Z and sent one vector", tc.name)
-				}
+			if tc.perRound == 2 && vecmath.Equal(reports[0], reports[1], 0) {
+				t.Errorf("%s: agents 0 and 1 differ in Z and sent one vector", tc.name)
 			}
-			if got := calls.Load(); got != tc.perRound*rounds {
-				t.Errorf("%s, %d workers: %d ApplyInto calls in %d rounds, want %d a round",
-					tc.name, workers, got, rounds, tc.perRound)
-			}
+		}
+		if got := calls.Load(); got != tc.perRound*rounds {
+			t.Errorf("%s: %d ApplyInto calls in %d rounds, want %d a round",
+				tc.name, got, rounds, tc.perRound)
 		}
 	}
 
@@ -211,30 +200,6 @@ func TestCoalitionReportsOnce(t *testing.T) {
 	}
 	if got := calls.Load(); got != f {
 		t.Errorf("Gradient on %d agents made %d ApplyInto calls", f, got)
-	}
-}
-
-// TestConcurrentCollectionAllocatesNoReports: with four workers a round still
-// writes every report into its arena row. What a round may allocate is the
-// fan-out (closures, goroutines), far below the n·d·8 bytes that n fresh
-// report vectors cost.
-func TestConcurrentCollectionAllocatesNoReports(t *testing.T) {
-	const n, d = 10, 1000
-	bytesOf := func(rounds int) uint64 {
-		cfg := allocConfig(t, n, d, rounds)
-		cfg.Workers = 4
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	short, long := bytesOf(1), bytesOf(21)
-	if perRound := (float64(long) - float64(short)) / 20; perRound >= n*d*8 {
-		t.Fatalf("concurrent collection allocates %.0f bytes per extra round, want under %d (n fresh report vectors)",
-			perRound, n*d*8)
 	}
 }
 
@@ -262,39 +227,116 @@ func (a *retainingFaulty) FaultyGradient(round, agent int, x []float64, honest [
 // slice it handed out leaves its arena row as it was.
 func TestCollectorAdaptsFacelessAgents(t *testing.T) {
 	x := []float64{0, 0, 0}
-	for _, workers := range []int{1, 4} {
-		bufs := make([][]float64, 4)
-		for i := range bufs {
-			bufs[i] = make([]float64, len(x))
+	bufs := make([][]float64, 4)
+	for i := range bufs {
+		bufs[i] = make([]float64, len(x))
+	}
+	agents := []Agent{
+		&retainingAgent{buf: bufs[0]},
+		&retainingAgent{buf: bufs[1]},
+		&retainingFaulty{retainingAgent{buf: bufs[2]}},
+		&retainingFaulty{retainingAgent{buf: bufs[3]}},
+	}
+	col := NewCollector(agents, len(x))
+	reports, err := col.Collect(5, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, buf := range bufs {
+		clear(buf) // the producers overwrite what they handed out
+	}
+	for i, g := range reports {
+		if len(g) != len(x) || g[0] != 5 || g[1] != 6 || g[2] != 7 {
+			t.Errorf("agent %d's row reads %v after the producer reused its slice, want [5 6 7]", i, g)
 		}
-		agents := []Agent{
-			&retainingAgent{buf: bufs[0]},
-			&retainingAgent{buf: bufs[1]},
-			&retainingFaulty{retainingAgent{buf: bufs[2]}},
-			&retainingFaulty{retainingAgent{buf: bufs[3]}},
+	}
+
+	for _, bad := range []Agent{
+		&retainingAgent{buf: make([]float64, len(x)+1)},
+		&retainingFaulty{retainingAgent{buf: make([]float64, len(x)-1)}},
+	} {
+		mixed := append([]Agent{bad}, agents...)
+		if _, err := NewCollector(mixed, len(x)).Collect(0, x); !errors.Is(err, ErrConfig) {
+			t.Errorf("wrong-length report from %T: want ErrConfig, got %v", bad, err)
 		}
-		col := NewCollector(agents, len(x), workers)
-		reports, err := col.Collect(5, x)
+	}
+}
+
+// TestOmniscientSeesAllHonestGradientsInParallel pins the adversary
+// semantics: an omniscient behavior observes every honest gradient of the
+// round, collected first and in agent order, even when the Byzantine agent
+// comes first in the pool. IPM reports -eps * mean(honest), which we can
+// check exactly.
+func TestOmniscientSeesAllHonestGradientsInParallel(t *testing.T) {
+	xstar := []float64{1, 1}
+	agents, costs, _ := regressionAgents(t, testRows, xstar)
+	const eps = 0.5
+	fa, err := NewFaulty(agents[0], byzantine.InnerProductManipulation{Epsilon: eps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agents[0] = fa
+
+	x := []float64{0.3, -0.2}
+	honest := make([][]float64, 0, len(costs)-1)
+	for _, c := range costs[1:] {
+		g, err := c.Grad(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, buf := range bufs {
-			clear(buf) // the producers overwrite what they handed out
-		}
-		for i, g := range reports {
-			if len(g) != len(x) || g[0] != 5 || g[1] != 6 || g[2] != 7 {
-				t.Errorf("workers=%d: agent %d's row reads %v after the producer reused its slice, want [5 6 7]", workers, i, g)
-			}
-		}
+		honest = append(honest, g)
+	}
+	mean, err := vecmath.Mean(honest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := vecmath.Scale(-eps, mean)
 
-		for _, bad := range []Agent{
-			&retainingAgent{buf: make([]float64, len(x)+1)},
-			&retainingFaulty{retainingAgent{buf: make([]float64, len(x)-1)}},
-		} {
-			mixed := append([]Agent{bad}, agents...)
-			if _, err := NewCollector(mixed, len(x), workers).Collect(0, x); !errors.Is(err, ErrConfig) {
-				t.Errorf("workers=%d: wrong-length report from %T: want ErrConfig, got %v", workers, bad, err)
-			}
+	grads, err := NewCollector(agents, len(x)).Collect(0, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vecmath.Equal(grads[0], want, 0) {
+		t.Errorf("omniscient report %v, want %v", grads[0], want)
+	}
+	for i, g := range grads[1:] {
+		if !vecmath.Equal(g, honest[i], 0) {
+			t.Errorf("honest slot %d corrupted", i+1)
 		}
 	}
+}
+
+// TestNonFiniteGradientSurfacesAsDivergence covers the aggregate-level
+// NaN rejection: a Byzantine NaN report must be classified ErrDiverged, not
+// bubble up as a generic filter error.
+func TestNonFiniteGradientSurfacesAsDivergence(t *testing.T) {
+	xstar := []float64{1, 1}
+	agents, _, _ := regressionAgents(t, testRows, xstar)
+	fa, err := NewFaulty(agents[0], infBehavior{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agents[0] = fa
+	_, err = Run(Config{
+		Agents: agents,
+		F:      1,
+		Filter: aggregate.CWTM{},
+		X0:     []float64{0, 0},
+		Rounds: 3,
+	})
+	if !errors.Is(err, ErrDiverged) {
+		t.Errorf("want ErrDiverged, got %v", err)
+	}
+}
+
+// infBehavior reports a +Inf gradient, exercising the filter-level
+// finiteness rejection (the estimate itself never goes non-finite).
+type infBehavior struct{}
+
+func (infBehavior) Name() string { return "inf" }
+
+func (infBehavior) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
+	out := vecmath.Clone(trueGrad)
+	out[0] = math.Inf(1)
+	return out, nil
 }

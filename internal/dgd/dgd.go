@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 
 	"byzopt/internal/aggregate"
 	"byzopt/internal/byzantine"
@@ -63,10 +62,11 @@ type Agent interface {
 //
 // Implementations may reuse internal scratch between calls (the costfunc
 // oracles do). The Collector calls GradientInto once per agent per round, on
-// a row no other agent sees, and with Config.Workers > 1 it makes the calls
-// of different agents concurrently: an agent's scratch — its cost, or the
-// inner agent of a Byzantine wrapper — must not be shared between two agents
-// of one run.
+// a row no other agent sees, one agent at a time. Agents still report
+// concurrently elsewhere — a sweep runs its cells side by side, and the
+// cluster substrate asks each agent from its connection's goroutine — so an
+// agent's scratch (its cost, or the inner agent of a Byzantine wrapper) must
+// not be shared with another agent.
 type IntoAgent interface {
 	Agent
 	// GradientInto writes the agent's report for round t at estimate x into
@@ -380,17 +380,6 @@ type Config struct {
 	// clamping, and a round losing every live report skips its descent step.
 	// A nil or disabled plan is bitwise identical to no chaos layer at all.
 	Chaos *chaos.Plan
-
-	// Workers opts into concurrent gradient collection: the number of
-	// goroutines querying agents each round. 0 and 1 collect on the round
-	// loop's own goroutine; negative means GOMAXPROCS. Honest agents are
-	// still collected before Byzantine ones (omniscient adversaries observe
-	// the full honest set either way), and every report lands in its agent's
-	// own arena row, so a parallel run produces exactly the estimates of a
-	// sequential one. With Workers > 1 different agents report concurrently
-	// (never one agent twice), so agents must not share scratch; see
-	// IntoAgent.
-	Workers int
 }
 
 // Trace records per-iteration series for t = 0..Rounds inclusive.
@@ -529,11 +518,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	col := NewCollector(cfg.Agents, len(cfg.X0), workers)
+	col := NewCollector(cfg.Agents, len(cfg.X0))
 	for t := 0; t < cfg.Rounds; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("run cancelled at round %d: %w", t, err)
@@ -558,12 +543,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 // Collector is the per-run gradient-collection state: the honest/faulty
 // split (computed once — agent kinds cannot change mid-run), every agent's
 // Into face, and the gradient arena whose rows receive the reports. Reports
-// from agents not marked Faulty are collected first (a full barrier
-// separates the phases) so omniscient Byzantine behaviors observe the
-// complete honest set, matching the strongest adversary the literature
-// assumes. Every report lands in its agent's own row and the honest set is
-// ordered by agent index, so the filter input is identical at any worker
-// count and for agents with or without their Into faces.
+// from agents not marked Faulty are collected first so omniscient Byzantine
+// behaviors observe the complete honest set, matching the strongest
+// adversary the literature assumes. Every report lands in its agent's own
+// row and the honest set is ordered by agent index, so the filter input is
+// identical for agents with or without their Into faces.
 type Collector struct {
 	honestIdx []int
 	faultyIdx []int        // the Faulty agents that report: all but the followers
@@ -572,16 +556,13 @@ type Collector struct {
 	faulty    []IntoFaulty // per Faulty agent, likewise; nil for an honest one
 	grads     [][]float64  // the arena rows, agent-index order: the filter input
 	honest    [][]float64  // the honest agents' rows, agent-index order
-	workers   int
 }
 
 // NewCollector builds the collection state for one run over agents reporting
-// d-dimensional gradients, with workers as Config.Workers resolved (<= 1
-// collects on the caller's goroutine). An agent that lacks GradientInto or
+// d-dimensional gradients. An agent that lacks GradientInto or
 // FaultyGradientInto is adapted here, once, so that collection has a single
-// face per agent kind whatever the agent implements and however many workers
-// collect; see IntoAgent for what concurrent collection asks of an agent.
-func NewCollector(agents []Agent, d, workers int) *Collector {
+// face per agent kind whatever the agent implements.
+func NewCollector(agents []Agent, d int) *Collector {
 	n := len(agents)
 	c := &Collector{
 		honestIdx: make([]int, 0, n),
@@ -590,7 +571,6 @@ func NewCollector(agents []Agent, d, workers int) *Collector {
 		faulty:    make([]IntoFaulty, n),
 		grads:     make([][]float64, n),
 		honest:    make([][]float64, 0, n),
-		workers:   workers,
 	}
 	arena := make([]float64, n*d)
 	for i, a := range agents {
@@ -676,13 +656,8 @@ func (c *Collector) Collect(t int, x []float64) ([][]float64, error) {
 	return c.grads, nil
 }
 
-// phase collects the reports of the agents in idx: on the caller's goroutine
-// with a plain loop (no closure is built, so nothing escapes to the heap), or
-// across c.workers goroutines.
+// phase collects the reports of the agents in idx, in index order.
 func (c *Collector) phase(idx []int, t int, x []float64) error {
-	if c.workers > 1 && len(idx) > 1 {
-		return parallelFor(c.workers, idx, func(i int) error { return c.report(i, t, x) })
-	}
 	for _, i := range idx {
 		if err := c.report(i, t, x); err != nil {
 			return err

@@ -51,7 +51,7 @@ func (a asInto) AggregateInto(dst []float64, grads [][]float64, f int, _ *aggreg
 }
 
 // ValidateRound checks everything the kernel consumes from cfg — every field
-// but Agents and Workers — for a run over n agents. Failures wrap sentinel,
+// but Agents — for a run over n agents. Failures wrap sentinel,
 // so each substrate reports its own package's configuration error from the
 // one set of checks.
 func ValidateRound(cfg Config, n int, sentinel error) error {

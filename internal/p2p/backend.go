@@ -37,17 +37,16 @@ import (
 //   - Configurations with n <= 3f are rejected with a wrapped
 //     dgd.ErrInadmissible — the EIG admissibility bound — which the sweep
 //     engine classifies as a skipped grid point rather than a sweep failure.
-//   - Config.Workers is ignored: the broadcast simulation is sequential by
-//     construction. A round is one broadcast per distorting sender on one
-//     engine reused for the whole run, plus a decode per sender and one
-//     kernel step. A sender that does not distort is decided by EIG's
-//     validity, so with no distorting peer (any grid but an equivocating
-//     one) a round broadcasts nothing and is its gradient evaluations and
-//     filter call. A distorting sender's broadcast builds the part of the
-//     MessageCost(n, f) tree whose value another distorting peer can still
-//     make differ between processes — the nodes liars relay and their
-//     children — n recipients a node: the sender's row alone when it is the
-//     only one, 7 of the 37 nodes at n=7, f=2 when another peer distorts too.
+//   - A round is one broadcast per distorting sender on one engine reused for
+//     the whole run, plus a decode per sender and one kernel step. A sender
+//     that does not distort is decided by EIG's validity, so with no
+//     distorting peer (any grid but an equivocating one) a round broadcasts
+//     nothing and is its gradient evaluations and filter call. A distorting
+//     sender's broadcast builds the part of the MessageCost(n, f) tree whose
+//     value another distorting peer can still make differ between processes —
+//     the nodes liars relay and their children — n recipients a node: the
+//     sender's row alone when it is the only one, 7 of the 37 nodes at n=7,
+//     f=2 when another peer distorts too.
 type Backend struct{}
 
 var _ dgd.Backend = Backend{}

@@ -78,7 +78,7 @@ func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 	// checked against honest's, the first honest peer (n > 3f leaves one).
 	honest := slices.Index(liars, nil)
 	dim := len(cfg.X0)
-	col := dgd.NewCollector(cfg.Agents, dim, 1)
+	col := dgd.NewCollector(cfg.Agents, dim)
 	e := newEIG(n, cfg.F)
 	var payload []byte
 	agreed := make([][]float64, n)

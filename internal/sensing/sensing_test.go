@@ -236,7 +236,7 @@ func TestNoisyEstimateWithinTwoEpsilon(t *testing.T) {
 }
 
 // TestEstimateDGD: filtered gradient descent over the per-sensor costs —
-// the agents the sweep's sensing workload and examples/sensing build from
+// the agents the sweep's sensing workload and the package Example build from
 // Costs — recovers the state despite two corrupted sensors.
 func TestEstimateDGD(t *testing.T) {
 	r := rand.New(rand.NewSource(4))

@@ -520,7 +520,6 @@ func runScenario(ctx context.Context, spec *Spec, prob Problem, backend dgd.Back
 		TrackLoss: wl.HonestLoss,
 		Reference: wl.XH,
 		Observer:  observer,
-		Workers:   spec.DGDWorkers,
 		Async:     asyncCfg,
 		Chaos:     chaosPlan,
 	})

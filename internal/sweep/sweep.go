@@ -156,12 +156,6 @@ type Spec struct {
 	// Workers sizes the scenario worker pool; <= 0 means GOMAXPROCS.
 	// Results are identical at any setting.
 	Workers int
-	// DGDWorkers is passed to dgd.Config.Workers for every run, enabling
-	// concurrent gradient collection inside each scenario. Note the zero
-	// values differ: gradient collection is opt-in, so DGDWorkers = 0
-	// keeps it sequential (negative means GOMAXPROCS), whereas Workers = 0
-	// above means a full-size pool.
-	DGDWorkers int
 
 	// Backend executes each scenario's run; nil means the in-process
 	// engine (dgd.InProcess). Handing a cluster.Backend here runs every

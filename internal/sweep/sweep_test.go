@@ -97,8 +97,7 @@ func TestDeriveSeedIsStableAndDistinct(t *testing.T) {
 }
 
 // TestRunDeterministicAcrossWorkers is the engine's core guarantee: the
-// same spec, run with 1 sweep worker or 8 (and with concurrent gradient
-// collection inside each run), exports byte-identical JSON.
+// same spec, run with 1 sweep worker or 8, exports byte-identical JSON.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	encode := func(spec Spec) []byte {
 		t.Helper()
@@ -114,7 +113,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	// The second grid runs every registered behavior: the Byzantine wrappers
-	// rewrite arena rows in place, from one goroutine or from four.
+	// rewrite arena rows in place, in cells that run side by side.
 	allBehaviors := func() Spec {
 		spec := smallSpec()
 		spec.Behaviors = byzantine.Names()
@@ -129,13 +128,6 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		parallel.Workers = 8
 		if got := encode(parallel); !bytes.Equal(got, want) {
 			t.Error("Workers=8 JSON differs from Workers=1")
-		}
-
-		nested := build()
-		nested.Workers = 8
-		nested.DGDWorkers = 4
-		if got := encode(nested); !bytes.Equal(got, want) {
-			t.Error("DGDWorkers=4 JSON differs from sequential gradient collection")
 		}
 	}
 }
@@ -221,18 +213,17 @@ func TestInfeasibleScenariosAreSkippedNotFatal(t *testing.T) {
 }
 
 // TestStressMixedOmniscientPool hammers the worker pool with a larger
-// grid of colluding omniscient adversaries at high concurrency on both
-// levels; run under -race this is the engine's data-race probe.
+// grid of colluding omniscient adversaries at high concurrency; run under
+// -race this is the engine's data-race probe.
 func TestStressMixedOmniscientPool(t *testing.T) {
 	spec := Spec{
-		Filters:    []string{"cge", "cwtm", "multikrum", "centeredclip"},
-		Behaviors:  []string{"ipm", "alie", "random", "zero"},
-		FValues:    []int{2, 5},
-		NValues:    []int{24},
-		Dims:       []int{8},
-		Rounds:     12,
-		Workers:    8,
-		DGDWorkers: 8,
+		Filters:   []string{"cge", "cwtm", "multikrum", "centeredclip"},
+		Behaviors: []string{"ipm", "alie", "random", "zero"},
+		FValues:   []int{2, 5},
+		NValues:   []int{24},
+		Dims:      []int{8},
+		Rounds:    12,
+		Workers:   8,
 	}
 	results, err := Run(spec)
 	if err != nil {

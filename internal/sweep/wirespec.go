@@ -47,7 +47,6 @@ type WireSpec struct {
 	PinBehaviorSeed bool     `json:"pin_behavior_seed,omitempty"`
 	Noise           float64  `json:"noise"`
 	BoxRadius       float64  `json:"box_radius"`
-	DGDWorkers      int      `json:"dgd_workers,omitempty"`
 	RecordTrace     bool     `json:"record_trace,omitempty"`
 }
 
@@ -148,7 +147,6 @@ func NewWireSpec(spec Spec) (WireSpec, error) {
 		PinBehaviorSeed: spec.PinBehaviorSeed,
 		Noise:           spec.Noise,
 		BoxRadius:       spec.BoxRadius,
-		DGDWorkers:      spec.DGDWorkers,
 		RecordTrace:     spec.RecordTrace,
 	}, nil
 }
@@ -182,7 +180,6 @@ func (w WireSpec) Spec() (Spec, error) {
 		PinBehaviorSeed: w.PinBehaviorSeed,
 		Noise:           w.Noise,
 		BoxRadius:       w.BoxRadius,
-		DGDWorkers:      w.DGDWorkers,
 		RecordTrace:     w.RecordTrace,
 	}, nil
 }
