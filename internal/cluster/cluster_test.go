@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -247,6 +248,17 @@ func TestNewServerValidation(t *testing.T) {
 // connections run to completion on kernel, everything closed and waited for.
 func serveOverTCP(t *testing.T, producers []transport.GradientProducer, kernel dgd.Config) *Result {
 	t.Helper()
+	var res *Result
+	overTCP(t, producers, kernel, func(srv *Server) (err error) {
+		res, err = srv.Run(context.Background())
+		return err
+	})
+	return res
+}
+
+// overTCP is serveOverTCP with the server's run left to run.
+func overTCP(t *testing.T, producers []transport.GradientProducer, kernel dgd.Config, run func(*Server) error) {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +286,7 @@ func serveOverTCP(t *testing.T, producers []transport.GradientProducer, kernel d
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := srv.Run(context.Background())
+	err = run(srv)
 	for _, c := range conns {
 		_ = c.Close()
 	}
@@ -282,7 +294,6 @@ func serveOverTCP(t *testing.T, producers []transport.GradientProducer, kernel d
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
 }
 
 func producersOf(agents []dgd.Agent) []transport.GradientProducer {
@@ -308,17 +319,16 @@ func runOverTCP(t *testing.T, rounds int) *Result {
 	})
 }
 
-// The wire moves float64 bits and the server aggregates in agent order, so a
-// run over TCP is the in-process run: 6 agents at d = 1000 (the benchmark's
-// tcp_cluster shape), agent 0 reversing, CWTM — final estimates bit-equal.
-func TestClusterOverTCPBitEqualToInProcess(t *testing.T) {
-	const n, d, f, rounds = 6, 1000, 1, 40
+// wideAgents builds the benchmark's tcp_cluster agents: n single-row least
+// squares costs at dimension d, agent 0 reversing its gradient. Each call
+// builds fresh agents, since agents carry gradient scratch.
+func wideAgents(t *testing.T, n, d int) func() []dgd.Agent {
 	r := rand.New(rand.NewSource(16))
 	costs := make([]costfunc.Differentiable, n)
 	for i := range costs {
 		row := make([]float64, d)
 		for j := range row {
-			row[j] = r.NormFloat64() / math.Sqrt(d)
+			row[j] = r.NormFloat64() / math.Sqrt(float64(d))
 		}
 		c, err := costfunc.NewSingleRowLeastSquares(row, r.NormFloat64())
 		if err != nil {
@@ -326,7 +336,7 @@ func TestClusterOverTCPBitEqualToInProcess(t *testing.T) {
 		}
 		costs[i] = c
 	}
-	agents := func() []dgd.Agent { // fresh per run: agents carry gradient scratch
+	return func() []dgd.Agent {
 		agents, err := dgd.HonestAgents(costs)
 		if err != nil {
 			t.Fatal(err)
@@ -336,6 +346,14 @@ func TestClusterOverTCPBitEqualToInProcess(t *testing.T) {
 		}
 		return agents
 	}
+}
+
+// The wire moves float64 bits and the server aggregates in agent order, so a
+// run over TCP is the in-process run: 6 agents at d = 1000 (the benchmark's
+// tcp_cluster shape), agent 0 reversing, CWTM — final estimates bit-equal.
+func TestClusterOverTCPBitEqualToInProcess(t *testing.T) {
+	const n, d, f, rounds = 6, 1000, 1, 40
+	agents := wideAgents(t, n, d)
 	box, err := vecmath.NewCube(d, 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -356,6 +374,44 @@ func TestClusterOverTCPBitEqualToInProcess(t *testing.T) {
 		if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) {
 			t.Fatalf("x[%d] over TCP = %v, in process = %v", i, got.X[i], want.X[i])
 		}
+	}
+}
+
+// A round of Server.Run over TCP allocates only its round context: the
+// request and reply vectors move through buffers both ends keep, and each
+// connection's one watcher takes the round's cancellation. Measured on the
+// tcp_cluster shape under a run context that has a cancel, as the Mallocs of
+// a 450-round run less those of a 50-round one, so setup cancels out; both
+// ends run in this process, so the agents' side is counted too.
+func TestClusterOverTCPRoundAllocs(t *testing.T) {
+	const n, d, f = 6, 1000, 1
+	agents := wideAgents(t, n, d)
+	box, err := vecmath.NewCube(d, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallocs := func(rounds int) uint64 {
+		var before, after runtime.MemStats
+		overTCP(t, producersOf(agents()), dgd.Config{
+			F: f, Filter: aggregate.CWTM{}, Box: box, X0: make([]float64, d), Rounds: rounds,
+		}, func(srv *Server) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			runtime.ReadMemStats(&before)
+			_, err := srv.Run(ctx)
+			runtime.ReadMemStats(&after)
+			return err
+		})
+		return after.Mallocs - before.Mallocs
+	}
+	// One processor, as testing.AllocsPerRun has: with several, a blocked
+	// goroutine's channel waiter is now and then allocated afresh when the
+	// processor it runs on has none cached, which is the runtime's count,
+	// not the round's.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	short, long := mallocs(50), mallocs(450)
+	if perRound := (float64(long) - float64(short)) / 400; perRound > 5 {
+		t.Errorf("a round over TCP allocates %.2f objects (%d in 50 rounds, %d in 450), want at most 5", perRound, short, long)
 	}
 }
 

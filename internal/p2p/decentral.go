@@ -115,7 +115,7 @@ func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 				}
 				continue
 			}
-			payload = appendVector(payload[:0], g)
+			payload = vecmath.AppendLE(payload[:0], g)
 			e.broadcast(sender, string(payload), liars)
 			id := e.decision(honest)
 			for p, liar := range liars {

@@ -25,13 +25,12 @@
 package p2p
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"byzopt/internal/byzantine"
+	"byzopt/internal/vecmath"
 )
 
 // ErrArgs is returned (wrapped) for invalid parameters.
@@ -405,17 +404,10 @@ func MessageCost(n, f int) (int64, error) {
 
 // --- vector encoding ---
 
-// EncodeVector serializes a gradient so it can be carried as an EIG value.
+// EncodeVector serializes a gradient so it can be carried as an EIG value:
+// vecmath's wire layout, the TCP frames' too.
 func EncodeVector(v []float64) string {
-	return string(appendVector(make([]byte, 0, 8*len(v)), v))
-}
-
-// appendVector appends v's encoding to dst.
-func appendVector(dst []byte, v []float64) []byte {
-	for _, x := range v {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
-	}
-	return dst
+	return string(vecmath.AppendLE(make([]byte, 0, 8*len(v)), v))
 }
 
 // DecodeVector recovers a gradient of the expected dimension. Malformed or
@@ -434,25 +426,12 @@ func DecodeVector(s string, dim int) []float64 {
 // allocated. The round loop uses it to decode a distorting sender's decided
 // value into a reused arena.
 func DecodeVectorInto(dst []float64, s string) {
-	for i := range dst {
-		dst[i] = 0
-	}
 	if len(s) != 8*len(dst) {
+		clear(dst)
 		return
 	}
-	for i := range dst {
-		var u uint64
-		for b := 0; b < 8; b++ {
-			u |= uint64(s[8*i+b]) << (8 * b)
-		}
-		x := math.Float64frombits(u)
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			// Poisoned payload: zero it all.
-			for j := range dst {
-				dst[j] = 0
-			}
-			return
-		}
-		dst[i] = x
+	vecmath.DecodeLE(dst, s)
+	if !vecmath.IsFinite(dst) {
+		clear(dst) // poisoned payload: zero it all
 	}
 }

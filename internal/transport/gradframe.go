@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
+
+	"byzopt/internal/vecmath"
 )
 
 // This file is the message codec of the gradient protocol. A frame body
@@ -21,6 +22,10 @@ import (
 // reply; the text is an agent-side failure in a reply and the server's reason
 // in a shutdown that refuses a hello. The two lengths must fill the body
 // exactly.
+//
+// The vector's bytes are vecmath's wire layout (AppendLE, DecodeLE): on a
+// little-endian host the vector's own memory, so either end moves a vector
+// into or out of a frame with one copy.
 
 // GradProtoVersion is the gradient wire-protocol version an agent announces
 // in its hello; AcceptAgents refuses any other. Version 1 was a gob stream.
@@ -57,11 +62,7 @@ func gradFrame(buf []byte, kind byte, round int64, vec []float64, text string) [
 	frame = binary.LittleEndian.AppendUint64(frame, uint64(round))
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(vec)))
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(text)))
-	off := len(frame)
-	frame = slices.Grow(frame, 8*len(vec)+len(text))[:off+8*len(vec)]
-	for i, v := range vec {
-		binary.LittleEndian.PutUint64(frame[off+8*i:], math.Float64bits(v))
-	}
+	frame = vecmath.AppendLE(slices.Grow(frame, 8*len(vec)+len(text)), vec)
 	return append(frame, text...)
 }
 
@@ -87,8 +88,6 @@ func parseGradMsg(body []byte) (gradMsg, error) {
 func (m gradMsg) floats(dst []float64) []float64 {
 	n := len(m.vec) / 8
 	dst = slices.Grow(dst[:0], n)[:n]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(m.vec[8*i:]))
-	}
+	vecmath.DecodeLE(dst, m.vec)
 	return dst
 }

@@ -16,15 +16,43 @@ import (
 // serialized: the synchronous protocol issues one request per agent per
 // round, so a single in-flight request is the steady state. Messages travel
 // as checksummed, size-capped frames (frame.go, gradframe.go) built in and
-// decoded from buffers the connection keeps across rounds.
+// decoded from buffers the connection keeps across rounds. Its one
+// cancellation watcher (watchCancel) runs from newTCPConn until Close.
 type tcpConn struct {
 	mu        sync.Mutex
 	conn      net.Conn
 	out       []byte      // the last frame sent, reused under mu
 	in        frameReader // the frames received, one Read each once they have arrived
 	reply     []float64   // the vector RequestGradient returns, reused under mu
+	arm       chan (<-chan struct{})
+	disarm    chan struct{}
+	stopped   chan struct{}
 	closeOnce sync.Once
 	closeErr  error
+}
+
+// newTCPConn wraps an agent's socket, in holding what was read past its
+// hello.
+func newTCPConn(raw net.Conn, in frameReader) *tcpConn {
+	c := &tcpConn{conn: raw, in: in, arm: make(chan (<-chan struct{})), disarm: make(chan struct{}), stopped: make(chan struct{})}
+	go watchCancel(raw, c.arm, c.disarm, c.stopped)
+	return c
+}
+
+// watchCancel waits, for each Done channel it is handed on arm, for that
+// channel or the request's disarm. If Done fires first it yanks the socket
+// deadline to now, which unblocks the request's I/O with a timeout error, and
+// only then takes the disarm. It returns when arm is closed, closing stopped.
+func watchCancel(conn net.Conn, arm <-chan (<-chan struct{}), disarm <-chan struct{}, stopped chan<- struct{}) {
+	defer close(stopped)
+	for done := range arm {
+		select {
+		case <-done:
+			_ = conn.SetDeadline(time.Now())
+			<-disarm
+		case <-disarm:
+		}
+	}
 }
 
 // RequestGradient implements AgentConn. The ctx deadline is mapped onto the
@@ -34,48 +62,33 @@ type tcpConn struct {
 // as ErrTimeout (wrapping ctx.Err() on cancellation) so the
 // server's elimination logic treats network silence like any other missed
 // round (paper step S1).
+//
+// The poisoning is the watcher's. A request whose ctx can be cancelled hands
+// it ctx.Done() before writing and a disarm on return, over unbuffered
+// channels, and the watcher takes the disarm only after any deadline it sets.
+// So a cancellation lands before RequestGradient returns, and the next
+// request's SetDeadline overwrites it: the caller may cancel ctx right after
+// the reply without touching the next round. A ctx that can never be
+// cancelled arms nothing.
 func (c *tcpConn) RequestGradient(ctx context.Context, round int, estimate []float64) ([]float64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
 		return nil, fmt.Errorf("tcp request round %d: %w", round, ErrClosed)
 	}
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		deadline = time.Time{} // no deadline
-	}
-	conn := c.conn
-	if err := conn.SetDeadline(deadline); err != nil {
+	deadline, _ := ctx.Deadline() // the zero time, no deadline, if there is none
+	if err := c.conn.SetDeadline(deadline); err != nil {
 		return nil, fmt.Errorf("tcp set deadline: %w", err)
 	}
-	// SetDeadline only covers ctx's deadline; a ctx cancelled without one
-	// would otherwise leave the write/read below blocked forever. On
-	// cancellation the watcher yanks the deadline to now, which unblocks the
-	// I/O with a timeout error. It must be finished, or disarmed, before this
-	// call returns: the caller cancels ctx right after a reply, and a watcher
-	// running late would poison the deadline the next request has just set.
-	// The lock orders the two — a watcher that is past it completes before
-	// the deferred disarm gets it, one that is not finds itself disarmed.
-	var watch sync.Mutex
-	disarmed := false
-	stop := context.AfterFunc(ctx, func() {
-		watch.Lock()
-		defer watch.Unlock()
-		if !disarmed {
-			_ = conn.SetDeadline(time.Now())
-		}
-	})
-	defer func() {
-		stop()
-		watch.Lock()
-		disarmed = true
-		watch.Unlock()
-	}()
+	if done := ctx.Done(); done != nil {
+		c.arm <- done
+		defer func() { c.disarm <- struct{}{} }()
+	}
 	c.out = gradFrame(c.out, kindRequest, int64(round), estimate, "")
-	if err := writeFrame(conn, c.out, round, nil); err != nil {
+	if err := writeFrame(c.conn, c.out, round, nil); err != nil {
 		return nil, wrapReqErr(ctx, "tcp send round", round, err)
 	}
-	body, err := c.in.read(conn)
+	body, err := c.in.read(c.conn)
 	if err != nil {
 		return nil, wrapReqErr(ctx, "tcp receive round", round, err)
 	}
@@ -96,15 +109,14 @@ func (c *tcpConn) RequestGradient(ctx context.Context, round int, estimate []flo
 	return c.reply, nil
 }
 
-// Close implements AgentConn: it sends a best-effort shutdown message and
-// closes the socket.
+// Close implements AgentConn: it stops the watcher and waits for it, sends a
+// best-effort shutdown message and closes the socket.
 func (c *tcpConn) Close() error {
 	c.closeOnce.Do(func() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if c.conn == nil {
-			return
-		}
+		close(c.arm)
+		<-c.stopped
 		sendShutdown(c.conn, c.out, "")
 		c.closeErr = c.conn.Close()
 		c.conn = nil
@@ -195,7 +207,7 @@ func AcceptAgents(l net.Listener, n int, timeout time.Duration) ([]AgentConn, er
 			_ = raw.Close()
 			return fail(err)
 		}
-		conns[id] = &tcpConn{conn: raw, in: in}
+		conns[id] = newTCPConn(raw, in)
 	}
 	return conns, nil
 }

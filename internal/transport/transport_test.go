@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -409,6 +411,121 @@ func TestTCPCancelAfterReplyNeverPoisonsNextRound(t *testing.T) {
 			return
 		}
 	}
+}
+
+// A request whose context is cancelled before it starts hands the watcher a
+// Done channel that has already fired: the watcher poisons the deadline at
+// once, so the read of a reply that never comes returns promptly.
+func TestTCPAlreadyCancelledRequestReturnsPromptly(t *testing.T) {
+	flaky := NewFlaky(&echoProducer{scale: 1}, 0) // never replies
+	conn := serveOne(t, flaky, nil)
+	t.Cleanup(flaky.Release) // runs first: the agent sits inside Gradient
+
+	ctx, cancel := context.WithCancel(context.Background()) // no deadline
+	cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := conn.RequestGradient(ctx, 0, []float64{1})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrTimeout) || !errors.Is(err, context.Canceled) {
+			t.Errorf("want ErrTimeout wrapping context.Canceled, got %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a request under a cancelled context never returned")
+	}
+}
+
+// A context that can never be cancelled has no Done channel, and its request
+// hands the watcher nothing: with the connection's channels swapped for
+// buffered ones the watcher does not read, nothing lands in them.
+func TestTCPUncancellableRequestArmsNothing(t *testing.T) {
+	conn := serveOne(t, &echoProducer{scale: 2}, nil)
+	c := conn.(*tcpConn)
+	arm, disarm := c.arm, c.disarm
+	c.arm, c.disarm = make(chan (<-chan struct{}), 1), make(chan struct{}, 1)
+	g, err := conn.RequestGradient(context.Background(), 0, []float64{1.5})
+	if err != nil || len(g) != 1 || g[0] != 3 {
+		t.Fatalf("round trip: %v %v", g, err)
+	}
+	if len(c.arm) != 0 || len(c.disarm) != 0 {
+		t.Errorf("a request without a Done channel sent the watcher %d arms and %d disarms", len(c.arm), len(c.disarm))
+	}
+	c.arm, c.disarm = arm, disarm
+}
+
+// watchers counts the live cancellation watchers of tcpConns.
+func watchers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("created by byzopt/internal/transport.newTCPConn"))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// settleWatchers waits briefly for stopped watchers to finish returning, then
+// fails the test if more than want are left.
+func settleWatchers(t *testing.T, what string, want int) {
+	t.Helper()
+	for wait := time.Millisecond; watchers() > want; wait *= 2 {
+		if wait > time.Second {
+			t.Fatalf("%s: %d watchers left, want %d", what, watchers(), want)
+		}
+		time.Sleep(wait)
+	}
+}
+
+// Each connection AcceptAgents returns has one watcher, and closing the
+// connection stops it; so does AcceptAgents' own cleanup when a later hello
+// fails the handshake. Every other test closes its connections too, so none
+// is left from them either.
+func TestTCPCloseStopsEveryWatcher(t *testing.T) {
+	settleWatchers(t, "before the test", 0)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+
+	const n = 3
+	wg, cancel := startAgents(t, l.Addr().String(), n, func(int) GradientProducer {
+		return &echoProducer{scale: 1}
+	})
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	conns, err := AcceptAgents(l, n, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := watchers(); got != n {
+		t.Fatalf("%d watchers for %d connections", got, n)
+	}
+	closeAll(conns)
+	settleWatchers(t, "after Close", 0)
+
+	// Two good hellos, then a duplicate id: the handshake fails after it
+	// has built a connection or two, and closes them itself.
+	for _, id := range []int{0, 1, 0} {
+		raw, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = raw.Close() }()
+		if _, err := raw.Write(gradWire(t, kindHello, helloWord(id), nil, "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := AcceptAgents(l, n, 5*time.Second); err == nil {
+		t.Fatal("a duplicate id passed the handshake")
+	}
+	settleWatchers(t, "after a failed handshake", 0)
 }
 
 func TestTCPBadAgentCount(t *testing.T) {
