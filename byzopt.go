@@ -299,7 +299,7 @@ func LeastSquaresCost(rows [][]float64, b []float64) (Cost, error) {
 // SingleObservationCost builds one agent's cost (b - row.x)^2, the per-agent
 // cost of the paper's regression experiments.
 func SingleObservationCost(row []float64, b float64) (Cost, error) {
-	return costfunc.NewSingleRowLeastSquares(row, b)
+	return costfunc.NewObservation(row, b)
 }
 
 // SumCost aggregates costs: sum_i Q_i.

@@ -28,7 +28,6 @@ var keptWithoutCaller = map[string]string{
 	"core.HasExactRedundancy":         "the ε = 0 check of the ε-dial Problems",
 	"core.NewQuadraticProblem":        "the quadratic instances of the ε-dial Problems",
 	"costfunc.NumericGrad":            "the finite-difference reference every analytic gradient is tested against",
-	"costfunc.Smoothness":             "μ of Assumption 2, an input of the theory oracle's bounds",
 	"costfunc.StrongConvexity":        "γ of Assumption 3, an input of the theory oracle's bounds",
 	"linreg.Instance.HonestSum":       "the honest aggregate cost the cluster, p2p and figure tests track as the loss",
 	"matrix.Residual":                 "the residual reference of the least-squares gradient tests",

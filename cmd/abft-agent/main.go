@@ -81,7 +81,7 @@ func run(args []string) (err error) {
 		return fmt.Errorf("either -paper or -row is required")
 	}
 
-	cost, err := costfunc.NewSingleRowLeastSquares(row, b)
+	cost, err := costfunc.NewObservation(row, b)
 	if err != nil {
 		return err
 	}

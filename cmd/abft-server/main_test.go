@@ -60,7 +60,7 @@ func TestProfileFlags(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cost, err := costfunc.NewSingleRowLeastSquares([]float64{1, 0}, 1)
+	cost, err := costfunc.NewObservation([]float64{1, 0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

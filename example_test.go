@@ -58,22 +58,13 @@ func (temperature) Build(spec *byzopt.SweepSpec, scn byzopt.SweepScenario) (*byz
 		honestSum += v
 	}
 	xH := []float64{honestSum / float64(scn.N-scn.F)}
-	// Each call builds its own costs: a cost keeps gradient scratch, and the
-	// cells sharing this workload run concurrently.
-	newCosts := func() ([]byzopt.Cost, error) {
-		costs := make([]byzopt.Cost, scn.N)
-		for i, v := range readings {
-			cost, err := byzopt.SingleObservationCost([]float64{1}, v)
-			if err != nil {
-				return nil, err
-			}
-			costs[i] = cost
+	costs := make([]byzopt.Cost, scn.N)
+	for i, v := range readings {
+		cost, err := byzopt.SingleObservationCost([]float64{1}, v)
+		if err != nil {
+			return nil, err
 		}
-		return costs, nil
-	}
-	costs, err := newCosts()
-	if err != nil {
-		return nil, err
+		costs[i] = cost
 	}
 	honestLoss, err := byzopt.SumCost(costs[scn.F:]...)
 	if err != nil {
@@ -84,13 +75,10 @@ func (temperature) Build(spec *byzopt.SweepSpec, scn byzopt.SweepScenario) (*byz
 		return nil, err
 	}
 	return &byzopt.Workload{
-		NewAgents: func() ([]byzopt.Agent, error) {
-			costs, err := newCosts()
-			if err != nil {
-				return nil, err
-			}
-			return byzopt.HonestAgents(costs)
-		},
+		// A single-observation cost keeps no scratch, so the cells sharing
+		// this workload, which run concurrently, share its costs; each cell
+		// gets agents of its own, since the engine wraps the first scn.F.
+		NewAgents:  func() ([]byzopt.Agent, error) { return byzopt.HonestAgents(costs) },
 		X0:         []float64{0},
 		XH:         xH,
 		Box:        box,

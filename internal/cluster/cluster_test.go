@@ -17,6 +17,7 @@ import (
 	"byzopt/internal/costfunc"
 	"byzopt/internal/dgd"
 	"byzopt/internal/linreg"
+	"byzopt/internal/matrix"
 	"byzopt/internal/transport"
 	"byzopt/internal/vecmath"
 )
@@ -330,7 +331,14 @@ func wideAgents(t *testing.T, n, d int) func() []dgd.Agent {
 		for j := range row {
 			row[j] = r.NormFloat64() / math.Sqrt(float64(d))
 		}
-		c, err := costfunc.NewSingleRowLeastSquares(row, r.NormFloat64())
+		// A one-row LeastSquares, whose lazily sized residual lands in the
+		// first run of TestClusterOverTCPRoundAllocs: that gate reads 4.98 a
+		// round with these costs and about 4.995 with scratch-free ones.
+		a, err := matrix.New(1, d, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := costfunc.NewLeastSquares(a, []float64{r.NormFloat64()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func TestBackendIntoFilterBitwiseMatchesLegacy(t *testing.T) {
 			for j := range row {
 				row[j] = rr.NormFloat64()
 			}
-			cost, err := costfunc.NewSingleRowLeastSquares(row, rr.NormFloat64())
+			cost, err := costfunc.NewObservation(row, rr.NormFloat64())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -78,11 +78,11 @@ func (p *LeastSquaresProblem) MinimizeSubset(idx []int) ([]float64, error) {
 }
 
 // Cost returns agent i's cost function.
-func (p *LeastSquaresProblem) Cost(i int) (*costfunc.LeastSquares, error) {
+func (p *LeastSquaresProblem) Cost(i int) (*costfunc.Observation, error) {
 	if i < 0 || i >= p.N() {
 		return nil, fmt.Errorf("agent %d out of [0, %d): %w", i, p.N(), ErrArgs)
 	}
-	return costfunc.NewSingleRowLeastSquares(p.a.Row(i), p.b[i])
+	return costfunc.NewObservation(p.a.Row(i), p.b[i])
 }
 
 // Costs returns all agents' cost functions in order.

@@ -10,6 +10,8 @@
 //
 //   - LeastSquares: Q(x) = sum_i (b_i - a_i x)^2, the distributed linear
 //     regression cost of Section 5 / Appendix J.
+//   - Observation: Q_i(x) = (b_i - a_i x)^2, one agent's cost in those
+//     experiments: a view of one design row and its response, no scratch.
 //   - QuadraticForm: Q(x) = 1/2 x'Px + q'x + c, the generic strongly convex
 //     quadratic used by tests and synthetic instances.
 //   - Hinge: the SVM cost mentioned in Section 5 (subgradients).
@@ -55,8 +57,10 @@ type Differentiable interface {
 // single cost value must not serve concurrent GradInto calls. The in-process
 // engine calls it once per agent per round, one agent at a time, but a sweep
 // runs its cells side by side and the cluster substrate asks each agent from
-// its own goroutine, so two agents must not share a cost value. Every
-// concrete cost in this package implements GradIntoer.
+// its own goroutine, so two agents must not share a cost value that keeps
+// scratch. In this package LeastSquares keeps its residual and Sum its term
+// gradient; Observation, QuadraticForm, Hinge and a Scale over scratch-free
+// costs keep none. Every concrete cost in this package implements GradIntoer.
 type GradIntoer interface {
 	Differentiable
 	// GradInto writes the gradient (or a subgradient) of Q at x into dst.
@@ -66,8 +70,9 @@ type GradIntoer interface {
 // --- least squares ---
 
 // LeastSquares is the regression cost Q(x) = ||b - A x||^2 over the rows of
-// a design matrix. With a single row it is exactly one agent's cost
-// Q_i(x) = (B_i - A_i x)^2 from Section 5.
+// a design matrix. With a single row it is one agent's cost
+// Q_i(x) = (B_i - A_i x)^2 from Section 5, which Observation computes bit
+// for bit without the matrix and the scratch.
 type LeastSquares struct {
 	a *matrix.Matrix
 	b []float64
@@ -89,46 +94,18 @@ func NewLeastSquares(a *matrix.Matrix, b []float64) (*LeastSquares, error) {
 	return &LeastSquares{a: a.Clone(), b: vecmath.Clone(b)}, nil
 }
 
-// NewSingleRowLeastSquares builds one agent's cost (b - a.x)^2.
-func NewSingleRowLeastSquares(row []float64, b float64) (*LeastSquares, error) {
-	m, err := matrix.FromRows([][]float64{row})
-	if err != nil {
-		return nil, fmt.Errorf("costfunc: %w", err)
-	}
-	return &LeastSquares{a: m, b: []float64{b}}, nil
-}
-
 // Dim returns the number of regression coefficients.
 func (q *LeastSquares) Dim() int { return q.a.Cols() }
 
-// Eval returns ||b - A x||^2. A residual of up to 32 rows lives on the stack
-// (the paper's instance has six), so tracking the loss every round allocates
-// nothing and Eval, like Grad, stays safe for concurrent calls on a shared
-// cost.
+// Eval returns ||b - A x||^2. Each row's residual is squared into one
+// accumulator as it is computed (matrix.ResidualNormSq), so tracking the loss
+// every round allocates nothing at any row count and Eval, like Grad, stays
+// safe for concurrent calls on a shared cost.
 func (q *LeastSquares) Eval(x []float64) (float64, error) {
 	if len(x) != q.Dim() {
 		return 0, fmt.Errorf("costfunc: eval at dim %d, want %d: %w", len(x), q.Dim(), ErrDimension)
 	}
-	var stack [32]float64
-	res := stack[:min(q.a.Rows(), len(stack))]
-	if q.a.Rows() > len(stack) {
-		res = make([]float64, q.a.Rows())
-	}
-	if err := q.residualInto(res, x); err != nil {
-		return 0, err
-	}
-	return vecmath.NormSq(res), nil
-}
-
-// residualInto writes b - A x into the rows-sized res.
-func (q *LeastSquares) residualInto(res, x []float64) error {
-	if err := q.a.MulVecInto(res, x); err != nil {
-		return err
-	}
-	for i := range res {
-		res[i] = q.b[i] - res[i]
-	}
-	return nil
+	return q.a.ResidualNormSq(x, q.b)
 }
 
 // Grad returns -2 A' (b - A x). Unlike GradInto it allocates its own
@@ -162,8 +139,11 @@ func (q *LeastSquares) gradInto(dst, x, res []float64) error {
 	if len(dst) != q.Dim() {
 		return fmt.Errorf("costfunc: grad into dim %d, want %d: %w", len(dst), q.Dim(), ErrDimension)
 	}
-	if err := q.residualInto(res, x); err != nil {
+	if err := q.a.MulVecInto(res, x); err != nil {
 		return err
+	}
+	for i := range res {
+		res[i] = q.b[i] - res[i]
 	}
 	if err := q.a.MulTVecInto(dst, res); err != nil {
 		return err
@@ -174,6 +154,108 @@ func (q *LeastSquares) gradInto(dst, x, res []float64) error {
 
 // Hessian returns the constant Hessian 2 A'A.
 func (q *LeastSquares) Hessian() *matrix.Matrix { return q.a.Gram().Scale(2) }
+
+// --- single observation ---
+
+// Observation is one agent's cost Q_i(x) = (b - a x)^2 in the paper's
+// regression experiments (Section 5): a single design row a and its response
+// b. It holds the row and the scalar and nothing else — no matrix, no
+// scratch — so its gradient is one dot pass and one write pass, and one
+// value may serve concurrent calls.
+type Observation struct {
+	a []float64
+	b float64
+}
+
+var _ GradIntoer = (*Observation)(nil)
+
+// NewObservation builds the cost (b - row.x)^2 over a copy of row, which
+// must be non-empty.
+func NewObservation(row []float64, b float64) (*Observation, error) {
+	if len(row) == 0 {
+		return nil, errors.New("costfunc: observation with an empty row")
+	}
+	return &Observation{a: vecmath.Clone(row), b: b}, nil
+}
+
+// ObservationViews builds the cost (b[i] - rows[i].x)^2 of every row, each a
+// view of its row rather than a copy, all backed by one slice. The rows must
+// be non-empty and of one length, and must not be written while the costs
+// are in use.
+func ObservationViews(rows [][]float64, b []float64) ([]Differentiable, error) {
+	if len(rows) != len(b) {
+		return nil, fmt.Errorf("costfunc: %d rows vs %d responses: %w", len(rows), len(b), ErrDimension)
+	}
+	backing := make([]Observation, len(rows))
+	out := make([]Differentiable, len(rows))
+	for i, row := range rows {
+		if len(row) == 0 || len(row) != len(rows[0]) {
+			return nil, fmt.Errorf("costfunc: row %d has %d entries, want %d > 0: %w", i, len(row), len(rows[0]), ErrDimension)
+		}
+		backing[i] = Observation{a: row, b: b[i]}
+		out[i] = &backing[i]
+	}
+	return out, nil
+}
+
+// Dim returns the number of regression coefficients.
+func (o *Observation) Dim() int { return len(o.a) }
+
+// residual returns b - a.x, the dot product summed in ascending index order
+// as matrix.MulVecInto sums a row.
+func (o *Observation) residual(x []float64, op string) (float64, error) {
+	if len(x) != len(o.a) {
+		return 0, fmt.Errorf("costfunc: %s at dim %d, want %d: %w", op, len(x), len(o.a), ErrDimension)
+	}
+	return o.b - vecmath.DotKernel(o.a, x), nil
+}
+
+// Eval returns (b - a.x)^2.
+func (o *Observation) Eval(x []float64) (float64, error) {
+	r, err := o.residual(x, "eval")
+	if err != nil {
+		return 0, err
+	}
+	return r * r, nil
+}
+
+// Grad returns -2 a (b - a.x).
+func (o *Observation) Grad(x []float64) ([]float64, error) {
+	g := make([]float64, len(o.a))
+	if err := o.GradInto(g, x); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// GradInto writes -2 a (b - a.x) into dst: one dot pass for the residual r,
+// then one write pass of (0 + r a_j) * -2, the sum a one-row LeastSquares
+// accumulates into a cleared dst and then scales, zero's sign included, so
+// the values are bitwise that cost's.
+func (o *Observation) GradInto(dst, x []float64) error {
+	r, err := o.residual(x, "grad")
+	if err != nil {
+		return err
+	}
+	if len(dst) != len(o.a) {
+		return fmt.Errorf("costfunc: grad into dim %d, want %d: %w", len(dst), len(o.a), ErrDimension)
+	}
+	dst = dst[:len(o.a)]
+	for j, aj := range o.a {
+		dst[j] = (0 + r*aj) * -2
+	}
+	return nil
+}
+
+// Hessian returns the constant Hessian 2 a'a, through the Gram product of a
+// one-row LeastSquares, so its eigenvalues are bitwise that cost's.
+func (o *Observation) Hessian() *matrix.Matrix {
+	row, err := matrix.New(1, len(o.a), o.a)
+	if err != nil {
+		panic(err) // unreachable: a 1 x len(a) matrix holds len(a) entries
+	}
+	return row.Gram().Scale(2)
+}
 
 // --- quadratic form ---
 

@@ -64,7 +64,7 @@ func TestLeastSquaresValidation(t *testing.T) {
 }
 
 func TestSingleRowLeastSquares(t *testing.T) {
-	q, err := NewSingleRowLeastSquares([]float64{2, -1}, 5)
+	q, err := NewObservation([]float64{2, -1}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSingleRowLeastSquares(t *testing.T) {
 	if math.Abs(v-16) > 1e-12 {
 		t.Fatalf("Eval = %v", v)
 	}
-	if _, err := NewSingleRowLeastSquares(nil, 0); err == nil {
+	if _, err := NewObservation(nil, 0); err == nil {
 		t.Error("empty row should error")
 	}
 }

@@ -6,6 +6,7 @@ package costfunc
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -34,6 +35,10 @@ func gradIntoCosts(t *testing.T, r *rand.Rand, d int) map[string]GradIntoer {
 	if err != nil {
 		t.Fatal(err)
 	}
+	obs, err := NewObservation(data[:d], b[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	gram := a.Gram()
 	q := make([]float64, d)
 	for i := range q {
@@ -56,7 +61,7 @@ func gradIntoCosts(t *testing.T, r *rand.Rand, d int) map[string]GradIntoer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := NewSum(ls, qf, hg)
+	sum, err := NewSum(ls, obs, qf, hg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +71,7 @@ func gradIntoCosts(t *testing.T, r *rand.Rand, d int) map[string]GradIntoer {
 	}
 	return map[string]GradIntoer{
 		"leastsquares": ls,
+		"observation":  obs,
 		"quadratic":    qf,
 		"hinge":        hg,
 		"sum":          sum,
@@ -146,21 +152,21 @@ func TestGradIntoAllocs(t *testing.T) {
 	}
 }
 
-// TestLeastSquaresEvalAllocs: Eval takes its residual on the stack up to 32
-// rows (every round of a paper-grid run evaluates the six-row honest loss),
-// allocates it beyond, keeps no state in the cost either way, and matches the
-// ||matrix.Residual||² it used to compute bit for bit.
+// TestLeastSquaresEvalAllocs: Eval streams each residual into its sum (every
+// round of a sweep evaluates the honest loss, 190 rows on wide_grid), so it
+// allocates nothing at any row count, keeps no state in the cost, and
+// matches the ||matrix.Residual||² it used to compute bit for bit.
 func TestLeastSquaresEvalAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
-	for _, tc := range []struct{ rows, allocs int }{{1, 0}, {6, 0}, {32, 0}, {33, 1}, {200, 1}} {
+	for _, rows := range []int{1, 6, 32, 33, 200} {
 		const d = 5
-		data, b, x := make([]float64, tc.rows*d), make([]float64, tc.rows), make([]float64, d)
+		data, b, x := make([]float64, rows*d), make([]float64, rows), make([]float64, d)
 		for _, v := range [][]float64{data, b, x} {
 			for i := range v {
 				v[i] = r.NormFloat64()
 			}
 		}
-		a, err := matrix.New(tc.rows, d, data)
+		a, err := matrix.New(rows, d, data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,15 +183,135 @@ func TestLeastSquaresEvalAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := vecmath.NormSq(res); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%d rows: Eval %v, want %v", tc.rows, got, want)
+			t.Errorf("%d rows: Eval %v, want %v", rows, got, want)
 		}
 		if allocs := testing.AllocsPerRun(50, func() {
 			if _, err := ls.Eval(x); err != nil {
 				t.Fatal(err)
 			}
-		}); int(allocs) != tc.allocs {
-			t.Errorf("%d rows: Eval allocates %v times, want %d", tc.rows, allocs, tc.allocs)
+		}); allocs != 0 {
+			t.Errorf("%d rows: Eval allocates %v times, want 0", rows, allocs)
 		}
+	}
+}
+
+// TestObservationMatchesOneRowLeastSquares pins the single-observation cost
+// to the one-row LeastSquares it replaced, bit for bit, on Eval, Grad,
+// GradInto and Hessian: seeded rows at every dimension the sweeps run and
+// beyond, a zero row, responses of +0 and -0, and points of signed zeros,
+// where the residual is an exact zero whose sign only the 0 + step of the
+// gradient fixes.
+func TestObservationMatchesOneRowLeastSquares(t *testing.T) {
+	r := rand.New(rand.NewSource(36))
+	negZero := math.Copysign(0, -1)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, d := range []int{1, 2, 3, 4, 5, 50, 1000} {
+		rows := [][]float64{make([]float64, d)}
+		for k := 0; k < 3; k++ {
+			row := make([]float64, d)
+			for j := range row {
+				row[j] = r.NormFloat64()
+			}
+			rows = append(rows, row)
+		}
+		points := [][]float64{make([]float64, d), make([]float64, d), make([]float64, d)}
+		for j := 0; j < d; j++ {
+			points[1][j] = negZero
+			points[2][j] = []float64{0, negZero, r.NormFloat64()}[j%3]
+		}
+		for k := 0; k < 3; k++ {
+			x := make([]float64, d)
+			for j := range x {
+				x[j] = 3 * r.NormFloat64()
+			}
+			points = append(points, x)
+		}
+		for ri, row := range rows {
+			for _, b := range []float64{0, negZero, r.NormFloat64()} {
+				a, err := matrix.New(1, d, row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ls, err := NewLeastSquares(a, []float64{b})
+				if err != nil {
+					t.Fatal(err)
+				}
+				obs, err := NewObservation(row, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if obs.Dim() != ls.Dim() {
+					t.Fatalf("d=%d: Dim %d, want %d", d, obs.Dim(), ls.Dim())
+				}
+				for xi, x := range points {
+					at := fmt.Sprintf("d=%d row %d b=%v x %d", d, ri, b, xi)
+					wantV, err := ls.Eval(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if gotV, err := obs.Eval(x); err != nil || !same(gotV, wantV) {
+						t.Fatalf("%s: Eval %v (%v), want %v", at, gotV, err, wantV)
+					}
+					want := make([]float64, d)
+					if err := ls.GradInto(want, x); err != nil {
+						t.Fatal(err)
+					}
+					grad, err := obs.Grad(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					into := make([]float64, d)
+					for j := range into {
+						into[j] = math.NaN()
+					}
+					if err := obs.GradInto(into, x); err != nil {
+						t.Fatal(err)
+					}
+					for j := range want {
+						if !same(grad[j], want[j]) || !same(into[j], want[j]) {
+							t.Fatalf("%s: coord %d: Grad %v, GradInto %v, want %v", at, j, grad[j], into[j], want[j])
+						}
+					}
+				}
+				got, want := obs.Hessian(), ls.Hessian()
+				for i := 0; i < d; i++ {
+					for j := 0; j < d; j++ {
+						if !same(got.At(i, j), want.At(i, j)) {
+							t.Fatalf("d=%d row %d: Hessian[%d][%d] %v, want %v", d, ri, i, j, got.At(i, j), want.At(i, j))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestObservationViews: the views read the caller's rows without copying
+// them, and a ragged or empty row, or a missing response, is a dimension
+// error.
+func TestObservationViews(t *testing.T) {
+	rows := [][]float64{{1, 2}, {3, 4}}
+	obs, err := ObservationViews(rows, []float64{5, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(obs) != 2 || obs[1].Dim() != 2 {
+		t.Fatalf("views %v", obs)
+	}
+	rows[1][0] = 0
+	if v, err := obs[1].Eval([]float64{1, 1}); err != nil || v != 4 {
+		t.Fatalf("Eval after the row changed = %v, %v; want (6 - 4)^2 = 4", v, err)
+	}
+	for name, bad := range map[string][][]float64{
+		"ragged": {{1, 2}, {3}},
+		"empty":  {{}, {}},
+	} {
+		if _, err := ObservationViews(bad, []float64{0, 0}); !errors.Is(err, ErrDimension) {
+			t.Errorf("%s rows: %v, want ErrDimension", name, err)
+		}
+	}
+	if _, err := ObservationViews(rows, []float64{0}); !errors.Is(err, ErrDimension) {
+		t.Errorf("one response for two rows: %v, want ErrDimension", err)
 	}
 }
 

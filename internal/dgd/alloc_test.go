@@ -87,7 +87,7 @@ func allocConfig(tb testing.TB, n, d, rounds int) Config {
 		for j := range row {
 			row[j] = r.NormFloat64()
 		}
-		cost, err := costfunc.NewSingleRowLeastSquares(row, r.NormFloat64())
+		cost, err := costfunc.NewObservation(row, r.NormFloat64())
 		if err != nil {
 			tb.Fatal(err)
 		}

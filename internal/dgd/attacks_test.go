@@ -44,7 +44,7 @@ func mustLeastSquares(t *testing.T, rows [][]float64, b []float64) costfunc.Diff
 	t.Helper()
 	costs := make([]costfunc.Differentiable, len(rows))
 	for i := range rows {
-		c, err := costfunc.NewSingleRowLeastSquares(rows[i], b[i])
+		c, err := costfunc.NewObservation(rows[i], b[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -175,15 +175,17 @@ func (a asIntoFaulty) FaultyGradientInto(dst []float64, round, agent int, x []fl
 	return copyInto(dst, g, err)
 }
 
-// HonestAgents wraps each cost as a truthful agent, in order.
+// HonestAgents wraps each cost as a truthful agent, in order. The agents
+// share one backing slice, so n of them cost two allocations.
 func HonestAgents(costs []costfunc.Differentiable) ([]Agent, error) {
+	backing := make([]honest, len(costs))
 	out := make([]Agent, len(costs))
 	for i, c := range costs {
-		a, err := NewHonest(c)
-		if err != nil {
-			return nil, fmt.Errorf("agent %d: %w", i, err)
+		if c == nil {
+			return nil, fmt.Errorf("agent %d: nil cost: %w", i, ErrConfig)
 		}
-		out[i] = a
+		backing[i].cost = c
+		out[i] = &backing[i]
 	}
 	return out, nil
 }

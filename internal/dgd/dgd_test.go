@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"byzopt/internal/aggregate"
@@ -22,7 +23,7 @@ func regressionAgents(t *testing.T, rows [][]float64, xstar []float64) ([]Agent,
 		for j := range row {
 			b += row[j] * xstar[j]
 		}
-		c, err := costfunc.NewSingleRowLeastSquares(row, b)
+		c, err := costfunc.NewObservation(row, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +420,7 @@ func TestConfigValidation(t *testing.T) {
 		{"negative rounds", func(c *Config) { c.Rounds = -1 }},
 		{"reference dim", func(c *Config) { c.Reference = []float64{1} }},
 		{"loss dim", func(c *Config) {
-			one, err := costfunc.NewSingleRowLeastSquares([]float64{1}, 0)
+			one, err := costfunc.NewObservation([]float64{1}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -474,6 +475,13 @@ func TestNewFaultyValidation(t *testing.T) {
 	}
 	if _, err := NewHonest(nil); !errors.Is(err, ErrConfig) {
 		t.Errorf("nil cost: %v", err)
+	}
+	one, err := costfunc.NewObservation([]float64{1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := HonestAgents([]costfunc.Differentiable{one, nil}); !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), "agent 1") {
+		t.Errorf("nil cost among many: %v", err)
 	}
 	// nil inner agent is allowed: the behavior sees a zero gradient.
 	fa, err := NewFaulty(nil, byzantine.GradientReverse{})

@@ -152,7 +152,7 @@ func ApproxComparison(cfg ApproxConfig) ([]ApproxResult, error) {
 			row[j] = r.NormFloat64() / math.Sqrt(float64(cfg.Dim))
 			dot += row[j] * xStar[j]
 		}
-		q, err := costfunc.NewSingleRowLeastSquares(row, dot+0.05*r.NormFloat64())
+		q, err := costfunc.NewObservation(row, dot+0.05*r.NormFloat64())
 		if err != nil {
 			return nil, err
 		}
@@ -198,23 +198,18 @@ func ApproxComparison(cfg ApproxConfig) ([]ApproxResult, error) {
 	}
 
 	runOnce := func(filter aggregate.Filter) (*dgd.Result, error) {
-		agents := make([]dgd.Agent, cfg.N)
-		for i, q := range costs {
-			agent, err := dgd.NewHonest(q)
+		agents, err := dgd.HonestAgents(costs)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < cfg.F; i++ {
+			behavior, err := byzantine.New(cfg.Behavior, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
-			if i < cfg.F {
-				behavior, err := byzantine.New(cfg.Behavior, cfg.Seed)
-				if err != nil {
-					return nil, err
-				}
-				agent, err = dgd.NewFaulty(agent, behavior)
-				if err != nil {
-					return nil, err
-				}
+			if agents[i], err = dgd.NewFaulty(agents[i], behavior); err != nil {
+				return nil, err
 			}
-			agents[i] = agent
 		}
 		return dgd.Run(dgd.Config{
 			Agents: agents,

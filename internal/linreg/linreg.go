@@ -147,6 +147,9 @@ func FromData(rows [][]float64, b []float64) (*Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("linreg: box: %w", err)
 	}
+	// The paper's x0 in its first coordinates, zero beyond d = 2.
+	x0 := vecmath.Zeros(a.Cols())
+	copy(x0, paperX0)
 
 	return &Instance{
 		Problem: prob,
@@ -154,7 +157,7 @@ func FromData(rows [][]float64, b []float64) (*Instance, error) {
 		Epsilon: rep.Epsilon,
 		Mu:      mu,
 		Gamma:   gamma,
-		X0:      vecmath.Clone(paperX0[:a.Cols()]),
+		X0:      x0,
 		Box:     box,
 	}, nil
 }
@@ -165,11 +168,11 @@ func FromData(rows [][]float64, b []float64) (*Instance, error) {
 func muGamma(a *matrix.Matrix, f int) (mu, gamma float64, err error) {
 	n := a.Rows()
 	for i := 0; i < n; i++ {
-		row, err := matrix.FromRows([][]float64{a.Row(i)})
+		q, err := costfunc.NewObservation(a.Row(i), 0)
 		if err != nil {
 			return 0, 0, err
 		}
-		_, hi, err := matrix.EigenBounds(row.Gram().Scale(2))
+		hi, err := costfunc.Smoothness(q)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -199,6 +199,27 @@ func TestFromDataValidation(t *testing.T) {
 	}
 }
 
+// TestFromDataBeyondPaperDim: data of dimension 3 builds an instance whose
+// x0 is the paper's in its first two coordinates and zero after them, where
+// slicing the paper's two-entry x0 used to panic.
+func TestFromDataBeyondPaperDim(t *testing.T) {
+	rows := [][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, 1, 0}, {0, 1, 1}, {1, 0, 1}}
+	inst, err := FromData(rows, []float64{1, 1, 1, 2, 2, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{-0.0085, -0.5643, 0}; !vecmath.Equal(inst.X0, want, 0) {
+		t.Errorf("x0 = %v, want %v", inst.X0, want)
+	}
+	if inst.Box.Dim() != 3 || len(inst.XH) != 3 {
+		t.Errorf("box dim %d, x_H %v", inst.Box.Dim(), inst.XH)
+	}
+	// µ = max_i 2||A_i||², 4 for the rows with two unit entries.
+	if math.Abs(inst.Mu-4) > 1e-9 {
+		t.Errorf("mu = %v, want 4", inst.Mu)
+	}
+}
+
 func TestBoxAndConstants(t *testing.T) {
 	inst := paperInstance(t)
 	if inst.Box.Dim() != Dim {

@@ -183,10 +183,8 @@ func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 // MulVec computes, so the result is bitwise identical; no memory is
 // allocated. dst must not alias v.
 //
-// Rows run four at a time: one pass over v drives four independent
-// accumulator chains, hiding the floating-point add latency a lone dot
-// product is bound by. Each accumulator still sums its own row in ascending
-// index order, so every dst[i] matches dotRow bit for bit.
+// Rows run four at a time through dot4, whose chains each sum their own row
+// in ascending index order, so every dst[i] matches dotRow bit for bit.
 func (m *Matrix) MulVecInto(dst, v []float64) error {
 	if m.cols != len(v) {
 		return fmt.Errorf("matrix: mulvec %dx%d by %d: %w", m.rows, m.cols, len(v), ErrShape)
@@ -197,26 +195,58 @@ func (m *Matrix) MulVecInto(dst, v []float64) error {
 	c := m.cols
 	i := 0
 	for ; i <= m.rows-4; i += 4 {
-		r0 := m.data[i*c : i*c+c]
-		r1 := m.data[(i+1)*c : (i+1)*c+c]
-		r2 := m.data[(i+2)*c : (i+2)*c+c]
-		r3 := m.data[(i+3)*c : (i+3)*c+c]
-		var s0, s1, s2, s3 float64
-		for j, vj := range v {
-			s0 += r0[j] * vj
-			s1 += r1[j] * vj
-			s2 += r2[j] * vj
-			s3 += r3[j] * vj
-		}
-		dst[i] = s0
-		dst[i+1] = s1
-		dst[i+2] = s2
-		dst[i+3] = s3
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = dot4(m.data[i*c:(i+4)*c], c, v)
 	}
 	for ; i < m.rows; i++ {
 		dst[i] = dotRow(m.data[i*c:(i+1)*c], v)
 	}
 	return nil
+}
+
+// ResidualNormSq returns ||b - m v||² without allocating. Rows run four at a
+// time as in MulVecInto, and each residual b_i - (m v)_i is squared into one
+// accumulator in ascending row order, the addition sequence NormSq applies to
+// a materialized residual, so the value is bitwise that of
+// NormSq(Residual(m, v, b)).
+func (m *Matrix) ResidualNormSq(v, b []float64) (float64, error) {
+	if m.cols != len(v) {
+		return 0, fmt.Errorf("matrix: mulvec %dx%d by %d: %w", m.rows, m.cols, len(v), ErrShape)
+	}
+	if len(b) != m.rows {
+		return 0, fmt.Errorf("matrix: residual rhs length %d, want %d: %w", len(b), m.rows, ErrShape)
+	}
+	c := m.cols
+	var s float64
+	i := 0
+	for ; i <= m.rows-4; i += 4 {
+		s0, s1, s2, s3 := dot4(m.data[i*c:(i+4)*c], c, v)
+		r0, r1, r2, r3 := b[i]-s0, b[i+1]-s1, b[i+2]-s2, b[i+3]-s3
+		s += r0 * r0
+		s += r1 * r1
+		s += r2 * r2
+		s += r3 * r3
+	}
+	for ; i < m.rows; i++ {
+		r := b[i] - dotRow(m.data[i*c:(i+1)*c], v)
+		s += r * r
+	}
+	return s, nil
+}
+
+// dot4 returns the dot products with v of the four c-entry rows of block:
+// one pass over v drives four independent accumulator chains, hiding the
+// floating-point add latency a lone dot product is bound by. Each chain
+// still sums its own row in ascending index order, so each result matches
+// dotRow bit for bit.
+func dot4(block []float64, c int, v []float64) (s0, s1, s2, s3 float64) {
+	r0, r1, r2, r3 := block[:c], block[c:2*c], block[2*c:3*c], block[3*c:4*c]
+	for j, vj := range v {
+		s0 += r0[j] * vj
+		s1 += r1[j] * vj
+		s2 += r2[j] * vj
+		s3 += r3[j] * vj
+	}
+	return s0, s1, s2, s3
 }
 
 // dotRow is the bounds-check-free inner product behind MulVecInto: one

@@ -651,7 +651,7 @@ func lineAgents(t *testing.T, behavior func(i int) byzantine.Behavior) []dgd.Age
 	r := rand.New(rand.NewSource(31))
 	agents := make([]dgd.Agent, 7)
 	for i := range agents {
-		cost, err := costfunc.NewSingleRowLeastSquares([]float64{r.NormFloat64(), r.NormFloat64()}, r.NormFloat64())
+		cost, err := costfunc.NewObservation([]float64{r.NormFloat64(), r.NormFloat64()}, r.NormFloat64())
 		if err != nil {
 			t.Fatal(err)
 		}

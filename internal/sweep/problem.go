@@ -280,18 +280,15 @@ func (p regressionProblem) Build(spec *Spec, scn Scenario) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
+	costs, err := costfunc.ObservationViews(rows, resp)
+	if err != nil {
+		return nil, err
+	}
 	return &Workload{
-		NewAgents: func() ([]dgd.Agent, error) {
-			costs := make([]costfunc.Differentiable, len(rows))
-			for i, row := range rows {
-				c, err := costfunc.NewSingleRowLeastSquares(row, resp[i])
-				if err != nil {
-					return nil, fmt.Errorf("agent %d cost: %w", i, err)
-				}
-				costs[i] = c
-			}
-			return dgd.HonestAgents(costs)
-		},
+		// Observations keep no scratch and never write their rows, so the
+		// cells sharing this workload share its costs; the agents around
+		// them are fresh per call.
+		NewAgents:  func() ([]dgd.Agent, error) { return dgd.HonestAgents(costs) },
 		X0:         x0,
 		XH:         xH,
 		Box:        box,

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -517,5 +518,52 @@ func TestProgressReportsEveryScenario(t *testing.T) {
 				t.Fatalf("workers=%d: call %d reported done=%d", workers, i, done)
 			}
 		}
+	}
+}
+
+// TestRegressionCellAllocsIndependentOfN: a regression workload's costs are
+// views into its rows that its cells share, and a cell's agents are backed by
+// one slice, so building and running a cell allocates the same count at
+// n = 100 as at n = 200, where a copied one-row matrix, a cost and a wrapper
+// per agent cost about six allocations each. Measured on one cell of the
+// wide_grid shape, its workload built once.
+func TestRegressionCellAllocsIndependentOfN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation counts do not repeat under the race detector")
+	}
+	cellAllocs := func(n int) float64 {
+		spec := Spec{
+			Problem:   ProblemSynthetic,
+			Filters:   []string{"cge"},
+			Behaviors: []string{"gradient-reverse"},
+			FValues:   []int{10},
+			NValues:   []int{n},
+			Dims:      []int{50},
+			Rounds:    5,
+			Workers:   1,
+		}
+		jobs, err := expand(&spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prob, err := resolveProblem(&spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(jobs) != 1 {
+			t.Fatalf("n=%d: %d cells, want 1", n, len(jobs))
+		}
+		workloads := buildWorkloads(&spec, prob, jobs)
+		return testing.AllocsPerRun(20, func() {
+			res, err := runScenario(context.Background(), &spec, prob, dgd.InProcess{}, jobs[0], workloads)
+			if err != nil || res.Err != "" {
+				t.Fatalf("n=%d: %v %s", n, err, res.Err)
+			}
+		})
+	}
+	small, large := cellAllocs(100), cellAllocs(200)
+	t.Logf("allocations a cell: %v at n = 100, %v at n = 200", small, large)
+	if small != large {
+		t.Errorf("a cell allocates %v times at n = 100 and %v at n = 200, want the same", small, large)
 	}
 }

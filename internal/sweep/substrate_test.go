@@ -42,7 +42,7 @@ func substrateConfig(t *testing.T) (dgd.Config, *atomic.Int64) {
 	queries := new(atomic.Int64)
 	agents := make([]dgd.Agent, len(rows))
 	for i, row := range rows {
-		cost, err := costfunc.NewSingleRowLeastSquares(row, row[0]+row[1])
+		cost, err := costfunc.NewObservation(row, row[0]+row[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestSubstrateConfigSentinels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loss1, err := costfunc.NewSingleRowLeastSquares([]float64{1}, 0)
+	loss1, err := costfunc.NewObservation([]float64{1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
