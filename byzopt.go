@@ -283,7 +283,10 @@ func BehaviorNames() []string { return byzantine.Names() }
 
 // --- costs ---
 
-// Cost is a differentiable local cost function Q_i.
+// Cost is a differentiable local cost function Q_i. Its method set is
+// Dim() int, Eval(x) (float64, error) and GradInto(dst, x) error, which
+// writes the (sub)gradient at x into dst (length Dim) and leaves dst
+// untouched when x has the wrong dimension (see ExampleCost).
 type Cost = costfunc.Differentiable
 
 // LeastSquaresCost builds the regression cost ||b - A x||^2 from design
@@ -312,8 +315,8 @@ type Agent = dgd.Agent
 
 // IntoAgent is the optional allocation-free face of Agent: GradientInto
 // writes the report into an engine-owned arena row. Agents built by
-// HonestAgent implement it (costs with a costfunc gradient-into oracle
-// write straight into the row); others fall back transparently.
+// HonestAgent implement it (their cost's GradInto writes straight into the
+// row); others fall back transparently.
 type IntoAgent = dgd.IntoAgent
 
 // HonestAgent wraps a cost as a truthful agent.

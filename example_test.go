@@ -168,6 +168,82 @@ func ExampleBackend() {
 	// the same estimate on all three: true
 }
 
+// logCosh is a cost of your own, Q(x) = sum_j log cosh(x_j - c_j): smooth,
+// quadratic near its center c and linear far from it. A Cost needs three
+// methods and no more.
+type logCosh struct{ c []float64 }
+
+func (q logCosh) Dim() int { return len(q.c) }
+
+func (q logCosh) Eval(x []float64) (float64, error) {
+	if len(x) != len(q.c) {
+		return 0, fmt.Errorf("eval at dim %d, want %d", len(x), len(q.c))
+	}
+	var s float64
+	for j, cj := range q.c {
+		s += math.Log(math.Cosh(x[j] - cj))
+	}
+	return s, nil
+}
+
+// GradInto writes tanh(x - c) into dst; it leaves dst alone on a bad x.
+func (q logCosh) GradInto(dst, x []float64) error {
+	if len(x) != len(q.c) || len(dst) != len(q.c) {
+		return fmt.Errorf("grad at dim %d into %d, want %d", len(x), len(dst), len(q.c))
+	}
+	for j, cj := range q.c {
+		dst[j] = math.Tanh(x[j] - cj)
+	}
+	return nil
+}
+
+// Any type with Dim, Eval and GradInto is a Cost, and HonestAgent runs it
+// through every engine. Here five honest agents hold log-cosh costs centered
+// symmetrically about (1, -2), so their aggregate is minimized there, and a
+// sixth agent reverses its gradient every round; CGE keeps the estimate on
+// the honest optimum.
+func ExampleCost() {
+	centers := [][]float64{{0.5, -2.5}, {1.5, -1.5}, {0.8, -2.2}, {1.2, -1.8}, {1, -2}, {9, 9}}
+	agents := make([]byzopt.Agent, len(centers))
+	for i, c := range centers {
+		var err error
+		if agents[i], err = byzopt.HonestAgent(logCosh{c: c}); err != nil {
+			log.Fatal(err)
+		}
+	}
+	reverse, err := byzopt.NewBehavior("gradient-reverse", 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	last := len(agents) - 1
+	if agents[last], err = byzopt.ByzantineAgent(agents[last], reverse); err != nil {
+		log.Fatal(err)
+	}
+	filter, err := byzopt.NewFilter("cge")
+	if err != nil {
+		log.Fatal(err)
+	}
+	box, err := byzopt.NewCube(2, 100)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := byzopt.Run(byzopt.Config{
+		Agents: agents,
+		F:      1,
+		Filter: filter,
+		Steps:  byzopt.Diminishing{C: 1, P: 1},
+		Box:    box,
+		X0:     []float64{0, 0},
+		Rounds: 500,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("estimate: (%.4f, %.4f)\n", res.X[0], res.X[1])
+	// Output:
+	// estimate: (1.0000, -2.0000)
+}
+
 // A workload of your own runs through the sweep engine like the built-in
 // ones: implement Problem and hand it to SweepSpec.ProblemDef, or register
 // it with RegisterProblem to name it in SweepSpec.Problem and abft-sweep

@@ -170,7 +170,7 @@ func (p *QuadraticProblem) MinimizeSubset(idx []int) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		g0, err := p.forms[i].Grad(vecmath.Zeros(p.dim)) // grad at 0 equals q_i
+		g0, err := costfunc.Grad(p.forms[i], vecmath.Zeros(p.dim)) // grad at 0 equals q_i
 		if err != nil {
 			return nil, err
 		}

@@ -3,8 +3,10 @@
 //
 // The central abstractions are Function (evaluation only — the paper's
 // impossibility and feasibility results in Section 3 never require
-// differentiability) and Differentiable (evaluation plus gradient — what the
-// distributed gradient-descent method of Section 4 consumes).
+// differentiability) and Differentiable (evaluation plus a gradient written
+// in place — what the distributed gradient-descent method of Section 4
+// consumes once per round). Grad is the allocating call for everything
+// outside the round loop.
 //
 // Concrete costs provided:
 //
@@ -40,31 +42,33 @@ type Function interface {
 	Eval(x []float64) (float64, error)
 }
 
-// Differentiable is a cost with a (sub)gradient oracle.
-type Differentiable interface {
-	Function
-	// Grad returns the gradient (or a subgradient) of Q at x.
-	Grad(x []float64) ([]float64, error)
-}
-
-// GradIntoer is an optional Differentiable extension: GradInto writes the
-// gradient at x into dst (length Dim) instead of allocating it, producing
-// bitwise-identical values to Grad. It is what lets the DGD engines run
-// their steady-state round loop without heap allocations (see
-// dgd.IntoAgent).
+// Differentiable is a cost with a (sub)gradient oracle that writes into the
+// caller's buffer, which is what lets the DGD engines run their steady-state
+// round loop without heap allocations (see dgd.IntoAgent).
 //
 // Implementations may reuse internal scratch buffers between calls, so a
 // single cost value must not serve concurrent GradInto calls. The in-process
 // engine calls it once per agent per round, one agent at a time, but a sweep
 // runs its cells side by side and the cluster substrate asks each agent from
 // its own goroutine, so two agents must not share a cost value that keeps
-// scratch. In this package LeastSquares keeps its residual and Sum its term
-// gradient; Observation, QuadraticForm, Hinge and a Scale over scratch-free
-// costs keep none. Every concrete cost in this package implements GradIntoer.
-type GradIntoer interface {
-	Differentiable
-	// GradInto writes the gradient (or a subgradient) of Q at x into dst.
+// scratch. In this package two costs keep scratch: LeastSquares its residual
+// and Sum its term gradient. Observation, QuadraticForm, Hinge and a Scale
+// over scratch-free costs keep none.
+type Differentiable interface {
+	Function
+	// GradInto writes the gradient (or a subgradient) of Q at x into dst,
+	// which has length Dim. On an error in x's dimension dst is untouched.
 	GradInto(dst, x []float64) error
+}
+
+// Grad returns the gradient of f at x in a new slice: GradInto into a
+// freshly made one, for callers outside the round loop.
+func Grad(f Differentiable, x []float64) ([]float64, error) {
+	g := make([]float64, f.Dim())
+	if err := f.GradInto(g, x); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // --- least squares ---
@@ -81,7 +85,7 @@ type LeastSquares struct {
 	res []float64
 }
 
-var _ GradIntoer = (*LeastSquares)(nil)
+var _ Differentiable = (*LeastSquares)(nil)
 
 // NewLeastSquares builds the cost ||b - A x||^2.
 func NewLeastSquares(a *matrix.Matrix, b []float64) (*LeastSquares, error) {
@@ -99,8 +103,8 @@ func (q *LeastSquares) Dim() int { return q.a.Cols() }
 
 // Eval returns ||b - A x||^2. Each row's residual is squared into one
 // accumulator as it is computed (matrix.ResidualNormSq), so tracking the loss
-// every round allocates nothing at any row count and Eval, like Grad, stays
-// safe for concurrent calls on a shared cost.
+// every round allocates nothing at any row count and Eval, unlike GradInto,
+// stays safe for concurrent calls on a shared cost.
 func (q *LeastSquares) Eval(x []float64) (float64, error) {
 	if len(x) != q.Dim() {
 		return 0, fmt.Errorf("costfunc: eval at dim %d, want %d: %w", len(x), q.Dim(), ErrDimension)
@@ -108,37 +112,21 @@ func (q *LeastSquares) Eval(x []float64) (float64, error) {
 	return q.a.ResidualNormSq(x, q.b)
 }
 
-// Grad returns -2 A' (b - A x). Unlike GradInto it allocates its own
-// temporaries, so it stays safe for concurrent calls on a shared cost.
-func (q *LeastSquares) Grad(x []float64) ([]float64, error) {
-	g := make([]float64, q.Dim())
-	if err := q.gradInto(g, x, make([]float64, q.a.Rows())); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// GradInto writes -2 A' (b - A x) into dst without allocating: the residual
-// lands in an internal scratch buffer and the transposed product is computed
-// in place, in the same accumulation order as the allocating route, so the
-// values are bitwise identical.
+// GradInto writes -2 A' (b - A x) into dst without allocating after the
+// first call: the residual lands in an internal scratch buffer, sized lazily
+// to Rows, and the transposed product is computed in place.
 func (q *LeastSquares) GradInto(dst, x []float64) error {
-	rows := q.a.Rows()
-	if cap(q.res) < rows {
-		q.res = make([]float64, rows)
-	}
-	return q.gradInto(dst, x, q.res[:rows])
-}
-
-// gradInto is the shared gradient core; res is the rows-sized residual
-// buffer the caller owns.
-func (q *LeastSquares) gradInto(dst, x, res []float64) error {
 	if len(x) != q.Dim() {
 		return fmt.Errorf("costfunc: grad at dim %d, want %d: %w", len(x), q.Dim(), ErrDimension)
 	}
 	if len(dst) != q.Dim() {
 		return fmt.Errorf("costfunc: grad into dim %d, want %d: %w", len(dst), q.Dim(), ErrDimension)
 	}
+	rows := q.a.Rows()
+	if cap(q.res) < rows {
+		q.res = make([]float64, rows)
+	}
+	res := q.res[:rows]
 	if err := q.a.MulVecInto(res, x); err != nil {
 		return err
 	}
@@ -167,7 +155,7 @@ type Observation struct {
 	b float64
 }
 
-var _ GradIntoer = (*Observation)(nil)
+var _ Differentiable = (*Observation)(nil)
 
 // NewObservation builds the cost (b - row.x)^2 over a copy of row, which
 // must be non-empty.
@@ -217,15 +205,6 @@ func (o *Observation) Eval(x []float64) (float64, error) {
 		return 0, err
 	}
 	return r * r, nil
-}
-
-// Grad returns -2 a (b - a.x).
-func (o *Observation) Grad(x []float64) ([]float64, error) {
-	g := make([]float64, len(o.a))
-	if err := o.GradInto(g, x); err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 // GradInto writes -2 a (b - a.x) into dst: one dot pass for the residual r,
@@ -306,15 +285,6 @@ func (f *QuadraticForm) Eval(x []float64) (float64, error) {
 	return 0.5*xpx + qx + f.c, nil
 }
 
-// Grad returns Px + q.
-func (f *QuadraticForm) Grad(x []float64) ([]float64, error) {
-	g := make([]float64, f.Dim())
-	if err := f.GradInto(g, x); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // GradInto writes Px + q into dst without allocating.
 func (f *QuadraticForm) GradInto(dst, x []float64) error {
 	if len(x) != f.Dim() {
@@ -336,7 +306,7 @@ func (f *QuadraticForm) Hessian() *matrix.Matrix { return f.p.Clone() }
 
 // Hinge is the soft-margin SVM cost
 // Q(w) = (1/n) sum_i max(0, 1 - y_i w.x_i) + (reg/2)||w||^2.
-// Grad returns a subgradient (the hinge is non-smooth at the margin).
+// GradInto writes a subgradient (the hinge is non-smooth at the margin).
 type Hinge struct {
 	xs     [][]float64
 	ys     []float64
@@ -390,15 +360,6 @@ func (h *Hinge) Eval(w []float64) (float64, error) {
 	return h.weight*s + 0.5*h.reg*vecmath.NormSq(w), nil
 }
 
-// Grad returns a subgradient of the regularized mean hinge loss.
-func (h *Hinge) Grad(w []float64) ([]float64, error) {
-	g := make([]float64, h.Dim())
-	if err := h.GradInto(g, w); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // GradInto writes a subgradient of the regularized mean hinge loss into dst
 // without allocating.
 func (h *Hinge) GradInto(dst, w []float64) error {
@@ -436,7 +397,7 @@ type Sum struct {
 	buf []float64
 }
 
-var _ GradIntoer = (*Sum)(nil)
+var _ Differentiable = (*Sum)(nil)
 
 // NewSum aggregates the given costs; they must share a dimension.
 func NewSum(terms ...Differentiable) (*Sum, error) {
@@ -476,53 +437,28 @@ func (s *Sum) Eval(x []float64) (float64, error) {
 	return total, nil
 }
 
-// Grad returns sum_i grad Q_i(x). Unlike GradInto it touches no receiver
-// scratch (each term's own Grad allocates), so it stays safe for concurrent
-// calls on a shared cost.
-func (s *Sum) Grad(x []float64) ([]float64, error) {
-	g := vecmath.Zeros(s.dim)
-	for i, f := range s.terms {
-		gi, err := f.Grad(x)
-		if err != nil {
-			return nil, fmt.Errorf("sum term %d: %w", i, err)
-		}
-		if err := vecmath.AddInPlace(g, gi); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
-// GradInto writes sum_i grad Q_i(x) into dst, routing each term through its
-// own GradInto when available (an internal scratch buffer receives the term
-// gradients) and falling back to Grad otherwise. Term order and accumulation
-// order match Grad's, so the result is bitwise identical.
+// GradInto writes sum_i grad Q_i(x) into dst, term by term in order: an
+// internal scratch buffer receives each term's gradient, which is added to
+// dst. x is checked before dst is cleared.
 func (s *Sum) GradInto(dst, x []float64) error {
+	if len(x) != s.dim {
+		return fmt.Errorf("costfunc: grad at dim %d, want %d: %w", len(x), s.dim, ErrDimension)
+	}
 	if len(dst) != s.dim {
 		return fmt.Errorf("costfunc: grad into dim %d, want %d: %w", len(dst), s.dim, ErrDimension)
 	}
+	if cap(s.buf) < s.dim {
+		s.buf = make([]float64, s.dim)
+	}
+	buf := s.buf[:s.dim]
 	for i := range dst {
 		dst[i] = 0
 	}
 	for i, f := range s.terms {
-		if ig, ok := f.(GradIntoer); ok {
-			if cap(s.buf) < s.dim {
-				s.buf = make([]float64, s.dim)
-			}
-			buf := s.buf[:s.dim]
-			if err := ig.GradInto(buf, x); err != nil {
-				return fmt.Errorf("sum term %d: %w", i, err)
-			}
-			if err := vecmath.AddInPlace(dst, buf); err != nil {
-				return err
-			}
-			continue
-		}
-		gi, err := f.Grad(x)
-		if err != nil {
+		if err := f.GradInto(buf, x); err != nil {
 			return fmt.Errorf("sum term %d: %w", i, err)
 		}
-		if err := vecmath.AddInPlace(dst, gi); err != nil {
+		if err := vecmath.AddInPlace(dst, buf); err != nil {
 			return err
 		}
 	}
@@ -536,7 +472,7 @@ type Scale struct {
 	alpha float64
 }
 
-var _ GradIntoer = (*Scale)(nil)
+var _ Differentiable = (*Scale)(nil)
 
 // NewScale builds alpha * f.
 func NewScale(alpha float64, f Differentiable) (*Scale, error) {
@@ -558,34 +494,11 @@ func (s *Scale) Eval(x []float64) (float64, error) {
 	return s.alpha * v, nil
 }
 
-// Grad returns alpha * grad f(x).
-func (s *Scale) Grad(x []float64) ([]float64, error) {
-	g, err := s.f.Grad(x)
-	if err != nil {
-		return nil, err
-	}
-	vecmath.ScaleInPlace(s.alpha, g)
-	return g, nil
-}
-
-// GradInto writes alpha * grad f(x) into dst, routing through the wrapped
-// cost's GradInto when available.
+// GradInto writes alpha * grad f(x) into dst.
 func (s *Scale) GradInto(dst, x []float64) error {
-	if ig, ok := s.f.(GradIntoer); ok {
-		if err := ig.GradInto(dst, x); err != nil {
-			return err
-		}
-		vecmath.ScaleInPlace(s.alpha, dst)
-		return nil
-	}
-	g, err := s.f.Grad(x)
-	if err != nil {
+	if err := s.f.GradInto(dst, x); err != nil {
 		return err
 	}
-	if len(g) != len(dst) {
-		return fmt.Errorf("costfunc: grad into dim %d, want %d: %w", len(dst), len(g), ErrDimension)
-	}
-	copy(dst, g)
 	vecmath.ScaleInPlace(s.alpha, dst)
 	return nil
 }

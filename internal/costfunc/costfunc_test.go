@@ -34,7 +34,7 @@ func TestLeastSquaresEvalGrad(t *testing.T) {
 	if math.Abs(v-25) > 1e-12 {
 		t.Fatalf("Eval = %v", v)
 	}
-	g, err := q.Grad([]float64{0, 0})
+	g, err := Grad(q, []float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestLeastSquaresValidation(t *testing.T) {
 	if _, err := q.Eval([]float64{1}); !errors.Is(err, ErrDimension) {
 		t.Errorf("eval dim: %v", err)
 	}
-	if _, err := q.Grad([]float64{1}); !errors.Is(err, ErrDimension) {
+	if _, err := Grad(q, []float64{1}); !errors.Is(err, ErrDimension) {
 		t.Errorf("grad dim: %v", err)
 	}
 }
@@ -103,7 +103,7 @@ func TestQuadraticForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	// f(x) = x1^2 + 2x2^2 - 2x1 - 4x2 + 3, grad = (2x1-2, 4x2-4), min at (1, 1)
-	g, err := q.Grad([]float64{1, 1})
+	g, err := Grad(q, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestHingeEvalGrad(t *testing.T) {
 	if math.Abs(v-1) > 1e-12 {
 		t.Fatalf("hinge eval = %v", v)
 	}
-	g, err := h.Grad([]float64{0, 0})
+	g, err := Grad(h, []float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestHingeEvalGrad(t *testing.T) {
 	if v != 0 {
 		t.Fatalf("hinge satisfied eval = %v", v)
 	}
-	g, err = h.Grad([]float64{5, 0})
+	g, err = Grad(h, []float64{5, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestSum(t *testing.T) {
 	if math.Abs(v-20) > 1e-12 {
 		t.Fatalf("sum eval = %v", v)
 	}
-	g, err := s.Grad([]float64{0, 0})
+	g, err := Grad(s, []float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestScale(t *testing.T) {
 	if math.Abs(v-2) > 1e-12 {
 		t.Fatalf("scaled eval = %v", v)
 	}
-	g, err := s.Grad([]float64{0, 0})
+	g, err := Grad(s, []float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestPropLeastSquaresGradMatchesNumeric(t *testing.T) {
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		g, err := q.Grad(x)
+		g, err := Grad(q, x)
 		if err != nil {
 			return false
 		}
@@ -361,7 +361,7 @@ func TestPropQuadraticConvexityInequality(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g, err := q.Grad(x)
+		g, err := Grad(q, x)
 		if err != nil {
 			return false
 		}
@@ -408,7 +408,7 @@ func TestPropMinimumIsStationary(t *testing.T) {
 		if err != nil {
 			return true // rank-deficient draw: vacuous
 		}
-		g, err := q.Grad(min)
+		g, err := Grad(q, min)
 		if err != nil {
 			return false
 		}

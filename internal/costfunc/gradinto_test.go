@@ -1,8 +1,8 @@
 package costfunc
 
 // Parity and allocation tests for the GradInto oracles: every concrete cost
-// must write bitwise-identical values to what Grad returns, and repeated
-// calls must not touch the allocator.
+// must write the same bits whatever dst held before, and repeated calls must
+// not touch the allocator.
 
 import (
 	"errors"
@@ -16,7 +16,7 @@ import (
 )
 
 // gradIntoCosts builds one instance of every concrete cost over dimension d.
-func gradIntoCosts(t *testing.T, r *rand.Rand, d int) map[string]GradIntoer {
+func gradIntoCosts(t *testing.T, r *rand.Rand, d int) map[string]Differentiable {
 	t.Helper()
 	rows := 2 + r.Intn(4)
 	data := make([]float64, rows*d)
@@ -69,7 +69,7 @@ func gradIntoCosts(t *testing.T, r *rand.Rand, d int) map[string]GradIntoer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]GradIntoer{
+	return map[string]Differentiable{
 		"leastsquares": ls,
 		"observation":  obs,
 		"quadratic":    qf,
@@ -79,21 +79,25 @@ func gradIntoCosts(t *testing.T, r *rand.Rand, d int) map[string]GradIntoer {
 	}
 }
 
-// TestGradIntoMatchesGrad fuzzes every cost: GradInto must be bitwise
-// identical to Grad at random points, through repeated scratch-reusing
-// calls.
+// TestGradIntoMatchesGrad fuzzes every cost: GradInto into a dirty dst,
+// reused across trials and poisoned with NaN before the first, must be
+// bitwise identical to Grad's fresh slice at random points, through repeated
+// scratch-reusing calls.
 func TestGradIntoMatchesGrad(t *testing.T) {
 	r := rand.New(rand.NewSource(2026))
 	for _, d := range []int{1, 3, 9, 24} {
 		costs := gradIntoCosts(t, r, d)
 		for name, cost := range costs {
 			dst := make([]float64, d)
+			for i := range dst {
+				dst[i] = math.NaN()
+			}
 			for trial := 0; trial < 20; trial++ {
 				x := make([]float64, d)
 				for i := range x {
 					x[i] = r.NormFloat64() * 2
 				}
-				want, err := cost.Grad(x)
+				want, err := Grad(cost, x)
 				if err != nil {
 					t.Fatalf("%s d=%d: Grad: %v", name, d, err)
 				}
@@ -118,8 +122,15 @@ func TestGradIntoDimensionChecks(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	costs := gradIntoCosts(t, r, 4)
 	for name, cost := range costs {
-		if err := cost.GradInto(make([]float64, 4), make([]float64, 5)); !errors.Is(err, ErrDimension) {
+		dst := []float64{1, 2, 3, 4}
+		if err := cost.GradInto(dst, make([]float64, 5)); !errors.Is(err, ErrDimension) {
 			t.Errorf("%s: wrong x dim got %v, want ErrDimension", name, err)
+		}
+		for i, v := range dst {
+			if v != float64(i+1) {
+				t.Errorf("%s: wrong x dim wrote dst %v, want it untouched", name, dst)
+				break
+			}
 		}
 		if err := cost.GradInto(make([]float64, 3), make([]float64, 4)); !errors.Is(err, ErrDimension) {
 			t.Errorf("%s: wrong dst dim got %v, want ErrDimension", name, err)
@@ -256,7 +267,7 @@ func TestObservationMatchesOneRowLeastSquares(t *testing.T) {
 					if err := ls.GradInto(want, x); err != nil {
 						t.Fatal(err)
 					}
-					grad, err := obs.Grad(x)
+					grad, err := Grad(obs, x)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -315,54 +326,36 @@ func TestObservationViews(t *testing.T) {
 	}
 }
 
-// TestSumGradIntoMixedTerms checks the fallback branch: a Sum holding a
-// term without GradInto still matches Grad bitwise.
-func TestSumGradIntoMixedTerms(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	costs := gradIntoCosts(t, r, 6)
-	plain := plainDifferentiable{inner: costs["quadratic"]}
-	sum, err := NewSum(costs["leastsquares"], plain, costs["hinge"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, 6)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	want, err := sum.Grad(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, 6)
-	if err := sum.GradInto(dst, x); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Float64bits(want[i]) != math.Float64bits(dst[i]) {
-			t.Fatalf("mixed sum coord %d differs: %v vs %v", i, want[i], dst[i])
-		}
-	}
-}
-
-// TestGradStaysConcurrencySafe pins the long-standing Grad contract the
-// scratch-backed GradInto must not erode: concurrent Grad calls on one
-// shared cost value are safe. Meaningful under -race.
+// TestGradStaysConcurrencySafe pins the costs that keep no scratch:
+// concurrent Grad calls on one shared Observation, QuadraticForm, Hinge, or
+// a Scale over one of them, are safe. LeastSquares and Sum keep scratch and
+// make no such promise. Meaningful under -race.
 func TestGradStaysConcurrencySafe(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
-	costs := gradIntoCosts(t, r, 8)
+	all := gradIntoCosts(t, r, 8)
+	scaled, err := NewScale(0.37, all["hinge"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := map[string]Differentiable{
+		"observation": all["observation"],
+		"quadratic":   all["quadratic"],
+		"hinge":       all["hinge"],
+		"scale":       scaled,
+	}
 	x := make([]float64, 8)
 	for i := range x {
 		x[i] = r.NormFloat64()
 	}
 	for name, cost := range costs {
-		want, err := cost.Grad(x)
+		want, err := Grad(cost, x)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		done := make(chan []float64, 8)
 		for w := 0; w < 8; w++ {
 			go func() {
-				g, err := cost.Grad(x)
+				g, err := Grad(cost, x)
 				if err != nil {
 					t.Error(err)
 				}
@@ -379,12 +372,3 @@ func TestGradStaysConcurrencySafe(t *testing.T) {
 		}
 	}
 }
-
-// plainDifferentiable hides a cost's GradInto face.
-type plainDifferentiable struct{ inner Differentiable }
-
-func (p plainDifferentiable) Dim() int { return p.inner.Dim() }
-
-func (p plainDifferentiable) Eval(x []float64) (float64, error) { return p.inner.Eval(x) }
-
-func (p plainDifferentiable) Grad(x []float64) ([]float64, error) { return p.inner.Grad(x) }

@@ -12,6 +12,7 @@ import (
 
 	"byzopt/internal/aggregate"
 	"byzopt/internal/byzantine"
+	"byzopt/internal/costfunc"
 	"byzopt/internal/vecmath"
 )
 
@@ -280,7 +281,7 @@ func TestOmniscientSeesAllHonestGradientsInParallel(t *testing.T) {
 	x := []float64{0.3, -0.2}
 	honest := make([][]float64, 0, len(costs)-1)
 	for _, c := range costs[1:] {
-		g, err := c.Grad(x)
+		g, err := costfunc.Grad(c, x)
 		if err != nil {
 			t.Fatal(err)
 		}

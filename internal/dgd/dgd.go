@@ -60,8 +60,8 @@ type Agent interface {
 // loop allocation-free. An agent without the extension is adapted once
 // (Gradient, then a copy into its row).
 //
-// Implementations may reuse internal scratch between calls (the costfunc
-// oracles do). The Collector calls GradientInto once per agent per round, on
+// Implementations may reuse internal scratch between calls (costfunc's
+// LeastSquares and Sum do). The Collector calls GradientInto once per agent per round, on
 // a row no other agent sees, one agent at a time. Agents still report
 // concurrently elsewhere — a sweep runs its cells side by side, and the
 // cluster substrate asks each agent from its connection's goroutine — so an
@@ -129,18 +129,12 @@ var _ IntoAgent = (*honest)(nil)
 
 // Gradient implements Agent.
 func (h *honest) Gradient(round int, x []float64) ([]float64, error) {
-	return h.cost.Grad(x)
+	return costfunc.Grad(h.cost, x)
 }
 
-// GradientInto implements IntoAgent: costs exposing a costfunc.GradIntoer
-// oracle write straight into dst; others compute via Grad and copy, which
-// still keeps the engine's arena row stable.
+// GradientInto implements IntoAgent: the cost writes straight into dst.
 func (h *honest) GradientInto(dst []float64, round int, x []float64) error {
-	if ig, ok := h.cost.(costfunc.GradIntoer); ok {
-		return ig.GradInto(dst, x)
-	}
-	g, err := h.cost.Grad(x)
-	return copyInto(dst, g, err)
+	return h.cost.GradInto(dst, x)
 }
 
 // copyInto is the tail of every adapter from an allocating face to its Into

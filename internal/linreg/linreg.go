@@ -269,7 +269,7 @@ func (inst *Instance) GradientDissimilarity(samples int) (float64, error) {
 		}
 		grads := make([][]float64, len(honest))
 		for i, h := range honest {
-			g, err := costs[h].Grad(x)
+			g, err := costfunc.Grad(costs[h], x)
 			if err != nil {
 				return 0, err
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"byzopt/internal/core"
+	"byzopt/internal/costfunc"
 	"byzopt/internal/vecmath"
 )
 
@@ -142,7 +143,7 @@ func TestHonestSumMinimizesAtXH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := sum.Grad(inst.XH)
+	g, err := costfunc.Grad(sum, inst.XH)
 	if err != nil {
 		t.Fatal(err)
 	}
