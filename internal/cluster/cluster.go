@@ -52,8 +52,11 @@ type Config struct {
 	X0 []float64
 	// Rounds is the number of iterations.
 	Rounds int
-	// RoundTimeout bounds each round's gradient collection; zero means a
-	// generous 5 seconds.
+	// RoundTimeout is each round's deadline, counted from the moment the
+	// server sends the round to the live agents (the run context's deadline
+	// instead, if that comes sooner). A request still unanswered then fails:
+	// step S1 eliminates its agent, or an enabled chaos plan mutes it for the
+	// round. Zero means a generous 5 seconds.
 	RoundTimeout time.Duration
 	// Observer mirrors dgd.Config.Observer: it sees every estimate x_t (its
 	// loss and distance are NaN, a server tracks neither), so
@@ -128,10 +131,96 @@ type roundReply struct {
 	err      error
 }
 
-// roundRequest asks a connection's request goroutine for round t's report.
-type roundRequest struct {
-	ctx context.Context
-	t   int
+// roundClock is the one context every request of a Run carries: a deadline
+// that start moves each round, enforced by one reused timer, over the run
+// context's values and cancellation. Its Done channel closes when the
+// round's deadline passes or the run context ends, and a new one is made
+// only for a round after one that closed it, so a round allocates nothing.
+type roundClock struct {
+	context.Context // the run's: Value comes from it
+	timeout         time.Duration
+	timer           *time.Timer
+	stopRun         func() bool // releases the AfterFunc that watches the run
+
+	mu        sync.Mutex
+	deadline  time.Time
+	done      chan struct{}
+	err       error // nil while done is open
+	cancelled bool  // the run context ended: done stays closed
+}
+
+func newRoundClock(run context.Context, timeout time.Duration) *roundClock {
+	c := &roundClock{Context: run, timeout: timeout, done: make(chan struct{})}
+	c.timer = time.AfterFunc(timeout, c.fire)
+	c.timer.Stop()
+	c.stopRun = context.AfterFunc(run, c.cancel)
+	return c
+}
+
+// start opens a round: its deadline is the timeout from now, or the run
+// context's own deadline if that comes sooner.
+func (c *roundClock) start() {
+	deadline := time.Now().Add(c.timeout)
+	if d, ok := c.Context.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.deadline = deadline
+	if c.err != nil && !c.cancelled {
+		c.done, c.err = make(chan struct{}), nil
+	}
+	c.timer.Reset(c.timeout)
+}
+
+// fire is the timer's callback. One armed for an earlier round may run
+// after start has moved the deadline on; it closes nothing then.
+func (c *roundClock) fire() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !time.Now().Before(c.deadline) {
+		c.closeLocked(context.DeadlineExceeded)
+	}
+}
+
+// cancel is the run context's AfterFunc.
+func (c *roundClock) cancel() {
+	err := c.Context.Err()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cancelled = true
+	c.closeLocked(err)
+}
+
+func (c *roundClock) closeLocked(err error) {
+	if c.err == nil {
+		c.err = err
+		close(c.done)
+	}
+}
+
+// stop releases the timer and the run context's AfterFunc.
+func (c *roundClock) stop() {
+	c.stopRun()
+	c.timer.Stop()
+}
+
+func (c *roundClock) Deadline() (time.Time, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.deadline, true
+}
+
+func (c *roundClock) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.done
+}
+
+func (c *roundClock) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
 }
 
 // Run executes the protocol: per round it gathers the live agents' reports
@@ -173,23 +262,26 @@ func (s *Server) Run(ctx context.Context) (*Result, error) {
 	}
 
 	// One request goroutine per connection for the whole run: it asks its
-	// agent for each round it is sent and answers on replies. Every path out
-	// of Run closes the rounds and waits for all of them to return.
-	requests := make([]chan roundRequest, n)
+	// agent for each round it is sent, under the run's one round clock, and
+	// answers on replies. Every path out of Run closes the rounds, waits for
+	// all of them to return and releases the clock.
+	clock := newRoundClock(ctx, s.timeout)
+	requests := make([]chan int, n)
 	var workers sync.WaitGroup
 	defer func() {
 		for _, c := range requests {
 			close(c)
 		}
 		workers.Wait()
+		clock.stop()
 	}()
 	for i, conn := range s.conns {
-		requests[i] = make(chan roundRequest)
+		requests[i] = make(chan int)
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			for req := range requests[i] {
-				g, err := conn.RequestGradient(req.ctx, req.t, x)
+			for t := range requests[i] {
+				g, err := conn.RequestGradient(clock, t, x)
 				replies <- roundReply{agent: i, gradient: g, err: err}
 			}
 		}()
@@ -210,9 +302,9 @@ func (s *Server) Run(ctx context.Context) (*Result, error) {
 		// with it the whole trajectory — is independent of reply timing.
 		// That determinism is what lets a cluster run reproduce an
 		// in-process run byte for byte.
-		roundCtx, cancel := context.WithTimeout(ctx, s.timeout)
+		clock.start()
 		for _, idx := range live {
-			requests[idx] <- roundRequest{ctx: roundCtx, t: t}
+			requests[idx] <- t
 		}
 		silent = silent[:0]
 		for range live {
@@ -226,7 +318,6 @@ func (s *Server) Run(ctx context.Context) (*Result, error) {
 				silent = append(silent, rep.agent)
 			}
 		}
-		cancel()
 
 		if err := ctx.Err(); err != nil {
 			// The run context (not the round deadline) expired mid-round:

@@ -19,14 +19,17 @@ import (
 type replyFunc = func(ctx context.Context, round int, x []float64) ([]float64, error)
 
 // stubConn answers in the caller's goroutine, so every goroutine a run has
-// beyond the test's is the server's own; it counts the requests it receives.
+// beyond the test's is the server's own; it counts the requests it receives
+// and keeps the context of the last.
 type stubConn struct {
 	requests atomic.Int64
+	last     atomic.Value // context.Context
 	reply    replyFunc
 }
 
 func (c *stubConn) RequestGradient(ctx context.Context, round int, x []float64) ([]float64, error) {
 	c.requests.Add(1)
+	c.last.Store(ctx)
 	return c.reply(ctx, round, x)
 }
 
@@ -78,9 +81,11 @@ func noWorkersLeft(t *testing.T, what string) {
 
 // Server.Run starts one request goroutine per connection for the whole run,
 // and none of them outlives it: after success, step-S1 elimination,
-// ErrTooManyFailures and a run context cancelled mid-round.
+// ErrTooManyFailures and a run context cancelled mid-round. Nor does its
+// round clock: once Run returns, neither the clock's timer nor the run
+// context's AfterFunc closes the clock's Done.
 func TestServerRunLeavesNoGoroutine(t *testing.T) {
-	const n, rounds = 5, 12
+	const n, rounds, timeout = 5, 12, 100 * time.Millisecond
 	for _, tc := range []struct {
 		name    string
 		f       int
@@ -122,7 +127,7 @@ func TestServerRunLeavesNoGoroutine(t *testing.T) {
 			}
 			during := -1
 			srv, err := NewServer(Config{
-				Conns: conns, F: tc.f, Filter: aggregate.CWTM{}, X0: make([]float64, 3), Rounds: rounds,
+				Conns: conns, F: tc.f, Filter: aggregate.CWTM{}, X0: make([]float64, 3), Rounds: rounds, RoundTimeout: timeout,
 				Observer: dgd.ObserverFunc(func(t int, _ []float64, _, _ float64) error {
 					if t == 1 {
 						during = serverWorkers()
@@ -140,6 +145,16 @@ func TestServerRunLeavesNoGoroutine(t *testing.T) {
 				t.Fatalf("%d request goroutines during the run, want one per connection (%d)", during, n)
 			}
 			noWorkersLeft(t, tc.name)
+			if tc.want == context.Canceled {
+				return // the cancellation closed the clock during the run
+			}
+			clock := conns[0].(*stubConn).last.Load().(context.Context)
+			cancel()
+			select {
+			case <-clock.Done():
+				t.Fatalf("the round clock closed after Run returned (%v): its timer or the run context's AfterFunc outlived the run", clock.Err())
+			case <-time.After(2 * timeout):
+			}
 		})
 	}
 }

@@ -11,14 +11,16 @@
 // Concrete costs provided:
 //
 //   - LeastSquares: Q(x) = sum_i (b_i - a_i x)^2, the distributed linear
-//     regression cost of Section 5 / Appendix J.
+//     regression cost of Section 5 / Appendix J; its gradient streams each
+//     row's residual into the caller's buffer, no scratch.
 //   - Observation: Q_i(x) = (b_i - a_i x)^2, one agent's cost in those
 //     experiments: a view of one design row and its response, no scratch.
 //   - QuadraticForm: Q(x) = 1/2 x'Px + q'x + c, the generic strongly convex
 //     quadratic used by tests and synthetic instances.
 //   - Hinge: the SVM cost mentioned in Section 5 (subgradients).
 //
-// Sum and Scale combine costs; Smoothness and StrongConvexity compute the
+// Sum and Scale combine costs; Sum keeps a term-gradient buffer, the only
+// scratch a cost here keeps. Smoothness and StrongConvexity compute the
 // paper's µ and γ for quadratic costs from Hessian eigenvalue bounds.
 package costfunc
 
@@ -33,6 +35,10 @@ import (
 // ErrDimension is returned (wrapped) when an argument does not match the
 // cost function's domain dimension.
 var ErrDimension = errors.New("costfunc: dimension mismatch")
+
+// ErrAliased is returned (wrapped) when a gradient's dst shares memory with
+// the point x it is taken at, where the cost reads x after writing dst.
+var ErrAliased = errors.New("costfunc: dst shares memory with x")
 
 // Function is a real-valued cost on R^d.
 type Function interface {
@@ -51,9 +57,9 @@ type Function interface {
 // engine calls it once per agent per round, one agent at a time, but a sweep
 // runs its cells side by side and the cluster substrate asks each agent from
 // its own goroutine, so two agents must not share a cost value that keeps
-// scratch. In this package two costs keep scratch: LeastSquares its residual
-// and Sum its term gradient. Observation, QuadraticForm, Hinge and a Scale
-// over scratch-free costs keep none.
+// scratch. In this package only Sum keeps scratch, its term gradient.
+// LeastSquares, Observation, QuadraticForm, Hinge and a Scale over
+// scratch-free costs keep none.
 type Differentiable interface {
 	Function
 	// GradInto writes the gradient (or a subgradient) of Q at x into dst,
@@ -76,13 +82,11 @@ func Grad(f Differentiable, x []float64) ([]float64, error) {
 // LeastSquares is the regression cost Q(x) = ||b - A x||^2 over the rows of
 // a design matrix. With a single row it is one agent's cost
 // Q_i(x) = (B_i - A_i x)^2 from Section 5, which Observation computes bit
-// for bit without the matrix and the scratch.
+// for bit without the matrix. It keeps no scratch, so one value may serve
+// concurrent calls.
 type LeastSquares struct {
 	a *matrix.Matrix
 	b []float64
-	// res is the residual scratch for GradInto, sized lazily to Rows; it is
-	// what makes repeated gradient calls allocation-free.
-	res []float64
 }
 
 var _ Differentiable = (*LeastSquares)(nil)
@@ -103,8 +107,7 @@ func (q *LeastSquares) Dim() int { return q.a.Cols() }
 
 // Eval returns ||b - A x||^2. Each row's residual is squared into one
 // accumulator as it is computed (matrix.ResidualNormSq), so tracking the loss
-// every round allocates nothing at any row count and Eval, unlike GradInto,
-// stays safe for concurrent calls on a shared cost.
+// every round allocates nothing at any row count.
 func (q *LeastSquares) Eval(x []float64) (float64, error) {
 	if len(x) != q.Dim() {
 		return 0, fmt.Errorf("costfunc: eval at dim %d, want %d: %w", len(x), q.Dim(), ErrDimension)
@@ -112,9 +115,10 @@ func (q *LeastSquares) Eval(x []float64) (float64, error) {
 	return q.a.ResidualNormSq(x, q.b)
 }
 
-// GradInto writes -2 A' (b - A x) into dst without allocating after the
-// first call: the residual lands in an internal scratch buffer, sized lazily
-// to Rows, and the transposed product is computed in place.
+// GradInto writes -2 A' (b - A x) into dst without scratch: each row's
+// residual is added into dst as it is computed (matrix.MulTResidualInto),
+// then dst is scaled. Every row reads x after dst is first written, so a dst
+// that shares memory with x is an ErrAliased error.
 func (q *LeastSquares) GradInto(dst, x []float64) error {
 	if len(x) != q.Dim() {
 		return fmt.Errorf("costfunc: grad at dim %d, want %d: %w", len(x), q.Dim(), ErrDimension)
@@ -122,22 +126,26 @@ func (q *LeastSquares) GradInto(dst, x []float64) error {
 	if len(dst) != q.Dim() {
 		return fmt.Errorf("costfunc: grad into dim %d, want %d: %w", len(dst), q.Dim(), ErrDimension)
 	}
-	rows := q.a.Rows()
-	if cap(q.res) < rows {
-		q.res = make([]float64, rows)
+	if overlaps(dst, x) {
+		return fmt.Errorf("costfunc: least-squares grad: %w", ErrAliased)
 	}
-	res := q.res[:rows]
-	if err := q.a.MulVecInto(res, x); err != nil {
-		return err
-	}
-	for i := range res {
-		res[i] = q.b[i] - res[i]
-	}
-	if err := q.a.MulTVecInto(dst, res); err != nil {
+	if err := q.a.MulTResidualInto(dst, x, q.b); err != nil {
 		return err
 	}
 	vecmath.ScaleInPlace(-2, dst)
 	return nil
+}
+
+// overlaps reports whether two slices of one non-zero length share an
+// element. Go orders no pointers without unsafe, so it looks for each one's
+// first element among the other's.
+func overlaps(a, b []float64) bool {
+	for i := range a {
+		if &a[i] == &b[0] || &b[i] == &a[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // Hessian returns the constant Hessian 2 A'A.
@@ -393,7 +401,9 @@ func (h *Hinge) GradInto(dst, w []float64) error {
 type Sum struct {
 	terms []Differentiable
 	dim   int
-	// buf is the per-term gradient scratch for GradInto, sized lazily.
+	// buf is the per-term gradient scratch for GradInto, sized lazily. A
+	// term's GradInto overwrites its dst, so one term's gradient needs a
+	// place other than dst to land before it is added.
 	buf []float64
 }
 

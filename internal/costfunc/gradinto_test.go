@@ -163,6 +163,44 @@ func TestGradIntoAllocs(t *testing.T) {
 	}
 }
 
+// TestLeastSquaresGradIntoRejectsAliasedDst: the streamed gradient reads x
+// after writing dst, so a dst that is x, or overlaps it by a shifted window,
+// is ErrAliased and leaves dst as it was; a dst beside x in the same backing
+// array is fine.
+func TestLeastSquaresGradIntoRejectsAliasedDst(t *testing.T) {
+	ls := gradIntoCosts(t, rand.New(rand.NewSource(41)), 4)["leastsquares"]
+	buf := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, tc := range []struct {
+		name   string
+		dst, x []float64
+	}{
+		{"same", buf[:4], buf[:4]},
+		{"dst after x", buf[1:5], buf[:4]},
+		{"dst before x", buf[:4], buf[1:5]},
+	} {
+		if err := ls.GradInto(tc.dst, tc.x); !errors.Is(err, ErrAliased) {
+			t.Errorf("%s: %v, want ErrAliased", tc.name, err)
+		}
+		for i, v := range buf {
+			if v != float64(i+1) {
+				t.Fatalf("%s: an aliased call wrote %v", tc.name, buf)
+			}
+		}
+	}
+	want, err := Grad(ls, buf[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ls.GradInto(buf[4:], buf[:4]); err != nil {
+		t.Fatalf("dst beside x: %v", err)
+	}
+	for i := range want {
+		if math.Float64bits(buf[4+i]) != math.Float64bits(want[i]) {
+			t.Fatalf("dst beside x: coord %d = %v, want %v", i, buf[4+i], want[i])
+		}
+	}
+}
+
 // TestLeastSquaresEvalAllocs: Eval streams each residual into its sum (every
 // round of a sweep evaluates the honest loss, 190 rows on wide_grid), so it
 // allocates nothing at any row count, keeps no state in the cost, and
@@ -327,9 +365,9 @@ func TestObservationViews(t *testing.T) {
 }
 
 // TestGradStaysConcurrencySafe pins the costs that keep no scratch:
-// concurrent Grad calls on one shared Observation, QuadraticForm, Hinge, or
-// a Scale over one of them, are safe. LeastSquares and Sum keep scratch and
-// make no such promise. Meaningful under -race.
+// concurrent Grad calls on one shared LeastSquares, Observation,
+// QuadraticForm, Hinge, or a Scale over one of them, are safe. Sum keeps
+// scratch and makes no such promise. Meaningful under -race.
 func TestGradStaysConcurrencySafe(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	all := gradIntoCosts(t, r, 8)
@@ -338,10 +376,11 @@ func TestGradStaysConcurrencySafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := map[string]Differentiable{
-		"observation": all["observation"],
-		"quadratic":   all["quadratic"],
-		"hinge":       all["hinge"],
-		"scale":       scaled,
+		"leastsquares": all["leastsquares"],
+		"observation":  all["observation"],
+		"quadratic":    all["quadratic"],
+		"hinge":        all["hinge"],
+		"scale":        scaled,
 	}
 	x := make([]float64, 8)
 	for i := range x {

@@ -270,30 +270,41 @@ func dotRow(row, v []float64) float64 {
 	return s
 }
 
-// MulTVecInto writes mᵀ * v into dst, which must have length Cols, without
-// materializing the transpose. Each entry accumulates over ascending row
-// index — the order T().MulVec uses — so the result is bitwise identical to
-// the allocating route. dst must not alias v.
-func (m *Matrix) MulTVecInto(dst, v []float64) error {
-	if m.rows != len(v) {
-		return fmt.Errorf("matrix: mulvec %dx%d by %d: %w", m.cols, m.rows, len(v), ErrShape)
+// MulTResidualInto writes mᵀ(b − m v) into dst, which must have length
+// Cols, with no scratch: each row's residual b_i − (m v)_i, its dot product
+// summed as MulVecInto sums it, is added into dst as a multiple of the row,
+// rows ascending — the addition sequence of mᵀ applied to the materialized
+// residual, so the result is bitwise that route's. Every row reads all of v
+// after dst is first written, so dst must not share memory with v.
+func (m *Matrix) MulTResidualInto(dst, v, b []float64) error {
+	if m.cols != len(v) {
+		return fmt.Errorf("matrix: mulvec %dx%d by %d: %w", m.rows, m.cols, len(v), ErrShape)
+	}
+	if len(b) != m.rows {
+		return fmt.Errorf("matrix: residual rhs length %d, want %d: %w", len(b), m.rows, ErrShape)
 	}
 	if len(dst) != m.cols {
 		return fmt.Errorf("matrix: mulvec into %d, want %d: %w", len(dst), m.cols, ErrShape)
 	}
-	for j := range dst {
-		dst[j] = 0
+	clear(dst)
+	c := m.cols
+	i := 0
+	for ; i <= m.rows-4; i += 4 {
+		s0, s1, s2, s3 := dot4(m.data[i*c:(i+4)*c], c, v)
+		axpyRow(dst, b[i]-s0, m.data[i*c:(i+1)*c])
+		axpyRow(dst, b[i+1]-s1, m.data[(i+1)*c:(i+2)*c])
+		axpyRow(dst, b[i+2]-s2, m.data[(i+2)*c:(i+3)*c])
+		axpyRow(dst, b[i+3]-s3, m.data[(i+3)*c:(i+4)*c])
 	}
-	// Row-major traversal: dst[j] accumulates m[i][j]*v[i] with i ascending,
-	// the same addition sequence as a per-column dot product.
-	for i := 0; i < m.rows; i++ {
-		axpyRow(dst, v[i], m.data[i*m.cols:(i+1)*m.cols])
+	for ; i < m.rows; i++ {
+		row := m.data[i*c : (i+1)*c]
+		axpyRow(dst, b[i]-dotRow(row, v), row)
 	}
 	return nil
 }
 
 // axpyRow computes dst[j] += a*row[j], the unrolled bounds-check-free axpy
-// behind MulTVecInto and Mul; element-wise, so unrolling cannot reorder any
+// behind MulTResidualInto; element-wise, so unrolling cannot reorder any
 // addition into a given dst entry.
 func axpyRow(dst []float64, a float64, row []float64) {
 	row = row[:len(dst)]

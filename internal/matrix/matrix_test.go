@@ -161,6 +161,55 @@ func TestMulVecIntoBlockedBitwise(t *testing.T) {
 	}
 }
 
+// TestMulTResidualIntoMatchesMaterializedRoute pins the fused product to
+// mᵀ applied to the materialized residual b − m v, accumulated per column in
+// ascending row order, bitwise, into a dirty dst, on both sides of the
+// four-row block; a mis-sized operand is ErrShape.
+func TestMulTResidualIntoMatchesMaterializedRoute(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 32} {
+		for _, cols := range []int{1, 3, 4, 17, 100} {
+			data, v, b := make([]float64, rows*cols), make([]float64, cols), make([]float64, rows)
+			for _, s := range [][]float64{data, v, b} {
+				for i := range s {
+					s[i] = r.NormFloat64() * 10
+				}
+			}
+			m := mustNew(t, rows, cols, data)
+			res, err := Residual(m, v, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]float64, cols)
+			for j := range dst {
+				dst[j] = math.NaN()
+			}
+			if err := m.MulTResidualInto(dst, v, b); err != nil {
+				t.Fatal(err)
+			}
+			for j := range dst {
+				var want float64
+				for i := 0; i < rows; i++ {
+					want += res[i] * data[i*cols+j]
+				}
+				if math.Float64bits(dst[j]) != math.Float64bits(want) {
+					t.Fatalf("rows=%d cols=%d: [%d] = %v, materialized route %v", rows, cols, j, dst[j], want)
+				}
+			}
+		}
+	}
+	m := mustNew(t, 2, 3, make([]float64, 6))
+	for name, args := range map[string][3][]float64{
+		"v":   {make([]float64, 3), make([]float64, 2), make([]float64, 2)},
+		"b":   {make([]float64, 3), make([]float64, 3), make([]float64, 3)},
+		"dst": {make([]float64, 2), make([]float64, 3), make([]float64, 2)},
+	} {
+		if err := m.MulTResidualInto(args[0], args[1], args[2]); !errors.Is(err, ErrShape) {
+			t.Errorf("mis-sized %s: %v, want ErrShape", name, err)
+		}
+	}
+}
+
 func TestGram(t *testing.T) {
 	a := mustNew(t, 3, 2, []float64{1, 0, 0, 1, 1, 1})
 	g := a.Gram()
@@ -281,12 +330,8 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Residual(a, x, b)
-		if err != nil {
-			t.Fatal(err)
-		}
 		atr := make([]float64, cols)
-		if err := a.MulTVecInto(atr, res); err != nil {
+		if err := a.MulTResidualInto(atr, x, b); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range atr {
@@ -314,9 +359,10 @@ func TestLeastSquaresMatchesNormalEquations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The normal equations AᵀA x = Aᵀb, solved by elimination.
+		// The normal equations AᵀA x = Aᵀb, solved by elimination; Aᵀb is
+		// the residual product at x = 0.
 		atb := make([]float64, cols)
-		if err := a.MulTVecInto(atb, b); err != nil {
+		if err := a.MulTResidualInto(atb, make([]float64, cols), b); err != nil {
 			t.Fatal(err)
 		}
 		x2, err := a.Gram().Solve(atb)

@@ -34,9 +34,11 @@ var ErrTimeout = errors.New("transport: agent deadline exceeded")
 type AgentConn interface {
 	// RequestGradient sends the round request and awaits the reply.
 	// Cancellation or deadline expiry of ctx yields ErrTimeout (wrapped).
-	// The returned slice belongs to the connection and is valid until the
-	// next RequestGradient on it: a caller that keeps a report across
-	// rounds copies it.
+	// One ctx may serve many requests, its deadline moved between them, and
+	// its Done need not close after the reply: an implementation reads ctx
+	// only while the request is in flight. The returned slice belongs to the
+	// connection and is valid until the next RequestGradient on it: a caller
+	// that keeps a report across rounds copies it.
 	RequestGradient(ctx context.Context, round int, estimate []float64) ([]float64, error)
 	// Close releases the connection; subsequent requests fail with
 	// ErrClosed. Close is idempotent.
