@@ -1,5 +1,6 @@
 // Kernel micro-benchmarks: each times one kernel in isolation and is the
-// source of a number quoted in CHANGES.md. End-to-end performance, per-layer
+// source of a number quoted in CHANGES.md. BenchmarkMeasureRedundancy times
+// the subset theory, which no benchmark/ workload runs. End-to-end performance, per-layer
 // shares and regression bounds live in benchmark/ (BENCHMARK.json); result
 // quality is pinned by the goldens under the packages' testdata/.
 //
@@ -163,5 +164,35 @@ func BenchmarkRoundLoop(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkMeasureRedundancy times one ε measurement (Appendix J.2's
+// AtLeastSize enumeration) on random Gaussian regression rows: 3,030,240
+// subset pairs at n = 60, f = 2 and 40,000 at n = 200, d = 10, f = 1.
+func BenchmarkMeasureRedundancy(b *testing.B) {
+	for _, g := range []struct{ n, d, f int }{{60, 2, 2}, {200, 10, 1}} {
+		r := rand.New(rand.NewSource(int64(g.n*100 + g.d)))
+		rows := make([][]float64, g.n)
+		resp := make([]float64, g.n)
+		for i := range rows {
+			rows[i] = make([]float64, g.d)
+			for j := range rows[i] {
+				rows[i][j] = r.NormFloat64()
+				resp[i] += rows[i][j]
+			}
+			resp[i] += 0.1 * r.NormFloat64()
+		}
+		prob, err := byzopt.RegressionProblem(rows, resp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d/d=%d/f=%d", g.n, g.d, g.f), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := byzopt.MeasureRedundancy(prob, g.f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -668,14 +668,15 @@ func WriteSweepJSON(w io.Writer, results []SweepResult, includeTiming bool) erro
 
 // --- resilience theory (Section 3) ---
 
-// SubsetProblem exposes a multi-agent instance whose subset aggregates can
-// be minimized exactly, the structure the Section-3 theory quantifies over.
-// (Sweep workloads are the separate Problem interface above.)
+// SubsetProblem is a multi-agent instance with quadratic costs, whose subset
+// aggregates are minimised exactly: the structure the Section-3 theory
+// quantifies over. (Sweep workloads are the separate Problem interface
+// above.)
 type SubsetProblem = core.Problem
 
 // RegressionProblem builds a SubsetProblem from regression data (one row
 // and response per agent).
-func RegressionProblem(rows [][]float64, b []float64) (SubsetProblem, error) {
+func RegressionProblem(rows [][]float64, b []float64) (*SubsetProblem, error) {
 	a, err := matrix.FromRows(rows)
 	if err != nil {
 		return nil, err
@@ -687,19 +688,10 @@ func RegressionProblem(rows [][]float64, b []float64) (SubsetProblem, error) {
 type RedundancyReport = core.RedundancyReport
 
 // MeasureRedundancy computes the tight redundancy parameter ε of
-// Definition 3 by subset enumeration (Appendix J.2 procedure),
-// sequentially.
-func MeasureRedundancy(p SubsetProblem, f int) (*RedundancyReport, error) {
+// Definition 3 by one sequential subset enumeration (Appendix J.2
+// procedure).
+func MeasureRedundancy(p *SubsetProblem, f int) (*RedundancyReport, error) {
 	return core.MeasureRedundancy(p, f, core.AtLeastSize)
-}
-
-// MeasureRedundancyWorkers is MeasureRedundancy with the subset enumeration
-// chunked across up to workers goroutines (0 auto-sizes, negative means
-// GOMAXPROCS); the report is bitwise-identical at any worker count. With
-// workers != 1 the problem's MinimizeSubset must be safe for concurrent
-// use, which every problem constructor in this library satisfies.
-func MeasureRedundancyWorkers(p SubsetProblem, f, workers int) (*RedundancyReport, error) {
-	return core.MeasureRedundancyWorkers(p, f, core.AtLeastSize, workers)
 }
 
 // ResilienceReport quantifies a candidate output against Definition 2.
@@ -707,7 +699,7 @@ type ResilienceReport = core.ResilienceReport
 
 // MeasureResilience evaluates the worst-case distance from x to any
 // (n-f)-subset aggregate minimizer of the given honest agents.
-func MeasureResilience(p SubsetProblem, f int, honest []int, x []float64) (*ResilienceReport, error) {
+func MeasureResilience(p *SubsetProblem, f int, honest []int, x []float64) (*ResilienceReport, error) {
 	return core.MeasureResilience(p, f, honest, x)
 }
 
@@ -716,7 +708,7 @@ type ExhaustiveResult = core.ExhaustiveResult
 
 // ExhaustiveResilient runs the exhaustive (f, 2ε)-resilient algorithm from
 // the proof of Theorem 2.
-func ExhaustiveResilient(p SubsetProblem, f int) (*ExhaustiveResult, error) {
+func ExhaustiveResilient(p *SubsetProblem, f int) (*ExhaustiveResult, error) {
 	return core.ExhaustiveResilient(p, f)
 }
 

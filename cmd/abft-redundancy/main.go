@@ -6,15 +6,16 @@
 // (-data) with one agent per line: the design row followed by the response,
 // e.g. "0.8,0.5,1.3349".
 //
-// The subset enumeration is chunked across -workers goroutines (0
-// auto-sizes to the instance); the measured report is bitwise-identical at
-// any worker count.
+// One sequential subset enumeration (core.Measure) yields both ε and the
+// output of the exhaustive algorithm of Theorem 2: it solves each outer and
+// inner subset once, by downdating the summed Gram matrix, and scores every
+// (S, Ŝ) pair from those solves. At n = 200 that is 20,100 solves at f = 1
+// and 66,018,250 at f = 2, for 40,000 and 392,069,800 pairs.
 //
 // Examples:
 //
 //	abft-redundancy -paper
 //	abft-redundancy -data agents.csv -f 2
-//	abft-redundancy -data agents.csv -f 2 -workers -1
 //	abft-redundancy -paper -cpuprofile cpu.prof -memprofile heap.prof
 package main
 
@@ -45,7 +46,6 @@ func run(args []string) (err error) {
 	paper := fs.Bool("paper", false, "use the Appendix-J instance")
 	data := fs.String("data", "", "CSV file, one agent per line: row..., response")
 	f := fs.Int("f", 1, "Byzantine budget f")
-	workers := fs.Int("workers", 0, "goroutines for the subset enumeration (0 = auto, -1 = GOMAXPROCS); the report is identical at any value")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -86,7 +86,7 @@ func run(args []string) (err error) {
 		return fmt.Errorf("f = %d infeasible for n = %d (Lemma 1 requires f < n/2)", *f, n)
 	}
 
-	rep, err := core.MeasureRedundancyWorkers(prob, *f, core.AtLeastSize, *workers)
+	m, err := core.Measure(prob, *f, core.AtLeastSize)
 	if err != nil {
 		return err
 	}
@@ -94,17 +94,17 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
+	rep := m.Redundancy
 	fmt.Printf("instance: n = %d agents, d = %d, f = %d\n", n, prob.Dim(), *f)
 	fmt.Printf("(2f, eps)-redundancy: eps = %.6f over %d subset pairs\n", rep.Epsilon, rep.Pairs)
 	fmt.Printf("worst pair: S = %v, Shat = %v\n", rep.WorstOuter, rep.WorstInner)
 	fmt.Printf("Theorem 2: an (f, %.6f)-resilient output is achievable; the exhaustive\n", 2*rep.Epsilon)
 	fmt.Printf("algorithm would perform %d subset minimizations.\n", cost)
 
-	ex, err := core.ExhaustiveResilient(prob, *f)
-	if err != nil {
-		return fmt.Errorf("exhaustive algorithm: %w", err)
+	if m.Exhaustive == nil {
+		return fmt.Errorf("exhaustive algorithm: needs f > 0")
 	}
-	fmt.Printf("exhaustive output: %v (score r_S = %.6f)\n", ex.X, ex.Score)
+	fmt.Printf("exhaustive output: %v (score r_S = %.6f)\n", m.Exhaustive.X, m.Exhaustive.Score)
 	return nil
 }
 

@@ -84,7 +84,7 @@ func stdoutOf(t *testing.T, args ...string) []byte {
 func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "heap.prof")
-	args := []string{"-paper", "-f", "1", "-workers", "1"}
+	args := []string{"-paper", "-f", "1"}
 	plain := stdoutOf(t, args...)
 	profiled := stdoutOf(t, append(args, "-cpuprofile", cpu, "-memprofile", mem)...)
 	if len(plain) == 0 || !bytes.Equal(plain, profiled) {

@@ -281,3 +281,64 @@ func ExampleProblem() {
 	// mean   gradient-reverse    0.0167         0.0605
 	// mean   (baseline)          0.0000         0.0772
 }
+
+// ExampleExhaustiveResilient runs the Theorem-2 algorithm, then shows why
+// Theorem 1 makes redundancy necessary.
+//
+// Part 1 plants a regression instance with approximate redundancy: each of
+// seven agents observes x* = (2, -1) through a random row, and noise breaks
+// exact 2f-redundancy. It measures ε, runs the exhaustive
+// (f, 2ε)-resilient algorithm, and checks Definition 2 directly.
+//
+// Part 2 is Theorem 1's three agents: two minimise at 0 and one at 2c. With
+// f = 1 the server cannot tell world (i), honest {0, 1} with optimum 0,
+// from world (ii), honest {1, 2} with optimum c, so no deterministic output
+// is within c/2 of both.
+func ExampleExhaustiveResilient() {
+	r := rand.New(rand.NewSource(7))
+	const n, f = 7, 2
+	rows := make([][]float64, n)
+	b := make([]float64, n)
+	for i := range rows {
+		rows[i] = []float64{r.NormFloat64(), r.NormFloat64()}
+		b[i] = 2*rows[i][0] - rows[i][1] + 0.05*r.NormFloat64()
+	}
+	prob, err := byzopt.RegressionProblem(rows, b)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep, err := byzopt.MeasureRedundancy(prob, f)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("eps = %.5f, worst pair S = %v, Shat = %v\n", rep.Epsilon, rep.WorstOuter, rep.WorstInner)
+	ex, err := byzopt.ExhaustiveResilient(prob, f)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("output (%.4f, %.4f) from S = %v, score %.5f <= eps\n", ex.X[0], ex.X[1], ex.Subset, ex.Score)
+	resil, err := byzopt.MeasureResilience(prob, f, []int{0, 1, 2, 3, 4, 5, 6}, ex.X)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("worst (n-f)-subset distance %.5f <= 2 eps = %.5f\n", resil.MaxDistance, 2*rep.Epsilon)
+
+	const c = 5.0
+	tie, err := byzopt.RegressionProblem([][]float64{{1}, {1}, {1}}, []float64{0, 0, 2 * c})
+	if err != nil {
+		log.Fatal(err)
+	}
+	ex, err = byzopt.ExhaustiveResilient(tie, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	toI, toII := math.Abs(ex.X[0]), math.Abs(ex.X[0]-c)
+	fmt.Printf("Theorem 1: the output is %.3f from world (i)'s optimum and %.3f from world (ii)'s;\n", toI, toII)
+	fmt.Printf("max(%.3f, %.3f) >= c/2 = %.3f, as for any deterministic output\n", toI, toII, c/2)
+	// Output:
+	// eps = 0.21429, worst pair S = [1 3 4 5 6], Shat = [3 4 6]
+	// output (1.9936, -0.9874) from S = [1 2 3 5 6], score 0.05868 <= eps
+	// worst (n-f)-subset distance 0.09477 <= 2 eps = 0.42858
+	// Theorem 1: the output is 0.000 from world (i)'s optimum and 5.000 from world (ii)'s;
+	// max(0.000, 5.000) >= c/2 = 2.500, as for any deterministic output
+}

@@ -4,11 +4,13 @@
 //
 // It provides:
 //
-//   - subset enumeration, sequential and chunked across workers;
-//   - measurement of the redundancy parameter ε by subset enumeration,
-//     following the procedure of Appendix J.2;
-//   - the exhaustive (f, 2ε)-resilient algorithm from the proof of
-//     Theorem 2;
+//   - Problem, the quadratic instance the theory quantifies over, whose
+//     subset minimisers are downdates of one summed Hessian and a Cholesky
+//     solve;
+//   - one sequential subset enumeration (Measure) that yields the
+//     redundancy parameter ε by the procedure of Appendix J.2, the
+//     exhaustive (f, 2ε)-resilient algorithm from the proof of Theorem 2,
+//     and the strong-convexity curvature γ;
 //   - the Theorem 4/5/6 resilience bounds D for the CGE and CWTM filters
 //     and the Lemma 1 feasibility condition f < n/2.
 package core

@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-
-	"byzopt/internal/vecmath"
 )
 
 // ExhaustiveResult is the output of the Theorem-2 constructive algorithm.
@@ -30,74 +27,28 @@ type ExhaustiveResult struct {
 //
 // Under (2f, ε)-redundancy of the honest costs, the output is within 2ε of
 // every (n-f)-subset of honest agents' aggregate minimizer — the paper's
-// (f, 2ε)-resilience guarantee.
-//
-// The run enumerates C(n, n-f) * C(n-f, n-2f) subset pairs; Cost reports
-// that count so callers can budget.
-func ExhaustiveResilient(p Problem, f int) (*ExhaustiveResult, error) {
-	if p == nil {
-		return nil, fmt.Errorf("nil problem: %w", ErrArgs)
+// (f, 2ε)-resilience guarantee. It is the Exhaustive part of Measure in
+// ExactSize mode, run without Measure's requirement that every aggregate
+// be minimisable: an outer T without a minimiser cannot win, and an inner
+// T̂ without one puts r_T at +Inf.
+func ExhaustiveResilient(p *Problem, f int) (*ExhaustiveResult, error) {
+	if f == 0 {
+		return nil, fmt.Errorf("the exhaustive algorithm needs f > 0: %w", ErrArgs)
 	}
-	n := p.N()
-	if f <= 0 || 2*f >= n {
-		return nil, fmt.Errorf("need 0 < f < n/2, got n=%d f=%d: %w", n, f, ErrArgs)
-	}
-
-	best := &ExhaustiveResult{Score: math.Inf(1)}
-	outer := n - f
-	inner := n - 2*f
-	err := ForEachSubset(n, outer, func(t []int) error {
-		xt, err := p.MinimizeSubset(t)
-		if err != nil {
-			// A Byzantine agent can submit a cost making some aggregate
-			// degenerate (e.g. rank-deficient); such subsets simply cannot
-			// win. Honest-only subsets minimize fine under Assumption 1.
-			return nil
-		}
-		tCopy := append([]int(nil), t...)
-		rT := 0.0
-		err = ForEachSubset(outer, inner, func(pos []int) error {
-			sub := make([]int, inner)
-			for i, pi := range pos {
-				sub[i] = tCopy[pi]
-			}
-			xhat, err := p.MinimizeSubset(sub)
-			if err != nil {
-				// Degenerate inner aggregate: treat as unbounded distance so
-				// this outer subset is penalized.
-				rT = math.Inf(1)
-				return nil
-			}
-			d, err := vecmath.Dist(xt, xhat)
-			if err != nil {
-				return err
-			}
-			if d > rT {
-				rT = d
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if rT < best.Score {
-			best.Score = rT
-			best.Subset = tCopy
-			best.X = xt
-		}
-		return nil
-	})
+	m, err := measure(p, f, ExactSize)
 	if err != nil {
 		return nil, err
 	}
-	if best.X == nil {
+	if m.Exhaustive == nil {
 		return nil, fmt.Errorf("no feasible (n-f)-subset could be minimized: %w", ErrArgs)
 	}
-	return best, nil
+	return m.Exhaustive, nil
 }
 
-// ExhaustiveCost returns the number of (T, T̂) subset-pair minimizations
-// ExhaustiveResilient performs for given (n, f): C(n, n-f) * (1 + C(n-f, n-2f)).
+// ExhaustiveCost returns the number of subset minimizations the algorithm
+// performs as the proof of Theorem 2 states it, one per (T, T̂) pair and one
+// per T: C(n, n-f) * (1 + C(n-f, n-2f)). Measure shares each minimiser among
+// its pairs and solves C(n, f) + C(n, 2f) subsets instead.
 func ExhaustiveCost(n, f int) (int64, error) {
 	co, err := Binomial(n, n-f)
 	if err != nil {

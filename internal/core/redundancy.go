@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 
+	"byzopt/internal/matrix"
 	"byzopt/internal/vecmath"
 )
 
@@ -20,6 +22,11 @@ const (
 	AtLeastSize
 )
 
+// maxOuterTable caps the outer minimiser table at C(n, f)·d entries (1 GiB
+// of float64), so an enumeration too large to finish is refused before it
+// allocates.
+const maxOuterTable = 1 << 27
+
 // RedundancyReport is the result of measuring the (2f, ε)-redundancy of a
 // problem instance.
 type RedundancyReport struct {
@@ -32,118 +39,318 @@ type RedundancyReport struct {
 	Pairs int
 }
 
+// Measurement is what one enumeration of an instance's subsets yields.
+type Measurement struct {
+	// Redundancy is ε of Definition 3 and the pair attaining it.
+	Redundancy RedundancyReport
+	// Exhaustive is the output of the Theorem-2 algorithm; nil at f = 0.
+	Exhaustive *ExhaustiveResult
+	// Curvature is the smallest eigenvalue of an outer aggregate's Hessian
+	// term, min over |S| = n-f of λ_min(Σ_{i∈S} H_i): γ of Assumption 3
+	// times |S|, in the instance's scale of H_i.
+	Curvature float64
+	// failed is the first subset whose aggregate has no unique minimiser.
+	failed error
+}
+
+// Measure runs the one enumeration behind ε, the exhaustive algorithm and γ.
+// Subsets are named by the agents they remove: an outer S = V^c removes
+// |V| = f, an inner Ŝ = U^c removes f <= |U| <= 2f (|U| = 2f only in
+// ExactSize mode), and (S, Ŝ) is a pair when V ⊂ U.
+//
+//  1. Solve the C(n, f) outer minimisers x_V once, into a table indexed by
+//     the combinatorial rank of V, taking λ_min of each outer Hessian on the
+//     way.
+//  2. Visit each U once, solve x_U, and score it against its C(|U|, f)
+//     outers: the pair distance feeds ε, and at |U| = 2f the exhaustive
+//     score r_S of equation (11), the largest distance from x_S to an inner
+//     minimiser.
+//
+// The pairs are those of Appendix J.2 and the proof of Theorem 2, in
+// another order; the reported worst pair and exhaustive winner are the ones
+// the pair-by-pair enumeration in ForEachSubset order finds first. The
+// problems this package works with have unique subset minimizers, so the
+// Hausdorff distance of Definition 3 reduces to the point distance. It
+// requires 0 <= f < n/2 (Lemma 1) and fails when any subset's aggregate has
+// no unique minimiser.
+func Measure(p *Problem, f int, mode SubsetMode) (*Measurement, error) {
+	m, err := measure(p, f, mode)
+	if err != nil {
+		return nil, err
+	}
+	if m.failed != nil {
+		return nil, m.failed
+	}
+	return m, nil
+}
+
 // MeasureRedundancy computes the tight redundancy parameter
 //
 //	ε = max_{|S| = n-f} max_{Ŝ ⊆ S} dist(argmin Q_S, argmin Q_Ŝ)
 //
-// by enumerating subsets and minimizing each aggregate exactly, following
-// Appendix J.2. The problems this package works with have unique subset
-// minimizers, so the Hausdorff distance of Definition 3 reduces to the
-// point distance.
-//
-// It requires 0 <= f and n - 2f >= 1 so inner subsets are non-empty, and
-// f < n/2 (Lemma 1's feasibility bound). The enumeration is sequential;
-// MeasureRedundancyWorkers fans it out when the problem's subset
-// minimization is safe for concurrent use.
-func MeasureRedundancy(p Problem, f int, mode SubsetMode) (*RedundancyReport, error) {
-	return MeasureRedundancyWorkers(p, f, mode, 1)
+// following Appendix J.2: the Redundancy part of Measure.
+func MeasureRedundancy(p *Problem, f int, mode SubsetMode) (*RedundancyReport, error) {
+	m, err := Measure(p, f, mode)
+	if err != nil {
+		return nil, err
+	}
+	return &m.Redundancy, nil
 }
 
-// MeasureRedundancyWorkers is MeasureRedundancy with the outer subset
-// enumeration chunked across up to workers goroutines (0 fans out only for
-// enumerations large enough to amortize the startup, negative means
-// GOMAXPROCS, 1 is the sequential path). Chunks are contiguous in
-// lexicographic order and the per-worker maxima are merged in worker order
-// with the same strict comparison the sequential scan uses, so the report —
-// Epsilon, the worst pair, and the pair count — is bitwise-identical at any
-// worker count. With workers != 1 the problem's MinimizeSubset must be safe
-// for concurrent use; every problem in this repository is (they read the
-// instance and allocate fresh outputs).
-func MeasureRedundancyWorkers(p Problem, f int, mode SubsetMode, workers int) (*RedundancyReport, error) {
+// enumeration is the state of one measure call.
+type enumeration struct {
+	p      *Problem
+	f      int
+	choose [][]int   // choose[j][v] = C(v, j+1): the colex rank terms
+	xs     []float64 // x_V at rank(V)·d
+	solved []bool    // whether x_V exists
+	score  []float64 // r_S² at rank(V)
+	best   float64   // ε²
+	bestV  []int     // removed sets of the worst pair
+	bestU  []int
+	m      Measurement
+}
+
+func measure(p *Problem, f int, mode SubsetMode) (*Measurement, error) {
 	if p == nil {
 		return nil, fmt.Errorf("nil problem: %w", ErrArgs)
 	}
-	n := p.N()
+	n, d := p.n, p.d
 	if f < 0 || 2*f >= n {
 		return nil, fmt.Errorf("need 0 <= f < n/2, got n=%d f=%d: %w", n, f, ErrArgs)
 	}
 	if mode != ExactSize && mode != AtLeastSize {
 		return nil, fmt.Errorf("unknown subset mode %d: %w", mode, ErrArgs)
 	}
-
-	outer := n - f
-	total, err := Binomial(n, outer)
+	outers, err := Binomial(n, f)
 	if err != nil {
 		return nil, err
 	}
-	workers = ResolveSubsetWorkers(workers, total)
-	partials := make([]RedundancyReport, workers)
-	err = ForEachSubsetParallel(n, outer, workers, func(w int, s []int) error {
-		report := &partials[w]
-		xs, err := p.MinimizeSubset(s)
+	if outers > maxOuterTable/int64(d) {
+		return nil, fmt.Errorf("C(%d, %d) = %d outer minimisers of dimension %d exceed %d table entries: %w",
+			n, f, outers, d, maxOuterTable, ErrArgs)
+	}
+	e := &enumeration{
+		p:      p,
+		f:      f,
+		choose: colexTable(n, f),
+		xs:     make([]float64, int(outers)*d),
+		solved: make([]bool, outers),
+		score:  make([]float64, outers),
+		m:      Measurement{Curvature: math.Inf(1)},
+	}
+	err = p.forEachDowndate(f, func(v []int, a, x []float64) error {
+		h, err := matrix.New(d, d, a)
 		if err != nil {
-			return fmt.Errorf("outer subset %v: %w", s, err)
+			return err
 		}
-		sCopy := append([]int(nil), s...)
-
-		sizes := []int{n - 2*f}
-		if mode == AtLeastSize {
-			sizes = sizes[:0]
-			for k := n - 2*f; k <= outer; k++ {
-				sizes = append(sizes, k)
-			}
+		lo, _, err := matrix.EigenBounds(h)
+		if err != nil {
+			return err
 		}
-		for _, k := range sizes {
-			// Enumerate k-subsets of s by indexing into sCopy.
-			err := ForEachSubset(outer, k, func(pos []int) error {
-				inner := make([]int, k)
-				for i, pi := range pos {
-					inner[i] = sCopy[pi]
-				}
-				xhat, err := p.MinimizeSubset(inner)
-				if err != nil {
-					return fmt.Errorf("inner subset %v: %w", inner, err)
-				}
-				d, err := vecmath.Dist(xs, xhat)
-				if err != nil {
-					return err
-				}
-				report.Pairs++
-				if d > report.Epsilon {
-					report.Epsilon = d
-					report.WorstOuter = sCopy
-					report.WorstInner = inner
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
+		e.m.Curvature = math.Min(e.m.Curvature, lo)
+		if err := p.solve(a, x); err != nil {
+			e.fail("outer", v, err)
+			return nil
 		}
+		r := e.rank(v)
+		copy(e.xs[r*d:], x)
+		e.solved[r] = true
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Merge in worker order with the same strict > the per-worker scans
-	// used: the first chunk attaining the global maximum wins, exactly as
-	// the sequential enumeration's first strict improvement would.
-	report := &RedundancyReport{}
-	for i := range partials {
-		part := &partials[i]
-		report.Pairs += part.Pairs
-		if part.Epsilon > report.Epsilon {
-			report.Epsilon = part.Epsilon
-			report.WorstOuter = part.WorstOuter
-			report.WorstInner = part.WorstInner
+
+	lo := 2 * f
+	if mode == AtLeastSize {
+		// |U| = f pairs each outer with itself, at distance 0.
+		e.m.Redundancy.Pairs = int(outers)
+		lo = f + 1
+	}
+	for k := lo; k <= 2*f; k++ {
+		if err := e.scoreInners(k); err != nil {
+			return nil, err
 		}
 	}
-	return report, nil
+	if e.best > 0 {
+		e.m.Redundancy.Epsilon = math.Sqrt(e.best)
+		e.m.Redundancy.WorstOuter = complement(n, e.bestV)
+		e.m.Redundancy.WorstInner = complement(n, e.bestU)
+	}
+	if f > 0 {
+		e.exhaustive()
+	}
+	return &e.m, nil
+}
+
+// scoreInners solves every inner that removes k agents and scores it
+// against the outers that remove f of them.
+func (e *enumeration) scoreInners(k int) error {
+	d, f := e.p.d, e.f
+	var within [][]int // positions in U of each V ⊂ U
+	if err := ForEachSubset(k, f, func(pos []int) error {
+		within = append(within, append([]int(nil), pos...))
+		return nil
+	}); err != nil {
+		return err
+	}
+	v := make([]int, f)
+	return e.p.forEachDowndate(k, func(u []int, a, x []float64) error {
+		failed := e.p.solve(a, x)
+		if failed != nil {
+			e.fail("inner", u, failed)
+		}
+		for _, pos := range within {
+			for j, q := range pos {
+				v[j] = u[q]
+			}
+			r := e.rank(v)
+			switch {
+			case failed != nil:
+				// A degenerate inner aggregate is at unbounded distance,
+				// so its outers cannot win the exhaustive algorithm.
+				if k == 2*f {
+					e.score[r] = math.Inf(1)
+				}
+				continue
+			case !e.solved[r]:
+				continue
+			}
+			dist := sqDist(e.xs[r*d:(r+1)*d], x)
+			e.m.Redundancy.Pairs++
+			if dist > e.best || dist == e.best && dist > 0 && pairBefore(v, u, e.bestV, e.bestU) {
+				e.best = dist
+				e.bestV = append(e.bestV[:0], v...)
+				e.bestU = append(e.bestU[:0], u...)
+			}
+			if k == 2*f && dist > e.score[r] {
+				e.score[r] = dist
+			}
+		}
+		return nil
+	})
+}
+
+// exhaustive picks the outer of least score (equation (12)). Removed sets in
+// lexicographic order are outers in reverse ForEachSubset order, so the last
+// minimum is the first outer attaining it. An outer whose aggregate, or one
+// of whose inners', has no minimiser cannot win: a Byzantine agent can make
+// some aggregates degenerate, and the honest-only outers minimise fine under
+// Assumption 1.
+func (e *enumeration) exhaustive() {
+	n, d, f := e.p.n, e.p.d, e.f
+	win, winScore := -1, math.Inf(1)
+	var winV []int
+	_ = ForEachSubset(n, f, func(v []int) error {
+		r := e.rank(v)
+		if e.solved[r] && e.score[r] <= winScore && !math.IsInf(e.score[r], 1) {
+			win, winScore = r, e.score[r]
+			winV = append(winV[:0], v...)
+		}
+		return nil
+	})
+	if win < 0 {
+		return
+	}
+	e.m.Exhaustive = &ExhaustiveResult{
+		X:      vecmath.Clone(e.xs[win*d : (win+1)*d]),
+		Subset: complement(n, winV),
+		Score:  math.Sqrt(winScore),
+	}
+}
+
+// fail records the first subset whose aggregate has no unique minimiser.
+func (e *enumeration) fail(kind string, removed []int, err error) {
+	if e.m.failed == nil {
+		e.m.failed = fmt.Errorf("%s subset %v: %w", kind, complement(e.p.n, removed), err)
+	}
+}
+
+// rank is the colexicographic rank of a removed set of f agents, an index
+// in [0, C(n, f)).
+func (e *enumeration) rank(v []int) int {
+	r := 0
+	for j, x := range v {
+		r += e.choose[j][x]
+	}
+	return r
+}
+
+// colexTable returns choose[j][v] = C(v, j+1) for j < f and v < n.
+func colexTable(n, f int) [][]int {
+	t := make([][]int, f)
+	for j := range t {
+		t[j] = make([]int, n)
+		for v := 1; v < n; v++ {
+			below := 1 // C(v-1, j)
+			if j > 0 {
+				below = t[j-1][v-1]
+			}
+			t[j][v] = t[j][v-1] + below
+		}
+	}
+	return t
+}
+
+// pairBefore reports whether the pair removing (v, u) precedes the pair
+// removing (bv, bu) in pair-by-pair enumeration order: outers in
+// ForEachSubset order, then inner sizes ascending (larger removed sets
+// first), then inners in ForEachSubset order.
+func pairBefore(v, u, bv, bu []int) bool {
+	if c := complementOrder(v, bv); c != 0 {
+		return c < 0
+	}
+	if len(u) != len(bu) {
+		return len(u) > len(bu)
+	}
+	return complementOrder(u, bu) < 0
+}
+
+// complementOrder compares the complements of two sorted removed sets of
+// one size in ForEachSubset's lexicographic order, -1 when a's comes first.
+// At the first index where the sets differ the smaller element belongs to
+// one set alone, and the complement of the other holds it: that complement
+// is the smaller.
+func complementOrder(a, b []int) int {
+	for i := range a {
+		switch {
+		case a[i] < b[i]:
+			return 1
+		case a[i] > b[i]:
+			return -1
+		}
+	}
+	return 0
+}
+
+// complement returns the agents of [0, n) outside the sorted set removed.
+func complement(n int, removed []int) []int {
+	out := make([]int, 0, n-len(removed))
+	j := 0
+	for i := 0; i < n; i++ {
+		if j < len(removed) && removed[j] == i {
+			j++
+			continue
+		}
+		out = append(out, i)
+	}
+	return out
+}
+
+// sqDist returns the squared Euclidean distance between a and b.
+func sqDist(a, b []float64) float64 {
+	var s float64
+	for i, v := range a {
+		t := v - b[i]
+		s += t * t
+	}
+	return s
 }
 
 // HasExactRedundancy reports whether the instance satisfies 2f-redundancy
 // (Definition 1), i.e. (2f, 0)-redundancy, within numerical tolerance tol.
-func HasExactRedundancy(p Problem, f int, tol float64) (bool, error) {
+func HasExactRedundancy(p *Problem, f int, tol float64) (bool, error) {
 	rep, err := MeasureRedundancy(p, f, AtLeastSize)
 	if err != nil {
 		return false, err
@@ -169,7 +376,7 @@ type ResilienceReport struct {
 //
 // honest lists the indices of the non-faulty agents (strictly increasing);
 // they must number at least n-f.
-func MeasureResilience(p Problem, f int, honest []int, x []float64) (*ResilienceReport, error) {
+func MeasureResilience(p *Problem, f int, honest []int, x []float64) (*ResilienceReport, error) {
 	if p == nil {
 		return nil, fmt.Errorf("nil problem: %w", ErrArgs)
 	}

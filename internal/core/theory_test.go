@@ -14,7 +14,7 @@ import (
 // randQuadraticProblem builds n d-dimensional quadratics whose minimizers
 // are drawn within radius spread of a common center, planting approximate
 // redundancy.
-func randQuadraticProblem(r *rand.Rand, n, d int, spread float64) (*QuadraticProblem, error) {
+func randQuadraticProblem(r *rand.Rand, n, d int, spread float64) (*Problem, error) {
 	forms := make([]*costfunc.QuadraticForm, n)
 	center := make([]float64, d)
 	for j := range center {

@@ -60,6 +60,12 @@ type Function interface {
 // scratch. In this package only Sum keeps scratch, its term gradient.
 // LeastSquares, Observation, QuadraticForm, Hinge and a Scale over
 // scratch-free costs keep none.
+//
+// dst must not share memory with x. A cost that would read x after writing
+// dst refuses such a dst with an ErrAliased error and leaves it untouched:
+// LeastSquares, QuadraticForm, Hinge, Sum, and a Scale over any of them.
+// Observation reads x whole before it writes, so it writes its gradient
+// correctly over x (or a window that overlaps it).
 type Differentiable interface {
 	Function
 	// GradInto writes the gradient (or a subgradient) of Q at x into dst,
@@ -293,13 +299,18 @@ func (f *QuadraticForm) Eval(x []float64) (float64, error) {
 	return 0.5*xpx + qx + f.c, nil
 }
 
-// GradInto writes Px + q into dst without allocating.
+// GradInto writes Px + q into dst without allocating. The product reads x
+// after writing dst's first rows, so a dst that shares memory with x is an
+// ErrAliased error.
 func (f *QuadraticForm) GradInto(dst, x []float64) error {
 	if len(x) != f.Dim() {
 		return fmt.Errorf("costfunc: grad at dim %d, want %d: %w", len(x), f.Dim(), ErrDimension)
 	}
 	if len(dst) != f.Dim() {
 		return fmt.Errorf("costfunc: grad into dim %d, want %d: %w", len(dst), f.Dim(), ErrDimension)
+	}
+	if overlaps(dst, x) {
+		return fmt.Errorf("costfunc: quadratic grad: %w", ErrAliased)
 	}
 	if err := f.p.MulVecInto(dst, x); err != nil {
 		return err
@@ -369,13 +380,17 @@ func (h *Hinge) Eval(w []float64) (float64, error) {
 }
 
 // GradInto writes a subgradient of the regularized mean hinge loss into dst
-// without allocating.
+// without allocating. It writes dst before reading w, so a dst that shares
+// memory with w is an ErrAliased error.
 func (h *Hinge) GradInto(dst, w []float64) error {
 	if len(w) != h.Dim() {
 		return fmt.Errorf("costfunc: grad at dim %d, want %d: %w", len(w), h.Dim(), ErrDimension)
 	}
 	if len(dst) != h.Dim() {
 		return fmt.Errorf("costfunc: grad into dim %d, want %d: %w", len(dst), h.Dim(), ErrDimension)
+	}
+	if overlaps(dst, w) {
+		return fmt.Errorf("costfunc: hinge grad: %w", ErrAliased)
 	}
 	for i := range dst {
 		dst[i] = h.reg * w[i]
@@ -449,13 +464,17 @@ func (s *Sum) Eval(x []float64) (float64, error) {
 
 // GradInto writes sum_i grad Q_i(x) into dst, term by term in order: an
 // internal scratch buffer receives each term's gradient, which is added to
-// dst. x is checked before dst is cleared.
+// dst. x is checked before dst is cleared, and a dst that shares memory with
+// x is an ErrAliased error.
 func (s *Sum) GradInto(dst, x []float64) error {
 	if len(x) != s.dim {
 		return fmt.Errorf("costfunc: grad at dim %d, want %d: %w", len(x), s.dim, ErrDimension)
 	}
 	if len(dst) != s.dim {
 		return fmt.Errorf("costfunc: grad into dim %d, want %d: %w", len(dst), s.dim, ErrDimension)
+	}
+	if overlaps(dst, x) {
+		return fmt.Errorf("costfunc: sum grad: %w", ErrAliased)
 	}
 	if cap(s.buf) < s.dim {
 		s.buf = make([]float64, s.dim)
@@ -504,7 +523,8 @@ func (s *Scale) Eval(x []float64) (float64, error) {
 	return s.alpha * v, nil
 }
 
-// GradInto writes alpha * grad f(x) into dst.
+// GradInto writes alpha * grad f(x) into dst; it accepts a dst that shares
+// memory with x exactly when f does.
 func (s *Scale) GradInto(dst, x []float64) error {
 	if err := s.f.GradInto(dst, x); err != nil {
 		return err

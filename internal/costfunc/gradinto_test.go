@@ -201,6 +201,54 @@ func TestLeastSquaresGradIntoRejectsAliasedDst(t *testing.T) {
 	}
 }
 
+// TestGradIntoAliasedDst covers every cost with a dst that is x and with
+// windows of one backing array shifted either way: a cost that reads x after
+// writing dst refuses with ErrAliased and leaves the array as it was, and
+// Observation, which reads x whole first, writes the gradient Grad takes at
+// a copy of x.
+func TestGradIntoAliasedDst(t *testing.T) {
+	const d = 6
+	refuses := map[string]bool{"leastsquares": true, "quadratic": true, "hinge": true, "sum": true, "scale": true}
+	for name, cost := range gradIntoCosts(t, rand.New(rand.NewSource(3)), d) {
+		for _, shift := range []struct {
+			name   string
+			dst, x int // offsets into the backing array
+		}{{"same", 0, 0}, {"dst after x", 1, 0}, {"dst before x", 0, 1}} {
+			buf := make([]float64, d+1)
+			for i := range buf {
+				buf[i] = 0.3*float64(i) - 1
+			}
+			before := append([]float64(nil), buf...)
+			x, dst := buf[shift.x:shift.x+d], buf[shift.dst:shift.dst+d]
+			want, err := Grad(cost, append([]float64(nil), x...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = cost.GradInto(dst, x)
+			switch {
+			case refuses[name]:
+				if !errors.Is(err, ErrAliased) {
+					t.Errorf("%s %s: %v, want ErrAliased", name, shift.name, err)
+				}
+				for i := range buf {
+					if math.Float64bits(buf[i]) != math.Float64bits(before[i]) {
+						t.Errorf("%s %s: a refused call wrote %v", name, shift.name, buf)
+						break
+					}
+				}
+			case err != nil:
+				t.Errorf("%s %s: %v", name, shift.name, err)
+			default:
+				for i := range want {
+					if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+						t.Errorf("%s %s: coord %d = %v, want %v", name, shift.name, i, dst[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestLeastSquaresEvalAllocs: Eval streams each residual into its sum (every
 // round of a sweep evaluates the honest loss, 190 rows on wide_grid), so it
 // allocates nothing at any row count, keeps no state in the cost, and

@@ -57,9 +57,9 @@ var paperX0 = []float64{-0.0085, -0.5643}
 // quantities.
 type Instance struct {
 	// Problem holds the agents' cost functions Q_i(x) = (B_i - A_i x)^2.
-	Problem *core.LeastSquaresProblem
-	// XH is the minimizer of the honest aggregate sum_{i in H} Q_i with
-	// H = {1, ..., 5} (all agents but the faulty agent 0).
+	Problem *core.Problem
+	// XH is the minimizer of the honest aggregate sum_{i in H} Q_i, with H
+	// the agents f, ..., n-1 (all but agent 0 in the paper's instance).
 	XH []float64
 	// Epsilon is the measured (2f, ε)-redundancy parameter (Appendix J.2).
 	Epsilon float64
@@ -73,13 +73,17 @@ type Instance struct {
 	X0 []float64
 	// Box is the constraint set W.
 	Box *vecmath.Box
+
+	a *matrix.Matrix
+	b []float64
+	f int
 }
 
 // Paper builds the exact Appendix-J instance and computes its derived
 // quantities from scratch (nothing is hard-coded beyond the data itself, so
 // the returned values reproduce — rather than quote — the paper's numbers).
 func Paper() (*Instance, error) {
-	return FromData(paperA, paperB)
+	return FromData(paperA, paperB, F)
 }
 
 // A returns a copy of the paper's design matrix rows.
@@ -97,12 +101,12 @@ func B() []float64 { return vecmath.Clone(paperB) }
 // X0 returns the paper's initial estimate.
 func X0() []float64 { return vecmath.Clone(paperX0) }
 
-// FromData builds an Instance from arbitrary regression data with the same
-// conventions as the paper (f = 1 unless n demands otherwise is up to the
-// caller: the derived quantities here are computed for f = F when n = N,
-// otherwise for the largest feasible f < n/2 with full-rank subsets is the
-// caller's concern — this constructor uses f = 1).
-func FromData(rows [][]float64, b []float64) (*Instance, error) {
+// FromData builds an Instance from regression data (one row and response
+// per agent) with the paper's conventions at a fault budget of f agents,
+// 0 <= f < n/2: the first f agents are the faulty ones, so the honest set
+// is agents f, ..., n-1 (all but agent 0 at the paper's f = 1), and ε and γ
+// are measured at f. One subset enumeration yields both.
+func FromData(rows [][]float64, b []float64, f int) (*Instance, error) {
 	a, err := matrix.FromRows(rows)
 	if err != nil {
 		return nil, fmt.Errorf("linreg: %w", err)
@@ -110,112 +114,50 @@ func FromData(rows [][]float64, b []float64) (*Instance, error) {
 	if a.Rows() != len(b) {
 		return nil, fmt.Errorf("linreg: %d rows vs %d responses: %w", a.Rows(), len(b), ErrArgs)
 	}
+	n := a.Rows()
+	if !core.Feasible(n, f) {
+		return nil, fmt.Errorf("linreg: need 0 <= f < n/2, got n=%d f=%d: %w", n, f, ErrArgs)
+	}
 	prob, err := core.NewLeastSquaresProblem(a, b)
 	if err != nil {
 		return nil, fmt.Errorf("linreg: %w", err)
 	}
-	n := prob.N()
-	f := 1
-	if 2*f >= n {
-		return nil, fmt.Errorf("linreg: need n > 2, got %d: %w", n, ErrArgs)
-	}
+	inst := &Instance{Problem: prob, a: a, b: vecmath.Clone(b), f: f}
 
-	// Honest minimizer: all agents but the designated faulty one.
-	honest := make([]int, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != FaultyAgent {
-			honest = append(honest, i)
-		}
-	}
-	xh, err := prob.MinimizeSubset(honest)
+	honest, err := a.SelectRows(inst.honest())
 	if err != nil {
+		return nil, err
+	}
+	if inst.XH, err = matrix.LeastSquares(honest, b[f:]); err != nil {
 		return nil, fmt.Errorf("linreg: honest minimizer: %w", err)
 	}
-
-	// Redundancy parameter per Appendix J.2 (inner subsets of size >= n-2f).
-	rep, err := core.MeasureRedundancy(prob, f, core.AtLeastSize)
+	// Redundancy per Appendix J.2 (inner subsets of size >= n-2f); the
+	// outer Hessian terms A_i A_i' are half the costs' Hessians.
+	m, err := core.Measure(prob, f, core.AtLeastSize)
 	if err != nil {
 		return nil, fmt.Errorf("linreg: redundancy: %w", err)
 	}
-
-	mu, gamma, err := muGamma(a, f)
-	if err != nil {
-		return nil, fmt.Errorf("linreg: coefficients: %w", err)
-	}
-
-	box, err := vecmath.NewCube(a.Cols(), BoxRadius)
-	if err != nil {
-		return nil, fmt.Errorf("linreg: box: %w", err)
-	}
-	// The paper's x0 in its first coordinates, zero beyond d = 2.
-	x0 := vecmath.Zeros(a.Cols())
-	copy(x0, paperX0)
-
-	return &Instance{
-		Problem: prob,
-		XH:      xh,
-		Epsilon: rep.Epsilon,
-		Mu:      mu,
-		Gamma:   gamma,
-		X0:      x0,
-		Box:     box,
-	}, nil
-}
-
-// muGamma computes the paper's smoothness and strong-convexity coefficients
-// from the design matrix: µ = max_i λ_max(2 A_i'A_i) and
-// γ = min_{|S| = n-f} λ_min((2/|S|) A_S'A_S).
-func muGamma(a *matrix.Matrix, f int) (mu, gamma float64, err error) {
-	n := a.Rows()
+	inst.Epsilon = m.Redundancy.Epsilon
+	inst.Gamma = 2 * m.Curvature / float64(n-f)
 	for i := 0; i < n; i++ {
 		q, err := costfunc.NewObservation(a.Row(i), 0)
 		if err != nil {
-			return 0, 0, err
+			return nil, err
 		}
 		hi, err := costfunc.Smoothness(q)
 		if err != nil {
-			return 0, 0, err
+			return nil, fmt.Errorf("linreg: coefficients: %w", err)
 		}
-		if hi > mu {
-			mu = hi
-		}
+		inst.Mu = math.Max(inst.Mu, hi)
 	}
-	// The subset scan is the O(C(n, n-f)) half; chunk it across workers
-	// (auto policy) with per-worker minima merged in worker order, which
-	// reproduces the sequential minimum bitwise — min is exact.
-	total, err := core.Binomial(n, n-f)
-	if err != nil {
-		return 0, 0, err
+
+	if inst.Box, err = vecmath.NewCube(a.Cols(), BoxRadius); err != nil {
+		return nil, fmt.Errorf("linreg: box: %w", err)
 	}
-	workers := core.ResolveSubsetWorkers(0, total)
-	gammas := make([]float64, workers)
-	for i := range gammas {
-		gammas[i] = math.Inf(1)
-	}
-	err = core.ForEachSubsetParallel(n, n-f, workers, func(w int, idx []int) error {
-		sub, err := a.SelectRows(idx)
-		if err != nil {
-			return err
-		}
-		lo, _, err := matrix.EigenBounds(sub.Gram().Scale(2 / float64(len(idx))))
-		if err != nil {
-			return err
-		}
-		if lo < gammas[w] {
-			gammas[w] = lo
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	gamma = math.Inf(1)
-	for _, g := range gammas {
-		if g < gamma {
-			gamma = g
-		}
-	}
-	return mu, gamma, nil
+	// The paper's x0 in its first coordinates, zero beyond d = 2.
+	inst.X0 = vecmath.Zeros(a.Cols())
+	copy(inst.X0, paperX0)
+	return inst, nil
 }
 
 // HonestAgents returns the zero-based indices of the honest agents in the
@@ -230,15 +172,36 @@ func HonestAgents() []int {
 	return out
 }
 
+// honest returns the instance's honest agents f, ..., n-1.
+func (inst *Instance) honest() []int {
+	out := make([]int, 0, inst.a.Rows()-inst.f)
+	for i := inst.f; i < inst.a.Rows(); i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
 // HonestSum returns the honest aggregate cost sum_{i in H} Q_i, the "loss"
 // series of Figures 2 and 3.
 func (inst *Instance) HonestSum() (*costfunc.LeastSquares, error) {
-	return inst.Problem.SubsetCost(HonestAgents())
+	sub, err := inst.a.SelectRows(inst.honest())
+	if err != nil {
+		return nil, err
+	}
+	return costfunc.NewLeastSquares(sub, inst.b[inst.f:])
 }
 
 // Costs returns all agents' individual cost functions in agent order.
 func (inst *Instance) Costs() ([]costfunc.Differentiable, error) {
-	return inst.Problem.Costs()
+	out := make([]costfunc.Differentiable, inst.a.Rows())
+	for i := range out {
+		c, err := costfunc.NewObservation(inst.a.Row(i), inst.b[i])
+		if err != nil {
+			return nil, err
+		}
+		out[i] = c
+	}
+	return out, nil
 }
 
 // GradientDissimilarity estimates the Assumption-5 coefficient λ over a grid
@@ -254,7 +217,7 @@ func (inst *Instance) GradientDissimilarity(samples int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	honest := HonestAgents()
+	honest := inst.honest()
 	var lambda float64
 	// Deterministic grid on the segment between x0 and 2*xH - x0 plus an
 	// orthogonal offset, cheap but representative.

@@ -7,6 +7,7 @@ import (
 
 	"byzopt/internal/core"
 	"byzopt/internal/costfunc"
+	"byzopt/internal/matrix"
 	"byzopt/internal/vecmath"
 )
 
@@ -113,7 +114,7 @@ func TestNoiseFreeInstanceHasExactRedundancy(t *testing.T) {
 	for i := range a {
 		b[i] = a[i][0]*xstar[0] + a[i][1]*xstar[1]
 	}
-	inst, err := FromData(a, b)
+	inst, err := FromData(a, b, F)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +190,13 @@ func TestGradientDissimilarity(t *testing.T) {
 }
 
 func TestFromDataValidation(t *testing.T) {
-	if _, err := FromData(nil, nil); err == nil {
+	if _, err := FromData(nil, nil, F); err == nil {
 		t.Error("empty data should error")
 	}
-	if _, err := FromData([][]float64{{1, 0}}, []float64{1, 2}); !errors.Is(err, ErrArgs) {
+	if _, err := FromData([][]float64{{1, 0}}, []float64{1, 2}, F); !errors.Is(err, ErrArgs) {
 		t.Errorf("length mismatch: %v", err)
 	}
-	if _, err := FromData([][]float64{{1, 0}, {0, 1}}, []float64{1, 1}); !errors.Is(err, ErrArgs) {
+	if _, err := FromData([][]float64{{1, 0}, {0, 1}}, []float64{1, 1}, F); !errors.Is(err, ErrArgs) {
 		t.Errorf("n too small: %v", err)
 	}
 }
@@ -205,7 +206,7 @@ func TestFromDataValidation(t *testing.T) {
 // slicing the paper's two-entry x0 used to panic.
 func TestFromDataBeyondPaperDim(t *testing.T) {
 	rows := [][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, 1, 0}, {0, 1, 1}, {1, 0, 1}}
-	inst, err := FromData(rows, []float64{1, 1, 1, 2, 2, 2})
+	inst, err := FromData(rows, []float64{1, 1, 1, 2, 2, 2}, F)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,5 +235,61 @@ func TestBoxAndConstants(t *testing.T) {
 	}
 	if !vecmath.Equal(inst.X0, []float64{-0.0085, -0.5643}, 0) {
 		t.Errorf("x0 = %v", inst.X0)
+	}
+}
+
+// TestFromDataAtF: at f = 2 the honest set is agents 2, ..., n-1, x_H is
+// their least-squares estimate, and ε and γ are measured at f = 2.
+func TestFromDataAtF(t *testing.T) {
+	rows := [][]float64{{1, 0}, {0.8, 0.5}, {0.5, 0.8}, {0, 1}, {-0.5, 0.8}, {-0.8, 0.5}, {0.3, -0.9}, {-1, -0.2}, {0.6, 0.6}}
+	b := []float64{0.9, 1.3, 1.4, 1.0, 0.2, -0.4, -0.5, -1.3, 1.1}
+	const f = 2
+	inst, err := FromData(rows, b, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := matrix.FromRows(rows[f:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	xh, err := matrix.LeastSquares(a, b[f:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vecmath.Equal(inst.XH, xh, 0) {
+		t.Errorf("x_H = %v, want the honest rows' estimate %v", inst.XH, xh)
+	}
+	rep, err := core.MeasureRedundancy(inst.Problem, f, core.AtLeastSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inst.Epsilon != rep.Epsilon {
+		t.Errorf("epsilon = %v, want %v at f = %d", inst.Epsilon, rep.Epsilon, f)
+	}
+	full, err := matrix.FromRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gamma := math.Inf(1)
+	if err := core.ForEachSubset(len(rows), len(rows)-f, func(idx []int) error {
+		sub, err := full.SelectRows(idx)
+		if err != nil {
+			return err
+		}
+		lo, _, err := matrix.EigenBounds(sub.Gram().Scale(2 / float64(len(idx))))
+		gamma = math.Min(gamma, lo)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(inst.Gamma-gamma) > 1e-12*gamma {
+		t.Errorf("gamma = %v, want %v", inst.Gamma, gamma)
+	}
+	sum, err := inst.HonestSum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, err := costfunc.Grad(sum, inst.XH); err != nil || vecmath.Norm(g) > 1e-12 {
+		t.Errorf("honest loss gradient at x_H = %v (%v)", g, err)
 	}
 }

@@ -1,13 +1,14 @@
 // Package matrix implements the dense linear algebra the reproduction needs
-// and the Go standard library does not provide: matrix arithmetic, a linear
-// solver (Gaussian elimination with partial pivoting), Householder QR least
-// squares, and a cyclic Jacobi eigensolver for symmetric matrices.
+// and the Go standard library does not provide: matrix arithmetic,
+// Householder QR least squares, and a cyclic Jacobi eigensolver for
+// symmetric matrices.
 //
 // The eigensolver is what lets us compute the paper's smoothness coefficient
 // µ (largest eigenvalue of the per-agent Hessian) and strong-convexity
 // coefficient γ (smallest eigenvalue of the subset-aggregate Hessian), and
-// the QR solver is what computes the subset minimizers x_S = argmin ||B_S -
-// A_S x||² that the redundancy measurement enumerates.
+// the QR solver computes least-squares minimizers x_S = argmin ||B_S -
+// A_S x||² such as the honest estimate x_H and the reference the subset
+// enumeration of package core is tested against.
 //
 // Matrices are small in this domain (d is the optimization dimension, a few
 // dozen at most in the paper's experiments), so the implementations favor
@@ -390,108 +391,4 @@ func (m *Matrix) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Solve solves the square linear system m x = b by Gaussian elimination with
-// partial pivoting. It returns ErrSingular (wrapped) when the pivot falls
-// below a scale-aware threshold.
-func (m *Matrix) Solve(b []float64) ([]float64, error) {
-	n := m.rows
-	if m.cols != n {
-		return nil, fmt.Errorf("matrix: solve on non-square %dx%d: %w", m.rows, m.cols, ErrShape)
-	}
-	if len(b) != n {
-		return nil, fmt.Errorf("matrix: solve rhs length %d, want %d: %w", len(b), n, ErrShape)
-	}
-	// Work on copies: the receiver must not be mutated.
-	a := m.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-
-	scale := a.FrobeniusNorm()
-	if scale == 0 {
-		return nil, fmt.Errorf("matrix: zero matrix: %w", ErrSingular)
-	}
-	tol := scale * 1e-13
-
-	for col := 0; col < n; col++ {
-		// Partial pivot: the row with the largest magnitude in this column.
-		pivot := col
-		best := math.Abs(a.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a.At(r, col)); v > best {
-				pivot, best = r, v
-			}
-		}
-		if best < tol {
-			return nil, fmt.Errorf("matrix: pivot %e below tolerance at column %d: %w", best, col, ErrSingular)
-		}
-		if pivot != col {
-			for j := 0; j < n; j++ {
-				a.data[col*n+j], a.data[pivot*n+j] = a.data[pivot*n+j], a.data[col*n+j]
-			}
-			x[col], x[pivot] = x[pivot], x[col]
-		}
-		inv := 1 / a.At(col, col)
-		for r := col + 1; r < n; r++ {
-			factor := a.At(r, col) * inv
-			if factor == 0 {
-				continue
-			}
-			a.Set(r, col, 0)
-			for j := col + 1; j < n; j++ {
-				a.Set(r, j, a.At(r, j)-factor*a.At(col, j))
-			}
-			x[r] -= factor * x[col]
-		}
-	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= a.At(i, j) * x[j]
-		}
-		x[i] = s / a.At(i, i)
-	}
-	return x, nil
-}
-
-// Rank returns the numerical rank of the matrix, estimated by Gaussian
-// elimination with a relative pivot tolerance.
-func (m *Matrix) Rank() int {
-	a := m.Clone()
-	scale := a.FrobeniusNorm()
-	if scale == 0 {
-		return 0
-	}
-	tol := scale * 1e-12
-	rank := 0
-	row := 0
-	for col := 0; col < a.cols && row < a.rows; col++ {
-		pivot := row
-		best := math.Abs(a.At(row, col))
-		for r := row + 1; r < a.rows; r++ {
-			if v := math.Abs(a.At(r, col)); v > best {
-				pivot, best = r, v
-			}
-		}
-		if best < tol {
-			continue
-		}
-		if pivot != row {
-			for j := 0; j < a.cols; j++ {
-				a.data[row*a.cols+j], a.data[pivot*a.cols+j] = a.data[pivot*a.cols+j], a.data[row*a.cols+j]
-			}
-		}
-		inv := 1 / a.At(row, col)
-		for r := row + 1; r < a.rows; r++ {
-			factor := a.At(r, col) * inv
-			for j := col; j < a.cols; j++ {
-				a.Set(r, j, a.At(r, j)-factor*a.At(row, j))
-			}
-		}
-		rank++
-		row++
-	}
-	return rank
 }

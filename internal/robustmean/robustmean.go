@@ -27,18 +27,11 @@ import (
 // ErrArgs is returned (wrapped) for invalid inputs.
 var ErrArgs = errors.New("robustmean: invalid arguments")
 
-// meanProblem adapts a point set to core.Problem: subset aggregates of
-// ||x - x_i||² minimize at the subset mean.
-type meanProblem struct {
-	points [][]float64
-	dim    int
-}
-
-var _ core.Problem = (*meanProblem)(nil)
-
-// NewProblem wraps the points as a core.Problem so the generic redundancy
-// and resilience machinery can interrogate the instance.
-func NewProblem(points [][]float64) (core.Problem, error) {
+// NewProblem builds the point set's core.Problem, so the generic
+// redundancy and resilience machinery can interrogate the instance: point
+// p_i contributes (I, p_i), and a subset aggregate minimises at the subset
+// mean.
+func NewProblem(points [][]float64) (*core.Problem, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("no points: %w", ErrArgs)
 	}
@@ -46,35 +39,18 @@ func NewProblem(points [][]float64) (core.Problem, error) {
 	if d == 0 {
 		return nil, fmt.Errorf("zero-dimensional points: %w", ErrArgs)
 	}
-	cp := make([][]float64, len(points))
+	id, err := matrix.Identity(d)
+	if err != nil {
+		return nil, err
+	}
+	hess := make([]*matrix.Matrix, len(points))
 	for i, p := range points {
 		if len(p) != d {
 			return nil, fmt.Errorf("point %d has dim %d, want %d: %w", i, len(p), d, ErrArgs)
 		}
-		cp[i] = vecmath.Clone(p)
+		hess[i] = id
 	}
-	return &meanProblem{points: cp, dim: d}, nil
-}
-
-// N implements core.Problem.
-func (m *meanProblem) N() int { return len(m.points) }
-
-// Dim implements core.Problem.
-func (m *meanProblem) Dim() int { return m.dim }
-
-// MinimizeSubset implements core.Problem: the subset sample mean.
-func (m *meanProblem) MinimizeSubset(idx []int) ([]float64, error) {
-	if len(idx) == 0 {
-		return nil, fmt.Errorf("empty subset: %w", ErrArgs)
-	}
-	sub := make([][]float64, len(idx))
-	for i, j := range idx {
-		if j < 0 || j >= len(m.points) {
-			return nil, fmt.Errorf("index %d out of [0, %d): %w", j, len(m.points), ErrArgs)
-		}
-		sub[i] = m.points[j]
-	}
-	return vecmath.Mean(sub)
+	return core.NewHessianProblem(hess, points)
 }
 
 // Cloud draws a deterministic Gaussian point cloud around the all-ones mean:

@@ -56,10 +56,10 @@ func TestProblemAdapter(t *testing.T) {
 	if !vecmath.Equal(m, []float64{1, 0}, 1e-12) {
 		t.Fatalf("subset mean = %v", m)
 	}
-	if _, err := p.MinimizeSubset(nil); !errors.Is(err, ErrArgs) {
+	if _, err := p.MinimizeSubset(nil); !errors.Is(err, core.ErrArgs) {
 		t.Errorf("empty subset: %v", err)
 	}
-	if _, err := p.MinimizeSubset([]int{7}); !errors.Is(err, ErrArgs) {
+	if _, err := p.MinimizeSubset([]int{7}); !errors.Is(err, core.ErrArgs) {
 		t.Errorf("bad index: %v", err)
 	}
 }
@@ -77,7 +77,7 @@ func TestProblemValidation(t *testing.T) {
 }
 
 // mustProblem is NewProblem for points the test built itself.
-func mustProblem(t *testing.T, points [][]float64) core.Problem {
+func mustProblem(t *testing.T, points [][]float64) *core.Problem {
 	t.Helper()
 	p, err := NewProblem(points)
 	if err != nil {
@@ -88,7 +88,7 @@ func mustProblem(t *testing.T, points [][]float64) core.Problem {
 
 // spread is the instance's (2f, ε)-redundancy: the worst drift of a subset
 // mean when shrinking from n-f to n-2f points.
-func spread(p core.Problem, f int) (float64, error) {
+func spread(p *core.Problem, f int) (float64, error) {
 	rep, err := core.MeasureRedundancy(p, f, core.AtLeastSize)
 	if err != nil {
 		return 0, err

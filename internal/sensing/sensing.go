@@ -7,8 +7,9 @@
 // state is determined by the observations of any n-2f sensors) — is, as
 // the paper notes, exactly 2f-redundancy of the induced costs
 // Q_i(x) = ||y_i - C_i x||²; noisy observations induce (2f, ε)-redundancy
-// instead. A System is a core.Problem, so the generic theory applies to it
-// as it is — core.MeasureRedundancy measures its ε — and the package adds
+// instead. A System carries the induced costs as a core.Problem — sensor i
+// contributes (C_iᵀC_i, C_iᵀY_i) — so the generic theory applies to it as it
+// is (core.MeasureRedundancy measures its ε), and the package adds
 // the sensing-specific pieces: the sparse-observability check, the
 // Theorem-2 exhaustive estimator, and the per-sensor costs (Costs) from
 // which filtered gradient descent runs, as the sweep's sensing workload
@@ -41,11 +42,9 @@ type Sensor struct {
 
 // System is a collection of sensors observing a common state.
 type System struct {
+	*core.Problem
 	sensors []Sensor
-	dim     int
 }
-
-var _ core.Problem = (*System)(nil)
 
 // NewSystem validates and copies the sensors. All observation matrices
 // must share the state dimension.
@@ -58,6 +57,8 @@ func NewSystem(sensors []Sensor) (*System, error) {
 	}
 	dim := sensors[0].C.Cols()
 	cp := make([]Sensor, len(sensors))
+	hess := make([]*matrix.Matrix, len(sensors))
+	lin := make([][]float64, len(sensors))
 	for i, s := range sensors {
 		if s.C == nil {
 			return nil, fmt.Errorf("sensor %d has nil observation matrix: %w", i, ErrArgs)
@@ -69,15 +70,19 @@ func NewSystem(sensors []Sensor) (*System, error) {
 			return nil, fmt.Errorf("sensor %d has %d rows but %d measurements: %w", i, s.C.Rows(), len(s.Y), ErrArgs)
 		}
 		cp[i] = Sensor{C: s.C.Clone(), Y: vecmath.Clone(s.Y)}
+		hess[i], lin[i] = s.C.Gram(), make([]float64, dim)
+		for r, y := range s.Y {
+			if err := vecmath.AxpyInPlace(lin[i], y, s.C.Row(r)); err != nil {
+				return nil, err
+			}
+		}
 	}
-	return &System{sensors: cp, dim: dim}, nil
+	p, err := core.NewHessianProblem(hess, lin)
+	if err != nil {
+		return nil, fmt.Errorf("sensing: %w", err)
+	}
+	return &System{Problem: p, sensors: cp}, nil
 }
-
-// N implements core.Problem: the number of sensors.
-func (s *System) N() int { return len(s.sensors) }
-
-// Dim implements core.Problem: the state dimension.
-func (s *System) Dim() int { return s.dim }
 
 // Synthetic generates a deterministic n-sensor system observing a dim-state:
 // each sensor holds `rows` Gaussian measurement rows, and measurements are
@@ -131,15 +136,9 @@ func (s *System) Costs() ([]costfunc.Differentiable, error) {
 }
 
 // Stacked returns the stacked observation matrix and measurement vector of
-// the subset, the exported face of the internal stacking used for subset
-// estimates and aggregate costs.
+// a sensor subset: the least-squares system of its state estimate and of its
+// aggregate cost.
 func (s *System) Stacked(idx []int) (*matrix.Matrix, []float64, error) {
-	return s.stack(idx)
-}
-
-// stack builds the stacked observation matrix and measurement vector of a
-// sensor subset.
-func (s *System) stack(idx []int) (*matrix.Matrix, []float64, error) {
 	if len(idx) == 0 {
 		return nil, nil, fmt.Errorf("empty subset: %w", ErrArgs)
 	}
@@ -162,68 +161,30 @@ func (s *System) stack(idx []int) (*matrix.Matrix, []float64, error) {
 	return m, ys, nil
 }
 
-// MinimizeSubset implements core.Problem: the least-squares state estimate
-// from the stacked observations of the subset.
-func (s *System) MinimizeSubset(idx []int) ([]float64, error) {
-	m, ys, err := s.stack(idx)
-	if err != nil {
-		return nil, err
-	}
-	x, err := matrix.LeastSquares(m, ys)
-	if err != nil {
-		return nil, fmt.Errorf("sensing: subset %v: %w", idx, err)
-	}
-	return x, nil
-}
-
 // SparseObservable reports whether the system is 2f-sparse observable: the
 // stacked observation matrix of every (n-2f)-subset has full column rank,
 // so the state is determined by any n-2f sensors. Per Section 2.4 this is
 // equivalent to 2f-redundancy of the induced costs (in the noise-free
-// case).
+// case), and it is what makes the redundancy measurement at f succeed: that
+// enumeration solves every (n-2f)-subset, and a rank-deficient one stops it
+// with matrix.ErrSingular.
 func (s *System) SparseObservable(f int) (bool, error) {
 	n := len(s.sensors)
 	if f < 0 || 2*f >= n {
 		return false, fmt.Errorf("need 0 <= f < n/2, got n=%d f=%d: %w", n, f, ErrArgs)
 	}
-	// Every subset must be checked anyway (the sequential scan never early
-	// exits), so chunk the enumeration across workers (auto policy); the
-	// per-worker verdicts AND together, an order-free reduction.
-	total, err := core.Binomial(n, n-2*f)
-	if err != nil {
-		return false, err
+	_, err := core.MeasureRedundancy(s.Problem, f, core.ExactSize)
+	if errors.Is(err, matrix.ErrSingular) {
+		return false, nil
 	}
-	workers := core.ResolveSubsetWorkers(0, total)
-	observable := make([]bool, workers)
-	for i := range observable {
-		observable[i] = true
-	}
-	err = core.ForEachSubsetParallel(n, n-2*f, workers, func(w int, idx []int) error {
-		m, _, err := s.stack(idx)
-		if err != nil {
-			return err
-		}
-		if m.Rank() < s.dim {
-			observable[w] = false
-		}
-		return nil
-	})
-	if err != nil {
-		return false, err
-	}
-	for _, ok := range observable {
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
+	return err == nil, err
 }
 
 // Estimate runs the Theorem-2 exhaustive estimator: the returned state is
 // within 2ε of the estimate any (n-f)-subset of honest sensors would
 // produce, despite up to f Byzantine sensors.
 func (s *System) Estimate(f int) (*core.ExhaustiveResult, error) {
-	res, err := core.ExhaustiveResilient(s, f)
+	res, err := core.ExhaustiveResilient(s.Problem, f)
 	if err != nil {
 		return nil, fmt.Errorf("sensing: %w", err)
 	}

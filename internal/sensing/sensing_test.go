@@ -2,6 +2,7 @@ package sensing
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -117,25 +118,53 @@ func TestSparseObservability(t *testing.T) {
 	}
 }
 
-// TestMeasureEpsilonMatchesSequential: the parallel subset scan measuring a
-// system's ε must be bitwise-identical to the sequential measurement on an
-// instance large enough to actually fan out (C(9, 7) = 36 outer subsets
-// crosses the auto-parallel threshold).
+// TestMeasureEpsilonMatchesSequential: the system's ε from the one subset
+// enumeration over its summed observation Grams matches the sequential
+// pair-by-pair measurement, each subset estimated by QR over its stacked
+// observations, to 1e-12 relative.
 func TestMeasureEpsilonMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	x := []float64{1, -1, 2}
 	sys := buildSystem(t, r, 9, 3, x, 0.05, 0)
-	const f = 1
-	got, err := core.MeasureRedundancyWorkers(sys, f, core.AtLeastSize, 0)
+	const n, f = 9, 1
+	got, err := core.MeasureRedundancy(sys.Problem, f, core.AtLeastSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.MeasureRedundancy(sys, f, core.AtLeastSize)
-	if err != nil {
-		t.Fatal(err)
+	estimate := func(idx []int) []float64 {
+		c, y, err := sys.Stacked(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs, err := matrix.LeastSquares(c, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return xs
 	}
-	if got.Epsilon != want.Epsilon {
-		t.Errorf("parallel epsilon %v differs from sequential %v", got.Epsilon, want.Epsilon)
+	var want float64
+	pairs := 0
+	_ = core.ForEachSubset(n, n-f, func(s []int) error {
+		xs := estimate(s)
+		for k := n - 2*f; k <= n-f; k++ {
+			_ = core.ForEachSubset(n-f, k, func(pos []int) error {
+				inner := make([]int, k)
+				for i, q := range pos {
+					inner[i] = s[q]
+				}
+				d, err := vecmath.Dist(xs, estimate(inner))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = math.Max(want, d)
+				pairs++
+				return nil
+			})
+		}
+		return nil
+	})
+	if math.Abs(got.Epsilon-want) > 1e-12*want || got.Pairs != pairs {
+		t.Errorf("epsilon %v over %d pairs, sequential %v over %d", got.Epsilon, got.Pairs, want, pairs)
 	}
 }
 
@@ -196,7 +225,7 @@ func TestNoisyEstimateWithinTwoEpsilon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.MeasureRedundancyWorkers(honest, f, core.AtLeastSize, 0)
+	rep, err := core.MeasureRedundancy(honest.Problem, f, core.AtLeastSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +307,10 @@ func TestEstimateDGD(t *testing.T) {
 func TestMinimizeSubsetErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	sys := buildSystem(t, r, 4, 3, []float64{1, 1, 1}, 0, 0)
-	if _, err := sys.MinimizeSubset(nil); !errors.Is(err, ErrArgs) {
+	if _, err := sys.MinimizeSubset(nil); !errors.Is(err, core.ErrArgs) {
 		t.Errorf("empty subset: %v", err)
 	}
-	if _, err := sys.MinimizeSubset([]int{9}); !errors.Is(err, ErrArgs) {
+	if _, err := sys.MinimizeSubset([]int{9}); !errors.Is(err, core.ErrArgs) {
 		t.Errorf("bad index: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"byzopt/internal/costfunc"
 	"byzopt/internal/dgd"
+	"byzopt/internal/matrix"
 	"byzopt/internal/mlsim"
 	"byzopt/internal/robustmean"
 	"byzopt/internal/sensing"
@@ -276,13 +277,13 @@ func (sensingProblem) Build(spec *Spec, scn Scenario) (*Workload, error) {
 	for i := scn.F; i < scn.N; i++ {
 		honest = append(honest, i)
 	}
-	xH, err := sys.MinimizeSubset(honest)
-	if err != nil {
-		return nil, fmt.Errorf("honest state estimate: %v: %w", err, ErrSpec)
-	}
 	stacked, ys, err := sys.Stacked(honest)
 	if err != nil {
 		return nil, err
+	}
+	xH, err := matrix.LeastSquares(stacked, ys)
+	if err != nil {
+		return nil, fmt.Errorf("honest state estimate: %v: %w", err, ErrSpec)
 	}
 	honestSum, err := costfunc.NewLeastSquares(stacked, ys)
 	if err != nil {
