@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -97,6 +98,30 @@ func TestProfileFlags(t *testing.T) {
 	}
 	if err := run([]string{"-paper", "-cpuprofile", filepath.Join(dir, "missing", "cpu.prof")}); err == nil {
 		t.Error("an unwritable -cpuprofile should error before the measurement")
+	}
+}
+
+// TestPrintedSubsetCounts: the run prints the subsets it solves, those that
+// remove f to 2f agents, and labels the proof's C(n, n-f)·(1 + C(n-f, n-2f))
+// as the proof's: 21 and 36 on the paper's instance at f = 1, and C(7, 2) +
+// C(7, 3) + C(7, 4) = 91 and 231 on seven agents at f = 2.
+func TestPrintedSubsetCounts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "agents.csv")
+	rows := "1,0,0.9\n0.8,0.5,1.3\n0.5,0.8,1.3\n0,1,1\n-0.5,0.8,0.2\n-0.8,0.5,-0.4\n0.3,-0.9,0.7\n"
+	if err := os.WriteFile(path, []byte(rows), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args          []string
+		solved, proof int
+	}{
+		{[]string{"-paper", "-f", "1"}, 21, 36},
+		{[]string{"-data", path, "-f", "2"}, 91, 231},
+	} {
+		want := fmt.Sprintf("this run solved\n%d subsets for eps and that output; the proof's algorithm performs %d subset minimizations.", c.solved, c.proof)
+		if out := stdoutOf(t, c.args...); !bytes.Contains(out, []byte(want)) {
+			t.Errorf("%v: output lacks %q:\n%s", c.args, want, out)
+		}
 	}
 }
 

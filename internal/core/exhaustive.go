@@ -47,8 +47,8 @@ func ExhaustiveResilient(p *Problem, f int) (*ExhaustiveResult, error) {
 
 // ExhaustiveCost returns the number of subset minimizations the algorithm
 // performs as the proof of Theorem 2 states it, one per (T, T̂) pair and one
-// per T: C(n, n-f) * (1 + C(n-f, n-2f)). Measure shares each minimiser among
-// its pairs and solves C(n, f) + C(n, 2f) subsets instead.
+// per T: C(n, n-f)·(1 + C(n-f, n-2f)). Measure solves C(n, f) + Σ C(n, k),
+// k = f+1..2f, sharing each minimiser among its pairs (k = 2f in ExactSize).
 func ExhaustiveCost(n, f int) (int64, error) {
 	co, err := Binomial(n, n-f)
 	if err != nil {

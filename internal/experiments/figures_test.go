@@ -6,7 +6,6 @@ import (
 
 	"byzopt/internal/aggregate"
 	"byzopt/internal/byzantine"
-	"byzopt/internal/costfunc"
 	"byzopt/internal/dgd"
 	"byzopt/internal/linreg"
 	"byzopt/internal/mlsim"
@@ -68,11 +67,8 @@ func legacyRegressionFigure(t *testing.T, rounds int) []FigureData {
 				if err != nil {
 					t.Fatal(err)
 				}
-				honest := make([]costfunc.Differentiable, 0, linreg.N-1)
-				for _, i := range linreg.HonestAgents() {
-					honest = append(honest, costs[i])
-				}
-				agents, err = dgd.HonestAgents(honest)
+				// The instance's honest set: agents f, ..., n-1.
+				agents, err = dgd.HonestAgents(costs[linreg.F:])
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -160,18 +160,6 @@ func FromData(rows [][]float64, b []float64, f int) (*Instance, error) {
 	return inst, nil
 }
 
-// HonestAgents returns the zero-based indices of the honest agents in the
-// paper's experiments: everyone but FaultyAgent.
-func HonestAgents() []int {
-	out := make([]int, 0, N-1)
-	for i := 0; i < N; i++ {
-		if i != FaultyAgent {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // honest returns the instance's honest agents f, ..., n-1.
 func (inst *Instance) honest() []int {
 	out := make([]int, 0, inst.a.Rows()-inst.f)

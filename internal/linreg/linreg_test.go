@@ -126,18 +126,6 @@ func TestNoiseFreeInstanceHasExactRedundancy(t *testing.T) {
 	}
 }
 
-func TestHonestAgents(t *testing.T) {
-	h := HonestAgents()
-	if len(h) != 5 {
-		t.Fatalf("honest = %v", h)
-	}
-	for _, i := range h {
-		if i == FaultyAgent {
-			t.Errorf("faulty agent %d listed honest", i)
-		}
-	}
-}
-
 func TestHonestSumMinimizesAtXH(t *testing.T) {
 	inst := paperInstance(t)
 	sum, err := inst.HonestSum()

@@ -46,7 +46,8 @@ import (
 //     value another distorting peer can still make differ between processes —
 //     the nodes liars relay and their children — n recipients a node: the
 //     sender's row alone when it is the only one, 7 of the 37 nodes at n=7,
-//     f=2 when another peer distorts too.
+//     f=2 when another peer distorts too. A warm round allocates nothing
+//     on any grid beyond what its agents and its filter allocate.
 type Backend struct{}
 
 var _ dgd.Backend = Backend{}

@@ -3,8 +3,8 @@ package p2p
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
+	"unsafe"
 
 	"byzopt/internal/dgd"
 	"byzopt/internal/vecmath"
@@ -73,14 +73,17 @@ func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 	}
 
 	// Per-run state, allocated once and reused every round: the collector's
-	// gradient arena, the EIG engine, a distorting sender's encoding buffer,
-	// and the agreed set, one row per sender. The others' decisions are
-	// checked against honest's, the first honest peer (n > 3f leaves one).
+	// gradient arena, the agreed set, one row per sender, and if a peer
+	// distorts the EIG engine and an encoding buffer. The others' decisions
+	// are checked against honest's, the first honest peer (n > 3f leaves one).
 	honest := slices.Index(liars, nil)
 	dim := len(cfg.X0)
 	col := dgd.NewCollector(cfg.Agents, dim)
-	e := newEIG(n, cfg.F)
+	var e *eig
 	var payload []byte
+	if distorting > 0 {
+		e = newEIG(n, cfg.F)
+	}
 	agreed := make([][]float64, n)
 	arena := make([]float64, n*dim)
 	for sender := range agreed {
@@ -91,12 +94,6 @@ func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("run cancelled at round %d: %w", t, err)
 		}
-		// A scheduling point per round: this loop never blocks, and on one
-		// processor a concurrent mark phase ends only once its worker is
-		// scheduled again, so without the yield a cycle begun mid-run can end
-		// past its heap goal (at 0.5 KB a round, 3 cycles in 80 ended 1 MB
-		// past the 4 MB goal and p2p_grid's peak RSS spread twice as wide).
-		runtime.Gosched()
 		if err := r.Record(t); err != nil {
 			return nil, err
 		}
@@ -115,8 +112,10 @@ func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 				}
 				continue
 			}
+			// Read in place: intern stores no sender's value, a Distorter keeps
+			// no argument, and the clears below drop the rest before a rewrite.
 			payload = vecmath.AppendLE(payload[:0], g)
-			e.broadcast(sender, string(payload), liars)
+			e.broadcast(sender, unsafe.String(unsafe.SliceData(payload), len(payload)), liars)
 			id := e.decision(honest)
 			for p, liar := range liars {
 				if liar == nil && e.decision(p) != id {
@@ -124,6 +123,8 @@ func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 				}
 			}
 			DecodeVectorInto(agreed[sender], e.strs[id])
+			clear(e.ids)
+			clear(e.strs)
 		}
 		// All honest peers hold the identical set, so a failure is common and
 		// reads exactly as the in-process engine's would.

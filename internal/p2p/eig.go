@@ -59,8 +59,8 @@ const DefaultValue = ""
 type Distorter interface {
 	// Relay returns the value the Byzantine process reports to recipient
 	// for the given EIG tree path; honest is the value a correct process
-	// would have relayed. path is the engine's own storage: read-only, and
-	// valid only during the call (copy it to keep it).
+	// would have relayed. path and honest are the engine's own storage:
+	// read-only, and valid only during the call (copy them to keep them).
 	Relay(path []int, recipient int, honest string) string
 }
 

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"byzopt/internal/aggregate"
@@ -144,6 +145,98 @@ func TestHonestSenderRowIsItsDecodedReport(t *testing.T) {
 	}
 	if !bitsEqual(seen[1][0], make([]float64, 3)) || !math.Signbit(seen[0][0][0]) {
 		t.Errorf("agreed rows %v and %v: want −0 kept and a non-finite report zeroed", seen[0][0], seen[1][0])
+	}
+}
+
+// viewLiar tells every third recipient ⊥ and the others what lie makes of
+// the value it was handed, a pure function of that value.
+type viewLiar struct{ lie func(honest string) string }
+
+func (l viewLiar) Relay(path []int, recipient int, honest string) string {
+	if recipient%3 == 0 {
+		return DefaultValue
+	}
+	return l.lie(honest)
+}
+
+// viewLies answer with the value a distorter is handed — for a distorting
+// sender's root, a view of Backend.Run's payload buffer — itself, with a copy
+// of it, and with a proper substring of it, which the engine interns.
+var viewLies = []struct {
+	name      string
+	lie       func(honest string) string
+	allocates bool
+}{
+	{"honest", func(h string) string { return h }, false},
+	{"clone", strings.Clone, true},
+	{"substring", func(h string) string { return h[len(h)/2:] }, false},
+}
+
+// TestDistortingSenderValueReadInPlace: Backend.Run broadcasts a distorting
+// sender's report through a string viewing its reused encoding buffer, and
+// decides bit for bit what Broadcast decides for the same report's
+// EncodeVector, round after round, whether the distorters relay that view
+// itself, a copy of it or a substring of it. Where the distorter allocates
+// nothing of its own, a round allocates nothing.
+func TestDistortingSenderValueReadInPlace(t *testing.T) {
+	const n, f, d, rounds = 7, 2, 3, 6
+	r := rand.New(rand.NewSource(46))
+	tables := make([]scripted, n)
+	for i := range tables {
+		tables[i] = make(scripted, rounds)
+		for round := range tables[i] {
+			tables[i][round] = []float64{r.NormFloat64(), r.NormFloat64() * 1e3, r.NormFloat64() * 1e-3}
+		}
+	}
+	for _, v := range viewLies {
+		liar := viewLiar{v.lie}
+		byz := map[int]Distorter{0: liar, 1: liar}
+		agents := make([]dgd.Agent, n)
+		for i, table := range tables {
+			agents[i] = table
+			if byz[i] != nil {
+				var err error
+				if agents[i], err = Equivocating(table, byz[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var seen [][][]float64
+		cfg := dgd.Config{Agents: agents, F: f, Filter: recordingMean{&seen}, X0: make([]float64, d), Rounds: rounds}
+		if _, err := (Backend{}).Run(context.Background(), cfg); err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		if len(seen) != rounds {
+			t.Fatalf("%s: the filter saw %d report sets, want %d", v.name, len(seen), rounds)
+		}
+		for round, set := range seen {
+			for sender := range byz {
+				decisions, err := Broadcast(n, f, sender, EncodeVector(tables[sender][round]), byz)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Peer 2 is the first honest one.
+				if want := DecodeVector(decisions[2], d); !bitsEqual(set[sender], want) {
+					t.Errorf("%s: round %d sender %d: Backend.Run decided %v, Broadcast %v",
+						v.name, round, sender, set[sender], want)
+				}
+			}
+		}
+
+		if v.allocates {
+			continue
+		}
+		lines := lineAgents(t, func(int) byzantine.Behavior { return byzantine.GradientReverse{} })
+		for i := range byz {
+			var err error
+			if lines[i], err = Equivocating(lines[i], liar); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if perRound, base, extended := roundAllocs(t, lines); perRound != 0 {
+			t.Errorf("%s: a round allocates %.2f times, want 0 (1-round run %.0f, 101-round run %.0f)",
+				v.name, perRound, base, extended)
+		}
 	}
 }
 
