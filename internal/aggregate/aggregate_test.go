@@ -55,7 +55,7 @@ func TestMean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(got, []float64{3, 4}, 1e-12) {
+	if !approxEqual(got, []float64{3, 4}, 1e-12) {
 		t.Fatalf("Mean = %v", got)
 	}
 }
@@ -72,14 +72,14 @@ func TestCGESumsSmallestNorms(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Survivors: (1,0), (0,2), (-1,1); sum = (0, 3).
-	if !vecmath.Equal(got, []float64{0, 3}, 1e-12) {
+	if !approxEqual(got, []float64{0, 3}, 1e-12) {
 		t.Fatalf("CGE = %v", got)
 	}
 	avg, err := CGE{Averaged: true}.Aggregate(grads, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(avg, []float64{0, 1}, 1e-12) {
+	if !approxEqual(avg, []float64{0, 1}, 1e-12) {
 		t.Fatalf("CGE avg = %v", avg)
 	}
 }
@@ -90,7 +90,7 @@ func TestCGEZeroFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(got, []float64{1, 1}, 1e-12) {
+	if !approxEqual(got, []float64{1, 1}, 1e-12) {
 		t.Fatalf("CGE f=0 = %v", got)
 	}
 }
@@ -117,7 +117,7 @@ func TestCWTMKnownValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(got, []float64{2, 2}, 1e-12) {
+	if !approxEqual(got, []float64{2, 2}, 1e-12) {
 		t.Fatalf("CWTM = %v", got)
 	}
 }
@@ -132,7 +132,7 @@ func TestCWTMZeroFaultsIsMean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(got, want, 1e-12) {
+	if !approxEqual(got, want, 1e-12) {
 		t.Fatalf("CWTM f=0 %v != mean %v", got, want)
 	}
 }
@@ -188,7 +188,7 @@ func TestKrumOutputIsOneInput(t *testing.T) {
 	}
 	found := false
 	for _, g := range grads {
-		if vecmath.Equal(got, g, 0) {
+		if approxEqual(got, g, 0) {
 			found = true
 		}
 	}
@@ -274,7 +274,7 @@ func TestGeoMedianCoincidentPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(got, []float64{2, 3}, 1e-9) {
+	if !approxEqual(got, []float64{2, 3}, 1e-9) {
 		t.Fatalf("geomedian of identical points = %v", got)
 	}
 }
@@ -480,7 +480,7 @@ func TestPropPermutationInvariance(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if !vecmath.Equal(a, b, 1e-9) {
+			if !approxEqual(a, b, 1e-9) {
 				return false
 			}
 		}
@@ -509,7 +509,7 @@ func TestGeoMedianOrderIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !vecmath.Equal(a, b, 1e-9) {
+		if !approxEqual(a, b, 1e-9) {
 			t.Errorf("seed %d: %v in one order, %v in another", seed, a, b)
 		}
 	}
@@ -543,7 +543,7 @@ func TestPropFiltersAgreeOnIdenticalGradients(t *testing.T) {
 			if name == "cge" {
 				want = vecmath.Scale(float64(n-1), g)
 			}
-			if !vecmath.Equal(out, want, 1e-6*(1+vecmath.Norm(want))) {
+			if !approxEqual(out, want, 1e-6*(1+vecmath.Norm(want))) {
 				return false
 			}
 		}
@@ -553,4 +553,18 @@ func TestPropFiltersAgreeOnIdenticalGradients(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// approxEqual reports whether a and b have the same length and agree entry
+// by entry within absolute tolerance tol.
+func approxEqual(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

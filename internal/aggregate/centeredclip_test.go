@@ -33,7 +33,7 @@ func TestCenteredClipIdenticalGradients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(got, g, 1e-9) {
+	if !approxEqual(got, g, 1e-9) {
 		t.Fatalf("identical gradients: %v", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestCenteredClipMedianRadiusBoundsAnOutlier(t *testing.T) {
 	// The warm start is (0.5, 0.5) and the median distance from it √0.5:
 	// clipped to that radius, the outlier pulls exactly as hard as the three
 	// others, which sit at it, pull back, so the center does not move.
-	if !vecmath.Equal(got, []float64{0.5, 0.5}, 1e-9) {
+	if !approxEqual(got, []float64{0.5, 0.5}, 1e-9) {
 		t.Fatalf("median radius failed to bound influence: %v", got)
 	}
 }

@@ -45,7 +45,7 @@ func TestFiltersFaultFree(t *testing.T) {
 		if name == "cge" { // unnormalized CGE sums the n-f survivors
 			want = vecmath.Scale(7, grads[0])
 		}
-		if !vecmath.Equal(out, want, 1e-9) {
+		if !approxEqual(out, want, 1e-9) {
 			t.Errorf("%s: identical inputs gave %v, want %v", name, out, want)
 		}
 	}
@@ -98,7 +98,7 @@ func TestFiltersAllIdenticalUnderFaults(t *testing.T) {
 		if name == "cge" {
 			want = vecmath.Scale(8, grads[0]) // sums n-f = 8 survivors
 		}
-		if !vecmath.Equal(out, want, 1e-9) {
+		if !approxEqual(out, want, 1e-9) {
 			t.Errorf("%s: identical inputs gave %v, want %v", name, out, want)
 		}
 	}
@@ -220,7 +220,7 @@ func TestPairwiseDistSqMatchesNaive(t *testing.T) {
 	got := new(Scratch).distMatrix(n)
 	pairwiseDistSqInto(got, grads)
 	for i := range want {
-		if !vecmath.Equal(got[i], want[i], 0) {
+		if !approxEqual(got[i], want[i], 0) {
 			t.Fatalf("row %d: %v, want %v", i, got[i], want[i])
 		}
 	}

@@ -15,7 +15,7 @@ func TestGradientReverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(out, []float64{-1, 2, -3}, 0) {
+	if !approxEqual(out, []float64{-1, 2, -3}, 0) {
 		t.Fatalf("reverse = %v", out)
 	}
 	if g[0] != 1 {
@@ -28,7 +28,7 @@ func TestScaledReverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(out, []float64{-2, 2}, 0) {
+	if !approxEqual(out, []float64{-2, 2}, 0) {
 		t.Fatalf("scaled reverse = %v", out)
 	}
 	if _, err := (ScaledReverse{Factor: 0}).Apply(0, 0, []float64{1}); !errors.Is(err, ErrBadConfig) {
@@ -49,21 +49,21 @@ func TestRandomGaussianDeterministicPerRoundAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(a, b, 0) {
+	if !approxEqual(a, b, 0) {
 		t.Error("same (round, agent) should replay identically")
 	}
 	c, err := g.Apply(4, 1, make([]float64, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vecmath.Equal(a, c, 1e-9) {
+	if approxEqual(a, c, 1e-9) {
 		t.Error("different rounds should differ")
 	}
 	d, err := g.Apply(3, 2, make([]float64, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vecmath.Equal(a, d, 1e-9) {
+	if approxEqual(a, d, 1e-9) {
 		t.Error("different agents should differ")
 	}
 }
@@ -106,7 +106,7 @@ func TestConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(out, []float64{5, 5}, 0) {
+	if !approxEqual(out, []float64{5, 5}, 0) {
 		t.Fatalf("constant = %v", out)
 	}
 	if _, err := c.Apply(0, 0, []float64{0}); !errors.Is(err, ErrBadConfig) {
@@ -142,7 +142,7 @@ func TestIPM(t *testing.T) {
 		t.Fatal(err)
 	}
 	// mean = (3, 0); -0.5 * mean = (-1.5, 0)
-	if !vecmath.Equal(out, []float64{-1.5, 0}, 1e-12) {
+	if !approxEqual(out, []float64{-1.5, 0}, 1e-12) {
 		t.Fatalf("ipm = %v", out)
 	}
 	// Fallback without honest view.
@@ -150,7 +150,7 @@ func TestIPM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(fb, []float64{-1, -1}, 1e-12) {
+	if !approxEqual(fb, []float64{-1, -1}, 1e-12) {
 		t.Fatalf("ipm fallback = %v", fb)
 	}
 	if _, err := (InnerProductManipulation{Epsilon: 0}).Apply(0, 0, []float64{1}); !errors.Is(err, ErrBadConfig) {
@@ -165,14 +165,14 @@ func TestALIE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(out, []float64{4, 0}, 1e-12) {
+	if !approxEqual(out, []float64{4, 0}, 1e-12) {
 		t.Fatalf("alie = %v", out)
 	}
 	fb, err := ALittleIsEnough{Z: 1}.ApplyOmniscient(0, 0, []float64{1, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(fb, []float64{2, 2}, 1e-12) {
+	if !approxEqual(fb, []float64{2, 2}, 1e-12) {
 		t.Fatalf("alie fallback = %v", fb)
 	}
 }
@@ -243,4 +243,18 @@ func TestEquivocateRelayTexts(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("Relay allocates %.2f times per 16 calls", allocs)
 	}
+}
+
+// approxEqual reports whether a and b have the same length and agree entry
+// by entry within absolute tolerance tol.
+func approxEqual(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

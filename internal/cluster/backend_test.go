@@ -10,7 +10,6 @@ import (
 	"byzopt/internal/aggregate"
 	"byzopt/internal/byzantine"
 	"byzopt/internal/dgd"
-	"byzopt/internal/vecmath"
 )
 
 // TestBackendMatchesInProcessEngine: the Backend must reproduce the
@@ -44,7 +43,7 @@ func TestBackendMatchesInProcessEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(engineRes.X, backendRes.X, 0) {
+	if !approxEqual(engineRes.X, backendRes.X, 0) {
 		t.Errorf("engine %v vs backend %v", engineRes.X, backendRes.X)
 	}
 	for i := range engineRes.Trace.Dist {
@@ -108,7 +107,7 @@ func TestBackendServesWrappedFaultyIndexAware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(engineRes.X, backendRes.X, 0) {
+	if !approxEqual(engineRes.X, backendRes.X, 0) {
 		t.Errorf("wrapped faulty agents served index-unaware: engine %v vs backend %v", engineRes.X, backendRes.X)
 	}
 }

@@ -95,7 +95,7 @@ func TestClusterMatchesInProcessEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(engineRes.X, clusterRes.X, 1e-9) {
+	if !approxEqual(engineRes.X, clusterRes.X, 1e-9) {
 		t.Errorf("engine %v vs cluster %v", engineRes.X, clusterRes.X)
 	}
 	if len(clusterRes.Eliminated) != 0 {
@@ -579,4 +579,18 @@ func TestClusterStaggeredCrashes(t *testing.T) {
 	if len(res.Eliminated) != 2 || res.Eliminated[0] != 1 || res.Eliminated[1] != 4 {
 		t.Fatalf("eliminated = %v, want [1 4] in order", res.Eliminated)
 	}
+}
+
+// approxEqual reports whether a and b have the same length and agree entry
+// by entry within absolute tolerance tol.
+func approxEqual(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

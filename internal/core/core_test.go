@@ -180,7 +180,7 @@ func TestLeastSquaresProblem(t *testing.T) {
 		if err != nil {
 			t.Fatalf("subset %v: %v", idx, err)
 		}
-		if !vecmath.Equal(x, xstar, 1e-9) {
+		if !approxEqual(x, xstar, 1e-9) {
 			t.Fatalf("subset %v min = %v", idx, x)
 		}
 	}
@@ -335,7 +335,7 @@ func TestLeastSquaresAndQuadraticProblemsAgree(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if !vecmath.Equal(x1, x2, 1e-8) {
+		if !approxEqual(x1, x2, 1e-8) {
 			t.Errorf("subset %v: least-squares %v vs quadratic %v", idx, x1, x2)
 		}
 		return nil
@@ -355,4 +355,18 @@ func TestLeastSquaresAndQuadraticProblemsAgree(t *testing.T) {
 	if math.Abs(r1.Epsilon-r2.Epsilon) > 1e-8 {
 		t.Errorf("epsilon disagrees: %v vs %v", r1.Epsilon, r2.Epsilon)
 	}
+}
+
+// approxEqual reports whether a and b have the same length and agree entry
+// by entry within absolute tolerance tol.
+func approxEqual(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

@@ -356,7 +356,7 @@ func TestMeasureMatchesQRReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !relClose(m.Exhaustive.Score, ex.Score, 1e-12) || !vecmath.Equal(m.Exhaustive.X, xw, 1e-12*(1+vecmath.Norm(xw))) ||
+				if !relClose(m.Exhaustive.Score, ex.Score, 1e-12) || !approxEqual(m.Exhaustive.X, xw, 1e-12*(1+vecmath.Norm(xw))) ||
 					!reflect.DeepEqual(winner, ex.Subset) && !relClose(ref.score(f, winner, xw), ex.Score, 1e-12) {
 					t.Errorf("%s: exhaustive %+v, reference %+v", label, *m.Exhaustive, *ex)
 				}

@@ -446,9 +446,6 @@ func NewSum(terms ...Differentiable) (*Sum, error) {
 // Dim returns the shared domain dimension.
 func (s *Sum) Dim() int { return s.dim }
 
-// Len returns the number of terms.
-func (s *Sum) Len() int { return len(s.terms) }
-
 // Eval returns sum_i Q_i(x).
 func (s *Sum) Eval(x []float64) (float64, error) {
 	var total float64

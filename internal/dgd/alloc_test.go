@@ -361,7 +361,7 @@ func TestCollectorFallbackMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range mixed {
-		if !vecmath.Equal(mixed[i], all[i], 0) {
+		if !approxEqual(mixed[i], all[i], 0) {
 			t.Errorf("agent %d: mixed collection %v differs from legacy %v", i, mixed[i], all[i])
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"byzopt/internal/aggregate"
-	"byzopt/internal/vecmath"
 )
 
 // loggingFaulty is an external wrapper around a Byzantine agent — the kind
@@ -132,7 +131,7 @@ func TestInProcessBackendMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(direct.X, viaBackend.X, 0) {
+	if !approxEqual(direct.X, viaBackend.X, 0) {
 		t.Errorf("backend estimate %v differs from direct run %v", viaBackend.X, direct.X)
 	}
 }
@@ -169,7 +168,7 @@ func TestTraceRecorderRecordsSeries(t *testing.T) {
 			t.Fatal("distance untracked (no Reference) but recorder saw a value")
 		}
 	}
-	if !vecmath.Equal(rec.X[rounds], res.X, 0) {
+	if !approxEqual(rec.X[rounds], res.X, 0) {
 		t.Errorf("recorded final estimate %v, result has %v", rec.X[rounds], res.X)
 	}
 }

@@ -176,7 +176,7 @@ func TestCoalitionReportsOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.perRound == 2 && vecmath.Equal(reports[0], reports[1], 0) {
+			if tc.perRound == 2 && approxEqual(reports[0], reports[1], 0) {
 				t.Errorf("%s: agents 0 and 1 differ in Z and sent one vector", tc.name)
 			}
 		}
@@ -297,11 +297,11 @@ func TestOmniscientSeesAllHonestGradientsInParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(grads[0], want, 0) {
+	if !approxEqual(grads[0], want, 0) {
 		t.Errorf("omniscient report %v, want %v", grads[0], want)
 	}
 	for i, g := range grads[1:] {
-		if !vecmath.Equal(g, honest[i], 0) {
+		if !approxEqual(g, honest[i], 0) {
 			t.Errorf("honest slot %d corrupted", i+1)
 		}
 	}

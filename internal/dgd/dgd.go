@@ -348,7 +348,10 @@ type Config struct {
 	Rounds int
 
 	// TrackLoss, when non-nil, is evaluated at every estimate (typically
-	// the honest aggregate cost, the paper's "loss" series).
+	// the honest aggregate cost, the paper's "loss" series) and recorded in
+	// Result.Trace, Rounds+1 values. The sweep engine tracks through neither
+	// it nor Reference: its observer evaluates both and keeps what a cell
+	// exports.
 	TrackLoss costfunc.Function
 	// Reference, when non-nil, tracks ||x_t - Reference|| (the paper's
 	// "distance" series, with Reference = x_H).
@@ -560,13 +563,17 @@ type Collector struct {
 // face per agent kind whatever the agent implements.
 func NewCollector(agents []Agent, d int) *Collector {
 	n := len(agents)
+	// Each pair of index lists, and of row tables, is carved from one
+	// backing; the capped halves cannot append into each other.
+	idx := make([]int, 2*n)
+	rows := make([][]float64, 2*n)
 	c := &Collector{
-		honestIdx: make([]int, 0, n),
-		faultyIdx: make([]int, 0, n),
+		honestIdx: idx[:0:n],
+		faultyIdx: idx[n:n],
 		into:      make([]IntoAgent, n),
 		faulty:    make([]IntoFaulty, n),
-		grads:     make([][]float64, n),
-		honest:    make([][]float64, 0, n),
+		grads:     rows[:n:n],
+		honest:    rows[n:n],
 	}
 	arena := make([]float64, n*d)
 	for i, a := range agents {

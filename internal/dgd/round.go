@@ -102,10 +102,13 @@ func NewRound(cfg Config, n int) (*Round, error) {
 	if cfg.Steps == nil {
 		cfg.Steps = DefaultSteps()
 	}
+	d := len(cfg.X0)
+	xdir := make([]float64, 2*d)
+	copy(xdir, cfg.X0)
 	r := &Round{
 		cfg:   cfg,
-		x:     vecmath.Clone(cfg.X0),
-		dir:   make([]float64, len(cfg.X0)),
+		x:     xdir[:d:d],
+		dir:   xdir[d:],
 		input: make([][]float64, 0, n),
 	}
 	if cfg.Box != nil {

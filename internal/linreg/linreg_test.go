@@ -63,7 +63,7 @@ func TestPaperXH(t *testing.T) {
 	// Appendix J: x_H = (1.0780, 0.9825).
 	inst := paperInstance(t)
 	want := []float64{1.0780, 0.9825}
-	if !vecmath.Equal(inst.XH, want, 5e-4) {
+	if !approxEqual(inst.XH, want, 5e-4) {
 		t.Errorf("x_H = %v, want %v", inst.XH, want)
 	}
 }
@@ -121,7 +121,7 @@ func TestNoiseFreeInstanceHasExactRedundancy(t *testing.T) {
 	if inst.Epsilon > 1e-8 {
 		t.Errorf("noise-free epsilon = %v, want ~0", inst.Epsilon)
 	}
-	if !vecmath.Equal(inst.XH, xstar, 1e-9) {
+	if !approxEqual(inst.XH, xstar, 1e-9) {
 		t.Errorf("noise-free x_H = %v, want %v", inst.XH, xstar)
 	}
 }
@@ -198,7 +198,7 @@ func TestFromDataBeyondPaperDim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []float64{-0.0085, -0.5643, 0}; !vecmath.Equal(inst.X0, want, 0) {
+	if want := []float64{-0.0085, -0.5643, 0}; !approxEqual(inst.X0, want, 0) {
 		t.Errorf("x0 = %v, want %v", inst.X0, want)
 	}
 	if inst.Box.Dim() != 3 || len(inst.XH) != 3 {
@@ -215,13 +215,21 @@ func TestBoxAndConstants(t *testing.T) {
 	if inst.Box.Dim() != Dim {
 		t.Errorf("box dim = %d", inst.Box.Dim())
 	}
-	if !inst.Box.Contains(inst.XH) {
+	inW := func(x []float64) bool {
+		for _, v := range x {
+			if math.Abs(v) > BoxRadius {
+				return false
+			}
+		}
+		return true
+	}
+	if !inW(inst.XH) {
 		t.Error("x_H must lie in W (Assumption 4)")
 	}
-	if !inst.Box.Contains(inst.X0) {
+	if !inW(inst.X0) {
 		t.Error("x0 must lie in W")
 	}
-	if !vecmath.Equal(inst.X0, []float64{-0.0085, -0.5643}, 0) {
+	if !approxEqual(inst.X0, []float64{-0.0085, -0.5643}, 0) {
 		t.Errorf("x0 = %v", inst.X0)
 	}
 }
@@ -244,7 +252,7 @@ func TestFromDataAtF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(inst.XH, xh, 0) {
+	if !approxEqual(inst.XH, xh, 0) {
 		t.Errorf("x_H = %v, want the honest rows' estimate %v", inst.XH, xh)
 	}
 	rep, err := core.MeasureRedundancy(inst.Problem, f, core.AtLeastSize)
@@ -280,4 +288,18 @@ func TestFromDataAtF(t *testing.T) {
 	if g, err := costfunc.Grad(sum, inst.XH); err != nil || vecmath.Norm(g) > 1e-12 {
 		t.Errorf("honest loss gradient at x_H = %v (%v)", g, err)
 	}
+}
+
+// approxEqual reports whether a and b have the same length and agree entry
+// by entry within absolute tolerance tol.
+func approxEqual(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

@@ -137,30 +137,6 @@ func (m *Matrix) SelectRows(idx []int) (*Matrix, error) {
 	return &Matrix{rows: len(idx), cols: m.cols, data: out}, nil
 }
 
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("matrix: add %dx%d and %dx%d: %w", m.rows, m.cols, b.rows, b.cols, ErrShape)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out, nil
-}
-
-// Sub returns m - b.
-func (m *Matrix) Sub(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("matrix: sub %dx%d and %dx%d: %w", m.rows, m.cols, b.rows, b.cols, ErrShape)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out, nil
-}
-
 // Scale returns alpha * m.
 func (m *Matrix) Scale(alpha float64) *Matrix {
 	out := m.Clone()
@@ -347,19 +323,6 @@ func (m *Matrix) IsSymmetric(tol float64) bool {
 			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-// Equal reports whether m and b agree entry-wise within absolute tolerance.
-func (m *Matrix) Equal(b *Matrix, tol float64) bool {
-	if m.rows != b.rows || m.cols != b.cols {
-		return false
-	}
-	for i := range m.data {
-		if math.Abs(m.data[i]-b.data[i]) > tol {
-			return false
 		}
 	}
 	return true

@@ -102,7 +102,7 @@ func TestMLPInitBreaksSymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(p1, p2, 0) {
+	if !approxEqual(p1, p2, 0) {
 		t.Error("same seed should reproduce init")
 	}
 	if vecmath.Norm(p1) == 0 {
@@ -112,7 +112,7 @@ func TestMLPInitBreaksSymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vecmath.Equal(p1, p3, 1e-12) {
+	if approxEqual(p1, p3, 1e-12) {
 		t.Error("different seeds should differ")
 	}
 }
@@ -169,7 +169,7 @@ func TestMLPAsModelInSGDAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g1) != m.ParamDim() || !vecmath.Equal(g1, g2, 0) {
+	if len(g1) != m.ParamDim() || !approxEqual(g1, g2, 0) {
 		t.Error("MLP agent gradients malformed or nondeterministic")
 	}
 }

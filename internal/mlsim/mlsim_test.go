@@ -55,10 +55,10 @@ func TestGenerateDeterministic(t *testing.T) {
 	a1, _ := genSmall(t, 7)
 	a2, _ := genSmall(t, 7)
 	b, _ := genSmall(t, 8)
-	if !vecmath.Equal(a1.Points[0], a2.Points[0], 0) {
+	if !approxEqual(a1.Points[0], a2.Points[0], 0) {
 		t.Error("same seed should reproduce")
 	}
-	if vecmath.Equal(a1.Points[0], b.Points[0], 1e-12) {
+	if approxEqual(a1.Points[0], b.Points[0], 1e-12) {
 		t.Error("different seeds should differ")
 	}
 }
@@ -285,14 +285,14 @@ func TestSGDAgentDeterministicPerRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(g1, g2, 0) {
+	if !approxEqual(g1, g2, 0) {
 		t.Error("same round should resample identically")
 	}
 	g3, err := a.Gradient(6, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vecmath.Equal(g1, g3, 1e-12) {
+	if approxEqual(g1, g3, 1e-12) {
 		t.Error("different rounds should resample differently")
 	}
 }
@@ -329,4 +329,18 @@ func TestLossFunction(t *testing.T) {
 	if math.Abs(v-math.Log(4)) > 1e-9 {
 		t.Errorf("zero-param loss = %v, want log 4 = %v", v, math.Log(4))
 	}
+}
+
+// approxEqual reports whether a and b have the same length and agree entry
+// by entry within absolute tolerance tol.
+func approxEqual(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

@@ -79,7 +79,7 @@ func TestBackendMatchesInProcessEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !vecmath.Equal(engineRes.X, p2pRes.X, 0) {
+			if !approxEqual(engineRes.X, p2pRes.X, 0) {
 				t.Errorf("engine %v vs p2p %v", engineRes.X, p2pRes.X)
 			}
 			for i := range engineRes.Trace.Dist {
@@ -127,7 +127,7 @@ func TestBackendEquivocateDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vecmath.Equal(equivRes.X, revRes.X, 0) {
+	if approxEqual(equivRes.X, revRes.X, 0) {
 		t.Error("equivocation did not change the trajectory — the distorter never reached the broadcast layer")
 	}
 	// The broadcast layer must still defeat the equivocation: the honest
@@ -201,7 +201,7 @@ func TestBackendObserverThreaded(t *testing.T) {
 			t.Fatalf("observer and trace disagree at round %d", i)
 		}
 	}
-	if !vecmath.Equal(rec.X[rounds], res.X, 0) {
+	if !approxEqual(rec.X[rounds], res.X, 0) {
 		t.Error("observer's final estimate differs from the result")
 	}
 	if math.IsNaN(rec.Loss[0]) || math.IsNaN(rec.Dist[0]) {

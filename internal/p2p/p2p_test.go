@@ -3,6 +3,7 @@ package p2p
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,7 +12,6 @@ import (
 	"byzopt/internal/byzantine"
 	"byzopt/internal/dgd"
 	"byzopt/internal/linreg"
-	"byzopt/internal/vecmath"
 )
 
 func TestBroadcastHonestSender(t *testing.T) {
@@ -186,14 +186,14 @@ func TestMessageCost(t *testing.T) {
 func TestVectorEncoding(t *testing.T) {
 	v := []float64{1.5, -2.25, 0, 1e300}
 	got := DecodeVector(EncodeVector(v), 4)
-	if !vecmath.Equal(got, v, 0) {
+	if !approxEqual(got, v, 0) {
 		t.Errorf("round trip = %v", got)
 	}
 	// Wrong length and garbage payloads decode to zeros.
-	if !vecmath.Equal(DecodeVector("short", 3), []float64{0, 0, 0}, 0) {
+	if !approxEqual(DecodeVector("short", 3), []float64{0, 0, 0}, 0) {
 		t.Error("short payload should zero")
 	}
-	if !vecmath.Equal(DecodeVector(DefaultValue, 2), []float64{0, 0}, 0) {
+	if !approxEqual(DecodeVector(DefaultValue, 2), []float64{0, 0}, 0) {
 		t.Error("default payload should zero")
 	}
 	// NaN smuggling is rejected wholesale.
@@ -203,7 +203,7 @@ func TestVectorEncoding(t *testing.T) {
 	for i := 8; i < 16; i++ {
 		b[i] = 0xFF // 0xFFFF... is a NaN pattern
 	}
-	if !vecmath.Equal(DecodeVector(string(b), 2), []float64{0, 0}, 0) {
+	if !approxEqual(DecodeVector(string(b), 2), []float64{0, 0}, 0) {
 		t.Error("NaN payload should zero entirely")
 	}
 	_ = poisoned
@@ -278,7 +278,7 @@ func TestDecentralizedMatchesServerBased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(res.X, engineRes.X, 1e-12) {
+	if !approxEqual(res.X, engineRes.X, 1e-12) {
 		t.Errorf("decentralized %v vs server-based %v", res.X, engineRes.X)
 	}
 }
@@ -309,7 +309,7 @@ func TestDecentralizedStatefulFilterKeepsAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s in-process: %v", name, err)
 		}
-		if !vecmath.Equal(res.X, engineRes.X, 0) {
+		if !approxEqual(res.X, engineRes.X, 0) {
 			t.Errorf("%s: decentralized %v vs in-process %v", name, res.X, engineRes.X)
 		}
 	}
@@ -376,4 +376,18 @@ func TestBroadcastLargeSystem(t *testing.T) {
 			t.Errorf("honest process %d decided %q", p, d)
 		}
 	}
+}
+
+// approxEqual reports whether a and b have the same length and agree entry
+// by entry within absolute tolerance tol.
+func approxEqual(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

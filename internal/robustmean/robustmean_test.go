@@ -2,6 +2,7 @@ package robustmean
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -53,7 +54,7 @@ func TestProblemAdapter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(m, []float64{1, 0}, 1e-12) {
+	if !approxEqual(m, []float64{1, 0}, 1e-12) {
 		t.Fatalf("subset mean = %v", m)
 	}
 	if _, err := p.MinimizeSubset(nil); !errors.Is(err, core.ErrArgs) {
@@ -224,4 +225,18 @@ func TestPropExhaustiveWithinTwoEps(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// approxEqual reports whether a and b have the same length and agree entry
+// by entry within absolute tolerance tol.
+func approxEqual(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"byzopt/internal/cluster"
+	"byzopt/internal/costfunc"
 	"byzopt/internal/dgd"
+	"byzopt/internal/p2p"
 	"byzopt/internal/vecmath"
 )
 
@@ -284,6 +287,70 @@ func TestCustomProblemViaProblemDefAndRegistry(t *testing.T) {
 	}
 }
 
+// mistrackedProblem is customProblem with its workload edited after the
+// build: the tests below give it a loss or a reference point of another
+// dimension than the estimate.
+type mistrackedProblem struct {
+	customProblem
+	edit func(*Workload)
+}
+
+func (p mistrackedProblem) Build(spec *Spec, scn Scenario) (*Workload, error) {
+	wl, err := p.customProblem.Build(spec, scn)
+	if err != nil {
+		return nil, err
+	}
+	p.edit(wl)
+	return wl, nil
+}
+
+// TestTrackedDimensionMismatchFailsTheCell: the kernel no longer evaluates
+// the honest loss or the distance to x_H of a sweep cell, but a workload
+// whose loss or reference has another dimension than X0 still fails its
+// cell, on every substrate, with the error the substrate's validation has
+// always given.
+func TestTrackedDimensionMismatchFailsTheCell(t *testing.T) {
+	loss1, err := costfunc.NewObservation([]float64{1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := map[string]struct {
+		edit func(*Workload)
+		text string
+	}{
+		"reference": {func(wl *Workload) { wl.XH = []float64{1} }, "reference dim 1 vs x0 dim 2"},
+		"loss":      {func(wl *Workload) { wl.HonestLoss = loss1 }, "loss dim 1 vs x0 dim 2"},
+	}
+	backends := map[string]struct {
+		backend  dgd.Backend
+		sentinel error
+	}{
+		"in-process": {dgd.InProcess{}, dgd.ErrConfig},
+		"cluster":    {&cluster.Backend{}, cluster.ErrConfig},
+		"p2p":        {p2p.Backend{}, p2p.ErrArgs},
+	}
+	for field, e := range edits {
+		for name, b := range backends {
+			results, err := Run(Spec{
+				ProblemDef: mistrackedProblem{customProblem{name: "mistracked"}, e.edit},
+				Filters:    []string{"cge"},
+				Behaviors:  []string{"zero"},
+				NValues:    []int{4},
+				Dims:       []int{2},
+				Rounds:     5,
+				Backend:    b.backend,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := e.text + ": " + b.sentinel.Error()
+			if r := results[0]; r.Status() != "error" || r.Err != want {
+				t.Errorf("%s on %s: status %s, error %q; want error %q", field, name, r.Status(), r.Err, want)
+			}
+		}
+	}
+}
+
 func TestBaselineAxisCollapsesAndKeys(t *testing.T) {
 	scns, err := Scenarios(Spec{
 		Filters:   []string{"cge"},
@@ -525,23 +592,18 @@ func TestProgressReportsEveryScenario(t *testing.T) {
 // views into its rows that its cells share, and a cell's agents are backed by
 // one slice, so building and running a cell allocates the same count at
 // n = 100 as at n = 200, where a copied one-row matrix, a cost and a wrapper
-// per agent cost about six allocations each. Measured on one cell of the
-// wide_grid shape, its workload built once.
+// per agent cost about six allocations each. A cell that exports no trace
+// keeps no per-round series either, so it allocates the same at 5 rounds as
+// at 500. Measured on one cell of the wide_grid shape, its workload built
+// once; a paper_grid cell is pinned at its count.
 func TestRegressionCellAllocsIndependentOfN(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation counts do not repeat under the race detector")
 	}
-	cellAllocs := func(n int) float64 {
-		spec := Spec{
-			Problem:   ProblemSynthetic,
-			Filters:   []string{"cge"},
-			Behaviors: []string{"gradient-reverse"},
-			FValues:   []int{10},
-			NValues:   []int{n},
-			Dims:      []int{50},
-			Rounds:    5,
-			Workers:   1,
-		}
+	cellAllocs := func(spec Spec) float64 {
+		spec.Filters = []string{"cge"}
+		spec.Behaviors = []string{"gradient-reverse"}
+		spec.Workers = 1
 		jobs, err := expand(&spec)
 		if err != nil {
 			t.Fatal(err)
@@ -551,19 +613,32 @@ func TestRegressionCellAllocsIndependentOfN(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(jobs) != 1 {
-			t.Fatalf("n=%d: %d cells, want 1", n, len(jobs))
+			t.Fatalf("%d cells, want 1", len(jobs))
 		}
 		workloads := buildWorkloads(&spec, prob, jobs)
 		return testing.AllocsPerRun(20, func() {
-			res, err := runScenario(context.Background(), &spec, prob, dgd.InProcess{}, jobs[0], workloads)
+			res, err := runScenario(context.Background(), &spec, dgd.InProcess{}, jobs[0], workloads[0])
 			if err != nil || res.Err != "" {
-				t.Fatalf("n=%d: %v %s", n, err, res.Err)
+				t.Fatalf("%s: %v %s", jobs[0].scn.Key(), err, res.Err)
 			}
 		})
 	}
-	small, large := cellAllocs(100), cellAllocs(200)
+	wide := func(n, rounds int) Spec {
+		return Spec{Problem: ProblemSynthetic, FValues: []int{10}, NValues: []int{n}, Dims: []int{50}, Rounds: rounds}
+	}
+	small, large := cellAllocs(wide(100, 5)), cellAllocs(wide(200, 5))
 	t.Logf("allocations a cell: %v at n = 100, %v at n = 200", small, large)
 	if small != large {
 		t.Errorf("a cell allocates %v times at n = 100 and %v at n = 200, want the same", small, large)
+	}
+	long := cellAllocs(wide(100, 500))
+	t.Logf("allocations a cell: %v at 5 rounds, %v at 500", small, long)
+	if small != long {
+		t.Errorf("a cell allocates %v times at 5 rounds and %v at 500, want the same", small, long)
+	}
+	const paperCellAllocs = 16
+	paper := cellAllocs(Spec{Problem: ProblemPaper, Rounds: 500})
+	if paper != paperCellAllocs {
+		t.Errorf("a paper cell allocates %v times, want %d", paper, paperCellAllocs)
 	}
 }

@@ -14,7 +14,9 @@ import (
 	"byzopt/internal/aggregate"
 	"byzopt/internal/byzantine"
 	"byzopt/internal/chaos"
+	"byzopt/internal/costfunc"
 	"byzopt/internal/dgd"
+	"byzopt/internal/vecmath"
 )
 
 // Result is one scenario's outcome. Exactly one of the success fields
@@ -122,25 +124,31 @@ type workloadEntry struct {
 }
 
 // buildWorkloads materializes every distinct workload of the grid once,
-// before the worker pool starts: a full-registry sweep reuses one instance
-// across all filter × behavior cells that map to the same problem cache key
-// instead of regenerating data and re-solving x_H per scenario. The entries
-// are read-only afterwards, so workers share them without synchronization.
-func buildWorkloads(spec *Spec, prob Problem, jobs []job) map[string]workloadEntry {
+// before the worker pool starts, and returns each job's entry, position for
+// position: a full-registry sweep reuses one instance across all filter ×
+// behavior cells that map to the same problem cache key instead of
+// regenerating data and re-solving x_H per scenario. The entries are
+// read-only afterwards, so workers share them without synchronization. An
+// infeasible job (2f >= n) is skipped before it needs a workload and gets
+// the zero entry.
+func buildWorkloads(spec *Spec, prob Problem, jobs []job) []workloadEntry {
 	cache := make(map[string]workloadEntry)
-	for _, jb := range jobs {
+	entries := make([]workloadEntry, len(jobs))
+	for i, jb := range jobs {
 		scn := jb.scn
 		if 2*scn.F >= scn.N {
-			continue // skipped before the workload is ever needed
-		}
-		key := prob.Key(spec, scn)
-		if _, ok := cache[key]; ok {
 			continue
 		}
-		wl, err := prob.Build(spec, scn)
-		cache[key] = workloadEntry{wl: wl, err: err}
+		key := prob.Key(spec, scn)
+		entry, ok := cache[key]
+		if !ok {
+			wl, err := prob.Build(spec, scn)
+			entry = workloadEntry{wl: wl, err: err}
+			cache[key] = entry
+		}
+		entries[i] = entry
 	}
-	return cache
+	return entries
 }
 
 // Run expands the spec and executes every scenario, as RunContext with a
@@ -275,13 +283,14 @@ func runPool(ctx context.Context, spec *Spec, prob Problem, jobs []job, emit fun
 				if k >= len(order) {
 					return
 				}
-				res, err := runScenario(poolCtx, spec, prob, backend, jobs[order[k]], workloads)
+				pos := order[k]
+				res, err := runScenario(poolCtx, spec, backend, jobs[pos], workloads[pos])
 				if err != nil {
 					return // the cell was cancelled, and so is the pool
 				}
 				emitMu.Lock()
 				if emitErr == nil {
-					if emitErr = emit(order[k], res); emitErr != nil {
+					if emitErr = emit(pos, res); emitErr != nil {
 						stop()
 					}
 				}
@@ -337,6 +346,52 @@ func (m *metricRecorder) ObserveRound(t int, x []float64, loss, dist float64) er
 	return nil
 }
 
+// cellRecorder is every cell's first observer. At each estimate x_t it
+// evaluates the honest loss Q_H(x_t) and the distance ||x_t - x_H|| — the
+// calls dgd.Round.Record makes for Config.TrackLoss and Config.Reference,
+// which the sweep leaves unset — and keeps what the export reads: the first,
+// last and least loss and the last distance. The per-round series, Rounds+1
+// long, are recorded only in trace, which is set when the spec exports them
+// or a trace metric reads them.
+type cellRecorder struct {
+	loss  costfunc.Function // nil: the workload tracks no loss
+	ref   []float64         // nil: the workload has no reference point
+	trace *dgd.TraceRecorder
+
+	lossStart, lossFinal, lossMin, dist float64
+}
+
+// ObserveRound implements dgd.RoundObserver; the kernel records from t = 0.
+// Its loss and distance are NaN, since it tracks neither; the recorder hands
+// its own to trace, NaN for what the workload does not track.
+func (c *cellRecorder) ObserveRound(t int, x []float64, _, _ float64) error {
+	loss, dist := math.NaN(), math.NaN()
+	if c.loss != nil {
+		v, err := c.loss.Eval(x)
+		if err != nil {
+			return fmt.Errorf("loss at round %d: %w", t, err)
+		}
+		loss, c.lossFinal = v, v
+		if t == 0 {
+			c.lossStart, c.lossMin = v, v
+		}
+		if v < c.lossMin {
+			c.lossMin = v
+		}
+	}
+	if c.ref != nil {
+		d, err := vecmath.Dist(x, c.ref)
+		if err != nil {
+			return fmt.Errorf("distance at round %d: %w", t, err)
+		}
+		dist, c.dist = d, d
+	}
+	if c.trace != nil {
+		return c.trace.ObserveRound(t, x, loss, dist)
+	}
+	return nil
+}
+
 // multiObserver fans one run's rounds out to several observers.
 type multiObserver []dgd.RoundObserver
 
@@ -382,7 +437,7 @@ func (m multiObserver) ObserveChaosRound(stats dgd.ChaosRoundStats) error {
 // so one bad cell never aborts a sweep. The single exception is
 // cancellation of the sweep's own context, which is returned as an error so
 // the pool can stop.
-func runScenario(ctx context.Context, spec *Spec, prob Problem, backend dgd.Backend, jb job, workloads map[string]workloadEntry) (Result, error) {
+func runScenario(ctx context.Context, spec *Spec, backend dgd.Backend, jb job, entry workloadEntry) (Result, error) {
 	scn := jb.scn
 	res := Result{Scenario: scn, GridIndex: jb.idx, GridTotal: jb.total, Seed: scn.DeriveSeed(spec.Seed)}
 	if spec.PinBehaviorSeed {
@@ -414,7 +469,6 @@ func runScenario(ctx context.Context, spec *Spec, prob Problem, backend dgd.Back
 		res.Err = fmt.Sprintf("infeasible: need f < n/2, got n=%d f=%d", scn.N, scn.F)
 		return res, nil
 	}
-	entry := workloads[prob.Key(spec, scn)]
 	if entry.err != nil {
 		return fail(entry.err)
 	}
@@ -470,8 +524,6 @@ func runScenario(ctx context.Context, spec *Spec, prob Problem, backend dgd.Back
 		scnCtx, cancel = context.WithTimeout(ctx, spec.ScenarioTimeout)
 		defer cancel()
 	}
-	var observers multiObserver
-	var recorder *dgd.TraceRecorder
 	needEstimates := false
 	for _, name := range spec.TraceMetrics {
 		if m, ok := LookupTraceMetric(name); ok && m.NeedEstimates {
@@ -479,50 +531,55 @@ func runScenario(ctx context.Context, spec *Spec, prob Problem, backend dgd.Back
 			break
 		}
 	}
+	cell := &cellRecorder{loss: wl.HonestLoss, ref: wl.XH}
 	if spec.RecordTrace || len(spec.TraceMetrics) > 0 {
 		// Estimate copies would dominate the recorder's memory at high
 		// dimension, so they are kept only when a selected trace metric
 		// reads the trajectory itself; the exported loss/distance series
 		// never include them.
-		recorder = &dgd.TraceRecorder{OmitEstimates: !needEstimates}
-		observers = append(observers, recorder)
+		cell.trace = &dgd.TraceRecorder{OmitEstimates: !needEstimates}
 	}
+	var others multiObserver // observers beside the cell recorder
 	var metrics *metricRecorder
 	if wl.Metric != nil {
 		metrics = &metricRecorder{metric: wl.Metric, rounds: scn.Rounds}
-		observers = append(observers, metrics)
+		others = append(others, metrics)
 	}
 	asyncCfg := jb.async.Config(res.Seed)
 	var asyncStats *asyncStatsRecorder
 	if asyncCfg != nil {
 		asyncStats = &asyncStatsRecorder{trace: spec.RecordTrace}
-		observers = append(observers, asyncStats)
+		others = append(others, asyncStats)
 	}
 	chaosPlan := jb.chaos.Config(res.Seed, scn.Rounds)
 	var chaosStats *chaosStatsRecorder
 	if chaosPlan != nil {
 		chaosStats = &chaosStatsRecorder{}
-		observers = append(observers, chaosStats)
+		others = append(others, chaosStats)
 	}
-	var observer dgd.RoundObserver
-	if len(observers) > 0 {
-		observer = observers
+	var observer dgd.RoundObserver = cell
+	if len(others) > 0 {
+		observer = append(multiObserver{cell}, others...)
+	}
+	cfg := dgd.Config{
+		Agents:   agents,
+		F:        runF,
+		Filter:   filter,
+		Steps:    jb.steps,
+		Box:      wl.Box,
+		X0:       wl.X0,
+		Rounds:   scn.Rounds,
+		Observer: observer,
+		Async:    asyncCfg,
+		Chaos:    chaosPlan,
+	}
+	if wl.HonestLoss != nil && wl.HonestLoss.Dim() != len(wl.X0) || wl.XH != nil && len(wl.XH) != len(wl.X0) {
+		// A loss or reference the cell recorder cannot evaluate goes to the
+		// backend, whose validation refuses the run in its own words.
+		cfg.TrackLoss, cfg.Reference = wl.HonestLoss, wl.XH
 	}
 	start := time.Now()
-	out, err := backend.Run(scnCtx, dgd.Config{
-		Agents:    agents,
-		F:         runF,
-		Filter:    filter,
-		Steps:     jb.steps,
-		Box:       wl.Box,
-		X0:        wl.X0,
-		Rounds:    scn.Rounds,
-		TrackLoss: wl.HonestLoss,
-		Reference: wl.XH,
-		Observer:  observer,
-		Async:     asyncCfg,
-		Chaos:     chaosPlan,
-	})
+	out, err := backend.Run(scnCtx, cfg)
 	res.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -545,19 +602,8 @@ func runScenario(ctx context.Context, spec *Spec, prob Problem, backend dgd.Back
 		return fail(err)
 	}
 	res.FinalX = out.X
-	if len(out.Trace.Dist) > 0 {
-		res.FinalDist = out.Trace.Dist[len(out.Trace.Dist)-1]
-	}
-	if len(out.Trace.Loss) > 0 {
-		res.LossStart = out.Trace.Loss[0]
-		res.LossFinal = out.Trace.Loss[len(out.Trace.Loss)-1]
-		res.LossMin = res.LossStart
-		for _, v := range out.Trace.Loss {
-			if v < res.LossMin {
-				res.LossMin = v
-			}
-		}
-	}
+	res.FinalDist = cell.dist
+	res.LossStart, res.LossFinal, res.LossMin = cell.lossStart, cell.lossFinal, cell.lossMin
 	if metrics != nil {
 		res.MetricName = wl.Metric.Name
 		if len(metrics.series) > 0 {
@@ -567,21 +613,21 @@ func runScenario(ctx context.Context, spec *Spec, prob Problem, backend dgd.Back
 			res.TraceMetric = metrics.series
 		}
 	}
-	if recorder != nil && spec.RecordTrace {
+	if cell.trace != nil && spec.RecordTrace {
 		// Untracked series record as NaN, which JSON cannot carry; export
 		// only the series the workload actually tracks.
 		if wl.HonestLoss != nil {
-			res.TraceLoss = recorder.Loss
+			res.TraceLoss = cell.trace.Loss
 		}
 		if wl.XH != nil {
-			res.TraceDist = recorder.Dist
+			res.TraceDist = cell.trace.Dist
 		}
 	}
-	if recorder != nil && len(spec.TraceMetrics) > 0 {
+	if cell.trace != nil && len(spec.TraceMetrics) > 0 {
 		in := TraceInput{
-			Loss:     recorder.Loss,
-			Dist:     recorder.Dist,
-			X:        recorder.X,
+			Loss:     cell.trace.Loss,
+			Dist:     cell.trace.Dist,
+			X:        cell.trace.X,
 			Workload: wl,
 			Rounds:   scn.Rounds,
 		}

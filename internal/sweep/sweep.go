@@ -44,8 +44,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
+	"strconv"
 	"strings"
 	"time"
 
@@ -241,42 +240,48 @@ type Scenario struct {
 
 // Key returns the stable scenario identifier used for seeding, logging,
 // and deduplication.
-func (s Scenario) Key() string {
-	key := fmt.Sprintf("problem=%s filter=%s behavior=%s f=%d n=%d d=%d step=%s rounds=%d",
-		s.Problem, s.Filter, s.Behavior, s.F, s.N, s.Dim, s.Step, s.Rounds)
+func (s Scenario) Key() string { return string(s.appendKey(nil)) }
+
+// appendKey appends Key's bytes to dst: the eight axes every cell has, then
+// each optional axis only when it is set, so the keys (and the seeds derived
+// from them) of cells that predate an axis stay byte for byte what they were.
+func (s Scenario) appendKey(dst []byte) []byte {
+	dst = append(append(dst, "problem="...), s.Problem...)
+	dst = append(append(dst, " filter="...), s.Filter...)
+	dst = append(append(dst, " behavior="...), s.Behavior...)
+	dst = strconv.AppendInt(append(dst, " f="...), int64(s.F), 10)
+	dst = strconv.AppendInt(append(dst, " n="...), int64(s.N), 10)
+	dst = strconv.AppendInt(append(dst, " d="...), int64(s.Dim), 10)
+	dst = append(append(dst, " step="...), s.Step...)
+	dst = strconv.AppendInt(append(dst, " rounds="...), int64(s.Rounds), 10)
 	if s.Baseline {
-		// Appended only when set so pre-baseline scenario keys (and the
-		// seeds derived from them) stay stable.
-		key += " baseline=true"
+		dst = append(dst, " baseline=true"...)
 	}
 	if s.Async != "" {
-		// Same stability rule as the baseline axis: synchronous cells keep
-		// their pre-async keys, seeds, and golden exports byte for byte.
-		key += " async=" + s.Async
+		dst = append(append(dst, " async="...), s.Async...)
 	}
 	if s.SketchDim != 0 {
-		// Same stability rule again: default-dimension cells (and every
-		// non-sketchable filter) keep their pre-sketch keys and seeds.
-		key += fmt.Sprintf(" sketch=%d", s.SketchDim)
+		dst = strconv.AppendInt(append(dst, " sketch="...), int64(s.SketchDim), 10)
 	}
 	if s.Chaos != "" {
-		// Same stability rule: no-fault cells keep their pre-chaos keys,
-		// seeds, and golden exports byte for byte.
-		key += " chaos=" + s.Chaos
+		dst = append(append(dst, " chaos="...), s.Chaos...)
 	}
-	return key
+	return dst
 }
 
-// DeriveSeed hashes the scenario key together with the base seed. The
-// result feeds every random draw of the scenario (behavior streams), so
-// replay needs nothing but the Spec.
+// DeriveSeed hashes the scenario key together with the base seed: 64-bit
+// FNV-1a over Key's bytes followed by the base seed's eight little-endian
+// bytes. The result feeds every random draw of the scenario (behavior
+// streams), so replay needs nothing but the Spec. The bytes are built in a
+// stack buffer and hashed in place, so a seed allocates nothing unless the
+// key outgrows the buffer.
 func (s Scenario) DeriveSeed(base int64) int64 {
-	h := fnv.New64a()
-	io.WriteString(h, s.Key())
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(base))
-	h.Write(b[:])
-	return int64(h.Sum64())
+	var buf [256]byte
+	h := uint64(14695981039346656037) // FNV-1a's 64-bit offset basis
+	for _, c := range binary.LittleEndian.AppendUint64(s.appendKey(buf[:0]), uint64(base)) {
+		h = (h ^ uint64(c)) * 1099511628211 // FNV's 64-bit prime
+	}
+	return int64(h)
 }
 
 // job pairs a scenario with its (non-serializable) step schedule and its
@@ -478,6 +483,10 @@ func expand(spec *Spec) ([]job, error) {
 	if err := validateSpec(spec); err != nil {
 		return nil, err
 	}
+	// Each axis value's name is formatted once, not once per cell.
+	stepNames := axisNames(spec.Steps, dgd.StepSchedule.Name)
+	asyncNames := axisNames(spec.Asyncs, AsyncSpec.String)
+	chaosNames := axisNames(spec.Chaoses, ChaosSpec.String)
 	var jobs []job
 	for _, filter := range spec.Filters {
 		sketchDims := spec.SketchDims
@@ -500,10 +509,10 @@ func expand(spec *Spec) ([]job, error) {
 				for _, behavior := range behaviors {
 					for _, n := range spec.NValues {
 						for _, d := range spec.Dims {
-							for _, steps := range spec.Steps {
-								for _, async := range spec.Asyncs {
+							for si, steps := range spec.Steps {
+								for ai, async := range spec.Asyncs {
 									for _, sk := range sketchDims {
-										for _, cs := range spec.Chaoses {
+										for ci, cs := range spec.Chaoses {
 											jobs = append(jobs, job{
 												scn: Scenario{
 													Problem:   spec.Problem,
@@ -512,12 +521,12 @@ func expand(spec *Spec) ([]job, error) {
 													F:         f,
 													N:         n,
 													Dim:       d,
-													Step:      steps.Name(),
+													Step:      stepNames[si],
 													Rounds:    spec.Rounds,
 													Baseline:  baseline,
-													Async:     async.String(),
+													Async:     asyncNames[ai],
 													SketchDim: sk,
-													Chaos:     cs.String(),
+													Chaos:     chaosNames[ci],
 												},
 												steps: steps,
 												async: async,
@@ -546,6 +555,15 @@ func expand(spec *Spec) ([]job, error) {
 		jobs = jobs[lo:hi]
 	}
 	return jobs, nil
+}
+
+// axisNames returns name(v) for every value of one grid axis, in order.
+func axisNames[T any](values []T, name func(T) string) []string {
+	names := make([]string, len(values))
+	for i, v := range values {
+		names[i] = name(v)
+	}
+	return names
 }
 
 // Scenarios returns the expanded grid without running it, in grid order

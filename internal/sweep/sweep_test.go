@@ -2,9 +2,13 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"io"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -94,6 +98,57 @@ func TestDeriveSeedIsStableAndDistinct(t *testing.T) {
 	if a.DeriveSeed(7) == a.DeriveSeed(8) {
 		t.Error("base seed ignored")
 	}
+}
+
+// TestDeriveSeedIsFNVOfKey: DeriveSeed is 64-bit FNV-1a over Key() and then
+// the base seed's little-endian bytes — hash/fnv below is the reference — on
+// randomized scenarios that carry each optional key suffix (baseline, async,
+// sketch, chaos) in every combination, and a seed allocates nothing.
+func TestDeriveSeedIsFNVOfKey(t *testing.T) {
+	reference := func(s Scenario, base int64) int64 {
+		h := fnv.New64a()
+		io.WriteString(h, s.Key())
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(base))
+		h.Write(b[:])
+		return int64(h.Sum64())
+	}
+	r := rand.New(rand.NewSource(1))
+	pick := func(opts ...string) string { return opts[r.Intn(len(opts))] }
+	num := func() int { return r.Intn(2001) - 1000 }
+	var sink int64
+	for i := 0; i < 512; i++ {
+		s := Scenario{
+			Problem:  pick(ProblemPaper, ProblemSynthetic, "learning-mlp", ""),
+			Filter:   pick("cge", "cwtm", "krum-sketch", "multikrum"),
+			Behavior: pick("gradient-reverse", "alie", BehaviorNone, "random"),
+			F:        num(), N: num(), Dim: num(),
+			Step:   pick("diminishing-1.5-1", "constant-0.01", ""),
+			Rounds: num(),
+		}
+		// Bits 0-3 of i switch the four optional suffixes on and off.
+		s.Baseline = i&1 != 0
+		if i&2 != 0 {
+			s.Async = pick("fixed:0:wait-all:drop", "uniform:1:0.5:quorum:5:reuse:3")
+		}
+		if i&4 != 0 {
+			s.SketchDim = num()
+		}
+		if i&8 != 0 {
+			s.Chaos = pick("omit:0.1", "crash:0.05+omit:0.2+retry:3:2")
+		}
+		base := r.Int63() - r.Int63()
+		if got, want := s.DeriveSeed(base), reference(s, base); got != want {
+			t.Fatalf("%q at base %d: DeriveSeed %d, FNV-1a %d", s.Key(), base, got, want)
+		}
+		if raceEnabled {
+			continue // exact allocation counts do not repeat under the race detector
+		}
+		if allocs := testing.AllocsPerRun(5, func() { sink = s.DeriveSeed(base) }); allocs != 0 {
+			t.Fatalf("%q: DeriveSeed allocates %v times, want 0", s.Key(), allocs)
+		}
+	}
+	_ = sink
 }
 
 // TestRunDeterministicAcrossWorkers is the engine's core guarantee: the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -54,7 +55,7 @@ func TestChannelRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(g, []float64{2, -4}, 0) {
+	if !approxEqual(g, []float64{2, -4}, 0) {
 		t.Fatalf("gradient = %v", g)
 	}
 }
@@ -80,7 +81,7 @@ func TestChannelEstimateIsCopied(t *testing.T) {
 	if _, err := conn.RequestGradient(context.Background(), 0, estimate); err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.Equal(estimate, []float64{1, 2, 3}, 0) {
+	if !approxEqual(estimate, []float64{1, 2, 3}, 0) {
 		t.Errorf("server-side estimate mutated: %v", estimate)
 	}
 }
@@ -211,7 +212,7 @@ func TestTCPRoundTrip(t *testing.T) {
 				t.Fatalf("agent %d round %d: %v", id, round, err)
 			}
 			want := float64(id + 1)
-			if !vecmath.Equal(g, []float64{want, want}, 0) {
+			if !approxEqual(g, []float64{want, want}, 0) {
 				t.Fatalf("agent %d gradient = %v", id, g)
 			}
 		}
@@ -574,3 +575,17 @@ type timeoutError struct{}
 func (timeoutError) Error() string   { return "timeout" }
 func (timeoutError) Timeout() bool   { return true }
 func (timeoutError) Temporary() bool { return true }
+
+// approxEqual reports whether a and b have the same length and agree entry
+// by entry within absolute tolerance tol.
+func approxEqual(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol {
+			return false
+		}
+	}
+	return true
+}

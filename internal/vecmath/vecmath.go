@@ -41,18 +41,6 @@ func Ones(d int) []float64 {
 	return out
 }
 
-// Add returns a + b.
-func Add(a, b []float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("add %d vs %d: %w", len(a), len(b), ErrDimensionMismatch)
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out, nil
-}
-
 // Sub returns a - b.
 func Sub(a, b []float64) ([]float64, error) {
 	if len(a) != len(b) {
@@ -256,20 +244,6 @@ func SubInto(dst, a, b []float64) error {
 	return nil
 }
 
-// Equal reports whether a and b have the same dimension and agree entry-wise
-// within absolute tolerance tol.
-func Equal(a, b []float64, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // IsFinite reports whether every entry of v is neither NaN nor infinite.
 func IsFinite(v []float64) bool {
 	for _, x := range v {
@@ -323,19 +297,6 @@ func NewCube(d int, r float64) (*Box, error) {
 
 // Dim returns the dimension of the box.
 func (b *Box) Dim() int { return len(b.lo) }
-
-// Contains reports whether x lies inside the box (inclusive).
-func (b *Box) Contains(x []float64) bool {
-	if len(x) != len(b.lo) {
-		return false
-	}
-	for i := range x {
-		if x[i] < b.lo[i] || x[i] > b.hi[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // Project returns the Euclidean projection of x onto the box, clamping each
 // coordinate into [lo[i], hi[i]]. For an axis-aligned box the coordinate-wise
