@@ -149,7 +149,7 @@
 //
 // The deeper machinery (matrix solvers, transports, the EIG broadcast
 // protocol behind P2PBackend, experiment drivers) lives in internal
-// packages; the runnable programs under examples/ and cmd/ show them in
+// packages; the programs under cmd/ and the package examples show them in
 // action.
 package byzopt
 
@@ -624,8 +624,8 @@ func LookupProblem(name string) (Problem, error) { return sweep.LookupProblem(na
 // seeds — they are pure functions of the trace — so adding one to a sweep
 // never perturbs its results. The built-ins are the REDGRAF
 // convergence-geometry metrics (TraceMetricConvergenceRate,
-// TraceMetricConvergenceRadius, TraceMetricConsensusDiameter) and
-// "test_accuracy" for problems exposing that task metric.
+// TraceMetricConvergenceRadius, TraceMetricConsensusDiameter), "agreement"
+// for the approximate filters and "test_accuracy" for task-metric problems.
 type TraceMetric = sweep.TraceMetric
 
 // TraceMetricInput is the recorded material a TraceMetric evaluates: the

@@ -3,9 +3,10 @@
 // fault grid are summary sweeps, Figures 2-3 are RecordTrace sweeps over
 // the paper instance plus the fault-free Baseline-axis scenario,
 // Figures 4-5 are learning-problem sweeps (per-round test accuracy rides in
-// the trace), and the Section-5 SVM remark is a sweep of the registered
-// "svm" problem. Table 1 and the figures are Specs and layouts of
-// internal/experiments; the grid, stepsweep and svm Specs are here.
+// the trace), the Section-5 SVM remark is a sweep of the registered "svm"
+// problem, and the exact-vs-approximate filter comparison is a sweep with the
+// agreement trace metric. Table 1 and the figures are Specs and layouts of
+// internal/experiments; the grid, stepsweep, svm and approx Specs are here.
 //
 // Usage:
 //
@@ -14,12 +15,13 @@
 //	abft-bench -exp fig2 -rounds 1500 -csv fig2 -workers 8
 //	abft-bench -exp fig4 -rounds 1000 -csv fig4
 //	abft-bench -exp appj
+//	abft-bench -exp approx -json approx.json
 //	abft-bench -exp all
 //	abft-bench -exp grid -workers 1 -cpuprofile cpu.prof -memprofile heap.prof
 //
 // With -csv PREFIX the full series are written to PREFIX-<exp>-<fault>.csv
 // (PREFIX-<exp>.csv for the learning figures); summaries always go to stdout.
-// -json PATH exports the grid or stepsweep results; under -exp all, where both
+// -json PATH exports the grid, stepsweep or approx results; under -exp all, where both
 // export, each writes PATH with -<exp> before the extension.
 //
 // The sweeps here run on the in-process engine; abft-sweep exposes the same
@@ -55,11 +57,11 @@ func main() {
 
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("abft-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: table1, grid, stepsweep, fig2, fig3, fig4, fig5, svm, appj, all")
+	exp := fs.String("exp", "all", "experiment: table1, grid, stepsweep, fig2, fig3, fig4, fig5, svm, approx, appj, all")
 	rounds := fs.Int("rounds", 0, "override iteration count (0 = paper default)")
 	csvPrefix := fs.String("csv", "", "write full series to CSV files with this prefix")
 	workers := fs.Int("workers", 0, "sweep worker pool for grid experiments (0 = GOMAXPROCS)")
-	jsonPath := fs.String("json", "", "write grid/stepsweep results JSON to this file (-exp all: one file per experiment, -<exp> before the extension)")
+	jsonPath := fs.String("json", "", "write grid/stepsweep/approx results JSON to this file (-exp all: one file per experiment, -<exp> before the extension)")
 	etas := fs.String("etas", "0.005,0.02,0.05", "constant step sizes for the stepsweep experiment")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -105,6 +107,8 @@ func run(args []string) (err error) {
 			return runLearn(name, *rounds, *csvPrefix)
 		case "svm":
 			return runSVM(*rounds)
+		case "approx":
+			return runApprox(*rounds, *workers, jsonFor(name))
 		case "appj":
 			return runAppendixJ()
 		default:
@@ -113,7 +117,7 @@ func run(args []string) (err error) {
 	}
 
 	if *exp == "all" {
-		for _, name := range []string{"appj", "table1", "grid", "stepsweep", "fig2", "fig3", "fig4", "fig5", "svm"} {
+		for _, name := range []string{"appj", "table1", "grid", "stepsweep", "fig2", "fig3", "fig4", "fig5", "svm", "approx"} {
 			fmt.Printf("==== %s ====\n", name)
 			if err := runOne(name); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
@@ -314,6 +318,47 @@ func runSVM(rounds int) error {
 		}
 	}
 	return nil
+}
+
+// approxSpec is the exact-vs-approximate filter comparison: Krum,
+// MultiKrum (M = 3) and Bulyan beside their sketched and sampled variants at
+// k, m ∈ {16, 64}, on one synthetic least-squares instance with n − f ≥ d so
+// that x_H is unique, against five gradient reversers. Every approximate
+// cell scores each round's selection against its exact twin on the same
+// input (the agreement trace metric); the exact cells carry no such score.
+// rounds 0 takes 60.
+func approxSpec(rounds, workers int) sweep.Spec {
+	if rounds == 0 {
+		rounds = 60
+	}
+	return sweep.Spec{
+		Problem: sweep.ProblemSynthetic,
+		Filters: []string{
+			"krum", "krum-sketch", "krum-sampled",
+			"multikrum-3", "multikrum-sketch-3", "multikrum-sampled-3",
+			"bulyan", "bulyan-sketch", "bulyan-sampled",
+		},
+		Behaviors:    []string{"gradient-reverse"},
+		FValues:      []int{5},
+		NValues:      []int{100},
+		Dims:         []int{80},
+		Steps:        []dgd.StepSchedule{dgd.Constant{Eta: 0.1}},
+		SketchDims:   []int{16, 64},
+		Rounds:       rounds,
+		Workers:      workers,
+		TraceMetrics: []string{sweep.TraceMetricAgreement},
+	}
+}
+
+// runApprox prints the approx comparison's grid, whose AGREEMENT column is
+// the selection agreement and whose LOSS column compares the final honest
+// cost of each filter's own trajectory.
+func runApprox(rounds, workers int, jsonPath string) error {
+	results, err := sweep.Run(approxSpec(rounds, workers))
+	if err != nil {
+		return err
+	}
+	return printGrid(results, jsonPath)
 }
 
 func runAppendixJ() error {

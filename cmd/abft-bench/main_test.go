@@ -118,14 +118,35 @@ func TestRunSVMDefaultRounds(t *testing.T) {
 	}
 }
 
-// TestRunAllKeepsBothExports: grid and stepsweep both export under -exp all,
-// each to its own file; one path for both used to leave only the second.
+// TestApproxMatchesGolden: -exp approx at four sweep workers exports the
+// committed testdata/approx.json, written at one worker, byte for byte.
+func TestApproxMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the approx grid (n = 100, d = 80, 15 cells of 60 rounds) takes a few seconds")
+	}
+	path := filepath.Join(t.TempDir(), "approx.json")
+	stdoutOf(t, "-exp", "approx", "-workers", "4", "-json", path)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "approx.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("-exp approx export differs from testdata/approx.json (%d bytes, want %d); if the change is meant, regenerate it with `go run ./cmd/abft-bench -exp approx -workers 1 -json cmd/abft-bench/testdata/approx.json` and say so in CHANGES.md", len(got), len(want))
+	}
+}
+
+// TestRunAllKeepsBothExports: grid, stepsweep and approx each export under
+// -exp all to their own file; one path for all used to leave only the last.
 func TestRunAllKeepsBothExports(t *testing.T) {
 	dir := t.TempDir()
 	if err := run([]string{"-exp", "all", "-rounds", "5", "-json", filepath.Join(dir, "out.json")}); err != nil {
 		t.Fatal(err)
 	}
-	for _, exp := range []string{"grid", "stepsweep"} {
+	for _, exp := range []string{"grid", "stepsweep", "approx"} {
 		results, err := sweep.ReadJSONFile(filepath.Join(dir, "out-"+exp+".json"))
 		if err != nil {
 			t.Fatalf("%s export: %v", exp, err)

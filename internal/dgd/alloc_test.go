@@ -123,22 +123,32 @@ func TestSteadyStateAllocs(t *testing.T) {
 	// scratch, which must stay in the reused buffers. The named behaviors are
 	// the paper grid's: two Byzantine agents report through them, their true
 	// gradient and its rewrite both landing in the agents' arena rows.
+	// A FilterObserver that allocates nothing keeps the round at zero: the
+	// face costs the kernel one call.
 	cases := []struct {
 		filter   aggregate.Filter
 		behavior string
+		observer *filterCalls
 	}{
-		{aggregate.CWTM{}, ""}, {&aggregate.SDMMFD{}, ""},
-		{aggregate.CWTM{}, "gradient-reverse"}, {aggregate.CWTM{}, "random"},
-		{aggregate.CWTM{}, "ipm"}, {aggregate.CWTM{}, "alie"},
+		{aggregate.CWTM{}, "", nil}, {&aggregate.SDMMFD{}, "", nil},
+		{aggregate.CWTM{}, "gradient-reverse", nil}, {aggregate.CWTM{}, "random", nil},
+		{aggregate.CWTM{}, "ipm", nil}, {aggregate.CWTM{}, "alie", nil},
+		{aggregate.CWTM{}, "gradient-reverse", &filterCalls{}},
 	}
 	for _, tc := range cases {
 		name := tc.filter.Name()
 		if tc.behavior != "" {
 			name += "/" + tc.behavior
 		}
+		if tc.observer != nil {
+			name += "/filter-observer"
+		}
 		t.Run(name, func(t *testing.T) {
 			cfg := allocConfig(t, 10, 16, 1)
 			cfg.Filter = tc.filter
+			if tc.observer != nil {
+				cfg.Observer = tc.observer
+			}
 			if tc.behavior != "" {
 				behavior, err := byzantine.New(tc.behavior, 7)
 				if err != nil {
@@ -192,8 +202,21 @@ func TestSteadyStateAllocs(t *testing.T) {
 			if allocs := testing.AllocsPerRun(100, apply); allocs > 0 {
 				t.Fatalf("Round.Apply allocates: %.2f allocs/round", allocs)
 			}
+			if tc.observer != nil && tc.observer.calls < next {
+				t.Fatalf("the filter observer saw %d of at least %d filter calls", tc.observer.calls, next)
+			}
 		})
 	}
+}
+
+// filterCalls is a FilterObserver that counts calls and allocates nothing.
+type filterCalls struct{ calls int }
+
+func (o *filterCalls) ObserveRound(int, []float64, float64, float64) error { return nil }
+
+func (o *filterCalls) ObserveFilter(int, int, [][]float64, []float64) error {
+	o.calls++
+	return nil
 }
 
 // TestLegacyPathStillAllocates documents the fallback: stripping the Into

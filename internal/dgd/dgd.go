@@ -359,7 +359,10 @@ type Config struct {
 	// Observer, when non-nil, observes every estimate x_t for t = 0..T
 	// together with the tracked loss and distance values. All Backend
 	// implementations honor it, so instrumentation written against the
-	// in-process engine works unchanged over the cluster stack.
+	// in-process engine works unchanged over the cluster stack. The kernel
+	// checks it once per run for three optional faces: AsyncObserver and
+	// ChaosObserver (the overlay's per-round stats) and FilterObserver (each
+	// filter call's input and output).
 	Observer RoundObserver
 
 	// Async, when non-nil, switches the round loop from lockstep-synchronous
@@ -416,6 +419,19 @@ type ObserverFunc func(t int, x []float64, loss, dist float64) error
 // ObserveRound implements RoundObserver.
 func (f ObserverFunc) ObserveRound(t int, x []float64, loss, dist float64) error {
 	return f(t, x, loss, dist)
+}
+
+// FilterObserver is an optional RoundObserver extension that sees every
+// filter call of a run. The kernel detects it by type assertion on
+// Config.Observer once per run; an observer without the face costs the
+// round nothing.
+type FilterObserver interface {
+	// ObserveFilter is called right after round t's filter call and before
+	// the step, with the rows and fault budget f the filter saw (after the
+	// async/chaos overlay) and its output. A round that loses every report
+	// calls no filter and so no observer. Neither input nor out may be
+	// retained or mutated. Returning an error aborts the run.
+	ObserveFilter(t, f int, input [][]float64, out []float64) error
 }
 
 // TraceRecorder is a RoundObserver recording the full per-round series —

@@ -28,10 +28,11 @@ type Round struct {
 	scratch aggregate.Scratch
 	trace   Trace
 
-	overlay  *AsyncState
-	asyncObs AsyncObserver
-	chaosObs ChaosObserver
-	faults   chaos.Counters
+	overlay   *AsyncState
+	asyncObs  AsyncObserver
+	chaosObs  ChaosObserver
+	filterObs FilterObserver
+	faults    chaos.Counters
 }
 
 // asInto adapts a filter without the Into face, so the kernel has a single
@@ -121,6 +122,7 @@ func NewRound(cfg Config, n int) (*Round, error) {
 		r.filter = asInto{cfg.Filter}
 	}
 	r.keyed, _ = cfg.Filter.(aggregate.RoundKeyed)
+	r.filterObs, _ = cfg.Observer.(FilterObserver)
 	if cfg.TrackLoss != nil {
 		r.trace.Loss = make([]float64, 0, cfg.Rounds+1)
 	}
@@ -245,6 +247,11 @@ func (r *Round) Apply(t, f int, reports [][]float64) error {
 			return fmt.Errorf("filter %s at round %d: %v: %w", r.cfg.Filter.Name(), t, err, ErrDiverged)
 		}
 		return fmt.Errorf("filter %s at round %d: %w", r.cfg.Filter.Name(), t, err)
+	}
+	if r.filterObs != nil {
+		if err := r.filterObs.ObserveFilter(t, f, input, r.dir); err != nil {
+			return fmt.Errorf("observer at round %d: %w", t, err)
+		}
 	}
 	eta := r.cfg.Steps.At(t)
 	if eta <= 0 {

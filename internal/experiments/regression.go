@@ -1,8 +1,8 @@
 // Package experiments holds the paper's evaluation (Section 5 and Appendices
 // J-K) as sweep Specs plus the renderers that lay their results out as the
-// paper's tables and figures. Every table and figure below except
-// ApproxComparison is a grid the sweep engine (internal/sweep) executes, on
-// any of its substrates; nothing else here runs the algorithm.
+// paper's tables and figures. Every table and figure below is a grid the
+// sweep engine (internal/sweep) executes, on any of its substrates; nothing
+// here runs the algorithm.
 //
 // Experiment index:
 //
@@ -11,8 +11,6 @@
 //	Figure4          — learning loss/accuracy on dataset A (MNIST stand-in)
 //	Figure5          — learning loss/accuracy on dataset B (Fashion stand-in)
 //	AppendixJ        — the instance constants ε, x_H, µ, γ and theorem bounds
-//	ApproxComparison — exact vs sketched filters (the one driver with a round
-//	                   loop of its own; see approx.go for why)
 //
 // The Section-5 SVM remark is the registered sweep problem "svm" and the
 // chaos soak is abft-sweep's -chaos axis; abft-bench renders the former.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -346,6 +347,60 @@ func (m *metricRecorder) ObserveRound(t int, x []float64, loss, dist float64) er
 	return nil
 }
 
+// agreementRecorder scores every filter call of a run against the cell
+// filter's exact twin and records the running agreeing share, one entry per
+// estimate x_t, like the loss series.
+type agreementRecorder struct {
+	twin          aggregate.IntoFilter
+	out           []float64
+	scratch       aggregate.Scratch
+	calls, agreed int
+	series        []float64
+}
+
+// newAgreementRecorder returns the recorder of a cell over n agents in
+// dimension d, or nil when the cell's filter has no exact twin. The twin is
+// a fresh instance of the cell's own registered filter with its
+// approximation switched off — a projection of k ≥ d, a sample of
+// m ≥ n−1 — which TestSketchIdentityParity and TestSampledFullParity pin bit
+// for bit to the exact filter.
+func newAgreementRecorder(filter string, n, d, rounds int, seed int64) *agreementRecorder {
+	fl, err := aggregate.New(filter)
+	sc, configurable := fl.(aggregate.SketchConfigurable)
+	twin, into := fl.(aggregate.IntoFilter)
+	if err != nil || !configurable || !into {
+		return nil
+	}
+	sc.ConfigureSketch(max(d, n-1), seed)
+	return &agreementRecorder{twin: twin, out: make([]float64, d), series: make([]float64, 0, rounds+1)}
+}
+
+// ObserveRound implements dgd.RoundObserver: the share over the calls before
+// round t, 1 before the first.
+func (a *agreementRecorder) ObserveRound(int, []float64, float64, float64) error {
+	share := 1.0
+	if a.calls > 0 {
+		share = float64(a.agreed) / float64(a.calls)
+	}
+	a.series = append(a.series, share)
+	return nil
+}
+
+// ObserveFilter implements dgd.FilterObserver.
+func (a *agreementRecorder) ObserveFilter(t, f int, input [][]float64, out []float64) error {
+	if err := a.twin.AggregateInto(a.out, input, f, &a.scratch); err != nil {
+		return fmt.Errorf("exact twin %s at round %d: %w", a.twin.Name(), t, err)
+	}
+	a.calls++
+	for i, v := range out {
+		if math.Float64bits(v) != math.Float64bits(a.out[i]) && !(v == 0 && a.out[i] == 0) {
+			return nil
+		}
+	}
+	a.agreed++
+	return nil
+}
+
 // cellRecorder is every cell's first observer. At each estimate x_t it
 // evaluates the honest loss Q_H(x_t) and the distance ||x_t - x_H|| — the
 // calls dgd.Round.Record makes for Config.TrackLoss and Config.Reference,
@@ -428,6 +483,14 @@ func (m multiObserver) ObserveChaosRound(stats dgd.ChaosRoundStats) error {
 		}
 	}
 	return nil
+}
+
+// withFilterFace adds the dgd.FilterObserver face to a run's observers. Only
+// a cell that requests agreement is given it, so no other cell's kernel
+// calls out after its filter.
+type withFilterFace struct {
+	multiObserver
+	dgd.FilterObserver
 }
 
 // runScenario executes one grid point end to end through the backend.
@@ -557,9 +620,19 @@ func runScenario(ctx context.Context, spec *Spec, backend dgd.Backend, jb job, e
 		chaosStats = &chaosStatsRecorder{}
 		others = append(others, chaosStats)
 	}
+	var agree *agreementRecorder
+	if slices.Contains(spec.TraceMetrics, TraceMetricAgreement) {
+		if agree = newAgreementRecorder(scn.Filter, len(agents), len(wl.X0), scn.Rounds, res.Seed); agree != nil {
+			others = append(others, agree)
+		}
+	}
 	var observer dgd.RoundObserver = cell
 	if len(others) > 0 {
-		observer = append(multiObserver{cell}, others...)
+		observers := append(multiObserver{cell}, others...)
+		observer = observers
+		if agree != nil {
+			observer = withFilterFace{observers, agree}
+		}
 	}
 	cfg := dgd.Config{
 		Agents:   agents,
@@ -633,6 +706,9 @@ func runScenario(ctx context.Context, spec *Spec, backend dgd.Backend, jb job, e
 		}
 		if metrics != nil {
 			in.task = metrics.series
+		}
+		if agree != nil && agree.calls > 0 {
+			in.agreement = agree.series
 		}
 		for _, name := range spec.TraceMetrics {
 			m, ok := LookupTraceMetric(name)

@@ -121,27 +121,41 @@ func TestWireSpecSketchDims(t *testing.T) {
 
 // TestBackendParityApproxFilters extends the cross-substrate byte-parity
 // guarantee to the approximate filters with the approximation genuinely
-// engaged (d = 32 against a dimension-8 sketch and an 8-pair sample): the
+// engaged (d = 32 against a dimension-8 sketch and an 8-pair sample, with
+// n − f ≥ d so that no cell is skipped as underdetermined): the
 // counter-mode draws are keyed only on (seed, round), so in-process,
 // cluster, and p2p runs — and any scenario worker-pool size — must export
-// byte-identical JSON.
+// byte-identical JSON, the agreement metric that scores each call against
+// the exact twin included.
 func TestBackendParityApproxFilters(t *testing.T) {
 	base := Spec{
-		Filters:     []string{"krum-sketch", "bulyan-sketch", "krum-sampled"},
-		Behaviors:   []string{"gradient-reverse", "random"},
-		FValues:     []int{1},
-		NValues:     []int{12},
-		Dims:        []int{32},
-		SketchDims:  []int{8},
-		Rounds:      30,
-		RecordTrace: true,
+		Filters:      []string{"krum-sketch", "bulyan-sketch", "krum-sampled"},
+		Behaviors:    []string{"gradient-reverse", "random"},
+		FValues:      []int{1},
+		NValues:      []int{40},
+		Dims:         []int{32},
+		SketchDims:   []int{8},
+		Rounds:       30,
+		RecordTrace:  true,
+		TraceMetrics: []string{TraceMetricAgreement},
+	}
+	results, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if _, ok := r.TraceMetrics[TraceMetricAgreement]; r.Status() != "ok" || !ok {
+			t.Fatalf("cell %s: %s %s, agreement exported %v", r.Key(), r.Status(), r.Err, ok)
+		}
 	}
 	inProcess := encodeSweep(t, base)
 
-	pool1 := base
-	pool1.Workers = 1
-	if got := encodeSweep(t, pool1); !bytes.Equal(got, inProcess) {
-		t.Error("single-worker pool JSON differs from default pool for approximate filters")
+	for _, workers := range []int{1, 4} {
+		pool := base
+		pool.Workers = workers
+		if got := encodeSweep(t, pool); !bytes.Equal(got, inProcess) {
+			t.Errorf("%d-worker pool JSON differs from default pool for approximate filters", workers)
+		}
 	}
 	for name, backend := range map[string]dgd.Backend{
 		"cluster": &cluster.Backend{},

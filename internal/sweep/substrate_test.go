@@ -9,6 +9,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -214,5 +215,74 @@ func TestSubstrateErrorParity(t *testing.T) {
 				t.Errorf("%s on %s: got %q, in-process says %q", tc.name, name, got, err)
 			}
 		}
+	}
+}
+
+// meanWitness is a dgd.FilterObserver that recomputes the mean of each
+// filter call's input and holds the call's output to it bit for bit. Its
+// async face records which rounds the overlay left an input, stale rows
+// included.
+type meanWitness struct {
+	fed, called map[int]bool
+	stale       int // calls whose input holds a reused stale row
+}
+
+func (w *meanWitness) ObserveRound(int, []float64, float64, float64) error { return nil }
+
+func (w *meanWitness) ObserveAsyncRound(s dgd.AsyncRoundStats) error {
+	if s.Arrived+s.Reused > 0 {
+		w.fed[s.Round] = true
+	}
+	if s.Reused > 0 {
+		w.stale++
+	}
+	return nil
+}
+
+func (w *meanWitness) ObserveFilter(t, f int, input [][]float64, out []float64) error {
+	want, err := aggregate.Mean{}.Aggregate(input, f)
+	if err != nil {
+		return err
+	}
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(out[i]) {
+			return fmt.Errorf("round %d: filter output %v, mean of its input %v", t, out, want)
+		}
+	}
+	w.called[t] = true
+	return nil
+}
+
+// TestFilterObserverSeesTheFilterInput: on every substrate the kernel hands
+// its filter face the rows the filter saw and what the filter returned, in
+// each round the async/chaos overlay leaves an input (stale rows reused in
+// some) and in no other (every round after the last agent crashed).
+func TestFilterObserverSeesTheFilterInput(t *testing.T) {
+	const rounds = 200
+	for name, backend := range map[string]dgd.Backend{
+		"in-process": dgd.InProcess{},
+		"cluster":    &cluster.Backend{},
+		"p2p":        p2p.Backend{},
+	} {
+		cfg, _ := substrateConfig(t)
+		w := &meanWitness{fed: map[int]bool{}, called: map[int]bool{}}
+		cfg.Filter, cfg.Rounds, cfg.Observer = aggregate.Mean{}, rounds, w
+		cfg.Async = &dgd.AsyncConfig{Stale: dgd.StaleReuse, MaxStale: 1}
+		cfg.Chaos = &chaos.Plan{Seed: 3, OmitRate: 0.6, CrashRate: 1, CrashWindow: rounds}
+		if _, err := backend.Run(context.Background(), cfg); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(w.called) != len(w.fed) {
+			t.Errorf("%s: %d filter calls observed in %d fed rounds", name, len(w.called), len(w.fed))
+		}
+		for r := range w.fed {
+			if !w.called[r] {
+				t.Errorf("%s: round %d fed the filter but was not observed", name, r)
+			}
+		}
+		if len(w.fed) == rounds || w.stale == 0 {
+			t.Errorf("%s: %d of %d rounds lost, %d with stale rows; want some of each", name, rounds-len(w.fed), rounds, w.stale)
+		}
+		t.Logf("%s: %d filter calls, %d of them with stale rows, %d rounds lost", name, len(w.called), w.stale, rounds-len(w.fed))
 	}
 }

@@ -35,6 +35,14 @@ const (
 	// per-coordinate bounding box of the estimates over the trailing
 	// quarter of the run (per-round: the same window ending at each t).
 	TraceMetricConsensusDiameter = "consensus_diameter"
+	// TraceMetricAgreement is the share of a run's filter calls at which the
+	// cell filter's exact twin, fed the same input and f, returned the
+	// bitwise-equal aggregate (+0 equals -0): how often an approximate filter
+	// (the -sketch and -sampled families) selected what its exact filter
+	// would have. The per-round series is the share over the calls before
+	// round t, 1 before the first. Cells whose filter has no exact twin skip
+	// it.
+	TraceMetricAgreement = "agreement"
 )
 
 // TraceInput is the recorded material a TraceMetric evaluates: the
@@ -57,6 +65,10 @@ type TraceInput struct {
 	// task is the series of the workload's Metric hook as the run recorded
 	// it (see metricRecorder); nil when the workload has none.
 	task []float64
+	// agreement is the series agreementRecorder recorded; nil when the cell
+	// did not request the metric, its filter has no exact twin, or no round
+	// called the filter.
+	agreement []float64
 }
 
 // TraceMetric is a named post-hoc metric over a recorded trace. Eval
@@ -146,6 +158,10 @@ func init() {
 	mustRegisterTraceMetric(TraceMetric{
 		Name: "test_accuracy",
 		Eval: traceTaskMetric("test_accuracy"),
+	})
+	mustRegisterTraceMetric(TraceMetric{
+		Name: TraceMetricAgreement,
+		Eval: agreement,
 	})
 }
 
@@ -281,6 +297,15 @@ func traceTaskMetric(name string) func(TraceInput) (float64, []float64, error) {
 		}
 		return in.task[len(in.task)-1], in.task, nil
 	}
+}
+
+// agreement implements TraceMetricAgreement: the series the cell's
+// agreementRecorder handed over.
+func agreement(in TraceInput) (float64, []float64, error) {
+	if len(in.agreement) == 0 {
+		return 0, nil, fmt.Errorf("agreement needs a filter with an exact twin and a round that called it: %w", ErrSpec)
+	}
+	return in.agreement[len(in.agreement)-1], in.agreement, nil
 }
 
 // finiteSeries reports whether every entry is JSON-exportable.
