@@ -33,10 +33,10 @@ func (temperature) Validate(spec *byzopt.SweepSpec) error {
 	return nil
 }
 
-// Key identifies which scenarios share one built instance: the readings
-// depend on the system size and the fault split, nothing else.
-func (temperature) Key(spec *byzopt.SweepSpec, scn byzopt.SweepScenario) string {
-	return fmt.Sprintf("temperature n=%d f=%d", scn.N, scn.F)
+// AppendKey identifies which scenarios share one built instance: the
+// readings depend on the system size and the fault split, nothing else.
+func (temperature) AppendKey(dst []byte, spec *byzopt.SweepSpec, scn byzopt.SweepScenario) []byte {
+	return fmt.Appendf(dst, "temperature n=%d f=%d", scn.N, scn.F)
 }
 
 // trueTemp is the reading every thermometer measures with noise.

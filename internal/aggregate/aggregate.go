@@ -554,10 +554,34 @@ func (bl Bulyan) AggregateInto(dst []float64, grads [][]float64, f int, s *Scrat
 	return bl.into(dst, grads, n, f, orFresh(s))
 }
 
+// into scores the shrinking candidate set from one distance table: filled
+// once by the pairwise pass over grads, then trimmed of each selected
+// candidate's row and column. The remaining rows keep their order and every
+// entry is the sum pairwiseDistSqInto computes for that pair, so each
+// iteration scores what krumScores would on the remaining rows, in O(r²)
+// instead of O(r²·d).
 func (Bulyan) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
-	return bulyanInto(dst, grads, n, f, s, func(remaining [][]float64) ([]float64, error) {
-		return krumScores(remaining, f, s)
+	return bulyanInto(dst, grads, n, f, s, func(remaining [][]float64, dropped int) ([]float64, error) {
+		if dropped < 0 {
+			d2 := s.distMatrix(len(remaining))
+			pairwiseDistSqInto(d2, remaining)
+			s.dists = append(s.dists[:0], d2...)
+		} else {
+			s.dists = dropCandidate(s.dists, dropped)
+		}
+		return scoreFromDists(s.dists, len(s.dists), f, s), nil
 	})
+}
+
+// dropCandidate removes row and column i of the square table d2 in place
+// and returns the smaller table: later rows move up one place and, in every
+// row, later entries move left one place.
+func dropCandidate(d2 [][]float64, i int) [][]float64 {
+	d2 = append(d2[:i], d2[i+1:]...)
+	for r, row := range d2 {
+		d2[r] = append(row[:i], row[i+1:]...)
+	}
+	return d2
 }
 
 // bulyanInto is the Bulyan skeleton — iterated Krum selection of theta =
@@ -565,8 +589,10 @@ func (Bulyan) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error
 // coordinate-wise median — parameterized over the scoring function so the
 // exact filter and its sketched/sampled variants share one selection and
 // trimming sequence. scores is called on the shrinking candidate table and
-// must return per-candidate Krum scores (lowest = best).
-func bulyanInto(dst []float64, grads [][]float64, n, f int, s *Scratch, scores func([][]float64) ([]float64, error)) error {
+// must return per-candidate Krum scores (lowest = best); dropped is the
+// position, in the table of the previous call, of the candidate selected
+// since (-1 on the first call).
+func bulyanInto(dst []float64, grads [][]float64, n, f int, s *Scratch, scores func(remaining [][]float64, dropped int) ([]float64, error)) error {
 	if n < 4*f+3 {
 		return fmt.Errorf("bulyan needs n >= 4f+3, got n=%d f=%d: %w", n, f, ErrTooManyFaults)
 	}
@@ -576,6 +602,7 @@ func bulyanInto(dst []float64, grads [][]float64, n, f int, s *Scratch, scores f
 	copy(remaining, grads)
 	s.heads2 = grow(s.heads2, theta)
 	selected := s.heads2[:0]
+	dropped := -1
 	for len(selected) < theta {
 		if len(remaining) < 2*f+3 {
 			// As gradients are removed the Krum condition tightens; fall
@@ -587,7 +614,7 @@ func bulyanInto(dst []float64, grads [][]float64, n, f int, s *Scratch, scores f
 			selected = append(selected, remaining[:theta-len(selected)]...)
 			break
 		}
-		sc, err := scores(remaining)
+		sc, err := scores(remaining, dropped)
 		if err != nil {
 			return err
 		}
@@ -596,6 +623,7 @@ func bulyanInto(dst []float64, grads [][]float64, n, f int, s *Scratch, scores f
 		// In-place removal: remaining owns its backing table (a scratch
 		// copy), so shifting left cannot clobber the caller's slice.
 		remaining = append(remaining[:best], remaining[best+1:]...)
+		dropped = best
 	}
 	// Trimmed mean of the beta values closest to the median, per coordinate.
 	// The column is sorted once (in scratch); the beta-window walk below then

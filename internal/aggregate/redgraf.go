@@ -12,9 +12,10 @@ package aggregate
 // Determinism contract: every stage is a deterministic function of the
 // inputs and the (seed, round) pair. The stateful families keep their
 // auxiliary center in the Scratch, content-keyed per (seed, round) exactly
-// like the PR-8 SRHT plans, so an aggregation chain only ever continues its
-// own trajectory: a Scratch recycled from a different scenario (different
-// seed) or an interrupted run (round gap) misses the cache and the center
+// like the PR-8 SRHT plans and tagged with the filter value that wrote it, so
+// an aggregation chain only ever continues its own trajectory: a Scratch
+// recycled from another filter value, a different scenario (different seed)
+// or an interrupted run (round gap) misses the cache and the center
 // re-initializes from the current gradients. Engines drive the chain by
 // calling SetRound before each round's aggregation and the sweep engine
 // hands each cell its per-scenario seed via ConfigureSeed — which is what
@@ -39,8 +40,9 @@ const (
 // state is content-keyed by a scenario seed. The sweep engine calls
 // ConfigureSeed with the per-scenario seed right after construction, the
 // same way SketchConfigurable filters receive theirs; library callers that
-// run several scenarios over one Scratch should do the same so the chains
-// stay disjoint. Seed 0 is valid (the default for direct library use).
+// run several scenarios through one filter value and one Scratch should do
+// the same so the chains stay disjoint. Seed 0 is valid (the default for
+// direct library use).
 type SeedConfigurable interface {
 	ConfigureSeed(seed int64)
 }
@@ -57,7 +59,7 @@ const auxStep = 0.5
 type AuxParams struct {
 	// Seed keys the auxiliary-state chain together with the round. Set it
 	// via ConfigureSeed (the sweep engine does) when several scenarios may
-	// share one Scratch.
+	// run through this filter value over one Scratch.
 	Seed int64
 
 	round  int
@@ -96,7 +98,7 @@ func (p *AuxParams) aggregate(fl IntoFilter, grads [][]float64, f int) ([]float6
 // committed under this round's key.
 func (p *AuxParams) auxCenterInto(dst []float64, grads [][]float64, n, f, domain int, s *Scratch, stage func(keep []int) error) error {
 	d := len(dst)
-	aux, ok := s.redgrafAux(d, auxKey(p.Seed, p.round-1, d, domain))
+	aux, ok := s.redgrafAux(d, p, auxKey(p.Seed, p.round-1, d, domain))
 	if p.round == 0 || !ok {
 		cwMedianInto(aux, grads, n, s)
 	}
@@ -106,7 +108,7 @@ func (p *AuxParams) auxCenterInto(dst []float64, grads [][]float64, n, f, domain
 	for j := range aux {
 		aux[j] += auxStep * (dst[j] - aux[j])
 	}
-	s.commitRedgrafAux(auxKey(p.Seed, p.round, d, domain))
+	s.commitRedgrafAux(p, auxKey(p.Seed, p.round, d, domain))
 	return nil
 }
 

@@ -39,6 +39,7 @@ type Scratch struct {
 
 	heads  [][]float64 // Bulyan's shrinking candidate table
 	heads2 [][]float64 // Bulyan's selected table
+	dists  [][]float64 // Bulyan's shrinking distance table: rows into distBuf
 
 	meansBuf []float64   // GeoMedianOfMeans bucket-mean arena
 	means    [][]float64 // rows into meansBuf
@@ -62,12 +63,13 @@ type Scratch struct {
 
 	// REDGRAF filter state: the d-sized auxiliary center the stateful
 	// filtering dynamics (SDMMFD, SDFD) carry between rounds — cached by
-	// content key like the SRHT plan, so a chain only ever continues its own
-	// (seed, round) trajectory — plus the surviving-index table of the
-	// distance-filtering stage.
+	// content key like the SRHT plan and by the filter value that wrote it
+	// (nil: no fill), so a chain only ever continues its own (seed, round)
+	// trajectory — plus the surviving-index table of the distance-filtering
+	// stage.
 	rgAux      []float64
 	rgAuxKey   uint64
-	rgAuxValid bool
+	rgAuxOwner *AuxParams
 	rgKeep     []int
 }
 
@@ -128,23 +130,27 @@ func (s *Scratch) sketchRowsBuf(n, k int) [][]float64 {
 }
 
 // redgrafAux returns the d-sized auxiliary-state buffer of the stateful
-// REDGRAF dynamics and whether it still holds the contents written under
+// REDGRAF dynamics and whether it still holds the contents owner wrote under
 // key (a hash of the filter's seed, the previous round, the dimension, and
-// the filter's domain tag; see auxKey). A dimension change invalidates the
-// cache; contents are unspecified on a miss.
-func (s *Scratch) redgrafAux(d int, key uint64) ([]float64, bool) {
+// the filter's domain tag; see auxKey). A fill by another filter value never
+// hits, whatever its key: the centre is a chain's trajectory, not a function
+// of the key, and two runs that share a Scratch and a seed (a sweep worker's
+// consecutive cells under Spec.PinBehaviorSeed) would otherwise continue each
+// other's chains across a round one of them lost. A dimension change
+// invalidates the cache; contents are unspecified on a miss.
+func (s *Scratch) redgrafAux(d int, owner *AuxParams, key uint64) ([]float64, bool) {
 	if len(s.rgAux) != d {
 		s.rgAux = grow(s.rgAux, d)
-		s.rgAuxValid = false
+		s.rgAuxOwner = nil
 	}
-	hit := s.rgAuxValid && s.rgAuxKey == key
+	hit := s.rgAuxOwner == owner && s.rgAuxKey == key
 	return s.rgAux, hit
 }
 
-// commitRedgrafAux records the content key of the auxiliary state a filter
-// just wrote into the buffer returned by redgrafAux.
-func (s *Scratch) commitRedgrafAux(key uint64) {
-	s.rgAuxKey, s.rgAuxValid = key, true
+// commitRedgrafAux records the filter value and the content key of the
+// auxiliary state it just wrote into the buffer returned by redgrafAux.
+func (s *Scratch) commitRedgrafAux(owner *AuxParams, key uint64) {
+	s.rgAuxKey, s.rgAuxOwner = key, owner
 }
 
 // meanRows returns a groups×d table of bucket-mean rows backed by one arena.

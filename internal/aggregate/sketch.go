@@ -355,7 +355,7 @@ func (bl *BulyanSketch) AggregateInto(dst []float64, grads [][]float64, f int, s
 		return err
 	}
 	sc := orFresh(s)
-	return bulyanInto(dst, grads, n, f, sc, func(remaining [][]float64) ([]float64, error) {
+	return bulyanInto(dst, grads, n, f, sc, func(remaining [][]float64, _ int) ([]float64, error) {
 		return bl.SketchParams.krumScores(remaining, f, sc)
 	})
 }
@@ -587,7 +587,7 @@ func (bl *BulyanSampled) AggregateInto(dst []float64, grads [][]float64, f int, 
 		return err
 	}
 	sc := orFresh(s)
-	return bulyanInto(dst, grads, n, f, sc, func(remaining [][]float64) ([]float64, error) {
+	return bulyanInto(dst, grads, n, f, sc, func(remaining [][]float64, _ int) ([]float64, error) {
 		return bl.SampleParams.krumScores(remaining, f, sc)
 	})
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"byzopt/internal/dgd"
@@ -46,13 +47,52 @@ func (p faultyProducer) Gradient(round int, x []float64) ([]float64, error) {
 	return p.inner.FaultyGradient(round, p.agent, x, nil)
 }
 
+// joined serves a producer for one run that holds a lent dgd.Arena. Each
+// call holds the run's read lock; Run takes the write lock on its way out,
+// and a call that starts later — the transport leaves a request the server
+// stopped waiting for running on a worker — returns without touching the
+// agent. So Run returns only once nothing it started reads the agents and
+// the wrappers the arena lent, which the next run over the arena rewrites.
+type joined struct {
+	inner transport.GradientProducer
+	run   *runJoin
+}
+
+// runJoin is the lock and the flag the joined producers of one run share.
+type runJoin struct {
+	mu       sync.RWMutex
+	returned bool
+}
+
+func (p *joined) Gradient(round int, x []float64) ([]float64, error) {
+	p.run.mu.RLock()
+	defer p.run.mu.RUnlock()
+	if p.run.returned {
+		return nil, fmt.Errorf("run has returned: %w", transport.ErrClosed)
+	}
+	return p.inner.Gradient(round, x)
+}
+
 // Run implements dgd.Backend. It owns the connection lifecycle: one channel
-// transport per agent, opened for the run and closed before returning.
+// transport per agent, opened for the run and closed before returning. A
+// run with cfg.Arena set also waits, before it returns, for every agent call
+// still in flight (see joined); one without keeps the transport's rule that
+// a stuck agent never wedges Close.
 func (b *Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 	conns := make([]transport.AgentConn, 0, len(cfg.Agents))
+	var run *runJoin
+	var producers []joined
+	if cfg.Arena != nil {
+		run, producers = new(runJoin), make([]joined, len(cfg.Agents))
+	}
 	defer func() {
 		for _, c := range conns {
 			_ = c.Close()
+		}
+		if run != nil {
+			run.mu.Lock()
+			run.returned = true
+			run.mu.Unlock()
 		}
 	}()
 	for i, a := range cfg.Agents {
@@ -65,6 +105,10 @@ func (b *Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) 
 			// serving index-aware keeps per-agent randomness identical to
 			// the in-process engine.
 			producer = faultyProducer{inner: fa, agent: i}
+		}
+		if run != nil {
+			producers[i] = joined{inner: producer, run: run}
+			producer = &producers[i]
 		}
 		c, err := transport.NewChannel(producer)
 		if err != nil {

@@ -24,7 +24,7 @@ func collectRun(t *testing.T, cfg Config) [][]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewCollector(cfg.Agents, len(cfg.X0))
+	col := NewCollector(cfg.Agents, len(cfg.X0), nil)
 	var out [][]float64
 	for r := 0; r < cfg.Rounds; r++ {
 		reports, err := col.Collect(r, round.X())
@@ -89,10 +89,10 @@ func TestCollectorWorkersBitEqual(t *testing.T) {
 			}
 			return cfg
 		}
-		if got := len(NewCollector(build(true).Agents, 16).followers); got != 9 {
+		if got := len(NewCollector(build(true).Agents, 16, nil).followers); got != 9 {
 			t.Fatalf("%s: %d of ten equal colluders follow, want 9", name, got)
 		}
-		if got := len(NewCollector(build(false).Agents, 16).followers); got != 0 {
+		if got := len(NewCollector(build(false).Agents, 16, nil).followers); got != 0 {
 			t.Fatalf("%s with the mark hidden: %d colluders follow, want none", name, got)
 		}
 		requireSameVectors(t, name+": shared against each its own",
@@ -169,7 +169,7 @@ func TestCoalitionReportsOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		col := NewCollector(agents, d)
+		col := NewCollector(agents, d, nil)
 		x := make([]float64, d)
 		for r := 0; r < rounds; r++ {
 			reports, err := col.Collect(r, x)
@@ -238,7 +238,7 @@ func TestCollectorAdaptsFacelessAgents(t *testing.T) {
 		&retainingFaulty{retainingAgent{buf: bufs[2]}},
 		&retainingFaulty{retainingAgent{buf: bufs[3]}},
 	}
-	col := NewCollector(agents, len(x))
+	col := NewCollector(agents, len(x), nil)
 	reports, err := col.Collect(5, x)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestCollectorAdaptsFacelessAgents(t *testing.T) {
 		&retainingFaulty{retainingAgent{buf: make([]float64, len(x)-1)}},
 	} {
 		mixed := append([]Agent{bad}, agents...)
-		if _, err := NewCollector(mixed, len(x)).Collect(0, x); !errors.Is(err, ErrConfig) {
+		if _, err := NewCollector(mixed, len(x), nil).Collect(0, x); !errors.Is(err, ErrConfig) {
 			t.Errorf("wrong-length report from %T: want ErrConfig, got %v", bad, err)
 		}
 	}
@@ -293,7 +293,7 @@ func TestOmniscientSeesAllHonestGradientsInParallel(t *testing.T) {
 	}
 	want := vecmath.Scale(-eps, mean)
 
-	grads, err := NewCollector(agents, len(x)).Collect(0, x)
+	grads, err := NewCollector(agents, len(x), nil).Collect(0, x)
 	if err != nil {
 		t.Fatal(err)
 	}

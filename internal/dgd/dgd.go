@@ -202,18 +202,11 @@ type faulty struct {
 // report once: inner is evaluated for the lowest-indexed of them only, since
 // such a behavior ignores it (see IntoFaulty).
 func NewFaulty(inner Agent, behavior byzantine.Behavior) (Agent, error) {
-	if behavior == nil {
-		return nil, fmt.Errorf("nil behavior: %w", ErrConfig)
+	agents := []Agent{inner}
+	if err := wrapFaulty(agents, make([]faulty, 1), behavior); err != nil {
+		return nil, err
 	}
-	into, ok := behavior.(byzantine.IntoBehavior)
-	if !ok {
-		into = asIntoBehavior{behavior}
-	}
-	f := &faulty{behavior: behavior, into: into}
-	if f.inner, ok = inner.(IntoAgent); !ok && inner != nil {
-		f.inner = asIntoAgent{inner}
-	}
-	return f, nil
+	return agents[0], nil
 }
 
 // asIntoBehavior adapts a behavior without the Into face, the way asInto
@@ -374,6 +367,12 @@ type Config struct {
 	// identical to a nil Async.
 	Async *AsyncConfig
 
+	// Arena, when non-nil, lends the run its set-up tables (see Arena): the
+	// round kernel with its filter scratch, the collector, and a substrate's
+	// own tables. Result.X is then the arena's row, overwritten by the next
+	// run over it. Nil gives the run a fresh arena.
+	Arena *Arena
+
 	// Chaos, when non-nil and enabled, injects deterministic system faults —
 	// crash, omission, delay, duplication, detected corruption — into each
 	// round's collection through the async overlay (a chaos-only run uses a
@@ -490,7 +489,9 @@ func (r *TraceRecorder) ObserveChaosRound(stats ChaosRoundStats) error {
 // InProcess runs the deterministic simulation in this package; the cluster
 // package's Backend serves the same Config over transport connections. The
 // sweep engine accepts any Backend, so scenario grids run unchanged on
-// either substrate.
+// either substrate. A Run handed a cfg.Arena returns only once nothing it
+// started still reads cfg's agents or the arena (see Arena): the sweep lends
+// the arena to the next cell as soon as Run returns.
 type Backend interface {
 	Run(ctx context.Context, cfg Config) (*Result, error)
 }
@@ -529,11 +530,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("nil agent %d: %w", i, ErrConfig)
 		}
 	}
+	if cfg.Arena == nil {
+		cfg.Arena = new(Arena)
+	}
 	round, err := NewRound(cfg, len(cfg.Agents))
 	if err != nil {
 		return nil, err
 	}
-	col := NewCollector(cfg.Agents, len(cfg.X0))
+	col := NewCollector(cfg.Agents, len(cfg.X0), cfg.Arena)
 	for t := 0; t < cfg.Rounds; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("run cancelled at round %d: %w", t, err)
@@ -574,26 +578,32 @@ type Collector struct {
 }
 
 // NewCollector builds the collection state for one run over agents reporting
-// d-dimensional gradients. An agent that lacks GradientInto or
-// FaultyGradientInto is adapted here, once, so that collection has a single
-// face per agent kind whatever the agent implements.
-func NewCollector(agents []Agent, d int) *Collector {
+// d-dimensional gradients, carving it from arena (nil: a fresh one). An agent
+// that lacks GradientInto or FaultyGradientInto is adapted here, once, so
+// that collection has a single face per agent kind whatever the agent
+// implements.
+func NewCollector(agents []Agent, d int, arena *Arena) *Collector {
+	if arena == nil {
+		arena = new(Arena)
+	}
 	n := len(agents)
 	// Each pair of index lists, and of row tables, is carved from one
-	// backing; the capped halves cannot append into each other.
-	idx := make([]int, 2*n)
-	rows := make([][]float64, 2*n)
-	c := &Collector{
+	// table; the capped halves cannot append into each other.
+	idx := lend(&arena.idx, 2*n)
+	rows := lend(&arena.rows, 2*n)
+	c := &arena.col
+	*c = Collector{
 		honestIdx: idx[:0:n],
 		faultyIdx: idx[n:n],
-		into:      make([]IntoAgent, n),
-		faulty:    make([]IntoFaulty, n),
+		followers: arena.followers[:0],
+		into:      lend(&arena.into, n),
+		faulty:    lend(&arena.faulty, n),
 		grads:     rows[:n:n],
 		honest:    rows[n:n],
 	}
-	arena := make([]float64, n*d)
+	grads := lend(&arena.grads, n*d)
 	for i, a := range agents {
-		c.grads[i] = arena[i*d : (i+1)*d : (i+1)*d]
+		c.grads[i] = grads[i*d : (i+1)*d : (i+1)*d]
 		switch a := a.(type) {
 		case IntoFaulty:
 			c.faulty[i] = a
@@ -612,6 +622,7 @@ func NewCollector(agents []Agent, d int) *Collector {
 		}
 	}
 	c.sharedReports()
+	arena.followers = c.followers
 	return c
 }
 

@@ -91,7 +91,8 @@ func ValidateRound(cfg Config, n int, sentinel error) error {
 }
 
 // NewRound validates cfg for a run over n agents (ValidateRound, wrapping
-// ErrConfig) and builds the kernel: the estimate starts at the projected X0,
+// ErrConfig) and builds the kernel in cfg.Arena (nil: a fresh one), keeping
+// the arena's filter scratch: the estimate starts at the projected X0,
 // and the overlay is built once when cfg.Async is set or cfg.Chaos is
 // enabled (a chaos-only run gets a zero-latency wait-all overlay, whose
 // fault-free path is bitwise synchronous). A substrate may call OmitNext
@@ -103,14 +104,20 @@ func NewRound(cfg Config, n int) (*Round, error) {
 	if cfg.Steps == nil {
 		cfg.Steps = DefaultSteps()
 	}
+	a := cfg.Arena
+	if a == nil {
+		a = new(Arena)
+	}
 	d := len(cfg.X0)
-	xdir := make([]float64, 2*d)
+	xdir := lend(&a.xdir, 2*d)
 	copy(xdir, cfg.X0)
-	r := &Round{
-		cfg:   cfg,
-		x:     xdir[:d:d],
-		dir:   xdir[d:],
-		input: make([][]float64, 0, n),
+	r := &a.round
+	*r = Round{
+		cfg:     cfg,
+		x:       xdir[:d:d],
+		dir:     xdir[d:],
+		input:   lend(&a.input, n)[:0],
+		scratch: r.scratch,
 	}
 	if cfg.Box != nil {
 		if err := cfg.Box.ProjectInPlace(r.x); err != nil {

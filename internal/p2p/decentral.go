@@ -51,7 +51,18 @@ func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 	if cfg.F < 0 || n <= 3*cfg.F {
 		return nil, fmt.Errorf("p2p backend needs n > 3f, got n=%d f=%d: %w", n, cfg.F, dgd.ErrInadmissible)
 	}
-	liars := make([]Distorter, n)
+	if cfg.Arena == nil {
+		cfg.Arena = new(dgd.Arena)
+	}
+	// The liar table is the one table of Run's own the arena keeps, in its
+	// Substrate slot, zeroed for each run and grown as dgd's own tables are.
+	lent, ok := cfg.Arena.Substrate.(*[]Distorter)
+	if !ok {
+		lent = new([]Distorter)
+		cfg.Arena.Substrate = lent
+	}
+	*lent = append((*lent)[:0], make([]Distorter, n)...)
+	liars := *lent
 	distorting := 0
 	for i, a := range cfg.Agents {
 		if a == nil {
@@ -72,22 +83,16 @@ func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 		return nil, err
 	}
 
-	// Per-run state, allocated once and reused every round: the collector's
-	// gradient arena, the agreed set, one row per sender, and if a peer
-	// distorts the EIG engine and an encoding buffer. The others' decisions
-	// are checked against honest's, the first honest peer (n > 3f leaves one).
+	// Per-run state, reused every round: the collector, lent by the arena,
+	// whose rows become the agreed set in place, and if a peer distorts the
+	// EIG engine and an encoding buffer. The others' decisions are checked
+	// against honest's, the first honest peer (n > 3f leaves one).
 	honest := slices.Index(liars, nil)
-	dim := len(cfg.X0)
-	col := dgd.NewCollector(cfg.Agents, dim)
+	col := dgd.NewCollector(cfg.Agents, len(cfg.X0), cfg.Arena)
 	var e *eig
 	var payload []byte
 	if distorting > 0 {
 		e = newEIG(n, cfg.F)
-	}
-	agreed := make([][]float64, n)
-	arena := make([]float64, n*dim)
-	for sender := range agreed {
-		agreed[sender] = arena[sender*dim : (sender+1)*dim : (sender+1)*dim]
 	}
 
 	for t := 0; t < cfg.Rounds; t++ {
@@ -101,14 +106,14 @@ func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Each sender's row becomes what every honest peer agreed it sent.
+		// The collector rewrites every row next round.
 		for sender, g := range grads {
 			if liars[sender] == nil {
 				// What DecodeVectorInto reads back from g's encoding: g bit
 				// for bit, or zero when a coordinate is not finite.
-				if vecmath.IsFinite(g) {
-					copy(agreed[sender], g)
-				} else {
-					clear(agreed[sender])
+				if !vecmath.IsFinite(g) {
+					clear(g)
 				}
 				continue
 			}
@@ -122,13 +127,13 @@ func (Backend) Run(ctx context.Context, cfg dgd.Config) (*dgd.Result, error) {
 					return nil, fmt.Errorf("p2p: honest estimates diverged at round %d — broadcast agreement violated", t)
 				}
 			}
-			DecodeVectorInto(agreed[sender], e.strs[id])
+			DecodeVectorInto(g, e.strs[id]) // payload holds the sent value
 			clear(e.ids)
 			clear(e.strs)
 		}
 		// All honest peers hold the identical set, so a failure is common and
 		// reads exactly as the in-process engine's would.
-		if err := r.Apply(t, cfg.F, agreed); err != nil {
+		if err := r.Apply(t, cfg.F, grads); err != nil {
 			return nil, err
 		}
 	}

@@ -14,6 +14,7 @@ package sweep
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 
 	"byzopt/internal/dgd"
@@ -82,11 +83,12 @@ func (p *banknoteProblem) Validate(spec *Spec) error {
 	return nil
 }
 
-// Key implements Problem: the workload depends on the shard layout and
+// AppendKey implements Problem: the workload depends on the shard layout and
 // whether the faulty shards are label-flipped.
-func (p *banknoteProblem) Key(spec *Spec, scn Scenario) string {
-	return fmt.Sprintf("%s n=%d f=%d flip=%t",
-		ProblemBanknote, scn.N, scn.F, scn.Behavior == BehaviorLabelFlip)
+func (p *banknoteProblem) AppendKey(dst []byte, spec *Spec, scn Scenario) []byte {
+	dst = strconv.AppendInt(append(append(dst, ProblemBanknote...), " n="...), int64(scn.N), 10)
+	dst = strconv.AppendInt(append(dst, " f="...), int64(scn.F), 10)
+	return strconv.AppendBool(append(dst, " flip="...), scn.Behavior == BehaviorLabelFlip)
 }
 
 // datasets returns the memoized (train, test) split of the reconstruction:

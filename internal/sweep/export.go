@@ -164,7 +164,8 @@ func MergeJSONFiles(paths ...string) ([]Result, error) {
 // grid without it is unchanged. A chaos grid also gets COST_X — final_dist
 // over the final_dist of the cell that differs only in running fault-free,
 // "-" when that cell is absent or did not finish — and a trailing per-run
-// FAULTS tally.
+// FAULTS tally. FILTER, BEHAVIOR and STEP are 14, 18 and 20 wide, or as wide
+// as their longest cell.
 func FormatTable(results []Result) string {
 	type axisCol struct {
 		header, zero string
@@ -223,11 +224,26 @@ func FormatTable(results []Result) string {
 	}
 	sort.Strings(metricCols)
 
+	behaviorOf := func(r *Result) string {
+		if r.Baseline {
+			return "(baseline)"
+		}
+		return r.Behavior
+	}
+	filterW, behaviorW, stepW := 14, 18, 20
+	for i := range results {
+		r := &results[i]
+		filterW = max(filterW, len(r.Filter))
+		behaviorW = max(behaviorW, len(behaviorOf(r)))
+		stepW = max(stepW, len(r.Step))
+	}
+
 	var b strings.Builder
 	for _, ax := range shown {
 		fmt.Fprintf(&b, "%-*s ", ax.width, ax.header)
 	}
-	fmt.Fprintf(&b, "%-14s %-18s %3s %4s %5s %-20s %10s %12s", "FILTER", "BEHAVIOR", "F", "N", "D", "STEP", "DIST", "LOSS")
+	fmt.Fprintf(&b, "%-*s %-*s %3s %4s %5s %-*s %10s %12s",
+		filterW, "FILTER", behaviorW, "BEHAVIOR", "F", "N", "D", stepW, "STEP", "DIST", "LOSS")
 	if chaosCol {
 		fmt.Fprintf(&b, " %8s", "COST_X")
 	}
@@ -249,11 +265,8 @@ func FormatTable(results []Result) string {
 			}
 			fmt.Fprintf(&b, "%-*s ", ax.width, cell)
 		}
-		behavior := r.Behavior
-		if r.Baseline {
-			behavior = "(baseline)"
-		}
-		fmt.Fprintf(&b, "%-14s %-18s %3d %4d %5d %-20s", r.Filter, behavior, r.F, r.N, r.Dim, r.Step)
+		fmt.Fprintf(&b, "%-*s %-*s %3d %4d %5d %-*s",
+			filterW, r.Filter, behaviorW, behaviorOf(r), r.F, r.N, r.Dim, stepW, r.Step)
 		if finished(r) {
 			fmt.Fprintf(&b, " %10.4f %12.4f", r.FinalDist, r.LossFinal)
 		} else {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 
 	"byzopt/internal/byzantine"
@@ -37,11 +38,12 @@ type Problem interface {
 	// validated the generic axes (filters, behaviors, f, rounds, workers);
 	// problems with behaviors of their own declare them via ExtraBehaviors.
 	Validate(spec *Spec) error
-	// Key returns the cache key identifying the instance Build would
-	// produce for the scenario: scenarios mapping to the same key share one
-	// cached Workload, so the key must cover every axis the instance
-	// depends on and no more.
-	Key(spec *Spec, scn Scenario) string
+	// AppendKey appends to dst the cache key identifying the instance Build
+	// would produce for the scenario, and returns the extended slice:
+	// scenarios mapping to the same key share one cached Workload, so the
+	// key must cover every axis the instance depends on and no more. The
+	// engine looks the key up without converting it to a string.
+	AppendKey(dst []byte, spec *Spec, scn Scenario) []byte
 	// Build materializes the workload for one scenario. The result may be
 	// cached and shared by concurrently running scenarios, so everything it
 	// holds must be safe for concurrent read-only use.
@@ -234,10 +236,17 @@ func (p regressionProblem) Validate(spec *Spec) error {
 	return nil
 }
 
-// Key implements Problem: the instance depends on the system size and the
-// fault split (which fixes the honest set behind x_H), nothing else.
-func (p regressionProblem) Key(spec *Spec, scn Scenario) string {
-	return fmt.Sprintf("%s n=%d d=%d f=%d", p.name, scn.N, scn.Dim, scn.F)
+// AppendKey implements Problem: the instance depends on the system size and
+// the fault split (which fixes the honest set behind x_H), nothing else.
+func (p regressionProblem) AppendKey(dst []byte, spec *Spec, scn Scenario) []byte {
+	return appendSizes(append(dst, p.name...), scn)
+}
+
+// appendSizes appends the " n=… d=… f=…" part of an instance key.
+func appendSizes(dst []byte, scn Scenario) []byte {
+	dst = strconv.AppendInt(append(dst, " n="...), int64(scn.N), 10)
+	dst = strconv.AppendInt(append(dst, " d="...), int64(scn.Dim), 10)
+	return strconv.AppendInt(append(dst, " f="...), int64(scn.F), 10)
 }
 
 // Build implements Problem. The first scn.F agents are the Byzantine ones

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"byzopt/internal/costfunc"
@@ -158,11 +159,12 @@ func (p *LearningProblem) Validate(spec *Spec) error {
 	return nil
 }
 
-// Key implements Problem: the instance depends on the shard layout (n, f),
-// the feature dimension, and whether the faulty shards are label-flipped.
-func (p *LearningProblem) Key(spec *Spec, scn Scenario) string {
-	return fmt.Sprintf("%s n=%d d=%d f=%d flip=%t",
-		p.ProblemName, scn.N, scn.Dim, scn.F, scn.Behavior == BehaviorLabelFlip)
+// AppendKey implements Problem: the instance depends on the shard layout
+// (n, f), the feature dimension, and whether the faulty shards are
+// label-flipped.
+func (p *LearningProblem) AppendKey(dst []byte, spec *Spec, scn Scenario) []byte {
+	dst = appendSizes(append(dst, p.ProblemName...), scn)
+	return strconv.AppendBool(append(dst, " flip="...), scn.Behavior == BehaviorLabelFlip)
 }
 
 // Build implements Problem.
@@ -255,10 +257,10 @@ func (sensingProblem) Name() string { return ProblemSensing }
 // Validate implements Problem.
 func (sensingProblem) Validate(spec *Spec) error { return nil }
 
-// Key implements Problem: the observation geometry depends on (n, d, f)
-// through the rows-per-sensor sizing.
-func (sensingProblem) Key(spec *Spec, scn Scenario) string {
-	return fmt.Sprintf("%s n=%d d=%d f=%d", ProblemSensing, scn.N, scn.Dim, scn.F)
+// AppendKey implements Problem: the observation geometry depends on
+// (n, d, f) through the rows-per-sensor sizing.
+func (sensingProblem) AppendKey(dst []byte, spec *Spec, scn Scenario) []byte {
+	return appendSizes(append(dst, ProblemSensing...), scn)
 }
 
 // Build implements Problem.
@@ -324,10 +326,10 @@ func (robustMeanProblem) Name() string { return ProblemRobustMean }
 // Validate implements Problem.
 func (robustMeanProblem) Validate(spec *Spec) error { return nil }
 
-// Key implements Problem: the cloud depends on (n, d); f fixes which points
-// count as honest behind x_H.
-func (robustMeanProblem) Key(spec *Spec, scn Scenario) string {
-	return fmt.Sprintf("%s n=%d d=%d f=%d", ProblemRobustMean, scn.N, scn.Dim, scn.F)
+// AppendKey implements Problem: the cloud depends on (n, d); f fixes which
+// points count as honest behind x_H.
+func (robustMeanProblem) AppendKey(dst []byte, spec *Spec, scn Scenario) []byte {
+	return appendSizes(append(dst, ProblemRobustMean...), scn)
 }
 
 // Build implements Problem.

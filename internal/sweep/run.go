@@ -135,17 +135,19 @@ type workloadEntry struct {
 func buildWorkloads(spec *Spec, prob Problem, jobs []job) []workloadEntry {
 	cache := make(map[string]workloadEntry)
 	entries := make([]workloadEntry, len(jobs))
+	var key []byte
 	for i, jb := range jobs {
 		scn := jb.scn
 		if 2*scn.F >= scn.N {
 			continue
 		}
-		key := prob.Key(spec, scn)
-		entry, ok := cache[key]
+		// A lookup by string(key) does not allocate; only a miss stores one.
+		key = prob.AppendKey(key[:0], spec, scn)
+		entry, ok := cache[string(key)]
 		if !ok {
 			wl, err := prob.Build(spec, scn)
 			entry = workloadEntry{wl: wl, err: err}
-			cache[key] = entry
+			cache[string(key)] = entry
 		}
 		entries[i] = entry
 	}
@@ -253,8 +255,10 @@ func RunCells(ctx context.Context, spec Spec, indices []int, emit func(Result) e
 //
 // Cells are drawn longest-job-first: heterogeneous grids (cheap regression
 // cells next to expensive learning cells) would otherwise tail-stall on one
-// worker grinding the biggest scenario last. Every Result is a pure function
-// of its cell, so the schedule never shows in the output.
+// worker grinding the biggest scenario last. Each goroutine lends the cells
+// it runs, one at a time, its own cellWorker. Every Result is a pure
+// function of its cell, so neither the schedule nor what a worker ran before
+// shows in the output.
 func runPool(ctx context.Context, spec *Spec, prob Problem, jobs []job, emit func(pos int, res Result) error) error {
 	backend := spec.Backend
 	if backend == nil {
@@ -279,13 +283,14 @@ func runPool(ctx context.Context, spec *Spec, prob Problem, jobs []job, emit fun
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := newCellWorker()
 			for poolCtx.Err() == nil {
 				k := int(next.Add(1)) - 1
 				if k >= len(order) {
 					return
 				}
 				pos := order[k]
-				res, err := runScenario(poolCtx, spec, backend, jobs[pos], workloads[pos])
+				res, err := runScenario(poolCtx, spec, backend, jobs[pos], workloads[pos], w)
 				if err != nil {
 					return // the cell was cancelled, and so is the pool
 				}
@@ -401,6 +406,16 @@ func (a *agreementRecorder) ObserveFilter(t, f int, input [][]float64, out []flo
 	return nil
 }
 
+// cellWorker is what one pool goroutine lends each cell it runs, one cell at
+// a time: the dgd arena the run's set-up tables and Byzantine wrappers are
+// carved from, and the cell recorder. Nothing a Result keeps points into it.
+type cellWorker struct {
+	arena *dgd.Arena
+	cell  cellRecorder
+}
+
+func newCellWorker() *cellWorker { return &cellWorker{arena: new(dgd.Arena)} }
+
 // cellRecorder is every cell's first observer. At each estimate x_t it
 // evaluates the honest loss Q_H(x_t) and the distance ||x_t - x_H|| — the
 // calls dgd.Round.Record makes for Config.TrackLoss and Config.Reference,
@@ -500,7 +515,7 @@ type withFilterFace struct {
 // so one bad cell never aborts a sweep. The single exception is
 // cancellation of the sweep's own context, which is returned as an error so
 // the pool can stop.
-func runScenario(ctx context.Context, spec *Spec, backend dgd.Backend, jb job, entry workloadEntry) (Result, error) {
+func runScenario(ctx context.Context, spec *Spec, backend dgd.Backend, jb job, entry workloadEntry, w *cellWorker) (Result, error) {
 	scn := jb.scn
 	res := Result{Scenario: scn, GridIndex: jb.idx, GridTotal: jb.total, Seed: scn.DeriveSeed(spec.Seed)}
 	if spec.PinBehaviorSeed {
@@ -558,11 +573,8 @@ func runScenario(ctx context.Context, spec *Spec, backend dgd.Backend, jb job, e
 		if err != nil {
 			return fail(err)
 		}
-		for i := 0; i < scn.F; i++ {
-			agents[i], err = dgd.NewFaulty(agents[i], behavior)
-			if err != nil {
-				return fail(err)
-			}
+		if err := w.arena.WrapFaulty(agents[:scn.F], behavior); err != nil {
+			return fail(err)
 		}
 	}
 	filter, err := aggregate.New(scn.Filter)
@@ -594,7 +606,8 @@ func runScenario(ctx context.Context, spec *Spec, backend dgd.Backend, jb job, e
 			break
 		}
 	}
-	cell := &cellRecorder{loss: wl.HonestLoss, ref: wl.XH}
+	cell := &w.cell
+	*cell = cellRecorder{loss: wl.HonestLoss, ref: wl.XH}
 	if spec.RecordTrace || len(spec.TraceMetrics) > 0 {
 		// Estimate copies would dominate the recorder's memory at high
 		// dimension, so they are kept only when a selected trace metric
@@ -645,6 +658,7 @@ func runScenario(ctx context.Context, spec *Spec, backend dgd.Backend, jb job, e
 		Observer: observer,
 		Async:    asyncCfg,
 		Chaos:    chaosPlan,
+		Arena:    w.arena,
 	}
 	if wl.HonestLoss != nil && wl.HonestLoss.Dim() != len(wl.X0) || wl.XH != nil && len(wl.XH) != len(wl.X0) {
 		// A loss or reference the cell recorder cannot evaluate goes to the
@@ -674,7 +688,7 @@ func runScenario(ctx context.Context, spec *Spec, backend dgd.Backend, jb job, e
 		}
 		return fail(err)
 	}
-	res.FinalX = out.X
+	res.FinalX = slices.Clone(out.X) // out.X is the arena's, the next cell's to overwrite
 	res.FinalDist = cell.dist
 	res.LossStart, res.LossFinal, res.LossMin = cell.lossStart, cell.lossFinal, cell.lossMin
 	if metrics != nil {

@@ -62,10 +62,10 @@ func svmFault(behavior string) string {
 	return ""
 }
 
-// Key implements Problem: the instance depends on the shard layout (n, f),
-// the feature dimension, and the fault Build applies.
-func (svmProblem) Key(spec *Spec, scn Scenario) string {
-	return fmt.Sprintf("%s n=%d d=%d f=%d fault=%s", ProblemSVM, scn.N, scn.Dim, scn.F, svmFault(scn.Behavior))
+// AppendKey implements Problem: the instance depends on the shard layout
+// (n, f), the feature dimension, and the fault Build applies.
+func (svmProblem) AppendKey(dst []byte, spec *Spec, scn Scenario) []byte {
+	return append(append(appendSizes(append(dst, ProblemSVM...), scn), " fault="...), svmFault(scn.Behavior)...)
 }
 
 // Build implements Problem. The designated-faulty shards are the last f,

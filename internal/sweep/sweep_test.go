@@ -464,6 +464,50 @@ func TestFormatTableSketchColumn(t *testing.T) {
 	}
 }
 
+// TestFormatTableLongFilterNameAligns: a filter name longer than the
+// 14-wide FILTER column (multikrum-sketch-3) widens the column, so every
+// row's behavior, step, distance and status start where the header's do,
+// on the long row and on the short one alike.
+func TestFormatTableLongFilterNameAligns(t *testing.T) {
+	results, err := Run(Spec{
+		Filters:   []string{"cge", "multikrum-sketch-3"},
+		Behaviors: []string{"gradient-reverse"},
+		NValues:   []int{12},
+		Dims:      []int{4},
+		Rounds:    5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(FormatTable(results), "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("want header + 2 rows:\n%s", strings.Join(lines, "\n"))
+	}
+	header := lines[0]
+	for i, r := range results {
+		if r.Status() != "ok" {
+			t.Fatalf("%s: %s %s", r.Key(), r.Status(), r.Err)
+		}
+		row := lines[i+1]
+		dist := fmt.Sprintf("%.4f", r.FinalDist)
+		for _, col := range []struct{ header, cell string }{
+			{"BEHAVIOR", r.Behavior},
+			{"STEP", r.Step},
+			{"STATUS", "ok"},
+		} {
+			if at, want := strings.Index(row, " "+col.cell)+1, strings.Index(header, col.header); at != want {
+				t.Errorf("row %d: %s starts at %d, its header at %d:\n%s\n%s", i, col.cell, at, want, header, row)
+			}
+		}
+		if end, want := strings.Index(row, " "+dist+" ")+1+len(dist), strings.Index(header, "DIST")+len("DIST"); end != want {
+			t.Errorf("row %d: DIST ends at %d, its header at %d:\n%s\n%s", i, end, want, header, row)
+		}
+	}
+	if !strings.HasPrefix(lines[2], "multikrum-sketch-3 gradient-reverse ") {
+		t.Errorf("long row: %s", lines[2])
+	}
+}
+
 // TestUnderdeterminedGridPointIsSkipped: a synthetic cell whose honest
 // system has fewer agents than dimensions is a grid infeasibility, so it
 // must land in the skipped bucket like the other tolerance refusals.
